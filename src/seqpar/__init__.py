@@ -14,6 +14,10 @@ exact numerical agreement:
 - ``hybrid``: data-parallel replicas of sharded groups with two-level
   gradient averaging.
 
+Each engine is one per-step function driven by the same loop,
+:func:`seqpar.grid.train`, on a replicas x workers grid, and every run
+returns the same :class:`seqpar.grid.Run` record.
+
 Entry points: :func:`seqpar.runner.run_experiment` or the ``seqpar`` CLI.
 """
 
@@ -27,7 +31,7 @@ from .errors import (
     PartitionError,
     ShapeError,
 )
-from .hybrid import GridLayout
+from .grid import GridLayout, Run, ShardSpec
 from .model import (
     ModelConfig,
     Parameters,
@@ -38,7 +42,6 @@ from .model import (
 )
 from .nnops import DropoutPolicy
 from .runner import RunConfig, RunResult, run_experiment, verify_equivalence
-from .sharded import DistParameters, ShardSpec
 from .tensor import StepCounters
 
 __version__ = "0.1.0"
@@ -51,13 +54,13 @@ __all__ = [
     "Communicator",
     "CostEstimate",
     "DegenerateRowError",
-    "DistParameters",
     "DropoutPolicy",
     "GridLayout",
     "ModelConfig",
     "NumericsError",
     "Parameters",
     "PartitionError",
+    "Run",
     "RunConfig",
     "RunResult",
     "ShapeError",

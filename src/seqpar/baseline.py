@@ -15,6 +15,9 @@ Communication per training step with L layers:
     sync      1 all-reduce (sum; zeros stand in for gradients a worker
               did not compute)
 Eight layer-tagged records per layer per step, four each way.
+
+The engine is :func:`train_step`; :func:`run_steps` drives it on a 1xN grid
+through :func:`seqpar.grid.train`.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, tensor
-from .collectives import Communicator, WorkerGroup, run_workers
+from . import grid, model
+from .collectives import run_workers
 from .errors import ShapeError
+from .grid import GridLayout, Run, Worker
 from .model import ModelConfig, Parameters
 from .nnops import DropoutPolicy
-from .sharded import ShardSpec
 from .tensor import StepCounters
 
 
@@ -55,189 +58,174 @@ class _LayerTape:
 
 
 def train_step(
-    comm: Communicator,
-    group: WorkerGroup,
-    spec: ShardSpec,
+    worker: Worker,
     params: Parameters,
     cfg: ModelConfig,
     tokens: np.ndarray,
     targets: np.ndarray,
     *,
-    lr: float,
     policy: DropoutPolicy | None = None,
     step: int = 0,
-) -> tuple[float | None, StepCounters, Parameters, Parameters]:
-    """One step on one worker; ``tokens``/``targets`` are the full-width
-    batch (only rank 0 reads them).  Returns (loss on rank 0 else None,
-    counters, updated params, synced grads)."""
+    counters: StepCounters | None = None,
+) -> tuple[float | None, Parameters]:
+    """forward -> backward -> gradient sync on one worker; ``tokens`` and
+    ``targets`` are the full-width batch (only rank 0 reads them).  Returns
+    (the loss on rank 0, else None; the synced gradients)."""
+    comm, group, spec = worker.comm, worker.seq_group, worker.spec
     rank = spec.rank
     policy = policy if policy is not None else DropoutPolicy.off()
     if rank == 0 and tokens.shape[1] != cfg.seq_len:
         raise ShapeError(f"expected {cfg.seq_len} token columns, got {tokens.shape[1]}")
-    counters = StepCounters()
     batch = tokens.shape[0]
     seg_samples, seg_positions = model.row_coords(batch, spec.block, spec.offset)
     full_shape = (batch, cfg.seq_len, cfg.embed_dim)
 
-    with tensor.counting(counters):
-        # ---- forward -----------------------------------------------------
-        if rank == 0:
-            x_full, e_cache = model.embed_fwd(params, cfg, tokens, 0, policy)
-        else:
-            x_full, e_cache = None, None
-        x_seg = comm.scatter(group, rank, x_full, src=0, dim=1, step=step, phase="forward")
+    # ---- forward -----------------------------------------------------
+    if rank == 0:
+        x_full, e_cache = model.embed_fwd(params, cfg, tokens, 0, policy)
+    else:
+        x_full, e_cache = None, None
+    x_seg = comm.scatter(group, rank, x_full, src=0, dim=1, step=step, phase="forward")
 
-        tapes = []
-        for li, lp in enumerate(params.layers):
-            xh_seg, ln1_c = model.norm3(x_seg, lp.ln1_gain, lp.ln1_bias)
-            xh_full = comm.gather(
-                group, rank, xh_seg, dst=0, dim=1, step=step, phase="forward", layer=li
-            )
-            tape = _LayerTape(ln1=ln1_c, att_mask=None, ln2=None, ff_mask=None)
-            if rank == 0:
-                k = model.linear3(xh_full, lp.attn_k)
-                v = model.linear3(xh_full, lp.attn_v)
-                q = model.linear3(xh_full, lp.attn_q)
-                ctx, score_c = model.scores_fwd(q, k, v, 0, cfg, policy, li, counters)
-                att_full = model.linear3(ctx, lp.attn_out)
-                tape.xh_full, tape.q, tape.k, tape.v = xh_full, q, k, v
-                tape.scores, tape.ctx = score_c, ctx
-            else:
-                att_full = None
-            att_seg = comm.scatter(
-                group, rank, att_full, src=0, dim=1, step=step, phase="forward", layer=li
-            )
-            att_seg, tape.att_mask = model.dropout3(
-                att_seg, policy, li, "attn_out", seg_samples, seg_positions
-            )
-            x_mid = x_seg + att_seg
-
-            yh_seg, tape.ln2 = model.norm3(x_mid, lp.ln2_gain, lp.ln2_bias)
-            yh_full = comm.gather(
-                group, rank, yh_seg, dst=0, dim=1, step=step, phase="forward", layer=li
-            )
-            if rank == 0:
-                full_samples, full_positions = model.row_coords(batch, cfg.seq_len, 0)
-                ff_full, tape.ffn = model.ffn_fwd(
-                    yh_full, lp, policy, li, full_samples, full_positions
-                )
-            else:
-                ff_full = None
-            ff_seg = comm.scatter(
-                group, rank, ff_full, src=0, dim=1, step=step, phase="forward", layer=li
-            )
-            ff_seg, tape.ff_mask = model.dropout3(
-                ff_seg, policy, li, "ffn_out", seg_samples, seg_positions
-            )
-            x_seg = x_mid + ff_seg
-            tapes.append((tape, x_mid))
-
-        xL_full = comm.gather(group, rank, x_seg, dst=0, dim=1, step=step, phase="forward")
-        if rank == 0:
-            loss, h_cache = model.head_fwd(xL_full, params, targets)
-        else:
-            loss, h_cache = None, None
-
-        # ---- backward ----------------------------------------------------
-        grads = _zeros_like_params(params)
-        names = [n for n, _ in params.named_arrays()]
-        slot = {n: i for i, n in enumerate(names)}
-
-        if rank == 0:
-            grad_full, fg, fb, hw, hb = model.head_bwd(h_cache, params)
-            grads[slot["final_gain"]] = fg
-            grads[slot["final_bias"]] = fb
-            grads[slot["head.weight"]] = hw
-            grads[slot["head.bias"]] = hb
-        else:
-            grad_full = np.zeros(full_shape, dtype=cfg.dtype)
-        grad_seg = comm.reduce_scatter(
-            group, rank, grad_full, dim=1, step=step, phase="backward"
+    tapes = []
+    for li, lp in enumerate(params.layers):
+        xh_seg, ln1_c = model.norm3(x_seg, lp.ln1_gain, lp.ln1_bias)
+        xh_full = comm.gather(
+            group, rank, xh_seg, dst=0, dim=1, step=step, phase="forward", layer=li
         )
-
-        for li in range(len(params.layers) - 1, -1, -1):
-            lp = params.layers[li]
-            tape, _x_mid = tapes[li]
-            pfx = f"layer{li}."
-
-            g_ff_seg = model.dropout3_bwd(grad_seg, policy, tape.ff_mask)
-            g_ff_full = comm.gather(
-                group, rank, g_ff_seg, dst=0, dim=1, step=step, phase="backward", layer=li
-            )
-            if rank == 0:
-                g_yh_full, (in_wg, in_bg, out_wg, out_bg) = model.ffn_bwd(
-                    tape.ffn, lp, policy, g_ff_full
-                )
-                grads[slot[pfx + "ff_in.weight"]] = in_wg
-                grads[slot[pfx + "ff_in.bias"]] = in_bg
-                grads[slot[pfx + "ff_out.weight"]] = out_wg
-                grads[slot[pfx + "ff_out.bias"]] = out_bg
-            else:
-                g_yh_full = np.zeros(full_shape, dtype=cfg.dtype)
-            g_yh_seg = comm.reduce_scatter(
-                group, rank, g_yh_full, dim=1, step=step, phase="backward", layer=li
-            )
-            g_ln2_x, ln2_gg, ln2_bg = model.norm3_bwd(tape.ln2, lp.ln2_gain, g_yh_seg)
-            grads[slot[pfx + "ln2_gain"]] = ln2_gg
-            grads[slot[pfx + "ln2_bias"]] = ln2_bg
-            grad_mid = grad_seg + g_ln2_x
-
-            g_att_seg = model.dropout3_bwd(grad_mid, policy, tape.att_mask)
-            g_att_full = comm.gather(
-                group, rank, g_att_seg, dst=0, dim=1, step=step, phase="backward", layer=li
-            )
-            if rank == 0:
-                grad_ctx, ow, ob = model.linear3_bwd(tape.ctx, lp.attn_out, g_att_full)
-                gq, gk, gv = model.scores_bwd(
-                    tape.scores, tape.q, tape.k, tape.v, grad_ctx, cfg, policy
-                )
-                g_xh_q, qw, qb = model.linear3_bwd(tape.xh_full, lp.attn_q, gq)
-                g_xh_kv, kw, kb, vw, vb = model.local_kv_bwd(tape.xh_full, lp, gk, gv)
-                g_xh_full = g_xh_q + g_xh_kv
-                for name, g in (
-                    ("attn_q.weight", qw), ("attn_q.bias", qb),
-                    ("attn_k.weight", kw), ("attn_k.bias", kb),
-                    ("attn_v.weight", vw), ("attn_v.bias", vb),
-                    ("attn_out.weight", ow), ("attn_out.bias", ob),
-                ):
-                    grads[slot[pfx + name]] = g
-            else:
-                g_xh_full = np.zeros(full_shape, dtype=cfg.dtype)
-            g_xh_seg = comm.reduce_scatter(
-                group, rank, g_xh_full, dim=1, step=step, phase="backward", layer=li
-            )
-            g_ln1_x, ln1_gg, ln1_bg = model.norm3_bwd(tape.ln1, lp.ln1_gain, g_xh_seg)
-            grads[slot[pfx + "ln1_gain"]] = ln1_gg
-            grads[slot[pfx + "ln1_bias"]] = ln1_bg
-            grad_seg = grad_mid + g_ln1_x
-
-        g_x0_full = comm.gather(group, rank, grad_seg, dst=0, dim=1, step=step, phase="backward")
+        tape = _LayerTape(ln1=ln1_c, att_mask=None, ln2=None, ff_mask=None)
         if rank == 0:
-            grad_tok, grad_pe = model.embed_bwd(e_cache, cfg.vocab, policy, g_x0_full)
-            grads[slot["token_table"]] = grad_tok
-            grads[slot["pos_table"]] = grad_pe
+            k = model.linear3(xh_full, lp.attn_k)
+            v = model.linear3(xh_full, lp.attn_v)
+            q = model.linear3(xh_full, lp.attn_q)
+            ctx, score_c = model.scores_fwd(q, k, v, 0, cfg, policy, li, counters)
+            att_full = model.linear3(ctx, lp.attn_out)
+            tape.xh_full, tape.q, tape.k, tape.v = xh_full, q, k, v
+            tape.scores, tape.ctx = score_c, ctx
+        else:
+            att_full = None
+        att_seg = comm.scatter(
+            group, rank, att_full, src=0, dim=1, step=step, phase="forward", layer=li
+        )
+        att_seg, tape.att_mask = model.dropout3(
+            att_seg, policy, li, "attn_out", seg_samples, seg_positions
+        )
+        x_mid = x_seg + att_seg
 
-        # ---- sync ----------------------------------------------------------
-        # Summing (not averaging) completes the gradients: exactly one worker
-        # computed each entry, everyone else contributed zeros, except the
-        # layernorm gain/bias grads where each worker's partial sum over its
-        # own rows is a genuine addend.
-        vec = model.flatten_arrays(grads)
-        vec = comm.all_reduce(group, rank, vec, op="sum", step=step, phase="sync")
-        full_grads = params.replace_arrays(model.unflatten_like(vec, grads))
-        new_params = model.sgd_step(params, full_grads, lr)
+        yh_seg, tape.ln2 = model.norm3(x_mid, lp.ln2_gain, lp.ln2_bias)
+        yh_full = comm.gather(
+            group, rank, yh_seg, dst=0, dim=1, step=step, phase="forward", layer=li
+        )
+        if rank == 0:
+            full_samples, full_positions = model.row_coords(batch, cfg.seq_len, 0)
+            ff_full, tape.ffn = model.ffn_fwd(
+                yh_full, lp, policy, li, full_samples, full_positions
+            )
+        else:
+            ff_full = None
+        ff_seg = comm.scatter(
+            group, rank, ff_full, src=0, dim=1, step=step, phase="forward", layer=li
+        )
+        ff_seg, tape.ff_mask = model.dropout3(
+            ff_seg, policy, li, "ffn_out", seg_samples, seg_positions
+        )
+        x_seg = x_mid + ff_seg
+        tapes.append(tape)
 
-    return loss, counters, new_params, full_grads
+    xL_full = comm.gather(group, rank, x_seg, dst=0, dim=1, step=step, phase="forward")
+    if rank == 0:
+        loss, h_cache = model.head_fwd(xL_full, params, targets)
+    else:
+        loss, h_cache = None, None
 
+    # ---- backward ----------------------------------------------------
+    grads = _zeros_like_params(params)
+    names = [n for n, _ in params.named_arrays()]
+    slot = {n: i for i, n in enumerate(names)}
 
-@dataclass
-class BaselineRun:
-    comm: Communicator
-    workers: list[Parameters]
-    step_losses: list[float]
-    counters: list[list[StepCounters]]  # [worker][step]
-    grad_norms: list[list[float]]  # [worker][step], post-sync
-    last_grads: list[Parameters] | None
+    if rank == 0:
+        grad_full, fg, fb, hw, hb = model.head_bwd(h_cache, params)
+        grads[slot["final_gain"]] = fg
+        grads[slot["final_bias"]] = fb
+        grads[slot["head.weight"]] = hw
+        grads[slot["head.bias"]] = hb
+    else:
+        grad_full = np.zeros(full_shape, dtype=cfg.dtype)
+    grad_seg = comm.reduce_scatter(
+        group, rank, grad_full, dim=1, step=step, phase="backward"
+    )
+
+    for li in range(len(params.layers) - 1, -1, -1):
+        lp = params.layers[li]
+        tape = tapes[li]
+        pfx = f"layer{li}."
+
+        g_ff_seg = model.dropout3_bwd(grad_seg, policy, tape.ff_mask)
+        g_ff_full = comm.gather(
+            group, rank, g_ff_seg, dst=0, dim=1, step=step, phase="backward", layer=li
+        )
+        if rank == 0:
+            g_yh_full, (in_wg, in_bg, out_wg, out_bg) = model.ffn_bwd(
+                tape.ffn, lp, policy, g_ff_full
+            )
+            grads[slot[pfx + "ff_in.weight"]] = in_wg
+            grads[slot[pfx + "ff_in.bias"]] = in_bg
+            grads[slot[pfx + "ff_out.weight"]] = out_wg
+            grads[slot[pfx + "ff_out.bias"]] = out_bg
+        else:
+            g_yh_full = np.zeros(full_shape, dtype=cfg.dtype)
+        g_yh_seg = comm.reduce_scatter(
+            group, rank, g_yh_full, dim=1, step=step, phase="backward", layer=li
+        )
+        g_ln2_x, ln2_gg, ln2_bg = model.norm3_bwd(tape.ln2, lp.ln2_gain, g_yh_seg)
+        grads[slot[pfx + "ln2_gain"]] = ln2_gg
+        grads[slot[pfx + "ln2_bias"]] = ln2_bg
+        grad_mid = grad_seg + g_ln2_x
+
+        g_att_seg = model.dropout3_bwd(grad_mid, policy, tape.att_mask)
+        g_att_full = comm.gather(
+            group, rank, g_att_seg, dst=0, dim=1, step=step, phase="backward", layer=li
+        )
+        if rank == 0:
+            grad_ctx, ow, ob = model.linear3_bwd(tape.ctx, lp.attn_out, g_att_full)
+            gq, gk, gv = model.scores_bwd(
+                tape.scores, tape.q, tape.k, tape.v, grad_ctx, cfg, policy
+            )
+            g_xh_q, qw, qb = model.linear3_bwd(tape.xh_full, lp.attn_q, gq)
+            g_xh_kv, kw, kb, vw, vb = model.local_kv_bwd(tape.xh_full, lp, gk, gv)
+            g_xh_full = g_xh_q + g_xh_kv
+            for name, g in (
+                ("attn_q.weight", qw), ("attn_q.bias", qb),
+                ("attn_k.weight", kw), ("attn_k.bias", kb),
+                ("attn_v.weight", vw), ("attn_v.bias", vb),
+                ("attn_out.weight", ow), ("attn_out.bias", ob),
+            ):
+                grads[slot[pfx + name]] = g
+        else:
+            g_xh_full = np.zeros(full_shape, dtype=cfg.dtype)
+        g_xh_seg = comm.reduce_scatter(
+            group, rank, g_xh_full, dim=1, step=step, phase="backward", layer=li
+        )
+        g_ln1_x, ln1_gg, ln1_bg = model.norm3_bwd(tape.ln1, lp.ln1_gain, g_xh_seg)
+        grads[slot[pfx + "ln1_gain"]] = ln1_gg
+        grads[slot[pfx + "ln1_bias"]] = ln1_bg
+        grad_seg = grad_mid + g_ln1_x
+
+    g_x0_full = comm.gather(group, rank, grad_seg, dst=0, dim=1, step=step, phase="backward")
+    if rank == 0:
+        grad_tok, grad_pe = model.embed_bwd(e_cache, cfg.vocab, policy, g_x0_full)
+        grads[slot["token_table"]] = grad_tok
+        grads[slot["pos_table"]] = grad_pe
+
+    # ---- sync ----------------------------------------------------------
+    # Summing (not averaging) completes the gradients: exactly one worker
+    # computed each entry, everyone else contributed zeros, except the
+    # layernorm gain/bias grads where each worker's partial sum over its
+    # own rows is a genuine addend.
+    vec = model.flatten_arrays(grads)
+    vec = comm.all_reduce(group, rank, vec, op="sum", step=step, phase="sync")
+    full_grads = params.replace_arrays(model.unflatten_like(vec, grads))
+    return loss, full_grads
 
 
 def run_steps(
@@ -245,41 +233,12 @@ def run_steps(
     params_full: Parameters,
     n_workers: int,
     batches: list[tuple[np.ndarray, np.ndarray]],
-    *,
-    lr: float,
-    policy: DropoutPolicy | None = None,
-    keep_last_grads: bool = False,
-    timeout: float = 60.0,
-) -> BaselineRun:
+    **kw,
+) -> Run:
     """Drive ``len(batches)`` steps on ``n_workers`` threads; the loss comes
-    off rank 0, which is the only worker that computes it."""
-    comm = Communicator(n_workers, timeout=timeout)
-    group = comm.group("sequence", tuple(range(n_workers)))
-    base_policy = policy if policy is not None else DropoutPolicy.off()
-
-    def worker(rank: int):
-        spec = ShardSpec(rank, n_workers, cfg.seq_len)
-        params = params_full.copy()
-        losses, counts, norms, grads_out = [], [], [], None
-        for s, (tokens, targets) in enumerate(batches):
-            step_policy = base_policy.at_step(s) if base_policy.active else base_policy
-            loss, counters, params, grads = train_step(
-                comm, group, spec, params, cfg, tokens, targets,
-                lr=lr, policy=step_policy, step=s,
-            )
-            if keep_last_grads and s == len(batches) - 1:
-                grads_out = grads
-            losses.append(loss)
-            counts.append(counters)
-            norms.append(model.grad_norm(grads))
-        return params, losses, counts, norms, grads_out
-
-    results = run_workers(n_workers, worker, comm=comm)
-    return BaselineRun(
-        comm=comm,
-        workers=[r[0] for r in results],
-        step_losses=list(results[0][1]),
-        counters=[r[2] for r in results],
-        grad_norms=[r[3] for r in results],
-        last_grads=[r[4] for r in results] if keep_last_grads else None,
+    off rank 0, which is the only worker that computes it.  ``kw`` (lr,
+    policy, optimizer, timeout) is passed to :func:`seqpar.grid.train`."""
+    return grid.train(
+        train_step, cfg, params_full, GridLayout(1, n_workers), batches,
+        split=False, run_workers=run_workers, **kw,
     )

@@ -12,6 +12,9 @@ Correctness conventions:
 * every member passes the same (step, phase, layer) metadata, which is
   validated at the rendezvous and then written to the ledger exactly once
   per collective call;
+* the ledger lists records by step, then by group creation order, then in
+  call order within the group, so it is byte-stable however the threads of
+  different groups interleave;
 * a worker that dies aborts the communicator so its peers unblock with
   :class:`CommAborted` instead of deadlocking.
 """
@@ -90,16 +93,13 @@ class CommLedger:
 
     def __init__(self) -> None:
         self._records: list[CommRecord] = []
-        self._lock = threading.Lock()
 
     def append(self, record: CommRecord) -> None:
-        with self._lock:
-            self._records.append(record)
+        self._records.append(record)
 
     @property
     def records(self) -> list[CommRecord]:
-        with self._lock:
-            return list(self._records)
+        return list(self._records)
 
     def select(
         self,
@@ -168,10 +168,12 @@ class Communicator:
         if world_size < 1:
             raise ValueError("world_size must be at least 1")
         self.world_size = world_size
-        self.ledger = CommLedger()
         self._timeout = timeout
         self._slots: dict[str, _Slot] = {}
         self._groups: dict[str, WorkerGroup] = {}
+        # Ledger records per group, in creation order; a group's list is only
+        # appended to by its combine, which runs under the group's slot lock.
+        self._records: dict[str, list[CommRecord]] = {}
         self._kind_counts: dict[str, int] = {}
         self._lock = threading.Lock()
         self._abort_exc: BaseException | None = None
@@ -193,7 +195,19 @@ class Communicator:
             group = WorkerGroup(group_id=group_id, kind=kind, members=members)
             self._groups[group_id] = group
             self._slots[group_id] = _Slot()
+            self._records[group_id] = []
         return group
+
+    @property
+    def ledger(self) -> CommLedger:
+        """Every collective so far, ordered by step, then group creation
+        order, then call order within the group."""
+        ledger = CommLedger()
+        with self._lock:
+            records = [r for group_records in self._records.values() for r in group_records]
+        for r in sorted(records, key=lambda r: r.step):  # stable: keeps group and call order
+            ledger.append(r)
+        return ledger
 
     # -- failure handling --
 
@@ -253,7 +267,7 @@ class Communicator:
             return slot.outbox[rank]
 
     def _record(self, group: WorkerGroup, meta: _Meta, elements: int) -> None:
-        self.ledger.append(
+        self._records[group.group_id].append(
             CommRecord(
                 step=meta.step,
                 group_id=group.group_id,

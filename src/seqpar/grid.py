@@ -1,0 +1,227 @@
+"""The worker grid and the one training loop every engine runs on.
+
+A run is a grid of R data-parallel replicas x N sequence workers
+(:class:`GridLayout`): the sequential engine is the 1x1 grid, sharded and
+baseline are 1xN, hybrid is RxN.  Ranks are laid out replica-major: replica
+``d`` owns ranks ``[d*N, (d+1)*N)``, which form its sequence group; the ranks
+holding sequence block ``s`` across all replicas (``s, N+s, 2N+s, ...``) form
+data group ``s``.  An engine is nothing but its per-step function (forward,
+backward, gradient sync); :func:`train` owns everything else.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import model, optim, tensor
+from .collectives import Communicator, WorkerGroup
+from .errors import PartitionError, ShapeError
+from .model import ModelConfig, Parameters
+from .nnops import DropoutPolicy
+from .tensor import StepCounters
+
+
+@dataclass(frozen=True)
+class GridLayout:
+    """Replica-major rank layout for R data-parallel copies of an N-worker
+    sequence group."""
+
+    replicas: int
+    seq_workers: int
+
+    def __post_init__(self) -> None:
+        if self.replicas < 1 or self.seq_workers < 1:
+            raise ValueError("grid dimensions must be positive")
+
+    @property
+    def world(self) -> int:
+        return self.replicas * self.seq_workers
+
+    def coords(self, rank: int) -> tuple[int, int]:
+        """(replica index, sequence index) of a world rank."""
+        return divmod(rank, self.seq_workers)
+
+    def seq_members(self, replica: int) -> tuple[int, ...]:
+        base = replica * self.seq_workers
+        return tuple(range(base, base + self.seq_workers))
+
+    def data_members(self, seq_index: int) -> tuple[int, ...]:
+        return tuple(seq_index + d * self.seq_workers for d in range(self.replicas))
+
+
+def make_groups(
+    comm: Communicator, layout: GridLayout
+) -> tuple[list[WorkerGroup], list[WorkerGroup]]:
+    """All sequence groups (indexed by replica) and data groups (indexed by
+    sequence position).  Build once, orchestrator-side."""
+    seq_groups = [comm.group("sequence", layout.seq_members(d)) for d in range(layout.replicas)]
+    data_groups = [
+        comm.group("data", layout.data_members(s)) for s in range(layout.seq_workers)
+    ]
+    return seq_groups, data_groups
+
+
+@dataclass(frozen=True)
+class ShardSpec:
+    """Which contiguous block of the sequence a worker owns."""
+
+    rank: int
+    workers: int
+    seq_len: int
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("worker count must be positive")
+        if not 0 <= self.rank < self.workers:
+            raise ValueError(f"rank {self.rank} outside worker range [0, {self.workers})")
+        if self.seq_len % self.workers != 0:
+            raise PartitionError(
+                f"sequence length {self.seq_len} not divisible by {self.workers} workers"
+            )
+
+    @property
+    def block(self) -> int:
+        return self.seq_len // self.workers
+
+    @property
+    def offset(self) -> int:
+        return self.rank * self.block
+
+
+def shard_params(full: Parameters, spec: ShardSpec) -> Parameters:
+    """A worker's parameters: a deep copy of ``full`` except the position
+    table, of which only the worker's own rows are kept."""
+    if full.pos_table.shape[0] != spec.seq_len:
+        raise ShapeError(
+            f"position table has {full.pos_table.shape[0]} rows, expected {spec.seq_len}"
+        )
+    p = full.copy()
+    p.pos_table = np.ascontiguousarray(full.pos_table[spec.offset : spec.offset + spec.block])
+    return p
+
+
+def slice_batch(x: np.ndarray, spec: ShardSpec) -> np.ndarray:
+    """This worker's columns of a (batch, seq_len) token or target array."""
+    if x.shape[1] != spec.seq_len:
+        raise ShapeError(f"expected {spec.seq_len} columns, got {x.shape[1]}")
+    return np.ascontiguousarray(x[:, spec.offset : spec.offset + spec.block])
+
+
+def reassemble_params(shards: list[Parameters]) -> Parameters:
+    """Full parameter set from one sequence group's shards in block order:
+    the first shard's replicated parameters plus every block of position rows."""
+    full = shards[0].copy()
+    full.pos_table = np.concatenate([p.pos_table for p in shards], axis=0)
+    return full
+
+
+@dataclass(frozen=True)
+class Worker:
+    """One rank's place in the grid, as an engine step sees it."""
+
+    comm: Communicator
+    spec: ShardSpec           # its block of the sequence within its replica
+    seq_group: WorkerGroup    # its replica's sequence workers
+    data_group: WorkerGroup   # the ranks holding the same block in every replica
+
+    @property
+    def rank(self) -> int:
+        """World rank, the id collectives address this worker by (``spec.rank``
+        is its position inside the sequence group)."""
+        return self.seq_group.members[self.spec.rank]
+
+
+@dataclass
+class Run:
+    """Everything a training run hands back, for every engine and grid."""
+
+    comm: Communicator                  # ``comm.ledger`` holds every collective
+    step_losses: list[float]            # per step, as rank 0 reports it
+    grad_norms: list[list[float]]       # [rank][step], of the synced gradients
+    counters: list[list[StepCounters]]  # [rank][step]
+    last_grads: list[Parameters]        # [rank], synced gradients of the final step
+    workers: list[Parameters]           # [rank], the parameters each rank ends with
+    final_params: Parameters            # the whole trained parameter set
+
+
+def train(
+    step,
+    cfg: ModelConfig,
+    params: Parameters,
+    layout: GridLayout,
+    batches: list[tuple[np.ndarray, np.ndarray]],
+    *,
+    lr: float,
+    run_workers,
+    policy: DropoutPolicy | None = None,
+    optimizer: str = "sgd",
+    split: bool = True,
+    timeout: float = 60.0,
+) -> Run:
+    """Drive ``len(batches)`` training steps of ``step`` on a ``layout`` grid.
+
+    Every rank runs the same loop: per step it takes its replica's rows of
+    the combined batch, derives the dropout key, calls ``step(worker, params,
+    cfg, tokens, targets, *, policy, step, counters)`` for ``(loss, synced
+    grads)`` and applies the optimizer update.  ``batches[s]`` holds ``R*B``
+    rows; replica ``d`` trains on rows ``[d*B, (d+1)*B)``.  With ``split`` a
+    rank owns only its block of the sequence (its columns of the batch, its
+    rows of the position table); without it, rank 0's whole copy of the
+    parameters is the result.  ``run_workers`` (normally
+    :func:`seqpar.collectives.run_workers`) starts one thread per rank; each
+    engine passes the name bound in its own module, which is where
+    perfbench/spans.py wraps it to trace the worker threads.
+    """
+    for tokens, _ in batches:
+        if tokens.shape[0] % layout.replicas:
+            raise ValueError(
+                f"batch of {tokens.shape[0]} rows does not split into "
+                f"{layout.replicas} replica batches"
+            )
+    comm = Communicator(layout.world, timeout=timeout)
+    seq_groups, data_groups = make_groups(comm, layout)
+    policy = policy if policy is not None else DropoutPolicy.off()
+
+    def rank_loop(rank: int):
+        replica, seq_index = layout.coords(rank)
+        spec = ShardSpec(seq_index, layout.seq_workers, cfg.seq_len)
+        worker = Worker(comm, spec, seq_groups[replica], data_groups[seq_index])
+        own = shard_params(params, spec) if split else params.copy()
+        update = optim.make_update(optimizer, own, lr)
+        losses, counts, norms, grads = [], [], [], None
+        for s, (tokens, targets) in enumerate(batches):
+            step_policy = policy.at_step(s)
+            if layout.replicas > 1:  # replicas draw independent masks
+                step_policy = step_policy.fork(replica)
+            rows = tokens.shape[0] // layout.replicas
+            tokens = tokens[replica * rows : (replica + 1) * rows]
+            targets = targets[replica * rows : (replica + 1) * rows]
+            if split:
+                tokens, targets = slice_batch(tokens, spec), slice_batch(targets, spec)
+            counters = StepCounters()
+            with tensor.counting(counters):
+                loss, grads = step(
+                    worker, own, cfg, tokens, targets,
+                    policy=step_policy, step=s, counters=counters,
+                )
+                own = update(own, grads)
+            losses.append(loss)
+            counts.append(counters)
+            norms.append(model.grad_norm(grads))
+        return own, losses, counts, norms, grads
+
+    results = run_workers(layout.world, rank_loop, comm=comm)
+    owned = [r[0] for r in results]
+    return Run(
+        comm=comm,
+        step_losses=results[0][1],
+        counters=[r[2] for r in results],
+        grad_norms=[r[3] for r in results],
+        last_grads=[r[4] for r in results],
+        workers=owned,
+        final_params=(
+            reassemble_params([owned[r] for r in layout.seq_members(0)]) if split else owned[0]
+        ),
+    )

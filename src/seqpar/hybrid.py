@@ -1,202 +1,37 @@
-"""Two-level parallelism: replicate the sequence-parallel engine.
+"""Two-level parallelism: the sequence-parallel engine on a replicas x workers grid.
 
-A grid of D x N workers trains D independent sequences at once.  Ranks are
-laid out replica-major: replica ``d`` owns ranks ``[d*N, (d+1)*N)``, which
-form its sequence group; the workers holding sequence block ``s`` across all
-replicas (ranks ``s, N+s, 2N+s, ...``) form data group ``s``.
-
-Each step runs the ordinary sequence-parallel forward/backward inside every
-replica, then synchronizes twice:
-
-1. horizontally across the sequence group (position rows excluded), giving
-   every worker of a replica that replica's mean gradient and loss;
-2. vertically across the data group over *all* gradients, position rows
-   included, because data-group peers own the same rows of different
-   replicas of the position table.
-
-Both syncs are one flat all-reduce each; the scalar loss rides along as a
-trailing element, so after the vertical pass every worker knows the loss
-averaged over the whole grid without any extra collective.
+A grid of R x N workers trains R sequences at once (rank layout in
+:class:`seqpar.grid.GridLayout`).  The engine is the sharded step,
+:func:`seqpar.sharded.train_step`: the ordinary sequence-parallel step inside
+every replica, followed by :func:`seqpar.sharded.vertical_sync`, which
+averages all gradients and the loss across the replicas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import model, sharded, tensor
-from .collectives import Communicator, WorkerGroup, run_workers
+from . import grid, sharded
+from .collectives import run_workers
+from .grid import GridLayout, Run
 from .model import ModelConfig, Parameters
-from .nnops import DropoutPolicy
-from .sharded import DistParameters, ShardSpec
-from .tensor import StepCounters
-
-
-@dataclass(frozen=True)
-class GridLayout:
-    """Replica-major rank layout for D data-parallel copies of an N-worker
-    sequence group."""
-
-    replicas: int
-    seq_workers: int
-
-    def __post_init__(self) -> None:
-        if self.replicas < 1 or self.seq_workers < 1:
-            raise ValueError("grid dimensions must be positive")
-
-    @property
-    def world(self) -> int:
-        return self.replicas * self.seq_workers
-
-    def coords(self, rank: int) -> tuple[int, int]:
-        """(replica index, sequence index) of a world rank."""
-        return divmod(rank, self.seq_workers)
-
-    def seq_members(self, replica: int) -> tuple[int, ...]:
-        base = replica * self.seq_workers
-        return tuple(range(base, base + self.seq_workers))
-
-    def data_members(self, seq_index: int) -> tuple[int, ...]:
-        return tuple(seq_index + d * self.seq_workers for d in range(self.replicas))
-
-
-def make_groups(
-    comm: Communicator, layout: GridLayout
-) -> tuple[list[WorkerGroup], list[WorkerGroup]]:
-    """All sequence groups (indexed by replica) and data groups (indexed by
-    sequence position).  Build once, orchestrator-side."""
-    seq_groups = [comm.group("sequence", layout.seq_members(d)) for d in range(layout.replicas)]
-    data_groups = [
-        comm.group("data", layout.data_members(s)) for s in range(layout.seq_workers)
-    ]
-    return seq_groups, data_groups
-
-
-def vertical_sync(
-    comm: Communicator,
-    data_group: WorkerGroup,
-    rank: int,
-    grads: Parameters,
-    loss: float,
-    *,
-    step: int = 0,
-) -> tuple[Parameters, float]:
-    """Average all gradients (position rows included) and the loss across
-    the replicas that share this worker's sequence block."""
-    arrays = grads.arrays()
-    flat = model.flatten_arrays(arrays)
-    vec = np.concatenate([flat, np.array([loss], dtype=flat.dtype)])
-    out = comm.all_reduce_mean(data_group, rank, vec, step=step, phase="sync")
-    averaged = model.unflatten_like(out[:-1], arrays)
-    return grads.replace_arrays(averaged), float(out[-1])
-
-
-def train_step(
-    comm: Communicator,
-    seq_group: WorkerGroup,
-    data_group: WorkerGroup,
-    dist: DistParameters,
-    cfg: ModelConfig,
-    tokens_seg: np.ndarray,
-    targets_seg: np.ndarray,
-    *,
-    lr: float,
-    policy: DropoutPolicy | None = None,
-    step: int = 0,
-    fused: bool = True,
-) -> tuple[float, StepCounters, Parameters]:
-    """One grid step on one worker; returns the grid-mean loss (identical on
-    every worker), this worker's counters, and the final synced gradients."""
-    rank = seq_group.members[dist.spec.rank]
-    counters = StepCounters()
-    with tensor.counting(counters):
-        partial, cache = sharded.forward(
-            comm, seq_group, dist, cfg, tokens_seg, targets_seg,
-            policy=policy, step=step, counters=counters, fused=fused,
-        )
-        grads = sharded.backward(comm, seq_group, dist, cfg, cache, step=step)
-        grads, replica_loss = sharded.sync(
-            comm, seq_group, rank, grads, step=step, extra=partial
-        )
-        grads, grid_loss = vertical_sync(
-            comm, data_group, rank, grads, replica_loss, step=step
-        )
-        dist.params = model.sgd_step(dist.params, grads, lr)
-    return grid_loss, counters, grads
-
-
-@dataclass
-class HybridRun:
-    comm: Communicator
-    layout: GridLayout
-    workers: list[DistParameters]  # indexed by world rank
-    step_losses: list[float]
-    counters: list[list[StepCounters]]  # [worker][step]
-    grad_norms: list[list[float]]  # [worker][step], post-sync
-    last_grads: list[Parameters] | None
 
 
 def run_steps(
     cfg: ModelConfig,
     params_full: Parameters,
     layout: GridLayout,
-    batches: list[list[tuple[np.ndarray, np.ndarray]]],
+    batches: list[tuple[np.ndarray, np.ndarray]],
     *,
-    lr: float,
-    policy: DropoutPolicy | None = None,
     fused: bool = True,
-    keep_last_grads: bool = False,
-    timeout: float = 60.0,
-) -> HybridRun:
-    """Drive ``len(batches)`` steps on a D x N thread grid.
-
-    ``batches[s][d]`` is replica ``d``'s full-width (tokens, targets) pair
-    for step ``s``; each worker slices out its sequence block.
-    """
-    for row in batches:
-        if len(row) != layout.replicas:
-            raise ValueError(f"each step needs {layout.replicas} replica batches, got {len(row)}")
-    comm = Communicator(layout.world, timeout=timeout)
-    seq_groups, data_groups = make_groups(comm, layout)
-    base_policy = policy if policy is not None else DropoutPolicy.off()
-
-    def worker(rank: int):
-        replica, seq_index = layout.coords(rank)
-        spec = ShardSpec(seq_index, layout.seq_workers, cfg.seq_len)
-        dist = sharded.shard_params(params_full, spec)
-        seq_group, data_group = seq_groups[replica], data_groups[seq_index]
-        losses, counts, norms, grads_out = [], [], [], None
-        for s, row in enumerate(batches):
-            tokens, targets = row[replica]
-            step_policy = (
-                base_policy.at_step(s).fork(replica) if base_policy.active else base_policy
-            )
-            loss, counters, grads = train_step(
-                comm, seq_group, data_group, dist, cfg,
-                sharded.slice_batch(tokens, spec), sharded.slice_batch(targets, spec),
-                lr=lr, policy=step_policy, step=s, fused=fused,
-            )
-            if keep_last_grads and s == len(batches) - 1:
-                grads_out = grads
-            losses.append(loss)
-            counts.append(counters)
-            norms.append(model.grad_norm(grads))
-        return dist, losses, counts, norms, grads_out
-
-    results = run_workers(layout.world, worker, comm=comm)
-    return HybridRun(
-        comm=comm,
-        layout=layout,
-        workers=[r[0] for r in results],
-        step_losses=results[0][1],
-        counters=[r[2] for r in results],
-        grad_norms=[r[3] for r in results],
-        last_grads=[r[4] for r in results] if keep_last_grads else None,
+    **kw,
+) -> Run:
+    """Drive ``len(batches)`` steps on an R x N thread grid; ``batches[s]``
+    is one combined batch of ``R*B`` rows.  ``kw`` (lr, policy, optimizer,
+    timeout) is passed to :func:`seqpar.grid.train`."""
+    return grid.train(
+        partial(sharded.train_step, fused=fused), cfg, params_full, layout, batches,
+        run_workers=run_workers, **kw,
     )
-
-
-def reassemble_params(run: HybridRun) -> Parameters:
-    """Full parameters from replica 0's sequence group."""
-    members = run.layout.seq_members(0)
-    return sharded.reassemble_params([run.workers[r] for r in members])

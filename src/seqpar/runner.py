@@ -1,6 +1,9 @@
 """Experiment runner: one entry point that builds a model, drives the
 chosen engine for a number of steps, and writes every artifact of the run.
 
+Every engine returns the same :class:`seqpar.grid.Run` from the same loop,
+so reports, the ledger, the checkpoint and the oracle check share one path.
+
 Output files (all under the run's output directory):
     steps.jsonl     one StepReport per training step
     ledger.jsonl    every collective the run performed
@@ -24,13 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baseline, costs, data, hybrid, model, optim, reporting, sharded, tensor
-from .collectives import CommLedger
-from .hybrid import GridLayout
+from . import baseline, costs, data, grid, hybrid, model, optim, reporting, sharded
+from .collectives import CommLedger, run_workers
+from .grid import GridLayout, Run
 from .model import ModelConfig, Parameters
 from .nnops import DropoutPolicy
 from .reporting import StepReport
-from .tensor import StepCounters
 
 ENGINES = ("sequential", "sharded", "baseline", "hybrid")
 
@@ -83,8 +85,6 @@ class RunConfig:
             raise ValueError("steps must be positive")
         if self.optimizer not in optim.OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.optimizer != "sgd" and self.engine in ("baseline", "hybrid"):
-            raise ValueError(f"the {self.engine} engine supports only sgd")
 
     def to_dict(self) -> dict:
         return {
@@ -123,10 +123,8 @@ class RunResult:
     final_params: Parameters
 
 
-def _policy(rc: RunConfig) -> DropoutPolicy:
-    if rc.model.dropout > 0.0:
-        return DropoutPolicy(rate=rc.model.dropout, seed=rc.seed)
-    return DropoutPolicy.off()
+def _policy(dropout: float, seed: int) -> DropoutPolicy:
+    return DropoutPolicy(rate=dropout, seed=seed) if dropout > 0.0 else DropoutPolicy.off()
 
 
 def _resolve_out_dir(rc: RunConfig) -> str:
@@ -141,35 +139,39 @@ def _corpus(rc: RunConfig, out_dir: str) -> np.ndarray:
     return data.read_bytes(path)
 
 
-def _sequential_steps(
-    cfg: ModelConfig,
-    params: Parameters,
-    batches: list[tuple[np.ndarray, np.ndarray]],
-    *,
-    lr: float,
-    policy: DropoutPolicy,
-    optimizer: str = "sgd",
-):
-    """Single-worker training loop; the oracle everything else is judged by."""
-    update = optim.make_update(optimizer, params, lr)
-    losses, norms, counts = [], [], []
-    for s, (tokens, targets) in enumerate(batches):
-        step_policy = policy.at_step(s) if policy.active else policy
-        counters = StepCounters()
-        with tensor.counting(counters):
-            loss, cache = model.forward(
-                params, cfg, tokens, targets, policy=step_policy, counters=counters
-            )
-            grads = model.backward(params, cfg, cache)
-            params = update(params, grads)
-        losses.append(loss)
-        norms.append(model.grad_norm(grads))
-        counts.append(counters)
-    return params, losses, norms, counts
+def _sequential_step(worker, params, cfg, tokens, targets, *, policy, step, counters):
+    """The sequential engine: forward and backward over the whole batch."""
+    loss, cache = model.forward(params, cfg, tokens, targets, policy=policy, counters=counters)
+    return loss, model.backward(params, cfg, cache)
 
 
-def _collectives_by_kind(ledger: CommLedger, step: int) -> dict[str, int]:
-    return dict(sorted(Counter(r.kind for r in ledger.select(step=step)).items()))
+def _sequential_steps(cfg: ModelConfig, params: Parameters, batches, **kw) -> Run:
+    """Single-worker training on the 1x1 grid; the oracle everything else is
+    judged by.  ``kw`` (lr, policy, optimizer) is passed to grid.train."""
+    return grid.train(_sequential_step, cfg, params, GridLayout(1, 1), batches, split=False,
+                      run_workers=run_workers, **kw)
+
+
+def _train(engine: str, cfg: ModelConfig, params: Parameters, layout: GridLayout, batches,
+           *, fused: bool = True, **kw) -> Run:
+    """Train ``engine`` on ``layout`` through the engine's entry point."""
+    if engine == "sequential":
+        return _sequential_steps(cfg, params, batches, **kw)
+    if engine == "baseline":
+        return baseline.run_steps(cfg, params, layout.seq_workers, batches, **kw)
+    if engine == "sharded":
+        return sharded.run_steps(cfg, params, layout.seq_workers, batches, fused=fused, **kw)
+    if engine == "hybrid":
+        return hybrid.run_steps(cfg, params, layout, batches, fused=fused, **kw)
+    raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+
+
+def _collectives_per_step(ledger: CommLedger, steps: int) -> list[dict[str, int]]:
+    """Collective count by kind for every step, from one pass over the ledger."""
+    counts = [Counter() for _ in range(steps)]
+    for r in ledger.records:
+        counts[r.step][r.kind] += 1
+    return [dict(sorted(c.items())) for c in counts]
 
 
 def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
@@ -180,61 +182,27 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
     os.makedirs(out_dir, exist_ok=True)
     cfg = rc.model
     corpus = _corpus(rc, out_dir)
-    policy = _policy(rc)
+    policy = _policy(cfg.dropout, rc.seed)
     params0 = model.init_params(cfg, rc.seed)
     say(f"engine={rc.engine} workers={rc.workers} replicas={rc.replicas} "
         f"steps={rc.steps} params={model.param_count(params0)}")
 
+    # One batch of replicas * batch rows per step: replica d's rows are what
+    # window s * replicas + d holds at the base batch size (data.batch_at).
+    batches = [data.batch_at(corpus, cfg.seq_len, rc.replicas * cfg.batch, s)
+               for s in range(rc.steps)]
     t0 = time.perf_counter()
-    if rc.engine == "hybrid":
-        batches_grid = [
-            [data.batch_at(corpus, cfg.seq_len, cfg.batch, s * rc.replicas + d)
-             for d in range(rc.replicas)]
-            for s in range(rc.steps)
-        ]
-        run = hybrid.run_steps(
-            cfg, params0, GridLayout(rc.replicas, rc.workers), batches_grid,
-            lr=rc.lr, policy=policy, fused=rc.fused, timeout=600.0,
-        )
-        losses, norms = run.step_losses, run.grad_norms[0]
-        counts = [
-            max((run.counters[w][s] for w in range(len(run.counters))),
-                key=lambda c: c.attn_score_flops)
-            for s in range(rc.steps)
-        ]
-        ledger = run.comm.ledger
-        final_params = hybrid.reassemble_params(run)
-    else:
-        batches = [data.batch_at(corpus, cfg.seq_len, cfg.batch, s) for s in range(rc.steps)]
-        if rc.engine == "sequential":
-            final_params, losses, norms, counts = _sequential_steps(
-                cfg, params0, batches, lr=rc.lr, policy=policy, optimizer=rc.optimizer
-            )
-            ledger = CommLedger()
-        elif rc.engine == "sharded":
-            run = sharded.run_steps(
-                cfg, params0, rc.workers, batches,
-                lr=rc.lr, policy=policy, fused=rc.fused,
-                optimizer=rc.optimizer, timeout=600.0,
-            )
-            losses, norms = run.step_losses, run.grad_norms[0]
-            counts = [run.counters[0][s] for s in range(rc.steps)]
-            ledger = run.comm.ledger
-            final_params = sharded.reassemble_params(run.workers)
-        else:
-            run = baseline.run_steps(
-                cfg, params0, rc.workers, batches, lr=rc.lr, policy=policy, timeout=600.0,
-            )
-            losses, norms = run.step_losses, run.grad_norms[0]
-            counts = [run.counters[0][s] for s in range(rc.steps)]
-            ledger = run.comm.ledger
-            final_params = run.workers[0]
+    run = _train(
+        rc.engine, cfg, params0, GridLayout(rc.replicas, rc.workers), batches,
+        lr=rc.lr, policy=policy, optimizer=rc.optimizer, fused=rc.fused, timeout=600.0,
+    )
     elapsed = time.perf_counter() - t0
+    losses, norms, counts = run.step_losses, run.grad_norms[0], run.counters[0]
+    ledger = run.comm.ledger
+    collectives = _collectives_per_step(ledger, rc.steps)
 
     reports = [
-        reporting.from_counters(
-            s, rc.engine, losses[s], norms[s], counts[s], _collectives_by_kind(ledger, s)
-        )
+        reporting.from_counters(s, rc.engine, losses[s], norms[s], counts[s], collectives[s])
         for s in range(rc.steps)
     ]
     stride = max(1, rc.steps // 10)
@@ -258,7 +226,7 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
         "smoothed_final_loss": float(sum(window) / len(window)),
         "elapsed_seconds": round(elapsed, 3),
         "ledger_records": len(ledger.records),
-        "collectives_step0": _collectives_by_kind(ledger, 0),
+        "collectives_step0": collectives[0],
         "measured_score_flops": counts[0].attn_score_flops,
         "estimated_score_flops": est.score_flops,
         "score_flops_delta": counts[0].attn_score_flops - est.score_flops,
@@ -268,37 +236,23 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
     }
 
     if rc.equivalence_check:
-        summary["max_param_delta"] = _oracle_delta(rc, cfg, params0, corpus, policy, final_params)
+        oracle = _sequential_steps(
+            cfg, params0, batches, lr=rc.lr, policy=policy, optimizer=rc.optimizer
+        )
+        summary["max_param_delta"] = _max_param_delta(run.final_params, oracle.final_params)
         summary["equivalence_pass"] = bool(summary["max_param_delta"] < 1e-8)
         say(f"equivalence max |delta param| = {summary['max_param_delta']:.3e}")
 
-    _write_outputs(out_dir, rc, reports, ledger, summary, final_params)
+    _write_outputs(out_dir, rc, reports, ledger, summary, run.final_params)
     say(f"final loss {losses[-1]:.4f} (smoothed {summary['smoothed_final_loss']:.4f}) "
         f"in {elapsed:.1f}s; artifacts in {out_dir}")
-    return RunResult(rc, out_dir, reports, summary, final_params)
+    return RunResult(rc, out_dir, reports, summary, run.final_params)
 
 
-def _oracle_delta(rc, cfg, params0, corpus, policy, final_params) -> float:
-    """Max |param difference| against a sequential rerun with the same seed."""
-    if rc.engine == "hybrid":
-        oracle_batches = []
-        for s in range(rc.steps):
-            rows = [data.batch_at(corpus, cfg.seq_len, cfg.batch, s * rc.replicas + d)
-                    for d in range(rc.replicas)]
-            oracle_batches.append((
-                np.concatenate([t for t, _ in rows], axis=0),
-                np.concatenate([g for _, g in rows], axis=0),
-            ))
-    else:
-        oracle_batches = [
-            data.batch_at(corpus, cfg.seq_len, cfg.batch, s) for s in range(rc.steps)
-        ]
-    oracle, _, _, _ = _sequential_steps(
-        cfg, params0, oracle_batches, lr=rc.lr, policy=policy, optimizer=rc.optimizer
-    )
+def _max_param_delta(got: Parameters, want: Parameters) -> float:
     return max(
         float(np.max(np.abs(a - b))) if a.size else 0.0
-        for a, b in zip(final_params.arrays(), oracle.arrays())
+        for a, b in zip(got.arrays(), want.arrays())
     )
 
 
@@ -364,83 +318,38 @@ def verify_equivalence(
     tolerance: float = 1e-8,
 ) -> list[dict]:
     """Train each engine/grid combination against the sequential oracle on
-    identical synthetic batches; one result row per combination."""
+    identical synthetic batches; one result row per combination.  A grid of
+    R replicas trains on batches of R * cfg.batch rows, and so does its
+    oracle."""
     rng = np.random.default_rng(seed)
-    batches = [
-        (
-            rng.integers(0, cfg.vocab, size=(cfg.batch, cfg.seq_len)),
-            rng.integers(0, cfg.vocab, size=(cfg.batch, cfg.seq_len)),
-        )
-        for _ in range(steps)
-    ]
-    policy = DropoutPolicy(rate=cfg.dropout, seed=seed) if cfg.dropout > 0 else DropoutPolicy.off()
+    policy = _policy(cfg.dropout, seed)
     params0 = model.init_params(cfg, seed)
-    oracle, oracle_losses, _, _ = _sequential_steps(
-        cfg, params0, batches, lr=lr, policy=policy
-    )
+    oracles: dict[int, tuple[list, Run]] = {}  # replicas -> (batches, oracle run)
 
     rows = []
     for engine in engines:
-        if engine == "hybrid":
-            if policy.active:
-                raise ValueError("hybrid verification requires dropout off")
-            for d in replicas:
-                for n in workers:
-                    if cfg.seq_len % n:
-                        continue
-                    grid_batches = [
-                        [
-                            (
-                                rng.integers(0, cfg.vocab, size=(cfg.batch, cfg.seq_len)),
-                                rng.integers(0, cfg.vocab, size=(cfg.batch, cfg.seq_len)),
-                            )
-                            for _ in range(d)
-                        ]
-                        for _ in range(steps)
-                    ]
-                    combined = [
-                        (
-                            np.concatenate([t for t, _ in row], axis=0),
-                            np.concatenate([g for _, g in row], axis=0),
-                        )
-                        for row in grid_batches
-                    ]
-                    hybrid_oracle, _, _, _ = _sequential_steps(
-                        cfg, params0, combined, lr=lr, policy=policy
-                    )
-                    run = hybrid.run_steps(
-                        cfg, params0, GridLayout(d, n), grid_batches, lr=lr, policy=policy
-                    )
-                    got = hybrid.reassemble_params(run)
-                    rows.append(_verify_row(engine, n, d, got, hybrid_oracle, None, None, tolerance))
-            continue
-        for n in workers:
-            if cfg.seq_len % n:
-                continue
-            if engine == "sharded":
-                run = sharded.run_steps(cfg, params0, n, batches, lr=lr, policy=policy)
-                got = sharded.reassemble_params(run.workers)
-                loss = run.step_losses[-1]
-            else:
-                run = baseline.run_steps(cfg, params0, n, batches, lr=lr, policy=policy)
-                got = run.workers[0]
-                loss = run.step_losses[-1]
-            rows.append(_verify_row(engine, n, 1, got, oracle, loss, oracle_losses[-1], tolerance))
+        if engine == "hybrid" and policy.active:
+            raise ValueError("hybrid verification requires dropout off")
+        for d in replicas if engine == "hybrid" else (1,):
+            if d not in oracles:
+                shape = (d * cfg.batch, cfg.seq_len)
+                batches = [
+                    (rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))
+                    for _ in range(steps)
+                ]
+                oracles[d] = batches, _sequential_steps(cfg, params0, batches, lr=lr, policy=policy)
+            batches, oracle = oracles[d]
+            for n in workers:
+                if cfg.seq_len % n:
+                    continue
+                run = _train(engine, cfg, params0, GridLayout(d, n), batches, lr=lr, policy=policy)
+                delta = _max_param_delta(run.final_params, oracle.final_params)
+                rows.append({
+                    "engine": engine,
+                    "workers": n,
+                    "replicas": d,
+                    "max_param_delta": delta,
+                    "pass": bool(delta < tolerance),
+                    "loss_delta": abs(run.step_losses[-1] - oracle.step_losses[-1]),
+                })
     return rows
-
-
-def _verify_row(engine, workers, replicas, got, oracle, loss, oracle_loss, tolerance) -> dict:
-    delta = max(
-        float(np.max(np.abs(a - b))) if a.size else 0.0
-        for a, b in zip(got.arrays(), oracle.arrays())
-    )
-    row = {
-        "engine": engine,
-        "workers": workers,
-        "replicas": replicas,
-        "max_param_delta": delta,
-        "pass": bool(delta < tolerance),
-    }
-    if loss is not None:
-        row["loss_delta"] = abs(loss - oracle_loss)
-    return row

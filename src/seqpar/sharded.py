@@ -13,92 +13,32 @@ Communication per training step with L layers:
     forward   L all-gathers
     backward  L reduce-scatters
     sync      1 all-reduce
-Nothing else crosses worker boundaries.
+Nothing else crosses worker boundaries.  On a grid with more than one
+replica (the hybrid engine) :func:`train_step` adds one more all-reduce per
+step across each data group, :func:`vertical_sync`.
 
 The ``fused=False`` ablation gathers keys and values separately (two
 all-gathers forward, two reduce-scatters backward per layer) instead of
 gathering the activation they are projected from; results agree to rounding.
+
+The engine is :func:`train_step`; :func:`run_steps` drives it on a 1xN grid
+through :func:`seqpar.grid.train`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import model, tensor
+from . import grid, model
 from .collectives import Communicator, WorkerGroup, run_workers
-from .errors import PartitionError, ShapeError
+from .errors import ShapeError
+from .grid import GridLayout, Run, Worker
 from .model import ModelConfig, Parameters
 from .nnops import DropoutPolicy
 from .tensor import StepCounters
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Which contiguous block of the sequence a worker owns."""
-
-    rank: int
-    workers: int
-    seq_len: int
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
-        if not 0 <= self.rank < self.workers:
-            raise ValueError(f"rank {self.rank} outside worker range [0, {self.workers})")
-        if self.seq_len % self.workers != 0:
-            raise PartitionError(
-                f"sequence length {self.seq_len} not divisible by {self.workers} workers"
-            )
-
-    @property
-    def block(self) -> int:
-        return self.seq_len // self.workers
-
-    @property
-    def offset(self) -> int:
-        return self.rank * self.block
-
-
-@dataclass
-class DistParameters:
-    """A worker's view of the parameters: full replica of everything except
-    the position table, of which only the owned rows are present."""
-
-    spec: ShardSpec
-    params: Parameters
-
-
-def shard_params(full: Parameters, spec: ShardSpec) -> DistParameters:
-    """Deep-copy ``full`` for one worker, slicing out its position rows."""
-    if full.pos_table.shape[0] != spec.seq_len:
-        raise ShapeError(
-            f"position table has {full.pos_table.shape[0]} rows, expected {spec.seq_len}"
-        )
-    p = full.copy()
-    p.pos_table = np.ascontiguousarray(full.pos_table[spec.offset : spec.offset + spec.block])
-    return DistParameters(spec=spec, params=p)
-
-
-def slice_batch(x: np.ndarray, spec: ShardSpec) -> np.ndarray:
-    """This worker's columns of a (batch, seq_len) token or target array."""
-    if x.shape[1] != spec.seq_len:
-        raise ShapeError(f"expected {spec.seq_len} columns, got {x.shape[1]}")
-    return np.ascontiguousarray(x[:, spec.offset : spec.offset + spec.block])
-
-
-def reassemble_positions(workers: list[DistParameters]) -> np.ndarray:
-    """Concatenate position-table shards back into the full table."""
-    ordered = sorted(workers, key=lambda d: d.spec.rank)
-    return np.concatenate([d.params.pos_table for d in ordered], axis=0)
-
-
-def reassemble_params(workers: list[DistParameters]) -> Parameters:
-    """Full parameter set from worker replicas (rank 0's copy + all PE rows)."""
-    full = workers[0].params.copy()
-    full.pos_table = reassemble_positions(workers)
-    return full
 
 
 @dataclass
@@ -111,9 +51,8 @@ class ShardedCache:
 
 
 def forward(
-    comm: Communicator,
-    group: WorkerGroup,
-    dist: DistParameters,
+    worker: Worker,
+    params: Parameters,
     cfg: ModelConfig,
     tokens_seg: np.ndarray,
     targets_seg: np.ndarray | None,
@@ -125,10 +64,7 @@ def forward(
 ) -> tuple[float | None, ShardedCache]:
     """Forward over this worker's block; returns its partial loss (the mean
     cross-entropy over its own tokens)."""
-    spec, params = dist.spec, dist.params
-    # spec.rank is the position inside the sequence group; collectives
-    # address workers by their group member id (world rank).
-    wrank = group.members[spec.rank]
+    comm, group, spec, wrank = worker.comm, worker.seq_group, worker.spec, worker.rank
     policy = policy if policy is not None else DropoutPolicy.off()
     if tokens_seg.shape[1] != spec.block:
         raise ShapeError(f"token block has {tokens_seg.shape[1]} columns, expected {spec.block}")
@@ -159,9 +95,8 @@ def forward(
 
 
 def backward(
-    comm: Communicator,
-    group: WorkerGroup,
-    dist: DistParameters,
+    worker: Worker,
+    params: Parameters,
     cfg: ModelConfig,
     cache: ShardedCache,
     *,
@@ -176,8 +111,7 @@ def backward(
     worker's contribution to its rows, so the owner divides by the group
     size once.
     """
-    spec, params = dist.spec, dist.params
-    wrank = group.members[spec.rank]
+    comm, group, wrank = worker.comm, worker.seq_group, worker.rank
     policy = cache.policy
     grad_x, final_gain_g, final_bias_g, head_wg, head_bg = model.head_bwd(cache.head, params)
     layer_grads: list[model.LayerParams | None] = [None] * len(params.layers)
@@ -244,46 +178,57 @@ def sync(
     return grads.replace_arrays(merged), extra_mean
 
 
-def train_step(
+def vertical_sync(
     comm: Communicator,
-    group: WorkerGroup,
-    dist: DistParameters,
+    data_group: WorkerGroup,
+    rank: int,
+    grads: Parameters,
+    loss: float,
+    *,
+    step: int = 0,
+) -> tuple[Parameters, float]:
+    """Average all gradients (position rows included) and the loss across
+    the replicas that share this worker's sequence block.
+
+    Position rows travel too because data-group peers own the same rows of
+    different replicas of the position table.  One flat all-reduce; the loss
+    rides along as a trailing element, so afterwards every worker knows the
+    loss averaged over the whole grid.
+    """
+    arrays = grads.arrays()
+    flat = model.flatten_arrays(arrays)
+    vec = np.concatenate([flat, np.array([loss], dtype=flat.dtype)])
+    out = comm.all_reduce_mean(data_group, rank, vec, step=step, phase="sync")
+    averaged = model.unflatten_like(out[:-1], arrays)
+    return grads.replace_arrays(averaged), float(out[-1])
+
+
+def train_step(
+    worker: Worker,
+    params: Parameters,
     cfg: ModelConfig,
     tokens_seg: np.ndarray,
     targets_seg: np.ndarray,
     *,
-    lr: float,
     policy: DropoutPolicy | None = None,
     step: int = 0,
+    counters: StepCounters | None = None,
     fused: bool = True,
-) -> tuple[float, StepCounters]:
-    """forward -> backward -> gradient sync -> SGD; returns the group-mean
-    loss (identical on every worker) and this worker's counters."""
-    counters = StepCounters()
-    with tensor.counting(counters):
-        partial_loss, cache = forward(
-            comm, group, dist, cfg, tokens_seg, targets_seg,
-            policy=policy, step=step, counters=counters, fused=fused,
-        )
-        grads = backward(comm, group, dist, cfg, cache, step=step)
-        grads, mean_loss = sync(
-            comm, group, group.members[dist.spec.rank], grads, step=step, extra=partial_loss
-        )
-        dist.params = model.sgd_step(dist.params, grads, lr)
-    return mean_loss, counters
-
-
-@dataclass
-class ShardedRun:
-    """Everything the orchestrator gets back from a multi-step run."""
-
-    comm: Communicator
-    workers: list[DistParameters]
-    step_losses: list[float]
-    partial_losses: list[list[float]]  # [worker][step]
-    counters: list[list[StepCounters]]  # [worker][step]
-    grad_norms: list[list[float]]  # [worker][step], post-sync
-    last_grads: list[Parameters] | None  # post-sync grads of the final step
+) -> tuple[float, Parameters]:
+    """forward -> backward -> gradient sync on one worker's block, plus the
+    vertical sync when the grid has more than one replica.  Returns the loss
+    averaged over the group (over the grid, with replicas), identical on
+    every worker, and the synced gradients."""
+    partial_loss, cache = forward(
+        worker, params, cfg, tokens_seg, targets_seg,
+        policy=policy, step=step, counters=counters, fused=fused,
+    )
+    grads = backward(worker, params, cfg, cache, step=step)
+    comm, rank = worker.comm, worker.rank
+    grads, loss = sync(comm, worker.seq_group, rank, grads, step=step, extra=partial_loss)
+    if worker.data_group.size > 1:
+        grads, loss = vertical_sync(comm, worker.data_group, rank, grads, loss, step=step)
+    return loss, grads
 
 
 def run_steps(
@@ -292,57 +237,13 @@ def run_steps(
     n_workers: int,
     batches: list[tuple[np.ndarray, np.ndarray]],
     *,
-    lr: float,
-    policy: DropoutPolicy | None = None,
     fused: bool = True,
-    optimizer: str = "sgd",
-    keep_last_grads: bool = False,
-    timeout: float = 60.0,
-) -> ShardedRun:
-    """Drive ``len(batches)`` training steps on ``n_workers`` worker threads.
-
-    ``batches`` holds full-width (tokens, targets) pairs; each worker slices
-    out its own block.  The per-step dropout policy is derived on every
-    worker identically via ``policy.at_step(step)``.
-    """
-    from . import optim
-
-    comm = Communicator(n_workers, timeout=timeout)
-    group = comm.group("sequence", tuple(range(n_workers)))
-    base_policy = policy if policy is not None else DropoutPolicy.off()
-
-    def worker(rank: int):
-        spec = ShardSpec(rank, n_workers, cfg.seq_len)
-        dist = shard_params(params_full, spec)
-        update = optim.make_update(optimizer, dist.params, lr)
-        losses, partials, counts, norms, grads_out = [], [], [], [], None
-        for s, (tokens, targets) in enumerate(batches):
-            step_policy = base_policy.at_step(s) if base_policy.active else base_policy
-            tok_seg, tgt_seg = slice_batch(tokens, spec), slice_batch(targets, spec)
-            counters = StepCounters()
-            with tensor.counting(counters):
-                partial, cache = forward(
-                    comm, group, dist, cfg, tok_seg, tgt_seg,
-                    policy=step_policy, step=s, counters=counters, fused=fused,
-                )
-                grads = backward(comm, group, dist, cfg, cache, step=s)
-                grads, mean_loss = sync(comm, group, rank, grads, step=s, extra=partial)
-                dist.params = update(dist.params, grads)
-            if keep_last_grads and s == len(batches) - 1:
-                grads_out = grads
-            losses.append(mean_loss)
-            partials.append(partial)
-            counts.append(counters)
-            norms.append(model.grad_norm(grads))
-        return dist, losses, partials, counts, norms, grads_out
-
-    results = run_workers(n_workers, worker, comm=comm)
-    return ShardedRun(
-        comm=comm,
-        workers=[r[0] for r in results],
-        step_losses=results[0][1],
-        partial_losses=[r[2] for r in results],
-        counters=[r[3] for r in results],
-        grad_norms=[r[4] for r in results],
-        last_grads=[r[5] for r in results] if keep_last_grads else None,
+    **kw,
+) -> Run:
+    """Drive ``len(batches)`` training steps on ``n_workers`` worker threads;
+    each trains on its own block of columns of the full-width batches.  ``kw``
+    (lr, policy, optimizer, timeout) is passed to :func:`seqpar.grid.train`."""
+    return grid.train(
+        partial(train_step, fused=fused), cfg, params_full, GridLayout(1, n_workers), batches,
+        run_workers=run_workers, **kw,
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqpar import model
+from seqpar import model, optim
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
 
@@ -52,3 +52,12 @@ def sequential_sgd(cfg, params, batches, lr, policy=None):
         params = model.sgd_step(params, grads, lr)
         losses.append(loss)
     return params, losses, grads
+
+
+def sequential_adam(cfg, params, batches, lr):
+    """Reference Adam training loop; returns the final params."""
+    update = optim.make_update("adam", params, lr)
+    for tokens, targets in batches:
+        _, cache = model.forward(params, cfg, tokens, targets)
+        params = update(params, model.backward(params, cfg, cache))
+    return params

@@ -15,7 +15,7 @@ import numpy as np
 
 from conftest import max_param_delta, rand_batch, sequential_sgd
 from seqpar import baseline, costs, data, hybrid, model, runner, sharded
-from seqpar.hybrid import GridLayout
+from seqpar.grid import GridLayout
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
 
@@ -72,11 +72,9 @@ def test_01_sharded_matches_sequential(capsys):
         params0 = model.init_params(ACFG, 0)
         oracle, oracle_losses, oracle_grads = sequential_sgd(ACFG, params0, batches, lr=0.2)
         for n in WORKER_MATRIX:
-            run = sharded.run_steps(ACFG, params0, n, batches, lr=0.2,
-                                    keep_last_grads=True)
+            run = sharded.run_steps(ACFG, params0, n, batches, lr=0.2)
             assert close_lists(run.step_losses, oracle_losses, 1e-12), f"losses, n={n}"
-            assert max_param_delta(sharded.reassemble_params(run.workers),
-                                   oracle) <= 1e-8, f"params, n={n}"
+            assert max_param_delta(run.final_params, oracle) <= 1e-8, f"params, n={n}"
             for g in run.last_grads:
                 assert grads_close(g, oracle_grads, 1e-10,
                                    skip=("pos_table",)), f"grads, n={n}"
@@ -96,7 +94,7 @@ def test_02_dropout_training_is_shard_invariant(capsys):
                                                   policy=policy)
         run = sharded.run_steps(ACFG, params0, 2, batches, lr=0.2, policy=policy)
         assert close_lists(run.step_losses, oracle_losses, 1e-10)
-        assert max_param_delta(sharded.reassemble_params(run.workers), oracle) <= 1e-10
+        assert max_param_delta(run.final_params, oracle) <= 1e-10
 
 
 def test_03_baseline_matches_sequential(capsys):
@@ -108,8 +106,7 @@ def test_03_baseline_matches_sequential(capsys):
         params0 = model.init_params(ACFG, 0)
         oracle, oracle_losses, oracle_grads = sequential_sgd(ACFG, params0, batches, lr=0.2)
         for n in WORKER_MATRIX:
-            run = baseline.run_steps(ACFG, params0, n, batches, lr=0.2,
-                                     keep_last_grads=True)
+            run = baseline.run_steps(ACFG, params0, n, batches, lr=0.2)
             assert close_lists(run.step_losses, oracle_losses, 1e-12), f"losses, n={n}"
             assert max_param_delta(run.workers[0], oracle) <= 1e-8, f"params, n={n}"
             for g in run.last_grads:
@@ -161,8 +158,7 @@ def test_05_fusion_halves_forward_collectives(capsys):
                 assert fwd == per_layer * L and bwd == per_layer * L
 
         assert close_lists(split.step_losses, fused.step_losses, 1e-12)
-        assert max_param_delta(sharded.reassemble_params(split.workers),
-                               sharded.reassemble_params(fused.workers)) <= 1e-12
+        assert max_param_delta(split.final_params, fused.final_params) <= 1e-12
 
 
 def test_06_weak_scaling_ratios(capsys):
@@ -232,9 +228,9 @@ def test_08_hybrid_grid_matches_combined_batch(capsys):
         params0 = model.init_params(ACFG, 0)
         oracle, oracle_losses, _ = sequential_sgd(ACFG, params0, combined, lr=0.2)
 
-        run = hybrid.run_steps(ACFG, params0, GridLayout(2, 2), grid_batches, lr=0.2)
+        run = hybrid.run_steps(ACFG, params0, GridLayout(2, 2), combined, lr=0.2)
         assert close_lists(run.step_losses, oracle_losses, 1e-10)
-        assert max_param_delta(hybrid.reassemble_params(run), oracle) <= 1e-10
+        assert max_param_delta(run.final_params, oracle) <= 1e-10
 
         group_ids = {r.group_id for r in run.comm.ledger.records}
         assert group_ids == {"seq0", "seq1", "data0", "data1"}
@@ -294,7 +290,7 @@ def test_10_demo_run_trains_and_repeats_bitwise(capsys, tmp_path):
 
         second = sharded.run_steps(cfg, params0, 2, batches, lr=0.1, timeout=600.0)
         assert second.step_losses == first.step_losses
-        a = sharded.reassemble_params(first.workers)
-        b = sharded.reassemble_params(second.workers)
+        a = first.final_params
+        b = second.final_params
         for x, y in zip(a.arrays(), b.arrays()):
             assert x.tobytes() == y.tobytes()

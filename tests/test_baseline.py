@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from seqpar import baseline, model, sharded
+from seqpar import baseline, grid, model, sharded
 from seqpar.collectives import Communicator, run_workers
-from seqpar.sharded import ShardSpec
+from seqpar.grid import GridLayout, ShardSpec, Worker
 
-from conftest import max_param_delta, rand_batch, sequential_sgd
+from conftest import max_param_delta, rand_batch, sequential_adam, sequential_sgd
 
 
 def make_batches(cfg, rng, steps):
@@ -26,7 +26,7 @@ def test_single_worker_run_is_bitwise_sequential(tiny_cfg, rng):
 def test_multi_worker_matches_sequential(tiny_cfg, rng, n):
     params = model.init_params(tiny_cfg, 1)
     batches = make_batches(tiny_cfg, rng, 3)
-    run = baseline.run_steps(tiny_cfg, params, n, batches, lr=0.2, keep_last_grads=True)
+    run = baseline.run_steps(tiny_cfg, params, n, batches, lr=0.2)
     oracle, oracle_losses, oracle_grads = sequential_sgd(tiny_cfg, params, batches, lr=0.2)
 
     for got, want in zip(run.step_losses, oracle_losses):
@@ -94,13 +94,11 @@ def test_loss_only_materializes_on_rank_zero(tiny_cfg, rng):
     params = model.init_params(tiny_cfg, 3)
     tokens, targets = rand_batch(tiny_cfg, rng)
     comm = Communicator(n)
-    group = comm.group("sequence", tuple(range(n)))
+    seq_groups, data_groups = grid.make_groups(comm, GridLayout(1, n))
 
     def worker(rank):
-        spec = ShardSpec(rank, n, tiny_cfg.seq_len)
-        loss, _, _, _ = baseline.train_step(
-            comm, group, spec, params.copy(), tiny_cfg, tokens, targets, lr=0.1
-        )
+        w = Worker(comm, ShardSpec(rank, n, tiny_cfg.seq_len), seq_groups[0], data_groups[rank])
+        loss, _ = baseline.train_step(w, params, tiny_cfg, tokens, targets)
         return loss
 
     losses = run_workers(n, worker, comm=comm)
@@ -111,14 +109,13 @@ def test_loss_only_materializes_on_rank_zero(tiny_cfg, rng):
 def test_rank_zero_validates_batch_width(tiny_cfg, rng):
     tokens, targets = rand_batch(tiny_cfg, rng)
     comm = Communicator(1)
-    group = comm.group("sequence", (0,))
-    spec = ShardSpec(0, 1, tiny_cfg.seq_len)
+    seq_groups, data_groups = grid.make_groups(comm, GridLayout(1, 1))
+    w = Worker(comm, ShardSpec(0, 1, tiny_cfg.seq_len), seq_groups[0], data_groups[0])
     from seqpar.errors import ShapeError
 
     with pytest.raises(ShapeError):
         baseline.train_step(
-            comm, group, spec, model.init_params(tiny_cfg, 0), tiny_cfg,
-            tokens[:, :12], targets[:, :12], lr=0.1,
+            w, model.init_params(tiny_cfg, 0), tiny_cfg, tokens[:, :12], targets[:, :12],
         )
 
 
@@ -133,3 +130,12 @@ def test_dropout_matches_sequential(tiny_cfg, rng):
     for got, want in zip(run.step_losses, oracle_losses):
         assert abs(got - want) <= 1e-12 * abs(want)
     assert max_param_delta(run.workers[0], oracle) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_adam_run_matches_sequential_adam(tiny_cfg, rng, n):
+    params = model.init_params(tiny_cfg, 5)
+    batches = make_batches(tiny_cfg, rng, 3)
+    run = baseline.run_steps(tiny_cfg, params, n, batches, lr=1e-3, optimizer="adam")
+    oracle = sequential_adam(tiny_cfg, params, batches, lr=1e-3)
+    assert max_param_delta(run.final_params, oracle) < 1e-10

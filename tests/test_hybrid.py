@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from seqpar import hybrid, model, sharded
-from seqpar.hybrid import GridLayout
+from seqpar import grid, hybrid, model, sharded
+from seqpar.grid import GridLayout
 from seqpar.nnops import DropoutPolicy
 
-from conftest import max_param_delta, rand_batch, sequential_sgd
-
-
-def grid_batches(cfg, rng, steps, replicas):
-    return [[rand_batch(cfg, rng) for _ in range(replicas)] for _ in range(steps)]
+from conftest import max_param_delta, rand_batch, sequential_adam, sequential_sgd
 
 
 def combine(rows):
@@ -17,6 +13,11 @@ def combine(rows):
         np.concatenate([t for t, _ in rows], axis=0),
         np.concatenate([g for _, g in rows], axis=0),
     )
+
+
+def grid_batches(cfg, rng, steps, replicas):
+    """Combined (replicas * batch)-row batches, one per step."""
+    return [combine([rand_batch(cfg, rng) for _ in range(replicas)]) for _ in range(steps)]
 
 
 # --- layout ---
@@ -39,7 +40,7 @@ def test_make_groups_shapes_and_kinds():
 
     layout = GridLayout(replicas=2, seq_workers=3)
     comm = Communicator(layout.world)
-    seq_groups, data_groups = hybrid.make_groups(comm, layout)
+    seq_groups, data_groups = grid.make_groups(comm, layout)
     assert [g.members for g in seq_groups] == [(0, 1, 2), (3, 4, 5)]
     assert [g.members for g in data_groups] == [(0, 3), (1, 4), (2, 5)]
     assert all(g.kind == "sequence" for g in seq_groups)
@@ -55,7 +56,7 @@ def test_vertical_sync_averages_everything(tiny_cfg):
 
     def worker(rank):
         grads = params.zip_map(params, lambda a, b: np.full_like(a, float(rank)))
-        return hybrid.vertical_sync(comm, group, rank, grads, loss=float(rank), step=0)
+        return sharded.vertical_sync(comm, group, rank, grads, loss=float(rank), step=0)
 
     outs = run_workers(2, worker, comm=comm)
     for out, loss in outs:
@@ -69,29 +70,27 @@ def test_vertical_sync_averages_everything(tiny_cfg):
 
 
 def test_single_replica_grid_matches_sharded_bitwise(tiny_cfg, rng):
+    """A 1xN grid is the sharded engine, dropout masks included: a single
+    replica does not fork its dropout key."""
     params = model.init_params(tiny_cfg, 1)
-    flat_batches = [rand_batch(tiny_cfg, rng) for _ in range(2)]
-    run_h = hybrid.run_steps(
-        tiny_cfg, params, GridLayout(1, 2), [[b] for b in flat_batches], lr=0.2
-    )
-    run_s = sharded.run_steps(tiny_cfg, params, 2, flat_batches, lr=0.2)
-    assert run_h.step_losses == run_s.step_losses
-    a = hybrid.reassemble_params(run_h)
-    b = sharded.reassemble_params(run_s.workers)
-    for x, y in zip(a.arrays(), b.arrays()):
-        assert x.tobytes() == y.tobytes()
+    batches = [rand_batch(tiny_cfg, rng) for _ in range(2)]
+    for policy in (None, DropoutPolicy(rate=0.1, seed=3)):
+        run_h = hybrid.run_steps(tiny_cfg, params, GridLayout(1, 2), batches, lr=0.2,
+                                 policy=policy)
+        run_s = sharded.run_steps(tiny_cfg, params, 2, batches, lr=0.2, policy=policy)
+        assert run_h.step_losses == run_s.step_losses
+        for x, y in zip(run_h.final_params.arrays(), run_s.final_params.arrays()):
+            assert x.tobytes() == y.tobytes()
 
 
 def test_pure_data_parallel_matches_combined_batch(tiny_cfg, rng):
     params = model.init_params(tiny_cfg, 2)
     batches = grid_batches(tiny_cfg, rng, 2, replicas=2)
     run = hybrid.run_steps(tiny_cfg, params, GridLayout(2, 1), batches, lr=0.2)
-    oracle, oracle_losses, _ = sequential_sgd(
-        tiny_cfg, params, [combine(row) for row in batches], lr=0.2
-    )
+    oracle, oracle_losses, _ = sequential_sgd(tiny_cfg, params, batches, lr=0.2)
     for got, want in zip(run.step_losses, oracle_losses):
         assert abs(got - want) <= 1e-12 * abs(want)
-    assert max_param_delta(hybrid.reassemble_params(run), oracle) < 1e-12
+    assert max_param_delta(run.final_params, oracle) < 1e-12
 
 
 # --- full grid ---
@@ -102,12 +101,10 @@ def test_grid_matches_combined_batch_oracle(tiny_cfg, rng, replicas, workers):
     params = model.init_params(tiny_cfg, 3)
     batches = grid_batches(tiny_cfg, rng, 2, replicas)
     run = hybrid.run_steps(tiny_cfg, params, GridLayout(replicas, workers), batches, lr=0.2)
-    oracle, oracle_losses, _ = sequential_sgd(
-        tiny_cfg, params, [combine(row) for row in batches], lr=0.2
-    )
+    oracle, oracle_losses, _ = sequential_sgd(tiny_cfg, params, batches, lr=0.2)
     for got, want in zip(run.step_losses, oracle_losses):
         assert abs(got - want) <= 1e-12 * abs(want)
-    assert max_param_delta(hybrid.reassemble_params(run), oracle) < 1e-12
+    assert max_param_delta(run.final_params, oracle) < 1e-12
 
 
 def test_position_shards_agree_across_replicas(tiny_cfg, rng):
@@ -118,12 +115,12 @@ def test_position_shards_agree_across_replicas(tiny_cfg, rng):
     )
     for seq_index in range(layout.seq_workers):
         tables = [
-            run.workers[r].params.pos_table for r in layout.data_members(seq_index)
+            run.workers[r].pos_table for r in layout.data_members(seq_index)
         ]
         for other in tables[1:]:
             assert other.tobytes() == tables[0].tobytes()
     # and different sequence positions own different (disjoint) rows
-    blocks = [run.workers[r].params.pos_table for r in layout.seq_members(0)]
+    blocks = [run.workers[r].pos_table for r in layout.seq_members(0)]
     assert not np.array_equal(blocks[0], blocks[1])
 
 
@@ -149,9 +146,9 @@ def test_traffic_stays_inside_groups(tiny_cfg, rng):
 
 def test_replica_batch_rows_are_validated(tiny_cfg, rng):
     params = model.init_params(tiny_cfg, 0)
-    rows = grid_batches(tiny_cfg, rng, 1, replicas=1)
+    rows = grid_batches(tiny_cfg, rng, 1, replicas=1)  # 2 rows cannot feed 3 replicas
     with pytest.raises(ValueError, match="replica batches"):
-        hybrid.run_steps(tiny_cfg, params, GridLayout(2, 1), rows, lr=0.1)
+        hybrid.run_steps(tiny_cfg, params, GridLayout(3, 1), rows, lr=0.1)
 
 
 def test_dropout_replicas_draw_independent_masks(tiny_cfg, rng):
@@ -161,15 +158,24 @@ def test_dropout_replicas_draw_independent_masks(tiny_cfg, rng):
     layout = GridLayout(replicas=2, seq_workers=1)
     params = model.init_params(tiny_cfg, 5)
     tokens, targets = rand_batch(tiny_cfg, rng)
-    same_row = [[(tokens, targets), (tokens, targets)]]
+    same_row = [combine([(tokens, targets), (tokens, targets)])]
     run = hybrid.run_steps(tiny_cfg, params, layout, same_row, lr=0.2, policy=policy)
     assert np.isfinite(run.step_losses[0])
     # identical data, different masks: the two replicas' forward counters match
     # but their parameters after sync are identical (single shared update)
-    p0, p1 = run.workers[0].params, run.workers[1].params
+    p0, p1 = run.workers[0], run.workers[1]
     for a, b in zip(p0.arrays(), p1.arrays()):
         assert a.tobytes() == b.tobytes()
     # and the run differs from a no-fork sharded run on the same batch, which
     # is what decorrelated masks imply
     solo = sharded.run_steps(tiny_cfg, params, 1, [(tokens, targets)], lr=0.2, policy=policy)
     assert run.step_losses[0] != solo.step_losses[0]
+
+
+def test_adam_grid_matches_combined_batch_adam(tiny_cfg, rng):
+    params = model.init_params(tiny_cfg, 6)
+    batches = grid_batches(tiny_cfg, rng, 3, replicas=2)
+    run = hybrid.run_steps(tiny_cfg, params, GridLayout(2, 2), batches, lr=1e-3,
+                           optimizer="adam")
+    oracle = sequential_adam(tiny_cfg, params, batches, lr=1e-3)
+    assert max_param_delta(run.final_params, oracle) < 1e-10

@@ -88,8 +88,6 @@ def test_run_config_validation(tmp_path):
         small_run(tmp_path, engine="sharded", workers=2, replicas=2)
     with pytest.raises(ValueError, match="not divisible"):
         small_run(tmp_path, engine="sharded", workers=5)
-    with pytest.raises(ValueError, match="only sgd"):
-        small_run(tmp_path, engine="baseline", workers=2, optimizer="adam")
     with pytest.raises(ValueError, match="steps"):
         small_run(tmp_path, steps=0)
 
@@ -146,6 +144,24 @@ def test_run_experiment_hybrid(tmp_path):
                    equivalence_check=True)
     result = runner.run_experiment(rc)
     assert result.summary["equivalence_pass"] is True
+
+
+@pytest.mark.parametrize("engine,workers,replicas,dropout", [
+    ("sequential", 1, 1, 0.1),
+    ("sharded", 2, 1, 0.1),
+    ("baseline", 2, 1, 0.1),
+    ("hybrid", 2, 2, 0.0),
+])
+def test_run_experiment_reruns_byte_identically(tmp_path, engine, workers, replicas, dropout):
+    texts = []
+    for name in ("first", "second"):
+        rc = small_run(tmp_path / name, model=small_model(dropout=dropout), engine=engine,
+                       workers=workers, replicas=replicas, equivalence_check=True)
+        result = runner.run_experiment(rc)
+        assert result.summary["equivalence_pass"] is True
+        texts.append([(tmp_path / name / "run" / f).read_bytes()
+                      for f in ("steps.jsonl", "ledger.jsonl")])
+    assert texts[0] == texts[1]
 
 
 def test_run_experiment_reads_dataset_file(tmp_path):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from seqpar import model, optim, sharded
+from seqpar import grid, model, optim, sharded
 from seqpar.errors import PartitionError, ShapeError
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
 
-from conftest import max_param_delta, rand_batch, sequential_sgd
+from conftest import max_param_delta, rand_batch, sequential_adam, sequential_sgd
 
 
 def make_batches(cfg, rng, steps):
@@ -17,47 +17,46 @@ def make_batches(cfg, rng, steps):
 
 
 def test_shard_spec_geometry():
-    spec = sharded.ShardSpec(rank=2, workers=4, seq_len=24)
+    spec = grid.ShardSpec(rank=2, workers=4, seq_len=24)
     assert spec.block == 6
     assert spec.offset == 12
     with pytest.raises(PartitionError):
-        sharded.ShardSpec(rank=0, workers=5, seq_len=24)
+        grid.ShardSpec(rank=0, workers=5, seq_len=24)
     with pytest.raises(ValueError):
-        sharded.ShardSpec(rank=4, workers=4, seq_len=24)
+        grid.ShardSpec(rank=4, workers=4, seq_len=24)
     with pytest.raises(ValueError):
-        sharded.ShardSpec(rank=0, workers=0, seq_len=24)
+        grid.ShardSpec(rank=0, workers=0, seq_len=24)
 
 
 def test_shard_params_slices_position_rows(tiny_cfg):
     full = model.init_params(tiny_cfg, 0)
-    spec = sharded.ShardSpec(rank=1, workers=3, seq_len=tiny_cfg.seq_len)
-    dist = sharded.shard_params(full, spec)
-    assert dist.params.pos_table.shape == (8, tiny_cfg.embed_dim)
-    np.testing.assert_array_equal(dist.params.pos_table, full.pos_table[8:16])
+    spec = grid.ShardSpec(rank=1, workers=3, seq_len=tiny_cfg.seq_len)
+    own = grid.shard_params(full, spec)
+    assert own.pos_table.shape == (8, tiny_cfg.embed_dim)
+    np.testing.assert_array_equal(own.pos_table, full.pos_table[8:16])
     # everything else is a full, independent copy
-    assert dist.params.token_table.shape == full.token_table.shape
-    dist.params.token_table[0, 0] += 1.0
-    assert dist.params.token_table[0, 0] != full.token_table[0, 0]
+    assert own.token_table.shape == full.token_table.shape
+    own.token_table[0, 0] += 1.0
+    assert own.token_table[0, 0] != full.token_table[0, 0]
     with pytest.raises(ShapeError):
-        sharded.shard_params(full, sharded.ShardSpec(rank=0, workers=2, seq_len=48))
+        grid.shard_params(full, grid.ShardSpec(rank=0, workers=2, seq_len=48))
 
 
 def test_slice_batch_extracts_own_columns(tiny_cfg, rng):
     tokens, _ = rand_batch(tiny_cfg, rng)
-    spec = sharded.ShardSpec(rank=2, workers=4, seq_len=tiny_cfg.seq_len)
-    seg = sharded.slice_batch(tokens, spec)
+    spec = grid.ShardSpec(rank=2, workers=4, seq_len=tiny_cfg.seq_len)
+    seg = grid.slice_batch(tokens, spec)
     np.testing.assert_array_equal(seg, tokens[:, 12:18])
     with pytest.raises(ShapeError):
-        sharded.slice_batch(tokens[:, :12], spec)
+        grid.slice_batch(tokens[:, :12], spec)
 
 
 def test_reassemble_positions_restores_table(tiny_cfg):
     full = model.init_params(tiny_cfg, 3)
     shards = [
-        sharded.shard_params(full, sharded.ShardSpec(r, 4, tiny_cfg.seq_len)) for r in range(4)
+        grid.shard_params(full, grid.ShardSpec(r, 4, tiny_cfg.seq_len)) for r in range(4)
     ]
-    np.testing.assert_array_equal(sharded.reassemble_positions(shards[::-1]), full.pos_table)
-    rebuilt = sharded.reassemble_params(shards)
+    rebuilt = grid.reassemble_params(shards)
     for a, b in zip(rebuilt.arrays(), full.arrays()):
         assert a.tobytes() == b.tobytes()
 
@@ -71,7 +70,7 @@ def test_single_worker_run_is_bitwise_sequential(tiny_cfg, rng):
     run = sharded.run_steps(tiny_cfg, params, 1, batches, lr=0.2)
     oracle, oracle_losses, _ = sequential_sgd(tiny_cfg, params, batches, lr=0.2)
     assert run.step_losses == oracle_losses
-    got = sharded.reassemble_params(run.workers)
+    got = run.final_params
     for a, b in zip(got.arrays(), oracle.arrays()):
         assert a.tobytes() == b.tobytes()
 
@@ -83,12 +82,12 @@ def test_single_worker_run_is_bitwise_sequential(tiny_cfg, rng):
 def test_multi_worker_matches_sequential(tiny_cfg, rng, n):
     params = model.init_params(tiny_cfg, 1)
     batches = make_batches(tiny_cfg, rng, 3)
-    run = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.2, keep_last_grads=True)
+    run = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.2)
     oracle, oracle_losses, oracle_grads = sequential_sgd(tiny_cfg, params, batches, lr=0.2)
 
     for got, want in zip(run.step_losses, oracle_losses):
         assert abs(got - want) <= 1e-12 * abs(want)
-    assert max_param_delta(sharded.reassemble_params(run.workers), oracle) < 1e-12
+    assert max_param_delta(run.final_params, oracle) < 1e-12
 
     # synced gradients agree with the oracle on every worker (atol soaks up
     # gradients that are mathematically zero, like the key-projection bias)
@@ -103,7 +102,7 @@ def test_position_gradients_concat_to_sequential(tiny_cfg, rng):
     n = 3
     params = model.init_params(tiny_cfg, 2)
     batches = make_batches(tiny_cfg, rng, 1)
-    run = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.1, keep_last_grads=True)
+    run = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.1)
     _, _, oracle_grads = sequential_sgd(tiny_cfg, params, batches, lr=0.1)
     stitched = np.concatenate([g.pos_table for g in run.last_grads], axis=0)
     np.testing.assert_allclose(stitched, oracle_grads.pos_table, rtol=1e-10, atol=1e-14)
@@ -114,13 +113,31 @@ def test_position_gradients_concat_to_sequential(tiny_cfg, rng):
 
 
 def test_partial_losses_average_to_step_loss(tiny_cfg, rng):
+    from seqpar.collectives import Communicator, run_workers
+
     n = 4
     params = model.init_params(tiny_cfg, 3)
     batches = make_batches(tiny_cfg, rng, 2)
-    run = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.1)
-    for s, step_loss in enumerate(run.step_losses):
-        partials = [run.partial_losses[w][s] for w in range(n)]
-        assert abs(np.mean(partials) - step_loss) < 1e-12
+    comm = Communicator(n)
+    seq_groups, data_groups = grid.make_groups(comm, grid.GridLayout(1, n))
+
+    def partial_losses(rank):
+        spec = grid.ShardSpec(rank, n, tiny_cfg.seq_len)
+        worker = grid.Worker(comm, spec, seq_groups[0], data_groups[rank])
+        own = grid.shard_params(params, spec)
+        out = []
+        for tokens, targets in batches:
+            loss, _ = sharded.forward(
+                worker, own, tiny_cfg,
+                grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec),
+            )
+            out.append(loss)
+        return out
+
+    partials = run_workers(n, partial_losses, comm=comm)
+    for s, (tokens, targets) in enumerate(batches):
+        run = sharded.run_steps(tiny_cfg, params, n, [(tokens, targets)], lr=0.1)
+        assert abs(np.mean([p[s] for p in partials]) - run.step_losses[0]) < 1e-12
 
 
 def test_dropout_training_still_matches_sequential(tiny_cfg, rng):
@@ -131,7 +148,7 @@ def test_dropout_training_still_matches_sequential(tiny_cfg, rng):
     oracle, oracle_losses, _ = sequential_sgd(tiny_cfg, params, batches, lr=0.2, policy=policy)
     for got, want in zip(run.step_losses, oracle_losses):
         assert abs(got - want) <= 1e-12 * abs(want)
-    assert max_param_delta(sharded.reassemble_params(run.workers), oracle) < 1e-10
+    assert max_param_delta(run.final_params, oracle) < 1e-10
 
 
 # --- communication schedule ---
@@ -174,8 +191,8 @@ def test_unfused_ablation_doubles_layer_traffic(tiny_cfg, rng):
     assert unfused.comm.ledger.count(kind="reduce-scatter") == 2 * L
     # both schedules train the same model
     assert abs(fused.step_losses[0] - unfused.step_losses[0]) <= 1e-12
-    a = sharded.reassemble_params(fused.workers)
-    b = sharded.reassemble_params(unfused.workers)
+    a = fused.final_params
+    b = unfused.final_params
     assert max_param_delta(a, b) < 1e-12
 
 
@@ -223,15 +240,8 @@ def test_adam_run_matches_sequential_adam(tiny_cfg, rng):
     params = model.init_params(tiny_cfg, 5)
     batches = make_batches(tiny_cfg, rng, 3)
     run = sharded.run_steps(tiny_cfg, params, 2, batches, lr=1e-3, optimizer="adam")
-
-    oracle = params
-    update = optim.make_update("adam", oracle, 1e-3)
-    for tokens, targets in batches:
-        _, cache = model.forward(oracle, tiny_cfg, tokens, targets)
-        grads = model.backward(oracle, tiny_cfg, cache)
-        oracle = update(oracle, grads)
-
-    assert max_param_delta(sharded.reassemble_params(run.workers), oracle) < 1e-10
+    oracle = sequential_adam(tiny_cfg, params, batches, lr=1e-3)
+    assert max_param_delta(run.final_params, oracle) < 1e-10
 
 
 def test_unknown_optimizer_rejected(tiny_cfg):
