@@ -139,7 +139,7 @@ class Run:
 
     comm: Communicator                  # ``comm.ledger`` holds every collective
     step_losses: list[float]            # per step, as rank 0 reports it
-    grad_norms: list[list[float]]       # [rank][step], of the synced gradients
+    grad_norms: list[float]             # [step], of the whole synced gradient
     counters: list[list[StepCounters]]  # [rank][step]
     last_grads: list[Parameters]        # [rank], synced gradients of the final step
     workers: list[Parameters]           # [rank], the parameters each rank ends with
@@ -164,15 +164,21 @@ def train(
 
     Every rank runs the same loop: per step it takes its replica's rows of
     the combined batch, derives the dropout key, calls ``step(worker, params,
-    cfg, tokens, targets, *, policy, step, counters)`` for ``(loss, synced
-    grads)`` and applies the optimizer update.  ``batches[s]`` holds ``R*B``
-    rows; replica ``d`` trains on rows ``[d*B, (d+1)*B)``.  With ``split`` a
+    cfg, tokens, targets, *, policy, step)`` for ``(loss, synced grads)`` and
+    applies the optimizer update; ``tensor.counting`` collects the step's
+    counters around the call.  ``batches[s]`` holds ``R*B`` rows; replica
+    ``d`` trains on rows ``[d*B, (d+1)*B)``.  With ``split`` a
     rank owns only its block of the sequence (its columns of the batch, its
     rows of the position table); without it, rank 0's whole copy of the
     parameters is the result.  ``run_workers`` (normally
     :func:`seqpar.collectives.run_workers`) starts one thread per rank; each
     engine passes the name bound in its own module, which is where
     perfbench/spans.py wraps it to trace the worker threads.
+
+    The reported gradient norm covers the whole parameter set whatever the
+    layout: rank 0's squared norm plus the position-row squares of the other
+    ranks of its sequence group (which own the rest of the table when
+    ``split``), one square root at the end.
     """
     for tokens, _ in batches:
         if tokens.shape[0] % layout.replicas:
@@ -190,7 +196,7 @@ def train(
         worker = Worker(comm, spec, seq_groups[replica], data_groups[seq_index])
         own = shard_params(params, spec) if split else params.copy()
         update = optim.make_update(optimizer, own, lr)
-        losses, counts, norms, grads = [], [], [], None
+        losses, counts, squares, grads = [], [], [], None
         for s, (tokens, targets) in enumerate(batches):
             step_policy = policy.at_step(s)
             if layout.replicas > 1:  # replicas draw independent masks
@@ -202,23 +208,25 @@ def train(
                 tokens, targets = slice_batch(tokens, spec), slice_batch(targets, spec)
             counters = StepCounters()
             with tensor.counting(counters):
-                loss, grads = step(
-                    worker, own, cfg, tokens, targets,
-                    policy=step_policy, step=s, counters=counters,
-                )
+                loss, grads = step(worker, own, cfg, tokens, targets, policy=step_policy, step=s)
                 own = update(own, grads)
             losses.append(loss)
             counts.append(counters)
-            norms.append(model.grad_norm(grads))
-        return own, losses, counts, norms, grads
+            # rank 0 folds every gradient, the others only their position rows
+            squares.append(model.grad_norm(grads, squared=True) if rank == 0
+                           else model.square_sum(grads.pos_table))
+        return own, losses, counts, squares, grads
 
     results = run_workers(layout.world, rank_loop, comm=comm)
     owned = [r[0] for r in results]
+    peers = layout.seq_members(0)[1:] if split else ()
+    norms = [float(np.sqrt(total + sum(results[r][3][s] for r in peers)))
+             for s, total in enumerate(results[0][3])]
     return Run(
         comm=comm,
         step_losses=results[0][1],
         counters=[r[2] for r in results],
-        grad_norms=[r[3] for r in results],
+        grad_norms=norms,
         last_grads=[r[4] for r in results],
         workers=owned,
         final_params=(

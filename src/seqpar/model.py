@@ -2,12 +2,17 @@
 (single-worker) reference engine.
 
 The per-layer forward/backward are written once, here, and parameterized at
-exactly the one place where distributed execution differs from sequential:
-how keys and values for the whole sequence are produced from each worker's
-local activation block (``kv_fwd``), and how gradients flow back through that
-production (``kv_bwd``).  Locally it is two linear maps; distributed it
-additionally all-gathers activations forward and reduce-scatters gradients
-backward.
+the two places where distributed execution differs from sequential:
+
+* how keys and values for the whole sequence are produced from each worker's
+  local activation block (``kv_fwd``), and how gradients flow back through
+  that production (``kv_bwd``).  Locally it is two linear maps; the sharded
+  engine additionally all-gathers activations forward and reduce-scatters
+  gradients backward.
+* where each of the layer's two sublayers (attention, feed-forward) runs
+  (``place_fwd``/``place_bwd``).  By default on the worker's own block; the
+  baseline engine gathers the sublayer input onto one worker, runs it over
+  the whole sequence and scatters the output back.
 
 Because every engine executes the same kernel calls in the same order, a
 distributed run with a single worker is bit-for-bit identical to the
@@ -24,13 +29,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from . import nnops, tensor
 from .errors import ShapeError
 from .nnops import DropoutPolicy, LinearParams
-from .tensor import StepCounters
 
 CHECKPOINT_MAGIC = b"SQPR"
 CHECKPOINT_VERSION = 1
@@ -274,7 +279,6 @@ def dropout3_bwd(grad_y, policy, mask):
 @dataclass
 class ScoreCache:
     attn: list  # per (b, h): (aw, aw_dropped, keep_mask_or_None)
-    offset: int
 
 
 def scores_fwd(
@@ -285,7 +289,6 @@ def scores_fwd(
     cfg: ModelConfig,
     policy: DropoutPolicy,
     layer: int,
-    counters: StepCounters | None = None,
 ) -> tuple[np.ndarray, ScoreCache]:
     """Masked, scaled dot-product attention over per-head slices.
 
@@ -297,6 +300,7 @@ def scores_fwd(
     bsz, m, e = q.shape
     t = k.shape[1]
     dk = cfg.head_dim
+    counters = tensor.active_counters()
     scale = 1.0 / np.sqrt(dk)
     q_pos = np.arange(offset, offset + m, dtype=np.int64)
     mask = None
@@ -323,7 +327,7 @@ def scores_fwd(
             attn.append((aw, aw_d, keep))
     if counters is not None:
         counters.record_score_footprint(bsz * cfg.n_heads * m * t)
-    return ctx, ScoreCache(attn=attn, offset=offset)
+    return ctx, ScoreCache(attn=attn)
 
 
 def scores_bwd(
@@ -359,44 +363,12 @@ def scores_bwd(
     return grad_q, grad_k, grad_v
 
 
-# --- feed-forward block ---
+# --- the two sublayers: fwd(y, offset) -> (out, cache) with out shaped like
+# y, bwd(cache, grad_out) -> (grad_y, tuple of LinearParams weight grads) ---
 
 
 @dataclass
-class FfnCache:
-    yh_flat: np.ndarray
-    h_pre: np.ndarray
-    h_drop: np.ndarray
-    hidden_mask: np.ndarray | None
-
-
-def ffn_fwd(yh, lp: LayerParams, policy, layer, samples, positions):
-    b, m, e = yh.shape
-    yh_flat = yh.reshape(b * m, e)
-    h_pre = nnops.linear_fwd(yh_flat, lp.ff_in)
-    h_act = nnops.gelu_fwd(h_pre)
-    h_drop, hidden_mask = nnops.dropout_fwd(h_act, policy, layer, "ffn_hidden", samples, positions)
-    out = nnops.linear_fwd(h_drop, lp.ff_out).reshape(b, m, e)
-    return out, FfnCache(yh_flat, h_pre, h_drop, hidden_mask)
-
-
-def ffn_bwd(cache: FfnCache, lp: LayerParams, policy, grad_out):
-    b, m, e = grad_out.shape
-    g = grad_out.reshape(b * m, e)
-    grad_h_drop, ff_out_wg, ff_out_bg = nnops.linear_bwd(cache.h_drop, lp.ff_out, g)
-    grad_h_act = nnops.dropout_bwd(grad_h_drop, policy, cache.hidden_mask)
-    grad_h_pre = nnops.gelu_bwd(cache.h_pre, grad_h_act)
-    grad_yh, ff_in_wg, ff_in_bg = nnops.linear_bwd(cache.yh_flat, lp.ff_in, grad_h_pre)
-    return grad_yh.reshape(b, m, e), (ff_in_wg, ff_in_bg, ff_out_wg, ff_out_bg)
-
-
-# --- one full pre-norm layer ---
-
-
-@dataclass
-class LayerCache:
-    offset: int
-    ln1: tuple
+class AttentionCache:
     xh: np.ndarray
     kv_ctx: object
     q: np.ndarray
@@ -404,10 +376,6 @@ class LayerCache:
     v: np.ndarray
     scores: ScoreCache
     ctx: np.ndarray
-    att_mask: np.ndarray | None
-    ln2: tuple
-    ffn: FfnCache
-    ff_mask: np.ndarray | None
 
 
 def local_kv_fwd(xh: np.ndarray, lp: LayerParams):
@@ -421,6 +389,84 @@ def local_kv_bwd(kv_ctx, lp: LayerParams, grad_k: np.ndarray, grad_v: np.ndarray
     return grad_kx + grad_vx, k_wg, k_bg, v_wg, v_bg
 
 
+def attention_fwd(xh, offset, lp: LayerParams, cfg, policy, layer, kv_fwd=local_kv_fwd):
+    """Keys and values (through ``kv_fwd``), queries, scores and the output
+    projection."""
+    k, v, kv_ctx = kv_fwd(xh, lp)
+    q = linear3(xh, lp.attn_q)
+    ctx, score_cache = scores_fwd(q, k, v, offset, cfg, policy, layer)
+    return linear3(ctx, lp.attn_out), AttentionCache(xh, kv_ctx, q, k, v, score_cache, ctx)
+
+
+def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy,
+                  kv_bwd=local_kv_bwd):
+    """Weight grads in the order q, k, v, out."""
+    grad_ctx, out_wg, out_bg = linear3_bwd(cache.ctx, lp.attn_out, grad_out)
+    grad_q, grad_k, grad_v = scores_bwd(
+        cache.scores, cache.q, cache.k, cache.v, grad_ctx, cfg, policy
+    )
+    grad_xh_q, q_wg, q_bg = linear3_bwd(cache.xh, lp.attn_q, grad_q)
+    grad_xh_kv, k_wg, k_bg, v_wg, v_bg = kv_bwd(cache.kv_ctx, lp, grad_k, grad_v)
+    grads = (LinearParams(q_wg, q_bg), LinearParams(k_wg, k_bg), LinearParams(v_wg, v_bg),
+             LinearParams(out_wg, out_bg))
+    return grad_xh_q + grad_xh_kv, grads
+
+
+@dataclass
+class FfnCache:
+    yh_flat: np.ndarray
+    h_pre: np.ndarray
+    h_drop: np.ndarray
+    hidden_mask: np.ndarray | None
+
+
+def ffn_fwd(yh, offset, lp: LayerParams, policy, layer):
+    b, m, e = yh.shape
+    samples, positions = row_coords(b, m, offset)
+    yh_flat = yh.reshape(b * m, e)
+    h_pre = nnops.linear_fwd(yh_flat, lp.ff_in)
+    h_act = nnops.gelu_fwd(h_pre)
+    h_drop, hidden_mask = nnops.dropout_fwd(h_act, policy, layer, "ffn_hidden", samples, positions)
+    out = nnops.linear_fwd(h_drop, lp.ff_out).reshape(b, m, e)
+    return out, FfnCache(yh_flat, h_pre, h_drop, hidden_mask)
+
+
+def ffn_bwd(cache: FfnCache, grad_out, lp: LayerParams, policy):
+    """Weight grads in the order ff_in, ff_out."""
+    b, m, e = grad_out.shape
+    g = grad_out.reshape(b * m, e)
+    grad_h_drop, ff_out_wg, ff_out_bg = nnops.linear_bwd(cache.h_drop, lp.ff_out, g)
+    grad_h_act = nnops.dropout_bwd(grad_h_drop, policy, cache.hidden_mask)
+    grad_h_pre = nnops.gelu_bwd(cache.h_pre, grad_h_act)
+    grad_yh, ff_in_wg, ff_in_bg = nnops.linear_bwd(cache.yh_flat, lp.ff_in, grad_h_pre)
+    grads = (LinearParams(ff_in_wg, ff_in_bg), LinearParams(ff_out_wg, ff_out_bg))
+    return grad_yh.reshape(b, m, e), grads
+
+
+def local_place_fwd(sublayer, y, offset):
+    """Default sublayer placement: run it on the worker's own block."""
+    return sublayer(y, offset)
+
+
+def local_place_bwd(sublayer_bwd, cache, grad_out, weights):
+    """Backward of :func:`local_place_fwd`.  ``weights`` (the LinearParams the
+    weight grads mirror) serve placements where a worker returns zeros."""
+    return sublayer_bwd(cache, grad_out)
+
+
+# --- one full pre-norm layer ---
+
+
+@dataclass
+class LayerCache:
+    ln1: tuple
+    attn: AttentionCache | None  # None where the placement ran it elsewhere
+    att_mask: np.ndarray | None
+    ln2: tuple
+    ffn: FfnCache | None
+    ff_mask: np.ndarray | None
+
+
 def layer_fwd(
     lp: LayerParams,
     cfg: ModelConfig,
@@ -429,32 +475,30 @@ def layer_fwd(
     x: np.ndarray,
     offset: int,
     kv_fwd=local_kv_fwd,
-    counters: StepCounters | None = None,
+    place_fwd=local_place_fwd,
 ) -> tuple[np.ndarray, LayerCache]:
     """norm -> attention -> dropout -> residual, norm -> ffn -> dropout -> residual.
 
     ``kv_fwd(xh, lp)`` returns whole-sequence keys and values plus an opaque
     context for the matching ``kv_bwd``.  Locally that is two projections of
     the block itself; distributed it involves an all-gather.
+
+    ``place_fwd(sublayer, y, offset)`` runs each sublayer and returns its
+    ``(out, cache)`` for this worker's block; by default on the block itself.
+    Norms, dropout and residuals always run on the block.
     """
     bsz, m, e = x.shape
     samples, positions = row_coords(bsz, m, offset)
     xh, ln1_cache = norm3(x, lp.ln1_gain, lp.ln1_bias)
-    k, v, kv_ctx = kv_fwd(xh, lp)
-    q = linear3(xh, lp.attn_q)
-    ctx, score_cache = scores_fwd(q, k, v, offset, cfg, policy, layer, counters)
-    att = linear3(ctx, lp.attn_out)
+    attention = partial(attention_fwd, lp=lp, cfg=cfg, policy=policy, layer=layer, kv_fwd=kv_fwd)
+    att, att_cache = place_fwd(attention, xh, offset)
     att_drop, att_mask = dropout3(att, policy, layer, "attn_out", samples, positions)
     x_mid = x + att_drop
     yh, ln2_cache = norm3(x_mid, lp.ln2_gain, lp.ln2_bias)
-    ff, ffn_cache = ffn_fwd(yh, lp, policy, layer, samples, positions)
+    ff, ffn_cache = place_fwd(partial(ffn_fwd, lp=lp, policy=policy, layer=layer), yh, offset)
     ff_drop, ff_mask = dropout3(ff, policy, layer, "ffn_out", samples, positions)
-    x_out = x_mid + ff_drop
-    cache = LayerCache(
-        offset, ln1_cache, xh, kv_ctx, q, k, v, score_cache, ctx, att_mask,
-        ln2_cache, ffn_cache, ff_mask,
-    )
-    return x_out, cache
+    cache = LayerCache(ln1_cache, att_cache, att_mask, ln2_cache, ffn_cache, ff_mask)
+    return x_mid + ff_drop, cache
 
 
 def layer_bwd(
@@ -465,38 +509,31 @@ def layer_bwd(
     cache: LayerCache,
     grad_out: np.ndarray,
     kv_bwd=local_kv_bwd,
+    place_bwd=local_place_bwd,
 ) -> tuple[np.ndarray, LayerParams]:
     """Reverse of :func:`layer_fwd`; returns (grad_x_in, per-layer grads).
 
     ``kv_bwd(kv_ctx, lp, grad_k, grad_v)`` must return the key/value path's
     gradient w.r.t. this worker's own normalized block (plus the four
     projection grads); distributed it reduce-scatters before returning.
+    ``place_bwd(sublayer_bwd, cache, grad_out, weights)`` mirrors the
+    ``place_fwd`` the forward ran with.
     """
     g_ff = dropout3_bwd(grad_out, policy, cache.ff_mask)
-    grad_yh, (ff_in_wg, ff_in_bg, ff_out_wg, ff_out_bg) = ffn_bwd(cache.ffn, lp, policy, g_ff)
+    ffn = partial(ffn_bwd, lp=lp, policy=policy)
+    grad_yh, (ff_in_g, ff_out_g) = place_bwd(ffn, cache.ffn, g_ff, (lp.ff_in, lp.ff_out))
     g_ln2_x, ln2_gain_g, ln2_bias_g = norm3_bwd(cache.ln2, lp.ln2_gain, grad_yh)
     grad_mid = grad_out + g_ln2_x
     g_att = dropout3_bwd(grad_mid, policy, cache.att_mask)
-    grad_ctx, out_wg, out_bg = linear3_bwd(cache.ctx, lp.attn_out, g_att)
-    grad_q, grad_k, grad_v = scores_bwd(cache.scores, cache.q, cache.k, cache.v, grad_ctx, cfg, policy)
-    grad_xh_q, q_wg, q_bg = linear3_bwd(cache.xh, lp.attn_q, grad_q)
-    grad_xh_kv, k_wg, k_bg, v_wg, v_bg = kv_bwd(cache.kv_ctx, lp, grad_k, grad_v)
-    grad_xh = grad_xh_q + grad_xh_kv
-    g_ln1_x, ln1_gain_g, ln1_bias_g = norm3_bwd(cache.ln1, lp.ln1_gain, grad_xh)
-    grad_in = grad_mid + g_ln1_x
-    grads = LayerParams(
-        ln1_gain=ln1_gain_g,
-        ln1_bias=ln1_bias_g,
-        attn_q=LinearParams(q_wg, q_bg),
-        attn_k=LinearParams(k_wg, k_bg),
-        attn_v=LinearParams(v_wg, v_bg),
-        attn_out=LinearParams(out_wg, out_bg),
-        ln2_gain=ln2_gain_g,
-        ln2_bias=ln2_bias_g,
-        ff_in=LinearParams(ff_in_wg, ff_in_bg),
-        ff_out=LinearParams(ff_out_wg, ff_out_bg),
+    attention = partial(attention_bwd, lp=lp, cfg=cfg, policy=policy, kv_bwd=kv_bwd)
+    grad_xh, (q_g, k_g, v_g, out_g) = place_bwd(
+        attention, cache.attn, g_att, (lp.attn_q, lp.attn_k, lp.attn_v, lp.attn_out)
     )
-    return grad_in, grads
+    g_ln1_x, ln1_gain_g, ln1_bias_g = norm3_bwd(cache.ln1, lp.ln1_gain, grad_xh)
+    grads = LayerParams(
+        ln1_gain_g, ln1_bias_g, q_g, k_g, v_g, out_g, ln2_gain_g, ln2_bias_g, ff_in_g, ff_out_g
+    )
+    return grad_mid + g_ln1_x, grads
 
 
 # --- embedding and output head ---
@@ -583,7 +620,6 @@ def forward(
     tokens: np.ndarray,
     targets: np.ndarray | None = None,
     policy: DropoutPolicy | None = None,
-    counters: StepCounters | None = None,
 ) -> tuple[float | None, SequentialCache]:
     """Whole-sequence forward pass on one worker."""
     policy = policy if policy is not None else DropoutPolicy.off()
@@ -592,7 +628,7 @@ def forward(
     x, e_cache = embed_fwd(params, cfg, tokens, 0, policy)
     layer_caches = []
     for li, lp in enumerate(params.layers):
-        x, c = layer_fwd(lp, cfg, policy, li, x, 0, local_kv_fwd, counters)
+        x, c = layer_fwd(lp, cfg, policy, li, x, 0)
         layer_caches.append(c)
     loss, h_cache = head_fwd(x, params, targets)
     return loss, SequentialCache(e_cache, layer_caches, h_cache, policy)
@@ -605,7 +641,7 @@ def backward(params: Parameters, cfg: ModelConfig, cache: SequentialCache) -> Pa
     layer_grads: list[LayerParams | None] = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
         grad_x, layer_grads[li] = layer_bwd(
-            params.layers[li], cfg, policy, li, cache.layers[li], grad_x, local_kv_bwd,
+            params.layers[li], cfg, policy, li, cache.layers[li], grad_x
         )
     grad_tok, grad_pe = embed_bwd(cache.embed, cfg.vocab, policy, grad_x)
     return Parameters(
@@ -642,12 +678,17 @@ def unflatten_like(vec: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray
     return out
 
 
-def grad_norm(grads: Parameters) -> float:
-    """Euclidean norm over every gradient array, folded in parameter order."""
+def square_sum(a: np.ndarray) -> float:
+    return float(np.sum(np.asarray(a, dtype=np.float64) ** 2))
+
+
+def grad_norm(grads: Parameters, *, squared: bool = False) -> float:
+    """Euclidean norm over every gradient array, its squares folded in
+    parameter order; ``squared`` returns the fold itself."""
     total = 0.0
-    for _, g in grads.named_arrays():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))
+    for g in grads.arrays():
+        total += square_sum(g)
+    return total if squared else float(np.sqrt(total))
 
 
 # --- checkpoints ---
@@ -675,22 +716,31 @@ def save_checkpoint(path, params: Parameters, cfg: ModelConfig, seed: int) -> No
 
 def load_checkpoint(path) -> tuple[Parameters, ModelConfig, int]:
     with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
+
+        def read(n: int) -> bytes:
+            chunk = f.read(n)
+            if len(chunk) < n:
+                raise ValueError(f"checkpoint {path} is truncated")
+            return chunk
+
+        if read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(header_len).decode("utf-8"))
+        (header_len,) = struct.unpack("<I", read(4))
+        header = json.loads(read(header_len).decode("utf-8"))
         cfg = ModelConfig.from_dict(header["config"])
         dt = np.dtype(header["dtype"])
         arrays = []
         for _ in header["arrays"]:
-            (rank,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{rank}Q", f.read(8 * rank))
+            (rank,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{rank}Q", read(8 * rank))
             n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(f.read(n * dt.itemsize), dtype=dt).reshape(shape)
+            data = np.frombuffer(read(n * dt.itemsize), dtype=dt).reshape(shape)
             arrays.append(data.astype(cfg.dtype, copy=True))
+        if f.read(1):
+            raise ValueError(f"checkpoint {path} has trailing bytes")
     template = init_params(cfg, seed=0)
     expected = [a.shape for a in template.arrays()]
     got = [a.shape for a in arrays]

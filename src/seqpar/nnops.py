@@ -75,7 +75,6 @@ class DropoutPolicy:
 
     rate: float
     seed: int = 0
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate < 1.0:
@@ -83,7 +82,7 @@ class DropoutPolicy:
 
     @classmethod
     def off(cls) -> "DropoutPolicy":
-        return cls(rate=0.0, enabled=False)
+        return cls(rate=0.0)
 
     def at_step(self, step: int) -> "DropoutPolicy":
         return replace(self, seed=mix_key(self.seed & _MASK64, step + 1))
@@ -95,7 +94,7 @@ class DropoutPolicy:
 
     @property
     def active(self) -> bool:
-        return self.enabled and self.rate > 0.0
+        return self.rate > 0.0
 
 
 def _site_key(policy: DropoutPolicy, layer: int, tag: str) -> int:

@@ -123,10 +123,6 @@ class RunResult:
     final_params: Parameters
 
 
-def _policy(dropout: float, seed: int) -> DropoutPolicy:
-    return DropoutPolicy(rate=dropout, seed=seed) if dropout > 0.0 else DropoutPolicy.off()
-
-
 def _resolve_out_dir(rc: RunConfig) -> str:
     return os.environ.get(OUTPUT_DIR_ENV) or rc.out_dir
 
@@ -139,9 +135,9 @@ def _corpus(rc: RunConfig, out_dir: str) -> np.ndarray:
     return data.read_bytes(path)
 
 
-def _sequential_step(worker, params, cfg, tokens, targets, *, policy, step, counters):
+def _sequential_step(worker, params, cfg, tokens, targets, *, policy, step):
     """The sequential engine: forward and backward over the whole batch."""
-    loss, cache = model.forward(params, cfg, tokens, targets, policy=policy, counters=counters)
+    loss, cache = model.forward(params, cfg, tokens, targets, policy=policy)
     return loss, model.backward(params, cfg, cache)
 
 
@@ -182,7 +178,7 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
     os.makedirs(out_dir, exist_ok=True)
     cfg = rc.model
     corpus = _corpus(rc, out_dir)
-    policy = _policy(cfg.dropout, rc.seed)
+    policy = DropoutPolicy(rate=cfg.dropout, seed=rc.seed)
     params0 = model.init_params(cfg, rc.seed)
     say(f"engine={rc.engine} workers={rc.workers} replicas={rc.replicas} "
         f"steps={rc.steps} params={model.param_count(params0)}")
@@ -197,7 +193,7 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
         lr=rc.lr, policy=policy, optimizer=rc.optimizer, fused=rc.fused, timeout=600.0,
     )
     elapsed = time.perf_counter() - t0
-    losses, norms, counts = run.step_losses, run.grad_norms[0], run.counters[0]
+    losses, norms, counts = run.step_losses, run.grad_norms, run.counters[0]
     ledger = run.comm.ledger
     collectives = _collectives_per_step(ledger, rc.steps)
 
@@ -322,7 +318,7 @@ def verify_equivalence(
     R replicas trains on batches of R * cfg.batch rows, and so does its
     oracle."""
     rng = np.random.default_rng(seed)
-    policy = _policy(cfg.dropout, seed)
+    policy = DropoutPolicy(rate=cfg.dropout, seed=seed)
     params0 = model.init_params(cfg, seed)
     oracles: dict[int, tuple[list, Run]] = {}  # replicas -> (batches, oracle run)
 

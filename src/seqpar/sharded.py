@@ -38,7 +38,6 @@ from .errors import ShapeError
 from .grid import GridLayout, Run, Worker
 from .model import ModelConfig, Parameters
 from .nnops import DropoutPolicy
-from .tensor import StepCounters
 
 
 @dataclass
@@ -59,7 +58,6 @@ def forward(
     *,
     policy: DropoutPolicy | None = None,
     step: int = 0,
-    counters: StepCounters | None = None,
     fused: bool = True,
 ) -> tuple[float | None, ShardedCache]:
     """Forward over this worker's block; returns its partial loss (the mean
@@ -71,24 +69,15 @@ def forward(
     x, e_cache = model.embed_fwd(params, cfg, tokens_seg, spec.offset, policy)
     caches = []
     for li, lp in enumerate(params.layers):
+        gather = partial(comm.all_gather, group, wrank, dim=1, step=step, phase="forward", layer=li)
         if fused:
-            def kv_fwd(xh, lp, _li=li):
-                xh_full = comm.all_gather(
-                    group, wrank, xh, dim=1, step=step, phase="forward", layer=_li
-                )
-                return model.linear3(xh_full, lp.attn_k), model.linear3(xh_full, lp.attn_v), xh_full
+            def kv_fwd(xh, lp, gather=gather):
+                return model.local_kv_fwd(gather(xh), lp)
         else:
-            def kv_fwd(xh, lp, _li=li):
-                k = comm.all_gather(
-                    group, wrank, model.linear3(xh, lp.attn_k),
-                    dim=1, step=step, phase="forward", layer=_li,
-                )
-                v = comm.all_gather(
-                    group, wrank, model.linear3(xh, lp.attn_v),
-                    dim=1, step=step, phase="forward", layer=_li,
-                )
-                return k, v, xh
-        x, c = model.layer_fwd(lp, cfg, policy, li, x, spec.offset, kv_fwd, counters)
+            def kv_fwd(xh, lp, gather=gather):
+                k, v, _ = model.local_kv_fwd(xh, lp)
+                return gather(k), gather(v), xh
+        x, c = model.layer_fwd(lp, cfg, policy, li, x, spec.offset, kv_fwd)
         caches.append(c)
     partial_loss, h_cache = model.head_fwd(x, params, targets_seg)
     return partial_loss, ShardedCache(e_cache, caches, h_cache, policy, fused)
@@ -116,24 +105,16 @@ def backward(
     grad_x, final_gain_g, final_bias_g, head_wg, head_bg = model.head_bwd(cache.head, params)
     layer_grads: list[model.LayerParams | None] = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
+        scatter = partial(
+            comm.reduce_scatter, group, wrank, dim=1, step=step, phase="backward", layer=li
+        )
         if cache.fused:
-            def kv_bwd(kv_ctx, lp, grad_k, grad_v, _li=li):
-                grad_full, k_wg, k_bg, v_wg, v_bg = model.local_kv_bwd(kv_ctx, lp, grad_k, grad_v)
-                grad_seg = comm.reduce_scatter(
-                    group, wrank, grad_full, dim=1, step=step, phase="backward", layer=_li
-                )
-                return grad_seg, k_wg, k_bg, v_wg, v_bg
+            def kv_bwd(kv_ctx, lp, grad_k, grad_v, scatter=scatter):
+                grad_full, *weight_grads = model.local_kv_bwd(kv_ctx, lp, grad_k, grad_v)
+                return scatter(grad_full), *weight_grads
         else:
-            def kv_bwd(kv_ctx, lp, grad_k, grad_v, _li=li):
-                gk_seg = comm.reduce_scatter(
-                    group, wrank, grad_k, dim=1, step=step, phase="backward", layer=_li
-                )
-                gv_seg = comm.reduce_scatter(
-                    group, wrank, grad_v, dim=1, step=step, phase="backward", layer=_li
-                )
-                grad_kx, k_wg, k_bg = model.linear3_bwd(kv_ctx, lp.attn_k, gk_seg)
-                grad_vx, v_wg, v_bg = model.linear3_bwd(kv_ctx, lp.attn_v, gv_seg)
-                return grad_kx + grad_vx, k_wg, k_bg, v_wg, v_bg
+            def kv_bwd(kv_ctx, lp, grad_k, grad_v, scatter=scatter):
+                return model.local_kv_bwd(kv_ctx, lp, scatter(grad_k), scatter(grad_v))
         grad_x, layer_grads[li] = model.layer_bwd(
             params.layers[li], cfg, policy, li, cache.layers[li], grad_x, kv_bwd
         )
@@ -212,7 +193,6 @@ def train_step(
     *,
     policy: DropoutPolicy | None = None,
     step: int = 0,
-    counters: StepCounters | None = None,
     fused: bool = True,
 ) -> tuple[float, Parameters]:
     """forward -> backward -> gradient sync on one worker's block, plus the
@@ -221,7 +201,7 @@ def train_step(
     every worker, and the synced gradients."""
     partial_loss, cache = forward(
         worker, params, cfg, tokens_seg, targets_seg,
-        policy=policy, step=step, counters=counters, fused=fused,
+        policy=policy, step=step, fused=fused,
     )
     grads = backward(worker, params, cfg, cache, step=step)
     comm, rank = worker.comm, worker.rank

@@ -1,0 +1,44 @@
+"""The names the benchmark's tracer patches must exist in the program.
+
+perfbench/spans.py wraps seqpar functions by name.  A rename there makes
+every benchmark call fail with "expected one training-loop span" or silently
+drops the worker-thread roots, so the contract is checked here, in the
+ordinary test suite, without touching perfbench/.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans_contract", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(dotted: str):
+    module, attr = dotted.split(".")
+    return getattr(importlib.import_module(f"seqpar.{module}"), attr, None)
+
+
+def test_loop_targets_are_callable(spans):
+    for owner, attr in spans.LOOP_TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_step_roots_are_callable(spans):
+    for name in spans.STEP_ROOTS:
+        assert callable(resolve(name)), name
+
+
+@pytest.mark.parametrize("name", ["sharded.run_workers", "baseline.run_workers",
+                                  "hybrid.run_workers"])
+def test_worker_roots_are_patchable(name):
+    assert callable(resolve(name)), name

@@ -96,7 +96,7 @@ def test_sequential_measurement_matches_estimate(tiny_cfg, rng):
     tokens, targets = rand_batch(tiny_cfg, rng)
     counters = tensor.StepCounters()
     with tensor.counting(counters):
-        model.forward(params, tiny_cfg, tokens, targets, counters=counters)
+        model.forward(params, tiny_cfg, tokens, targets)
     est = estimate(tiny_cfg, 1, "sequential")
     assert counters.attn_score_flops == est.score_flops
     assert counters.attn_score_elements_peak == est.score_elements_peak

@@ -157,7 +157,8 @@ def test_score_counters_track_shapes(rng):
     k = rng.standard_normal((3, 6, 8))
     v = rng.standard_normal((3, 6, 8))
     counters = tensor.StepCounters()
-    model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0, counters=counters)
+    with tensor.counting(counters):
+        model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
     b, h, m, t, dk = 3, 2, 2, 6, 4
     assert counters.attn_score_flops == b * h * (2 * m * dk * t + 2 * m * t * dk)
     assert counters.attn_score_elements_peak == b * h * m * t
@@ -329,3 +330,22 @@ def test_checkpoint_rejects_wrong_version(tiny_cfg, tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
         model.load_checkpoint(path)
+
+
+def _header_end(raw: bytes) -> int:
+    return 12 + int.from_bytes(raw[8:12], "little")
+
+
+@pytest.mark.parametrize("cut,problem", [
+    (lambda raw: raw[:10], "truncated"),                    # inside the header length
+    (lambda raw: raw[: _header_end(raw) - 5], "truncated"),  # inside the header
+    (lambda raw: raw[:-3], "truncated"),                    # inside the last array
+    (lambda raw: raw + b"\x00\x01", "trailing bytes"),
+], ids=["header-length", "header", "last-array", "appended"])
+def test_checkpoint_rejects_truncated_or_trailing_bytes(tiny_cfg, tmp_path, cut, problem):
+    path = tmp_path / "ckpt.bin"
+    model.save_checkpoint(path, model.init_params(tiny_cfg, 0), tiny_cfg, seed=0)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=problem) as err:
+        model.load_checkpoint(path)
+    assert str(path) in str(err.value)

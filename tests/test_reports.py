@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seqpar import cli, model, reporting, runner
+from seqpar.grid import GridLayout
 from seqpar.model import ModelConfig
 from seqpar.reporting import StepReport
 from seqpar.runner import RunConfig
@@ -162,6 +163,21 @@ def test_run_experiment_reruns_byte_identically(tmp_path, engine, workers, repli
         texts.append([(tmp_path / name / "run" / f).read_bytes()
                       for f in ("steps.jsonl", "ledger.jsonl")])
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("engine,workers,replicas", [
+    ("sharded", 2, 1), ("sharded", 3, 1), ("sharded", 4, 1),
+    ("baseline", 2, 1), ("baseline", 3, 1), ("hybrid", 2, 2),
+])
+def test_grad_norm_is_layout_invariant(tiny_cfg, rng, engine, workers, replicas):
+    shape = (replicas * tiny_cfg.batch, tiny_cfg.seq_len)
+    batches = [(rng.integers(0, tiny_cfg.vocab, size=shape),
+                rng.integers(0, tiny_cfg.vocab, size=shape)) for _ in range(2)]
+    params = model.init_params(tiny_cfg, 1)
+    oracle = runner._sequential_steps(tiny_cfg, params, batches, lr=0.1)
+    run = runner._train(engine, tiny_cfg, params, GridLayout(replicas, workers), batches, lr=0.1)
+    np.testing.assert_allclose(run.step_losses, oracle.step_losses, rtol=1e-10)
+    np.testing.assert_allclose(run.grad_norms, oracle.grad_norms, rtol=1e-10)
 
 
 def test_run_experiment_reads_dataset_file(tmp_path):
