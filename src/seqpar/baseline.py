@@ -124,10 +124,8 @@ def train_step(
     # computed each entry, everyone else contributed zeros, except the
     # layernorm gain/bias grads where each worker's partial sum over its
     # own rows is a genuine addend.
-    arrays = grads.arrays()
-    vec = comm.all_reduce(group, rank, model.flatten_arrays(arrays), op="sum", step=step,
-                          phase="sync")
-    return loss, params.replace_arrays(model.unflatten_like(vec, arrays))
+    grads, _ = grid.all_reduce_grads(comm, group, rank, grads, None, step=step, op="sum")
+    return loss, grads
 
 
 def run_steps(

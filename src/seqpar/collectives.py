@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CommAborted, CommTimeout, PartitionError, ShapeError
 
-GROUP_KINDS = {"sequence": "seq", "data": "data", "world": "world"}
+GROUP_KINDS = {"sequence": "seq", "data": "data"}
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,19 @@ class _Meta:
     layer: int | None
 
 
+def _sum(name: str, group: WorkerGroup, payloads: dict[int, np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shaped contributions, folded in the group's
+    (ascending) rank order: the one fold every reduction uses, which makes
+    results bit-for-bit reproducible."""
+    shapes = {payloads[r].shape for r in group.members}
+    if len(shapes) != 1:
+        raise ShapeError(f"{name} contributions disagree on shape: {shapes}")
+    acc = payloads[group.members[0]]
+    for r in group.members[1:]:
+        acc = acc + payloads[r]
+    return acc
+
+
 class Communicator:
     """Rendezvous hub shared by all workers of one simulated job."""
 
@@ -191,7 +204,7 @@ class Communicator:
         with self._lock:
             n = self._kind_counts.get(kind, 0)
             self._kind_counts[kind] = n + 1
-            group_id = GROUP_KINDS[kind] if kind == "world" else f"{GROUP_KINDS[kind]}{n}"
+            group_id = f"{GROUP_KINDS[kind]}{n}"
             group = WorkerGroup(group_id=group_id, kind=kind, members=members)
             self._groups[group_id] = group
             self._slots[group_id] = _Slot()
@@ -373,12 +386,7 @@ class Communicator:
         meta = _Meta("reduce-scatter", step, phase, layer)
 
         def combine(payloads):
-            shapes = {payloads[r].shape for r in group.members}
-            if len(shapes) != 1:
-                raise ShapeError(f"reduce_scatter contributions disagree on shape: {shapes}")
-            acc = payloads[group.members[0]]
-            for r in group.members[1:]:
-                acc = acc + payloads[r]
+            acc = _sum("reduce_scatter", group, payloads)
             parts = self._split(acc, group.size, dim)
             self._record(group, meta, int(acc.size))
             return {r: parts[i] for i, r in enumerate(group.members)}
@@ -403,26 +411,13 @@ class Communicator:
         meta = _Meta("all-reduce", step, phase, layer)
 
         def combine(payloads):
-            shapes = {payloads[r].shape for r in group.members}
-            if len(shapes) != 1:
-                raise ShapeError(f"all_reduce contributions disagree on shape: {shapes}")
-            acc = payloads[group.members[0]]
-            for r in group.members[1:]:
-                acc = acc + payloads[r]
+            acc = _sum("all_reduce", group, payloads)
             if op == "mean":
                 acc = acc / group.size
             self._record(group, meta, int(acc.size))
             return {r: acc for r in group.members}
 
         return self._rendezvous(group, rank, x, meta, combine)
-
-    def all_reduce_mean(self, group: WorkerGroup, rank: int, x: np.ndarray, **kw) -> np.ndarray:
-        return self.all_reduce(group, rank, x, op="mean", **kw)
-
-    def barrier(self, group: WorkerGroup, rank: int) -> None:
-        """Pure synchronization point; moves no payload, writes no record."""
-        meta = _Meta("barrier", -1, "sync", None)
-        self._rendezvous(group, rank, None, meta, lambda payloads: {r: None for r in payloads})
 
 
 def run_workers(world_size: int, fn, *, comm: Communicator | None = None) -> list:

@@ -61,6 +61,8 @@ def estimate(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     if engine == "sequential" and workers != 1:
         raise ValueError("the sequential engine runs on exactly one worker")
     if cfg.seq_len % workers != 0:

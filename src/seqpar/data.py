@@ -46,17 +46,6 @@ def batch_at(
     return tokens, targets
 
 
-def load_byte_corpus(
-    path: str | os.PathLike, seq_len: int, batch: int, step: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-call convenience: read the file and window it for ``step``.
-
-    Loops that take many batches from one file should call :func:`read_bytes`
-    once and then :func:`batch_at` per step.
-    """
-    return batch_at(read_bytes(path), seq_len, batch, step)
-
-
 def write_synthetic_corpus(
     path: str | os.PathLike, n_bytes: int = 1_000_000, seed: int = 0
 ) -> str:

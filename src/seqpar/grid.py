@@ -6,7 +6,8 @@ baseline are 1xN, hybrid is RxN.  Ranks are laid out replica-major: replica
 ``d`` owns ranks ``[d*N, (d+1)*N)``, which form its sequence group; the ranks
 holding sequence block ``s`` across all replicas (``s, N+s, 2N+s, ...``) form
 data group ``s``.  An engine is nothing but its per-step function (forward,
-backward, gradient sync); :func:`train` owns everything else.
+backward, gradient sync); :func:`train` owns everything else, and every
+engine's gradient sync is :func:`all_reduce_grads`.
 """
 
 from __future__ import annotations
@@ -131,6 +132,33 @@ class Worker:
         """World rank, the id collectives address this worker by (``spec.rank``
         is its position inside the sequence group)."""
         return self.seq_group.members[self.spec.rank]
+
+
+def all_reduce_grads(
+    comm: Communicator,
+    group: WorkerGroup,
+    rank: int,
+    grads: Parameters,
+    loss: float | None,
+    *,
+    step: int,
+    op: str = "mean",
+    local: tuple[str, ...] = (),
+) -> tuple[Parameters, float | None]:
+    """Reduce every gradient not named in ``local`` across ``group`` in one
+    flat all-reduce, so the ledger gains exactly one sync record.  Gradients
+    named in ``local`` come back untouched; a ``loss`` rides along as one
+    trailing element and comes back reduced too."""
+    shared = [a for n, a in grads.named_arrays() if n not in local]
+    vec = model.flatten_arrays(shared)
+    if loss is not None:
+        vec = np.concatenate([vec, np.array([loss], dtype=vec.dtype)])
+    out = comm.all_reduce(group, rank, vec, op=op, step=step, phase="sync")
+    if loss is not None:
+        loss, out = float(out[-1]), out[:-1]
+    reduced = iter(model.unflatten_like(out, shared))
+    merged = [a if n in local else next(reduced) for n, a in grads.named_arrays()]
+    return grads.replace_arrays(merged), loss
 
 
 @dataclass

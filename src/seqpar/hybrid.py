@@ -3,8 +3,8 @@
 A grid of R x N workers trains R sequences at once (rank layout in
 :class:`seqpar.grid.GridLayout`).  The engine is the sharded step,
 :func:`seqpar.sharded.train_step`: the ordinary sequence-parallel step inside
-every replica, followed by :func:`seqpar.sharded.vertical_sync`, which
-averages all gradients and the loss across the replicas.
+every replica, whose :func:`seqpar.sharded.sync` then averages all gradients
+and the loss across the replicas, in one more all-reduce per data group.
 """
 
 from __future__ import annotations

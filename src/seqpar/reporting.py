@@ -2,8 +2,8 @@
 
 One :class:`StepReport` per training step captures the loss, a gradient
 norm, the measured compute counters and the step's collective traffic.
-Serialization uses a fixed key order so that re-serializing a parsed line
-reproduces it byte for byte.
+Serialization writes the keys in field order so that re-serializing a parsed
+line reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -12,17 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 from .tensor import StepCounters
-
-_KEY_ORDER = (
-    "step",
-    "engine",
-    "loss",
-    "grad_norm",
-    "matmul_flops",
-    "attn_score_flops",
-    "score_elements_peak",
-    "collectives",
-)
 
 
 @dataclass
@@ -37,31 +26,13 @@ class StepReport:
     collectives: dict[str, int] = field(default_factory=dict)
 
     def to_json_line(self) -> str:
-        values = {
-            "step": self.step,
-            "engine": self.engine,
-            "loss": self.loss,
-            "grad_norm": self.grad_norm,
-            "matmul_flops": self.matmul_flops,
-            "attn_score_flops": self.attn_score_flops,
-            "score_elements_peak": self.score_elements_peak,
-            "collectives": {k: self.collectives[k] for k in sorted(self.collectives)},
-        }
-        return json.dumps({k: values[k] for k in _KEY_ORDER}, separators=(", ", ": "))
+        """One JSON object, keys in field order, collectives sorted by kind."""
+        values = {**vars(self), "collectives": dict(sorted(self.collectives.items()))}
+        return json.dumps(values, separators=(", ", ": "))
 
     @classmethod
     def from_json_line(cls, line: str) -> "StepReport":
-        d = json.loads(line)
-        return cls(
-            step=d["step"],
-            engine=d["engine"],
-            loss=d["loss"],
-            grad_norm=d["grad_norm"],
-            matmul_flops=d["matmul_flops"],
-            attn_score_flops=d["attn_score_flops"],
-            score_elements_peak=d["score_elements_peak"],
-            collectives=dict(d["collectives"]),
-        )
+        return cls(**json.loads(line))
 
 
 def from_counters(

@@ -20,10 +20,11 @@ the output directory alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,25 +84,13 @@ class RunConfig:
             )
         if self.steps < 1:
             raise ValueError("steps must be positive")
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if self.optimizer not in optim.OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "engine": self.engine,
-            "workers": self.workers,
-            "replicas": self.replicas,
-            "steps": self.steps,
-            "lr": self.lr,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-            "dataset": self.dataset,
-            "synthetic_bytes": self.synthetic_bytes,
-            "out_dir": self.out_dir,
-            "fused": self.fused,
-            "equivalence_check": self.equivalence_check,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -317,6 +306,9 @@ def verify_equivalence(
     identical synthetic batches; one result row per combination.  A grid of
     R replicas trains on batches of R * cfg.batch rows, and so does its
     oracle."""
+    for name, counts in (("workers", workers), ("replicas", replicas)):
+        if any(n < 1 for n in counts):
+            raise ValueError(f"{name} must all be positive, got {counts}")
     rng = np.random.default_rng(seed)
     policy = DropoutPolicy(rate=cfg.dropout, seed=seed)
     params0 = model.init_params(cfg, seed)

@@ -6,16 +6,16 @@ layer, the forward pass all-gathers the post-layernorm activation once and
 recomputes keys/values from it locally, so attention for the worker's own
 query rows runs against the whole sequence; the backward pass reduce-scatters
 the key/value path's gradient once.  Gradients of replicated parameters are
-averaged in a single flat all-reduce per step; position rows never leave
-their owner.
+averaged in a single flat all-reduce per step; position rows never cross
+the sequence group.
 
 Communication per training step with L layers:
     forward   L all-gathers
     backward  L reduce-scatters
-    sync      1 all-reduce
-Nothing else crosses worker boundaries.  On a grid with more than one
-replica (the hybrid engine) :func:`train_step` adds one more all-reduce per
-step across each data group, :func:`vertical_sync`.
+    sync      1 all-reduce, plus 1 across the data group on a grid with
+              more than one replica (the hybrid engine)
+Nothing else crosses worker boundaries.  :func:`sync` is the whole sync
+phase, built on :func:`seqpar.grid.all_reduce_grads`.
 
 The ``fused=False`` ablation gathers keys and values separately (two
 all-gathers forward, two reduce-scatters backward per layer) instead of
@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from . import grid, model
-from .collectives import Communicator, WorkerGroup, run_workers
+from .collectives import run_workers
 from .errors import ShapeError
 from .grid import GridLayout, Run, Worker
 from .model import ModelConfig, Parameters
@@ -132,56 +132,23 @@ def backward(
 
 
 def sync(
-    comm: Communicator,
-    group: WorkerGroup,
-    rank: int,
-    grads: Parameters,
-    *,
-    step: int = 0,
-    extra: float | None = None,
-) -> tuple[Parameters, float | None]:
-    """Average every gradient except the position rows across the group.
-
-    All gradients travel in one flat all-reduce, so the ledger gains exactly
-    one sync record per step.  ``extra`` (typically this worker's partial
-    loss) rides along as a single trailing element and comes back averaged.
-    """
-    shared = [(n, a) for n, a in grads.named_arrays() if n != "pos_table"]
-    vec = model.flatten_arrays([a for _, a in shared])
-    if extra is not None:
-        vec = np.concatenate([vec, np.array([extra], dtype=vec.dtype)])
-    out = comm.all_reduce_mean(group, rank, vec, step=step, phase="sync")
-    extra_mean = float(out[-1]) if extra is not None else None
-    if extra is not None:
-        out = out[: vec.size - 1]
-    averaged = iter(model.unflatten_like(out, [a for _, a in shared]))
-    merged = [a if n == "pos_table" else next(averaged) for n, a in grads.named_arrays()]
-    return grads.replace_arrays(merged), extra_mean
-
-
-def vertical_sync(
-    comm: Communicator,
-    data_group: WorkerGroup,
-    rank: int,
-    grads: Parameters,
-    loss: float,
-    *,
-    step: int = 0,
+    worker: Worker, grads: Parameters, loss: float, *, step: int
 ) -> tuple[Parameters, float]:
-    """Average all gradients (position rows included) and the loss across
-    the replicas that share this worker's sequence block.
+    """The step's gradient sync: average every gradient except the position
+    rows, and the partial loss, across the sequence group; then, on a grid
+    with more than one replica, average everything across the data group.
 
-    Position rows travel too because data-group peers own the same rows of
-    different replicas of the position table.  One flat all-reduce; the loss
-    rides along as a trailing element, so afterwards every worker knows the
-    loss averaged over the whole grid.
+    Position rows cross the data group only: its members own the same rows
+    of different replicas of the position table.  Afterwards every worker
+    holds the loss averaged over the whole grid.
     """
-    arrays = grads.arrays()
-    flat = model.flatten_arrays(arrays)
-    vec = np.concatenate([flat, np.array([loss], dtype=flat.dtype)])
-    out = comm.all_reduce_mean(data_group, rank, vec, step=step, phase="sync")
-    averaged = model.unflatten_like(out[:-1], arrays)
-    return grads.replace_arrays(averaged), float(out[-1])
+    comm, rank = worker.comm, worker.rank
+    grads, loss = grid.all_reduce_grads(
+        comm, worker.seq_group, rank, grads, loss, step=step, local=("pos_table",)
+    )
+    if worker.data_group.size > 1:
+        grads, loss = grid.all_reduce_grads(comm, worker.data_group, rank, grads, loss, step=step)
+    return grads, loss
 
 
 def train_step(
@@ -195,19 +162,15 @@ def train_step(
     step: int = 0,
     fused: bool = True,
 ) -> tuple[float, Parameters]:
-    """forward -> backward -> gradient sync on one worker's block, plus the
-    vertical sync when the grid has more than one replica.  Returns the loss
-    averaged over the group (over the grid, with replicas), identical on
-    every worker, and the synced gradients."""
+    """forward -> backward -> gradient sync on one worker's block.  Returns
+    the loss averaged over the grid, identical on every worker, and the
+    synced gradients."""
     partial_loss, cache = forward(
         worker, params, cfg, tokens_seg, targets_seg,
         policy=policy, step=step, fused=fused,
     )
     grads = backward(worker, params, cfg, cache, step=step)
-    comm, rank = worker.comm, worker.rank
-    grads, loss = sync(comm, worker.seq_group, rank, grads, step=step, extra=partial_loss)
-    if worker.data_group.size > 1:
-        grads, loss = vertical_sync(comm, worker.data_group, rank, grads, loss, step=step)
+    grads, loss = sync(worker, grads, partial_loss, step=step)
     return loss, grads
 
 

@@ -38,6 +38,17 @@ def test_step_roots_are_callable(spans):
         assert callable(resolve(name)), name
 
 
+def test_self_time_names_are_callable(spans):
+    for metric, names in spans.SELF_TIME.items():
+        for name in names:
+            assert callable(resolve(name)), f"{metric}: {name}"
+
+
+def test_every_inclusive_metric_has_a_live_name(spans):
+    for metric, names in {**spans.INCLUSIVE, **spans.PER_RUN}.items():
+        assert any(callable(resolve(n)) for n in names), f"{metric}: none of {names}"
+
+
 @pytest.mark.parametrize("name", ["sharded.run_workers", "baseline.run_workers",
                                   "hybrid.run_workers"])
 def test_worker_roots_are_patchable(name):

@@ -136,7 +136,7 @@ def test_single_member_group_collectives_are_copies(rng):
     x = rng.standard_normal((4, 2))
     assert comm.all_gather(group, 0, x, dim=0, step=0, phase="forward").tobytes() == x.tobytes()
     assert comm.reduce_scatter(group, 0, x, dim=0, step=0, phase="backward").tobytes() == x.tobytes()
-    assert comm.all_reduce_mean(group, 0, x, step=0, phase="sync").tobytes() == x.tobytes()
+    assert comm.all_reduce(group, 0, x, op="mean", step=0, phase="sync").tobytes() == x.tobytes()
     assert comm.scatter(group, 0, x, src=0, dim=0, step=0, phase="forward").tobytes() == x.tobytes()
     assert comm.gather(group, 0, x, dst=0, dim=0, step=0, phase="forward").tobytes() == x.tobytes()
 
@@ -164,7 +164,7 @@ def test_each_collective_writes_one_record():
         x = np.ones((4, 2))
         comm.all_gather(group, rank, x, dim=0, step=3, phase="forward", layer=1)
         comm.reduce_scatter(group, rank, np.ones((4, 2)), dim=0, step=3, phase="backward", layer=1)
-        comm.all_reduce_mean(group, rank, np.ones(5), step=3, phase="sync")
+        comm.all_reduce(group, rank, np.ones(5), op="mean", step=3, phase="sync")
         return None
 
     run_workers(2, worker, comm=comm)
@@ -175,17 +175,6 @@ def test_each_collective_writes_one_record():
     assert (rs.kind, rs.phase, rs.elements) == ("reduce-scatter", "backward", 8)
     assert (ar.kind, ar.phase, ar.layer, ar.elements) == ("all-reduce", "sync", None, 5)
     assert all(r.group_id == group.group_id for r in records)
-
-
-def test_barrier_moves_nothing_and_logs_nothing():
-    comm, group = make(3)
-
-    def worker(rank):
-        comm.barrier(group, rank)
-        return rank
-
-    assert run_workers(3, worker, comm=comm) == [0, 1, 2]
-    assert comm.ledger.records == []
 
 
 def test_ledger_select_and_count():

@@ -88,6 +88,13 @@ def test_validation():
         estimate(cfg, 2, "sequential")
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+@pytest.mark.parametrize("engine", ["sequential", "sharded", "baseline"])
+def test_estimate_rejects_non_positive_workers(tiny_cfg, engine, workers):
+    with pytest.raises(ValueError, match="workers must be positive"):
+        estimate(tiny_cfg, workers, engine)
+
+
 # --- estimates against instrumented runs ---
 
 

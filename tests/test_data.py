@@ -63,15 +63,6 @@ def test_read_bytes_round_trip(tmp_path):
     assert arr.tobytes() == blob
 
 
-def test_load_byte_corpus_matches_two_step_form(tmp_path):
-    path = tmp_path / "corpus.bin"
-    path.write_bytes(bytes(np.random.default_rng(1).integers(0, 256, 500).astype(np.uint8)))
-    direct = data.load_byte_corpus(path, seq_len=8, batch=2, step=3)
-    two_step = data.batch_at(data.read_bytes(path), seq_len=8, batch=2, step=3)
-    np.testing.assert_array_equal(direct[0], two_step[0])
-    np.testing.assert_array_equal(direct[1], two_step[1])
-
-
 def test_synthetic_corpus_is_deterministic(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -56,7 +56,7 @@ def test_vertical_sync_averages_everything(tiny_cfg):
 
     def worker(rank):
         grads = params.zip_map(params, lambda a, b: np.full_like(a, float(rank)))
-        return sharded.vertical_sync(comm, group, rank, grads, loss=float(rank), step=0)
+        return grid.all_reduce_grads(comm, group, rank, grads, float(rank), step=0)
 
     outs = run_workers(2, worker, comm=comm)
     for out, loss in outs:

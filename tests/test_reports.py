@@ -93,6 +93,12 @@ def test_run_config_validation(tmp_path):
         small_run(tmp_path, steps=0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+def test_run_config_rejects_non_finite_lr(tmp_path, lr):
+    with pytest.raises(ValueError, match="lr must be finite"):
+        small_run(tmp_path, lr=lr)
+
+
 # --- experiment runner ---
 
 
@@ -211,6 +217,17 @@ def test_verify_equivalence_skips_non_dividing_grids():
     cfg = small_model(seq_len=10)
     rows = runner.verify_equivalence(cfg, engines=("sharded",), workers=(1, 2, 3), steps=1)
     assert [r["workers"] for r in rows] == [1, 2]
+
+
+@pytest.mark.parametrize("field, kw", [
+    ("workers", dict(workers=(0,))),
+    ("workers", dict(workers=(2, -1))),
+    ("replicas", dict(engines=("hybrid",), replicas=(0,))),
+    ("replicas", dict(engines=("sharded",), replicas=(-2,))),
+])
+def test_verify_equivalence_rejects_non_positive_grids(field, kw):
+    with pytest.raises(ValueError, match=f"{field} must all be positive"):
+        runner.verify_equivalence(small_model(), steps=1, **kw)
 
 
 # --- CLI ---

@@ -206,7 +206,7 @@ def test_sync_without_extra_payload(tiny_cfg, rng):
     grads = params.zip_map(params, lambda a, b: np.ones_like(a))
     comm = Communicator(1)
     group = comm.group("sequence", (0,))
-    out, extra = sharded.sync(comm, group, 0, grads, step=0)
+    out, extra = grid.all_reduce_grads(comm, group, 0, grads, None, step=0, local=("pos_table",))
     assert extra is None
     for a in out.arrays():
         np.testing.assert_array_equal(a, np.ones_like(a))
@@ -222,7 +222,8 @@ def test_sync_leaves_position_rows_alone(tiny_cfg):
 
     def worker(rank):
         grads = params.zip_map(params, lambda a, b: np.full_like(a, float(rank)))
-        out, mean = sharded.sync(comm, group, rank, grads, step=0, extra=float(rank))
+        out, mean = grid.all_reduce_grads(comm, group, rank, grads, float(rank), step=0,
+                                          local=("pos_table",))
         return out, mean
 
     outs = run_workers(2, worker, comm=comm)
