@@ -9,9 +9,11 @@ how the threads happen to interleave.
 Correctness conventions:
 
 * arrays handed to or received from a collective are treated as immutable;
-* every member passes the same (step, phase, layer) metadata, which is
-  validated at the rendezvous and then written to the ledger exactly once
-  per collective call;
+* every member passes the same (step, phase, layer) metadata and the same
+  root, ``dim`` or ``op`` (whichever the collective takes), all validated at
+  the rendezvous, so no result depends on which thread arrives last;
+* the rendezvous, not the collective, writes the ledger: one record per
+  call, after the combine succeeds;
 * the ledger lists records by step, then by group creation order, then in
   call order within the group, so it is byte-stable however the threads of
   different groups interleave;
@@ -57,35 +59,18 @@ class CommRecord:
     """One ledger entry per collective call (not per participating worker)."""
 
     step: int
-    group_id: str
+    group: str
     kind: str
     phase: str  # "forward", "backward" or "sync"
     layer: int | None
     elements: int  # size of the full logical tensor moved or reduced
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "step": self.step,
-                "group": self.group_id,
-                "kind": self.kind,
-                "phase": self.phase,
-                "layer": self.layer,
-                "elements": self.elements,
-            }
-        )
+        return json.dumps(vars(self))
 
     @classmethod
     def from_json_line(cls, line: str) -> "CommRecord":
-        d = json.loads(line)
-        return cls(
-            step=d["step"],
-            group_id=d["group"],
-            kind=d["kind"],
-            phase=d["phase"],
-            layer=d["layer"],
-            elements=d["elements"],
-        )
+        return cls(**json.loads(line))
 
 
 class CommLedger:
@@ -109,30 +94,21 @@ class CommLedger:
         phase: str | None = None,
         layer: int | None = None,
         layer_tagged: bool | None = None,
-        group_id: str | None = None,
+        group: str | None = None,
     ) -> list[CommRecord]:
-        out = []
-        for r in self.records:
-            if step is not None and r.step != step:
-                continue
-            if kind is not None and r.kind != kind:
-                continue
-            if phase is not None and r.phase != phase:
-                continue
-            if layer is not None and r.layer != layer:
-                continue
-            if layer_tagged is not None and (r.layer is not None) != layer_tagged:
-                continue
-            if group_id is not None and r.group_id != group_id:
-                continue
-            out.append(r)
-        return out
+        want = {k: v for k, v in (("step", step), ("kind", kind), ("phase", phase),
+                                  ("layer", layer), ("group", group)) if v is not None}
+        return [
+            r for r in self._records
+            if all(getattr(r, k) == v for k, v in want.items())
+            and (layer_tagged is None or (r.layer is not None) == layer_tagged)
+        ]
 
     def count(self, **filters) -> int:
         return len(self.select(**filters))
 
     def to_jsonl(self) -> str:
-        return "".join(r.to_json_line() + "\n" for r in self.records)
+        return "".join(r.to_json_line() + "\n" for r in self._records)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "CommLedger":
@@ -144,13 +120,15 @@ class CommLedger:
 
 
 class _Slot:
-    """Reusable rendezvous state for one group."""
+    """Rendezvous state and ledger records of one group."""
 
     def __init__(self) -> None:
         self.cond = threading.Condition()
         self.inbox: dict[int, tuple] = {}
         self.outbox: dict[int, object] = {}
         self.generation = 0
+        # Appended only by the last arrival, under ``cond``: call order.
+        self.records: list[CommRecord] = []
 
 
 @dataclass(frozen=True)
@@ -159,6 +137,7 @@ class _Meta:
     step: int
     phase: str
     layer: int | None
+    args: tuple  # the call's arguments that shape the result (root, dim, op)
 
 
 def _sum(name: str, group: WorkerGroup, payloads: dict[int, np.ndarray]) -> np.ndarray:
@@ -174,6 +153,16 @@ def _sum(name: str, group: WorkerGroup, payloads: dict[int, np.ndarray]) -> np.n
     return acc
 
 
+def _deal(group: WorkerGroup, x: np.ndarray, dim: int) -> dict[int, np.ndarray]:
+    """Split ``x`` into equal blocks along ``dim``; member i gets block i."""
+    if x.shape[dim] % group.size != 0:
+        raise PartitionError(
+            f"dimension {dim} of size {x.shape[dim]} not divisible by {group.size} workers"
+        )
+    parts = np.split(x, group.size, axis=dim)
+    return {r: np.ascontiguousarray(p) for r, p in zip(group.members, parts)}
+
+
 class Communicator:
     """Rendezvous hub shared by all workers of one simulated job."""
 
@@ -182,11 +171,7 @@ class Communicator:
             raise ValueError("world_size must be at least 1")
         self.world_size = world_size
         self._timeout = timeout
-        self._slots: dict[str, _Slot] = {}
-        self._groups: dict[str, WorkerGroup] = {}
-        # Ledger records per group, in creation order; a group's list is only
-        # appended to by its combine, which runs under the group's slot lock.
-        self._records: dict[str, list[CommRecord]] = {}
+        self._slots: dict[str, _Slot] = {}  # by group id, in creation order
         self._kind_counts: dict[str, int] = {}
         self._lock = threading.Lock()
         self._abort_exc: BaseException | None = None
@@ -205,11 +190,8 @@ class Communicator:
             n = self._kind_counts.get(kind, 0)
             self._kind_counts[kind] = n + 1
             group_id = f"{GROUP_KINDS[kind]}{n}"
-            group = WorkerGroup(group_id=group_id, kind=kind, members=members)
-            self._groups[group_id] = group
             self._slots[group_id] = _Slot()
-            self._records[group_id] = []
-        return group
+        return WorkerGroup(group_id=group_id, kind=kind, members=members)
 
     @property
     def ledger(self) -> CommLedger:
@@ -217,7 +199,7 @@ class Communicator:
         order, then call order within the group."""
         ledger = CommLedger()
         with self._lock:
-            records = [r for group_records in self._records.values() for r in group_records]
+            records = [r for slot in self._slots.values() for r in slot.records]
         for r in sorted(records, key=lambda r: r.step):  # stable: keeps group and call order
             ledger.append(r)
         return ledger
@@ -238,8 +220,11 @@ class Communicator:
     # -- rendezvous core --
 
     def _rendezvous(self, group: WorkerGroup, rank: int, payload, meta: _Meta, combine):
-        """Block until all members arrive; ``combine`` maps {rank: payload}
-        to {rank: result} and runs exactly once, on the last arriving thread."""
+        """Block until all members arrive with the same ``meta``.  The last
+        arrival runs ``combine`` exactly once: it maps {rank: payload} to
+        ``(full, shares)``, where ``full`` is the logical tensor moved or
+        reduced and ``shares`` is {rank: result}.  The call's one ledger
+        record is written here, after the combine succeeds."""
         group.index_of(rank)
         slot = self._slots[group.group_id]
         with slot.cond:
@@ -257,10 +242,14 @@ class Communicator:
                     raise exc
                 payloads = {r: p for r, (p, _) in slot.inbox.items()}
                 try:
-                    slot.outbox = combine(payloads)
+                    full, slot.outbox = combine(payloads)
                 except BaseException as exc:
                     self.abort(exc)
                     raise
+                slot.records.append(CommRecord(
+                    step=meta.step, group=group.group_id, kind=meta.kind,
+                    phase=meta.phase, layer=meta.layer, elements=int(full.size),
+                ))
                 slot.inbox = {}
                 slot.generation += 1
                 slot.cond.notify_all()
@@ -279,26 +268,6 @@ class Communicator:
                 self._check_abort()
             return slot.outbox[rank]
 
-    def _record(self, group: WorkerGroup, meta: _Meta, elements: int) -> None:
-        self._records[group.group_id].append(
-            CommRecord(
-                step=meta.step,
-                group_id=group.group_id,
-                kind=meta.kind,
-                phase=meta.phase,
-                layer=meta.layer,
-                elements=elements,
-            )
-        )
-
-    @staticmethod
-    def _split(x: np.ndarray, parts: int, dim: int) -> list[np.ndarray]:
-        if x.shape[dim] % parts != 0:
-            raise PartitionError(
-                f"dimension {dim} of size {x.shape[dim]} not divisible by {parts} workers"
-            )
-        return [np.ascontiguousarray(p) for p in np.split(x, parts, axis=dim)]
-
     # -- collectives --
 
     def scatter(
@@ -315,15 +284,14 @@ class Communicator:
     ) -> np.ndarray:
         """Split ``x`` (supplied by ``src`` only) into equal blocks along
         ``dim``; member i receives block i in rank order."""
-        meta = _Meta("scatter", step, phase, layer)
+        group.index_of(src)
+        meta = _Meta("scatter", step, phase, layer, (src, dim))
 
         def combine(payloads):
-            data = payloads[src]
-            if data is None:
+            full = payloads[src]
+            if full is None:
                 raise ShapeError(f"scatter source rank {src} supplied no tensor")
-            parts = self._split(data, group.size, dim)
-            self._record(group, meta, int(data.size))
-            return {r: parts[i] for i, r in enumerate(group.members)}
+            return full, _deal(group, full, dim)
 
         return self._rendezvous(group, rank, x if rank == src else None, meta, combine)
 
@@ -340,12 +308,12 @@ class Communicator:
         layer: int | None = None,
     ) -> np.ndarray | None:
         """Concatenate shards in rank order; only ``dst`` receives the result."""
-        meta = _Meta("gather", step, phase, layer)
+        group.index_of(dst)
+        meta = _Meta("gather", step, phase, layer, (dst, dim))
 
         def combine(payloads):
             full = np.concatenate([payloads[r] for r in group.members], axis=dim)
-            self._record(group, meta, int(full.size))
-            return {r: (full if r == dst else None) for r in group.members}
+            return full, {r: (full if r == dst else None) for r in group.members}
 
         return self._rendezvous(group, rank, shard, meta, combine)
 
@@ -361,12 +329,11 @@ class Communicator:
         layer: int | None = None,
     ) -> np.ndarray:
         """Concatenate shards in rank order; every member receives the result."""
-        meta = _Meta("all-gather", step, phase, layer)
+        meta = _Meta("all-gather", step, phase, layer, (dim,))
 
         def combine(payloads):
             full = np.concatenate([payloads[r] for r in group.members], axis=dim)
-            self._record(group, meta, int(full.size))
-            return {r: full for r in group.members}
+            return full, dict.fromkeys(group.members, full)
 
         return self._rendezvous(group, rank, shard, meta, combine)
 
@@ -383,13 +350,11 @@ class Communicator:
     ) -> np.ndarray:
         """Sum full-size contributions (ascending rank order), then hand
         member i block i of the sum."""
-        meta = _Meta("reduce-scatter", step, phase, layer)
+        meta = _Meta("reduce-scatter", step, phase, layer, (dim,))
 
         def combine(payloads):
             acc = _sum("reduce_scatter", group, payloads)
-            parts = self._split(acc, group.size, dim)
-            self._record(group, meta, int(acc.size))
-            return {r: parts[i] for i, r in enumerate(group.members)}
+            return acc, _deal(group, acc, dim)
 
         return self._rendezvous(group, rank, x, meta, combine)
 
@@ -408,14 +373,13 @@ class Communicator:
         divides once by the group size at the end."""
         if op not in ("mean", "sum"):
             raise ValueError(f"unknown all_reduce op {op!r}")
-        meta = _Meta("all-reduce", step, phase, layer)
+        meta = _Meta("all-reduce", step, phase, layer, (op,))
 
         def combine(payloads):
             acc = _sum("all_reduce", group, payloads)
             if op == "mean":
                 acc = acc / group.size
-            self._record(group, meta, int(acc.size))
-            return {r: acc for r in group.members}
+            return acc, dict.fromkeys(group.members, acc)
 
         return self._rendezvous(group, rank, x, meta, combine)
 

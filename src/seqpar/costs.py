@@ -77,7 +77,9 @@ def estimate(
     # Rows this worker pushes through attention scores / ffn / head, and the
     # rows its key/value projections see.
     if engine == "sharded":
-        q_rows, kv_rows, ffn_rows, head_rows = block, l, block, block
+        # Fused gathers the normalized block and projects keys/values over the
+        # whole sequence; unfused projects its own block, then gathers K and V.
+        q_rows, kv_rows, ffn_rows, head_rows = block, (l if fused else block), block, block
         per_layer = 2 if fused else 4
         collectives = per_layer * layers + 1
         # One b*l*e payload per layer-tagged collective (fused gathers the

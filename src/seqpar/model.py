@@ -148,22 +148,27 @@ class Parameters:
         """Rebuild the same structure from a flat list in named order."""
         it = iter(arrays)
 
-        def linear() -> LinearParams:
-            w = next(it)
-            return LinearParams(weight=w, bias=next(it))
+        def take() -> np.ndarray:
+            a = next(it, None)
+            if a is None:
+                raise ShapeError("too few arrays when rebuilding parameters")
+            return a
 
-        token_table = next(it)
-        pos_table = next(it)
+        def linear() -> LinearParams:
+            return LinearParams(weight=take(), bias=take())
+
+        token_table = take()
+        pos_table = take()
         layers = []
         for _ in self.layers:
-            ln1_gain, ln1_bias = next(it), next(it)
+            ln1_gain, ln1_bias = take(), take()
             q, k, v, out = linear(), linear(), linear(), linear()
-            ln2_gain, ln2_bias = next(it), next(it)
+            ln2_gain, ln2_bias = take(), take()
             ff_in, ff_out = linear(), linear()
             layers.append(
                 LayerParams(ln1_gain, ln1_bias, q, k, v, out, ln2_gain, ln2_bias, ff_in, ff_out)
             )
-        final_gain, final_bias = next(it), next(it)
+        final_gain, final_bias = take(), take()
         head = linear()
         rest = list(it)
         if rest:

@@ -88,6 +88,9 @@ class RunConfig:
             raise ValueError(f"lr must be finite, got {self.lr}")
         if self.optimizer not in optim.OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.equivalence_check and self.replicas > 1 and self.model.dropout > 0:
+            # Replicas draw independent dropout masks; no sequential run matches.
+            raise ValueError("the equivalence check requires dropout off when replicas > 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -232,7 +232,7 @@ def test_08_hybrid_grid_matches_combined_batch(capsys):
         assert close_lists(run.step_losses, oracle_losses, 1e-10)
         assert max_param_delta(run.final_params, oracle) <= 1e-10
 
-        group_ids = {r.group_id for r in run.comm.ledger.records}
+        group_ids = {r.group for r in run.comm.ledger.records}
         assert group_ids == {"seq0", "seq1", "data0", "data1"}
         assert "world" not in group_ids
 

@@ -8,9 +8,12 @@ ordinary test suite, without touching perfbench/.
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
+
+from seqpar.collectives import Communicator
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -53,3 +56,15 @@ def test_every_inclusive_metric_has_a_live_name(spans):
                                   "hybrid.run_workers"])
 def test_worker_roots_are_patchable(name):
     assert callable(resolve(name)), name
+
+
+def test_collective_methods_match_the_tracer(spans):
+    """The tracer wraps each Communicator method and reads the group from its
+    second positional argument (after self) and the phase from its keywords;
+    a mismatch would silently zero every collectives.* metric."""
+    for name in spans.COLLECTIVE_METHODS:
+        method = getattr(Communicator, name, None)
+        assert callable(method), name
+        params = inspect.signature(method).parameters
+        assert list(params)[1] == "group", name
+        assert "phase" in params and params["phase"].kind is inspect.Parameter.KEYWORD_ONLY, name

@@ -174,7 +174,7 @@ def test_each_collective_writes_one_record():
     assert (ag.kind, ag.step, ag.phase, ag.layer, ag.elements) == ("all-gather", 3, "forward", 1, 16)
     assert (rs.kind, rs.phase, rs.elements) == ("reduce-scatter", "backward", 8)
     assert (ar.kind, ar.phase, ar.layer, ar.elements) == ("all-reduce", "sync", None, 5)
-    assert all(r.group_id == group.group_id for r in records)
+    assert all(r.group == group.group_id for r in records)
 
 
 def test_ledger_select_and_count():
@@ -188,8 +188,8 @@ def test_ledger_select_and_count():
     assert ledger.count(layer_tagged=True) == 2
     assert ledger.count(layer_tagged=False) == 1
     assert ledger.count(step=1, kind="all-gather", layer=1) == 1
-    assert ledger.count(group_id="seq0") == 3
-    assert ledger.count(group_id="data0") == 0
+    assert ledger.count(group="seq0") == 3
+    assert ledger.count(group="data0") == 0
 
 
 def test_ledger_jsonl_round_trip_is_byte_identical():
@@ -248,14 +248,51 @@ def test_indivisible_scatter_raises_partition_error():
         run_workers(2, worker, comm=comm)
 
 
-def test_metadata_mismatch_aborts_everyone():
+# Each call has rank 0 and rank 1 disagree on one argument; without the check
+# the result would depend on which of them arrives last.
+DISAGREEMENTS = {
+    "step": lambda comm, g, r: comm.all_gather(g, r, np.ones((2, 2)), dim=0,
+                                               step=r, phase="forward"),
+    "op": lambda comm, g, r: comm.all_reduce(g, r, np.ones(2), op=("mean", "sum")[r],
+                                             step=0, phase="sync"),
+    "all_gather_dim": lambda comm, g, r: comm.all_gather(g, r, np.ones((2, 2)), dim=r,
+                                                         step=0, phase="forward"),
+    "reduce_scatter_dim": lambda comm, g, r: comm.reduce_scatter(g, r, np.ones((2, 2)), dim=r,
+                                                                 step=0, phase="backward"),
+    "scatter_src": lambda comm, g, r: comm.scatter(g, r, np.ones((2, 2)), src=r, dim=0,
+                                                   step=0, phase="forward"),
+    "gather_dst": lambda comm, g, r: comm.gather(g, r, np.ones((2, 2)), dst=r, dim=0,
+                                                 step=0, phase="forward"),
+}
+
+
+@pytest.mark.parametrize("call", DISAGREEMENTS.values(), ids=DISAGREEMENTS.keys())
+def test_metadata_mismatch_aborts_everyone(call):
     comm, group = make(2)
 
     def worker(rank):
-        return comm.all_gather(group, rank, np.ones(2), dim=0, step=rank, phase="forward")
+        return call(comm, group, rank)
 
     with pytest.raises(RuntimeError, match="metadata mismatch"):
         run_workers(2, worker, comm=comm)
+    assert comm.ledger.records == []
+
+
+def test_root_outside_group_fails_fast():
+    comm = Communicator(3)
+    group = comm.group("sequence", (0, 1))
+
+    def gather(rank):
+        return comm.gather(group, rank, np.ones(2), dst=7, dim=0, step=0, phase="forward")
+
+    def scatter(rank):
+        return comm.scatter(group, rank, np.ones(2), src=5, dim=0, step=0, phase="forward")
+
+    with pytest.raises(ValueError, match="rank 7 is not a member of group seq0"):
+        run_workers(2, gather, comm=comm)
+    with pytest.raises(ValueError, match="rank 5 is not a member of group seq0"):
+        run_workers(2, scatter, comm=comm)
+    assert comm.ledger.records == []
 
 
 def test_shape_disagreement_in_reduction_raises():

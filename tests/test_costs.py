@@ -1,6 +1,7 @@
 import pytest
 
-from seqpar import baseline, model, sharded, tensor
+from seqpar import baseline, grid, model, sharded, tensor
+from seqpar.collectives import Communicator, run_workers
 from seqpar.costs import WEAK_SCALING_SCHEDULE, estimate, weak_scaling_ratios
 from seqpar.errors import PartitionError
 from seqpar.model import ModelConfig
@@ -120,6 +121,40 @@ def test_sharded_measurement_matches_estimate(tiny_cfg, rng, n, fused):
         assert run.counters[w][0].attn_score_elements_peak == est.score_elements_peak
     assert len(run.comm.ledger.records) == est.collectives_per_step
     assert sum(r.elements for r in run.comm.ledger.records) == est.comm_elements_per_step
+
+
+@pytest.mark.parametrize("engine,n,fused", [
+    ("sequential", 1, True),
+    ("sharded", 2, True), ("sharded", 3, True),
+    ("sharded", 2, False), ("sharded", 3, False),
+])
+def test_forward_matmul_flops_match_estimate(tiny_cfg, rng, engine, n, fused):
+    """Every forward matmul is a projection, ffn, head or score product, so
+    the counted total is the sum of the four estimated figures."""
+    params = model.init_params(tiny_cfg, 0)
+    tokens, targets = rand_batch(tiny_cfg, rng)
+    est = estimate(tiny_cfg, n, engine, fused=fused)
+    expected = est.proj_flops + est.ffn_flops + est.head_flops + est.score_flops
+    if engine == "sequential":
+        counters = tensor.StepCounters()
+        with tensor.counting(counters):
+            model.forward(params, tiny_cfg, tokens, targets)
+        assert counters.matmul_flops == expected
+        return
+    comm = Communicator(n)
+    seq_groups, data_groups = grid.make_groups(comm, grid.GridLayout(1, n))
+
+    def forward_flops(rank):
+        spec = grid.ShardSpec(rank, n, tiny_cfg.seq_len)
+        worker = grid.Worker(comm, spec, seq_groups[0], data_groups[rank])
+        counters = tensor.StepCounters()
+        with tensor.counting(counters):
+            sharded.forward(worker, grid.shard_params(params, spec), tiny_cfg,
+                            grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec),
+                            fused=fused)
+        return counters.matmul_flops
+
+    assert run_workers(n, forward_flops, comm=comm) == [expected] * n
 
 
 def test_baseline_measurement_matches_estimate(tiny_cfg, rng):

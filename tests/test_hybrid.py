@@ -135,13 +135,13 @@ def test_traffic_stays_inside_groups(tiny_cfg, rng):
     L = tiny_cfg.n_layers
     seq_ids = {f"seq{d}" for d in range(layout.replicas)}
     data_ids = {f"data{s}" for s in range(layout.seq_workers)}
-    assert {r.group_id for r in ledger.records} == seq_ids | data_ids
+    assert {r.group for r in ledger.records} == seq_ids | data_ids
     for gid in seq_ids:
-        assert ledger.count(group_id=gid) == (2 * L + 1) * steps
+        assert ledger.count(group=gid) == (2 * L + 1) * steps
     for gid in data_ids:
-        assert ledger.count(group_id=gid) == steps
+        assert ledger.count(group=gid) == steps
     # world-wide records would show up as a bare "world" id
-    assert ledger.count(group_id="world") == 0
+    assert ledger.count(group="world") == 0
 
 
 def test_replica_batch_rows_are_validated(tiny_cfg, rng):

@@ -95,6 +95,8 @@ def test_parameters_structure_round_trip(tiny_cfg):
     assert [n for n, _ in p.named_arrays()] == [n for n, _ in q.named_arrays()]
     with pytest.raises(ShapeError):
         p.replace_arrays(p.arrays() + [np.zeros(1)])
+    with pytest.raises(ShapeError, match="too few"):
+        p.replace_arrays(p.arrays()[:-1])
 
 
 # --- attention core ---

@@ -91,6 +91,12 @@ def test_run_config_validation(tmp_path):
         small_run(tmp_path, engine="sharded", workers=5)
     with pytest.raises(ValueError, match="steps"):
         small_run(tmp_path, steps=0)
+    with pytest.raises(ValueError, match="equivalence check requires dropout off"):
+        small_run(tmp_path, engine="hybrid", workers=2, replicas=2,
+                  model=small_model(dropout=0.1), equivalence_check=True)
+    # one replica has one mask stream, which the sequential oracle reproduces
+    small_run(tmp_path, engine="hybrid", workers=2, replicas=1,
+              model=small_model(dropout=0.1), equivalence_check=True)
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
