@@ -116,8 +116,9 @@ def train_step(
         grad_tok, grad_pe = model.embed_bwd(e_cache, cfg.vocab, policy, grad_full)
     else:
         grad_tok, grad_pe = map(np.zeros_like, (params.token_table, params.pos_table))
-    head_g = LinearParams(head_wg, head_bg)
-    grads = Parameters(grad_tok, grad_pe, layer_grads, final_gain_g, final_bias_g, head_g)
+    grads = Parameters(token_table=grad_tok, pos_table=grad_pe, layers=layer_grads,
+                       final_gain=final_gain_g, final_bias=final_bias_g,
+                       head=LinearParams(head_wg, head_bg))
 
     # ---- sync ----------------------------------------------------------
     # Summing (not averaging) completes the gradients: exactly one worker

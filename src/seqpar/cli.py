@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-from . import costs, runner
+from . import costs, optim, runner, tensor
 from .collectives import CommLedger
 from .model import ModelConfig
 from .runner import RunConfig
@@ -36,7 +36,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--seq-len", type=int, default=m.seq_len)
     g.add_argument("--batch", type=int, default=m.batch)
     g.add_argument("--dropout", type=float, default=m.dropout)
-    g.add_argument("--precision", choices=("double", "single"), default=m.precision)
+    g.add_argument("--precision", choices=tuple(tensor.DTYPES), default=m.precision)
 
 
 def _model_from(args) -> ModelConfig:
@@ -159,12 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run one training experiment and write artifacts")
     _add_model_flags(t)
-    t.add_argument("--engine", choices=runner.ENGINES, default="sequential")
+    t.add_argument("--engine", choices=costs.ENGINES, default="sequential")
     t.add_argument("--workers", type=int, default=1, help="sequence-group size")
     t.add_argument("--replicas", type=int, default=1, help="data-parallel rows (hybrid)")
     t.add_argument("--steps", type=int, default=10)
     t.add_argument("--lr", type=float, default=0.1)
-    t.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
+    t.add_argument("--optimizer", choices=optim.OPTIMIZERS, default="sgd")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--dataset", default=None, help="byte corpus path; omit for synthetic")
     t.add_argument("--synthetic-bytes", type=int, default=1_000_000)

@@ -3,8 +3,11 @@
 The formulas mirror what the runtime counters in :mod:`seqpar.tensor`
 measure, so an estimate for a config can be checked against an instrumented
 run to the last flop.  Score flops accumulate over layers; the score-element
-figure is a peak (one layer's scores are live at a time), so it carries no
-layer factor.
+figure is the footprint of one layer's scores, so it carries no layer factor
+(a training step keeps every layer's scores until its backward, L times that
+figure).  Collective counts and payload elements are totals over the whole
+grid, as the ledger records them; payload sizes come from
+:func:`seqpar.model.param_shapes`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import PartitionError
-from .model import ModelConfig
+from .model import ModelConfig, param_count, param_shapes
 
 # Worker-count / sequence-length pairs that hold the per-worker attention
 # workload ratio to small integers: with block length l/n, per-worker score
@@ -26,12 +29,13 @@ WEAK_SCALING_SCHEDULE = (
     (864, 50112),
 )
 
-ENGINES = ("sequential", "sharded", "baseline")
+ENGINES = ("sequential", "sharded", "baseline", "hybrid")
 
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Per-step, per-worker costs (worst worker where they differ)."""
+    """Per-step costs: compute figures for the busiest worker, collective
+    figures for the whole grid."""
 
     engine: str
     workers: int
@@ -39,7 +43,7 @@ class CostEstimate:
     block: int
 
     score_flops: int            # forward QK^T + weights@V, summed over layers
-    score_elements_peak: int    # live score entries of one layer
+    score_elements_peak: int    # score entries of one layer
     proj_flops: int             # q/k/v/out projections, forward, all layers
     ffn_flops: int              # both ffn matmuls, forward, all layers
     head_flops: int             # vocabulary projection, forward
@@ -51,20 +55,26 @@ class CostEstimate:
 
 
 def estimate(
-    cfg: ModelConfig, workers: int, engine: str = "sharded", *, fused: bool = True
+    cfg: ModelConfig, workers: int, engine: str = "sharded", *, fused: bool = True,
+    replicas: int = 1,
 ) -> CostEstimate:
-    """Closed-form cost of one training step of ``engine`` on ``workers``.
+    """Closed-form cost of one training step of ``engine`` on ``workers``
+    (times ``replicas`` for the hybrid grid).
 
-    Figures describe the busiest worker: for the sharded engine every worker
-    is identical; for the baseline, rank 0 does all attention/ffn/head work
-    and holds the full score footprint.
+    Figures describe the busiest worker: for the sharded and hybrid engines
+    every worker is identical; for the baseline, rank 0 does all
+    attention/ffn/head work and holds the full score footprint.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    if replicas < 1:
+        raise ValueError(f"replicas must be positive, got {replicas}")
     if engine == "sequential" and workers != 1:
         raise ValueError("the sequential engine runs on exactly one worker")
+    if engine != "hybrid" and replicas != 1:
+        raise ValueError(f"the {engine} engine takes replicas=1; use engine=hybrid")
     if cfg.seq_len % workers != 0:
         raise PartitionError(
             f"sequence length {cfg.seq_len} not divisible by {workers} workers"
@@ -76,24 +86,27 @@ def estimate(
     block = l // workers
     # Rows this worker pushes through attention scores / ffn / head, and the
     # rows its key/value projections see.
-    if engine == "sharded":
+    if engine in ("sharded", "hybrid"):
         # Fused gathers the normalized block and projects keys/values over the
         # whole sequence; unfused projects its own block, then gathers K and V.
         q_rows, kv_rows, ffn_rows, head_rows = block, (l if fused else block), block, block
         per_layer = 2 if fused else 4
-        collectives = per_layer * layers + 1
-        # One b*l*e payload per layer-tagged collective (fused gathers the
-        # normalized block; unfused gathers keys and values separately), plus
-        # the flat gradient sync (replicated params + 1 piggybacked loss).
-        shared = sum(
-            a.size for n, a in _template(cfg).named_arrays() if n != "pos_table"
-        )
-        comm_elements = per_layer * layers * b * l * e + shared + 1
+        # Per sequence group: one b*l*e payload per layer-tagged collective
+        # (fused gathers the normalized block; unfused gathers keys and
+        # values separately), plus the flat gradient sync (replicated params
+        # + 1 piggybacked loss).
+        shared = sum(a.size for n, a in param_shapes(cfg).named_arrays() if n != "pos_table")
+        collectives = replicas * (per_layer * layers + 1)
+        comm_elements = replicas * (per_layer * layers * b * l * e + shared + 1)
+        if replicas > 1:
+            # One data-group all-reduce per block position: the replicated
+            # params, that block's position rows and the loss.
+            collectives += workers
+            comm_elements += workers * (shared + block * e + 1)
     elif engine == "baseline":
         q_rows, kv_rows, ffn_rows, head_rows = l, l, l, l
         collectives = 8 * layers + 5
-        param_total = sum(a.size for a in _template(cfg).arrays())
-        comm_elements = (8 * layers + 4) * b * l * e + param_total
+        comm_elements = (8 * layers + 4) * b * l * e + param_count(param_shapes(cfg))
     else:
         q_rows, kv_rows, ffn_rows, head_rows = l, l, l, l
         collectives = 0
@@ -122,25 +135,12 @@ def estimate(
 
 
 def _complexity(engine: str) -> dict:
-    per_worker_scores = "O(seq^2 / workers)" if engine == "sharded" else "O(seq^2)"
+    per_worker_scores = "O(seq^2 / workers)" if engine in ("sharded", "hybrid") else "O(seq^2)"
     return {
         "score_compute_per_worker": per_worker_scores,
         "score_memory_per_worker": per_worker_scores,
         "comm_per_step": "O(layers * seq * embed)" if engine != "sequential" else "O(1)",
     }
-
-
-_TEMPLATES: dict = {}
-
-
-def _template(cfg: ModelConfig):
-    """Zero-seed parameter set used only for size arithmetic (cached)."""
-    key = (cfg.embed_dim, cfg.n_layers, cfg.n_heads, cfg.ff_dim, cfg.vocab, cfg.seq_len)
-    if key not in _TEMPLATES:
-        from . import model
-
-        _TEMPLATES[key] = model.init_params(cfg, 0)
-    return _TEMPLATES[key]
 
 
 def weak_scaling_ratios(

@@ -149,7 +149,8 @@ def all_reduce_grads(
     flat all-reduce, so the ledger gains exactly one sync record.  Gradients
     named in ``local`` come back untouched; a ``loss`` rides along as one
     trailing element and comes back reduced too."""
-    shared = [a for n, a in grads.named_arrays() if n not in local]
+    named = grads.named_arrays()
+    shared = [a for n, a in named if n not in local]
     vec = model.flatten_arrays(shared)
     if loss is not None:
         vec = np.concatenate([vec, np.array([loss], dtype=vec.dtype)])
@@ -157,7 +158,7 @@ def all_reduce_grads(
     if loss is not None:
         loss, out = float(out[-1]), out[:-1]
     reduced = iter(model.unflatten_like(out, shared))
-    merged = [a if n in local else next(reduced) for n, a in grads.named_arrays()]
+    merged = [a if n in local else next(reduced) for n, a in named]
     return grads.replace_arrays(merged), loss
 
 

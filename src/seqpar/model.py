@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
-from functools import partial
+from dataclasses import asdict, dataclass, fields
+from functools import cache, partial
+from itertools import zip_longest
+from operator import attrgetter
 
 import numpy as np
 
@@ -82,6 +84,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        extra = set(d) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ValueError(f"unknown model-config keys: {sorted(extra)}")
         return cls(**d)
 
 
@@ -103,6 +108,11 @@ class LayerParams:
 class Parameters:
     """Full parameter set.  The same container carries gradients.
 
+    The field order here, in :class:`LayerParams` and in
+    :class:`~seqpar.nnops.LinearParams`, is the flat layout gradient sync,
+    optimizers, the gradient norm and checkpoints all walk; nothing else
+    restates it.
+
     On a distributed worker ``pos_table`` holds only that worker's contiguous
     rows of the position table; everything else is a full replica.
     """
@@ -114,32 +124,13 @@ class Parameters:
     final_bias: np.ndarray
     head: LinearParams
 
-    def named_arrays(self):
-        """Yield (name, array) in a fixed order; the order defines the flat
-        layout used by gradient sync, optimizers and checkpoints."""
-        yield "token_table", self.token_table
-        yield "pos_table", self.pos_table
-        for i, lp in enumerate(self.layers):
-            yield f"layer{i}.ln1_gain", lp.ln1_gain
-            yield f"layer{i}.ln1_bias", lp.ln1_bias
-            yield f"layer{i}.attn_q.weight", lp.attn_q.weight
-            yield f"layer{i}.attn_q.bias", lp.attn_q.bias
-            yield f"layer{i}.attn_k.weight", lp.attn_k.weight
-            yield f"layer{i}.attn_k.bias", lp.attn_k.bias
-            yield f"layer{i}.attn_v.weight", lp.attn_v.weight
-            yield f"layer{i}.attn_v.bias", lp.attn_v.bias
-            yield f"layer{i}.attn_out.weight", lp.attn_out.weight
-            yield f"layer{i}.attn_out.bias", lp.attn_out.bias
-            yield f"layer{i}.ln2_gain", lp.ln2_gain
-            yield f"layer{i}.ln2_bias", lp.ln2_bias
-            yield f"layer{i}.ff_in.weight", lp.ff_in.weight
-            yield f"layer{i}.ff_in.bias", lp.ff_in.bias
-            yield f"layer{i}.ff_out.weight", lp.ff_out.weight
-            yield f"layer{i}.ff_out.bias", lp.ff_out.bias
-        yield "final_gain", self.final_gain
-        yield "final_bias", self.final_bias
-        yield "head.weight", self.head.weight
-        yield "head.bias", self.head.bias
+    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """(name, array) for every array, depth-first in field order.  Nested
+        fields join with ".", a list's items take the field name without its
+        plural "s" plus their index: ``layer0.attn_q.weight``."""
+        out: list[tuple[str, np.ndarray]] = []
+        _collect(self, "", out)
+        return out
 
     def arrays(self) -> list[np.ndarray]:
         return [a for _, a in self.named_arrays()]
@@ -147,33 +138,14 @@ class Parameters:
     def replace_arrays(self, arrays) -> "Parameters":
         """Rebuild the same structure from a flat list in named order."""
         it = iter(arrays)
-
-        def take() -> np.ndarray:
-            a = next(it, None)
-            if a is None:
-                raise ShapeError("too few arrays when rebuilding parameters")
-            return a
-
-        def linear() -> LinearParams:
-            return LinearParams(weight=take(), bias=take())
-
-        token_table = take()
-        pos_table = take()
-        layers = []
-        for _ in self.layers:
-            ln1_gain, ln1_bias = take(), take()
-            q, k, v, out = linear(), linear(), linear(), linear()
-            ln2_gain, ln2_bias = take(), take()
-            ff_in, ff_out = linear(), linear()
-            layers.append(
-                LayerParams(ln1_gain, ln1_bias, q, k, v, out, ln2_gain, ln2_bias, ff_in, ff_out)
-            )
-        final_gain, final_bias = take(), take()
-        head = linear()
+        try:
+            rebuilt = _rebuild(self, it)
+        except StopIteration:
+            raise ShapeError("too few arrays when rebuilding parameters") from None
         rest = list(it)
         if rest:
             raise ShapeError(f"{len(rest)} extra arrays when rebuilding parameters")
-        return Parameters(token_table, pos_table, layers, final_gain, final_bias, head)
+        return rebuilt
 
     def copy(self) -> "Parameters":
         return self.replace_arrays([a.copy() for a in self.arrays()])
@@ -182,56 +154,87 @@ class Parameters:
         return self.replace_arrays([fn(a, b) for a, b in zip(self.arrays(), other.arrays())])
 
 
+@cache
+def _layout(cls) -> tuple[tuple[str, ...], attrgetter]:
+    """A dataclass's field names and one getter returning their values."""
+    names = tuple(f.name for f in fields(cls))
+    return names, attrgetter(*names)
+
+
+def _collect(node, prefix: str, out: list) -> None:
+    """Append ``node``'s (name, array) pairs to ``out`` in field order."""
+    names, values = _layout(type(node))
+    for name, value in zip(names, values(node)):
+        if isinstance(value, np.ndarray):
+            out.append((prefix + name, value))
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                _collect(item, f"{prefix}{name.removesuffix('s')}{i}.", out)
+        else:
+            _collect(value, f"{prefix}{name}.", out)
+
+
+def _rebuild(node, arrays):
+    """``node``'s structure with each array replaced by the next of ``arrays``."""
+    if isinstance(node, np.ndarray):
+        return next(arrays)
+    if isinstance(node, list):
+        return [_rebuild(item, arrays) for item in node]
+    return type(node)(*[_rebuild(value, arrays) for value in _layout(type(node))[1](node)])
+
+
+def param_shapes(cfg: ModelConfig) -> Parameters:
+    """The parameter structure ``cfg`` describes: the one place shapes are
+    derived from a config.  Every array is a read-only view of one zero, so
+    it costs no memory.  Weights are (d_in, d_out), tables (rows, embed_dim)."""
+    e, f, dt = cfg.embed_dim, cfg.ff_dim, cfg.dtype
+    zero = np.zeros((), dt)
+
+    @cache  # read-only, so fields of one shape can share a view
+    def zeros(*shape: int) -> np.ndarray:
+        view = np.ndarray(shape, dt, buffer=zero, strides=(0,) * len(shape))
+        view.flags.writeable = False
+        return view
+
+    def linear(d_in: int, d_out: int) -> LinearParams:
+        return LinearParams(weight=zeros(d_in, d_out), bias=zeros(d_out))
+
+    layers = [LayerParams(
+        ln1_gain=zeros(e), ln1_bias=zeros(e), attn_q=linear(e, e), attn_k=linear(e, e),
+        attn_v=linear(e, e), attn_out=linear(e, e), ln2_gain=zeros(e), ln2_bias=zeros(e),
+        ff_in=linear(e, f), ff_out=linear(f, e),
+    ) for _ in range(cfg.n_layers)]
+    return Parameters(token_table=zeros(cfg.vocab, e), pos_table=zeros(cfg.seq_len, e),
+                      layers=layers, final_gain=zeros(e), final_bias=zeros(e),
+                      head=linear(e, cfg.vocab))
+
+
 def param_count(params: Parameters) -> int:
     return sum(int(a.size) for a in params.arrays())
 
 
 def init_params(cfg: ModelConfig, seed: int) -> Parameters:
-    """Scaled-uniform init, drawn in a fixed documented order.
+    """Scaled-uniform init of :func:`param_shapes`, one rule per array name,
+    drawn in named order.
 
-    Weights and embedding tables are U(-1/sqrt(fan_in), +1/sqrt(fan_in)) with
-    fan_in the input feature count (the embedding width for both tables).
-    Biases start at zero, layernorm gains at one.  Draw order: token table,
-    position table, then per layer q, k, v, out, ff_in, ff_out weights, then
-    the head weight.
+    Layernorm gains start at one, biases at zero.  Weights and embedding
+    tables are U(-1/sqrt(fan_in), +1/sqrt(fan_in)) with fan_in the input
+    feature count: ``shape[0]`` of a weight, the embedding width of a table.
+    Draw order is therefore: token table, position table, then per layer q,
+    k, v, out, ff_in, ff_out weights, then the head weight.
     """
     rng = np.random.default_rng(seed)
-    dt = cfg.dtype
 
-    def uniform(fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, shape).astype(dt)
+    def draw(name: str, a: np.ndarray) -> np.ndarray:
+        if name.endswith("_gain"):
+            return np.ones(a.shape, a.dtype)
+        if name.endswith("bias"):
+            return np.zeros(a.shape, a.dtype)
+        bound = 1.0 / np.sqrt(a.shape[1] if name.endswith("_table") else a.shape[0])
+        return rng.uniform(-bound, bound, a.shape).astype(a.dtype)
 
-    def linear(d_in: int, d_out: int) -> LinearParams:
-        return LinearParams(weight=uniform(d_in, (d_in, d_out)), bias=np.zeros(d_out, dtype=dt))
-
-    e = cfg.embed_dim
-    token_table = uniform(e, (cfg.vocab, e))
-    pos_table = uniform(e, (cfg.seq_len, e))
-    layers = []
-    for _ in range(cfg.n_layers):
-        layers.append(
-            LayerParams(
-                ln1_gain=np.ones(e, dtype=dt),
-                ln1_bias=np.zeros(e, dtype=dt),
-                attn_q=linear(e, e),
-                attn_k=linear(e, e),
-                attn_v=linear(e, e),
-                attn_out=linear(e, e),
-                ln2_gain=np.ones(e, dtype=dt),
-                ln2_bias=np.zeros(e, dtype=dt),
-                ff_in=linear(e, cfg.ff_dim),
-                ff_out=linear(cfg.ff_dim, e),
-            )
-        )
-    return Parameters(
-        token_table=token_table,
-        pos_table=pos_table,
-        layers=layers,
-        final_gain=np.ones(e, dtype=dt),
-        final_bias=np.zeros(e, dtype=dt),
-        head=linear(e, cfg.vocab),
-    )
+    template = param_shapes(cfg)
+    return template.replace_arrays([draw(n, a) for n, a in template.named_arrays()])
 
 
 # --- small shape helpers shared by every engine ---
@@ -536,7 +539,8 @@ def layer_bwd(
     )
     g_ln1_x, ln1_gain_g, ln1_bias_g = norm3_bwd(cache.ln1, lp.ln1_gain, grad_xh)
     grads = LayerParams(
-        ln1_gain_g, ln1_bias_g, q_g, k_g, v_g, out_g, ln2_gain_g, ln2_bias_g, ff_in_g, ff_out_g
+        ln1_gain=ln1_gain_g, ln1_bias=ln1_bias_g, attn_q=q_g, attn_k=k_g, attn_v=v_g,
+        attn_out=out_g, ln2_gain=ln2_gain_g, ln2_bias=ln2_bias_g, ff_in=ff_in_g, ff_out=ff_out_g,
     )
     return grad_mid + g_ln1_x, grads
 
@@ -649,14 +653,9 @@ def backward(params: Parameters, cfg: ModelConfig, cache: SequentialCache) -> Pa
             params.layers[li], cfg, policy, li, cache.layers[li], grad_x
         )
     grad_tok, grad_pe = embed_bwd(cache.embed, cfg.vocab, policy, grad_x)
-    return Parameters(
-        token_table=grad_tok,
-        pos_table=grad_pe,
-        layers=layer_grads,
-        final_gain=final_gain_g,
-        final_bias=final_bias_g,
-        head=LinearParams(head_wg, head_bg),
-    )
+    return Parameters(token_table=grad_tok, pos_table=grad_pe, layers=layer_grads,
+                      final_gain=final_gain_g, final_bias=final_bias_g,
+                      head=LinearParams(head_wg, head_bg))
 
 
 def sgd_step(params: Parameters, grads: Parameters, lr: float) -> Parameters:
@@ -703,7 +702,7 @@ def save_checkpoint(path, params: Parameters, cfg: ModelConfig, seed: int) -> No
     """Binary layout: magic, u32 version, u32 header length, JSON header
     (config, seed, dtype, array names), then per array a u8 rank, u64
     little-endian dims, and raw little-endian element bytes."""
-    dt = "<f8" if cfg.precision == "double" else "<f4"
+    dt = cfg.dtype.newbyteorder("<").str
     names = [n for n, _ in params.named_arrays()]
     header = json.dumps(
         {"config": cfg.to_dict(), "seed": seed, "dtype": dt, "arrays": names}
@@ -720,6 +719,8 @@ def save_checkpoint(path, params: Parameters, cfg: ModelConfig, seed: int) -> No
 
 
 def load_checkpoint(path) -> tuple[Parameters, ModelConfig, int]:
+    """Parameters, config and seed of a :func:`save_checkpoint` file.  Array
+    names and shapes must be those of the header's config."""
     with open(path, "rb") as f:
 
         def read(n: int) -> bytes:
@@ -736,19 +737,20 @@ def load_checkpoint(path) -> tuple[Parameters, ModelConfig, int]:
         (header_len,) = struct.unpack("<I", read(4))
         header = json.loads(read(header_len).decode("utf-8"))
         cfg = ModelConfig.from_dict(header["config"])
+        template = param_shapes(cfg)
+        expected = template.named_arrays()
+        for i, (got, want) in enumerate(zip_longest(header["arrays"], [n for n, _ in expected])):
+            if got != want:
+                raise ValueError(f"checkpoint {path} array {i} is {got!r}, its config has {want!r}")
         dt = np.dtype(header["dtype"])
         arrays = []
-        for _ in header["arrays"]:
+        for name, want in expected:
             (rank,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{rank}Q", read(8 * rank))
-            n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(read(n * dt.itemsize), dtype=dt).reshape(shape)
+            if shape != want.shape:
+                raise ShapeError(f"checkpoint array {name} is {shape}, its config has {want.shape}")
+            data = np.frombuffer(read(want.size * dt.itemsize), dtype=dt).reshape(shape)
             arrays.append(data.astype(cfg.dtype, copy=True))
         if f.read(1):
             raise ValueError(f"checkpoint {path} has trailing bytes")
-    template = init_params(cfg, seed=0)
-    expected = [a.shape for a in template.arrays()]
-    got = [a.shape for a in arrays]
-    if expected != got:
-        raise ShapeError("checkpoint array shapes do not match its config")
     return template.replace_arrays(arrays), cfg, header["seed"]

@@ -30,12 +30,11 @@ import numpy as np
 
 from . import baseline, costs, data, grid, hybrid, model, optim, reporting, sharded
 from .collectives import CommLedger, run_workers
+from .costs import ENGINES
 from .grid import GridLayout, Run
 from .model import ModelConfig, Parameters
 from .nnops import DropoutPolicy
 from .reporting import StepReport
-
-ENGINES = ("sequential", "sharded", "baseline", "hybrid")
 
 OUTPUT_DIR_ENV = "SEQPAR_OUTPUT_DIR"
 
@@ -198,8 +197,7 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
         say(f"step {r.step:5d}  loss {r.loss:.4f}")
 
     window = losses[-min(SMOOTH_WINDOW, len(losses)):]
-    est_engine = "sharded" if rc.engine == "hybrid" else rc.engine
-    est = costs.estimate(cfg, rc.workers, est_engine, fused=rc.fused)
+    est = costs.estimate(cfg, rc.workers, rc.engine, fused=rc.fused, replicas=rc.replicas)
     summary = {
         "engine": rc.engine,
         "workers": rc.workers,
@@ -312,6 +310,10 @@ def verify_equivalence(
     for name, counts in (("workers", workers), ("replicas", replicas)):
         if any(n < 1 for n in counts):
             raise ValueError(f"{name} must all be positive, got {counts}")
+    if "sequential" in engines and set(workers) != {1}:
+        raise ValueError(f"the sequential engine runs on a single worker, got workers {workers}")
+    if "hybrid" in engines and cfg.dropout > 0:
+        raise ValueError("hybrid verification requires dropout off")
     rng = np.random.default_rng(seed)
     policy = DropoutPolicy(rate=cfg.dropout, seed=seed)
     params0 = model.init_params(cfg, seed)
@@ -319,8 +321,6 @@ def verify_equivalence(
 
     rows = []
     for engine in engines:
-        if engine == "hybrid" and policy.active:
-            raise ValueError("hybrid verification requires dropout off")
         for d in replicas if engine == "hybrid" else (1,):
             if d not in oracles:
                 shape = (d * cfg.batch, cfg.seq_len)

@@ -121,14 +121,9 @@ def backward(
     grad_tok, grad_pe = model.embed_bwd(cache.embed, cfg.vocab, policy, grad_x)
     if group.size > 1:
         grad_pe = grad_pe / group.size
-    return Parameters(
-        token_table=grad_tok,
-        pos_table=grad_pe,
-        layers=layer_grads,
-        final_gain=final_gain_g,
-        final_bias=final_bias_g,
-        head=model.LinearParams(head_wg, head_bg),
-    )
+    return Parameters(token_table=grad_tok, pos_table=grad_pe, layers=layer_grads,
+                      final_gain=final_gain_g, final_bias=final_bias_g,
+                      head=model.LinearParams(head_wg, head_bg))
 
 
 def sync(

@@ -1,6 +1,6 @@
 import pytest
 
-from seqpar import baseline, grid, model, sharded, tensor
+from seqpar import baseline, grid, hybrid, model, sharded, tensor
 from seqpar.collectives import Communicator, run_workers
 from seqpar.costs import WEAK_SCALING_SCHEDULE, estimate, weak_scaling_ratios
 from seqpar.errors import PartitionError
@@ -89,6 +89,17 @@ def test_validation():
         estimate(cfg, 2, "sequential")
 
 
+def test_replicas_are_hybrid_only(tiny_cfg):
+    for engine in ("sequential", "sharded", "baseline"):
+        with pytest.raises(ValueError, match="replicas=1"):
+            estimate(tiny_cfg, 1, engine, replicas=2)
+    with pytest.raises(ValueError, match="replicas must be positive"):
+        estimate(tiny_cfg, 2, "hybrid", replicas=0)
+    # one replica is the sharded engine
+    one, sharded_est = estimate(tiny_cfg, 2, "hybrid"), estimate(tiny_cfg, 2, "sharded")
+    assert vars(one) == {**vars(sharded_est), "engine": "hybrid"}
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 @pytest.mark.parametrize("engine", ["sequential", "sharded", "baseline"])
 def test_estimate_rejects_non_positive_workers(tiny_cfg, engine, workers):
@@ -155,6 +166,25 @@ def test_forward_matmul_flops_match_estimate(tiny_cfg, rng, engine, n, fused):
         return counters.matmul_flops
 
     assert run_workers(n, forward_flops, comm=comm) == [expected] * n
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize("replicas,workers", [(2, 2), (3, 2)], ids=["2x2", "3x2"])
+def test_hybrid_measurement_matches_estimate(tiny_cfg, rng, replicas, workers, fused):
+    """Every record of step 0, over every sequence and data group."""
+    params = model.init_params(tiny_cfg, 0)
+    shape = (replicas * tiny_cfg.batch, tiny_cfg.seq_len)
+    batches = [(rng.integers(0, tiny_cfg.vocab, size=shape),
+                rng.integers(0, tiny_cfg.vocab, size=shape))]
+    run = hybrid.run_steps(tiny_cfg, params, grid.GridLayout(replicas, workers), batches,
+                           lr=0.1, fused=fused)
+    est = estimate(tiny_cfg, workers, "hybrid", fused=fused, replicas=replicas)
+    for counters in run.counters:
+        assert counters[0].attn_score_flops == est.score_flops
+        assert counters[0].attn_score_elements_peak == est.score_elements_peak
+    step0 = run.comm.ledger.select(step=0)
+    assert len(step0) == est.collectives_per_step
+    assert sum(r.elements for r in step0) == est.comm_elements_per_step
 
 
 def test_baseline_measurement_matches_estimate(tiny_cfg, rng):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +63,11 @@ def test_config_round_trips_through_dict(tiny_cfg):
     assert ModelConfig.from_dict(tiny_cfg.to_dict()) == tiny_cfg
 
 
+def test_config_from_dict_rejects_unknown_keys(tiny_cfg):
+    with pytest.raises(ValueError, match=r"unknown model-config keys: \['foo'\]"):
+        ModelConfig.from_dict({**tiny_cfg.to_dict(), "foo": 1})
+
+
 def test_init_is_deterministic(tiny_cfg):
     a = model.init_params(tiny_cfg, seed=7)
     b = model.init_params(tiny_cfg, seed=7)
@@ -97,6 +104,58 @@ def test_parameters_structure_round_trip(tiny_cfg):
         p.replace_arrays(p.arrays() + [np.zeros(1)])
     with pytest.raises(ShapeError, match="too few"):
         p.replace_arrays(p.arrays()[:-1])
+
+    def layout(params):
+        return [(n, a.shape, a.dtype) for n, a in params.named_arrays()]
+
+    for n_layers in range(4):
+        for precision in ("double", "single"):
+            cfg = replace(tiny_cfg, n_layers=n_layers, precision=precision)
+            p = model.init_params(cfg, 3)
+            q = p.replace_arrays(p.arrays())
+            assert layout(q) == layout(p)
+            assert all(x is y for x, y in zip(q.arrays(), p.arrays()))
+            assert [a for _, a in p.named_arrays()] == p.arrays()
+            assert {a.dtype for a in p.arrays()} == {cfg.dtype}
+            shapes = model.param_shapes(cfg)
+            assert layout(shapes) == layout(p)
+            assert not any(a.any() for a in shapes.arrays())
+            assert len(p.arrays()) == 2 + 16 * n_layers + 4
+
+
+def test_named_order_is_the_documented_layout(tiny_cfg):
+    """Checkpoint headers and every flat vector depend on these names."""
+    names = [n for n, _ in model.param_shapes(replace(tiny_cfg, n_layers=1)).named_arrays()]
+    assert names == [
+        "token_table", "pos_table",
+        "layer0.ln1_gain", "layer0.ln1_bias",
+        "layer0.attn_q.weight", "layer0.attn_q.bias",
+        "layer0.attn_k.weight", "layer0.attn_k.bias",
+        "layer0.attn_v.weight", "layer0.attn_v.bias",
+        "layer0.attn_out.weight", "layer0.attn_out.bias",
+        "layer0.ln2_gain", "layer0.ln2_bias",
+        "layer0.ff_in.weight", "layer0.ff_in.bias",
+        "layer0.ff_out.weight", "layer0.ff_out.bias",
+        "final_gain", "final_bias", "head.weight", "head.bias",
+    ]
+
+
+# sha256 of init_params(tiny_cfg, 0)'s arrays (raw bytes, named order) and of
+# its checkpoint file.  A change to the layout, an init rule or the draw
+# order changes them.
+INIT_SHA256 = "617e7b7861b992f52ac83ac7f8f4e03b3e76f3536c35ea88e0f78a4d6a6de28a"
+CHECKPOINT_SHA256 = "b034aa3afab14035b0278624ff6127b4341d80a772426c0fb3c750809103a6c2"
+
+
+def test_init_and_checkpoint_bytes_are_pinned(tiny_cfg, tmp_path):
+    params = model.init_params(tiny_cfg, 0)
+    digest = hashlib.sha256()
+    for a in params.arrays():
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == INIT_SHA256
+    path = tmp_path / "ckpt.bin"
+    model.save_checkpoint(path, params, tiny_cfg, seed=0)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
 
 
 # --- attention core ---
@@ -331,6 +390,23 @@ def test_checkpoint_rejects_wrong_version(tiny_cfg, tmp_path):
     raw[4] = 99  # bump the little-endian version field
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_checks_array_names_without_drawing(tiny_cfg, tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.bin"
+    model.save_checkpoint(path, model.init_params(tiny_cfg, 0), tiny_cfg, seed=0)
+
+    def no_rng(*_):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    model.load_checkpoint(path)
+    # same length, so the header length field stays valid
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"layer0.attn_q.weight"', b'"layer0.attn_k.weight"', 1))
+    with pytest.raises(ValueError, match="array 4 is 'layer0.attn_k.weight', "
+                                         "its config has 'layer0.attn_q.weight'"):
         model.load_checkpoint(path)
 
 

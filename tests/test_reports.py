@@ -159,6 +159,15 @@ def test_run_experiment_hybrid(tmp_path):
     assert result.summary["equivalence_pass"] is True
 
 
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+def test_run_experiment_estimates_the_whole_hybrid_grid(tmp_path, fused):
+    rc = small_run(tmp_path, engine="hybrid", workers=2, replicas=2, steps=1, fused=fused)
+    summary = runner.run_experiment(rc).summary
+    assert summary["estimated_collectives_per_step"] == summary["ledger_records"]
+    assert summary["ledger_records"] == sum(summary["collectives_step0"].values())
+    assert summary["score_flops_delta"] == 0
+
+
 @pytest.mark.parametrize("engine,workers,replicas,dropout", [
     ("sequential", 1, 1, 0.1),
     ("sharded", 2, 1, 0.1),
@@ -236,6 +245,13 @@ def test_verify_equivalence_rejects_non_positive_grids(field, kw):
         runner.verify_equivalence(small_model(), steps=1, **kw)
 
 
+def test_verify_equivalence_runs_sequential_on_one_worker_only():
+    with pytest.raises(ValueError, match="single worker"):
+        runner.verify_equivalence(small_model(), engines=("sequential",), workers=(1, 2), steps=1)
+    rows = runner.verify_equivalence(small_model(), engines=("sequential",), workers=(1,), steps=1)
+    assert [(r["replicas"], r["workers"], r["max_param_delta"]) for r in rows] == [(1, 1, 0.0)]
+
+
 # --- CLI ---
 
 
@@ -283,6 +299,24 @@ def test_cli_verify(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "pass" in out and "FAIL" not in out
+
+
+def test_cli_verify_rejects_sequential_multi_worker_grids(capsys):
+    rc = run_cli(
+        "verify", "--engines", "sequential", "--workers", "1,2,4", "--steps", "1",
+        "--embed-dim", "16", "--layers", "1", "--heads", "2", "--ff-dim", "32",
+        "--seq-len", "16", "--batch", "2",
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "single worker" in captured.err and "1x2" not in captured.out
+
+
+def test_cli_config_rejects_unknown_model_keys(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"model": {"foo": 1}}))
+    assert run_cli("train", "--config", str(cfg_path)) == 1
+    assert "unknown model-config keys: ['foo']" in capsys.readouterr().err
 
 
 def test_cli_cost_and_weak_scaling(capsys):
