@@ -202,7 +202,10 @@ def train(
     parameters is the result.  ``run_workers`` (normally
     :func:`seqpar.collectives.run_workers`) starts one thread per rank; each
     engine passes the name bound in its own module, which is where
-    perfbench/spans.py wraps it to trace the worker threads.
+    perfbench/spans.py wraps it to trace the worker threads.  When ``split``
+    puts more than one rank to work at once, the ranks share the usable CPUs
+    for BLAS threads (``cpus // world`` each, through ``tensor.blas_threads``);
+    the count is restored on return or raise.
 
     The reported gradient norm covers the whole parameter set whatever the
     layout: rank 0's squared norm plus the position-row squares of the other
@@ -246,7 +249,11 @@ def train(
                            else model.square_sum(grads.pos_table))
         return own, losses, counts, squares, grads
 
-    results = run_workers(layout.world, rank_loop, comm=comm)
+    # only split ranks compute at once; baseline's rank 0 computes while the
+    # others wait, so it keeps every core
+    cap = tensor.usable_cpus() // layout.world if split and layout.world > 1 else None
+    with tensor.blas_threads(cap):
+        results = run_workers(layout.world, rank_loop, comm=comm)
     owned = [r[0] for r in results]
     peers = layout.seq_members(0)[1:] if split else ()
     norms = [float(np.sqrt(total + sum(results[r][3][s] for r in peers)))

@@ -127,8 +127,8 @@ def keep_mask(policy: DropoutPolicy, row_keys: np.ndarray, n_cols: int) -> np.nd
     """Boolean keep-mask of shape (len(row_keys), n_cols)."""
     cols = np.arange(n_cols, dtype=np.uint64)
     words = _mix_array(row_keys[:, None], cols[None, :])
-    uniform = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return uniform >= policy.rate
+    # (words >> 11) * 2**-53 >= rate exactly when words >> 11 >= ceil(rate * 2**53)
+    return (words >> np.uint64(11)) >= np.uint64(math.ceil(policy.rate * 2.0**53))
 
 
 def apply_mask(x: np.ndarray, policy: DropoutPolicy, mask: np.ndarray) -> np.ndarray:
@@ -232,15 +232,16 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu_fwd(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # x * x * x, not pow: far cheaper
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def gelu_bwd(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    x2 = x * x
+    inner = _GELU_C * (x + 0.044715 * (x2 * x))
     t = np.tanh(inner)
-    sech2 = 1.0 - t**2
-    local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * 0.044715 * x**2)
+    sech2 = 1.0 - t * t
+    local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * 0.044715 * x2)
     return grad_y * local
 
 

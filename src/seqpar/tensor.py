@@ -9,13 +9,21 @@ output for NaN/Inf; silent numeric corruption is never allowed to propagate.
 A thread-local :class:`StepCounters` can be installed with :func:`counting`;
 while active, :func:`matmul` tallies the floating point work of every product
 it actually performs (2*m*k*n per call, from the runtime shapes).
+
+Worker ranks that compute at the same time share the machine's cores with
+the BLAS library's own thread pool.  :func:`blas_threads` caps that pool for
+the duration of a block (numpy's bundled OpenBLAS, reached through
+``ctypes``; a no-op where it cannot be found) and restores it afterwards.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -76,6 +84,74 @@ def active_counters() -> StepCounters | None:
     return getattr(_active, "counters", None)
 
 
+def _find_blas_controls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    Opening the library numpy has already loaded only takes another reference
+    to it; nothing about its state changes here.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+_BLAS = _find_blas_controls()
+_blas_lock = threading.Lock()
+_blas_caps: list[int] = []  # caps of the blas_threads blocks now open
+_blas_saved = 0             # the count before the outermost open block
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def blas_thread_count() -> int | None:
+    """The BLAS library's current thread count, or None if it is out of reach."""
+    return None if _BLAS is None else _BLAS[0]()
+
+
+@contextmanager
+def blas_threads(cap: int | None):
+    """Run the block with the BLAS thread pool capped at ``cap`` threads.
+
+    None leaves the count alone; a cap below one means one.  Blocks may
+    nest, or overlap across threads: the count is the smallest cap open,
+    never above the count saved when the first block opened, and the last
+    block to close restores that count, also when it raises.
+    """
+    global _blas_saved
+    if cap is None or _BLAS is None:
+        yield
+        return
+    get, set_ = _BLAS
+    cap = max(1, cap)
+    with _blas_lock:
+        if not _blas_caps:
+            _blas_saved = get()
+        _blas_caps.append(cap)
+        set_(min([_blas_saved, *_blas_caps]))
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_caps.remove(cap)
+            set_(min([_blas_saved, *_blas_caps]))
+
+
 def check_finite(x: np.ndarray, label: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericsError(f"non-finite values in {label}")
@@ -125,7 +201,6 @@ def softmax_rows(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         row = int(np.argmin(kept))
         raise DegenerateRowError(f"softmax row {row} is fully masked")
     neg = np.where(mask, a, -np.inf)
-    shifted = neg - np.max(neg, axis=1, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
+    e = np.exp(neg - np.max(neg, axis=1, keepdims=True))  # exp(-inf) is exactly 0
     out = e / np.sum(e, axis=1, keepdims=True)
     return check_finite(out, "softmax output")

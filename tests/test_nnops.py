@@ -129,6 +129,32 @@ def test_gelu_backward_matches_finite_differences(rng):
     assert fd_error(lambda: float(np.sum(nnops.gelu_fwd(x) * r)), x, g) < 1e-6
 
 
+def gelu_fwd_pow(x):
+    """GELU as first written, with the cube as ``x**3``."""
+    return 0.5 * x * (1.0 + np.tanh(nnops._GELU_C * (x + 0.044715 * x**3)))
+
+
+def gelu_bwd_pow(x, grad_y):
+    t = np.tanh(nnops._GELU_C * (x + 0.044715 * x**3))
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * nnops._GELU_C * (
+        1.0 + 3.0 * 0.044715 * x**2
+    )
+    return grad_y * local
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), scale=st.floats(0.1, 20.0))
+def test_gelu_matches_pow_formulas(seed, scale):
+    r = np.random.default_rng(seed)
+    x = r.standard_normal(512) * scale
+    g = r.standard_normal(512)
+    for got, want in ((nnops.gelu_fwd(x), gelu_fwd_pow(x)),
+                      (nnops.gelu_bwd(x, g), gelu_bwd_pow(x, g))):
+        # relative to the array's scale: both outputs cross zero (the slope
+        # near x = -0.75), where elementwise error only measures cancellation
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+
+
 # --- dropout ---
 
 
@@ -270,6 +296,49 @@ def test_keep_mask_hits_rate_in_expectation(seed, rate):
     )
     mask = nnops.keep_mask(policy, keys, 64)
     assert abs(np.mean(mask) - (1 - rate)) < 0.08
+
+
+def keep_mask_float(policy, row_keys, n_cols):
+    """The keep-mask as first written: a float uniform in [0, 1) per element,
+    kept when it is at least the rate."""
+    cols = np.arange(n_cols, dtype=np.uint64)
+    words = nnops._mix_array(row_keys[:, None], cols[None, :])
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 >= policy.rate
+
+
+EDGE_RATES = [0.0, 0.1, 1 / 3, 0.5, 1 - 2**-20]
+row_keys_st = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8).map(
+    lambda ks: np.array(ks, dtype=np.uint64)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rate=st.one_of(st.sampled_from(EDGE_RATES), st.floats(0.0, 1.0, exclude_max=True)),
+    row_keys=row_keys_st,
+)
+def test_keep_mask_equals_float_formula(rate, row_keys):
+    policy = DropoutPolicy(rate=rate)
+    assert np.array_equal(nnops.keep_mask(policy, row_keys, 64),
+                          keep_mask_float(policy, row_keys, 64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(row_keys=row_keys_st, pick=st.integers(0, 2**16))
+def test_keep_mask_threshold_is_exact_at_a_drawn_value(row_keys, pick):
+    # a rate equal to one element's own uniform keeps that element; the next
+    # float up drops it, so the integer threshold has no off-by-one
+    words = nnops._mix_array(row_keys[:, None], np.arange(16, dtype=np.uint64)[None, :])
+    flat = (words >> np.uint64(11)).reshape(-1)
+    i = pick % flat.size
+    rate = float(flat[i]) * 2.0**-53
+    for r, kept in ((rate, True), (np.nextafter(rate, 1.0), False)):
+        if r >= 1.0:
+            continue
+        policy = DropoutPolicy(rate=float(r))
+        mask = nnops.keep_mask(policy, row_keys, 16)
+        assert mask.reshape(-1)[i] == kept
+        assert np.array_equal(mask, keep_mask_float(policy, row_keys, 16))
 
 
 # --- embeddings ---

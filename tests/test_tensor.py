@@ -186,6 +186,29 @@ def test_softmax_mask_validation():
         softmax_rows(np.zeros(3))
 
 
+def softmax_three_wheres(a, mask):
+    """Masked softmax as first written, zeroing masked entries by np.where."""
+    neg = np.where(mask, a, -np.inf)
+    shifted = neg - np.max(neg, axis=1, keepdims=True)
+    e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), rows=st.integers(1, 40), extra=st.integers(0, 40),
+       scale=st.floats(0.1, 50.0))
+def test_masked_softmax_bitwise_matches_where_formula(seed, rows, extra, scale):
+    r = np.random.default_rng(seed)
+    cols = rows + extra
+    a = r.standard_normal((rows, cols)) * scale
+    # causal: query i of a block that starts `extra` keys in sees keys [0, extra + i]
+    causal = np.tril(np.ones((rows, cols), dtype=bool), k=extra)
+    random = r.random((rows, cols)) < 0.5
+    random[np.arange(rows), r.integers(0, cols, rows)] = True  # one kept entry per row
+    for mask in (causal, random):
+        assert softmax_rows(a, mask).tobytes() == softmax_three_wheres(a, mask).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31), rows=st.integers(1, 5), cols=st.integers(1, 8))
 def test_softmax_rows_property(seed, rows, cols):
