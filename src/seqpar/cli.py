@@ -114,6 +114,7 @@ def _cmd_cost(args) -> int:
         print(f"engine={est.engine} workers={n} block={est.block}")
         print(f"  score flops (fwd)       {est.score_flops}")
         print(f"  score elements (peak)   {est.score_elements_peak}")
+        print(f"  score cache bytes       {est.score_cache_bytes}")
         print(f"  projection flops (fwd)  {est.proj_flops}")
         print(f"  ffn flops (fwd)         {est.ffn_flops}")
         print(f"  head flops (fwd)        {est.head_flops}")

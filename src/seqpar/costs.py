@@ -3,9 +3,12 @@
 The formulas mirror what the runtime counters in :mod:`seqpar.tensor`
 measure, so an estimate for a config can be checked against an instrumented
 run to the last flop.  Score flops accumulate over layers; the score-element
-figure is the footprint of one layer's scores, so it carries no layer factor
-(a training step keeps every layer's scores until its backward, L times that
-figure).  Collective counts and payload elements are totals over the whole
+figure is the footprint of one layer's scores, so it carries no layer factor.
+A training step keeps every layer's scores until its backward: the
+cached-bytes figure counts those, L times the score elements at ``itemsize``
+bytes each for the softmax weights, plus one byte each for the dropout keep
+mask when dropout is on (the dropped weights are rebuilt in backward, not
+kept).  Collective counts and payload elements are totals over the whole
 grid, as the ledger records them; payload sizes come from
 :func:`seqpar.model.param_shapes`.
 """
@@ -44,6 +47,7 @@ class CostEstimate:
 
     score_flops: int            # forward QK^T + weights@V, summed over layers
     score_elements_peak: int    # score entries of one layer
+    score_cache_bytes: int      # every layer's score caches, held until backward
     proj_flops: int             # q/k/v/out projections, forward, all layers
     ffn_flops: int              # both ffn matmuls, forward, all layers
     head_flops: int             # vocabulary projection, forward
@@ -114,6 +118,9 @@ def estimate(
 
     score_flops = layers * b * h * (2 * q_rows * dk * l + 2 * q_rows * l * dk)
     score_elements_peak = b * h * q_rows * l
+    score_cache_bytes = layers * score_elements_peak * (
+        cfg.dtype.itemsize + (1 if cfg.dropout > 0 else 0)
+    )
     proj_flops = layers * (2 * b * q_rows * e * e * 2 + 2 * b * kv_rows * e * e * 2)
     ffn_flops = layers * (2 * b * ffn_rows * e * f) * 2
     head_flops = 2 * b * head_rows * e * cfg.vocab
@@ -125,6 +132,7 @@ def estimate(
         block=block,
         score_flops=score_flops,
         score_elements_peak=score_elements_peak,
+        score_cache_bytes=score_cache_bytes,
         proj_flops=proj_flops,
         ffn_flops=ffn_flops,
         head_flops=head_flops,

@@ -27,6 +27,7 @@ and the position-keyed dropout.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from functools import cache, partial
@@ -286,7 +287,19 @@ def dropout3_bwd(grad_y, policy, mask):
 
 @dataclass
 class ScoreCache:
-    attn: list  # per (b, h): (aw, aw_dropped, keep_mask_or_None)
+    """What one layer's attention keeps for its backward, per (sample, head)
+    block in sample-major order: the softmax weights, and with dropout the
+    boolean keep mask (None without).  The dropped weights are not kept;
+    backward rebuilds them from these two."""
+
+    weights: list[np.ndarray]
+    keep: list[np.ndarray | None]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.weights) + sum(
+            k.nbytes for k in self.keep if k is not None
+        )
 
 
 def scores_fwd(
@@ -309,13 +322,13 @@ def scores_fwd(
     t = k.shape[1]
     dk = cfg.head_dim
     counters = tensor.active_counters()
-    scale = 1.0 / np.sqrt(dk)
+    scale = 1.0 / math.sqrt(dk)  # a python float keeps single precision single
     q_pos = np.arange(offset, offset + m, dtype=np.int64)
     mask = None
     if cfg.causal:
         mask = np.arange(t)[None, :] <= q_pos[:, None]
     ctx = np.empty_like(q)
-    attn = []
+    cache = ScoreCache(weights=[], keep=[])
     for b in range(bsz):
         for h in range(cfg.n_heads):
             cols = slice(h * dk, (h + 1) * dk)
@@ -324,18 +337,19 @@ def scores_fwd(
             if counters is not None:
                 counters.add_score_flops(m, dk, t)
             aw = tensor.softmax_rows(s, mask)
+            keep, aw_d = None, aw
             if policy.active:
                 keep = nnops.keep_mask(policy, nnops.score_row_keys(policy, layer, b, h, q_pos), t)
                 aw_d = nnops.apply_mask(aw, policy, keep)
-            else:
-                keep, aw_d = None, aw
             ctx[b, :, cols] = tensor.matmul(aw_d, vbh)
             if counters is not None:
                 counters.add_score_flops(m, t, dk)
-            attn.append((aw, aw_d, keep))
+            cache.weights.append(aw)
+            cache.keep.append(keep)
     if counters is not None:
         counters.record_score_footprint(bsz * cfg.n_heads * m * t)
-    return ctx, ScoreCache(attn=attn)
+        counters.add_score_cache(cache.nbytes)
+    return ctx, cache
 
 
 def scores_bwd(
@@ -347,27 +361,35 @@ def scores_bwd(
     cfg: ModelConfig,
     policy: DropoutPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per block, the dropped weights are rebuilt as ``aw * scaled mask`` for
+    the value gradient only; the weight gradient is scaled by that same mask
+    and run through the softmax backward in place."""
     bsz, m, e = q.shape
     dk = cfg.head_dim
-    scale = 1.0 / np.sqrt(dk)
+    scale = 1.0 / math.sqrt(dk)
     grad_q = np.zeros_like(q)
     grad_k = np.zeros_like(k)
     grad_v = np.zeros_like(v)
-    idx = 0
+    blocks = iter(zip(cache.weights, cache.keep))
     for b in range(bsz):
         for h in range(cfg.n_heads):
             cols = slice(h * dk, (h + 1) * dk)
-            aw, aw_d, keep = cache.attn[idx]
-            idx += 1
+            aw, keep = next(blocks)
             g_ctx = grad_ctx[b, :, cols]
-            grad_aw_d = tensor.matmul(g_ctx, tensor.transpose(v[b, :, cols]))
-            grad_v[b, :, cols] = tensor.matmul(tensor.transpose(aw_d), g_ctx)
-            grad_aw = grad_aw_d if keep is None else nnops.apply_mask(grad_aw_d, policy, keep)
-            # softmax backward; masked-out entries have aw == 0, so they stay 0
-            grad_s = aw * (grad_aw - np.sum(grad_aw * aw, axis=1, keepdims=True))
-            grad_s = grad_s * scale
-            grad_q[b, :, cols] = tensor.matmul(grad_s, k[b, :, cols])
-            grad_k[b, :, cols] = tensor.matmul(tensor.transpose(grad_s), q[b, :, cols])
+            grad_aw = tensor.matmul(g_ctx, tensor.transpose(v[b, :, cols]))
+            if keep is None:
+                grad_v[b, :, cols] = tensor.matmul(tensor.transpose(aw), g_ctx)
+            else:
+                sm = nnops.scaled_mask(policy, keep, aw.dtype)
+                grad_v[b, :, cols] = tensor.matmul(tensor.transpose(aw * sm), g_ctx)
+                grad_aw *= sm
+            # softmax backward, in place: grad_s = aw * (grad_aw - rowsum(grad_aw * aw))
+            # * scale; masked-out entries have aw == 0, so they stay 0
+            grad_aw -= np.sum(grad_aw * aw, axis=1, keepdims=True)
+            grad_aw *= aw
+            grad_aw *= scale
+            grad_q[b, :, cols] = tensor.matmul(grad_aw, k[b, :, cols])
+            grad_k[b, :, cols] = tensor.matmul(tensor.transpose(grad_aw), q[b, :, cols])
     return grad_q, grad_k, grad_v
 
 

@@ -57,11 +57,15 @@ def mix_key(h: int, word: int) -> int:
 
 
 def _mix_array(h: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Vectorised mix_key over uint64 arrays (wraparound arithmetic)."""
-    z = h + words.astype(np.uint64) * _U64_GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
-    return z ^ (z >> np.uint64(31))
+    """Vectorised mix_key over uint64 arrays (wraparound arithmetic).  The
+    rounds run in place over the output and one scratch buffer, so a
+    score-sized hash allocates two arrays, not eight."""
+    z = np.add(h, words.astype(np.uint64) * _U64_GOLDEN)
+    tmp = np.empty_like(z)
+    for shift, mul in ((np.uint64(30), _U64_MIX_A), (np.uint64(27), _U64_MIX_B)):
+        np.bitwise_xor(z, np.right_shift(z, shift, out=tmp), out=z)
+        np.multiply(z, mul, out=z)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=tmp), out=z)
 
 
 @dataclass(frozen=True)
@@ -127,13 +131,18 @@ def keep_mask(policy: DropoutPolicy, row_keys: np.ndarray, n_cols: int) -> np.nd
     """Boolean keep-mask of shape (len(row_keys), n_cols)."""
     cols = np.arange(n_cols, dtype=np.uint64)
     words = _mix_array(row_keys[:, None], cols[None, :])
-    # (words >> 11) * 2**-53 >= rate exactly when words >> 11 >= ceil(rate * 2**53)
-    return (words >> np.uint64(11)) >= np.uint64(math.ceil(policy.rate * 2.0**53))
+    # (words >> 11) * 2**-53 >= rate exactly when words >> 11 >= ceil(rate * 2**53),
+    # that is when words >= ceil(rate * 2**53) << 11 (below 2**64, as rate < 1)
+    return words >= np.uint64(math.ceil(policy.rate * 2.0**53) << 11)
+
+
+def scaled_mask(policy: DropoutPolicy, mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``mask`` as ``dtype`` values: 1 / (1 - rate) where kept, 0 where dropped."""
+    return np.multiply(mask, dtype.type(1.0 / (1.0 - policy.rate)), dtype=dtype)
 
 
 def apply_mask(x: np.ndarray, policy: DropoutPolicy, mask: np.ndarray) -> np.ndarray:
-    scale = 1.0 / (1.0 - policy.rate)
-    return x * (mask.astype(x.dtype) * x.dtype.type(scale))
+    return x * scaled_mask(policy, mask, x.dtype)
 
 
 def dropout_fwd(

@@ -218,6 +218,8 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
         "score_flops_delta": counts[0].attn_score_flops - est.score_flops,
         "measured_score_elements_peak": counts[0].attn_score_elements_peak,
         "estimated_score_elements_peak": est.score_elements_peak,
+        "measured_score_cache_bytes": counts[0].attn_score_bytes_cached,
+        "estimated_score_cache_bytes": est.score_cache_bytes,
         "estimated_collectives_per_step": est.collectives_per_step,
     }
 
@@ -276,6 +278,8 @@ def _summary_text(rc, reports, summary) -> str:
         f" delta {summary['score_flops_delta']}",
         f"score elements    measured {summary['measured_score_elements_peak']}"
         f" estimated {summary['estimated_score_elements_peak']}",
+        f"score cache bytes measured {summary['measured_score_cache_bytes']}"
+        f" estimated {summary['estimated_score_cache_bytes']}",
     ]
     if "max_param_delta" in summary:
         lines.append(

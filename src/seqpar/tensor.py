@@ -46,19 +46,23 @@ class StepCounters:
 
     matmul_flops counts every matrix product routed through :func:`matmul`.
     The attention-score fields are filled in by the attention core from the
-    shapes it actually multiplies, so they can be compared exactly against
-    closed-form estimates.
+    shapes it actually multiplies and the arrays it caches, so they can be
+    compared exactly against closed-form estimates.
     """
 
     matmul_flops: int = 0
     attn_score_flops: int = 0
     attn_score_elements_peak: int = 0
+    attn_score_bytes_cached: int = 0  # every layer's score caches, held until backward
 
     def add_matmul(self, m: int, k: int, n: int) -> None:
         self.matmul_flops += 2 * m * k * n
 
     def add_score_flops(self, m: int, k: int, n: int) -> None:
         self.attn_score_flops += 2 * m * k * n
+
+    def add_score_cache(self, nbytes: int) -> None:
+        self.attn_score_bytes_cached += nbytes
 
     def record_score_footprint(self, elements: int) -> None:
         """Track the largest set of attention-score elements live at once."""
@@ -200,7 +204,13 @@ def softmax_rows(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     if np.any(kept == 0):
         row = int(np.argmin(kept))
         raise DegenerateRowError(f"softmax row {row} is fully masked")
-    neg = np.where(mask, a, -np.inf)
-    e = np.exp(neg - np.max(neg, axis=1, keepdims=True))  # exp(-inf) is exactly 0
-    out = e / np.sum(e, axis=1, keepdims=True)
+    out = np.where(mask, a, -np.inf)
+    out -= np.max(out, axis=1, keepdims=True)
+    # exp(-inf) is exactly 0, but numpy's exp takes a slow path over any array
+    # that holds -inf; so masked entries go through exp as 0 and the mask
+    # zeroes them after.  The output is bitwise what exp(-inf) would give.
+    np.copyto(out, 0.0, where=~mask)
+    np.exp(out, out=out)
+    out *= mask
+    out /= np.sum(out, axis=1, keepdims=True)
     return check_finite(out, "softmax output")

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
-from seqpar import baseline, grid, hybrid, model, sharded, tensor
+from seqpar import baseline, grid, hybrid, model, runner, sharded, tensor
 from seqpar.collectives import Communicator, run_workers
 from seqpar.costs import WEAK_SCALING_SCHEDULE, estimate, weak_scaling_ratios
 from seqpar.errors import PartitionError
 from seqpar.model import ModelConfig
+from seqpar.nnops import DropoutPolicy
 
 from conftest import rand_batch
 
@@ -196,6 +199,32 @@ def test_baseline_measurement_matches_estimate(tiny_cfg, rng):
     assert run.counters[0][0].attn_score_elements_peak == est.score_elements_peak
     assert len(run.comm.ledger.records) == est.collectives_per_step
     assert sum(r.elements for r in run.comm.ledger.records) == est.comm_elements_per_step
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("engine,replicas,workers", [
+    ("sequential", 1, 1), ("sharded", 1, 1), ("sharded", 1, 2), ("sharded", 1, 4),
+    ("baseline", 1, 2), ("hybrid", 2, 2),
+])
+def test_cached_score_bytes_match_estimate(tiny_cfg, rng, engine, replicas, workers,
+                                           dropout, precision):
+    """Every layer's score caches, on every rank of every step."""
+    cfg = replace(tiny_cfg, dropout=dropout, precision=precision)
+    params = model.init_params(cfg, 0)
+    shape = (replicas * cfg.batch, cfg.seq_len)
+    batches = [(rng.integers(0, cfg.vocab, size=shape),
+                rng.integers(0, cfg.vocab, size=shape)) for _ in range(2)]
+    run = runner._train(engine, cfg, params, grid.GridLayout(replicas, workers), batches,
+                        lr=0.1, policy=DropoutPolicy(rate=dropout, seed=5))
+    est = estimate(cfg, workers, engine, replicas=replicas)
+    itemsize = 8 if precision == "double" else 4
+    assert est.score_cache_bytes == (cfg.n_layers * est.score_elements_peak
+                                     * (itemsize + (1 if dropout else 0)))
+    for rank, counters in enumerate(run.counters):
+        # the baseline's rank 0 runs every sublayer, the others hold no scores
+        want = 0 if engine == "baseline" and rank > 0 else est.score_cache_bytes
+        assert [c.attn_score_bytes_cached for c in counters] == [want, want]
 
 
 def test_complexity_labels(tiny_cfg):

@@ -185,7 +185,7 @@ def test_zero_scores_give_uniform_causal_rows():
     k = np.zeros((1, 4, 4))
     v = np.zeros((1, 4, 4))
     _, cache = model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
-    aw, _, _ = cache.attn[0]
+    aw = cache.weights[0]
     for i in range(4):
         np.testing.assert_allclose(aw[i, : i + 1], np.full(i + 1, 1 / (i + 1)), atol=1e-15)
         np.testing.assert_array_equal(aw[i, i + 1 :], np.zeros(4 - i - 1))
@@ -197,7 +197,7 @@ def test_single_row_attention_is_identity_weight():
     q = rng.standard_normal((1, 1, 4))
     v = rng.standard_normal((1, 1, 4))
     ctx, cache = model.scores_fwd(q, q, v, 0, cfg, OFF, layer=0)
-    aw, _, _ = cache.attn[0]
+    aw = cache.weights[0]
     np.testing.assert_array_equal(aw, np.array([[1.0]]))
     np.testing.assert_allclose(ctx, v, rtol=1e-15)
 
@@ -208,7 +208,7 @@ def test_attention_rows_sum_to_one(rng):
     k = rng.standard_normal((2, 8, 8))
     v = rng.standard_normal((2, 8, 8))
     _, cache = model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
-    for aw, _, _ in cache.attn:
+    for aw in cache.weights:
         np.testing.assert_allclose(np.sum(aw, axis=1), np.ones(8), atol=1e-12)
 
 
@@ -223,6 +223,71 @@ def test_score_counters_track_shapes(rng):
     b, h, m, t, dk = 3, 2, 2, 6, 4
     assert counters.attn_score_flops == b * h * (2 * m * dk * t + 2 * m * t * dk)
     assert counters.attn_score_elements_peak == b * h * m * t
+
+
+def scores_bwd_with_dropped_copy(attn, q, k, v, grad_ctx, cfg, policy):
+    """Score backward as first written, from a cache that also kept the
+    dropped weights: per (sample, head) block ``(aw, aw_dropped, keep)``."""
+    bsz = q.shape[0]
+    dk = cfg.head_dim
+    scale = 1.0 / np.sqrt(dk)
+    grad_q, grad_k, grad_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    blocks = iter(attn)
+    for b in range(bsz):
+        for h in range(cfg.n_heads):
+            cols = slice(h * dk, (h + 1) * dk)
+            aw, aw_d, keep = next(blocks)
+            g_ctx = grad_ctx[b, :, cols]
+            grad_aw_d = tensor.matmul(g_ctx, tensor.transpose(v[b, :, cols]))
+            grad_v[b, :, cols] = tensor.matmul(tensor.transpose(aw_d), g_ctx)
+            grad_aw = grad_aw_d if keep is None else nnops.apply_mask(grad_aw_d, policy, keep)
+            grad_s = aw * (grad_aw - np.sum(grad_aw * aw, axis=1, keepdims=True))
+            grad_s = grad_s * scale
+            grad_q[b, :, cols] = tensor.matmul(grad_s, k[b, :, cols])
+            grad_k[b, :, cols] = tensor.matmul(tensor.transpose(grad_s), q[b, :, cols])
+    return grad_q, grad_k, grad_v
+
+
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+@pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("offset", [0, 4])
+def test_scores_bwd_bitwise_matches_a_cache_of_dropped_weights(rng, causal, rate, offset):
+    """Rebuilding the dropped weights in backward changes no bit of the
+    gradients against a backward that kept them."""
+    cfg = ModelConfig(embed_dim=12, n_layers=1, n_heads=3, ff_dim=8, vocab=11, seq_len=8,
+                      batch=2, causal=causal)
+    policy = DropoutPolicy(rate=rate, seed=17)
+    m = cfg.seq_len - offset
+    q = rng.standard_normal((2, m, 12))
+    k = rng.standard_normal((2, cfg.seq_len, 12))
+    v = rng.standard_normal((2, cfg.seq_len, 12))
+    grad_ctx = rng.standard_normal((2, m, 12))
+    _, cache = model.scores_fwd(q, k, v, offset, cfg, policy, layer=1)
+    assert all((keep is None) == (rate == 0.0) for keep in cache.keep)
+    attn = [(aw, aw if keep is None else nnops.apply_mask(aw, policy, keep), keep)
+            for aw, keep in zip(cache.weights, cache.keep)]
+    got = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+    want = scores_bwd_with_dropped_copy(attn, q, k, v, grad_ctx, cfg, policy)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("rate", [0.0, 0.25])
+def test_score_cache_keeps_weights_and_keep_mask_only(rng, precision, rate):
+    cfg = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, ff_dim=8, vocab=5, seq_len=6,
+                      batch=3, precision=precision)
+    dt = cfg.dtype
+    q, k, v = (rng.standard_normal((3, 6, 8)).astype(dt) for _ in range(3))
+    counters = tensor.StepCounters()
+    with tensor.counting(counters):
+        ctx, cache = model.scores_fwd(q, k, v, 0, cfg, DropoutPolicy(rate=rate, seed=2), 0)
+    assert ctx.dtype == dt
+    assert len(cache.weights) == len(cache.keep) == 3 * 2
+    assert {a.dtype for a in cache.weights} == {dt}
+    elements = 3 * 2 * 6 * 6
+    assert cache.nbytes == elements * (dt.itemsize + (1 if rate else 0))
+    assert counters.attn_score_bytes_cached == cache.nbytes
 
 
 # --- whole model forward/backward ---

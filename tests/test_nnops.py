@@ -341,6 +341,41 @@ def test_keep_mask_threshold_is_exact_at_a_drawn_value(row_keys, pick):
         assert np.array_equal(mask, keep_mask_float(policy, row_keys, 16))
 
 
+def mix_array_reference(h, words):
+    """mix_key over uint64 arrays as first written: a fresh array per op."""
+    z = h + words.astype(np.uint64) * np.uint64(nnops._GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(nnops._MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(nnops._MIX_B)
+    return z ^ (z >> np.uint64(31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rate=st.one_of(st.sampled_from(EDGE_RATES), st.floats(0.0, 1.0, exclude_max=True)),
+    row_keys=row_keys_st,
+    n_cols=st.integers(1, 70),
+)
+def test_in_place_keep_mask_equals_mix_array_formula(rate, row_keys, n_cols):
+    words = mix_array_reference(row_keys[:, None], np.arange(n_cols, dtype=np.uint64)[None, :])
+    want = (words >> np.uint64(11)) >= np.uint64(math.ceil(rate * 2.0**53))
+    assert np.array_equal(nnops.keep_mask(DropoutPolicy(rate=rate), row_keys, n_cols), want)
+    assert np.array_equal(nnops._mix_array(row_keys[:, None],
+                                           np.arange(n_cols, dtype=np.uint64)[None, :]), words)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rate", [0.1, 1 / 3, 0.5])
+def test_apply_mask_equals_its_first_formula(dtype, rate, rng):
+    policy = DropoutPolicy(rate=rate)
+    x = rng.standard_normal((7, 9)).astype(dtype)
+    mask = rng.random((7, 9)) >= rate
+    want = x * (mask.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - rate)))
+    sm = nnops.scaled_mask(policy, mask, x.dtype)
+    assert sm.dtype == x.dtype
+    assert nnops.apply_mask(x, policy, mask).tobytes() == want.tobytes()
+    assert (x * sm).tobytes() == want.tobytes()
+
+
 # --- embeddings ---
 
 

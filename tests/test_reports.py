@@ -142,6 +142,19 @@ def test_run_experiment_writes_every_artifact(tmp_path):
     assert "loss curve:" in text and "engine" in text
 
 
+@pytest.mark.parametrize("engine,workers", [("sharded", 2), ("baseline", 2)])
+def test_summary_shows_cached_score_bytes_against_the_estimate(tmp_path, engine, workers):
+    rc = small_run(tmp_path, model=small_model(dropout=0.1), engine=engine, workers=workers)
+    summary = runner.run_experiment(rc).summary
+    cfg = rc.model
+    rows = cfg.seq_len // workers if engine == "sharded" else cfg.seq_len
+    want = cfg.n_layers * cfg.batch * cfg.n_heads * rows * cfg.seq_len * (8 + 1)
+    assert summary["measured_score_cache_bytes"] == want
+    assert summary["estimated_score_cache_bytes"] == want
+    text = open(os.path.join(rc.out_dir, "summary.txt")).read()
+    assert f"score cache bytes measured {want} estimated {want}" in text
+
+
 def test_run_experiment_sequential_and_baseline(tmp_path):
     seq = runner.run_experiment(small_run(tmp_path / "a", engine="sequential"))
     assert seq.summary["ledger_records"] == 0
@@ -327,6 +340,14 @@ def test_cli_cost_and_weak_scaling(capsys):
     table = capsys.readouterr().out
     for ratio in ("1", "6", "18", "54", "144"):
         assert f" {ratio}\n" in table or f" {ratio} " in table
+
+
+def test_cli_cost_prints_cached_score_bytes(capsys):
+    assert run_cli("cost", "--workers", "2", "--seq-len", "16", "--dropout", "0.1",
+                   "--precision", "single") == 0
+    m = runner.default_model()
+    want = m.n_layers * m.batch * m.n_heads * 8 * 16 * (4 + 1)
+    assert f"score cache bytes       {want}\n" in capsys.readouterr().out
 
 
 def test_cli_ledger_summary(tmp_path, capsys):

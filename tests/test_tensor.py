@@ -194,6 +194,13 @@ def softmax_three_wheres(a, mask):
     return e / np.sum(e, axis=1, keepdims=True)
 
 
+def softmax_exp_of_neg_inf(a, mask):
+    """Masked softmax that lets exp(-inf) = 0 zero the masked entries."""
+    neg = np.where(mask, a, -np.inf)
+    e = np.exp(neg - np.max(neg, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31), rows=st.integers(1, 40), extra=st.integers(0, 40),
        scale=st.floats(0.1, 50.0))
@@ -206,7 +213,9 @@ def test_masked_softmax_bitwise_matches_where_formula(seed, rows, extra, scale):
     random = r.random((rows, cols)) < 0.5
     random[np.arange(rows), r.integers(0, cols, rows)] = True  # one kept entry per row
     for mask in (causal, random):
-        assert softmax_rows(a, mask).tobytes() == softmax_three_wheres(a, mask).tobytes()
+        out = softmax_rows(a, mask).tobytes()
+        assert out == softmax_three_wheres(a, mask).tobytes()
+        assert out == softmax_exp_of_neg_inf(a, mask).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
