@@ -151,9 +151,8 @@ def all_reduce_grads(
     trailing element and comes back reduced too."""
     named = grads.named_arrays()
     shared = [a for n, a in named if n not in local]
-    vec = model.flatten_arrays(shared)
-    if loss is not None:
-        vec = np.concatenate([vec, np.array([loss], dtype=vec.dtype)])
+    tail = () if loss is None else (loss,)  # its slot joins the one copy
+    vec = model.flatten_arrays(shared, *tail)
     out = comm.all_reduce(group, rank, vec, op=op, step=step, phase="sync")
     if loss is not None:
         loss, out = float(out[-1]), out[:-1]
@@ -195,11 +194,13 @@ def train(
     the combined batch, derives the dropout key, calls ``step(worker, params,
     cfg, tokens, targets, *, policy, step)`` for ``(loss, synced grads)`` and
     applies the optimizer update; ``tensor.counting`` collects the step's
-    counters around the call.  ``batches[s]`` holds ``R*B`` rows; replica
-    ``d`` trains on rows ``[d*B, (d+1)*B)``.  With ``split`` a
-    rank owns only its block of the sequence (its columns of the batch, its
-    rows of the position table); without it, rank 0's whole copy of the
-    parameters is the result.  ``run_workers`` (normally
+    counters around the call.  Each rank's whole loop runs inside
+    ``tensor.recycling``, so the score path's scratch buffers are reused
+    from step to step and layer to layer for the run.  ``batches[s]`` holds
+    ``R*B`` rows; replica ``d`` trains on rows ``[d*B, (d+1)*B)``.  With
+    ``split`` a rank owns only its block of the sequence (its columns of the
+    batch, its rows of the position table); without it, rank 0's whole copy
+    of the parameters is the result.  ``run_workers`` (normally
     :func:`seqpar.collectives.run_workers`) starts one thread per rank; each
     engine passes the name bound in its own module, which is where
     perfbench/spans.py wraps it to trace the worker threads.  When ``split``
@@ -222,6 +223,7 @@ def train(
     seq_groups, data_groups = make_groups(comm, layout)
     policy = policy if policy is not None else DropoutPolicy.off()
 
+    @tensor.recycling()  # each call, so each rank thread, gets its own free list
     def rank_loop(rank: int):
         replica, seq_index = layout.coords(rank)
         spec = ShardSpec(seq_index, layout.seq_workers, cfg.seq_len)

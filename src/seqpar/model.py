@@ -290,7 +290,8 @@ class ScoreCache:
     """What one layer's attention keeps for its backward, per (sample, head)
     block in sample-major order: the softmax weights, and with dropout the
     boolean keep mask (None without).  The dropped weights are not kept;
-    backward rebuilds them from these two."""
+    backward rebuilds them from these two.  Each list holds views into one
+    (blocks, rows, keys) stack; :func:`scores_bwd` empties both lists."""
 
     weights: list[np.ndarray]
     keep: list[np.ndarray | None]
@@ -317,6 +318,10 @@ def scores_fwd(
     ``k``/``v`` hold the whole sequence; a causal row attends to keys at or
     before its own global position.  Scores are materialized per head and
     sample, which is exactly the activation footprint the counters track.
+
+    The weights (and keep masks) of all blocks go into one stack each, taken
+    through ``tensor.take``; one (m, t) work buffer holds each block's scaled
+    scores and then its dropped weights, and goes back at the end.
     """
     bsz, m, e = q.shape
     t = k.shape[1]
@@ -327,27 +332,33 @@ def scores_fwd(
     mask = None
     if cfg.causal:
         mask = np.arange(t)[None, :] <= q_pos[:, None]
+    blocks = bsz * cfg.n_heads
+    weights = tensor.take((blocks, m, t), q.dtype)
+    keep = tensor.take((blocks, m, t), np.bool_) if policy.active else [None] * blocks
+    work = tensor.take((m, t), q.dtype)
     ctx = np.empty_like(q)
-    cache = ScoreCache(weights=[], keep=[])
     for b in range(bsz):
         for h in range(cfg.n_heads):
+            i = b * cfg.n_heads + h
             cols = slice(h * dk, (h + 1) * dk)
-            qbh, kbh, vbh = q[b, :, cols], k[b, :, cols], v[b, :, cols]
-            s = tensor.matmul(qbh, tensor.transpose(kbh)) * scale
+            s = tensor.matmul(q[b, :, cols], k[b, :, cols].T, out=work)
+            s *= scale
             if counters is not None:
                 counters.add_score_flops(m, dk, t)
-            aw = tensor.softmax_rows(s, mask)
-            keep, aw_d = None, aw
+            aw_d = aw = tensor.softmax_rows(s, mask, out=weights[i])
             if policy.active:
-                keep = nnops.keep_mask(policy, nnops.score_row_keys(policy, layer, b, h, q_pos), t)
-                aw_d = nnops.apply_mask(aw, policy, keep)
-            ctx[b, :, cols] = tensor.matmul(aw_d, vbh)
+                row_keys = nnops.score_row_keys(policy, layer, b, h, q_pos)
+                aw_d = nnops.scaled_mask(
+                    policy, nnops.keep_mask(policy, row_keys, t, out=keep[i]), aw.dtype, out=work
+                )
+                aw_d *= aw
+            ctx[b, :, cols] = tensor.matmul(aw_d, v[b, :, cols])
             if counters is not None:
                 counters.add_score_flops(m, t, dk)
-            cache.weights.append(aw)
-            cache.keep.append(keep)
+    tensor.give(work)
+    cache = ScoreCache(weights=list(weights), keep=list(keep))
     if counters is not None:
-        counters.record_score_footprint(bsz * cfg.n_heads * m * t)
+        counters.record_score_footprint(blocks * m * t)
         counters.add_score_cache(cache.nbytes)
     return ctx, cache
 
@@ -361,35 +372,66 @@ def scores_bwd(
     cfg: ModelConfig,
     policy: DropoutPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per block, the dropped weights are rebuilt as ``aw * scaled mask`` for
-    the value gradient only; the weight gradient is scaled by that same mask
-    and run through the softmax backward in place."""
+    """Per block, the dropped weights are rebuilt as ``aw * scaled mask`` in
+    a work buffer for the value gradient only; the weight gradient then takes
+    that buffer, is scaled by the same mask and runs through the softmax
+    backward in place.  The cache's stacks go back to ``tensor.give`` and its
+    lists are emptied, so a spent cache cannot be read again."""
     bsz, m, e = q.shape
+    t = k.shape[1]
     dk = cfg.head_dim
+    blocks = bsz * cfg.n_heads
+    if len(cache.weights) != blocks or len(cache.keep) != blocks:
+        raise ValueError(f"score cache holds {len(cache.weights)} blocks, expected {blocks}; "
+                         "a cache serves one backward")
     scale = 1.0 / math.sqrt(dk)
-    grad_q = np.zeros_like(q)
-    grad_k = np.zeros_like(k)
-    grad_v = np.zeros_like(v)
-    blocks = iter(zip(cache.weights, cache.keep))
+    grad_q = np.empty_like(q)
+    grad_k = np.empty_like(k)
+    grad_v = np.empty_like(v)
+    dt = cache.weights[0].dtype
+    work = tensor.take((m, t), dt)
+    height, words = nnops.row_tile(t)
+    tile = tensor.take((words,), dt)
+    row_tiles = []  # (rows, tile view) pairs covering a block
+    for r0 in range(0, m, height):
+        n = min(height, m - r0)
+        row_tiles.append((slice(r0, r0 + n), tile[: n * t].reshape(n, t)))
+    row_sums = np.empty((m, 1), dt)
     for b in range(bsz):
         for h in range(cfg.n_heads):
+            i = b * cfg.n_heads + h
             cols = slice(h * dk, (h + 1) * dk)
-            aw, keep = next(blocks)
+            aw, keep = cache.weights[i], cache.keep[i]
             g_ctx = grad_ctx[b, :, cols]
-            grad_aw = tensor.matmul(g_ctx, tensor.transpose(v[b, :, cols]))
-            if keep is None:
-                grad_v[b, :, cols] = tensor.matmul(tensor.transpose(aw), g_ctx)
-            else:
-                sm = nnops.scaled_mask(policy, keep, aw.dtype)
-                grad_v[b, :, cols] = tensor.matmul(tensor.transpose(aw * sm), g_ctx)
-                grad_aw *= sm
+            aw_d = aw
+            if keep is not None:
+                aw_d = nnops.scaled_mask(policy, keep, dt, out=work)
+                aw_d *= aw
+            grad_v[b, :, cols] = tensor.matmul(aw_d.T, g_ctx)
+            grad_aw = tensor.matmul(g_ctx, v[b, :, cols].T, out=work)
+            if keep is not None:
+                # times the scaled mask, bitwise: a kept entry is scaled by
+                # 1 * c, a dropped one becomes a zero of its own sign
+                grad_aw *= keep
+                grad_aw *= nnops.keep_scale(policy, dt)
             # softmax backward, in place: grad_s = aw * (grad_aw - rowsum(grad_aw * aw))
-            # * scale; masked-out entries have aw == 0, so they stay 0
-            grad_aw -= np.sum(grad_aw * aw, axis=1, keepdims=True)
+            # * scale; masked-out entries have aw == 0, so they stay 0.  The
+            # row sums go a tile of rows at a time, which leaves each row's sum
+            # as it was.
+            for rows, prod in row_tiles:
+                np.multiply(grad_aw[rows], aw[rows], out=prod)
+                np.sum(prod, axis=1, keepdims=True, out=row_sums[rows])
+            grad_aw -= row_sums
             grad_aw *= aw
             grad_aw *= scale
             grad_q[b, :, cols] = tensor.matmul(grad_aw, k[b, :, cols])
-            grad_k[b, :, cols] = tensor.matmul(tensor.transpose(grad_aw), q[b, :, cols])
+            grad_k[b, :, cols] = tensor.matmul(grad_aw.T, q[b, :, cols])
+    # every block is a view into one weight stack (and one keep stack)
+    stacks = [a.base for a in (cache.weights[0], cache.keep[0])
+              if a is not None and a.base is not None]
+    tensor.give(work, tile, *stacks)
+    cache.weights.clear()
+    cache.keep.clear()
     return grad_q, grad_k, grad_v
 
 
@@ -688,8 +730,12 @@ def sgd_step(params: Parameters, grads: Parameters, lr: float) -> Parameters:
 # --- flat vector helpers (gradient sync, optimizers) ---
 
 
-def flatten_arrays(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
+def flatten_arrays(arrays: list[np.ndarray], *tail: float) -> np.ndarray:
+    """Every array raveled in order, then the ``tail`` scalars, in one copy."""
+    parts = [a.ravel() for a in arrays]
+    if tail:
+        parts.append(np.array(tail, dtype=parts[0].dtype if parts else np.float64))
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def unflatten_like(vec: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:

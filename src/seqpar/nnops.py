@@ -56,16 +56,20 @@ def mix_key(h: int, word: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_array(h: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Vectorised mix_key over uint64 arrays (wraparound arithmetic).  The
-    rounds run in place over the output and one scratch buffer, so a
-    score-sized hash allocates two arrays, not eight."""
-    z = np.add(h, words.astype(np.uint64) * _U64_GOLDEN)
-    tmp = np.empty_like(z)
+def _mix_rounds(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The mixing rounds of mix_key over ``z`` in place; ``tmp`` is scratch of
+    the same shape."""
     for shift, mul in ((np.uint64(30), _U64_MIX_A), (np.uint64(27), _U64_MIX_B)):
         np.bitwise_xor(z, np.right_shift(z, shift, out=tmp), out=z)
         np.multiply(z, mul, out=z)
     return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=tmp), out=z)
+
+
+def _mix_array(h: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Vectorised mix_key over uint64 arrays (wraparound arithmetic).  The
+    rounds run in place over the output and one scratch buffer."""
+    z = np.add(h, words.astype(np.uint64) * _U64_GOLDEN)
+    return _mix_rounds(z, np.empty_like(z))
 
 
 @dataclass(frozen=True)
@@ -127,18 +131,58 @@ def score_row_keys(
     return _mix_array(np.full(q_positions.shape, np.uint64(h0), dtype=np.uint64), q_positions)
 
 
-def keep_mask(policy: DropoutPolicy, row_keys: np.ndarray, n_cols: int) -> np.ndarray:
-    """Boolean keep-mask of shape (len(row_keys), n_cols)."""
-    cols = np.arange(n_cols, dtype=np.uint64)
-    words = _mix_array(row_keys[:, None], cols[None, :])
+# Elements per row tile of a row-wise pass (the keep_mask hash, the score
+# backward's row sums): a (rows, 64) activation of up to 512 rows is one
+# tile, a 256x512 score block four tiles of 64 rows.  Smaller tiles stay in
+# cache but cost more numpy calls, and so more interpreter-lock handoffs
+# when two ranks hash at once: at 2**14 words two concurrent ranks hashed a
+# 256x512 block slower than untiled.
+ROW_TILE_WORDS = 1 << 15
+
+
+def row_tile(n_cols: int) -> tuple[int, int]:
+    """(rows per tile, size of the flat buffer that holds one tile) for rows
+    of ``n_cols`` elements.  The buffer size is the same for every width up
+    to the budget, so one buffer serves them all."""
+    return max(1, ROW_TILE_WORDS // max(1, n_cols)), max(ROW_TILE_WORDS, n_cols)
+
+
+def keep_mask(
+    policy: DropoutPolicy, row_keys: np.ndarray, n_cols: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Boolean keep-mask of shape (len(row_keys), n_cols), into ``out`` if
+    given.  Rows are hashed a tile at a time through two scratch buffers of
+    ROW_TILE_WORDS words (see :func:`row_tile`), taken from ``tensor.take``."""
+    rows = row_keys.shape[0]
+    if out is None:
+        out = np.empty((rows, n_cols), dtype=np.bool_)
     # (words >> 11) * 2**-53 >= rate exactly when words >> 11 >= ceil(rate * 2**53),
     # that is when words >= ceil(rate * 2**53) << 11 (below 2**64, as rate < 1)
-    return words >= np.uint64(math.ceil(policy.rate * 2.0**53) << 11)
+    threshold = np.uint64(math.ceil(policy.rate * 2.0**53) << 11)
+    col_words = np.arange(n_cols, dtype=np.uint64) * _U64_GOLDEN
+    height, words = row_tile(n_cols)
+    z, tmp = tiles = [tensor.take((words,), np.uint64) for _ in range(2)]
+    for r0 in range(0, rows, height):
+        n = min(height, rows - r0)
+        zt = np.add(row_keys[r0 : r0 + n, None], col_words, out=z[: n * n_cols].reshape(n, n_cols))
+        tt = tmp[: n * n_cols].reshape(n, n_cols)
+        np.greater_equal(_mix_rounds(zt, tt), threshold, out=out[r0 : r0 + n])
+    tensor.give(*tiles)
+    return out
 
 
-def scaled_mask(policy: DropoutPolicy, mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """``mask`` as ``dtype`` values: 1 / (1 - rate) where kept, 0 where dropped."""
-    return np.multiply(mask, dtype.type(1.0 / (1.0 - policy.rate)), dtype=dtype)
+def scaled_mask(
+    policy: DropoutPolicy, mask: np.ndarray, dtype: np.dtype, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``mask`` as ``dtype`` values: :func:`keep_scale` where kept, 0 where
+    dropped; into ``out`` if given."""
+    return np.multiply(mask, keep_scale(policy, dtype), dtype=dtype, out=out)
+
+
+def keep_scale(policy: DropoutPolicy, dtype: np.dtype):
+    """The factor 1 / (1 - rate) a kept element is scaled by, as a ``dtype``
+    scalar."""
+    return dtype.type(1.0 / (1.0 - policy.rate))
 
 
 def apply_mask(x: np.ndarray, policy: DropoutPolicy, mask: np.ndarray) -> np.ndarray:

@@ -2,9 +2,19 @@
 
 Arrays are plain ``numpy.ndarray`` values in row-major layout, rank 1 to 3,
 float64 by default (float32 opt-in through :func:`resolve_dtype`).  Kernels
-treat their inputs as immutable and always return fresh arrays, which is what
-makes them safe to hand across worker threads.  Every kernel validates its
+treat their inputs as immutable and return fresh arrays, which is what makes
+them safe to hand across worker threads, unless the caller passes ``out=``:
+:func:`matmul` and :func:`softmax_rows` then write into that buffer and return
+it, with bitwise the values a fresh call gives.  Every kernel validates its
 output for NaN/Inf; silent numeric corruption is never allowed to propagate.
+
+Scratch buffers that a hot loop would otherwise allocate anew every time can
+be recycled: inside a :func:`recycling` block, :func:`take` hands out an array
+that :func:`give` returned earlier on the same thread (same shape and dtype),
+and the block's free list is dropped when it closes.  Outside such a block
+``take`` is ``np.empty`` and ``give`` does nothing.  Only buffers private to
+one thread's computation go through it, never one returned to a caller or
+handed to a collective.
 
 A thread-local :class:`StepCounters` can be installed with :func:`counting`;
 while active, :func:`matmul` tallies the floating point work of every product
@@ -88,6 +98,43 @@ def active_counters() -> StepCounters | None:
     return getattr(_active, "counters", None)
 
 
+@contextmanager
+def recycling():
+    """Give this thread a free list of scratch buffers for the duration: what
+    :func:`give` returns, :func:`take` hands out again.  The previous free
+    list (usually none) is restored on exit, also when the block raises."""
+    previous = getattr(_active, "free", None)
+    _active.free = {}
+    try:
+        yield
+    finally:
+        _active.free = previous
+
+
+def take(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized array: one given back earlier on this thread inside
+    :func:`recycling`, else a fresh ``np.empty``."""
+    free = getattr(_active, "free", None)
+    if free:
+        stack = free.get((tuple(shape), np.dtype(dtype)))
+        if stack:
+            return stack.pop()
+    return np.empty(shape, dtype)
+
+
+def give(*arrays: np.ndarray) -> None:
+    """Return buffers from :func:`take` for reuse; the caller must hold no
+    view of them any more.  A no-op outside :func:`recycling`."""
+    free = getattr(_active, "free", None)
+    if free is None:
+        return
+    for a in arrays:
+        stack = free.setdefault((a.shape, a.dtype), [])
+        if a.base is not None or any(x is a for x in stack):
+            raise ValueError("give() takes each owned buffer once, not a view")
+        stack.append(a)
+
+
 def _find_blas_controls():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
 
@@ -162,13 +209,15 @@ def check_finite(x: np.ndarray, label: str = "tensor") -> np.ndarray:
     return x
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product with shape validation and flop accounting."""
+def matmul(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """2-D matrix product with shape validation and flop accounting.  Either
+    operand may be a transposed or strided view; ``out`` receives the product
+    when given."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    out = a @ b
+    out = np.matmul(a, b, out=out)
     counters = getattr(_active, "counters", None)
     if counters is not None:
         counters.add_matmul(a.shape[0], a.shape[1], b.shape[1])
@@ -181,8 +230,11 @@ def transpose(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T)
 
 
-def softmax_rows(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with optional boolean keep-mask.
+def softmax_rows(
+    a: np.ndarray, mask: np.ndarray | None = None, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise softmax with optional boolean keep-mask, into ``out`` if given
+    (which may be ``a`` itself).
 
     ``mask[i, j] == False`` forces entry (i, j) to exactly zero and excludes
     it from the row's normalization.  A row with no kept entry has no valid
@@ -191,25 +243,26 @@ def softmax_rows(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D operand, got shape {a.shape}")
+    if out is None:
+        out = np.empty_like(a)
     if mask is None:
-        shifted = a - np.max(a, axis=1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / np.sum(e, axis=1, keepdims=True)
+        np.subtract(a, np.max(a, axis=1, keepdims=True), out=out)
+        np.exp(out, out=out)
+        out /= np.sum(out, axis=1, keepdims=True)
         return check_finite(out, "softmax output")
     if mask.shape != a.shape:
         raise ShapeError(f"mask shape {mask.shape} does not match operand {a.shape}")
     if mask.dtype != np.bool_:
         raise ShapeError("softmax mask must be boolean")
-    kept = np.count_nonzero(mask, axis=1)
-    if np.any(kept == 0):
-        row = int(np.argmin(kept))
-        raise DegenerateRowError(f"softmax row {row} is fully masked")
-    out = np.where(mask, a, -np.inf)
-    out -= np.max(out, axis=1, keepdims=True)
+    live = mask.any(axis=1)
+    if not live.all():
+        raise DegenerateRowError(f"softmax row {int(np.argmin(live))} is fully masked")
+    top = np.max(a, axis=1, keepdims=True, where=mask, initial=-np.inf)
     # exp(-inf) is exactly 0, but numpy's exp takes a slow path over any array
-    # that holds -inf; so masked entries go through exp as 0 and the mask
-    # zeroes them after.  The output is bitwise what exp(-inf) would give.
-    np.copyto(out, 0.0, where=~mask)
+    # that holds -inf; so the mask zeroes masked entries before exp and again
+    # after.  The output is bitwise what exp(-inf) would give.
+    np.subtract(a, top, out=out)
+    out *= mask
     np.exp(out, out=out)
     out *= mask
     out /= np.sum(out, axis=1, keepdims=True)

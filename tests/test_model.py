@@ -290,6 +290,48 @@ def test_score_cache_keeps_weights_and_keep_mask_only(rng, precision, rate):
     assert counters.attn_score_bytes_cached == cache.nbytes
 
 
+def score_inputs(rng, cfg, m):
+    q = rng.standard_normal((cfg.batch, m, cfg.embed_dim))
+    k, v = (rng.standard_normal((cfg.batch, cfg.seq_len, cfg.embed_dim)) for _ in range(2))
+    return q, k, v
+
+
+def test_two_forwards_without_a_backward_get_distinct_stacks(rng):
+    cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=8, vocab=5, seq_len=6,
+                      batch=2, dropout=0.2)
+    policy = DropoutPolicy(rate=0.2, seed=4)
+    q, k, v = score_inputs(rng, cfg, 6)
+    with tensor.recycling():
+        _, first = model.scores_fwd(q, k, v, 0, cfg, policy, 0)
+        kept = [a.copy() for a in first.weights + first.keep]
+        _, second = model.scores_fwd(q, k, v, 0, cfg, policy, 1)
+        for a in first.weights + first.keep:
+            for b in second.weights + second.keep:
+                assert not np.shares_memory(a, b)
+        assert all(np.array_equal(a, b) for a, b in zip(first.weights + first.keep, kept))
+
+
+def test_scores_bwd_spends_its_cache_and_recycles_its_stacks(rng):
+    cfg = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, ff_dim=8, vocab=5, seq_len=6,
+                      batch=2, dropout=0.2)
+    policy = DropoutPolicy(rate=0.2, seed=4)
+    q, k, v = score_inputs(rng, cfg, 6)
+    grad_ctx = rng.standard_normal(q.shape)
+    with tensor.recycling():
+        _, cache = model.scores_fwd(q, k, v, 0, cfg, policy, 0)
+        stack = cache.weights[0].base
+        want = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+        assert cache.weights == [] and cache.keep == []
+        with pytest.raises(ValueError, match="one backward"):
+            model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+        # the next forward reuses the stack, and the run repeats bit for bit
+        _, again = model.scores_fwd(q, k, v, 0, cfg, policy, 0)
+        assert again.weights[0].base is stack
+        got = model.scores_bwd(again, q, k, v, grad_ctx, cfg, policy)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 # --- whole model forward/backward ---
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqpar import nnops
+from seqpar import nnops, tensor
 from seqpar.errors import ShapeError
 from seqpar.nnops import DropoutPolicy, LinearParams
 
@@ -339,6 +339,29 @@ def test_keep_mask_threshold_is_exact_at_a_drawn_value(row_keys, pick):
         mask = nnops.keep_mask(policy, row_keys, 16)
         assert mask.reshape(-1)[i] == kept
         assert np.array_equal(mask, keep_mask_float(policy, row_keys, 16))
+
+
+def keep_mask_untiled(policy, row_keys, n_cols):
+    """The keep-mask as one whole-array hash, through _mix_array."""
+    words = nnops._mix_array(row_keys[:, None], np.arange(n_cols, dtype=np.uint64)[None, :])
+    return words >= np.uint64(math.ceil(policy.rate * 2.0**53) << 11)
+
+
+@pytest.mark.parametrize("budget", [None, 64, 1000])
+@pytest.mark.parametrize("cols", [1, 2, 7, 64, 65, 333, 512, 600])
+def test_tiled_keep_mask_equals_the_whole_array_hash(monkeypatch, budget, cols):
+    if budget is not None:  # small budgets: many tiles, a ragged last tile, rows longer than a tile
+        monkeypatch.setattr(nnops, "ROW_TILE_WORDS", budget)
+    policy = DropoutPolicy(rate=0.3, seed=11)
+    height, _ = nnops.row_tile(cols)
+    for rows in sorted({1, height - 1, height, height + 1, 3 * height + 2} - {0}):
+        keys = nnops.score_row_keys(policy, 1, 0, 2, np.arange(rows, dtype=np.int64))
+        want = keep_mask_untiled(policy, keys, cols)
+        assert np.array_equal(nnops.keep_mask(policy, keys, cols), want)
+        out = np.zeros((rows, cols), dtype=bool)
+        with tensor.recycling():
+            assert nnops.keep_mask(policy, keys, cols, out=out) is out
+            assert np.array_equal(nnops.keep_mask(policy, keys, cols, out=out), want)
 
 
 def mix_array_reference(h, words):

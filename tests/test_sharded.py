@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqpar import grid, model, optim, sharded
+from seqpar import grid, model, optim, runner, sharded
 from seqpar.errors import PartitionError, ShapeError
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
@@ -248,3 +248,25 @@ def test_adam_run_matches_sequential_adam(tiny_cfg, rng):
 def test_unknown_optimizer_rejected(tiny_cfg):
     with pytest.raises(ValueError):
         optim.make_update("rmsprop", model.init_params(tiny_cfg, 0), 0.1)
+
+
+# --- recycled score buffers ---
+
+
+@pytest.mark.parametrize("engine", ["sequential", "sharded-1"])
+def test_recycling_grid_runs_match_the_unrecycled_oracle_bitwise(tiny_cfg, rng, engine):
+    """grid.train recycles score buffers across layers and steps; a stale or
+    shared buffer would change a bit of the losses or parameters."""
+    cfg = ModelConfig(**{**tiny_cfg.to_dict(), "dropout": 0.2})
+    params0 = model.init_params(cfg, 3)
+    batches = make_batches(cfg, rng, 4)
+    policy = DropoutPolicy(rate=0.2, seed=9)
+    want_params, want_losses, want_grads = sequential_sgd(cfg, params0, batches, 0.1, policy)
+    if engine == "sequential":
+        run = runner._sequential_steps(cfg, params0, batches, lr=0.1, policy=policy)
+    else:
+        run = sharded.run_steps(cfg, params0, 1, batches, lr=0.1, policy=policy)
+    assert run.step_losses == want_losses
+    for got, want in ((run.final_params, want_params), (run.last_grads[0], want_grads)):
+        for (name, a), (_, b) in zip(got.named_arrays(), want.named_arrays()):
+            assert a.tobytes() == b.tobytes(), name

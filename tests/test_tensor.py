@@ -176,6 +176,17 @@ def test_softmax_fully_masked_row_raises():
         softmax_rows(a, mask)
 
 
+def test_degenerate_row_error_names_the_first_fully_masked_row():
+    a = np.zeros((5, 3))
+    mask = np.ones((5, 3), dtype=bool)
+    mask[[1, 3]] = False
+    with pytest.raises(DegenerateRowError, match=r"softmax row 1 is fully masked"):
+        softmax_rows(a, mask)
+    mask[1, 2] = True
+    with pytest.raises(DegenerateRowError, match=r"softmax row 3 is fully masked"):
+        softmax_rows(a, mask)
+
+
 def test_softmax_mask_validation():
     a = np.zeros((2, 3))
     with pytest.raises(ShapeError):
@@ -284,3 +295,94 @@ def test_resolve_dtype():
     assert tensor.resolve_dtype("single") == np.float32
     with pytest.raises(ValueError):
         tensor.resolve_dtype("half")
+
+
+# --- out= buffers and transposed views ---
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_matmul_into_out_equals_fresh_product(rng, dtype):
+    a = rng.standard_normal((9, 5)).astype(dtype)
+    b = rng.standard_normal((5, 11)).astype(dtype)
+    out = np.full((9, 11), np.nan, dtype=dtype)
+    got = matmul(a, b, out=out)
+    assert got is out
+    assert got.tobytes() == matmul(a, b).tobytes()
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_softmax_into_out_equals_fresh_softmax(rng, masked, dtype):
+    a = (rng.standard_normal((7, 12)) * 4).astype(dtype)
+    mask = np.tril(np.ones((7, 12), dtype=bool), k=5) if masked else None
+    want = softmax_rows(a, mask).tobytes()
+    out = np.full_like(a, np.nan)
+    assert softmax_rows(a, mask, out=out) is out
+    assert out.tobytes() == want
+    inplace = a.copy()  # out may be the operand itself
+    assert softmax_rows(inplace, mask, out=inplace).tobytes() == want
+
+
+@pytest.mark.parametrize("shape", [(256, 512, 64, 8), (512, 512, 64, 8), (128, 128, 64, 8),
+                                   (64, 64, 32, 8)])
+def test_transposed_head_views_multiply_like_contiguous_copies(rng, shape):
+    """``.T`` of a strided head slice goes into matmul with no copy.  At the
+    benchmark workloads' double-precision block shapes the product is bitwise
+    that of the contiguous transposed copy, which is what keeps their runs
+    byte-identical to the copying score path.  This is a property of the BLAS
+    kernels, not a general one: some other shapes, and many in single
+    precision, round differently."""
+    m, t, e, dk = shape
+    q, g = rng.standard_normal((m, e)), rng.standard_normal((m, e))
+    k, aw = rng.standard_normal((t, e)), rng.random((m, t))
+    for h in range(e // dk):
+        cols = slice(h * dk, (h + 1) * dk)
+        assert (matmul(q[:, cols], k[:, cols].T).tobytes()
+                == matmul(q[:, cols], transpose(k[:, cols])).tobytes())
+        assert (matmul(aw.T, g[:, cols]).tobytes()
+                == matmul(transpose(aw), g[:, cols]).tobytes())
+
+
+# --- recycled scratch buffers ---
+
+
+def test_take_outside_recycling_returns_fresh_arrays():
+    a = tensor.take((3, 4), np.float64)
+    tensor.give(a)
+    b = tensor.take((3, 4), np.float64)
+    assert a.shape == b.shape == (3, 4) and b.dtype == np.float64
+    assert b is not a and not np.shares_memory(a, b)
+
+
+def test_recycling_hands_back_what_was_given_by_shape_and_dtype():
+    with tensor.recycling():
+        a = tensor.take((3, 4), np.float64)
+        tensor.give(a)
+        assert tensor.take((3, 4), np.float32) is not a
+        assert tensor.take((4, 3), np.float64) is not a
+        assert tensor.take((3, 4), np.float64) is a
+        assert tensor.take((3, 4), np.float64) is not a  # handed out once
+
+
+def test_give_refuses_views_and_buffers_already_free():
+    with tensor.recycling():
+        a = tensor.take((4, 4), np.float64)
+        with pytest.raises(ValueError):
+            tensor.give(a[1:])
+        tensor.give(a)
+        with pytest.raises(ValueError):
+            tensor.give(a)
+
+
+def test_recycling_restores_the_prior_free_list_on_exit_and_on_raise():
+    with tensor.recycling():
+        outer = tensor.take((2, 2), np.float64)
+        tensor.give(outer)
+        with tensor.recycling():  # a nested block starts empty
+            assert tensor.take((2, 2), np.float64) is not outer
+        with pytest.raises(RuntimeError):
+            with tensor.recycling():
+                raise RuntimeError("inside")
+        assert tensor.take((2, 2), np.float64) is outer
+    tensor.give(outer)  # outside again: dropped
+    assert tensor.take((2, 2), np.float64) is not outer
