@@ -65,9 +65,6 @@ class CommRecord:
     layer: int | None
     elements: int  # size of the full logical tensor moved or reduced
 
-    def to_json_line(self) -> str:
-        return json.dumps(vars(self))
-
     @classmethod
     def from_json_line(cls, line: str) -> "CommRecord":
         return cls(**json.loads(line))
@@ -108,7 +105,21 @@ class CommLedger:
         return len(self.select(**filters))
 
     def to_jsonl(self) -> str:
-        return "".join(r.to_json_line() + "\n" for r in self._records)
+        """One ``json.dumps(vars(record))`` line per record.  A run repeats a
+        few (group, kind, phase, layer) combinations thousands of times, so
+        each is encoded once and ``step`` and ``elements`` are formatted as
+        the integers they are."""
+        middles: dict[tuple, str] = {}
+        lines = []
+        for r in self._records:
+            key = (r.group, r.kind, r.phase, r.layer)
+            middle = middles.get(key)
+            if middle is None:
+                middle = middles[key] = json.dumps(
+                    {"group": r.group, "kind": r.kind, "phase": r.phase, "layer": r.layer}
+                )[1:-1]
+            lines.append(f'{{"step": {r.step:d}, {middle}, "elements": {r.elements:d}}}\n')
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "CommLedger":

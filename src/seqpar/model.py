@@ -724,7 +724,12 @@ def backward(params: Parameters, cfg: ModelConfig, cache: SequentialCache) -> Pa
 
 def sgd_step(params: Parameters, grads: Parameters, lr: float) -> Parameters:
     """Plain SGD; returns fresh parameters, inputs untouched."""
-    return params.zip_map(grads, lambda w, g: w - lr * g)
+
+    def update(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+        d = g * lr
+        return np.subtract(w, d, out=d)  # w - lr * g, in the product's buffer
+
+    return params.zip_map(grads, update)
 
 
 # --- flat vector helpers (gradient sync, optimizers) ---

@@ -13,6 +13,15 @@ the keep/drop decision for an element is a pure hash of
 so a token keeps the same mask no matter how the sequence is split across
 workers.  That property is what makes distributed training with dropout
 reproduce single-worker training exactly.
+
+The elementwise kernels (GELU, layer norm, cross-entropy, the linear bias,
+dropout masks) are bound by memory traffic, not arithmetic, so each one
+allocates its returned output and at most a few scratch arrays of the same
+size, and every other numpy operator writes into one of those through
+``out=`` or an augmented assignment.  They never write into their inputs.
+Each runs the same IEEE operations on the same operands in the same order as
+the plain one-line expression it replaces (at most swapping the operands of a
+single ``*`` or ``+``), so results are bitwise those of that expression.
 """
 
 from __future__ import annotations
@@ -186,7 +195,9 @@ def keep_scale(policy: DropoutPolicy, dtype: np.dtype):
 
 
 def apply_mask(x: np.ndarray, policy: DropoutPolicy, mask: np.ndarray) -> np.ndarray:
-    return x * scaled_mask(policy, mask, x.dtype)
+    """``x * scaled_mask(...)``, computed in the scaled mask's buffer."""
+    scaled = scaled_mask(policy, mask, x.dtype)
+    return np.multiply(x, scaled, out=scaled)
 
 
 def dropout_fwd(
@@ -232,7 +243,9 @@ class LinearParams:
 def linear_fwd(x: np.ndarray, p: LinearParams) -> np.ndarray:
     if p.bias.shape != (p.weight.shape[1],):
         raise ShapeError(f"bias shape {p.bias.shape} does not match weight {p.weight.shape}")
-    return tensor.matmul(x, p.weight) + p.bias
+    y = tensor.matmul(x, p.weight)
+    y += p.bias
+    return y
 
 
 def linear_bwd(
@@ -253,10 +266,13 @@ def layernorm_fwd(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Per-row normalization; cache is (xhat, inv_std)."""
     mu = np.mean(x, axis=1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=1, keepdims=True)
+    xhat = x - mu
+    y = np.square(xhat)  # the squared deviations, later the output
+    var = np.mean(y, axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    y = xhat * gain + bias
+    xhat *= inv_std
+    np.multiply(xhat, gain, out=y)
+    y += bias
     return tensor.check_finite(y, "layernorm output"), (xhat, inv_std)
 
 
@@ -270,12 +286,15 @@ def layernorm_bwd(
     with g = grad_y * gain, means taken per row.
     """
     xhat, inv_std = cache
-    grad_gain = np.sum(grad_y * xhat, axis=0)
+    tmp = grad_y * xhat  # scratch: grad_y * xhat, then g * xhat, then xhat * mean(g * xhat)
+    grad_gain = np.sum(tmp, axis=0)
     grad_bias = np.sum(grad_y, axis=0)
-    g = grad_y * gain
-    grad_x = inv_std * (
-        g - np.mean(g, axis=1, keepdims=True) - xhat * np.mean(g * xhat, axis=1, keepdims=True)
-    )
+    grad_x = grad_y * gain  # g
+    np.multiply(grad_x, xhat, out=tmp)
+    mean_gx = np.mean(tmp, axis=1, keepdims=True)
+    grad_x -= np.mean(grad_x, axis=1, keepdims=True)
+    grad_x -= np.multiply(xhat, mean_gx, out=tmp)
+    grad_x *= inv_std
     return grad_x, grad_gain, grad_bias
 
 
@@ -285,17 +304,41 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu_fwd(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # x * x * x, not pow: far cheaper
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    """0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3))), with the cube as
+    ``x * x * x`` (far cheaper than pow)."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    np.add(x, t, out=t)
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    y = 0.5 * x
+    y *= t
+    return y
 
 
 def gelu_bwd(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
+    """grad_y * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)),
+    t the forward's tanh."""
     x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * (x2 * x))
-    t = np.tanh(inner)
-    sech2 = 1.0 - t * t
-    local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * 0.044715 * x2)
-    return grad_y * local
+    t = x2 * x
+    t *= 0.044715
+    np.add(x, t, out=t)
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    s = t * t
+    np.subtract(1.0, s, out=s)  # sech2
+    u = 0.5 * x
+    u *= s
+    u *= _GELU_C
+    x2 *= 3.0 * 0.044715
+    x2 += 1.0
+    u *= x2
+    t += 1.0
+    t *= 0.5
+    t += u  # the local derivative
+    return np.multiply(grad_y, t, out=t)
 
 
 # --- embeddings ---
@@ -341,14 +384,17 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
         raise ShapeError(f"targets shape {targets.shape} does not match {n} logit rows")
     if np.any(targets < 0) or np.any(targets >= v):
         raise ValueError(f"target id out of range for vocab {v}")
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    sum_exp = np.sum(exp, axis=1, keepdims=True)
-    log_probs = shifted - np.log(sum_exp)
-    loss = float(-np.mean(log_probs[np.arange(n), targets]))
-    grad = exp / sum_exp
-    grad[np.arange(n), targets] -= 1.0
+    rows = np.arange(n)
+    # One buffer holds the shifted logits, their exponentials, the softmax
+    # and the gradient; the targets' shifted logits are gathered first.
+    grad = logits - np.max(logits, axis=1, keepdims=True)
+    picked = grad[rows, targets]
+    np.exp(grad, out=grad)
+    sum_exp = np.sum(grad, axis=1, keepdims=True)
+    loss = float(-np.mean(picked - np.log(sum_exp)[:, 0]))
+    grad /= sum_exp
+    grad[rows, targets] -= 1.0
     grad /= n
     if not math.isfinite(loss):
         raise ValueError("cross_entropy produced a non-finite loss")
-    return loss, tensor.check_finite(grad.astype(logits.dtype, copy=False), "cross_entropy grad")
+    return loss, tensor.check_finite(grad, "cross_entropy grad")

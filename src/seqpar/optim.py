@@ -41,16 +41,32 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> Parameters:
-    """Standard bias-corrected Adam; mutates ``state``, returns new params."""
+    """Standard bias-corrected Adam; updates ``state``'s moments in place,
+    returns new params.  Per array it allocates the new parameter and one
+    scratch array: the same operations as
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+    """
     state.t += 1
     t = state.t
     out = []
-    for i, (p, g) in enumerate(zip(params.arrays(), grads.arrays())):
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[i] / (1.0 - beta1**t)
-        v_hat = state.v[i] / (1.0 - beta2**t)
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
+        tmp = g * (1.0 - beta1)
+        m *= beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        v *= beta2
+        v += tmp
+        m_hat = m / (1.0 - beta1**t)
+        np.divide(v, 1.0 - beta2**t, out=tmp)  # v_hat, then its root, then + eps
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        m_hat *= lr
+        m_hat /= tmp
+        out.append(np.subtract(p, m_hat, out=m_hat))
     return params.replace_arrays(out)
 
 

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import baseline, costs, data, grid, hybrid, model, optim, reporting, sharded
-from .collectives import CommLedger, run_workers
+from .collectives import CommRecord, run_workers
 from .costs import ENGINES
 from .grid import GridLayout, Run
 from .model import ModelConfig, Parameters
@@ -153,10 +153,10 @@ def _train(engine: str, cfg: ModelConfig, params: Parameters, layout: GridLayout
     raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
 
 
-def _collectives_per_step(ledger: CommLedger, steps: int) -> list[dict[str, int]]:
+def _collectives_per_step(records: list[CommRecord], steps: int) -> list[dict[str, int]]:
     """Collective count by kind for every step, from one pass over the ledger."""
     counts = [Counter() for _ in range(steps)]
-    for r in ledger.records:
+    for r in records:
         counts[r.step][r.kind] += 1
     return [dict(sorted(c.items())) for c in counts]
 
@@ -186,7 +186,8 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
     elapsed = time.perf_counter() - t0
     losses, norms, counts = run.step_losses, run.grad_norms, run.counters[0]
     ledger = run.comm.ledger
-    collectives = _collectives_per_step(ledger, rc.steps)
+    records = ledger.records
+    collectives = _collectives_per_step(records, rc.steps)
 
     reports = [
         reporting.from_counters(s, rc.engine, losses[s], norms[s], counts[s], collectives[s])
@@ -211,7 +212,7 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
         "final_loss": losses[-1],
         "smoothed_final_loss": float(sum(window) / len(window)),
         "elapsed_seconds": round(elapsed, 3),
-        "ledger_records": len(ledger.records),
+        "ledger_records": len(records),
         "collectives_step0": collectives[0],
         "measured_score_flops": counts[0].attn_score_flops,
         "estimated_score_flops": est.score_flops,

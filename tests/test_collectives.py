@@ -1,3 +1,5 @@
+import itertools
+import json
 import time
 
 import numpy as np
@@ -200,6 +202,18 @@ def test_ledger_jsonl_round_trip_is_byte_identical():
     again = CommLedger.from_jsonl(text)
     assert again.to_jsonl() == text
     assert again.records == ledger.records
+
+
+def test_ledger_jsonl_is_json_dumps_of_each_record():
+    ledger = CommLedger()
+    kinds = ("scatter", "gather", "all-gather", "reduce-scatter", "all-reduce")
+    groups = ("seq0", "seq1", "data0", "data3", "seq12")
+    cases = itertools.product(groups, kinds, ("forward", "backward", "sync"), (None, 0, 7))
+    for i, (group, kind, phase, layer) in enumerate(cases):
+        ledger.append(CommRecord(i % 11, group, kind, phase, layer, i * 4099 + 1))
+    ledger.append(CommRecord(10**6, "seq0", "all-reduce", "sync", None, 2**40))
+    want = "".join(json.dumps(vars(r)) + "\n" for r in ledger.records)
+    assert ledger.to_jsonl() == want
 
 
 # --- validation and failure paths ---
