@@ -185,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--steps", type=int, default=3)
     v.add_argument("--lr", type=float, default=0.2)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tolerance", type=float, default=1e-8)
+    v.add_argument("--tolerance", type=float, default=None,
+                   help="largest passing max |delta param| (default: 1e-8 in double "
+                        "precision, 64 float32 ulps in single)")
     v.set_defaults(fn=_cmd_verify)
 
     c = sub.add_parser("cost", help="closed-form cost estimates")

@@ -1,7 +1,13 @@
 """Exception types shared across the package.
 
-Everything numeric raises eagerly: a shape mismatch, a non-finite value or a
-bad partition is a bug in the caller and should never be papered over.
+A shape mismatch or a bad partition raises where it is found: it is a bug in
+the caller and should never be papered over.  Non-finite values raise at
+the boundaries they cannot slip past: every layer's output in the forward
+pass and its input gradient in the backward pass, the loss and its logit
+gradient, and each rank's step gradients before the optimizer applies them.
+The kernels in between do not scan their outputs, since NaN and Inf
+propagate through every op; a non-finite value still raises
+:class:`NumericsError` before it reaches the parameters.
 """
 
 

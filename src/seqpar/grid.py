@@ -192,8 +192,9 @@ def train(
 
     Every rank runs the same loop: per step it takes its replica's rows of
     the combined batch, derives the dropout key, calls ``step(worker, params,
-    cfg, tokens, targets, *, policy, step)`` for ``(loss, synced grads)`` and
-    applies the optimizer update; ``tensor.counting`` collects the step's
+    cfg, tokens, targets, *, policy, step)`` for ``(loss, synced grads)``,
+    checks the gradients for NaN and Inf in one pass and applies the
+    optimizer update; ``tensor.counting`` collects the step's
     counters around the call.  Each rank's whole loop runs inside
     ``tensor.recycling``, so the score path's scratch buffers are reused
     from step to step and layer to layer for the run.  ``batches[s]`` holds
@@ -243,6 +244,8 @@ def train(
             counters = StepCounters()
             with tensor.counting(counters):
                 loss, grads = step(worker, own, cfg, tokens, targets, policy=step_policy, step=s)
+                tensor.check_finite(model.flatten_arrays(grads.arrays()),
+                                    f"rank {rank} step {s} gradients")
                 own = update(own, grads)
             losses.append(loss)
             counts.append(counters)

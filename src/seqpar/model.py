@@ -303,6 +303,27 @@ class ScoreCache:
         )
 
 
+# Elements of score blocks that one pass of a row-wise op covers: one 256x512
+# block, or eight 128x128 ones.  Small blocks cost numpy call overhead more
+# than arithmetic, so consecutive (sample, head) blocks up to this budget go
+# through the scaling, the softmax, the keep-mask hash and the backward's
+# elementwise passes together, as one (blocks * rows, keys) view; a block
+# above the budget is a group of its own.  The matmuls stay per block.
+SCORE_GROUP_WORDS = 1 << 17
+
+
+def score_groups(blocks: int, block_words: int) -> tuple[int, list[range]]:
+    """(the largest group's block count, each group's range of block
+    indices) for ``blocks`` blocks of ``block_words`` elements each."""
+    size = max(1, min(blocks, SCORE_GROUP_WORDS // max(1, block_words)))
+    return size, [range(i, min(i + size, blocks)) for i in range(0, blocks, size)]
+
+
+def _block_slices(bsz: int, heads: int, dk: int) -> list[tuple[int, slice]]:
+    """(sample, feature columns) of each (sample, head) block, sample-major."""
+    return [(b, slice(h * dk, (h + 1) * dk)) for b in range(bsz) for h in range(heads)]
+
+
 def scores_fwd(
     q: np.ndarray,
     k: np.ndarray,
@@ -320,43 +341,61 @@ def scores_fwd(
     sample, which is exactly the activation footprint the counters track.
 
     The weights (and keep masks) of all blocks go into one stack each, taken
-    through ``tensor.take``; one (m, t) work buffer holds each block's scaled
-    scores and then its dropped weights, and goes back at the end.
+    through ``tensor.take``.  Each block's scores are multiplied straight
+    into the weight stack; the row-wise ops then run once per group of
+    blocks (:data:`SCORE_GROUP_WORDS`), and with dropout one group-sized
+    work buffer holds the group's dropped weights.  With a causal mask the
+    keep mask is hashed, a row tile at a time, only up to the last key the
+    tile's rows can see, and is False beyond it, where every weight is
+    exactly zero.
     """
     bsz, m, e = q.shape
     t = k.shape[1]
-    dk = cfg.head_dim
+    dk, heads = cfg.head_dim, cfg.n_heads
     counters = tensor.active_counters()
     scale = 1.0 / math.sqrt(dk)  # a python float keeps single precision single
     q_pos = np.arange(offset, offset + m, dtype=np.int64)
-    mask = None
+    blocks = bsz * heads
+    size, groups = score_groups(blocks, m * t)
+    mask = visible = None
     if cfg.causal:
-        mask = np.arange(t)[None, :] <= q_pos[:, None]
-    blocks = bsz * cfg.n_heads
+        mask = np.tile(np.arange(t)[None, :] <= q_pos[:, None], (size, 1))
+        visible = np.tile(q_pos + 1, size)
     weights = tensor.take((blocks, m, t), q.dtype)
-    keep = tensor.take((blocks, m, t), np.bool_) if policy.active else [None] * blocks
-    work = tensor.take((m, t), q.dtype)
+    keep = None
+    if policy.active:
+        keep = tensor.take((blocks, m, t), np.bool_)
+        work = tensor.take((size * m, t), q.dtype)
     ctx = np.empty_like(q)
-    for b in range(bsz):
-        for h in range(cfg.n_heads):
-            i = b * cfg.n_heads + h
-            cols = slice(h * dk, (h + 1) * dk)
-            s = tensor.matmul(q[b, :, cols], k[b, :, cols].T, out=work)
-            s *= scale
+    where = _block_slices(bsz, heads, dk)
+    for group in groups:
+        rows = len(group) * m
+        for i in group:
+            b, cols = where[i]
+            tensor.matmul(q[b, :, cols], k[b, :, cols].T, out=weights[i])
             if counters is not None:
                 counters.add_score_flops(m, dk, t)
-            aw_d = aw = tensor.softmax_rows(s, mask, out=weights[i])
-            if policy.active:
-                row_keys = nnops.score_row_keys(policy, layer, b, h, q_pos)
-                aw_d = nnops.scaled_mask(
-                    policy, nnops.keep_mask(policy, row_keys, t, out=keep[i]), aw.dtype, out=work
-                )
-                aw_d *= aw
-            ctx[b, :, cols] = tensor.matmul(aw_d, v[b, :, cols])
+        aw_d = aw = weights[group.start : group.stop].reshape(rows, t)
+        aw *= scale
+        tensor.softmax_rows(aw, None if mask is None else mask[:rows], out=aw)
+        if keep is not None:
+            row_keys = np.concatenate(
+                [nnops.score_row_keys(policy, layer, *divmod(i, heads), q_pos) for i in group]
+            )
+            kept = nnops.keep_mask(
+                policy, row_keys, t, out=keep[group.start : group.stop].reshape(rows, t),
+                visible=None if visible is None else visible[:rows],
+            )
+            aw_d = nnops.scaled_mask(policy, kept, aw.dtype, out=work[:rows])
+            aw_d *= aw
+        for j, i in enumerate(group):
+            b, cols = where[i]
+            ctx[b, :, cols] = tensor.matmul(aw_d[j * m : (j + 1) * m], v[b, :, cols])
             if counters is not None:
                 counters.add_score_flops(m, t, dk)
-    tensor.give(work)
-    cache = ScoreCache(weights=list(weights), keep=list(keep))
+    if keep is not None:
+        tensor.give(work)
+    cache = ScoreCache(weights=list(weights), keep=[None] * blocks if keep is None else list(keep))
     if counters is not None:
         counters.record_score_footprint(blocks * m * t)
         counters.add_score_cache(cache.nbytes)
@@ -372,15 +411,16 @@ def scores_bwd(
     cfg: ModelConfig,
     policy: DropoutPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per block, the dropped weights are rebuilt as ``aw * scaled mask`` in
-    a work buffer for the value gradient only; the weight gradient then takes
-    that buffer, is scaled by the same mask and runs through the softmax
-    backward in place.  The cache's stacks go back to ``tensor.give`` and its
-    lists are emptied, so a spent cache cannot be read again."""
+    """Per group of blocks (as in :func:`scores_fwd`), the dropped weights
+    are rebuilt as ``aw * scaled mask`` in a group-sized work buffer for the
+    value gradients only; the weight gradients then take that buffer, are
+    scaled by the same mask and run through the softmax backward in place.
+    The cache's stacks go back to ``tensor.give`` and its lists are emptied,
+    so a spent cache cannot be read again."""
     bsz, m, e = q.shape
     t = k.shape[1]
-    dk = cfg.head_dim
-    blocks = bsz * cfg.n_heads
+    dk, heads = cfg.head_dim, cfg.n_heads
+    blocks = bsz * heads
     if len(cache.weights) != blocks or len(cache.keep) != blocks:
         raise ValueError(f"score cache holds {len(cache.weights)} blocks, expected {blocks}; "
                          "a cache serves one backward")
@@ -388,48 +428,53 @@ def scores_bwd(
     grad_q = np.empty_like(q)
     grad_k = np.empty_like(k)
     grad_v = np.empty_like(v)
-    dt = cache.weights[0].dtype
-    work = tensor.take((m, t), dt)
+    # every block is a view into one weight stack (and one keep stack)
+    weights = cache.weights[0].base
+    keep = None if cache.keep[0] is None else cache.keep[0].base
+    dt = weights.dtype
+    size, groups = score_groups(blocks, m * t)
+    work = tensor.take((size * m, t), dt)
     height, words = nnops.row_tile(t)
     tile = tensor.take((words,), dt)
-    row_tiles = []  # (rows, tile view) pairs covering a block
-    for r0 in range(0, m, height):
-        n = min(height, m - r0)
-        row_tiles.append((slice(r0, r0 + n), tile[: n * t].reshape(n, t)))
-    row_sums = np.empty((m, 1), dt)
-    for b in range(bsz):
-        for h in range(cfg.n_heads):
-            i = b * cfg.n_heads + h
-            cols = slice(h * dk, (h + 1) * dk)
-            aw, keep = cache.weights[i], cache.keep[i]
-            g_ctx = grad_ctx[b, :, cols]
-            aw_d = aw
-            if keep is not None:
-                aw_d = nnops.scaled_mask(policy, keep, dt, out=work)
-                aw_d *= aw
-            grad_v[b, :, cols] = tensor.matmul(aw_d.T, g_ctx)
-            grad_aw = tensor.matmul(g_ctx, v[b, :, cols].T, out=work)
-            if keep is not None:
-                # times the scaled mask, bitwise: a kept entry is scaled by
-                # 1 * c, a dropped one becomes a zero of its own sign
-                grad_aw *= keep
-                grad_aw *= nnops.keep_scale(policy, dt)
-            # softmax backward, in place: grad_s = aw * (grad_aw - rowsum(grad_aw * aw))
-            # * scale; masked-out entries have aw == 0, so they stay 0.  The
-            # row sums go a tile of rows at a time, which leaves each row's sum
-            # as it was.
-            for rows, prod in row_tiles:
-                np.multiply(grad_aw[rows], aw[rows], out=prod)
-                np.sum(prod, axis=1, keepdims=True, out=row_sums[rows])
-            grad_aw -= row_sums
-            grad_aw *= aw
-            grad_aw *= scale
-            grad_q[b, :, cols] = tensor.matmul(grad_aw, k[b, :, cols])
-            grad_k[b, :, cols] = tensor.matmul(grad_aw.T, q[b, :, cols])
-    # every block is a view into one weight stack (and one keep stack)
-    stacks = [a.base for a in (cache.weights[0], cache.keep[0])
-              if a is not None and a.base is not None]
-    tensor.give(work, tile, *stacks)
+    row_sums = np.empty((size * m, 1), dt)
+    where = _block_slices(bsz, heads, dk)
+    for group in groups:
+        rows = len(group) * m
+        aw_d = aw = weights[group.start : group.stop].reshape(rows, t)
+        grad_aw = work[:rows]
+        if keep is not None:
+            kept = keep[group.start : group.stop].reshape(rows, t)
+            aw_d = nnops.scaled_mask(policy, kept, dt, out=grad_aw)
+            aw_d *= aw
+        for j, i in enumerate(group):
+            b, cols = where[i]
+            grad_v[b, :, cols] = tensor.matmul(aw_d[j * m : (j + 1) * m].T, grad_ctx[b, :, cols])
+        for j, i in enumerate(group):
+            b, cols = where[i]
+            tensor.matmul(grad_ctx[b, :, cols], v[b, :, cols].T, out=grad_aw[j * m : (j + 1) * m])
+        if keep is not None:
+            # times the scaled mask, bitwise: a kept entry is scaled by
+            # 1 * c, a dropped one becomes a zero of its own sign
+            grad_aw *= kept
+            grad_aw *= nnops.keep_scale(policy, dt)
+        # softmax backward, in place: grad_s = aw * (grad_aw - rowsum(grad_aw * aw))
+        # * scale; masked-out entries have aw == 0, so they stay 0.  The
+        # row sums go a tile of rows at a time, which leaves each row's sum
+        # as it was.
+        for r0 in range(0, rows, height):
+            r1 = min(r0 + height, rows)
+            prod = tile[: (r1 - r0) * t].reshape(r1 - r0, t)
+            np.multiply(grad_aw[r0:r1], aw[r0:r1], out=prod)
+            np.sum(prod, axis=1, keepdims=True, out=row_sums[r0:r1])
+        grad_aw -= row_sums[:rows]
+        grad_aw *= aw
+        grad_aw *= scale
+        for j, i in enumerate(group):
+            b, cols = where[i]
+            grad_s = grad_aw[j * m : (j + 1) * m]
+            grad_q[b, :, cols] = tensor.matmul(grad_s, k[b, :, cols])
+            grad_k[b, :, cols] = tensor.matmul(grad_s.T, q[b, :, cols])
+    tensor.give(work, tile, *[a for a in (weights, keep) if a is not None])
     cache.weights.clear()
     cache.keep.clear()
     return grad_q, grad_k, grad_v
@@ -558,6 +603,9 @@ def layer_fwd(
     ``place_fwd(sublayer, y, offset)`` runs each sublayer and returns its
     ``(out, cache)`` for this worker's block; by default on the block itself.
     Norms, dropout and residuals always run on the block.
+
+    The output is checked for NaN and Inf (:class:`~seqpar.errors.NumericsError`
+    names the layer); the kernels inside the layer do not check theirs.
     """
     bsz, m, e = x.shape
     samples, positions = row_coords(bsz, m, offset)
@@ -570,7 +618,7 @@ def layer_fwd(
     ff, ffn_cache = place_fwd(partial(ffn_fwd, lp=lp, policy=policy, layer=layer), yh, offset)
     ff_drop, ff_mask = dropout3(ff, policy, layer, "ffn_out", samples, positions)
     cache = LayerCache(ln1_cache, att_cache, att_mask, ln2_cache, ffn_cache, ff_mask)
-    return x_mid + ff_drop, cache
+    return tensor.check_finite(x_mid + ff_drop, f"layer {layer} output"), cache
 
 
 def layer_bwd(
@@ -589,7 +637,8 @@ def layer_bwd(
     gradient w.r.t. this worker's own normalized block (plus the four
     projection grads); distributed it reduce-scatters before returning.
     ``place_bwd(sublayer_bwd, cache, grad_out, weights)`` mirrors the
-    ``place_fwd`` the forward ran with.
+    ``place_fwd`` the forward ran with.  The input gradient is checked for
+    NaN and Inf, as :func:`layer_fwd` checks its output.
     """
     g_ff = dropout3_bwd(grad_out, policy, cache.ff_mask)
     ffn = partial(ffn_bwd, lp=lp, policy=policy)
@@ -606,7 +655,7 @@ def layer_bwd(
         ln1_gain=ln1_gain_g, ln1_bias=ln1_bias_g, attn_q=q_g, attn_k=k_g, attn_v=v_g,
         attn_out=out_g, ln2_gain=ln2_gain_g, ln2_bias=ln2_bias_g, ff_in=ff_in_g, ff_out=ff_out_g,
     )
-    return grad_mid + g_ln1_x, grads
+    return tensor.check_finite(grad_mid + g_ln1_x, f"layer {layer} input gradient"), grads
 
 
 # --- embedding and output head ---
@@ -648,7 +697,7 @@ def embed_bwd(cache: EmbedCache, vocab: int, policy, grad_x: np.ndarray):
 class HeadCache:
     lnf: tuple
     xf: np.ndarray
-    logits: np.ndarray
+    logits: np.ndarray | None  # both None once head_bwd has run
     grad_logits: np.ndarray | None
     shape3: tuple
 
@@ -665,9 +714,14 @@ def head_fwd(x: np.ndarray, params: Parameters, targets: np.ndarray | None):
 
 
 def head_bwd(cache: HeadCache, params: Parameters):
+    """Backward of :func:`head_fwd`.  It spends the cache's logits and their
+    gradient (None afterwards), so neither is held through the layers'
+    backward, and a spent cache cannot be read again."""
     if cache.grad_logits is None:
         raise ValueError("head_bwd requires a forward pass that computed the loss")
+    cache.logits = None
     grad_xf, head_wg, head_bg = nnops.linear_bwd(cache.xf, params.head, cache.grad_logits)
+    cache.grad_logits = None
     grad_x, final_gain_g, final_bias_g = nnops.layernorm_bwd(cache.lnf, params.final_gain, grad_xf)
     return grad_x.reshape(cache.shape3), final_gain_g, final_bias_g, head_wg, head_bg
 

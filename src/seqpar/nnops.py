@@ -157,11 +157,22 @@ def row_tile(n_cols: int) -> tuple[int, int]:
 
 
 def keep_mask(
-    policy: DropoutPolicy, row_keys: np.ndarray, n_cols: int, *, out: np.ndarray | None = None
+    policy: DropoutPolicy,
+    row_keys: np.ndarray,
+    n_cols: int,
+    *,
+    out: np.ndarray | None = None,
+    visible: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean keep-mask of shape (len(row_keys), n_cols), into ``out`` if
     given.  Rows are hashed a tile at a time through two scratch buffers of
-    ROW_TILE_WORDS words (see :func:`row_tile`), taken from ``tensor.take``."""
+    ROW_TILE_WORDS words (see :func:`row_tile`), taken from ``tensor.take``.
+
+    ``visible`` (one count per row) limits the hash to each row's first
+    ``visible`` columns: a tile is hashed up to its largest count, and every
+    column past that is False.  Entries within a row's count are those of the
+    full mask; a caller passes counts only where the entries past them are
+    never read (a causal score row's future keys, whose weights are zero)."""
     rows = row_keys.shape[0]
     if out is None:
         out = np.empty((rows, n_cols), dtype=np.bool_)
@@ -173,9 +184,13 @@ def keep_mask(
     z, tmp = tiles = [tensor.take((words,), np.uint64) for _ in range(2)]
     for r0 in range(0, rows, height):
         n = min(height, rows - r0)
-        zt = np.add(row_keys[r0 : r0 + n, None], col_words, out=z[: n * n_cols].reshape(n, n_cols))
-        tt = tmp[: n * n_cols].reshape(n, n_cols)
-        np.greater_equal(_mix_rounds(zt, tt), threshold, out=out[r0 : r0 + n])
+        stop = n_cols if visible is None else min(n_cols, int(visible[r0 : r0 + n].max()))
+        zt = np.add(row_keys[r0 : r0 + n, None], col_words[:stop],
+                    out=z[: n * stop].reshape(n, stop))
+        tt = tmp[: n * stop].reshape(n, stop)
+        np.greater_equal(_mix_rounds(zt, tt), threshold, out=out[r0 : r0 + n, :stop])
+        if stop < n_cols:
+            out[r0 : r0 + n, stop:] = False
     tensor.give(*tiles)
     return out
 
@@ -273,7 +288,7 @@ def layernorm_fwd(
     xhat *= inv_std
     np.multiply(xhat, gain, out=y)
     y += bias
-    return tensor.check_finite(y, "layernorm output"), (xhat, inv_std)
+    return y, (xhat, inv_std)
 
 
 def layernorm_bwd(

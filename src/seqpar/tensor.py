@@ -5,8 +5,10 @@ float64 by default (float32 opt-in through :func:`resolve_dtype`).  Kernels
 treat their inputs as immutable and return fresh arrays, which is what makes
 them safe to hand across worker threads, unless the caller passes ``out=``:
 :func:`matmul` and :func:`softmax_rows` then write into that buffer and return
-it, with bitwise the values a fresh call gives.  Every kernel validates its
-output for NaN/Inf; silent numeric corruption is never allowed to propagate.
+it, with bitwise the values a fresh call gives.  Kernels do not scan their
+outputs for NaN/Inf: NaN and Inf propagate through every op, so the model
+checks with :func:`check_finite` once per layer boundary instead (see
+:mod:`seqpar.errors`).
 
 Scratch buffers that a hot loop would otherwise allocate anew every time can
 be recycled: inside a :func:`recycling` block, :func:`take` hands out an array
@@ -204,6 +206,8 @@ def blas_threads(cap: int | None):
 
 
 def check_finite(x: np.ndarray, label: str = "tensor") -> np.ndarray:
+    """``x`` itself; raises :class:`NumericsError` naming ``label`` if any
+    entry is NaN or Inf."""
     if not np.all(np.isfinite(x)):
         raise NumericsError(f"non-finite values in {label}")
     return x
@@ -221,7 +225,7 @@ def matmul(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np
     counters = getattr(_active, "counters", None)
     if counters is not None:
         counters.add_matmul(a.shape[0], a.shape[1], b.shape[1])
-    return check_finite(out, "matmul output")
+    return out
 
 
 def transpose(a: np.ndarray) -> np.ndarray:
@@ -249,7 +253,7 @@ def softmax_rows(
         np.subtract(a, np.max(a, axis=1, keepdims=True), out=out)
         np.exp(out, out=out)
         out /= np.sum(out, axis=1, keepdims=True)
-        return check_finite(out, "softmax output")
+        return out
     if mask.shape != a.shape:
         raise ShapeError(f"mask shape {mask.shape} does not match operand {a.shape}")
     if mask.dtype != np.bool_:
@@ -266,4 +270,4 @@ def softmax_rows(
     np.exp(out, out=out)
     out *= mask
     out /= np.sum(out, axis=1, keepdims=True)
-    return check_finite(out, "softmax output")
+    return out

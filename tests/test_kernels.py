@@ -1,11 +1,12 @@
-"""The in-place elementwise kernels against their one-line references.
+"""The in-place kernels against their plain references.
 
 Each kernel in nnops (and each optimizer step) computes into its own output
 and scratch buffers.  The references below are the plain numpy expressions
 those kernels replace; the kernels must match them bit for bit, on both
 precisions and on edge shapes, and must leave every input byte unchanged.
-A second set of tests bounds each kernel's peak allocation, so a later edit
-that brings temporaries back fails here.
+The grouped attention-score kernels are held to the per-block loop they
+replace the same way.  A last set of tests bounds each elementwise kernel's
+peak allocation, so a later edit that brings temporaries back fails here.
 """
 
 import math
@@ -90,6 +91,73 @@ def ref_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
     return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def ref_scores_fwd(q, k, v, offset, cfg, policy, layer):
+    """Attention scores one (sample, head) block at a time, every keep-mask
+    entry hashed: (ctx, weight stack, keep stack or None)."""
+    bsz, m, _ = q.shape
+    t, dk = k.shape[1], cfg.head_dim
+    counters = tensor.active_counters()
+    scale = 1.0 / math.sqrt(dk)
+    q_pos = np.arange(offset, offset + m, dtype=np.int64)
+    mask = np.arange(t)[None, :] <= q_pos[:, None] if cfg.causal else None
+    blocks = bsz * cfg.n_heads
+    weights = np.empty((blocks, m, t), q.dtype)
+    keep = np.empty((blocks, m, t), np.bool_) if policy.active else None
+    work = np.empty((m, t), q.dtype)
+    ctx = np.empty_like(q)
+    for b in range(bsz):
+        for h in range(cfg.n_heads):
+            i = b * cfg.n_heads + h
+            cols = slice(h * dk, (h + 1) * dk)
+            s = tensor.matmul(q[b, :, cols], k[b, :, cols].T, out=work)
+            s *= scale
+            if counters is not None:
+                counters.add_score_flops(m, dk, t)
+            aw_d = aw = tensor.softmax_rows(s, mask, out=weights[i])
+            if keep is not None:
+                row_keys = nnops.score_row_keys(policy, layer, b, h, q_pos)
+                nnops.keep_mask(policy, row_keys, t, out=keep[i])
+                aw_d = nnops.scaled_mask(policy, keep[i], aw.dtype, out=work)
+                aw_d *= aw
+            ctx[b, :, cols] = tensor.matmul(aw_d, v[b, :, cols])
+            if counters is not None:
+                counters.add_score_flops(m, t, dk)
+    if counters is not None:
+        counters.record_score_footprint(blocks * m * t)
+        counters.add_score_cache(weights.nbytes + (0 if keep is None else keep.nbytes))
+    return ctx, weights, keep
+
+
+def ref_scores_bwd(weights, keep, q, k, v, grad_ctx, cfg, policy):
+    """Backward of :func:`ref_scores_fwd`, one block at a time."""
+    bsz, m, _ = q.shape
+    t, dk = k.shape[1], cfg.head_dim
+    scale = 1.0 / math.sqrt(dk)
+    grad_q, grad_k, grad_v = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    dt = weights.dtype
+    work = np.empty((m, t), dt)
+    for b in range(bsz):
+        for h in range(cfg.n_heads):
+            i = b * cfg.n_heads + h
+            cols = slice(h * dk, (h + 1) * dk)
+            aw, g_ctx = weights[i], grad_ctx[b, :, cols]
+            aw_d = aw
+            if keep is not None:
+                aw_d = nnops.scaled_mask(policy, keep[i], dt, out=work)
+                aw_d *= aw
+            grad_v[b, :, cols] = tensor.matmul(aw_d.T, g_ctx)
+            grad_aw = tensor.matmul(g_ctx, v[b, :, cols].T, out=work)
+            if keep is not None:
+                grad_aw *= keep[i]
+                grad_aw *= nnops.keep_scale(policy, dt)
+            grad_aw -= np.sum(grad_aw * aw, axis=1, keepdims=True)
+            grad_aw *= aw
+            grad_aw *= scale
+            grad_q[b, :, cols] = tensor.matmul(grad_aw, k[b, :, cols])
+            grad_k[b, :, cols] = tensor.matmul(grad_aw.T, q[b, :, cols])
+    return grad_q, grad_k, grad_v
 
 
 # --- helpers ---
@@ -246,6 +314,80 @@ def test_three_adam_steps_match_reference_bitwise(precision):
             assert_bitwise(got, want)
         for got, want in zip(state.m + state.v, want_m + want_v):
             assert_bitwise(got, want)
+
+
+# (batch, heads, rows, keys, offset) score shapes around the group budget:
+# nine 128x128 blocks make a group of eight and a group of one; 64 rows at
+# offset 128 of 256 keys leave the last 64 keys visible to no row; a
+# 256x512 block fills the budget alone; a 512x512 block exceeds it.
+SCORE_SHAPES = {
+    "B3H3-128x128": (3, 3, 128, 128, 0),
+    "B3H3-64x256-offset": (3, 3, 64, 256, 128),
+    "B1H2-256x512-at-budget": (1, 2, 256, 512, 0),
+    "B1H2-256x512-offset": (1, 2, 256, 512, 256),
+    "B1H2-512x512-above-budget": (1, 2, 512, 512, 0),
+}
+
+
+@pytest.mark.parametrize("shape", list(SCORE_SHAPES))
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
+def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causal, rate):
+    bsz, heads, m, t, offset = SCORE_SHAPES[shape]
+    cfg = ModelConfig(embed_dim=8 * heads, n_layers=1, n_heads=heads, ff_dim=8, vocab=5,
+                      seq_len=t, batch=bsz, causal=causal, precision=precision)
+    policy = DropoutPolicy(rate=rate, seed=11)
+    rng = np.random.default_rng(12)
+    q = rand(rng, (bsz, m, cfg.embed_dim), cfg.dtype)
+    k, v = (rand(rng, (bsz, t, cfg.embed_dim), cfg.dtype) for _ in range(2))
+    grad_ctx = rand(rng, q.shape, cfg.dtype)
+    frozen = Frozen(q, k, v, grad_ctx)
+
+    want_counters, got_counters = tensor.StepCounters(), tensor.StepCounters()
+    with tensor.counting(want_counters):
+        want_ctx, want_w, want_keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
+        want_grads = ref_scores_bwd(want_w, want_keep, q, k, v, grad_ctx, cfg, policy)
+    with tensor.recycling(), tensor.counting(got_counters):
+        ctx, cache = model.scores_fwd(q, k, v, offset, cfg, policy, 3)
+        assert cache.nbytes == want_w.nbytes + (0 if want_keep is None else want_keep.nbytes)
+        assert_bitwise(np.stack(cache.weights), want_w)
+        if want_keep is None:
+            assert cache.keep == [None] * bsz * heads
+        else:
+            keep = np.stack(cache.keep)
+            if causal:  # the full mask on visible keys, a part of it beyond
+                visible = np.arange(t) <= np.arange(offset, offset + m)[:, None]
+                assert_bitwise(keep & visible, want_keep & visible)
+                assert_bitwise(keep & want_keep, keep)
+            else:
+                assert_bitwise(keep, want_keep)
+        grads = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+    assert_bitwise(ctx, want_ctx)
+    for got, want in zip(grads, want_grads):
+        assert_bitwise(got, want)
+    assert got_counters == want_counters
+    frozen.check()
+
+
+@pytest.mark.parametrize("rows,n_cols", [(7, 5), (300, 200), (40, 2000)])
+def test_keep_mask_hashes_visible_keys_only(rows, n_cols):
+    """Counts below, at and above the tile's width: the mask is the full mask
+    within each row's count (and up to its tile's largest count), False past
+    the tile's largest count."""
+    policy = DropoutPolicy(rate=0.4, seed=5)
+    rng = np.random.default_rng(13)
+    row_keys = rng.integers(0, 2**63, size=rows, dtype=np.uint64)
+    visible = rng.integers(1, n_cols + 1, size=rows)
+    full = nnops.keep_mask(policy, row_keys, n_cols)
+    got = nnops.keep_mask(policy, row_keys, n_cols, visible=visible)
+    height, _ = nnops.row_tile(n_cols)
+    for r0 in range(0, rows, height):
+        stop = visible[r0 : r0 + height].max()
+        assert_bitwise(got[r0 : r0 + height, :stop], full[r0 : r0 + height, :stop])
+        assert not got[r0 : r0 + height, stop:].any()
+    within = np.arange(n_cols) < visible[:, None]
+    assert_bitwise(got & within, full & within)
 
 
 # --- allocation guard ---

@@ -285,6 +285,29 @@ def test_cli_train_writes_artifacts(tmp_path, capsys):
     assert "final loss" in capsys.readouterr().out
 
 
+def test_cli_check_passes_a_correct_single_precision_run(tmp_path):
+    """The oracle check's bound follows the precision: this correct float32
+    run misses its oracle by about one ulp of 1, far above double's 1e-8."""
+    out = tmp_path / "single"
+    rc = run_cli(
+        "train", "--engine", "sharded", "--workers", "2", "--precision", "single", "--check",
+        "--embed-dim", "32", "--layers", "2", "--heads", "4", "--ff-dim", "64",
+        "--seq-len", "48", "--batch", "2", "--steps", "3", "--out", str(out),
+    )
+    with open(out / "summary.json") as f:
+        summary = json.load(f)["summary"]
+    assert 1e-8 < summary["max_param_delta"] < summary["equivalence_tolerance"]
+    assert summary["equivalence_tolerance"] == runner.equivalence_tolerance(np.float32)
+    assert rc == 0
+    assert "(pass below 7.629e-06)" in (out / "summary.txt").read_text()
+
+
+def test_equivalence_tolerance_keeps_double_at_1e_8():
+    assert runner.equivalence_tolerance(np.float64) == 1e-8
+    eps32 = float(np.finfo(np.float32).eps)
+    assert runner.equivalence_tolerance(np.float32) == runner.EQUIVALENCE_ULPS * eps32
+
+
 def test_cli_config_file_overrides_flags(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({
