@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-from . import costs, optim, runner, tensor
+from . import costs, grid, optim, runner, tensor
 from .collectives import CommLedger
 from .model import ModelConfig
 from .runner import RunConfig
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run one training experiment and write artifacts")
     _add_model_flags(t)
-    t.add_argument("--engine", choices=costs.ENGINES, default="sequential")
+    t.add_argument("--engine", choices=grid.ENGINES, default="sequential")
     t.add_argument("--workers", type=int, default=1, help="sequence-group size")
     t.add_argument("--replicas", type=int, default=1, help="data-parallel rows (hybrid)")
     t.add_argument("--steps", type=int, default=10)
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cost", help="closed-form cost estimates")
     _add_model_flags(c)
-    c.add_argument("--engine", choices=costs.ENGINES, default="sharded")
+    c.add_argument("--engine", choices=grid.ENGINES, default="sharded")
     c.add_argument("--workers", default="1")
     c.add_argument("--no-fuse", action="store_true")
     c.add_argument("--weak-scaling", action="store_true",

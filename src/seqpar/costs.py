@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import PartitionError
+from .grid import GridLayout, check_grid
 from .model import ModelConfig, param_count, param_shapes
 
 # Worker-count / sequence-length pairs that hold the per-worker attention
@@ -31,8 +31,6 @@ WEAK_SCALING_SCHEDULE = (
     (324, 18792),
     (864, 50112),
 )
-
-ENGINES = ("sequential", "sharded", "baseline", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -69,20 +67,7 @@ def estimate(
     every worker is identical; for the baseline, rank 0 does all
     attention/ffn/head work and holds the full score footprint.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if replicas < 1:
-        raise ValueError(f"replicas must be positive, got {replicas}")
-    if engine == "sequential" and workers != 1:
-        raise ValueError("the sequential engine runs on exactly one worker")
-    if engine != "hybrid" and replicas != 1:
-        raise ValueError(f"the {engine} engine takes replicas=1; use engine=hybrid")
-    if cfg.seq_len % workers != 0:
-        raise PartitionError(
-            f"sequence length {cfg.seq_len} not divisible by {workers} workers"
-        )
+    check_grid(engine, GridLayout(replicas, workers), cfg.seq_len)
     l, b, h, dk, e, f, layers = (
         cfg.seq_len, cfg.batch, cfg.n_heads, cfg.head_dim,
         cfg.embed_dim, cfg.ff_dim, cfg.n_layers,

@@ -33,8 +33,10 @@ class GridLayout:
     seq_workers: int
 
     def __post_init__(self) -> None:
-        if self.replicas < 1 or self.seq_workers < 1:
-            raise ValueError("grid dimensions must be positive")
+        if self.replicas < 1:
+            raise ValueError(f"replicas must be positive, got {self.replicas}")
+        if self.seq_workers < 1:
+            raise ValueError(f"workers must be positive, got {self.seq_workers}")
 
     @property
     def world(self) -> int:
@@ -50,6 +52,25 @@ class GridLayout:
 
     def data_members(self, seq_index: int) -> tuple[int, ...]:
         return tuple(seq_index + d * self.seq_workers for d in range(self.replicas))
+
+
+ENGINES = ("sequential", "sharded", "baseline", "hybrid")
+
+
+def check_grid(engine: str, layout: GridLayout, seq_len: int) -> None:
+    """Raise unless ``engine`` runs on ``layout`` with sequences of ``seq_len``:
+    only hybrid takes more than one replica, sequential takes one worker, and
+    the workers split the sequence evenly."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    if engine != "hybrid" and layout.replicas != 1:
+        raise ValueError(f"the {engine} engine takes replicas=1; use engine=hybrid")
+    if engine == "sequential" and layout.seq_workers != 1:
+        raise ValueError("the sequential engine runs on a single worker")
+    if seq_len % layout.seq_workers:
+        raise PartitionError(
+            f"sequence length {seq_len} not divisible by {layout.seq_workers} workers"
+        )
 
 
 def make_groups(

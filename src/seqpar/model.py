@@ -726,11 +726,14 @@ def head_bwd(cache: HeadCache, params: Parameters):
     return grad_x.reshape(cache.shape3), final_gain_g, final_bias_g, head_wg, head_bg
 
 
-# --- sequential reference engine ---
+# --- the whole stack: sequential reference engine ---
 
 
 @dataclass
-class SequentialCache:
+class StackCache:
+    """What a forward pass over the whole stack holds for its backward; the
+    sequential and the sharded forward both return one."""
+
     embed: EmbedCache
     layers: list[LayerCache]
     head: HeadCache
@@ -747,7 +750,7 @@ def forward(
     tokens: np.ndarray,
     targets: np.ndarray | None = None,
     policy: DropoutPolicy | None = None,
-) -> tuple[float | None, SequentialCache]:
+) -> tuple[float | None, StackCache]:
     """Whole-sequence forward pass on one worker."""
     policy = policy if policy is not None else DropoutPolicy.off()
     if tokens.ndim != 2:
@@ -758,17 +761,20 @@ def forward(
         x, c = layer_fwd(lp, cfg, policy, li, x, 0)
         layer_caches.append(c)
     loss, h_cache = head_fwd(x, params, targets)
-    return loss, SequentialCache(e_cache, layer_caches, h_cache, policy)
+    return loss, StackCache(e_cache, layer_caches, h_cache, policy)
 
 
-def backward(params: Parameters, cfg: ModelConfig, cache: SequentialCache) -> Parameters:
-    """Gradients of the mean-over-tokens loss w.r.t. every parameter."""
+def backward(params: Parameters, cfg: ModelConfig, cache: StackCache, kv_bwd=None) -> Parameters:
+    """Gradients of the mean-over-tokens loss w.r.t. every parameter.
+    ``kv_bwd(layer)``, when given, returns the hook :func:`layer_bwd` runs
+    that layer with, matching the ``kv_fwd`` its forward ran with."""
     policy = cache.policy
     grad_x, final_gain_g, final_bias_g, head_wg, head_bg = head_bwd(cache.head, params)
     layer_grads: list[LayerParams | None] = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
+        hook = local_kv_bwd if kv_bwd is None else kv_bwd(li)
         grad_x, layer_grads[li] = layer_bwd(
-            params.layers[li], cfg, policy, li, cache.layers[li], grad_x
+            params.layers[li], cfg, policy, li, cache.layers[li], grad_x, hook
         )
     grad_tok, grad_pe = embed_bwd(cache.embed, cfg.vocab, policy, grad_x)
     return Parameters(token_table=grad_tok, pos_table=grad_pe, layers=layer_grads,

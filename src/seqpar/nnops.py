@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor
-from .errors import ShapeError
+from .errors import NumericsError, ShapeError
 
 LAYERNORM_EPS = 1e-5
 
@@ -411,5 +411,5 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     grad[rows, targets] -= 1.0
     grad /= n
     if not math.isfinite(loss):
-        raise ValueError("cross_entropy produced a non-finite loss")
+        raise NumericsError("cross_entropy produced a non-finite loss")
     return loss, tensor.check_finite(grad, "cross_entropy grad")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import baseline, costs, data, grid, hybrid, model, optim, reporting, sharded
 from .collectives import CommRecord, run_workers
-from .costs import ENGINES
+from .errors import PartitionError
 from .grid import GridLayout, Run
 from .model import ModelConfig, Parameters
 from .nnops import DropoutPolicy
@@ -63,6 +63,13 @@ def default_model() -> ModelConfig:
     )
 
 
+def _check_oracle_matches(layout: GridLayout, dropout: float) -> None:
+    """Raise unless the sequential oracle can reproduce a run on ``layout``:
+    replicas draw independent dropout masks, which no sequential run does."""
+    if layout.replicas > 1 and dropout > 0:
+        raise ValueError("the equivalence check requires dropout off when replicas > 1")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs; flags, config files and tests all build this."""
@@ -82,27 +89,16 @@ class RunConfig:
     equivalence_check: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}, expected one of {ENGINES}")
-        if self.workers < 1 or self.replicas < 1:
-            raise ValueError("workers and replicas must be positive")
-        if self.engine == "sequential" and (self.workers != 1 or self.replicas != 1):
-            raise ValueError("the sequential engine runs on a single worker")
-        if self.engine in ("sharded", "baseline") and self.replicas != 1:
-            raise ValueError(f"the {self.engine} engine takes replicas=1; use engine=hybrid")
-        if self.model.seq_len % self.workers != 0:
-            raise ValueError(
-                f"sequence length {self.model.seq_len} not divisible by {self.workers} workers"
-            )
+        layout = GridLayout(self.replicas, self.workers)
+        grid.check_grid(self.engine, layout, self.model.seq_len)
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if not math.isfinite(self.lr):
             raise ValueError(f"lr must be finite, got {self.lr}")
         if self.optimizer not in optim.OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.equivalence_check and self.replicas > 1 and self.model.dropout > 0:
-            # Replicas draw independent dropout masks; no sequential run matches.
-            raise ValueError("the equivalence check requires dropout off when replicas > 1")
+        if self.equivalence_check:
+            _check_oracle_matches(layout, self.model.dropout)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -155,15 +151,14 @@ def _sequential_steps(cfg: ModelConfig, params: Parameters, batches, **kw) -> Ru
 def _train(engine: str, cfg: ModelConfig, params: Parameters, layout: GridLayout, batches,
            *, fused: bool = True, **kw) -> Run:
     """Train ``engine`` on ``layout`` through the engine's entry point."""
+    grid.check_grid(engine, layout, cfg.seq_len)
     if engine == "sequential":
         return _sequential_steps(cfg, params, batches, **kw)
     if engine == "baseline":
         return baseline.run_steps(cfg, params, layout.seq_workers, batches, **kw)
     if engine == "sharded":
         return sharded.run_steps(cfg, params, layout.seq_workers, batches, fused=fused, **kw)
-    if engine == "hybrid":
-        return hybrid.run_steps(cfg, params, layout, batches, fused=fused, **kw)
-    raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    return hybrid.run_steps(cfg, params, layout, batches, fused=fused, **kw)
 
 
 def _collectives_per_step(records: list[CommRecord], steps: int) -> list[dict[str, int]]:
@@ -336,37 +331,41 @@ def verify_equivalence(
     for name, counts in (("workers", workers), ("replicas", replicas)):
         if any(n < 1 for n in counts):
             raise ValueError(f"{name} must all be positive, got {counts}")
-    if "sequential" in engines and set(workers) != {1}:
-        raise ValueError(f"the sequential engine runs on a single worker, got workers {workers}")
-    if "hybrid" in engines and cfg.dropout > 0:
-        raise ValueError("hybrid verification requires dropout off")
+    grids = []  # every grid is checked before any trains
+    for engine in engines:
+        for d in replicas if engine == "hybrid" else (1,):
+            for n in workers:
+                layout = GridLayout(d, n)
+                try:
+                    grid.check_grid(engine, layout, cfg.seq_len)
+                except PartitionError:
+                    continue  # worker counts that do not split the sequence are skipped
+                _check_oracle_matches(layout, cfg.dropout)
+                grids.append((engine, layout))
     rng = np.random.default_rng(seed)
     policy = DropoutPolicy(rate=cfg.dropout, seed=seed)
     params0 = model.init_params(cfg, seed)
     oracles: dict[int, tuple[list, Run]] = {}  # replicas -> (batches, oracle run)
 
     rows = []
-    for engine in engines:
-        for d in replicas if engine == "hybrid" else (1,):
-            if d not in oracles:
-                shape = (d * cfg.batch, cfg.seq_len)
-                batches = [
-                    (rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))
-                    for _ in range(steps)
-                ]
-                oracles[d] = batches, _sequential_steps(cfg, params0, batches, lr=lr, policy=policy)
-            batches, oracle = oracles[d]
-            for n in workers:
-                if cfg.seq_len % n:
-                    continue
-                run = _train(engine, cfg, params0, GridLayout(d, n), batches, lr=lr, policy=policy)
-                delta = _max_param_delta(run.final_params, oracle.final_params)
-                rows.append({
-                    "engine": engine,
-                    "workers": n,
-                    "replicas": d,
-                    "max_param_delta": delta,
-                    "pass": bool(delta < tolerance),
-                    "loss_delta": abs(run.step_losses[-1] - oracle.step_losses[-1]),
-                })
+    for engine, layout in grids:
+        d, n = layout.replicas, layout.seq_workers
+        if d not in oracles:
+            shape = (d * cfg.batch, cfg.seq_len)
+            batches = [
+                (rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))
+                for _ in range(steps)
+            ]
+            oracles[d] = batches, _sequential_steps(cfg, params0, batches, lr=lr, policy=policy)
+        batches, oracle = oracles[d]
+        run = _train(engine, cfg, params0, layout, batches, lr=lr, policy=policy)
+        delta = _max_param_delta(run.final_params, oracle.final_params)
+        rows.append({
+            "engine": engine,
+            "workers": n,
+            "replicas": d,
+            "max_param_delta": delta,
+            "pass": bool(delta < tolerance),
+            "loss_delta": abs(run.step_losses[-1] - oracle.step_losses[-1]),
+        })
     return rows

@@ -1,13 +1,16 @@
-"""Sequence-parallel engine with distributed attention.
+"""Sequence-parallel engine: the model's own stack, with each layer's keys
+and values drawn from the whole sequence.
 
 Each worker owns a contiguous block of the sequence: its token ids, its rows
-of the position table, and a full replica of every other parameter.  Per
-layer, the forward pass all-gathers the post-layernorm activation once and
-recomputes keys/values from it locally, so attention for the worker's own
-query rows runs against the whole sequence; the backward pass reduce-scatters
-the key/value path's gradient once.  Gradients of replicated parameters are
-averaged in a single flat all-reduce per step; position rows never cross
-the sequence group.
+of the position table, and a full replica of every other parameter.  The
+forward pass is :func:`seqpar.model.layer_fwd` per layer and the backward
+pass is :func:`seqpar.model.backward`; the engine only supplies each layer's
+matched key/value hooks (:func:`kv_hooks`).  Forward, the hook all-gathers
+the post-layernorm activation once and recomputes keys/values from it
+locally, so attention for the worker's own query rows runs against the whole
+sequence; backward, its twin reduce-scatters the key/value path's gradient
+once.  Gradients of replicated parameters are averaged in a single flat
+all-reduce per step; position rows never cross the sequence group.
 
 Communication per training step with L layers:
     forward   L all-gathers
@@ -27,7 +30,6 @@ through :func:`seqpar.grid.train`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -36,17 +38,36 @@ from . import grid, model
 from .collectives import run_workers
 from .errors import ShapeError
 from .grid import GridLayout, Run, Worker
-from .model import ModelConfig, Parameters
+from .model import ModelConfig, Parameters, StackCache
 from .nnops import DropoutPolicy
 
 
-@dataclass
-class ShardedCache:
-    embed: model.EmbedCache
-    layers: list[model.LayerCache]
-    head: model.HeadCache
-    policy: DropoutPolicy
-    fused: bool
+def kv_hooks(worker: Worker, step: int, layer: int, fused: bool):
+    """One layer's matched ``(kv_fwd, kv_bwd)`` hooks for
+    :func:`seqpar.model.layer_fwd`/:func:`~seqpar.model.layer_bwd`.  Fused,
+    the forward all-gathers the normalized block and projects keys and values
+    over the whole sequence, and the backward reduce-scatters that block's
+    gradient; unfused, keys and values are projected locally and gathered
+    (and their gradients reduce-scattered) one at a time."""
+    comm, group, rank = worker.comm, worker.seq_group, worker.rank
+    tag = dict(dim=1, step=step, layer=layer)
+    gather = partial(comm.all_gather, group, rank, phase="forward", **tag)
+    scatter = partial(comm.reduce_scatter, group, rank, phase="backward", **tag)
+    if fused:
+        def kv_fwd(xh, lp):
+            return model.local_kv_fwd(gather(xh), lp)
+
+        def kv_bwd(kv_ctx, lp, grad_k, grad_v):
+            grad_full, *weight_grads = model.local_kv_bwd(kv_ctx, lp, grad_k, grad_v)
+            return scatter(grad_full), *weight_grads
+    else:
+        def kv_fwd(xh, lp):
+            k, v, _ = model.local_kv_fwd(xh, lp)
+            return gather(k), gather(v), xh
+
+        def kv_bwd(kv_ctx, lp, grad_k, grad_v):
+            return model.local_kv_bwd(kv_ctx, lp, scatter(grad_k), scatter(grad_v))
+    return kv_fwd, kv_bwd
 
 
 def forward(
@@ -59,71 +80,21 @@ def forward(
     policy: DropoutPolicy | None = None,
     step: int = 0,
     fused: bool = True,
-) -> tuple[float | None, ShardedCache]:
+) -> tuple[float | None, StackCache]:
     """Forward over this worker's block; returns its partial loss (the mean
     cross-entropy over its own tokens)."""
-    comm, group, spec, wrank = worker.comm, worker.seq_group, worker.spec, worker.rank
+    spec = worker.spec
     policy = policy if policy is not None else DropoutPolicy.off()
     if tokens_seg.shape[1] != spec.block:
         raise ShapeError(f"token block has {tokens_seg.shape[1]} columns, expected {spec.block}")
     x, e_cache = model.embed_fwd(params, cfg, tokens_seg, spec.offset, policy)
     caches = []
     for li, lp in enumerate(params.layers):
-        gather = partial(comm.all_gather, group, wrank, dim=1, step=step, phase="forward", layer=li)
-        if fused:
-            def kv_fwd(xh, lp, gather=gather):
-                return model.local_kv_fwd(gather(xh), lp)
-        else:
-            def kv_fwd(xh, lp, gather=gather):
-                k, v, _ = model.local_kv_fwd(xh, lp)
-                return gather(k), gather(v), xh
+        kv_fwd, _ = kv_hooks(worker, step, li, fused)
         x, c = model.layer_fwd(lp, cfg, policy, li, x, spec.offset, kv_fwd)
         caches.append(c)
     partial_loss, h_cache = model.head_fwd(x, params, targets_seg)
-    return partial_loss, ShardedCache(e_cache, caches, h_cache, policy, fused)
-
-
-def backward(
-    worker: Worker,
-    params: Parameters,
-    cfg: ModelConfig,
-    cache: ShardedCache,
-    *,
-    step: int = 0,
-) -> Parameters:
-    """Gradients of this worker's partial loss, with cross-worker credit
-    collected through one reduce-scatter per layer.
-
-    The returned position-row gradient is already scaled so that, like the
-    replicated parameters after averaging, it equals the gradient of the
-    group-mean loss: the reduce-scatter hands the owner the *sum* of every
-    worker's contribution to its rows, so the owner divides by the group
-    size once.
-    """
-    comm, group, wrank = worker.comm, worker.seq_group, worker.rank
-    policy = cache.policy
-    grad_x, final_gain_g, final_bias_g, head_wg, head_bg = model.head_bwd(cache.head, params)
-    layer_grads: list[model.LayerParams | None] = [None] * len(params.layers)
-    for li in range(len(params.layers) - 1, -1, -1):
-        scatter = partial(
-            comm.reduce_scatter, group, wrank, dim=1, step=step, phase="backward", layer=li
-        )
-        if cache.fused:
-            def kv_bwd(kv_ctx, lp, grad_k, grad_v, scatter=scatter):
-                grad_full, *weight_grads = model.local_kv_bwd(kv_ctx, lp, grad_k, grad_v)
-                return scatter(grad_full), *weight_grads
-        else:
-            def kv_bwd(kv_ctx, lp, grad_k, grad_v, scatter=scatter):
-                return model.local_kv_bwd(kv_ctx, lp, scatter(grad_k), scatter(grad_v))
-        grad_x, layer_grads[li] = model.layer_bwd(
-            params.layers[li], cfg, policy, li, cache.layers[li], grad_x, kv_bwd
-        )
-    grad_tok, grad_pe = model.embed_bwd(cache.embed, cfg.vocab, policy, grad_x)
-    if group.size > 1:
-        grad_pe = grad_pe / group.size
-    return Parameters(token_table=grad_tok, pos_table=grad_pe, layers=layer_grads,
-                      final_gain=final_gain_g, final_bias=final_bias_g,
-                      head=model.LinearParams(head_wg, head_bg))
+    return partial_loss, StackCache(e_cache, caches, h_cache, policy)
 
 
 def sync(
@@ -159,12 +130,21 @@ def train_step(
 ) -> tuple[float, Parameters]:
     """forward -> backward -> gradient sync on one worker's block.  Returns
     the loss averaged over the grid, identical on every worker, and the
-    synced gradients."""
+    synced gradients.
+
+    The reduce-scatters hand each worker the *sum* of every worker's credit
+    to its position rows, so it divides that gradient by the group size
+    once; like the replicated parameters after averaging, it is then the
+    gradient of the group-mean loss.
+    """
     partial_loss, cache = forward(
         worker, params, cfg, tokens_seg, targets_seg,
         policy=policy, step=step, fused=fused,
     )
-    grads = backward(worker, params, cfg, cache, step=step)
+    grads = model.backward(params, cfg, cache,
+                           kv_bwd=lambda li: kv_hooks(worker, step, li, fused)[1])
+    if worker.seq_group.size > 1:
+        grads.pos_table = grads.pos_table / worker.seq_group.size
     grads, loss = sync(worker, grads, partial_loss, step=step)
     return loss, grads
 

@@ -10,10 +10,15 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from seqpar import model, runner
 from seqpar.collectives import Communicator
+from seqpar.grid import GridLayout
+from seqpar.model import ModelConfig
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -68,3 +73,45 @@ def test_collective_methods_match_the_tracer(spans):
         params = inspect.signature(method).parameters
         assert list(params)[1] == "group", name
         assert "phase" in params and params["phase"].kind is inspect.Parameter.KEYWORD_ONLY, name
+
+
+@pytest.mark.parametrize("engine, replicas, workers, fused", [
+    ("sequential", 1, 1, True), ("sharded", 1, 2, True), ("sharded", 1, 2, False),
+    ("baseline", 1, 2, True), ("hybrid", 2, 2, True),
+])
+def test_tracer_counts_one_step_per_rank_and_never_nests_an_engine_phase(
+        spans, engine, replicas, workers, fused):
+    """The tracer starts a step at each entry into a STEP_ROOTS name and sums
+    the inclusive time of every engine.fwd_ms and engine.bwd_ms name, so each
+    rank must enter exactly one root per step, and no name of either list may
+    run inside another of the same list (say, sharded.forward calling
+    model.forward): either would count a step or a phase twice."""
+    cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=16, vocab=32, seq_len=8,
+                      batch=2)
+    rng = np.random.default_rng(0)
+    shape = (replicas * cfg.batch, cfg.seq_len)
+    batches = [(rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))
+               for _ in range(2)]
+    with spans.Tracer(full=True) as tracer:
+        runner._train(engine, cfg, model.init_params(cfg, 0), GridLayout(replicas, workers),
+                      batches, lr=0.1, fused=fused)
+    recorded = tracer.spans
+    steps: dict[str, list[int]] = {}
+    for s in recorded:
+        if s.name in spans.STEP_ROOTS:
+            steps.setdefault(s.thread, []).append(s.step)
+    assert len(steps) == replicas * workers
+    assert all(sorted(seen) == [0, 1] for seen in steps.values()), steps
+    by_id = {s.id: s for s in recorded}
+    for metric in ("engine.fwd_ms", "engine.bwd_ms"):
+        names = spans.INCLUSIVE[metric]
+        for s in recorded:
+            if s.name not in names:
+                continue
+            outer = by_id.get(s.parent)
+            while outer is not None:
+                assert outer.name not in names, f"{metric}: {s.name} inside {outer.name}"
+                outer = by_id.get(outer.parent)
+    if engine != "baseline":  # its train_step is split into phases instead
+        bwd = Counter(s.thread for s in recorded if s.name in spans.INCLUSIVE["engine.bwd_ms"])
+        assert bwd == Counter(dict.fromkeys(steps, 2))

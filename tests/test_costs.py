@@ -88,7 +88,7 @@ def test_validation():
         estimate(cfg, 3)
     with pytest.raises(ValueError, match="unknown engine"):
         estimate(cfg, 1, "turbo")
-    with pytest.raises(ValueError, match="exactly one worker"):
+    with pytest.raises(ValueError, match="single worker"):
         estimate(cfg, 2, "sequential")
 
 

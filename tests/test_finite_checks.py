@@ -58,6 +58,18 @@ def test_inf_in_a_layer_weight_raises_in_that_layers_forward(engine, setup, upda
     assert updates == []
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_non_finite_logits_raise_numerics_error_before_the_update(engine, setup, updates):
+    cfg, params, batches = setup
+    params.head.weight[0, 0] = np.inf
+    workers = ENGINES[engine][0]
+    with pytest.raises(NumericsError, match="non-finite loss"):
+        runner._train(engine, cfg, params, GridLayout(1, workers), batches, lr=0.1,
+                      timeout=10.0)
+    assert updates == []
+
+
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_non_finite_gradient_raises_before_the_update(engine, setup, updates):
     """The last rank's step returns one NaN gradient entry; that rank raises

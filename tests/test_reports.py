@@ -265,6 +265,17 @@ def test_verify_equivalence_runs_sequential_on_one_worker_only():
     assert [(r["replicas"], r["workers"], r["max_param_delta"]) for r in rows] == [(1, 1, 0.0)]
 
 
+def test_verify_equivalence_refuses_dropout_only_on_hybrid_grids_of_several_replicas():
+    cfg = small_model(dropout=0.1)
+    with pytest.raises(ValueError, match="equivalence check requires dropout off"):
+        runner.verify_equivalence(cfg, engines=("hybrid",), workers=(2,), replicas=(1, 2),
+                                  steps=1)
+    # one replica has one mask stream, which the sequential oracle reproduces
+    rows = runner.verify_equivalence(cfg, engines=("hybrid",), workers=(2,), replicas=(1,),
+                                     steps=1)
+    assert [(r["replicas"], r["workers"], r["pass"]) for r in rows] == [(1, 2, True)]
+
+
 # --- CLI ---
 
 
