@@ -2,8 +2,12 @@
 
 The formulas mirror what the runtime counters in :mod:`seqpar.tensor`
 measure, so an estimate for a config can be checked against an instrumented
-run to the last flop.  Score flops accumulate over layers; the score-element
-figure is the footprint of one layer's scores, so it carries no layer factor.
+run to the last flop.  Score flops accumulate over layers and count only the
+keys each band of query rows can see (:func:`seqpar.model.score_bands`), so
+under a causal mask they grow with a worker's position in the sequence:
+:func:`score_flops` gives any worker's, and the estimate the busiest one's.
+The score-element figure is the footprint of one layer's score stack, the
+same on every worker of a sequence group, so it carries no layer factor.
 A training step keeps every layer's scores until its backward: the
 cached-bytes figure counts those, L times the score elements at ``itemsize``
 bytes each for the softmax weights, plus one byte each for the dropout keep
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .grid import GridLayout, check_grid
-from .model import ModelConfig, param_count, param_shapes
+from .model import ModelConfig, param_count, param_shapes, score_bands
 
 # Worker-count / sequence-length pairs that hold the per-worker attention
 # workload ratio to small integers: with block length l/n, per-worker score
@@ -35,15 +39,15 @@ WEAK_SCALING_SCHEDULE = (
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Per-step costs: compute figures for the busiest worker, collective
-    figures for the whole grid."""
+    """Per-step costs: compute and memory figures for the busiest worker,
+    collective figures for the whole grid."""
 
     engine: str
     workers: int
     seq_len: int
     block: int
 
-    score_flops: int            # forward QK^T + weights@V, summed over layers
+    score_flops: int            # forward QK^T + weights@V over visible keys, all layers
     score_elements_peak: int    # score entries of one layer
     score_cache_bytes: int      # every layer's score caches, held until backward
     proj_flops: int             # q/k/v/out projections, forward, all layers
@@ -63,14 +67,17 @@ def estimate(
     """Closed-form cost of one training step of ``engine`` on ``workers``
     (times ``replicas`` for the hybrid grid).
 
-    Figures describe the busiest worker: for the sharded and hybrid engines
-    every worker is identical; for the baseline, rank 0 does all
+    Figures describe the busiest worker.  For the sharded and hybrid engines
+    every worker holds the same score footprint and does the same
+    projection, ffn and head work, but a causal worker scores only the keys
+    its rows can see, so the last worker of a sequence group does the most
+    score flops, and ``score_flops`` is its figure (:func:`score_flops` gives
+    every other worker's).  For the baseline, rank 0 does all
     attention/ffn/head work and holds the full score footprint.
     """
     check_grid(engine, GridLayout(replicas, workers), cfg.seq_len)
-    l, b, h, dk, e, f, layers = (
-        cfg.seq_len, cfg.batch, cfg.n_heads, cfg.head_dim,
-        cfg.embed_dim, cfg.ff_dim, cfg.n_layers,
+    l, b, h, e, f, layers = (
+        cfg.seq_len, cfg.batch, cfg.n_heads, cfg.embed_dim, cfg.ff_dim, cfg.n_layers,
     )
     block = l // workers
     # Rows this worker pushes through attention scores / ffn / head, and the
@@ -101,7 +108,6 @@ def estimate(
         collectives = 0
         comm_elements = 0
 
-    score_flops = layers * b * h * (2 * q_rows * dk * l + 2 * q_rows * l * dk)
     score_elements_peak = b * h * q_rows * l
     score_cache_bytes = layers * score_elements_peak * (
         cfg.dtype.itemsize + (1 if cfg.dropout > 0 else 0)
@@ -115,7 +121,7 @@ def estimate(
         workers=workers,
         seq_len=l,
         block=block,
-        score_flops=score_flops,
+        score_flops=score_flops(cfg, q_rows, l - q_rows),
         score_elements_peak=score_elements_peak,
         score_cache_bytes=score_cache_bytes,
         proj_flops=proj_flops,
@@ -125,6 +131,17 @@ def estimate(
         comm_elements_per_step=comm_elements,
         complexity=_complexity(engine),
     )
+
+
+def score_flops(cfg: ModelConfig, rows: int, offset: int) -> int:
+    """Forward score flops of one training step, over every layer, of a
+    worker whose ``rows`` query rows start at global position ``offset``:
+    per (sample, head) block and band of :func:`seqpar.model.score_bands`,
+    QK^T and weights@V over the band's rows and its visible keys."""
+    dk = cfg.head_dim
+    per_block = sum(4 * (r1 - r0) * visible * dk
+                    for r0, r1, visible in score_bands(rows, cfg.seq_len, offset, cfg.causal))
+    return cfg.n_layers * cfg.batch * cfg.n_heads * per_block
 
 
 def _complexity(engine: str) -> dict:

@@ -287,28 +287,64 @@ def dropout3_bwd(grad_y, policy, mask):
 
 @dataclass
 class ScoreCache:
-    """What one layer's attention keeps for its backward, per (sample, head)
-    block in sample-major order: the softmax weights, and with dropout the
-    boolean keep mask (None without).  The dropped weights are not kept;
-    backward rebuilds them from these two.  Each list holds views into one
-    (blocks, rows, keys) stack; :func:`scores_bwd` empties both lists."""
+    """What one layer's attention keeps for its backward: the softmax weights
+    and, with dropout, the boolean keep mask (None without), each in one
+    (blocks, rows, keys) stack of (sample, head) blocks in sample-major
+    order.  The weights of each band of :func:`score_bands` are packed at the
+    stack's front (see :func:`_band_views`); the rest of the stack is unused.
+    The dropped weights are not kept; backward rebuilds them from these two.
+    :func:`scores_bwd` gives both stacks back and sets them to None, so a
+    spent cache cannot be read again."""
 
-    weights: list[np.ndarray]
-    keep: list[np.ndarray | None]
+    weights: np.ndarray | None
+    keep: np.ndarray | None
+    bands: list[tuple[int, int, int]]
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.weights) + sum(
-            k.nbytes for k in self.keep if k is not None
-        )
+        return sum(a.nbytes for a in (self.weights, self.keep) if a is not None)
 
 
-# Elements of score blocks that one pass of a row-wise op covers: one 256x512
-# block, or eight 128x128 ones.  Small blocks cost numpy call overhead more
-# than arithmetic, so consecutive (sample, head) blocks up to this budget go
-# through the scaling, the softmax, the keep-mask hash and the backward's
-# elementwise passes together, as one (blocks * rows, keys) view; a block
-# above the budget is a group of its own.  The matmuls stay per block.
+# Query rows per band of a causal score block.  Each band is scored only
+# against the keys its last row can see; 32 and 128 rows measured slower.
+SCORE_BAND_ROWS = 64
+
+
+def score_bands(rows: int, keys: int, offset: int, causal: bool) -> list[tuple[int, int, int]]:
+    """(first row, end row, visible keys) of each band of a score block whose
+    ``rows`` query rows sit at global positions ``offset``.. and whose
+    ``keys`` keys start at position 0.  A causal block is cut into bands of
+    :data:`SCORE_BAND_ROWS` rows (the last may be shorter), and a band's
+    rows see at most ``min(keys, offset + end row)`` keys.  A non-causal
+    block is one band of every key."""
+    if not causal:
+        return [(0, rows, keys)]
+    bands = []
+    for r0 in range(0, rows, SCORE_BAND_ROWS):
+        r1 = min(r0 + SCORE_BAND_ROWS, rows)
+        bands.append((r0, r1, min(keys, offset + r1)))
+    return bands
+
+
+def _band_views(stack: np.ndarray, bands) -> list[np.ndarray]:
+    """Each band's contiguous (blocks, band rows, visible keys) view of
+    ``stack``, packed one after another from the stack's first element."""
+    flat, blocks = stack.reshape(-1), stack.shape[0]
+    views, pos = [], 0
+    for r0, r1, visible in bands:
+        n = blocks * (r1 - r0) * visible
+        views.append(flat[pos : pos + n].reshape(blocks, r1 - r0, visible))
+        pos += n
+    return views
+
+
+# Score elements that one pass of a row-wise op covers: one full 256x512
+# block, or eight 64x256 bands.  Small blocks cost numpy call overhead more
+# than arithmetic, so one band of consecutive (sample, head) blocks, up to
+# this budget, goes through the scaling, the softmax, the keep-mask hash
+# and the backward's elementwise passes together, as one (blocks * band
+# rows, visible keys) view; a band above the budget is a group of its own.
+# The matmuls stay per block.
 SCORE_GROUP_WORDS = 1 << 17
 
 
@@ -317,6 +353,14 @@ def score_groups(blocks: int, block_words: int) -> tuple[int, list[range]]:
     indices) for ``blocks`` blocks of ``block_words`` elements each."""
     size = max(1, min(blocks, SCORE_GROUP_WORDS // max(1, block_words)))
     return size, [range(i, min(i + size, blocks)) for i in range(0, blocks, size)]
+
+
+def _band_groups(blocks: int, bands) -> tuple[list[tuple[int, list[range]]], int]:
+    """:func:`score_groups` of each band, and the most elements one group
+    of any band holds (the size of the work buffer that serves them all)."""
+    groups = [score_groups(blocks, (r1 - r0) * visible) for r0, r1, visible in bands]
+    words = max(size * (r1 - r0) * visible for (size, _), (r0, r1, visible) in zip(groups, bands))
+    return groups, words
 
 
 def _block_slices(bsz: int, heads: int, dk: int) -> list[tuple[int, slice]]:
@@ -337,17 +381,18 @@ def scores_fwd(
 
     ``q`` holds the local block's rows (global positions offset..offset+m),
     ``k``/``v`` hold the whole sequence; a causal row attends to keys at or
-    before its own global position.  Scores are materialized per head and
-    sample, which is exactly the activation footprint the counters track.
+    before its own global position.  Each (sample, head) block is scored a
+    band of rows at a time (:func:`score_bands`), against only the keys the
+    band's last row can see: the keys past them carry weights of exactly
+    zero, so they are neither multiplied, normalized, hashed nor kept.
 
     The weights (and keep masks) of all blocks go into one stack each, taken
-    through ``tensor.take``.  Each block's scores are multiplied straight
-    into the weight stack; the row-wise ops then run once per group of
-    blocks (:data:`SCORE_GROUP_WORDS`), and with dropout one group-sized
-    work buffer holds the group's dropped weights.  With a causal mask the
-    keep mask is hashed, a row tile at a time, only up to the last key the
-    tile's rows can see, and is False beyond it, where every weight is
-    exactly zero.
+    through ``tensor.take`` at the full (blocks, m, keys) size, with each
+    band's (blocks, band rows, visible keys) weights packed contiguously at
+    the front.  Each block's band scores are multiplied straight into the
+    stack; the row-wise ops then run once per group of blocks of one band
+    (:data:`SCORE_GROUP_WORDS`), and with dropout one group-sized work
+    buffer holds the group's dropped weights.
     """
     bsz, m, e = q.shape
     t = k.shape[1]
@@ -356,46 +401,53 @@ def scores_fwd(
     scale = 1.0 / math.sqrt(dk)  # a python float keeps single precision single
     q_pos = np.arange(offset, offset + m, dtype=np.int64)
     blocks = bsz * heads
-    size, groups = score_groups(blocks, m * t)
-    mask = visible = None
-    if cfg.causal:
-        mask = np.tile(np.arange(t)[None, :] <= q_pos[:, None], (size, 1))
-        visible = np.tile(q_pos + 1, size)
+    bands = score_bands(m, t, offset, cfg.causal)
+    band_groups, words = _band_groups(blocks, bands)
     weights = tensor.take((blocks, m, t), q.dtype)
     keep = None
+    keep_bands = [None] * len(bands)
     if policy.active:
         keep = tensor.take((blocks, m, t), np.bool_)
-        work = tensor.take((size * m, t), q.dtype)
+        keep_bands = _band_views(keep, bands)
+        work = tensor.take((words,), q.dtype)
+        row_keys = np.stack(
+            [nnops.score_row_keys(policy, layer, *divmod(i, heads), q_pos) for i in range(blocks)]
+        )
     ctx = np.empty_like(q)
     where = _block_slices(bsz, heads, dk)
-    for group in groups:
-        rows = len(group) * m
-        for i in group:
-            b, cols = where[i]
-            tensor.matmul(q[b, :, cols], k[b, :, cols].T, out=weights[i])
-            if counters is not None:
-                counters.add_score_flops(m, dk, t)
-        aw_d = aw = weights[group.start : group.stop].reshape(rows, t)
-        aw *= scale
-        tensor.softmax_rows(aw, None if mask is None else mask[:rows], out=aw)
-        if keep is not None:
-            row_keys = np.concatenate(
-                [nnops.score_row_keys(policy, layer, *divmod(i, heads), q_pos) for i in group]
-            )
-            kept = nnops.keep_mask(
-                policy, row_keys, t, out=keep[group.start : group.stop].reshape(rows, t),
-                visible=None if visible is None else visible[:rows],
-            )
-            aw_d = nnops.scaled_mask(policy, kept, aw.dtype, out=work[:rows])
-            aw_d *= aw
-        for j, i in enumerate(group):
-            b, cols = where[i]
-            ctx[b, :, cols] = tensor.matmul(aw_d[j * m : (j + 1) * m], v[b, :, cols])
-            if counters is not None:
-                counters.add_score_flops(m, t, dk)
+    for (r0, r1, visible), (size, groups), band, band_keep in zip(
+        bands, band_groups, _band_views(weights, bands), keep_bands
+    ):
+        h = r1 - r0
+        mask = None
+        if cfg.causal:
+            mask = np.tile(np.arange(visible)[None, :] <= q_pos[r0:r1, None], (size, 1))
+        for group in groups:
+            rows = len(group) * h
+            for i in group:
+                b, cols = where[i]
+                tensor.matmul(q[b, r0:r1, cols], k[b, :visible, cols].T, out=band[i])
+                if counters is not None:
+                    counters.add_score_flops(h, dk, visible)
+            aw_d = aw = band[group.start : group.stop].reshape(rows, visible)
+            aw *= scale
+            tensor.softmax_rows(aw, None if mask is None else mask[:rows], out=aw)
+            if keep is not None:
+                kept = nnops.keep_mask(
+                    policy, row_keys[group.start : group.stop, r0:r1].reshape(rows), visible,
+                    out=band_keep[group.start : group.stop].reshape(rows, visible),
+                )
+                aw_d = nnops.scaled_mask(policy, kept, aw.dtype,
+                                         out=work[: rows * visible].reshape(rows, visible))
+                aw_d *= aw
+            for j, i in enumerate(group):
+                b, cols = where[i]
+                ctx[b, r0:r1, cols] = tensor.matmul(aw_d[j * h : (j + 1) * h], v[b, :visible, cols])
+                if counters is not None:
+                    counters.add_score_flops(h, visible, dk)
     if keep is not None:
         tensor.give(work)
-    cache = ScoreCache(weights=list(weights), keep=[None] * blocks if keep is None else list(keep))
+    cache = ScoreCache(weights=weights, keep=keep, bands=bands)
     if counters is not None:
         counters.record_score_footprint(blocks * m * t)
         counters.add_score_cache(cache.nbytes)
@@ -411,72 +463,91 @@ def scores_bwd(
     cfg: ModelConfig,
     policy: DropoutPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per group of blocks (as in :func:`scores_fwd`), the dropped weights
-    are rebuilt as ``aw * scaled mask`` in a group-sized work buffer for the
-    value gradients only; the weight gradients then take that buffer, are
-    scaled by the same mask and run through the softmax backward in place.
-    The cache's stacks go back to ``tensor.give`` and its lists are emptied,
-    so a spent cache cannot be read again."""
-    bsz, m, e = q.shape
-    t = k.shape[1]
+    """Per band and group of blocks (as in :func:`scores_fwd`), the dropped
+    weights are rebuilt as ``aw * scaled mask`` in a group-sized work buffer
+    for the value gradients only; the weight gradients then take that
+    buffer, are scaled by the same mask and run through the softmax
+    backward in place.  Bands go from the widest to the narrowest: the
+    widest writes its blocks' key and value gradient rows up to its visible
+    keys (the rows past them, keys no query sees, are zero), and each
+    narrower band adds into its prefix of those rows.  The cache's stacks go
+    back to ``tensor.give`` and are dropped from it, so a spent cache cannot
+    be read again."""
+    bsz = q.shape[0]
     dk, heads = cfg.head_dim, cfg.n_heads
     blocks = bsz * heads
-    if len(cache.weights) != blocks or len(cache.keep) != blocks:
-        raise ValueError(f"score cache holds {len(cache.weights)} blocks, expected {blocks}; "
+    held = 0 if cache.weights is None else cache.weights.shape[0]
+    if held != blocks:
+        raise ValueError(f"score cache holds {held} blocks, expected {blocks}; "
                          "a cache serves one backward")
     scale = 1.0 / math.sqrt(dk)
+    weights, keep, bands = cache.weights, cache.keep, cache.bands
+    dt = weights.dtype
+    widest = bands[-1][2]
     grad_q = np.empty_like(q)
     grad_k = np.empty_like(k)
     grad_v = np.empty_like(v)
-    # every block is a view into one weight stack (and one keep stack)
-    weights = cache.weights[0].base
-    keep = None if cache.keep[0] is None else cache.keep[0].base
-    dt = weights.dtype
-    size, groups = score_groups(blocks, m * t)
-    work = tensor.take((size * m, t), dt)
-    height, words = nnops.row_tile(t)
-    tile = tensor.take((words,), dt)
-    row_sums = np.empty((size * m, 1), dt)
+    grad_k[:, widest:] = 0
+    grad_v[:, widest:] = 0
+    band_groups, words = _band_groups(blocks, bands)
+    work = tensor.take((words,), dt)
+    tile = tensor.take((nnops.row_tile(k.shape[1])[1],), dt)
+    most_rows = max(size * (r1 - r0) for (size, _), (r0, r1, _) in zip(band_groups, bands))
+    row_sums = np.empty((most_rows, 1), dt)
     where = _block_slices(bsz, heads, dk)
-    for group in groups:
-        rows = len(group) * m
-        aw_d = aw = weights[group.start : group.stop].reshape(rows, t)
-        grad_aw = work[:rows]
-        if keep is not None:
-            kept = keep[group.start : group.stop].reshape(rows, t)
-            aw_d = nnops.scaled_mask(policy, kept, dt, out=grad_aw)
-            aw_d *= aw
-        for j, i in enumerate(group):
-            b, cols = where[i]
-            grad_v[b, :, cols] = tensor.matmul(aw_d[j * m : (j + 1) * m].T, grad_ctx[b, :, cols])
-        for j, i in enumerate(group):
-            b, cols = where[i]
-            tensor.matmul(grad_ctx[b, :, cols], v[b, :, cols].T, out=grad_aw[j * m : (j + 1) * m])
-        if keep is not None:
-            # times the scaled mask, bitwise: a kept entry is scaled by
-            # 1 * c, a dropped one becomes a zero of its own sign
-            grad_aw *= kept
-            grad_aw *= nnops.keep_scale(policy, dt)
-        # softmax backward, in place: grad_s = aw * (grad_aw - rowsum(grad_aw * aw))
-        # * scale; masked-out entries have aw == 0, so they stay 0.  The
-        # row sums go a tile of rows at a time, which leaves each row's sum
-        # as it was.
-        for r0 in range(0, rows, height):
-            r1 = min(r0 + height, rows)
-            prod = tile[: (r1 - r0) * t].reshape(r1 - r0, t)
-            np.multiply(grad_aw[r0:r1], aw[r0:r1], out=prod)
-            np.sum(prod, axis=1, keepdims=True, out=row_sums[r0:r1])
-        grad_aw -= row_sums[:rows]
-        grad_aw *= aw
-        grad_aw *= scale
-        for j, i in enumerate(group):
-            b, cols = where[i]
-            grad_s = grad_aw[j * m : (j + 1) * m]
-            grad_q[b, :, cols] = tensor.matmul(grad_s, k[b, :, cols])
-            grad_k[b, :, cols] = tensor.matmul(grad_s.T, q[b, :, cols])
+    keep_bands = [None] * len(bands) if keep is None else _band_views(keep, bands)
+    planned = list(zip(bands, band_groups, _band_views(weights, bands), keep_bands))
+    for n, ((r0, r1, visible), (_, groups), band, band_keep) in enumerate(reversed(planned)):
+        h = r1 - r0
+        add = n > 0  # the widest band writes, the narrower ones add
+        height, _ = nnops.row_tile(visible)
+        for group in groups:
+            rows = len(group) * h
+            aw_d = aw = band[group.start : group.stop].reshape(rows, visible)
+            grad_aw = work[: rows * visible].reshape(rows, visible)
+            if band_keep is not None:
+                kept = band_keep[group.start : group.stop].reshape(rows, visible)
+                aw_d = nnops.scaled_mask(policy, kept, dt, out=grad_aw)
+                aw_d *= aw
+            for j, i in enumerate(group):
+                b, cols = where[i]
+                gv = tensor.matmul(aw_d[j * h : (j + 1) * h].T, grad_ctx[b, r0:r1, cols])
+                if add:
+                    grad_v[b, :visible, cols] += gv
+                else:
+                    grad_v[b, :visible, cols] = gv
+            for j, i in enumerate(group):
+                b, cols = where[i]
+                tensor.matmul(grad_ctx[b, r0:r1, cols], v[b, :visible, cols].T,
+                              out=grad_aw[j * h : (j + 1) * h])
+            if band_keep is not None:
+                # times the scaled mask, bitwise: a kept entry is scaled by
+                # 1 * c, a dropped one becomes a zero of its own sign
+                grad_aw *= kept
+                grad_aw *= nnops.keep_scale(policy, dt)
+            # softmax backward, in place: grad_s = aw * (grad_aw - rowsum(grad_aw * aw))
+            # * scale; masked-out entries have aw == 0, so they stay 0.  The
+            # row sums go a tile of rows at a time, which leaves each row's
+            # sum as it was.
+            for t0 in range(0, rows, height):
+                t1 = min(t0 + height, rows)
+                prod = tile[: (t1 - t0) * visible].reshape(t1 - t0, visible)
+                np.multiply(grad_aw[t0:t1], aw[t0:t1], out=prod)
+                np.sum(prod, axis=1, keepdims=True, out=row_sums[t0:t1])
+            grad_aw -= row_sums[:rows]
+            grad_aw *= aw
+            grad_aw *= scale
+            for j, i in enumerate(group):
+                b, cols = where[i]
+                grad_s = grad_aw[j * h : (j + 1) * h]
+                grad_q[b, r0:r1, cols] = tensor.matmul(grad_s, k[b, :visible, cols])
+                gk = tensor.matmul(grad_s.T, q[b, r0:r1, cols])
+                if add:
+                    grad_k[b, :visible, cols] += gk
+                else:
+                    grad_k[b, :visible, cols] = gk
     tensor.give(work, tile, *[a for a in (weights, keep) if a is not None])
-    cache.weights.clear()
-    cache.keep.clear()
+    cache.weights = cache.keep = None
     return grad_q, grad_k, grad_v
 
 

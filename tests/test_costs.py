@@ -1,10 +1,11 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from seqpar import baseline, grid, hybrid, model, runner, sharded, tensor
 from seqpar.collectives import Communicator, run_workers
-from seqpar.costs import WEAK_SCALING_SCHEDULE, estimate, weak_scaling_ratios
+from seqpar.costs import WEAK_SCALING_SCHEDULE, estimate, score_flops, weak_scaling_ratios
 from seqpar.errors import PartitionError
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
@@ -50,6 +51,25 @@ def test_doubling_workers_halves_score_footprint(tiny_cfg):
     assert one.score_elements_peak == 2 * two.score_elements_peak
     assert two.score_elements_peak == 2 * four.score_elements_peak
     assert one.score_flops == 2 * two.score_flops
+
+
+def test_score_flops_count_each_bands_visible_keys():
+    """300 positions on 3 workers, written out: a worker's 100 rows are a
+    64-row band and a ragged 36-row one, each seeing the keys up to its last
+    row; 2 layers x 3 samples x 2 heads of 4-wide QK^T and weights@V."""
+    cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=8, vocab=16, seq_len=300,
+                      batch=3)
+
+    def by_hand(*bands):
+        return 2 * 3 * 2 * sum(2 * 2 * rows * keys * 4 for rows, keys in bands)
+
+    assert score_flops(cfg, 100, 0) == by_hand((64, 64), (36, 100))
+    assert score_flops(cfg, 100, 200) == by_hand((64, 264), (36, 300))
+    assert estimate(cfg, 3, "sharded").score_flops == score_flops(cfg, 100, 200)
+    assert estimate(cfg, 1, "sequential").score_flops == by_hand(
+        (64, 64), (64, 128), (64, 192), (64, 256), (44, 300))
+    full = replace(cfg, causal=False)
+    assert score_flops(full, 100, 0) == score_flops(full, 100, 200) == by_hand((100, 300))
 
 
 def test_single_worker_sharded_matches_sequential_compute(tiny_cfg):
@@ -130,9 +150,11 @@ def test_sharded_measurement_matches_estimate(tiny_cfg, rng, n, fused):
     batches = [rand_batch(tiny_cfg, rng)]
     run = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.1, fused=fused)
     est = estimate(tiny_cfg, n, "sharded", fused=fused)
+    block = tiny_cfg.seq_len // n
     for w in range(n):
-        assert run.counters[w][0].attn_score_flops == est.score_flops
+        assert run.counters[w][0].attn_score_flops == score_flops(tiny_cfg, block, w * block)
         assert run.counters[w][0].attn_score_elements_peak == est.score_elements_peak
+    assert run.counters[-1][0].attn_score_flops == est.score_flops  # the busiest rank
     assert len(run.comm.ledger.records) == est.collectives_per_step
     assert sum(r.elements for r in run.comm.ledger.records) == est.comm_elements_per_step
 
@@ -144,16 +166,17 @@ def test_sharded_measurement_matches_estimate(tiny_cfg, rng, n, fused):
 ])
 def test_forward_matmul_flops_match_estimate(tiny_cfg, rng, engine, n, fused):
     """Every forward matmul is a projection, ffn, head or score product, so
-    the counted total is the sum of the four estimated figures."""
+    a rank's counted total is the sum of the three estimated figures every
+    rank shares and that rank's score flops."""
     params = model.init_params(tiny_cfg, 0)
     tokens, targets = rand_batch(tiny_cfg, rng)
     est = estimate(tiny_cfg, n, engine, fused=fused)
-    expected = est.proj_flops + est.ffn_flops + est.head_flops + est.score_flops
+    shared = est.proj_flops + est.ffn_flops + est.head_flops
     if engine == "sequential":
         counters = tensor.StepCounters()
         with tensor.counting(counters):
             model.forward(params, tiny_cfg, tokens, targets)
-        assert counters.matmul_flops == expected
+        assert counters.matmul_flops == shared + est.score_flops
         return
     comm = Communicator(n)
     seq_groups, data_groups = grid.make_groups(comm, grid.GridLayout(1, n))
@@ -168,7 +191,9 @@ def test_forward_matmul_flops_match_estimate(tiny_cfg, rng, engine, n, fused):
                             fused=fused)
         return counters.matmul_flops
 
-    assert run_workers(n, forward_flops, comm=comm) == [expected] * n
+    block = tiny_cfg.seq_len // n
+    expected = [shared + score_flops(tiny_cfg, block, r * block) for r in range(n)]
+    assert run_workers(n, forward_flops, comm=comm) == expected
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
@@ -182,9 +207,12 @@ def test_hybrid_measurement_matches_estimate(tiny_cfg, rng, replicas, workers, f
     run = hybrid.run_steps(tiny_cfg, params, grid.GridLayout(replicas, workers), batches,
                            lr=0.1, fused=fused)
     est = estimate(tiny_cfg, workers, "hybrid", fused=fused, replicas=replicas)
-    for counters in run.counters:
-        assert counters[0].attn_score_flops == est.score_flops
+    layout, block = grid.GridLayout(replicas, workers), tiny_cfg.seq_len // workers
+    for rank, counters in enumerate(run.counters):
+        offset = layout.coords(rank)[1] * block
+        assert counters[0].attn_score_flops == score_flops(tiny_cfg, block, offset)
         assert counters[0].attn_score_elements_peak == est.score_elements_peak
+    assert max(c[0].attn_score_flops for c in run.counters) == est.score_flops
     step0 = run.comm.ledger.select(step=0)
     assert len(step0) == est.collectives_per_step
     assert sum(r.elements for r in step0) == est.comm_elements_per_step
@@ -199,6 +227,35 @@ def test_baseline_measurement_matches_estimate(tiny_cfg, rng):
     assert run.counters[0][0].attn_score_elements_peak == est.score_elements_peak
     assert len(run.comm.ledger.records) == est.collectives_per_step
     assert sum(r.elements for r in run.comm.ledger.records) == est.comm_elements_per_step
+
+
+@pytest.mark.parametrize("engine,replicas,workers,seq_len,causal", [
+    ("sequential", 1, 1, 240, True),
+    ("sharded", 1, 1, 240, True), ("sharded", 1, 2, 240, True),
+    ("sharded", 1, 3, 240, True), ("sharded", 1, 4, 240, True),
+    ("sharded", 1, 3, 300, True),  # 100-row blocks: bands of 64 and a ragged 36
+    ("hybrid", 2, 2, 240, True), ("baseline", 1, 3, 240, True),
+    ("sharded", 1, 3, 240, False), ("baseline", 1, 2, 240, False),
+])
+def test_every_rank_scores_its_closed_form(engine, replicas, workers, seq_len, causal):
+    """Each rank's counted score flops equal ``score_flops`` of its rows and
+    offset, and the estimate is the busiest rank's."""
+    cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=8, vocab=16,
+                      seq_len=seq_len, batch=1, causal=causal)
+    rng = np.random.default_rng(3)
+    shape = (replicas * cfg.batch, seq_len)
+    batches = [(rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))]
+    layout = grid.GridLayout(replicas, workers)
+    run = runner._train(engine, cfg, model.init_params(cfg, 0), layout, batches, lr=0.1)
+    block = seq_len // workers
+    for rank, counters in enumerate(run.counters):
+        if engine == "baseline":  # rank 0 scores the whole sequence
+            want = score_flops(cfg, seq_len, 0) if rank == 0 else 0
+        else:
+            want = score_flops(cfg, block, layout.coords(rank)[1] * block)
+        assert counters[0].attn_score_flops == want
+    busiest = max(c[0].attn_score_flops for c in run.counters)
+    assert busiest == estimate(cfg, workers, engine, replicas=replicas).score_flops
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])

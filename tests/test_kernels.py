@@ -160,6 +160,90 @@ def ref_scores_bwd(weights, keep, q, k, v, grad_ctx, cfg, policy):
     return grad_q, grad_k, grad_v
 
 
+def ref_banded_scores_fwd(q, k, v, offset, cfg, policy, layer):
+    """Attention scores one (sample, head) block and one band of
+    :func:`model.score_bands` at a time, against the keys the band's last
+    row sees, every keep-mask entry of the band hashed: (ctx, per band a
+    (blocks, band rows, visible keys) weight array, the same of keep masks
+    or None)."""
+    bsz, m, _ = q.shape
+    t, dk = k.shape[1], cfg.head_dim
+    counters = tensor.active_counters()
+    scale = 1.0 / math.sqrt(dk)
+    q_pos = np.arange(offset, offset + m, dtype=np.int64)
+    blocks = bsz * cfg.n_heads
+    bands = model.score_bands(m, t, offset, cfg.causal)
+    weights = [np.empty((blocks, r1 - r0, vis), q.dtype) for r0, r1, vis in bands]
+    keep = [np.empty(w.shape, np.bool_) for w in weights] if policy.active else None
+    ctx = np.empty_like(q)
+    for n, (r0, r1, vis) in enumerate(bands):
+        mask = np.arange(vis)[None, :] <= q_pos[r0:r1, None] if cfg.causal else None
+        work = np.empty((r1 - r0, vis), q.dtype)
+        for b in range(bsz):
+            for h in range(cfg.n_heads):
+                i = b * cfg.n_heads + h
+                cols = slice(h * dk, (h + 1) * dk)
+                s = tensor.matmul(q[b, r0:r1, cols], k[b, :vis, cols].T, out=work)
+                s *= scale
+                if counters is not None:
+                    counters.add_score_flops(r1 - r0, dk, vis)
+                aw_d = aw = tensor.softmax_rows(s, mask, out=weights[n][i])
+                if keep is not None:
+                    row_keys = nnops.score_row_keys(policy, layer, b, h, q_pos[r0:r1])
+                    nnops.keep_mask(policy, row_keys, vis, out=keep[n][i])
+                    aw_d = nnops.scaled_mask(policy, keep[n][i], aw.dtype, out=work)
+                    aw_d *= aw
+                ctx[b, r0:r1, cols] = tensor.matmul(aw_d, v[b, :vis, cols])
+                if counters is not None:
+                    counters.add_score_flops(r1 - r0, vis, dk)
+    if counters is not None:
+        counters.record_score_footprint(blocks * m * t)
+        counters.add_score_cache(blocks * m * t * (q.dtype.itemsize + (keep is not None)))
+    return ctx, weights, keep
+
+
+def ref_banded_scores_bwd(weights, keep, q, k, v, offset, grad_ctx, cfg, policy):
+    """Backward of :func:`ref_banded_scores_fwd`, one block and band at a
+    time, from the widest band to the narrowest: the widest writes the key
+    and value gradient rows it sees, the narrower ones add into theirs, and
+    rows no band sees are zero."""
+    bsz, m, _ = q.shape
+    t, dk = k.shape[1], cfg.head_dim
+    scale = 1.0 / math.sqrt(dk)
+    bands = model.score_bands(m, t, offset, cfg.causal)
+    grad_q, grad_k, grad_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+    dt = q.dtype
+    for n in reversed(range(len(bands))):
+        r0, r1, vis = bands[n]
+        work = np.empty((r1 - r0, vis), dt)
+        for b in range(bsz):
+            for h in range(cfg.n_heads):
+                i = b * cfg.n_heads + h
+                cols = slice(h * dk, (h + 1) * dk)
+                aw, g_ctx = weights[n][i], grad_ctx[b, r0:r1, cols]
+                aw_d = aw
+                if keep is not None:
+                    aw_d = nnops.scaled_mask(policy, keep[n][i], dt, out=work)
+                    aw_d *= aw
+                gv = tensor.matmul(aw_d.T, g_ctx)
+                grad_aw = tensor.matmul(g_ctx, v[b, :vis, cols].T, out=work)
+                if keep is not None:
+                    grad_aw *= keep[n][i]
+                    grad_aw *= nnops.keep_scale(policy, dt)
+                grad_aw -= np.sum(grad_aw * aw, axis=1, keepdims=True)
+                grad_aw *= aw
+                grad_aw *= scale
+                grad_q[b, r0:r1, cols] = tensor.matmul(grad_aw, k[b, :vis, cols])
+                gk = tensor.matmul(grad_aw.T, q[b, r0:r1, cols])
+                if n == len(bands) - 1:
+                    grad_v[b, :vis, cols] = gv
+                    grad_k[b, :vis, cols] = gk
+                else:
+                    grad_v[b, :vis, cols] += gv
+                    grad_k[b, :vis, cols] += gk
+    return grad_q, grad_k, grad_v
+
+
 # --- helpers ---
 
 
@@ -316,24 +400,25 @@ def test_three_adam_steps_match_reference_bitwise(precision):
             assert_bitwise(got, want)
 
 
-# (batch, heads, rows, keys, offset) score shapes around the group budget:
-# nine 128x128 blocks make a group of eight and a group of one; 64 rows at
-# offset 128 of 256 keys leave the last 64 keys visible to no row; a
-# 256x512 block fills the budget alone; a 512x512 block exceeds it.
+# (batch, heads, rows, keys, offset) score shapes around the group budget
+# and the bands: nine 128x128 blocks make two bands, grouped eight and one;
+# 64 rows at offset 128 of 256 keys are one band that leaves the last 64
+# keys visible to no row; 256x512 blocks at offsets 0 and 256 are four
+# bands each, the widest 256x512 one filling the budget alone; a 512x512
+# block is eight bands and exceeds the budget unbanded; 100 rows at offset
+# 200 of 300 keys are a 64-row band and a ragged 36-row one.
 SCORE_SHAPES = {
     "B3H3-128x128": (3, 3, 128, 128, 0),
     "B3H3-64x256-offset": (3, 3, 64, 256, 128),
     "B1H2-256x512-at-budget": (1, 2, 256, 512, 0),
     "B1H2-256x512-offset": (1, 2, 256, 512, 256),
     "B1H2-512x512-above-budget": (1, 2, 512, 512, 0),
+    "B2H2-100x300-ragged": (2, 2, 100, 300, 200),
 }
 
 
-@pytest.mark.parametrize("shape", list(SCORE_SHAPES))
-@pytest.mark.parametrize("precision", ["double", "single"])
-@pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
-@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
-def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causal, rate):
+def score_case(shape, precision, causal, rate):
+    """(cfg, policy, q, k, v, offset, grad_ctx) of one SCORE_SHAPES case."""
     bsz, heads, m, t, offset = SCORE_SHAPES[shape]
     cfg = ModelConfig(embed_dim=8 * heads, n_layers=1, n_heads=heads, ff_dim=8, vocab=5,
                       seq_len=t, batch=bsz, causal=causal, precision=precision)
@@ -342,26 +427,46 @@ def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causa
     q = rand(rng, (bsz, m, cfg.embed_dim), cfg.dtype)
     k, v = (rand(rng, (bsz, t, cfg.embed_dim), cfg.dtype) for _ in range(2))
     grad_ctx = rand(rng, q.shape, cfg.dtype)
+    return cfg, policy, q, k, v, offset, grad_ctx
+
+
+def packed(arrays):
+    """Per-band arrays laid one after another, as the kernels pack a stack."""
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
+@pytest.mark.parametrize("shape", list(SCORE_SHAPES))
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
+def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causal, rate):
+    """Causal blocks against the banded loop, full blocks (one band of every
+    key) against the dense loop."""
+    cfg, policy, q, k, v, offset, grad_ctx = score_case(shape, precision, causal, rate)
+    bsz, m, t = q.shape[0], q.shape[1], k.shape[1]
     frozen = Frozen(q, k, v, grad_ctx)
 
     want_counters, got_counters = tensor.StepCounters(), tensor.StepCounters()
     with tensor.counting(want_counters):
-        want_ctx, want_w, want_keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
-        want_grads = ref_scores_bwd(want_w, want_keep, q, k, v, grad_ctx, cfg, policy)
+        if causal:
+            want_ctx, want_w, want_keep = ref_banded_scores_fwd(q, k, v, offset, cfg, policy, 3)
+            want_grads = ref_banded_scores_bwd(want_w, want_keep, q, k, v, offset, grad_ctx,
+                                               cfg, policy)
+        else:
+            want_ctx, dense_w, dense_keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
+            want_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, grad_ctx, cfg, policy)
+            want_w, want_keep = [dense_w], None if dense_keep is None else [dense_keep]
     with tensor.recycling(), tensor.counting(got_counters):
         ctx, cache = model.scores_fwd(q, k, v, offset, cfg, policy, 3)
-        assert cache.nbytes == want_w.nbytes + (0 if want_keep is None else want_keep.nbytes)
-        assert_bitwise(np.stack(cache.weights), want_w)
+        blocks = bsz * cfg.n_heads
+        assert cache.nbytes == blocks * m * t * (cfg.dtype.itemsize + (1 if rate else 0))
+        want_packed = packed(want_w)
+        assert_bitwise(cache.weights.reshape(-1)[: want_packed.size], want_packed)
         if want_keep is None:
-            assert cache.keep == [None] * bsz * heads
+            assert cache.keep is None
         else:
-            keep = np.stack(cache.keep)
-            if causal:  # the full mask on visible keys, a part of it beyond
-                visible = np.arange(t) <= np.arange(offset, offset + m)[:, None]
-                assert_bitwise(keep & visible, want_keep & visible)
-                assert_bitwise(keep & want_keep, keep)
-            else:
-                assert_bitwise(keep, want_keep)
+            want_packed = packed(want_keep)
+            assert_bitwise(cache.keep.reshape(-1)[: want_packed.size], want_packed)
         grads = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
     assert_bitwise(ctx, want_ctx)
     for got, want in zip(grads, want_grads):
@@ -370,24 +475,30 @@ def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causa
     frozen.check()
 
 
-@pytest.mark.parametrize("rows,n_cols", [(7, 5), (300, 200), (40, 2000)])
-def test_keep_mask_hashes_visible_keys_only(rows, n_cols):
-    """Counts below, at and above the tile's width: the mask is the full mask
-    within each row's count (and up to its tile's largest count), False past
-    the tile's largest count."""
-    policy = DropoutPolicy(rate=0.4, seed=5)
-    rng = np.random.default_rng(13)
-    row_keys = rng.integers(0, 2**63, size=rows, dtype=np.uint64)
-    visible = rng.integers(1, n_cols + 1, size=rows)
-    full = nnops.keep_mask(policy, row_keys, n_cols)
-    got = nnops.keep_mask(policy, row_keys, n_cols, visible=visible)
-    height, _ = nnops.row_tile(n_cols)
-    for r0 in range(0, rows, height):
-        stop = visible[r0 : r0 + height].max()
-        assert_bitwise(got[r0 : r0 + height, :stop], full[r0 : r0 + height, :stop])
-        assert not got[r0 : r0 + height, stop:].any()
-    within = np.arange(n_cols) < visible[:, None]
-    assert_bitwise(got & within, full & within)
+@pytest.mark.parametrize("shape", list(SCORE_SHAPES))
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
+def test_banded_loop_matches_the_dense_loop_within_rounding(shape, precision, rate):
+    """Leaving out the keys a band cannot see changes only the summation
+    order of its products, so outputs agree to ``keys * eps`` relative to
+    each array's largest entry: the rounding bound of a dot product over
+    ``keys`` terms.  Keep masks agree bit for bit on each band's keys, and
+    the dense weights past them are exactly zero."""
+    cfg, policy, q, k, v, offset, grad_ctx = score_case(shape, precision, True, rate)
+    t = k.shape[1]
+    tol = t * np.finfo(cfg.dtype).eps
+    ctx, weights, keep = ref_banded_scores_fwd(q, k, v, offset, cfg, policy, 3)
+    grads = ref_banded_scores_bwd(weights, keep, q, k, v, offset, grad_ctx, cfg, policy)
+    dense_ctx, dense_w, dense_keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
+    dense_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, grad_ctx, cfg, policy)
+    for n, (r0, r1, vis) in enumerate(model.score_bands(q.shape[1], t, offset, True)):
+        assert np.abs(weights[n] - dense_w[:, r0:r1, :vis]).max() <= tol
+        assert not dense_w[:, r0:r1, vis:].any()
+        if keep is not None:
+            assert_bitwise(keep[n], dense_keep[:, r0:r1, :vis])
+    for got, want in zip((ctx, *grads), (dense_ctx, *dense_grads)):
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 # --- allocation guard ---

@@ -39,6 +39,21 @@ def attention_oracle(q, k, v, offset, cfg):
     return out
 
 
+def unpack(cache, stack):
+    """A score cache's ``stack`` (its weights or keep masks) as one dense
+    (rows, keys) array per (sample, head) block, zero past each band's
+    visible keys: each band's (blocks, band rows, visible keys) entries lie
+    one after another from the front of the stack."""
+    blocks, m, t = stack.shape
+    dense = np.zeros(stack.shape, stack.dtype)
+    flat, pos = stack.reshape(-1), 0
+    for r0, r1, visible in cache.bands:
+        n = blocks * (r1 - r0) * visible
+        dense[:, r0:r1, :visible] = flat[pos : pos + n].reshape(blocks, r1 - r0, visible)
+        pos += n
+    return list(dense)
+
+
 # --- config and init ---
 
 
@@ -180,15 +195,18 @@ def test_scores_match_oracle_with_offset_block(rng):
 
 
 def test_zero_scores_give_uniform_causal_rows():
-    cfg = ModelConfig(embed_dim=4, n_layers=1, n_heads=1, ff_dim=4, vocab=5, seq_len=4, batch=1)
-    q = np.zeros((1, 4, 4))
-    k = np.zeros((1, 4, 4))
-    v = np.zeros((1, 4, 4))
+    """130 rows are three bands: 64, 64 and a ragged 2."""
+    t = 130
+    cfg = ModelConfig(embed_dim=4, n_layers=1, n_heads=1, ff_dim=4, vocab=5, seq_len=t, batch=1)
+    q = np.zeros((1, t, 4))
+    k = np.zeros((1, t, 4))
+    v = np.zeros((1, t, 4))
     _, cache = model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
-    aw = cache.weights[0]
-    for i in range(4):
+    assert len(cache.bands) == 3
+    aw = unpack(cache, cache.weights)[0]
+    for i in range(t):
         np.testing.assert_allclose(aw[i, : i + 1], np.full(i + 1, 1 / (i + 1)), atol=1e-15)
-        np.testing.assert_array_equal(aw[i, i + 1 :], np.zeros(4 - i - 1))
+        np.testing.assert_array_equal(aw[i, i + 1 :], np.zeros(t - i - 1))
 
 
 def test_single_row_attention_is_identity_weight():
@@ -197,19 +215,21 @@ def test_single_row_attention_is_identity_weight():
     q = rng.standard_normal((1, 1, 4))
     v = rng.standard_normal((1, 1, 4))
     ctx, cache = model.scores_fwd(q, q, v, 0, cfg, OFF, layer=0)
-    aw = cache.weights[0]
+    aw = unpack(cache, cache.weights)[0]
     np.testing.assert_array_equal(aw, np.array([[1.0]]))
     np.testing.assert_allclose(ctx, v, rtol=1e-15)
 
 
 def test_attention_rows_sum_to_one(rng):
-    cfg = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, ff_dim=8, vocab=5, seq_len=8, batch=2)
-    q = rng.standard_normal((2, 8, 8))
-    k = rng.standard_normal((2, 8, 8))
-    v = rng.standard_normal((2, 8, 8))
+    """150 rows are three bands: 64, 64 and a ragged 22."""
+    t = 150
+    cfg = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, ff_dim=8, vocab=5, seq_len=t, batch=2)
+    q = rng.standard_normal((2, t, 8))
+    k = rng.standard_normal((2, t, 8))
+    v = rng.standard_normal((2, t, 8))
     _, cache = model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
-    for aw in cache.weights:
-        np.testing.assert_allclose(np.sum(aw, axis=1), np.ones(8), atol=1e-12)
+    for aw in unpack(cache, cache.weights):
+        np.testing.assert_allclose(np.sum(aw, axis=1), np.ones(t), atol=1e-12)
 
 
 def test_score_counters_track_shapes(rng):
@@ -221,7 +241,8 @@ def test_score_counters_track_shapes(rng):
     with tensor.counting(counters):
         model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
     b, h, m, t, dk = 3, 2, 2, 6, 4
-    assert counters.attn_score_flops == b * h * (2 * m * dk * t + 2 * m * t * dk)
+    visible = 2  # rows 0 and 1 see keys 0 and 1; the stack still spans every key
+    assert counters.attn_score_flops == b * h * (2 * m * dk * visible + 2 * m * visible * dk)
     assert counters.attn_score_elements_peak == b * h * m * t
 
 
@@ -263,9 +284,11 @@ def test_scores_bwd_bitwise_matches_a_cache_of_dropped_weights(rng, causal, rate
     v = rng.standard_normal((2, cfg.seq_len, 12))
     grad_ctx = rng.standard_normal((2, m, 12))
     _, cache = model.scores_fwd(q, k, v, offset, cfg, policy, layer=1)
-    assert all((keep is None) == (rate == 0.0) for keep in cache.keep)
+    assert (cache.keep is None) == (rate == 0.0)
+    weights = unpack(cache, cache.weights)
+    keeps = [None] * len(weights) if cache.keep is None else unpack(cache, cache.keep)
     attn = [(aw, aw if keep is None else nnops.apply_mask(aw, policy, keep), keep)
-            for aw, keep in zip(cache.weights, cache.keep)]
+            for aw, keep in zip(weights, keeps)]
     got = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
     want = scores_bwd_with_dropped_copy(attn, q, k, v, grad_ctx, cfg, policy)
     for g, w in zip(got, want):
@@ -283,8 +306,9 @@ def test_score_cache_keeps_weights_and_keep_mask_only(rng, precision, rate):
     with tensor.counting(counters):
         ctx, cache = model.scores_fwd(q, k, v, 0, cfg, DropoutPolicy(rate=rate, seed=2), 0)
     assert ctx.dtype == dt
-    assert len(cache.weights) == len(cache.keep) == 3 * 2
-    assert {a.dtype for a in cache.weights} == {dt}
+    assert cache.weights.shape == (3 * 2, 6, 6)
+    assert cache.weights.dtype == dt
+    assert (cache.keep is None) == (rate == 0.0)
     elements = 3 * 2 * 6 * 6
     assert cache.nbytes == elements * (dt.itemsize + (1 if rate else 0))
     assert counters.attn_score_bytes_cached == cache.nbytes
@@ -303,12 +327,13 @@ def test_two_forwards_without_a_backward_get_distinct_stacks(rng):
     q, k, v = score_inputs(rng, cfg, 6)
     with tensor.recycling():
         _, first = model.scores_fwd(q, k, v, 0, cfg, policy, 0)
-        kept = [a.copy() for a in first.weights + first.keep]
+        stacks = [first.weights, first.keep]
+        kept = [a.copy() for a in stacks]
         _, second = model.scores_fwd(q, k, v, 0, cfg, policy, 1)
-        for a in first.weights + first.keep:
-            for b in second.weights + second.keep:
+        for a in stacks:
+            for b in (second.weights, second.keep):
                 assert not np.shares_memory(a, b)
-        assert all(np.array_equal(a, b) for a, b in zip(first.weights + first.keep, kept))
+        assert all(np.array_equal(a, b) for a, b in zip(stacks, kept))
 
 
 def test_scores_bwd_spends_its_cache_and_recycles_its_stacks(rng):
@@ -319,14 +344,14 @@ def test_scores_bwd_spends_its_cache_and_recycles_its_stacks(rng):
     grad_ctx = rng.standard_normal(q.shape)
     with tensor.recycling():
         _, cache = model.scores_fwd(q, k, v, 0, cfg, policy, 0)
-        stack = cache.weights[0].base
+        stack = cache.weights
         want = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
-        assert cache.weights == [] and cache.keep == []
+        assert cache.weights is None and cache.keep is None
         with pytest.raises(ValueError, match="one backward"):
             model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
         # the next forward reuses the stack, and the run repeats bit for bit
         _, again = model.scores_fwd(q, k, v, 0, cfg, policy, 0)
-        assert again.weights[0].base is stack
+        assert again.weights is stack
         got = model.scores_bwd(again, q, k, v, grad_ctx, cfg, policy)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()

@@ -75,6 +75,21 @@ def test_single_worker_run_is_bitwise_sequential(tiny_cfg, rng):
         assert a.tobytes() == b.tobytes()
 
 
+def test_single_worker_run_is_bitwise_sequential_across_bands(rng):
+    """512 positions are eight bands of causal score rows; with dropout the
+    keep masks of every band take part too."""
+    cfg = ModelConfig(embed_dim=16, n_layers=2, n_heads=2, ff_dim=16, vocab=64, seq_len=512,
+                      batch=1, dropout=0.1)
+    params = model.init_params(cfg, 0)
+    batches = make_batches(cfg, rng, 2)
+    policy = DropoutPolicy(rate=0.1, seed=6)
+    run = sharded.run_steps(cfg, params, 1, batches, lr=0.2, policy=policy)
+    oracle, oracle_losses, _ = sequential_sgd(cfg, params, batches, lr=0.2, policy=policy)
+    assert run.step_losses == oracle_losses
+    for (name, a), (_, b) in zip(run.final_params.named_arrays(), oracle.named_arrays()):
+        assert a.tobytes() == b.tobytes(), name
+
+
 # --- multi-worker exactness ---
 
 
