@@ -290,15 +290,16 @@ class ScoreCache:
     """What one layer's attention keeps for its backward: the softmax weights
     and, with dropout, the boolean keep mask (None without), each in one
     (blocks, rows, keys) stack of (sample, head) blocks in sample-major
-    order.  The weights of each band of :func:`score_bands` are packed at the
-    stack's front (see :func:`_band_views`); the rest of the stack is unused.
-    The dropped weights are not kept; backward rebuilds them from these two.
+    order, and the tile plan (:func:`score_tiles`) the forward walked.  Each
+    tile's weights and keep mask lie packed at the tile's ``start`` in the
+    stacks (see :func:`_tile`); the rest of each stack is unused.  The
+    dropped weights are not kept; backward rebuilds them from these two.
     :func:`scores_bwd` gives both stacks back and sets them to None, so a
     spent cache cannot be read again."""
 
     weights: np.ndarray | None
     keep: np.ndarray | None
-    bands: list[tuple[int, int, int]]
+    tiles: list[tuple[int, int, int, range, int]]
 
     @property
     def nbytes(self) -> int:
@@ -326,41 +327,45 @@ def score_bands(rows: int, keys: int, offset: int, causal: bool) -> list[tuple[i
     return bands
 
 
-def _band_views(stack: np.ndarray, bands) -> list[np.ndarray]:
-    """Each band's contiguous (blocks, band rows, visible keys) view of
-    ``stack``, packed one after another from the stack's first element."""
-    flat, blocks = stack.reshape(-1), stack.shape[0]
-    views, pos = [], 0
-    for r0, r1, visible in bands:
-        n = blocks * (r1 - r0) * visible
-        views.append(flat[pos : pos + n].reshape(blocks, r1 - r0, visible))
-        pos += n
-    return views
-
-
 # Score elements that one pass of a row-wise op covers: one full 256x512
 # block, or eight 64x256 bands.  Small blocks cost numpy call overhead more
 # than arithmetic, so one band of consecutive (sample, head) blocks, up to
 # this budget, goes through the scaling, the softmax, the keep-mask hash
-# and the backward's elementwise passes together, as one (blocks * band
-# rows, visible keys) view; a band above the budget is a group of its own.
-# The matmuls stay per block.
+# and the backward's elementwise passes together, as one tile; a band above
+# the budget makes a tile per block.  The matmuls stay per block.
 SCORE_GROUP_WORDS = 1 << 17
 
 
-def score_groups(blocks: int, block_words: int) -> tuple[int, list[range]]:
-    """(the largest group's block count, each group's range of block
-    indices) for ``blocks`` blocks of ``block_words`` elements each."""
-    size = max(1, min(blocks, SCORE_GROUP_WORDS // max(1, block_words)))
-    return size, [range(i, min(i + size, blocks)) for i in range(0, blocks, size)]
+def score_tiles(blocks: int, bands) -> list[tuple[int, int, int, range, int]]:
+    """The tiles ``blocks`` (sample, head) blocks are scored in, in the
+    order the forward runs them: for each band of ``bands``
+    (:func:`score_bands`), each group of consecutive blocks whose band rows
+    fit :data:`SCORE_GROUP_WORDS` together (one block at least), as
+    ``(first row, end row, visible keys, block range, start)``.  A tile's
+    weights are a (blocks * band rows, visible keys) array packed at flat
+    offset ``start`` of the layer's score stack, right after the tile
+    before it."""
+    tiles, start = [], 0
+    for r0, r1, visible in bands:
+        words = (r1 - r0) * visible
+        size = max(1, min(blocks, SCORE_GROUP_WORDS // words))
+        for i in range(0, blocks, size):
+            group = range(i, min(i + size, blocks))
+            tiles.append((r0, r1, visible, group, start))
+            start += len(group) * words
+    return tiles
 
 
-def _band_groups(blocks: int, bands) -> tuple[list[tuple[int, list[range]]], int]:
-    """:func:`score_groups` of each band, and the most elements one group
-    of any band holds (the size of the work buffer that serves them all)."""
-    groups = [score_groups(blocks, (r1 - r0) * visible) for r0, r1, visible in bands]
-    words = max(size * (r1 - r0) * visible for (size, _), (r0, r1, visible) in zip(groups, bands))
-    return groups, words
+def _tile(stack: np.ndarray, tile) -> np.ndarray:
+    """The 2-D (blocks * band rows, visible keys) view of ``tile`` in ``stack``."""
+    r0, r1, visible, group, start = tile
+    rows = len(group) * (r1 - r0)
+    return stack.reshape(-1)[start : start + rows * visible].reshape(rows, visible)
+
+
+def _tile_words(tiles) -> int:
+    """The most elements one tile holds: the work buffer that serves them all."""
+    return max(len(group) * (r1 - r0) * visible for r0, r1, visible, group, _ in tiles)
 
 
 def _block_slices(bsz: int, heads: int, dk: int) -> list[tuple[int, slice]]:
@@ -386,13 +391,14 @@ def scores_fwd(
     band's last row can see: the keys past them carry weights of exactly
     zero, so they are neither multiplied, normalized, hashed nor kept.
 
-    The weights (and keep masks) of all blocks go into one stack each, taken
-    through ``tensor.take`` at the full (blocks, m, keys) size, with each
-    band's (blocks, band rows, visible keys) weights packed contiguously at
-    the front.  Each block's band scores are multiplied straight into the
-    stack; the row-wise ops then run once per group of blocks of one band
-    (:data:`SCORE_GROUP_WORDS`), and with dropout one group-sized work
-    buffer holds the group's dropped weights.
+    The forward builds the tile plan (:func:`score_tiles`) once and walks
+    it.  Per tile, each block's band scores are multiplied straight into the
+    tile's packed view of the weight stack, which is taken through
+    ``tensor.take`` at the full (blocks, m, keys) size; the scaling, the
+    masked softmax and the keep-mask hash then run once over the whole tile,
+    and with dropout one tile-sized work buffer holds the dropped weights
+    for the per-block products with the values.  The plan goes into the
+    cache for :func:`scores_bwd`.
     """
     bsz, m, e = q.shape
     t = k.shape[1]
@@ -401,53 +407,42 @@ def scores_fwd(
     scale = 1.0 / math.sqrt(dk)  # a python float keeps single precision single
     q_pos = np.arange(offset, offset + m, dtype=np.int64)
     blocks = bsz * heads
-    bands = score_bands(m, t, offset, cfg.causal)
-    band_groups, words = _band_groups(blocks, bands)
+    tiles = score_tiles(blocks, score_bands(m, t, offset, cfg.causal))
     weights = tensor.take((blocks, m, t), q.dtype)
     keep = None
-    keep_bands = [None] * len(bands)
     if policy.active:
         keep = tensor.take((blocks, m, t), np.bool_)
-        keep_bands = _band_views(keep, bands)
-        work = tensor.take((words,), q.dtype)
+        work = tensor.take((_tile_words(tiles),), q.dtype)
         row_keys = np.stack(
             [nnops.score_row_keys(policy, layer, *divmod(i, heads), q_pos) for i in range(blocks)]
         )
     ctx = np.empty_like(q)
     where = _block_slices(bsz, heads, dk)
-    for (r0, r1, visible), (size, groups), band, band_keep in zip(
-        bands, band_groups, _band_views(weights, bands), keep_bands
-    ):
+    for tile in tiles:
+        r0, r1, visible, group, _ = tile
         h = r1 - r0
+        aw_d = aw = _tile(weights, tile)
+        for j, i in enumerate(group):
+            b, cols = where[i]
+            tensor.matmul(q[b, r0:r1, cols], k[b, :visible, cols].T, out=aw[j * h : (j + 1) * h])
+        aw *= scale
         mask = None
         if cfg.causal:
-            mask = np.tile(np.arange(visible)[None, :] <= q_pos[r0:r1, None], (size, 1))
-        for group in groups:
-            rows = len(group) * h
-            for i in group:
-                b, cols = where[i]
-                tensor.matmul(q[b, r0:r1, cols], k[b, :visible, cols].T, out=band[i])
-                if counters is not None:
-                    counters.add_score_flops(h, dk, visible)
-            aw_d = aw = band[group.start : group.stop].reshape(rows, visible)
-            aw *= scale
-            tensor.softmax_rows(aw, None if mask is None else mask[:rows], out=aw)
-            if keep is not None:
-                kept = nnops.keep_mask(
-                    policy, row_keys[group.start : group.stop, r0:r1].reshape(rows), visible,
-                    out=band_keep[group.start : group.stop].reshape(rows, visible),
-                )
-                aw_d = nnops.scaled_mask(policy, kept, aw.dtype,
-                                         out=work[: rows * visible].reshape(rows, visible))
-                aw_d *= aw
-            for j, i in enumerate(group):
-                b, cols = where[i]
-                ctx[b, r0:r1, cols] = tensor.matmul(aw_d[j * h : (j + 1) * h], v[b, :visible, cols])
-                if counters is not None:
-                    counters.add_score_flops(h, visible, dk)
+            mask = np.tile(np.arange(visible)[None, :] <= q_pos[r0:r1, None], (len(group), 1))
+        tensor.softmax_rows(aw, mask, out=aw)
+        if keep is not None:
+            kept = nnops.keep_mask(policy, row_keys[group.start : group.stop, r0:r1].reshape(-1),
+                                   visible, out=_tile(keep, tile))
+            aw_d = nnops.scaled_mask(policy, kept, aw.dtype, out=work[: aw.size].reshape(aw.shape))
+            aw_d *= aw
+        for j, i in enumerate(group):
+            b, cols = where[i]
+            ctx[b, r0:r1, cols] = tensor.matmul(aw_d[j * h : (j + 1) * h], v[b, :visible, cols])
+        if counters is not None:
+            counters.add_score_flops(2 * len(aw), dk, visible)  # QK^T and PV
     if keep is not None:
         tensor.give(work)
-    cache = ScoreCache(weights=weights, keep=keep, bands=bands)
+    cache = ScoreCache(weights=weights, keep=keep, tiles=tiles)
     if counters is not None:
         counters.record_score_footprint(blocks * m * t)
         counters.add_score_cache(cache.nbytes)
@@ -463,16 +458,14 @@ def scores_bwd(
     cfg: ModelConfig,
     policy: DropoutPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per band and group of blocks (as in :func:`scores_fwd`), the dropped
-    weights are rebuilt as ``aw * scaled mask`` in a group-sized work buffer
-    for the value gradients only; the weight gradients then take that
-    buffer, are scaled by the same mask and run through the softmax
-    backward in place.  Bands go from the widest to the narrowest: the
-    widest writes its blocks' key and value gradient rows up to its visible
-    keys (the rows past them, keys no query sees, are zero), and each
-    narrower band adds into its prefix of those rows.  The cache's stacks go
-    back to ``tensor.give`` and are dropped from it, so a spent cache cannot
-    be read again."""
+    """Walks the forward's tile plan (``cache.tiles``) backwards.  Per tile,
+    the dropped weights are rebuilt as ``aw * scaled mask`` in a tile-sized
+    work buffer for the value gradients only; the weight gradients then take
+    that buffer, are scaled by the same mask and run through the softmax
+    backward in place.  The key and value gradients start at zero and every
+    tile adds into its blocks' rows up to its visible keys; rows no query
+    sees stay zero.  The cache's stacks go back to ``tensor.give`` and are
+    dropped from it, so a spent cache cannot be read again."""
     bsz = q.shape[0]
     dk, heads = cfg.head_dim, cfg.n_heads
     blocks = bsz * heads
@@ -481,72 +474,57 @@ def scores_bwd(
         raise ValueError(f"score cache holds {held} blocks, expected {blocks}; "
                          "a cache serves one backward")
     scale = 1.0 / math.sqrt(dk)
-    weights, keep, bands = cache.weights, cache.keep, cache.bands
+    weights, keep, tiles = cache.weights, cache.keep, cache.tiles
     dt = weights.dtype
-    widest = bands[-1][2]
     grad_q = np.empty_like(q)
-    grad_k = np.empty_like(k)
-    grad_v = np.empty_like(v)
-    grad_k[:, widest:] = 0
-    grad_v[:, widest:] = 0
-    band_groups, words = _band_groups(blocks, bands)
-    work = tensor.take((words,), dt)
-    tile = tensor.take((nnops.row_tile(k.shape[1])[1],), dt)
-    most_rows = max(size * (r1 - r0) for (size, _), (r0, r1, _) in zip(band_groups, bands))
-    row_sums = np.empty((most_rows, 1), dt)
+    grad_k = np.zeros_like(k)
+    grad_v = np.zeros_like(v)
+    work = tensor.take((_tile_words(tiles),), dt)
+    prod_buf = tensor.take((nnops.row_tile(k.shape[1])[1],), dt)
+    row_sums = np.empty((max(len(group) * (r1 - r0) for r0, r1, _, group, _ in tiles), 1), dt)
     where = _block_slices(bsz, heads, dk)
-    keep_bands = [None] * len(bands) if keep is None else _band_views(keep, bands)
-    planned = list(zip(bands, band_groups, _band_views(weights, bands), keep_bands))
-    for n, ((r0, r1, visible), (_, groups), band, band_keep) in enumerate(reversed(planned)):
+    for tile in reversed(tiles):
+        r0, r1, visible, group, _ = tile
         h = r1 - r0
-        add = n > 0  # the widest band writes, the narrower ones add
+        aw_d = aw = _tile(weights, tile)
+        rows = len(aw)
+        grad_aw = work[: aw.size].reshape(aw.shape)
+        if keep is not None:
+            kept = _tile(keep, tile)
+            aw_d = nnops.scaled_mask(policy, kept, dt, out=grad_aw)
+            aw_d *= aw
+        for j, i in enumerate(group):
+            b, cols = where[i]
+            grad_v[b, :visible, cols] += tensor.matmul(aw_d[j * h : (j + 1) * h].T,
+                                                       grad_ctx[b, r0:r1, cols])
+        for j, i in enumerate(group):
+            b, cols = where[i]
+            tensor.matmul(grad_ctx[b, r0:r1, cols], v[b, :visible, cols].T,
+                          out=grad_aw[j * h : (j + 1) * h])
+        if keep is not None:
+            # times the scaled mask, bitwise: a kept entry is scaled by
+            # 1 * c, a dropped one becomes a zero of its own sign
+            grad_aw *= kept
+            grad_aw *= nnops.keep_scale(policy, dt)
+        # softmax backward, in place: grad_s = aw * (grad_aw - rowsum(grad_aw * aw))
+        # * scale; masked-out entries have aw == 0, so they stay 0.  The
+        # row sums go an nnops.row_tile of rows at a time, which leaves
+        # each row's sum as it was.
         height, _ = nnops.row_tile(visible)
-        for group in groups:
-            rows = len(group) * h
-            aw_d = aw = band[group.start : group.stop].reshape(rows, visible)
-            grad_aw = work[: rows * visible].reshape(rows, visible)
-            if band_keep is not None:
-                kept = band_keep[group.start : group.stop].reshape(rows, visible)
-                aw_d = nnops.scaled_mask(policy, kept, dt, out=grad_aw)
-                aw_d *= aw
-            for j, i in enumerate(group):
-                b, cols = where[i]
-                gv = tensor.matmul(aw_d[j * h : (j + 1) * h].T, grad_ctx[b, r0:r1, cols])
-                if add:
-                    grad_v[b, :visible, cols] += gv
-                else:
-                    grad_v[b, :visible, cols] = gv
-            for j, i in enumerate(group):
-                b, cols = where[i]
-                tensor.matmul(grad_ctx[b, r0:r1, cols], v[b, :visible, cols].T,
-                              out=grad_aw[j * h : (j + 1) * h])
-            if band_keep is not None:
-                # times the scaled mask, bitwise: a kept entry is scaled by
-                # 1 * c, a dropped one becomes a zero of its own sign
-                grad_aw *= kept
-                grad_aw *= nnops.keep_scale(policy, dt)
-            # softmax backward, in place: grad_s = aw * (grad_aw - rowsum(grad_aw * aw))
-            # * scale; masked-out entries have aw == 0, so they stay 0.  The
-            # row sums go a tile of rows at a time, which leaves each row's
-            # sum as it was.
-            for t0 in range(0, rows, height):
-                t1 = min(t0 + height, rows)
-                prod = tile[: (t1 - t0) * visible].reshape(t1 - t0, visible)
-                np.multiply(grad_aw[t0:t1], aw[t0:t1], out=prod)
-                np.sum(prod, axis=1, keepdims=True, out=row_sums[t0:t1])
-            grad_aw -= row_sums[:rows]
-            grad_aw *= aw
-            grad_aw *= scale
-            for j, i in enumerate(group):
-                b, cols = where[i]
-                grad_s = grad_aw[j * h : (j + 1) * h]
-                grad_q[b, r0:r1, cols] = tensor.matmul(grad_s, k[b, :visible, cols])
-                gk = tensor.matmul(grad_s.T, q[b, r0:r1, cols])
-                if add:
-                    grad_k[b, :visible, cols] += gk
-                else:
-                    grad_k[b, :visible, cols] = gk
-    tensor.give(work, tile, *[a for a in (weights, keep) if a is not None])
+        for t0 in range(0, rows, height):
+            t1 = min(t0 + height, rows)
+            prod = prod_buf[: (t1 - t0) * visible].reshape(t1 - t0, visible)
+            np.multiply(grad_aw[t0:t1], aw[t0:t1], out=prod)
+            np.sum(prod, axis=1, keepdims=True, out=row_sums[t0:t1])
+        grad_aw -= row_sums[:rows]
+        grad_aw *= aw
+        grad_aw *= scale
+        for j, i in enumerate(group):
+            b, cols = where[i]
+            grad_s = grad_aw[j * h : (j + 1) * h]
+            grad_q[b, r0:r1, cols] = tensor.matmul(grad_s, k[b, :visible, cols])
+            grad_k[b, :visible, cols] += tensor.matmul(grad_s.T, q[b, r0:r1, cols])
+    tensor.give(work, prod_buf, *[a for a in (weights, keep) if a is not None])
     cache.weights = cache.keep = None
     return grad_q, grad_k, grad_v
 
@@ -577,23 +555,24 @@ def local_kv_bwd(kv_ctx, lp: LayerParams, grad_k: np.ndarray, grad_v: np.ndarray
     return grad_kx + grad_vx, k_wg, k_bg, v_wg, v_bg
 
 
-def attention_fwd(xh, offset, lp: LayerParams, cfg, policy, layer, kv_fwd=local_kv_fwd):
-    """Keys and values (through ``kv_fwd``), queries, scores and the output
-    projection."""
-    k, v, kv_ctx = kv_fwd(xh, lp)
+def attention_fwd(xh, offset, lp: LayerParams, cfg, policy, layer, kv_fwd=None):
+    """Keys and values (through ``kv_fwd``, by default :func:`local_kv_fwd`,
+    looked up at call time), queries, scores and the output projection."""
+    k, v, kv_ctx = (local_kv_fwd if kv_fwd is None else kv_fwd)(xh, lp)
     q = linear3(xh, lp.attn_q)
     ctx, score_cache = scores_fwd(q, k, v, offset, cfg, policy, layer)
     return linear3(ctx, lp.attn_out), AttentionCache(xh, kv_ctx, q, k, v, score_cache, ctx)
 
 
-def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy,
-                  kv_bwd=local_kv_bwd):
-    """Weight grads in the order q, k, v, out."""
+def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy, kv_bwd=None):
+    """Weight grads in the order q, k, v, out; ``kv_bwd`` defaults to
+    :func:`local_kv_bwd`, looked up at call time."""
     grad_ctx, out_wg, out_bg = linear3_bwd(cache.ctx, lp.attn_out, grad_out)
     grad_q, grad_k, grad_v = scores_bwd(
         cache.scores, cache.q, cache.k, cache.v, grad_ctx, cfg, policy
     )
     grad_xh_q, q_wg, q_bg = linear3_bwd(cache.xh, lp.attn_q, grad_q)
+    kv_bwd = local_kv_bwd if kv_bwd is None else kv_bwd
     grad_xh_kv, k_wg, k_bg, v_wg, v_bg = kv_bwd(cache.kv_ctx, lp, grad_k, grad_v)
     grads = (LinearParams(q_wg, q_bg), LinearParams(k_wg, k_bg), LinearParams(v_wg, v_bg),
              LinearParams(out_wg, out_bg))
@@ -662,14 +641,15 @@ def layer_fwd(
     layer: int,
     x: np.ndarray,
     offset: int,
-    kv_fwd=local_kv_fwd,
+    kv_fwd=None,
     place_fwd=local_place_fwd,
 ) -> tuple[np.ndarray, LayerCache]:
     """norm -> attention -> dropout -> residual, norm -> ffn -> dropout -> residual.
 
     ``kv_fwd(xh, lp)`` returns whole-sequence keys and values plus an opaque
-    context for the matching ``kv_bwd``.  Locally that is two projections of
-    the block itself; distributed it involves an all-gather.
+    context for the matching ``kv_bwd``.  Locally (None, the default) that is
+    :func:`local_kv_fwd`, two projections of the block itself; distributed it
+    involves an all-gather.
 
     ``place_fwd(sublayer, y, offset)`` runs each sublayer and returns its
     ``(out, cache)`` for this worker's block; by default on the block itself.
@@ -699,7 +679,7 @@ def layer_bwd(
     layer: int,
     cache: LayerCache,
     grad_out: np.ndarray,
-    kv_bwd=local_kv_bwd,
+    kv_bwd=None,
     place_bwd=local_place_bwd,
 ) -> tuple[np.ndarray, LayerParams]:
     """Reverse of :func:`layer_fwd`; returns (grad_x_in, per-layer grads).
@@ -843,7 +823,7 @@ def backward(params: Parameters, cfg: ModelConfig, cache: StackCache, kv_bwd=Non
     grad_x, final_gain_g, final_bias_g, head_wg, head_bg = head_bwd(cache.head, params)
     layer_grads: list[LayerParams | None] = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
-        hook = local_kv_bwd if kv_bwd is None else kv_bwd(li)
+        hook = None if kv_bwd is None else kv_bwd(li)
         grad_x, layer_grads[li] = layer_bwd(
             params.layers[li], cfg, policy, li, cache.layers[li], grad_x, hook
         )

@@ -19,6 +19,7 @@ from seqpar import model, runner
 from seqpar.collectives import Communicator
 from seqpar.grid import GridLayout
 from seqpar.model import ModelConfig
+from seqpar.nnops import DropoutPolicy
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -115,3 +116,23 @@ def test_tracer_counts_one_step_per_rank_and_never_nests_an_engine_phase(
     if engine != "baseline":  # its train_step is split into phases instead
         bwd = Counter(s.thread for s in recorded if s.name in spans.INCLUSIVE["engine.bwd_ms"])
         assert bwd == Counter(dict.fromkeys(steps, 2))
+
+
+@pytest.mark.parametrize("engine, workers", [("sequential", 1), ("sharded", 2), ("baseline", 2)])
+def test_every_self_time_name_is_reached(spans, engine, workers):
+    """Each self-time name the tracer patches must run in a training step.  A
+    function the program binds early (a default argument, a local alias)
+    keeps calling the original when the tracer replaces the module
+    attribute, and its metric silently reads zero."""
+    cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=16, vocab=32, seq_len=8,
+                      batch=2, dropout=0.1)
+    rng = np.random.default_rng(0)
+    shape = (cfg.batch, cfg.seq_len)
+    batches = [(rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))]
+    with spans.Tracer(full=True) as tracer:
+        runner._train(engine, cfg, model.init_params(cfg, 0), GridLayout(1, workers), batches,
+                      lr=0.1, policy=DropoutPolicy(rate=cfg.dropout, seed=0))
+    reached = {s.name for s in tracer.spans}
+    missing = [name for metric, names in spans.SELF_TIME.items()
+               if not metric.startswith("reporting.") for name in names if name not in reached]
+    assert not missing, missing

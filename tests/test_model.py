@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqpar import model, nnops, tensor
+from seqpar import costs, model, nnops, tensor
 from seqpar.errors import ShapeError
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
@@ -42,14 +44,15 @@ def attention_oracle(q, k, v, offset, cfg):
 def unpack(cache, stack):
     """A score cache's ``stack`` (its weights or keep masks) as one dense
     (rows, keys) array per (sample, head) block, zero past each band's
-    visible keys: each band's (blocks, band rows, visible keys) entries lie
-    one after another from the front of the stack."""
-    blocks, m, t = stack.shape
+    visible keys: each tile's (blocks, band rows, visible keys) entries lie
+    at its start, one tile after another from the front of the stack."""
     dense = np.zeros(stack.shape, stack.dtype)
     flat, pos = stack.reshape(-1), 0
-    for r0, r1, visible in cache.bands:
-        n = blocks * (r1 - r0) * visible
-        dense[:, r0:r1, :visible] = flat[pos : pos + n].reshape(blocks, r1 - r0, visible)
+    for r0, r1, visible, group, start in cache.tiles:
+        assert start == pos
+        n = len(group) * (r1 - r0) * visible
+        dense[group.start : group.stop, r0:r1, :visible] = (
+            flat[pos : pos + n].reshape(len(group), r1 - r0, visible))
         pos += n
     return list(dense)
 
@@ -194,6 +197,33 @@ def test_scores_match_oracle_with_offset_block(rng):
     np.testing.assert_allclose(ctx, attention_oracle(q, k, v, 2, cfg), rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(blocks=st.integers(1, 40), rows=st.integers(1, 600), offset=st.integers(0, 600),
+       keys=st.integers(1, 4096), causal=st.booleans(), dk=st.integers(1, 8))
+def test_score_tiles_pack_every_band_once(blocks, rows, offset, keys, causal, dk):
+    """The tile plan walks the bands in order, splits the blocks of each band
+    into consecutive groups, packs the tiles back to back from the stack's
+    front and scores exactly the flops of the cost model."""
+    bands = model.score_bands(rows, keys, offset, causal)
+    tiles = model.score_tiles(blocks, bands)
+    walked = [tile[:3] for n, tile in enumerate(tiles) if n == 0 or tiles[n - 1][:3] != tile[:3]]
+    assert walked == bands
+    for band in bands:
+        groups = [group for *head, group, _ in tiles if tuple(head) == band]
+        assert [i for group in groups for i in group] == list(range(blocks))
+    pos = 0
+    for r0, r1, visible, group, start in tiles:
+        assert start == pos
+        words = len(group) * (r1 - r0) * visible
+        assert words <= model.SCORE_GROUP_WORDS or len(group) == 1
+        pos += words
+    assert pos <= blocks * rows * keys
+    cfg = ModelConfig(embed_dim=dk, n_layers=1, n_heads=1, ff_dim=4, vocab=5, seq_len=keys,
+                      batch=blocks, causal=causal)
+    flops = sum(4 * len(group) * (r1 - r0) * visible * dk for r0, r1, visible, group, _ in tiles)
+    assert flops == costs.score_flops(cfg, rows, offset)
+
+
 def test_zero_scores_give_uniform_causal_rows():
     """130 rows are three bands: 64, 64 and a ragged 2."""
     t = 130
@@ -202,7 +232,7 @@ def test_zero_scores_give_uniform_causal_rows():
     k = np.zeros((1, t, 4))
     v = np.zeros((1, t, 4))
     _, cache = model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
-    assert len(cache.bands) == 3
+    assert len({tile[:3] for tile in cache.tiles}) == 3
     aw = unpack(cache, cache.weights)[0]
     for i in range(t):
         np.testing.assert_allclose(aw[i, : i + 1], np.full(i + 1, 1 / (i + 1)), atol=1e-15)
