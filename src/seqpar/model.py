@@ -331,8 +331,9 @@ def score_bands(rows: int, keys: int, offset: int, causal: bool) -> list[tuple[i
 # block, or eight 64x256 bands.  Small blocks cost numpy call overhead more
 # than arithmetic, so one band of consecutive (sample, head) blocks, up to
 # this budget, goes through the scaling, the softmax, the keep-mask hash
-# and the backward's elementwise passes together, as one tile; a band above
-# the budget makes a tile per block.  The matmuls stay per block.
+# and the backward's elementwise passes together, as one tile, and each of
+# its products is one stacked matmul; a band above the budget makes a tile
+# per block.
 SCORE_GROUP_WORDS = 1 << 17
 
 
@@ -368,9 +369,17 @@ def _tile_words(tiles) -> int:
     return max(len(group) * (r1 - r0) * visible for r0, r1, visible, group, _ in tiles)
 
 
-def _block_slices(bsz: int, heads: int, dk: int) -> list[tuple[int, slice]]:
-    """(sample, feature columns) of each (sample, head) block, sample-major."""
-    return [(b, slice(h * dk, (h + 1) * dk)) for b in range(bsz) for h in range(heads)]
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """A head-major copy of ``x``: (batch, rows, heads * dk) becomes
+    (batch * heads, rows, dk), one (sample, head) block per item, sample-major."""
+    b, rows, e = x.shape
+    return x.reshape(b, rows, heads, e // heads).transpose(0, 2, 1, 3).reshape(b * heads, rows, -1)
+
+
+def _merge_heads(xh: np.ndarray, bsz: int) -> np.ndarray:
+    """The inverse of :func:`_split_heads`, as a fresh (batch, rows, heads * dk) array."""
+    blocks, rows, dk = xh.shape
+    return xh.reshape(bsz, blocks // bsz, rows, dk).transpose(0, 2, 1, 3).reshape(bsz, rows, -1)
 
 
 def scores_fwd(
@@ -391,16 +400,18 @@ def scores_fwd(
     band's last row can see: the keys past them carry weights of exactly
     zero, so they are neither multiplied, normalized, hashed nor kept.
 
-    The forward builds the tile plan (:func:`score_tiles`) once and walks
-    it.  Per tile, each block's band scores are multiplied straight into the
-    tile's packed view of the weight stack, which is taken through
-    ``tensor.take`` at the full (blocks, m, keys) size; the scaling, the
-    masked softmax and the keep-mask hash then run once over the whole tile,
-    and with dropout one tile-sized work buffer holds the dropped weights
-    for the per-block products with the values.  The plan goes into the
-    cache for :func:`scores_bwd`.
+    ``q``, ``k`` and ``v`` are first copied head-major (one (sample, head)
+    block per item of a stack).  The forward builds the tile plan
+    (:func:`score_tiles`) once and walks it.  Per tile, its group of blocks
+    is multiplied as one stack straight into the tile's packed view of the
+    weight stack, which is taken through ``tensor.take`` at the full
+    (blocks, m, keys) size; the scaling, the softmax (under the band's
+    (rows, keys) causal mask, shared by every block) and the keep-mask hash
+    then run once over the whole tile, and with dropout one tile-sized work
+    buffer holds the dropped weights for the stacked product with the
+    values.  The plan goes into the cache for :func:`scores_bwd`.
     """
-    bsz, m, e = q.shape
+    bsz, m, _ = q.shape
     t = k.shape[1]
     dk, heads = cfg.head_dim, cfg.n_heads
     counters = tensor.active_counters()
@@ -416,28 +427,23 @@ def scores_fwd(
         row_keys = np.stack(
             [nnops.score_row_keys(policy, layer, *divmod(i, heads), q_pos) for i in range(blocks)]
         )
-    ctx = np.empty_like(q)
-    where = _block_slices(bsz, heads, dk)
+    qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
+    ctxh = np.empty_like(qh)
     for tile in tiles:
         r0, r1, visible, group, _ = tile
-        h = r1 - r0
+        g = slice(group.start, group.stop)
         aw_d = aw = _tile(weights, tile)
-        for j, i in enumerate(group):
-            b, cols = where[i]
-            tensor.matmul(q[b, r0:r1, cols], k[b, :visible, cols].T, out=aw[j * h : (j + 1) * h])
+        aw3 = aw.reshape(len(group), r1 - r0, visible)
+        tensor.matmul(qh[g, r0:r1], kh[g, :visible].transpose(0, 2, 1), out=aw3)
         aw *= scale
-        mask = None
-        if cfg.causal:
-            mask = np.tile(np.arange(visible)[None, :] <= q_pos[r0:r1, None], (len(group), 1))
-        tensor.softmax_rows(aw, mask, out=aw)
+        mask = np.arange(visible) <= q_pos[r0:r1, None] if cfg.causal else None
+        tensor.softmax_rows(aw3, mask, out=aw3)
         if keep is not None:
-            kept = nnops.keep_mask(policy, row_keys[group.start : group.stop, r0:r1].reshape(-1),
-                                   visible, out=_tile(keep, tile))
+            kept = nnops.keep_mask(policy, row_keys[g, r0:r1].reshape(-1), visible,
+                                   out=_tile(keep, tile))
             aw_d = nnops.scaled_mask(policy, kept, aw.dtype, out=work[: aw.size].reshape(aw.shape))
             aw_d *= aw
-        for j, i in enumerate(group):
-            b, cols = where[i]
-            ctx[b, r0:r1, cols] = tensor.matmul(aw_d[j * h : (j + 1) * h], v[b, :visible, cols])
+        tensor.matmul(aw_d.reshape(aw3.shape), vh[g, :visible], out=ctxh[g, r0:r1])
         if counters is not None:
             counters.add_score_flops(2 * len(aw), dk, visible)  # QK^T and PV
     if keep is not None:
@@ -446,7 +452,7 @@ def scores_fwd(
     if counters is not None:
         counters.record_score_footprint(blocks * m * t)
         counters.add_score_cache(cache.nbytes)
-    return ctx, cache
+    return _merge_heads(ctxh, bsz), cache
 
 
 def scores_bwd(
@@ -458,7 +464,9 @@ def scores_bwd(
     cfg: ModelConfig,
     policy: DropoutPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walks the forward's tile plan (``cache.tiles``) backwards.  Per tile,
+    """Walks the forward's tile plan (``cache.tiles``) backwards, over
+    head-major copies of ``q``, ``k``, ``v`` and ``grad_ctx``, with one
+    stacked product per tile for each of the four gradients.  Per tile,
     the dropped weights are rebuilt as ``aw * scaled mask`` in a tile-sized
     work buffer for the value gradients only; the weight gradients then take
     that buffer, are scaled by the same mask and run through the softmax
@@ -476,31 +484,26 @@ def scores_bwd(
     scale = 1.0 / math.sqrt(dk)
     weights, keep, tiles = cache.weights, cache.keep, cache.tiles
     dt = weights.dtype
-    grad_q = np.empty_like(q)
-    grad_k = np.zeros_like(k)
-    grad_v = np.zeros_like(v)
+    qh, kh, vh, gh = (_split_heads(x, heads) for x in (q, k, v, grad_ctx))
+    grad_q = np.empty_like(qh)
+    grad_k = np.zeros_like(kh)
+    grad_v = np.zeros_like(vh)
     work = tensor.take((_tile_words(tiles),), dt)
     prod_buf = tensor.take((nnops.row_tile(k.shape[1])[1],), dt)
     row_sums = np.empty((max(len(group) * (r1 - r0) for r0, r1, _, group, _ in tiles), 1), dt)
-    where = _block_slices(bsz, heads, dk)
     for tile in reversed(tiles):
         r0, r1, visible, group, _ = tile
-        h = r1 - r0
+        g = slice(group.start, group.stop)
         aw_d = aw = _tile(weights, tile)
         rows = len(aw)
+        stack = (len(group), r1 - r0, visible)
         grad_aw = work[: aw.size].reshape(aw.shape)
         if keep is not None:
             kept = _tile(keep, tile)
             aw_d = nnops.scaled_mask(policy, kept, dt, out=grad_aw)
             aw_d *= aw
-        for j, i in enumerate(group):
-            b, cols = where[i]
-            grad_v[b, :visible, cols] += tensor.matmul(aw_d[j * h : (j + 1) * h].T,
-                                                       grad_ctx[b, r0:r1, cols])
-        for j, i in enumerate(group):
-            b, cols = where[i]
-            tensor.matmul(grad_ctx[b, r0:r1, cols], v[b, :visible, cols].T,
-                          out=grad_aw[j * h : (j + 1) * h])
+        grad_v[g, :visible] += tensor.matmul(aw_d.reshape(stack).transpose(0, 2, 1), gh[g, r0:r1])
+        tensor.matmul(gh[g, r0:r1], vh[g, :visible].transpose(0, 2, 1), out=grad_aw.reshape(stack))
         if keep is not None:
             # times the scaled mask, bitwise: a kept entry is scaled by
             # 1 * c, a dropped one becomes a zero of its own sign
@@ -519,14 +522,12 @@ def scores_bwd(
         grad_aw -= row_sums[:rows]
         grad_aw *= aw
         grad_aw *= scale
-        for j, i in enumerate(group):
-            b, cols = where[i]
-            grad_s = grad_aw[j * h : (j + 1) * h]
-            grad_q[b, r0:r1, cols] = tensor.matmul(grad_s, k[b, :visible, cols])
-            grad_k[b, :visible, cols] += tensor.matmul(grad_s.T, q[b, r0:r1, cols])
+        grad_s = grad_aw.reshape(stack)
+        tensor.matmul(grad_s, kh[g, :visible], out=grad_q[g, r0:r1])
+        grad_k[g, :visible] += tensor.matmul(grad_s.transpose(0, 2, 1), qh[g, r0:r1])
     tensor.give(work, prod_buf, *[a for a in (weights, keep) if a is not None])
     cache.weights = cache.keep = None
-    return grad_q, grad_k, grad_v
+    return tuple(_merge_heads(a, bsz) for a in (grad_q, grad_k, grad_v))
 
 
 # --- the two sublayers: fwd(y, offset) -> (out, cache) with out shaped like

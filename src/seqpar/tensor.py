@@ -1,7 +1,9 @@
 """Dense numeric kernels and per-step instrumentation.
 
 Arrays are plain ``numpy.ndarray`` values in row-major layout, rank 1 to 3,
-float64 by default (float32 opt-in through :func:`resolve_dtype`).  Kernels
+float64 by default (float32 opt-in through :func:`resolve_dtype`).
+:func:`matmul` and :func:`softmax_rows` take 2-D operands or 3-D stacks of
+them; a stack runs item by item, bitwise as per-item calls would.  Kernels
 treat their inputs as immutable and return fresh arrays, which is what makes
 them safe to hand across worker threads, unless the caller passes ``out=``:
 :func:`matmul` and :func:`softmax_rows` then write into that buffer and return
@@ -20,7 +22,8 @@ handed to a collective.
 
 A thread-local :class:`StepCounters` can be installed with :func:`counting`;
 while active, :func:`matmul` tallies the floating point work of every product
-it actually performs (2*m*k*n per call, from the runtime shapes).
+it actually performs (2*m*k*n per product, from the runtime shapes; a stack
+of s products counts s times that).
 
 Worker ranks that compute at the same time share the machine's cores with
 the BLAS library's own thread pool.  :func:`blas_threads` caps that pool for
@@ -214,17 +217,23 @@ def check_finite(x: np.ndarray, label: str = "tensor") -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    """2-D matrix product with shape validation and flop accounting.  Either
+    """Matrix product of two 2-D operands, or of two equal-length stacks of
+    matrices (3-D, item by item), with shape validation and flop accounting.
+    Stacks never broadcast: their leading dimensions must agree.  Either
     operand may be a transposed or strided view; ``out`` receives the product
     when given."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise ShapeError(f"matmul expects two 2-D or two 3-D operands, "
+                         f"got {a.shape} and {b.shape}")
+    if a.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise ShapeError(f"matmul stacks disagree in length: {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     out = np.matmul(a, b, out=out)
     counters = getattr(_active, "counters", None)
     if counters is not None:
-        counters.add_matmul(a.shape[0], a.shape[1], b.shape[1])
+        # a stack of s (m, k) x (k, n) products does the work of one (s*m, k) x (k, n)
+        counters.add_matmul(a.size // a.shape[-1], a.shape[-1], b.shape[-1])
     return out
 
 
@@ -237,37 +246,44 @@ def transpose(a: np.ndarray) -> np.ndarray:
 def softmax_rows(
     a: np.ndarray, mask: np.ndarray | None = None, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Row-wise softmax with optional boolean keep-mask, into ``out`` if given
-    (which may be ``a`` itself).
+    """Row-wise softmax of a 2-D operand or of a 3-D stack of them, with
+    optional boolean keep-mask, into ``out`` if given (which may be ``a``
+    itself).
 
-    ``mask[i, j] == False`` forces entry (i, j) to exactly zero and excludes
-    it from the row's normalization.  A row with no kept entry has no valid
-    distribution and raises :class:`DegenerateRowError`.  The max-subtraction
-    stabilisation keeps exp() in range for any finite input.
+    ``mask[..., i, j] == False`` forces entry (i, j) to exactly zero and
+    excludes it from the row's normalization.  The mask has the operand's
+    shape, or for a stack one (rows, keys) matrix that applies to every item.
+    A row with no kept entry has no valid distribution and raises
+    :class:`DegenerateRowError`.  The max-subtraction stabilisation keeps
+    exp() in range for any finite input.
     """
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-D operand, got shape {a.shape}")
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"softmax_rows expects a 2-D or 3-D operand, got shape {a.shape}")
     if out is None:
         out = np.empty_like(a)
     if mask is None:
-        np.subtract(a, np.max(a, axis=1, keepdims=True), out=out)
+        np.subtract(a, np.max(a, axis=-1, keepdims=True), out=out)
         np.exp(out, out=out)
-        out /= np.sum(out, axis=1, keepdims=True)
+        out /= np.sum(out, axis=-1, keepdims=True)
         return out
-    if mask.shape != a.shape:
+    if mask.shape not in (a.shape, a.shape[-2:]):
         raise ShapeError(f"mask shape {mask.shape} does not match operand {a.shape}")
     if mask.dtype != np.bool_:
         raise ShapeError("softmax mask must be boolean")
-    live = mask.any(axis=1)
+    live = mask.any(axis=-1)
     if not live.all():
-        raise DegenerateRowError(f"softmax row {int(np.argmin(live))} is fully masked")
-    top = np.max(a, axis=1, keepdims=True, where=mask, initial=-np.inf)
+        *item, row = np.unravel_index(np.argmin(live), live.shape)
+        where = f" of stack item {item[0]}" if item else ""
+        raise DegenerateRowError(f"softmax row {row}{where} is fully masked")
+    top = np.max(a, axis=-1, keepdims=True, where=mask, initial=-np.inf)
     # exp(-inf) is exactly 0, but numpy's exp takes a slow path over any array
     # that holds -inf; so the mask zeroes masked entries before exp and again
-    # after.  The output is bitwise what exp(-inf) would give.
+    # after.  The output is bitwise what exp(-inf) would give.  The mask is
+    # cast to the operand's dtype once, not once per multiply.
+    mask = mask.astype(a.dtype)
     np.subtract(a, top, out=out)
     out *= mask
     np.exp(out, out=out)
     out *= mask
-    out /= np.sum(out, axis=1, keepdims=True)
+    out /= np.sum(out, axis=-1, keepdims=True)
     return out

@@ -387,6 +387,45 @@ def test_scores_bwd_spends_its_cache_and_recycles_its_stacks(rng):
         assert g.tobytes() == w.tobytes()
 
 
+# (batch, heads, rows, keys, offset): a T128 block of two bands, a ragged
+# T300 block (a 64-row band and a 36-row one), and 512x512 blocks whose
+# widest bands exceed the group budget alone, one tile per block
+MATMUL_PLAN_SHAPES = [(4, 8, 128, 128, 0), (2, 2, 100, 300, 200), (1, 2, 512, 512, 0)]
+
+
+@pytest.mark.parametrize("shape", MATMUL_PLAN_SHAPES, ids=lambda s: f"B{s[0]}H{s[1]}-{s[2]}x{s[3]}")
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
+def test_score_kernels_make_one_stacked_product_per_tile_and_role(monkeypatch, shape, causal,
+                                                                   rate):
+    """Each tile multiplies its whole group of blocks as one stack: two
+    products forward (scores, context) and four backward (value, weight,
+    query and key gradients), whatever the bands and groups."""
+    bsz, heads, m, t, offset = shape
+    cfg = ModelConfig(embed_dim=8 * heads, n_layers=1, n_heads=heads, ff_dim=8, vocab=5,
+                      seq_len=t, batch=bsz, causal=causal)
+    policy = DropoutPolicy(rate=rate, seed=3)
+    rng = np.random.default_rng(5)
+    q, grad_ctx = (rng.standard_normal((bsz, m, cfg.embed_dim)) for _ in range(2))
+    k, v = (rng.standard_normal((bsz, t, cfg.embed_dim)) for _ in range(2))
+    calls = []
+    real = tensor.matmul
+
+    def counted(a, b, **kw):
+        calls.append(a.shape)
+        return real(a, b, **kw)
+
+    monkeypatch.setattr(tensor, "matmul", counted)
+    _, cache = model.scores_fwd(q, k, v, offset, cfg, policy, layer=0)
+    tiles = len(cache.tiles)
+    assert tiles == len(model.score_tiles(bsz * heads, model.score_bands(m, t, offset, causal)))
+    assert len(calls) == 2 * tiles
+    calls.clear()
+    model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+    assert len(calls) == 4 * tiles
+    assert all(len(shape) == 3 for shape in calls)
+
+
 # --- whole model forward/backward ---
 
 

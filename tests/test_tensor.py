@@ -380,3 +380,105 @@ def test_recycling_restores_the_prior_free_list_on_exit_and_on_raise():
         assert tensor.take((2, 2), np.float64) is outer
     tensor.give(outer)  # outside again: dropped
     assert tensor.take((2, 2), np.float64) is not outer
+
+
+# --- 3-D stacks ---
+
+
+def stack_operands(rng, dtype, form, s=5, m=7, k=8, n=11):
+    """(a, b) stacks of ``s`` (m, k) x (k, n) products, each operand either a
+    contiguous stack or the transposed view of one (the kernels' ``.T``)."""
+    a = rng.standard_normal((s, k, m) if form[0] == "T" else (s, m, k)).astype(dtype)
+    b = rng.standard_normal((s, n, k) if form[1] == "T" else (s, k, n)).astype(dtype)
+    return (a.transpose(0, 2, 1) if form[0] == "T" else a,
+            b.transpose(0, 2, 1) if form[1] == "T" else b)
+
+
+@pytest.mark.parametrize("form", ["NN", "NT", "TN", "TT"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_matmul_equals_per_item_products_bitwise(rng, dtype, form):
+    a, b = stack_operands(rng, dtype, form)
+    got = matmul(a, b)
+    assert got.shape == (5, 7, 11) and got.dtype == dtype
+    for i in range(len(a)):
+        assert got[i].tobytes() == matmul(a[i], b[i]).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_matmul_of_strided_slices_into_a_strided_out_view(rng, dtype):
+    """Column slices of (batch, rows, heads * dk) arrays (row stride heads *
+    dk), one transposed, multiply into a band of a larger head-major buffer:
+    each item has bitwise the value of its own 2-D product, and nothing
+    outside the view is written."""
+    x = rng.standard_normal((3, 20, 48)).astype(dtype)
+    y = rng.standard_normal((3, 30, 48)).astype(dtype)
+    buf = np.full((5, 20, 25), np.nan, dtype)
+    out = buf[1:4, 5:17]
+    got = matmul(x[:, 5:17, 8:16], y[:, :25, 8:16].transpose(0, 2, 1), out=out)
+    assert got is out
+    for i in range(3):
+        want = matmul(x[i, 5:17, 8:16], y[i, :25, 8:16].T)
+        assert out[i].tobytes() == want.tobytes()
+    assert np.isnan(buf[[0, 4]]).all()
+    assert np.isnan(buf[1:4, :5]).all() and np.isnan(buf[1:4, 17:]).all()
+
+
+def test_stacked_matmul_counts_each_item():
+    c = StepCounters()
+    with tensor.counting(c):
+        matmul(np.zeros((4, 3, 5)), np.zeros((4, 5, 2)))
+    assert c.matmul_flops == 4 * (2 * 3 * 5 * 2)  # stack * 2mkn
+
+
+def test_stacked_matmul_shape_validation():
+    with pytest.raises(ShapeError, match="stacks disagree"):
+        matmul(np.zeros((3, 2, 4)), np.zeros((1, 4, 5)))  # numpy would broadcast
+    with pytest.raises(ShapeError, match="inner dims"):
+        matmul(np.zeros((3, 2, 4)), np.zeros((3, 5, 4)))
+    with pytest.raises(ShapeError):
+        matmul(np.zeros((3, 2, 4)), np.zeros((4, 5)))
+    with pytest.raises(ShapeError):
+        matmul(np.zeros((2, 4)), np.zeros((3, 4, 5)))
+    with pytest.raises(ShapeError):
+        matmul(np.zeros((2, 3, 2, 4)), np.zeros((2, 3, 4, 5)))
+
+
+@pytest.mark.parametrize("mask_kind", ["none", "shared", "full"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_softmax_equals_per_item_calls_bitwise(rng, dtype, mask_kind):
+    a = (rng.standard_normal((6, 9, 13)) * 4).astype(dtype)
+    shared = np.tril(np.ones((9, 13), dtype=bool), k=4)
+    mask = {"none": None, "shared": shared,
+            "full": rng.random(a.shape) < 0.7}[mask_kind]
+    if mask_kind == "full":
+        mask[..., 0] = True
+    item_mask = (lambda i: None) if mask is None else (
+        (lambda i: shared) if mask_kind == "shared" else (lambda i: mask[i]))
+    want = [softmax_rows(a[i], item_mask(i)).tobytes() for i in range(len(a))]
+    got = softmax_rows(a, mask)
+    assert got.shape == a.shape and got.dtype == dtype
+    assert [got[i].tobytes() for i in range(len(a))] == want
+    inplace = a.copy()
+    assert softmax_rows(inplace, mask, out=inplace) is inplace
+    assert inplace.tobytes() == got.tobytes()
+
+
+def test_stacked_softmax_mask_validation():
+    a = np.zeros((2, 3, 4))
+    for shape in [(4, 3), (3,), (1, 3, 4), (2, 4, 4)]:
+        with pytest.raises(ShapeError):
+            softmax_rows(a, np.ones(shape, dtype=bool))
+    with pytest.raises(ShapeError):
+        softmax_rows(np.zeros((2, 2, 3, 4)))
+
+
+def test_stacked_softmax_fully_masked_row_raises():
+    a = np.zeros((2, 3, 4))
+    shared = np.ones((3, 4), dtype=bool)
+    shared[2] = False
+    with pytest.raises(DegenerateRowError, match=r"softmax row 2 is fully masked"):
+        softmax_rows(a, shared)
+    full = np.ones(a.shape, dtype=bool)
+    full[1, 0] = False
+    with pytest.raises(DegenerateRowError, match=r"softmax row 0 of stack item 1 is fully masked"):
+        softmax_rows(a, full)
