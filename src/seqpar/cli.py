@@ -160,19 +160,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run one training experiment and write artifacts")
     _add_model_flags(t)
-    t.add_argument("--engine", choices=grid.ENGINES, default="sequential")
-    t.add_argument("--workers", type=int, default=1, help="sequence-group size")
-    t.add_argument("--replicas", type=int, default=1, help="data-parallel rows (hybrid)")
-    t.add_argument("--steps", type=int, default=10)
-    t.add_argument("--lr", type=float, default=0.1)
-    t.add_argument("--optimizer", choices=optim.OPTIMIZERS, default="sgd")
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--dataset", default=None, help="byte corpus path; omit for synthetic")
-    t.add_argument("--synthetic-bytes", type=int, default=1_000_000)
-    t.add_argument("--out", default="runs/latest", help="output directory")
-    t.add_argument("--no-fuse", action="store_true",
+    rc = RunConfig()
+    t.add_argument("--engine", choices=grid.ENGINES, default=rc.engine)
+    t.add_argument("--workers", type=int, default=rc.workers, help="sequence-group size")
+    t.add_argument("--replicas", type=int, default=rc.replicas,
+                   help="data-parallel rows (hybrid)")
+    t.add_argument("--steps", type=int, default=rc.steps)
+    t.add_argument("--lr", type=float, default=rc.lr)
+    t.add_argument("--optimizer", choices=optim.OPTIMIZERS, default=rc.optimizer)
+    t.add_argument("--seed", type=int, default=rc.seed)
+    t.add_argument("--dataset", default=rc.dataset,
+                   help="byte corpus path; omit for synthetic")
+    t.add_argument("--synthetic-bytes", type=int, default=rc.synthetic_bytes)
+    t.add_argument("--out", default=rc.out_dir, help="output directory")
+    t.add_argument("--no-fuse", action="store_true", default=not rc.fused,
                    help="gather keys and values separately (ablation)")
-    t.add_argument("--check", action="store_true",
+    t.add_argument("--check", action="store_true", default=rc.equivalence_check,
                    help="also run the sequential oracle and report max param delta")
     t.add_argument("--config", default=None, help="JSON run config; overrides flags")
     t.set_defaults(fn=_cmd_train)

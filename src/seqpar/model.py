@@ -291,15 +291,15 @@ class ScoreCache:
     and, with dropout, the boolean keep mask (None without), each in one
     (blocks, rows, keys) stack of (sample, head) blocks in sample-major
     order, and the tile plan (:func:`score_tiles`) the forward walked.  Each
-    tile's weights and keep mask lie packed at the tile's ``start`` in the
-    stacks (see :func:`_tile`); the rest of each stack is unused.  The
-    dropped weights are not kept; backward rebuilds them from these two.
-    :func:`scores_bwd` gives both stacks back and sets them to None, so a
-    spent cache cannot be read again."""
+    band's weights and keep mask, over every block, lie packed at its tile's
+    ``start`` in the stacks (see :func:`_tile`); the rest of each stack is
+    unused.  The dropped weights are not kept; backward rebuilds them from
+    these two.  :func:`scores_bwd` gives both stacks back and sets them to
+    None, so a spent cache cannot be read again."""
 
     weights: np.ndarray | None
     keep: np.ndarray | None
-    tiles: list[tuple[int, int, int, range, int]]
+    tiles: list[tuple[int, int, int, int]]
 
     @property
     def nbytes(self) -> int:
@@ -327,46 +327,30 @@ def score_bands(rows: int, keys: int, offset: int, causal: bool) -> list[tuple[i
     return bands
 
 
-# Score elements that one pass of a row-wise op covers: one full 256x512
-# block, or eight 64x256 bands.  Small blocks cost numpy call overhead more
-# than arithmetic, so one band of consecutive (sample, head) blocks, up to
-# this budget, goes through the scaling, the softmax, the keep-mask hash
-# and the backward's elementwise passes together, as one tile, and each of
-# its products is one stacked matmul; a band above the budget makes a tile
-# per block.
-SCORE_GROUP_WORDS = 1 << 17
-
-
-def score_tiles(blocks: int, bands) -> list[tuple[int, int, int, range, int]]:
+def score_tiles(blocks: int, bands) -> list[tuple[int, int, int, int]]:
     """The tiles ``blocks`` (sample, head) blocks are scored in, in the
-    order the forward runs them: for each band of ``bands``
-    (:func:`score_bands`), each group of consecutive blocks whose band rows
-    fit :data:`SCORE_GROUP_WORDS` together (one block at least), as
-    ``(first row, end row, visible keys, block range, start)``.  A tile's
-    weights are a (blocks * band rows, visible keys) array packed at flat
-    offset ``start`` of the layer's score stack, right after the tile
-    before it."""
+    order the forward runs them: one per band of ``bands``
+    (:func:`score_bands`), covering every block, as ``(first row, end row,
+    visible keys, start)``.  A tile's weights are a (blocks, band rows,
+    visible keys) array packed at flat offset ``start`` of the layer's
+    score stack, right after the tile before it."""
     tiles, start = [], 0
     for r0, r1, visible in bands:
-        words = (r1 - r0) * visible
-        size = max(1, min(blocks, SCORE_GROUP_WORDS // words))
-        for i in range(0, blocks, size):
-            group = range(i, min(i + size, blocks))
-            tiles.append((r0, r1, visible, group, start))
-            start += len(group) * words
+        tiles.append((r0, r1, visible, start))
+        start += blocks * (r1 - r0) * visible
     return tiles
 
 
 def _tile(stack: np.ndarray, tile) -> np.ndarray:
-    """The 2-D (blocks * band rows, visible keys) view of ``tile`` in ``stack``."""
-    r0, r1, visible, group, start = tile
-    rows = len(group) * (r1 - r0)
-    return stack.reshape(-1)[start : start + rows * visible].reshape(rows, visible)
+    """The (blocks, band rows, visible keys) view of ``tile`` in ``stack``."""
+    r0, r1, visible, start = tile
+    shape = (len(stack), r1 - r0, visible)
+    return stack.reshape(-1)[start : start + math.prod(shape)].reshape(shape)
 
 
-def _tile_words(tiles) -> int:
+def _tile_words(blocks: int, tiles) -> int:
     """The most elements one tile holds: the work buffer that serves them all."""
-    return max(len(group) * (r1 - r0) * visible for r0, r1, visible, group, _ in tiles)
+    return blocks * max((r1 - r0) * visible for r0, r1, visible, _ in tiles)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -402,14 +386,14 @@ def scores_fwd(
 
     ``q``, ``k`` and ``v`` are first copied head-major (one (sample, head)
     block per item of a stack).  The forward builds the tile plan
-    (:func:`score_tiles`) once and walks it.  Per tile, its group of blocks
-    is multiplied as one stack straight into the tile's packed view of the
-    weight stack, which is taken through ``tensor.take`` at the full
-    (blocks, m, keys) size; the scaling, the softmax (under the band's
-    (rows, keys) causal mask, shared by every block) and the keep-mask hash
-    then run once over the whole tile, and with dropout one tile-sized work
-    buffer holds the dropped weights for the stacked product with the
-    values.  The plan goes into the cache for :func:`scores_bwd`.
+    (:func:`score_tiles`, one tile per band) once and walks it.  Per tile,
+    every block's band is multiplied as one stack straight into the tile's
+    packed view of the weight stack, which is taken through ``tensor.take``
+    at the full (blocks, m, keys) size; the scaling, the softmax (under the
+    band's (rows, keys) causal mask, shared by every block) and the
+    keep-mask hash then run once over the whole tile, and with dropout one
+    tile-sized work buffer holds the dropped weights for the stacked product
+    with the values.  The plan goes into the cache for :func:`scores_bwd`.
     """
     bsz, m, _ = q.shape
     t = k.shape[1]
@@ -423,29 +407,28 @@ def scores_fwd(
     keep = None
     if policy.active:
         keep = tensor.take((blocks, m, t), np.bool_)
-        work = tensor.take((_tile_words(tiles),), q.dtype)
+        work = tensor.take((_tile_words(blocks, tiles),), q.dtype)
         row_keys = np.stack(
             [nnops.score_row_keys(policy, layer, *divmod(i, heads), q_pos) for i in range(blocks)]
         )
     qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
     ctxh = np.empty_like(qh)
     for tile in tiles:
-        r0, r1, visible, group, _ = tile
-        g = slice(group.start, group.stop)
+        r0, r1, visible, _ = tile
         aw_d = aw = _tile(weights, tile)
-        aw3 = aw.reshape(len(group), r1 - r0, visible)
-        tensor.matmul(qh[g, r0:r1], kh[g, :visible].transpose(0, 2, 1), out=aw3)
+        tensor.matmul(qh[:, r0:r1], kh[:, :visible].transpose(0, 2, 1), out=aw)
         aw *= scale
         mask = np.arange(visible) <= q_pos[r0:r1, None] if cfg.causal else None
-        tensor.softmax_rows(aw3, mask, out=aw3)
+        tensor.softmax_rows(aw, mask, out=aw)
         if keep is not None:
-            kept = nnops.keep_mask(policy, row_keys[g, r0:r1].reshape(-1), visible,
-                                   out=_tile(keep, tile))
+            kept = _tile(keep, tile)
+            nnops.keep_mask(policy, row_keys[:, r0:r1].reshape(-1), visible,
+                            out=kept.reshape(-1, visible))
             aw_d = nnops.scaled_mask(policy, kept, aw.dtype, out=work[: aw.size].reshape(aw.shape))
             aw_d *= aw
-        tensor.matmul(aw_d.reshape(aw3.shape), vh[g, :visible], out=ctxh[g, r0:r1])
+        tensor.matmul(aw_d, vh[:, :visible], out=ctxh[:, r0:r1])
         if counters is not None:
-            counters.add_score_flops(2 * len(aw), dk, visible)  # QK^T and PV
+            counters.add_score_flops(2 * blocks * (r1 - r0), dk, visible)  # QK^T and PV
     if keep is not None:
         tensor.give(work)
     cache = ScoreCache(weights=weights, keep=keep, tiles=tiles)
@@ -471,7 +454,7 @@ def scores_bwd(
     work buffer for the value gradients only; the weight gradients then take
     that buffer, are scaled by the same mask and run through the softmax
     backward in place.  The key and value gradients start at zero and every
-    tile adds into its blocks' rows up to its visible keys; rows no query
+    tile adds into each block's rows up to its visible keys; rows no query
     sees stay zero.  The cache's stacks go back to ``tensor.give`` and are
     dropped from it, so a spent cache cannot be read again."""
     bsz = q.shape[0]
@@ -488,22 +471,19 @@ def scores_bwd(
     grad_q = np.empty_like(qh)
     grad_k = np.zeros_like(kh)
     grad_v = np.zeros_like(vh)
-    work = tensor.take((_tile_words(tiles),), dt)
+    work = tensor.take((_tile_words(blocks, tiles),), dt)
     prod_buf = tensor.take((nnops.row_tile(k.shape[1])[1],), dt)
-    row_sums = np.empty((max(len(group) * (r1 - r0) for r0, r1, _, group, _ in tiles), 1), dt)
+    row_sums = np.empty((blocks * max(r1 - r0 for r0, r1, _, _ in tiles), 1), dt)
     for tile in reversed(tiles):
-        r0, r1, visible, group, _ = tile
-        g = slice(group.start, group.stop)
+        r0, r1, visible, _ = tile
         aw_d = aw = _tile(weights, tile)
-        rows = len(aw)
-        stack = (len(group), r1 - r0, visible)
         grad_aw = work[: aw.size].reshape(aw.shape)
         if keep is not None:
             kept = _tile(keep, tile)
             aw_d = nnops.scaled_mask(policy, kept, dt, out=grad_aw)
             aw_d *= aw
-        grad_v[g, :visible] += tensor.matmul(aw_d.reshape(stack).transpose(0, 2, 1), gh[g, r0:r1])
-        tensor.matmul(gh[g, r0:r1], vh[g, :visible].transpose(0, 2, 1), out=grad_aw.reshape(stack))
+        grad_v[:, :visible] += tensor.matmul(aw_d.transpose(0, 2, 1), gh[:, r0:r1])
+        tensor.matmul(gh[:, r0:r1], vh[:, :visible].transpose(0, 2, 1), out=grad_aw)
         if keep is not None:
             # times the scaled mask, bitwise: a kept entry is scaled by
             # 1 * c, a dropped one becomes a zero of its own sign
@@ -513,18 +493,19 @@ def scores_bwd(
         # * scale; masked-out entries have aw == 0, so they stay 0.  The
         # row sums go an nnops.row_tile of rows at a time, which leaves
         # each row's sum as it was.
+        aw_rows, grad_rows = aw.reshape(-1, visible), grad_aw.reshape(-1, visible)
+        rows = len(aw_rows)
         height, _ = nnops.row_tile(visible)
         for t0 in range(0, rows, height):
             t1 = min(t0 + height, rows)
             prod = prod_buf[: (t1 - t0) * visible].reshape(t1 - t0, visible)
-            np.multiply(grad_aw[t0:t1], aw[t0:t1], out=prod)
+            np.multiply(grad_rows[t0:t1], aw_rows[t0:t1], out=prod)
             np.sum(prod, axis=1, keepdims=True, out=row_sums[t0:t1])
-        grad_aw -= row_sums[:rows]
+        grad_rows -= row_sums[:rows]
         grad_aw *= aw
         grad_aw *= scale
-        grad_s = grad_aw.reshape(stack)
-        tensor.matmul(grad_s, kh[g, :visible], out=grad_q[g, r0:r1])
-        grad_k[g, :visible] += tensor.matmul(grad_s.transpose(0, 2, 1), qh[g, r0:r1])
+        tensor.matmul(grad_aw, kh[:, :visible], out=grad_q[:, r0:r1])
+        grad_k[:, :visible] += tensor.matmul(grad_aw.transpose(0, 2, 1), qh[:, r0:r1])
     tensor.give(work, prod_buf, *[a for a in (weights, keep) if a is not None])
     cache.weights = cache.keep = None
     return tuple(_merge_heads(a, bsz) for a in (grad_q, grad_k, grad_v))

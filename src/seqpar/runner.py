@@ -327,23 +327,29 @@ def verify_equivalence(
     identical synthetic batches; one result row per combination.  A grid of
     R replicas trains on batches of R * cfg.batch rows, and so does its
     oracle.  ``tolerance`` defaults to :func:`equivalence_tolerance` of the
-    config's precision."""
+    config's precision.  Grids whose workers do not split the sequence are
+    skipped; if that leaves none, :class:`PartitionError` names them."""
     if tolerance is None:
         tolerance = equivalence_tolerance(cfg.dtype)
+    if steps < 1:
+        raise ValueError("steps must be positive")
     for name, counts in (("workers", workers), ("replicas", replicas)):
         if any(n < 1 for n in counts):
             raise ValueError(f"{name} must all be positive, got {counts}")
-    grids = []  # every grid is checked before any trains
+    grids, skipped = [], []  # every grid is checked before any trains
     for engine in engines:
         for d in replicas if engine == "hybrid" else (1,):
             for n in workers:
                 layout = GridLayout(d, n)
                 try:
                     grid.check_grid(engine, layout, cfg.seq_len)
-                except PartitionError:
-                    continue  # worker counts that do not split the sequence are skipped
+                except PartitionError as exc:
+                    skipped.append(f"skipped {engine} {d}x{n} ({exc})")
+                    continue
                 _check_oracle_matches(layout, cfg.dropout)
                 grids.append((engine, layout))
+    if not grids:
+        raise PartitionError("no grid to verify: " + ("; ".join(skipped) or "no engines given"))
     rng = np.random.default_rng(seed)
     policy = DropoutPolicy(rate=cfg.dropout, seed=seed)
     params0 = model.init_params(cfg, seed)

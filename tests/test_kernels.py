@@ -400,13 +400,13 @@ def test_three_adam_steps_match_reference_bitwise(precision):
             assert_bitwise(got, want)
 
 
-# (batch, heads, rows, keys, offset) score shapes around the group budget
-# and the bands: nine 128x128 blocks make two bands, grouped eight and one;
-# 64 rows at offset 128 of 256 keys are one band that leaves the last 64
-# keys visible to no row; 256x512 blocks at offsets 0 and 256 are four
-# bands each, the widest 256x512 one filling the budget alone; a 512x512
-# block is eight bands and exceeds the budget unbanded; 100 rows at offset
-# 200 of 300 keys are a 64-row band and a ragged 36-row one.
+# (batch, heads, rows, keys, offset) score shapes around the bands, one
+# stacked tile per band: nine 128x128 blocks make two bands; 64 rows at
+# offset 128 of 256 keys are one band that leaves the last 64 keys visible
+# to no row; 256x512 blocks at offsets 0 and 256 are four causal bands each
+# (the "budget" in their IDs is 2^17 elements, one 256x512 block); a
+# 512x512 block is eight bands; 100 rows at offset 200 of 300 keys are a
+# 64-row band and a ragged 36-row one.
 SCORE_SHAPES = {
     "B3H3-128x128": (3, 3, 128, 128, 0),
     "B3H3-64x256-offset": (3, 3, 64, 256, 128),

@@ -44,15 +44,14 @@ def attention_oracle(q, k, v, offset, cfg):
 def unpack(cache, stack):
     """A score cache's ``stack`` (its weights or keep masks) as one dense
     (rows, keys) array per (sample, head) block, zero past each band's
-    visible keys: each tile's (blocks, band rows, visible keys) entries lie
-    at its start, one tile after another from the front of the stack."""
+    visible keys: each band's (blocks, band rows, visible keys) entries lie
+    at its tile's start, one tile after another from the front of the stack."""
     dense = np.zeros(stack.shape, stack.dtype)
-    flat, pos = stack.reshape(-1), 0
-    for r0, r1, visible, group, start in cache.tiles:
+    flat, pos, blocks = stack.reshape(-1), 0, len(stack)
+    for r0, r1, visible, start in cache.tiles:
         assert start == pos
-        n = len(group) * (r1 - r0) * visible
-        dense[group.start : group.stop, r0:r1, :visible] = (
-            flat[pos : pos + n].reshape(len(group), r1 - r0, visible))
+        n = blocks * (r1 - r0) * visible
+        dense[:, r0:r1, :visible] = flat[pos : pos + n].reshape(blocks, r1 - r0, visible)
         pos += n
     return list(dense)
 
@@ -201,26 +200,20 @@ def test_scores_match_oracle_with_offset_block(rng):
 @given(blocks=st.integers(1, 40), rows=st.integers(1, 600), offset=st.integers(0, 600),
        keys=st.integers(1, 4096), causal=st.booleans(), dk=st.integers(1, 8))
 def test_score_tiles_pack_every_band_once(blocks, rows, offset, keys, causal, dk):
-    """The tile plan walks the bands in order, splits the blocks of each band
-    into consecutive groups, packs the tiles back to back from the stack's
-    front and scores exactly the flops of the cost model."""
+    """The tile plan is the band plan: one tile per band, in band order, over
+    every block, packed back to back from the stack's front, scoring exactly
+    the flops of the cost model."""
     bands = model.score_bands(rows, keys, offset, causal)
     tiles = model.score_tiles(blocks, bands)
-    walked = [tile[:3] for n, tile in enumerate(tiles) if n == 0 or tiles[n - 1][:3] != tile[:3]]
-    assert walked == bands
-    for band in bands:
-        groups = [group for *head, group, _ in tiles if tuple(head) == band]
-        assert [i for group in groups for i in group] == list(range(blocks))
+    assert [tile[:3] for tile in tiles] == bands
     pos = 0
-    for r0, r1, visible, group, start in tiles:
+    for r0, r1, visible, start in tiles:
         assert start == pos
-        words = len(group) * (r1 - r0) * visible
-        assert words <= model.SCORE_GROUP_WORDS or len(group) == 1
-        pos += words
+        pos += blocks * (r1 - r0) * visible
     assert pos <= blocks * rows * keys
     cfg = ModelConfig(embed_dim=dk, n_layers=1, n_heads=1, ff_dim=4, vocab=5, seq_len=keys,
                       batch=blocks, causal=causal)
-    flops = sum(4 * len(group) * (r1 - r0) * visible * dk for r0, r1, visible, group, _ in tiles)
+    flops = sum(4 * blocks * (r1 - r0) * visible * dk for r0, r1, visible, _ in tiles)
     assert flops == costs.score_flops(cfg, rows, offset)
 
 
@@ -388,8 +381,8 @@ def test_scores_bwd_spends_its_cache_and_recycles_its_stacks(rng):
 
 
 # (batch, heads, rows, keys, offset): a T128 block of two bands, a ragged
-# T300 block (a 64-row band and a 36-row one), and 512x512 blocks whose
-# widest bands exceed the group budget alone, one tile per block
+# T300 block (a 64-row band and a 36-row one), and 512x512 blocks of eight
+# bands (one full-width band without the causal mask)
 MATMUL_PLAN_SHAPES = [(4, 8, 128, 128, 0), (2, 2, 100, 300, 200), (1, 2, 512, 512, 0)]
 
 
@@ -398,9 +391,9 @@ MATMUL_PLAN_SHAPES = [(4, 8, 128, 128, 0), (2, 2, 100, 300, 200), (1, 2, 512, 51
 @pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
 def test_score_kernels_make_one_stacked_product_per_tile_and_role(monkeypatch, shape, causal,
                                                                    rate):
-    """Each tile multiplies its whole group of blocks as one stack: two
-    products forward (scores, context) and four backward (value, weight,
-    query and key gradients), whatever the bands and groups."""
+    """Each band multiplies every block as one stack: two products forward
+    (scores, context) and four backward (value, weight, query and key
+    gradients), whatever the bands."""
     bsz, heads, m, t, offset = shape
     cfg = ModelConfig(embed_dim=8 * heads, n_layers=1, n_heads=heads, ff_dim=8, vocab=5,
                       seq_len=t, batch=bsz, causal=causal)
@@ -417,12 +410,12 @@ def test_score_kernels_make_one_stacked_product_per_tile_and_role(monkeypatch, s
 
     monkeypatch.setattr(tensor, "matmul", counted)
     _, cache = model.scores_fwd(q, k, v, offset, cfg, policy, layer=0)
-    tiles = len(cache.tiles)
-    assert tiles == len(model.score_tiles(bsz * heads, model.score_bands(m, t, offset, causal)))
-    assert len(calls) == 2 * tiles
+    bands = model.score_bands(m, t, offset, causal)
+    assert len(cache.tiles) == len(bands)
+    assert len(calls) == 2 * len(bands)
     calls.clear()
     model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
-    assert len(calls) == 4 * tiles
+    assert len(calls) == 4 * len(bands)
     assert all(len(shape) == 3 for shape in calls)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seqpar import cli, model, reporting, runner
+from seqpar.errors import PartitionError
 from seqpar.grid import GridLayout
 from seqpar.model import ModelConfig
 from seqpar.reporting import StepReport
@@ -247,6 +248,20 @@ def test_verify_equivalence_skips_non_dividing_grids():
     assert [r["workers"] for r in rows] == [1, 2]
 
 
+def test_verify_equivalence_refuses_when_every_grid_is_skipped():
+    """Skipping every grid would check nothing, so it is an error that
+    names what was skipped."""
+    cfg = small_model(seq_len=10)
+    with pytest.raises(PartitionError, match=r"no grid to verify.*sharded 1x3.*sharded 1x4"):
+        runner.verify_equivalence(cfg, engines=("sharded",), workers=(3, 4), steps=1)
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_verify_equivalence_rejects_non_positive_steps(steps):
+    with pytest.raises(ValueError, match="steps must be positive"):
+        runner.verify_equivalence(small_model(), engines=("sharded",), workers=(1,), steps=steps)
+
+
 @pytest.mark.parametrize("field, kw", [
     ("workers", dict(workers=(0,))),
     ("workers", dict(workers=(2, -1))),
@@ -357,6 +372,33 @@ def test_cli_verify_rejects_sequential_multi_worker_grids(capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert "single worker" in captured.err and "1x2" not in captured.out
+
+
+def test_cli_verify_fails_when_no_grid_divides_the_sequence(capsys):
+    assert run_cli("verify", "--workers", "3", "--seq-len", "128") == 1
+    captured = capsys.readouterr()
+    assert "no grid to verify" in captured.err
+    assert "sharded 1x3" in captured.err and "baseline 1x3" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_verify_rejects_zero_steps(capsys):
+    assert run_cli("verify", "--engines", "sharded", "--workers", "1", "--steps", "0",
+                   "--seq-len", "16") == 1
+    assert "error: steps must be positive" in capsys.readouterr().err
+
+
+def test_cli_train_defaults_are_the_run_config_defaults():
+    args = cli.build_parser().parse_args(["train"])
+    rc = RunConfig()
+    assert args.engine == rc.engine
+    assert (args.workers, args.replicas, args.steps) == (rc.workers, rc.replicas, rc.steps)
+    assert (args.lr, args.optimizer, args.seed) == (rc.lr, rc.optimizer, rc.seed)
+    assert (args.dataset, args.synthetic_bytes) == (rc.dataset, rc.synthetic_bytes)
+    assert args.out == rc.out_dir
+    assert args.no_fuse == (not rc.fused)
+    assert args.check == rc.equivalence_check
+    assert cli._model_from(args) == rc.model
 
 
 def test_cli_config_rejects_unknown_model_keys(tmp_path, capsys):
