@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from . import costs, grid, optim, runner, tensor
 from .collectives import CommLedger
-from .model import ModelConfig
+from .model import ModelConfig, check_config_dict
 from .runner import RunConfig
 
 
@@ -70,8 +70,8 @@ def _cmd_train(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="ascii") as f:
             overrides = json.load(f)
-        model_overrides = overrides.pop("model", {})
-        run_dict["model"].update(model_overrides)
+        check_config_dict(RunConfig, overrides, "run-config")
+        run_dict["model"].update(overrides.pop("model", {}))
         run_dict.update(overrides)
     rc = RunConfig.from_dict(run_dict)
     result = runner.run_experiment(rc, echo=print)

@@ -43,6 +43,34 @@ from .nnops import DropoutPolicy, LinearParams
 CHECKPOINT_MAGIC = b"SQPR"
 CHECKPOINT_VERSION = 1
 
+# Config-field annotation -> (the JSON values it takes, their name).  Python
+# counts bools as ints, so check_config_dict rejects them separately.
+_FIELD_TYPES = {
+    "bool": (bool, "true or false"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "ModelConfig": (dict, "an object"),
+}
+
+
+def check_config_dict(cls, d, what: str) -> None:
+    """Raise ValueError unless ``d`` is a dict whose keys are fields of the
+    config dataclass ``cls`` and whose values have those fields' types.
+    Absent fields are not checked; ``what`` names the config in messages."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {what} must be an object, got {type(d).__name__}")
+    extra = set(d) - set(cls.__dataclass_fields__)
+    if extra:
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
+    for f in fields(cls):
+        if f.name in d:
+            types, name = _FIELD_TYPES[f.type]
+            value = d[f.name]
+            if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
+                raise ValueError(f"{what} key {f.name!r} must be {name}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -85,9 +113,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown model-config keys: {sorted(extra)}")
+        check_config_dict(cls, d, "model-config")
         return cls(**d)
 
 

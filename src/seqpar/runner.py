@@ -63,13 +63,6 @@ def default_model() -> ModelConfig:
     )
 
 
-def _check_oracle_matches(layout: GridLayout, dropout: float) -> None:
-    """Raise unless the sequential oracle can reproduce a run on ``layout``:
-    replicas draw independent dropout masks, which no sequential run does."""
-    if layout.replicas > 1 and dropout > 0:
-        raise ValueError("the equivalence check requires dropout off when replicas > 1")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs; flags, config files and tests all build this."""
@@ -89,26 +82,25 @@ class RunConfig:
     equivalence_check: bool = False
 
     def __post_init__(self) -> None:
-        layout = GridLayout(self.replicas, self.workers)
-        grid.check_grid(self.engine, layout, self.model.seq_len)
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if not math.isfinite(self.lr):
             raise ValueError(f"lr must be finite, got {self.lr}")
         if self.optimizer not in optim.OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.equivalence_check:
-            _check_oracle_matches(layout, self.model.dropout)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        grid.check_grid(self.engine, GridLayout(self.replicas, self.workers), self.model.seq_len)
+        if self.equivalence_check and self.replicas > 1 and self.model.dropout > 0:
+            raise ValueError("the equivalence check requires dropout off when replicas > 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        model.check_config_dict(cls, d, "run-config")
         d = dict(d)
-        extra = set(d) - {f for f in cls.__dataclass_fields__}
-        if extra:
-            raise ValueError(f"unknown run-config keys: {sorted(extra)}")
         if "model" in d:
             d["model"] = ModelConfig.from_dict(d["model"])
         return cls(**d)
@@ -324,15 +316,14 @@ def verify_equivalence(
     tolerance: float | None = None,
 ) -> list[dict]:
     """Train each engine/grid combination against the sequential oracle on
-    identical synthetic batches; one result row per combination.  A grid of
-    R replicas trains on batches of R * cfg.batch rows, and so does its
-    oracle.  ``tolerance`` defaults to :func:`equivalence_tolerance` of the
-    config's precision.  Grids whose workers do not split the sequence are
-    skipped; if that leaves none, :class:`PartitionError` names them."""
-    if tolerance is None:
-        tolerance = equivalence_tolerance(cfg.dtype)
-    if steps < 1:
-        raise ValueError("steps must be positive")
+    identical batches; one row per combination, each a :class:`RunConfig`
+    built before any trains.  R replicas train on R * cfg.batch rows, and so
+    does their oracle.  ``tolerance`` defaults to :func:`equivalence_tolerance`
+    of cfg's precision.  Grids whose workers do not split the sequence are
+    skipped; if none is left, :class:`PartitionError` says why."""
+    tolerance = equivalence_tolerance(cfg.dtype) if tolerance is None else tolerance
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     for name, counts in (("workers", workers), ("replicas", replicas)):
         if any(n < 1 for n in counts):
             raise ValueError(f"{name} must all be positive, got {counts}")
@@ -340,36 +331,35 @@ def verify_equivalence(
     for engine in engines:
         for d in replicas if engine == "hybrid" else (1,):
             for n in workers:
-                layout = GridLayout(d, n)
                 try:
-                    grid.check_grid(engine, layout, cfg.seq_len)
+                    grids.append(RunConfig(model=cfg, engine=engine, workers=n, replicas=d,
+                                           steps=steps, lr=lr, seed=seed, equivalence_check=True))
                 except PartitionError as exc:
                     skipped.append(f"skipped {engine} {d}x{n} ({exc})")
-                    continue
-                _check_oracle_matches(layout, cfg.dropout)
-                grids.append((engine, layout))
     if not grids:
-        raise PartitionError("no grid to verify: " + ("; ".join(skipped) or "no engines given"))
+        given = (("engines", engines), ("workers", workers), ("replicas", replicas))
+        empty = next((name for name, values in given if not values), None)
+        raise PartitionError("no grid to verify: " + ("; ".join(skipped) or f"no {empty} given"))
     rng = np.random.default_rng(seed)
     policy = DropoutPolicy(rate=cfg.dropout, seed=seed)
     params0 = model.init_params(cfg, seed)
     oracles: dict[int, tuple[list, Run]] = {}  # replicas -> (batches, oracle run)
 
     rows = []
-    for engine, layout in grids:
-        d, n = layout.replicas, layout.seq_workers
+    for rc in grids:
+        d, n = rc.replicas, rc.workers
         if d not in oracles:
             shape = (d * cfg.batch, cfg.seq_len)
             batches = [
                 (rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))
-                for _ in range(steps)
+                for _ in range(rc.steps)
             ]
-            oracles[d] = batches, _sequential_steps(cfg, params0, batches, lr=lr, policy=policy)
+            oracles[d] = batches, _sequential_steps(cfg, params0, batches, lr=rc.lr, policy=policy)
         batches, oracle = oracles[d]
-        run = _train(engine, cfg, params0, layout, batches, lr=lr, policy=policy)
+        run = _train(rc.engine, cfg, params0, GridLayout(d, n), batches, lr=rc.lr, policy=policy)
         delta = _max_param_delta(run.final_params, oracle.final_params)
         rows.append({
-            "engine": engine,
+            "engine": rc.engine,
             "workers": n,
             "replicas": d,
             "max_param_delta": delta,

@@ -85,6 +85,29 @@ def test_config_from_dict_rejects_unknown_keys(tiny_cfg):
         ModelConfig.from_dict({**tiny_cfg.to_dict(), "foo": 1})
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"causal": "no"}, "'causal' must be true or false, got 'no'"),
+    ({"causal": 0}, "'causal' must be true or false"),
+    ({"seq_len": 16.0}, "'seq_len' must be an integer, got 16.0"),
+    ({"batch": True}, "'batch' must be an integer, got True"),
+    ({"dropout": "0.1"}, "'dropout' must be a number"),
+    ({"dropout": False}, "'dropout' must be a number"),
+    ({"precision": None}, "'precision' must be a string"),
+])
+def test_config_from_dict_rejects_values_of_the_wrong_type(tiny_cfg, change, message):
+    with pytest.raises(ValueError, match=f"model-config key {message}"):
+        ModelConfig.from_dict({**tiny_cfg.to_dict(), **change})
+
+
+def test_config_from_dict_takes_an_integer_where_a_number_is_asked_for(tiny_cfg):
+    assert ModelConfig.from_dict({**tiny_cfg.to_dict(), "dropout": 0}).dropout == 0
+
+
+def test_config_from_dict_rejects_a_non_object():
+    with pytest.raises(ValueError, match="a model-config must be an object, got list"):
+        ModelConfig.from_dict([["embed_dim", 8]])
+
+
 def test_init_is_deterministic(tiny_cfg):
     a = model.init_params(tiny_cfg, seed=7)
     b = model.init_params(tiny_cfg, seed=7)

@@ -106,6 +106,35 @@ def test_run_config_rejects_non_finite_lr(tmp_path, lr):
         small_run(tmp_path, lr=lr)
 
 
+def test_run_config_rejects_a_negative_seed(tmp_path):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        small_run(tmp_path, seed=-1)
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"model": {"causal": "no"}}, "model-config key 'causal' must be true or false, got 'no'"),
+    ({"model": 5}, "run-config key 'model' must be an object, got 5"),
+    ({"workers": 2.0}, "run-config key 'workers' must be an integer, got 2.0"),
+    ({"steps": "3"}, "run-config key 'steps' must be an integer, got '3'"),
+    ({"steps": True}, "run-config key 'steps' must be an integer, got True"),
+    ({"lr": "0.1"}, "run-config key 'lr' must be a number, got '0.1'"),
+    ({"engine": 1}, "run-config key 'engine' must be a string, got 1"),
+    ({"dataset": 3}, "run-config key 'dataset' must be a string or null, got 3"),
+    ({"fused": 1}, "run-config key 'fused' must be true or false, got 1"),
+    ([["steps", 3]], "a run-config must be an object, got list"),
+])
+def test_run_config_from_dict_rejects_values_of_the_wrong_type(d, message):
+    if isinstance(d, dict) and isinstance(d.get("model"), dict):
+        d = {"model": {**small_model().to_dict(), **d["model"]}}
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict(d)
+
+
+def test_run_config_from_dict_takes_ints_for_numbers_and_null_for_no_dataset(tmp_path):
+    rc = RunConfig.from_dict({**small_run(tmp_path).to_dict(), "lr": 1, "dataset": None})
+    assert (rc.lr, rc.dataset) == (1, None)
+
+
 # --- experiment runner ---
 
 
@@ -273,6 +302,52 @@ def test_verify_equivalence_rejects_non_positive_grids(field, kw):
         runner.verify_equivalence(small_model(), steps=1, **kw)
 
 
+def _forbid_training(monkeypatch):
+    def train(*args, **kw):
+        raise AssertionError("a grid trained")
+    monkeypatch.setattr(runner, "_train", train)
+    monkeypatch.setattr(runner, "_sequential_steps", train)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan")])
+def test_verify_equivalence_rejects_a_tolerance_that_passes_nothing(monkeypatch, tolerance):
+    _forbid_training(monkeypatch)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        runner.verify_equivalence(small_model(), engines=("sharded",), workers=(1,), steps=1,
+                                  tolerance=tolerance)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(lr=float("nan")), "^lr must be finite, got nan$"),
+    (dict(seed=-1), "^seed must be non-negative, got -1$"),
+    (dict(steps=0), "^steps must be positive$"),
+])
+def test_verify_equivalence_checks_every_grid_as_a_run_config_before_training(
+        monkeypatch, kw, message):
+    """The bad value is named even on a grid that would be skipped."""
+    _forbid_training(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        runner.verify_equivalence(small_model(seq_len=10), engines=("sharded",),
+                                  workers=(3,), **{"steps": 1, **kw})
+
+
+@pytest.mark.parametrize("kw, empty", [
+    (dict(engines=()), "engines"),
+    (dict(workers=()), "workers"),
+    (dict(engines=("hybrid",), replicas=()), "replicas"),
+    (dict(engines=(), workers=()), "engines"),
+])
+def test_verify_equivalence_names_the_empty_list(kw, empty):
+    with pytest.raises(PartitionError, match=f"^no grid to verify: no {empty} given$"):
+        runner.verify_equivalence(small_model(), steps=1, **kw)
+
+
+def test_verify_equivalence_ignores_replicas_for_engines_that_take_none():
+    rows = runner.verify_equivalence(small_model(), engines=("sharded",), workers=(1,),
+                                     replicas=(), steps=1)
+    assert [(r["replicas"], r["workers"]) for r in rows] == [(1, 1)]
+
+
 def test_verify_equivalence_runs_sequential_on_one_worker_only():
     with pytest.raises(ValueError, match="single worker"):
         runner.verify_equivalence(small_model(), engines=("sequential",), workers=(1, 2), steps=1)
@@ -386,6 +461,44 @@ def test_cli_verify_rejects_zero_steps(capsys):
     assert run_cli("verify", "--engines", "sharded", "--workers", "1", "--steps", "0",
                    "--seq-len", "16") == 1
     assert "error: steps must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--lr", "nan"), "error: lr must be finite, got nan"),
+    (("--seed", "-1"), "error: seed must be non-negative, got -1"),
+    (("--tolerance", "-1"), "error: tolerance must be positive, got -1.0"),
+    (("--tolerance", "0"), "error: tolerance must be positive, got 0.0"),
+    (("--workers", ","), "error: no grid to verify: no workers given"),
+])
+def test_cli_verify_rejects_bad_input_before_any_grid_trains(monkeypatch, capsys, argv, message):
+    _forbid_training(monkeypatch)
+    assert run_cli("verify", "--engines", "sharded", "--seq-len", "16", *argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_cli_train_rejects_a_negative_seed_without_creating_the_output(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--seed", "-1", "--out", str(out)) == 1
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"model": {"causal": "no"}}', "model-config key 'causal' must be true or false"),
+    ('{"workers": 2.0}', "run-config key 'workers' must be an integer, got 2.0"),
+    ('{"model": 5}', "run-config key 'model' must be an object, got 5"),
+    ('[1, 2]', "a run-config must be an object, got list"),
+])
+def test_cli_config_rejects_values_of_the_wrong_type(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_train_defaults_are_the_run_config_defaults():
