@@ -37,14 +37,15 @@ from .model import ModelConfig, Parameters
 from .nnops import DropoutPolicy, LinearParams
 
 
-def _on_rank0_fwd(worker: Worker, step: int, layer: int, sublayer, y, offset):
-    """Sublayer placement: gather ``y`` onto rank 0, run ``sublayer`` there
-    over the whole sequence, scatter its output back.  Only rank 0 holds a
-    cache."""
+def _on_rank0_fwd(worker: Worker, step: int, layer: int, sublayer, y, rows):
+    """Sublayer placement: gather ``y`` (the block at ``rows``) onto rank 0,
+    run ``sublayer`` there over the whole sequence, scatter its output
+    back.  Only rank 0 holds a cache."""
     comm, group, rank = worker.comm, worker.seq_group, worker.spec.rank
     tag = dict(dim=1, step=step, phase="forward", layer=layer)
     y_full = comm.gather(group, rank, y, dst=0, **tag)
-    out_full, cache = sublayer(y_full, 0) if rank == 0 else (None, None)
+    whole = ((0, worker.spec.seq_len),)
+    out_full, cache = sublayer(y_full, whole) if rank == 0 else (None, None)
     return comm.scatter(group, rank, out_full, src=0, **tag), cache
 
 
@@ -87,12 +88,13 @@ def train_step(
     bwd = dict(dim=1, step=step, phase="backward")
 
     # ---- forward -----------------------------------------------------
-    x_full, e_cache = model.embed_fwd(params, cfg, tokens, 0, policy) if rank == 0 else (None, None)
+    x_full, e_cache = (model.embed_fwd(params, cfg, tokens, ((0, cfg.seq_len),), policy)
+                       if rank == 0 else (None, None))
     x = comm.scatter(group, rank, x_full, src=0, **fwd)
     caches = []
     for li, lp in enumerate(params.layers):
         place = partial(_on_rank0_fwd, worker, step, li)
-        x, c = model.layer_fwd(lp, cfg, policy, li, x, spec.offset, place_fwd=place)
+        x, c = model.layer_fwd(lp, cfg, policy, li, x, spec.block_rows, place_fwd=place)
         caches.append(c)
     x_full = comm.gather(group, rank, x, dst=0, **fwd)
     loss, h_cache = model.head_fwd(x_full, params, targets) if rank == 0 else (None, None)

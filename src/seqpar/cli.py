@@ -109,10 +109,15 @@ def _cmd_cost(args) -> int:
             est = costs.estimate(replace(cfg, seq_len=l), n, "sharded")
             print(f"{n:>8} {l:>8} {est.score_elements_peak:>20} {ratio:>6}")
         return 0
+    fused = not args.no_fuse
     for n in _int_list(args.workers):
-        est = costs.estimate(cfg, n, args.engine, fused=not args.no_fuse)
+        est = costs.estimate(cfg, n, args.engine, fused=fused)
         print(f"engine={est.engine} workers={n} block={est.block}")
-        print(f"  score flops (fwd)       {est.score_flops}")
+        by_rank = ""
+        if args.engine in ("sharded", "hybrid"):
+            flops = costs.rank_score_flops(cfg, n, args.engine, fused=fused)
+            by_rank = f"  (busiest; by rank {flops})"
+        print(f"  score flops (fwd)       {est.score_flops}{by_rank}")
         print(f"  score elements (peak)   {est.score_elements_peak}")
         print(f"  score cache bytes       {est.score_cache_bytes}")
         print(f"  projection flops (fwd)  {est.proj_flops}")

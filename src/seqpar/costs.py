@@ -4,8 +4,13 @@ The formulas mirror what the runtime counters in :mod:`seqpar.tensor`
 measure, so an estimate for a config can be checked against an instrumented
 run to the last flop.  Score flops accumulate over layers and count only the
 keys each band of query rows can see (:func:`seqpar.model.score_bands`), so
-under a causal mask they grow with a worker's position in the sequence:
-:func:`score_flops` gives any worker's, and the estimate the busiest one's.
+under a causal mask a row's share grows with its position in the sequence.
+:func:`score_flops` gives a contiguous run of rows its figure,
+:func:`rows_score_flops` a worker's chunks theirs, and
+:func:`rank_score_flops` every worker of a sequence group its own.  A fused
+sharded worker computes one early and one late chunk, so all workers score
+near-equal shares; an unfused worker computes its own block, so the last
+worker does the most.  The estimate gives the busiest worker's figure.
 The score-element figure is the footprint of one layer's score stack, the
 same on every worker of a sequence group, so it carries no layer factor.
 A training step keeps every layer's scores until its backward: the
@@ -21,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .grid import GridLayout, check_grid
-from .model import ModelConfig, param_count, param_shapes, score_bands
+from .grid import GridLayout, ShardSpec, check_grid
+from .model import ModelConfig, Rows, param_count, param_shapes, score_bands
 
 # Worker-count / sequence-length pairs that hold the per-worker attention
 # workload ratio to small integers: with block length l/n, per-worker score
@@ -70,10 +75,10 @@ def estimate(
     Figures describe the busiest worker.  For the sharded and hybrid engines
     every worker holds the same score footprint and does the same
     projection, ffn and head work, but a causal worker scores only the keys
-    its rows can see, so the last worker of a sequence group does the most
-    score flops, and ``score_flops`` is its figure (:func:`score_flops` gives
-    every other worker's).  For the baseline, rank 0 does all
-    attention/ffn/head work and holds the full score footprint.
+    its rows can see, so ``score_flops`` is the largest of
+    :func:`rank_score_flops`, which depends on ``fused``.  For the
+    baseline, rank 0 does all attention/ffn/head work and holds the full
+    score footprint.
     """
     check_grid(engine, GridLayout(replicas, workers), cfg.seq_len)
     l, b, h, e, f, layers = (
@@ -83,12 +88,12 @@ def estimate(
     # Rows this worker pushes through attention scores / ffn / head, and the
     # rows its key/value projections see.
     if engine in ("sharded", "hybrid"):
-        # Fused gathers the normalized block and projects keys/values over the
+        # Fused gathers the layer input and projects keys/values over the
         # whole sequence; unfused projects its own block, then gathers K and V.
         q_rows, kv_rows, ffn_rows, head_rows = block, (l if fused else block), block, block
         per_layer = 2 if fused else 4
         # Per sequence group: one b*l*e payload per layer-tagged collective
-        # (fused gathers the normalized block; unfused gathers keys and
+        # (fused gathers the layer input; unfused gathers keys and
         # values separately), plus the flat gradient sync (replicated params
         # + 1 piggybacked loss).
         shared = sum(a.size for n, a in param_shapes(cfg).named_arrays() if n != "pos_table")
@@ -121,7 +126,7 @@ def estimate(
         workers=workers,
         seq_len=l,
         block=block,
-        score_flops=score_flops(cfg, q_rows, l - q_rows),
+        score_flops=max(rank_score_flops(cfg, workers, engine, fused=fused)),
         score_elements_peak=score_elements_peak,
         score_cache_bytes=score_cache_bytes,
         proj_flops=proj_flops,
@@ -134,14 +139,35 @@ def estimate(
 
 
 def score_flops(cfg: ModelConfig, rows: int, offset: int) -> int:
-    """Forward score flops of one training step, over every layer, of a
-    worker whose ``rows`` query rows start at global position ``offset``:
-    per (sample, head) block and band of :func:`seqpar.model.score_bands`,
+    """Forward score flops of one training step, over every layer, of
+    ``rows`` contiguous query rows from global position ``offset`` (a
+    worker's block, or one chunk of its rows): per (sample, head) block and
+    band of :func:`seqpar.model.score_bands`,
     QK^T and weights@V over the band's rows and its visible keys."""
     dk = cfg.head_dim
     per_block = sum(4 * (r1 - r0) * visible * dk
                     for r0, r1, visible in score_bands(rows, cfg.seq_len, offset, cfg.causal))
     return cfg.n_layers * cfg.batch * cfg.n_heads * per_block
+
+
+def rows_score_flops(cfg: ModelConfig, rows: Rows) -> int:
+    """:func:`score_flops` of a worker whose query rows are the chunks
+    ``rows``: each chunk's bands are cut on their own, so it is the sum over
+    the chunks."""
+    return sum(score_flops(cfg, stop - start, start) for start, stop in rows)
+
+
+def rank_score_flops(
+    cfg: ModelConfig, workers: int, engine: str = "sharded", *, fused: bool = True
+) -> list[int]:
+    """Forward score flops of one training step on each worker of a sequence
+    group, in rank order: the closed form over the rows each one computes
+    (:meth:`seqpar.grid.ShardSpec.compute_rows` for the sharded and hybrid
+    engines; the baseline's rank 0 scores the whole sequence)."""
+    if engine in ("sharded", "hybrid"):
+        return [rows_score_flops(cfg, ShardSpec(r, workers, cfg.seq_len).compute_rows(fused))
+                for r in range(workers)]
+    return [score_flops(cfg, cfg.seq_len, 0)] + [0] * (workers - 1)
 
 
 def _complexity(engine: str) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 from . import model, optim, tensor
 from .collectives import Communicator, WorkerGroup
 from .errors import PartitionError, ShapeError
-from .model import ModelConfig, Parameters
+from .model import ModelConfig, Parameters, Rows
 from .nnops import DropoutPolicy
 from .tensor import StepCounters
 
@@ -87,7 +87,15 @@ def make_groups(
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Which contiguous block of the sequence a worker owns."""
+    """Which rows of the sequence a worker owns and which it computes.
+
+    A worker owns a contiguous block (:attr:`block_rows`): its tokens, its
+    rows of the position table, its embeddings.  It computes its layers
+    (past any input gather) and its loss on :meth:`compute_rows`.  Unfused
+    those are its own block.  Fused, each layer all-gathers its whole
+    input, so any rows will do, and the worker computes its
+    :attr:`balanced_rows`, which give every worker of a causal group an
+    equal share of the score work."""
 
     rank: int
     workers: int
@@ -111,6 +119,31 @@ class ShardSpec:
     def offset(self) -> int:
         return self.rank * self.block
 
+    @property
+    def block_rows(self) -> Rows:
+        return ((self.offset, self.offset + self.block),)
+
+    @property
+    def balanced_rows(self) -> Rows:
+        """Chunks ``rank`` and ``2N-1-rank`` of the sequence cut into 2N
+        chunks: N front chunks of ``block // 2`` rows, then N back chunks of
+        the rest of a block.  Rows early in a causal sequence see few keys
+        and late rows many, so every worker pairs one of each and all score
+        equal shares, up to the band rounding.  Adjacent chunks (the last
+        worker's, so every chunk at N=1) merge and empty ones drop."""
+        n, front = self.workers, self.block // 2
+        back = self.block - front
+        late = n * front + (n - 1 - self.rank) * back
+        chunks = ((self.rank * front, (self.rank + 1) * front), (late, late + back))
+        if chunks[0][1] == late:
+            chunks = ((chunks[0][0], late + back),)
+        return tuple((start, stop) for start, stop in chunks if stop > start)
+
+    def compute_rows(self, fused: bool) -> Rows:
+        """The rows this worker computes: :attr:`balanced_rows` when its
+        layers gather their whole input (``fused``), else its own block."""
+        return self.balanced_rows if fused else self.block_rows
+
 
 def shard_params(full: Parameters, spec: ShardSpec) -> Parameters:
     """A worker's parameters: a deep copy of ``full`` except the position
@@ -124,11 +157,12 @@ def shard_params(full: Parameters, spec: ShardSpec) -> Parameters:
     return p
 
 
-def slice_batch(x: np.ndarray, spec: ShardSpec) -> np.ndarray:
-    """This worker's columns of a (batch, seq_len) token or target array."""
+def slice_batch(x: np.ndarray, spec: ShardSpec, rows: Rows | None = None) -> np.ndarray:
+    """This worker's columns of a (batch, seq_len) token or target array: its
+    own block, or the columns at ``rows``."""
     if x.shape[1] != spec.seq_len:
         raise ShapeError(f"expected {spec.seq_len} columns, got {x.shape[1]}")
-    return np.ascontiguousarray(x[:, spec.offset : spec.offset + spec.block])
+    return np.ascontiguousarray(model.take_rows(x, spec.block_rows if rows is None else rows))
 
 
 def reassemble_params(shards: list[Parameters]) -> Parameters:
@@ -219,16 +253,17 @@ def train(
     counters around the call.  Each rank's whole loop runs inside
     ``tensor.recycling``, so the score path's scratch buffers are reused
     from step to step and layer to layer for the run.  ``batches[s]`` holds
-    ``R*B`` rows; replica ``d`` trains on rows ``[d*B, (d+1)*B)``.  With
-    ``split`` a rank owns only its block of the sequence (its columns of the
-    batch, its rows of the position table); without it, rank 0's whole copy
-    of the parameters is the result.  ``run_workers`` (normally
-    :func:`seqpar.collectives.run_workers`) starts one thread per rank; each
-    engine passes the name bound in its own module, which is where
-    perfbench/spans.py wraps it to trace the worker threads.  When ``split``
-    puts more than one rank to work at once, the ranks share the usable CPUs
-    for BLAS threads (``cpus // world`` each, through ``tensor.blas_threads``);
-    the count is restored on return or raise.
+    ``R*B`` rows; replica ``d`` trains on rows ``[d*B, (d+1)*B)``, every
+    column of them: a step takes the columns it needs itself.  With
+    ``split`` a rank owns only its block of the position table; without
+    it, rank 0's whole copy of the parameters is the result.
+    ``run_workers`` (normally :func:`seqpar.collectives.run_workers`)
+    starts one thread per rank; each engine passes the name bound in its
+    own module, which is where perfbench/spans.py wraps it to trace the
+    worker threads.  When ``split`` puts more than one rank to work at
+    once, the ranks share the usable CPUs for BLAS threads (``cpus //
+    world`` each, through ``tensor.blas_threads``); the count is restored
+    on return or raise.
 
     The reported gradient norm covers the whole parameter set whatever the
     layout: rank 0's squared norm plus the position-row squares of the other
@@ -260,8 +295,6 @@ def train(
             rows = tokens.shape[0] // layout.replicas
             tokens = tokens[replica * rows : (replica + 1) * rows]
             targets = targets[replica * rows : (replica + 1) * rows]
-            if split:
-                tokens, targets = slice_batch(tokens, spec), slice_batch(targets, spec)
             counters = StepCounters()
             with tensor.counting(counters):
                 loss, grads = step(worker, own, cfg, tokens, targets, policy=step_policy, step=s)

@@ -2,13 +2,17 @@
 (single-worker) reference engine.
 
 The per-layer forward/backward are written once, here, and parameterized at
-the two places where distributed execution differs from sequential:
+the three places where distributed execution differs from sequential:
 
-* how keys and values for the whole sequence are produced from each worker's
-  local activation block (``kv_fwd``), and how gradients flow back through
-  that production (``kv_bwd``).  Locally it is two linear maps; the sharded
-  engine additionally all-gathers activations forward and reduce-scatters
-  gradients backward.
+* what the layer's input is (``gather``/``scatter``).  By default the
+  worker's own block; the fused sharded engine all-gathers the whole
+  sequence's input, so the layer can compute any rows of it, and
+  reduce-scatters the input gradient back.
+* how keys and values for the whole sequence are produced from the
+  normalized input (``kv_fwd``), and how gradients flow back through that
+  production (``kv_bwd``).  Locally it is two linear maps; the unfused
+  sharded engine additionally all-gathers keys and values forward and
+  reduce-scatters their gradients backward.
 * where each of the layer's two sublayers (attention, feed-forward) runs
   (``place_fwd``/``place_bwd``).  By default on the worker's own block; the
   baseline engine gathers the sublayer input onto one worker, runs it over
@@ -19,9 +23,12 @@ distributed run with a single worker is bit-for-bit identical to the
 sequential engine, and multi-worker runs differ only by float rounding.
 
 Shapes follow one convention throughout: activations are (batch, rows,
-features); token ids and targets are (batch, rows); ``offset`` is the global
-sequence position of a block's first row, which drives both the causal mask
-and the position-keyed dropout.
+features); token ids and targets are (batch, rows).  ``rows`` (:data:`Rows`)
+names the global sequence positions of a block's rows as ascending chunks,
+which drive both the causal mask and the position-keyed dropout; an int is
+shorthand for one chunk that starts at that position.  A block's rows need
+not be contiguous: the fused sharded engine computes each layer on two
+chunks per rank (:attr:`seqpar.grid.ShardSpec.balanced_rows`).
 """
 
 from __future__ import annotations
@@ -267,11 +274,54 @@ def init_params(cfg: ModelConfig, seed: int) -> Parameters:
 # --- small shape helpers shared by every engine ---
 
 
-def row_coords(batch: int, rows: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+# A block's rows: ascending, disjoint (start, stop) chunks of global positions.
+Rows = tuple[tuple[int, int], ...]
+
+
+def as_rows(rows: Rows | int, count: int) -> Rows:
+    """``rows`` as chunks: an int is one chunk of ``count`` rows from there."""
+    if isinstance(rows, (int, np.integer)):
+        return ((int(rows), int(rows) + count),)
+    return tuple(rows)
+
+
+def row_count(rows: Rows) -> int:
+    return sum(stop - start for start, stop in rows)
+
+
+def row_positions(rows: Rows) -> np.ndarray:
+    """The global position of each row, in block order."""
+    return np.concatenate([np.arange(start, stop, dtype=np.int64) for start, stop in rows])
+
+
+def take_rows(x: np.ndarray, rows: Rows) -> np.ndarray:
+    """The block of ``rows`` of ``x`` (batch, rows, ...).  ``x`` holds either
+    exactly those rows, and comes back as it is, or the whole sequence in
+    position order, whose rows at ``rows`` come back as one fresh block."""
+    if x.shape[1] == row_count(rows):
+        return x
+    return np.concatenate([x[:, start:stop] for start, stop in rows], axis=1)
+
+
+def add_rows(full: np.ndarray, rows: Rows, block: np.ndarray) -> np.ndarray:
+    """``full + block`` where ``block`` holds ``rows`` of ``full``'s rows:
+    the backward of :func:`take_rows`, plus the gradient ``full`` already
+    holds.  Returns a fresh array, or ``full`` itself updated in place when
+    it is the whole sequence."""
+    if full.shape[1] == block.shape[1]:
+        return full + block
+    at = 0
+    for start, stop in rows:
+        full[:, start:stop] += block[:, at : at + stop - start]
+        at += stop - start
+    return full
+
+
+def row_coords(batch: int, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
     """(sample, global position) for each row of a flattened (B*rows, E) block."""
-    samples = np.repeat(np.arange(batch, dtype=np.int64), rows)
-    positions = np.tile(np.arange(offset, offset + rows, dtype=np.int64), batch)
-    return samples, positions
+    at = row_positions(rows)
+    samples = np.repeat(np.arange(batch, dtype=np.int64), len(at))
+    return samples, np.tile(at, batch)
 
 
 def linear3(x: np.ndarray, p: LinearParams) -> np.ndarray:
@@ -353,6 +403,20 @@ def score_bands(rows: int, keys: int, offset: int, causal: bool) -> list[tuple[i
     return bands
 
 
+def rows_bands(rows: Rows, keys: int, causal: bool) -> list[tuple[int, int, int]]:
+    """:func:`score_bands` of a block whose rows are the chunks ``rows``:
+    each chunk is cut on its own, and the bands number the block's rows
+    through every chunk.  A non-causal block is one band of every key."""
+    if not causal:
+        return [(0, row_count(rows), keys)]
+    bands, at = [], 0
+    for start, stop in rows:
+        bands += [(at + r0, at + r1, visible)
+                  for r0, r1, visible in score_bands(stop - start, keys, start, True)]
+        at += stop - start
+    return bands
+
+
 def score_tiles(blocks: int, bands) -> list[tuple[int, int, int, int]]:
     """The tiles ``blocks`` (sample, head) blocks are scored in, in the
     order the forward runs them: one per band of ``bands``
@@ -396,17 +460,17 @@ def scores_fwd(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
-    offset: int,
+    rows: Rows | int,
     cfg: ModelConfig,
     policy: DropoutPolicy,
     layer: int,
 ) -> tuple[np.ndarray, ScoreCache]:
     """Masked, scaled dot-product attention over per-head slices.
 
-    ``q`` holds the local block's rows (global positions offset..offset+m),
+    ``q`` holds the local block's rows (at the global positions ``rows``),
     ``k``/``v`` hold the whole sequence; a causal row attends to keys at or
     before its own global position.  Each (sample, head) block is scored a
-    band of rows at a time (:func:`score_bands`), against only the keys the
+    band of rows at a time (:func:`rows_bands`), against only the keys the
     band's last row can see: the keys past them carry weights of exactly
     zero, so they are neither multiplied, normalized, hashed nor kept.
 
@@ -426,9 +490,10 @@ def scores_fwd(
     dk, heads = cfg.head_dim, cfg.n_heads
     counters = tensor.active_counters()
     scale = 1.0 / math.sqrt(dk)  # a python float keeps single precision single
-    q_pos = np.arange(offset, offset + m, dtype=np.int64)
+    rows = as_rows(rows, m)
+    q_pos = row_positions(rows)
     blocks = bsz * heads
-    tiles = score_tiles(blocks, score_bands(m, t, offset, cfg.causal))
+    tiles = score_tiles(blocks, rows_bands(rows, t, cfg.causal))
     weights = tensor.take((blocks, m, t), q.dtype)
     keep = None
     if policy.active:
@@ -537,13 +602,15 @@ def scores_bwd(
     return tuple(_merge_heads(a, bsz) for a in (grad_q, grad_k, grad_v))
 
 
-# --- the two sublayers: fwd(y, offset) -> (out, cache) with out shaped like
-# y, bwd(cache, grad_out) -> (grad_y, tuple of LinearParams weight grads) ---
+# --- the two sublayers: fwd(y, rows) -> (out, cache) with out the block of
+# y's shape at ``rows`` (take_rows), bwd(cache, grad_out) -> (grad_y, tuple
+# of LinearParams weight grads) with grad_y shaped like y ---
 
 
 @dataclass
 class AttentionCache:
-    xh: np.ndarray
+    xq: np.ndarray  # the query rows of the normalized input
+    rows: Rows
     kv_ctx: object
     q: np.ndarray
     k: np.ndarray
@@ -563,13 +630,15 @@ def local_kv_bwd(kv_ctx, lp: LayerParams, grad_k: np.ndarray, grad_v: np.ndarray
     return grad_kx + grad_vx, k_wg, k_bg, v_wg, v_bg
 
 
-def attention_fwd(xh, offset, lp: LayerParams, cfg, policy, layer, kv_fwd=None):
-    """Keys and values (through ``kv_fwd``, by default :func:`local_kv_fwd`,
-    looked up at call time), queries, scores and the output projection."""
+def attention_fwd(xh, rows: Rows, lp: LayerParams, cfg, policy, layer, kv_fwd=None):
+    """Keys and values from every row of ``xh`` (through ``kv_fwd``, by
+    default :func:`local_kv_fwd`, looked up at call time); queries, scores
+    and the output projection over its block at ``rows``."""
     k, v, kv_ctx = (local_kv_fwd if kv_fwd is None else kv_fwd)(xh, lp)
-    q = linear3(xh, lp.attn_q)
-    ctx, score_cache = scores_fwd(q, k, v, offset, cfg, policy, layer)
-    return linear3(ctx, lp.attn_out), AttentionCache(xh, kv_ctx, q, k, v, score_cache, ctx)
+    xq = take_rows(xh, rows)
+    q = linear3(xq, lp.attn_q)
+    ctx, score_cache = scores_fwd(q, k, v, rows, cfg, policy, layer)
+    return linear3(ctx, lp.attn_out), AttentionCache(xq, rows, kv_ctx, q, k, v, score_cache, ctx)
 
 
 def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy, kv_bwd=None):
@@ -579,12 +648,12 @@ def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy,
     grad_q, grad_k, grad_v = scores_bwd(
         cache.scores, cache.q, cache.k, cache.v, grad_ctx, cfg, policy
     )
-    grad_xh_q, q_wg, q_bg = linear3_bwd(cache.xh, lp.attn_q, grad_q)
+    grad_xq, q_wg, q_bg = linear3_bwd(cache.xq, lp.attn_q, grad_q)
     kv_bwd = local_kv_bwd if kv_bwd is None else kv_bwd
-    grad_xh_kv, k_wg, k_bg, v_wg, v_bg = kv_bwd(cache.kv_ctx, lp, grad_k, grad_v)
+    grad_xh, k_wg, k_bg, v_wg, v_bg = kv_bwd(cache.kv_ctx, lp, grad_k, grad_v)
     grads = (LinearParams(q_wg, q_bg), LinearParams(k_wg, k_bg), LinearParams(v_wg, v_bg),
              LinearParams(out_wg, out_bg))
-    return grad_xh_q + grad_xh_kv, grads
+    return add_rows(grad_xh, cache.rows, grad_xq), grads
 
 
 @dataclass
@@ -595,13 +664,13 @@ class FfnCache:
     hidden_mask: np.ndarray | None
 
 
-def ffn_fwd(yh, offset, lp: LayerParams, policy, layer):
+def ffn_fwd(yh, rows: Rows, lp: LayerParams, policy, layer):
     b, m, e = yh.shape
-    samples, positions = row_coords(b, m, offset)
+    samples, at = row_coords(b, rows)
     yh_flat = yh.reshape(b * m, e)
     h_pre = nnops.linear_fwd(yh_flat, lp.ff_in)
     h_act = nnops.gelu_fwd(h_pre)
-    h_drop, hidden_mask = nnops.dropout_fwd(h_act, policy, layer, "ffn_hidden", samples, positions)
+    h_drop, hidden_mask = nnops.dropout_fwd(h_act, policy, layer, "ffn_hidden", samples, at)
     out = nnops.linear_fwd(h_drop, lp.ff_out).reshape(b, m, e)
     return out, FfnCache(yh_flat, h_pre, h_drop, hidden_mask)
 
@@ -618,9 +687,9 @@ def ffn_bwd(cache: FfnCache, grad_out, lp: LayerParams, policy):
     return grad_yh.reshape(b, m, e), grads
 
 
-def local_place_fwd(sublayer, y, offset):
-    """Default sublayer placement: run it on the worker's own block."""
-    return sublayer(y, offset)
+def local_place_fwd(sublayer, y, rows):
+    """Default sublayer placement: run it on the worker itself."""
+    return sublayer(y, rows)
 
 
 def local_place_bwd(sublayer_bwd, cache, grad_out, weights):
@@ -634,6 +703,7 @@ def local_place_bwd(sublayer_bwd, cache, grad_out, weights):
 
 @dataclass
 class LayerCache:
+    rows: Rows
     ln1: tuple
     attn: AttentionCache | None  # None where the placement ran it elsewhere
     att_mask: np.ndarray | None
@@ -648,35 +718,46 @@ def layer_fwd(
     policy: DropoutPolicy,
     layer: int,
     x: np.ndarray,
-    offset: int,
+    rows: Rows | int,
     kv_fwd=None,
     place_fwd=local_place_fwd,
+    gather=None,
 ) -> tuple[np.ndarray, LayerCache]:
-    """norm -> attention -> dropout -> residual, norm -> ffn -> dropout -> residual.
+    """norm -> attention -> dropout -> residual, norm -> ffn -> dropout -> residual,
+    for the block at ``rows``.
+
+    ``gather(x)``, when given, returns the whole sequence's layer input in
+    position order (the fused sharded engine all-gathers it).  The first
+    norm then runs over every row, keys and values come from every row, and
+    the rest of the layer runs on the rows at ``rows`` (:func:`take_rows`),
+    which ``x`` itself need not hold.  Without it (None, the default) ``x``
+    is the block at ``rows``.
 
     ``kv_fwd(xh, lp)`` returns whole-sequence keys and values plus an opaque
     context for the matching ``kv_bwd``.  Locally (None, the default) that is
-    :func:`local_kv_fwd`, two projections of the block itself; distributed it
-    involves an all-gather.
+    :func:`local_kv_fwd`, two projections of the normalized input itself;
+    the unfused sharded engine all-gathers those projections.
 
-    ``place_fwd(sublayer, y, offset)`` runs each sublayer and returns its
-    ``(out, cache)`` for this worker's block; by default on the block itself.
-    Norms, dropout and residuals always run on the block.
+    ``place_fwd(sublayer, y, rows)`` runs each sublayer and returns its
+    ``(out, cache)`` for this worker's block; by default on the worker
+    itself.  Norms, dropout and residuals always run on the worker.
 
     The output is checked for NaN and Inf (:class:`~seqpar.errors.NumericsError`
     names the layer); the kernels inside the layer do not check theirs.
     """
-    bsz, m, e = x.shape
-    samples, positions = row_coords(bsz, m, offset)
-    xh, ln1_cache = norm3(x, lp.ln1_gain, lp.ln1_bias)
+    rows = as_rows(rows, x.shape[1])
+    samples, at = row_coords(x.shape[0], rows)
+    x_in = x if gather is None else gather(x)
+    xh, ln1_cache = norm3(x_in, lp.ln1_gain, lp.ln1_bias)
+    x = take_rows(x_in, rows)
     attention = partial(attention_fwd, lp=lp, cfg=cfg, policy=policy, layer=layer, kv_fwd=kv_fwd)
-    att, att_cache = place_fwd(attention, xh, offset)
-    att_drop, att_mask = dropout3(att, policy, layer, "attn_out", samples, positions)
+    att, att_cache = place_fwd(attention, xh, rows)
+    att_drop, att_mask = dropout3(att, policy, layer, "attn_out", samples, at)
     x_mid = x + att_drop
     yh, ln2_cache = norm3(x_mid, lp.ln2_gain, lp.ln2_bias)
-    ff, ffn_cache = place_fwd(partial(ffn_fwd, lp=lp, policy=policy, layer=layer), yh, offset)
-    ff_drop, ff_mask = dropout3(ff, policy, layer, "ffn_out", samples, positions)
-    cache = LayerCache(ln1_cache, att_cache, att_mask, ln2_cache, ffn_cache, ff_mask)
+    ff, ffn_cache = place_fwd(partial(ffn_fwd, lp=lp, policy=policy, layer=layer), yh, rows)
+    ff_drop, ff_mask = dropout3(ff, policy, layer, "ffn_out", samples, at)
+    cache = LayerCache(rows, ln1_cache, att_cache, att_mask, ln2_cache, ffn_cache, ff_mask)
     return tensor.check_finite(x_mid + ff_drop, f"layer {layer} output"), cache
 
 
@@ -689,14 +770,18 @@ def layer_bwd(
     grad_out: np.ndarray,
     kv_bwd=None,
     place_bwd=local_place_bwd,
+    scatter=None,
 ) -> tuple[np.ndarray, LayerParams]:
     """Reverse of :func:`layer_fwd`; returns (grad_x_in, per-layer grads).
 
     ``kv_bwd(kv_ctx, lp, grad_k, grad_v)`` must return the key/value path's
-    gradient w.r.t. this worker's own normalized block (plus the four
-    projection grads); distributed it reduce-scatters before returning.
+    gradient w.r.t. the normalized input the forward projected keys and
+    values from (plus the four projection grads); unfused sharded, it
+    reduce-scatters the keys' and values' gradients first.
     ``place_bwd(sublayer_bwd, cache, grad_out, weights)`` mirrors the
-    ``place_fwd`` the forward ran with.  The input gradient is checked for
+    ``place_fwd`` the forward ran with, and ``scatter(grad)``, the backward
+    of its ``gather``, turns the gradient w.r.t. the gathered input into
+    the one w.r.t. the forward's ``x``.  The input gradient is checked for
     NaN and Inf, as :func:`layer_fwd` checks its output.
     """
     g_ff = dropout3_bwd(grad_out, policy, cache.ff_mask)
@@ -714,7 +799,10 @@ def layer_bwd(
         ln1_gain=ln1_gain_g, ln1_bias=ln1_bias_g, attn_q=q_g, attn_k=k_g, attn_v=v_g,
         attn_out=out_g, ln2_gain=ln2_gain_g, ln2_bias=ln2_bias_g, ff_in=ff_in_g, ff_out=ff_out_g,
     )
-    return tensor.check_finite(grad_mid + g_ln1_x, f"layer {layer} input gradient"), grads
+    grad_x = add_rows(g_ln1_x, cache.rows, grad_mid)
+    if scatter is not None:
+        grad_x = scatter(grad_x)
+    return tensor.check_finite(grad_x, f"layer {layer} input gradient"), grads
 
 
 # --- embedding and output head ---
@@ -726,8 +814,8 @@ class EmbedCache:
     mask: np.ndarray | None
 
 
-def embed_fwd(params: Parameters, cfg: ModelConfig, tokens: np.ndarray, offset: int, policy):
-    """Token + position embeddings for one contiguous block of the sequence.
+def embed_fwd(params: Parameters, cfg: ModelConfig, tokens: np.ndarray, rows: Rows, policy):
+    """Token + position embeddings for the block of the sequence at ``rows``.
 
     ``params.pos_table`` must hold exactly this block's rows (the full table
     sequentially, the local shard on a distributed worker).
@@ -740,8 +828,8 @@ def embed_fwd(params: Parameters, cfg: ModelConfig, tokens: np.ndarray, offset: 
     tok = nnops.embed_tokens(params.token_table, tokens)
     pe = nnops.embed_positions(params.pos_table, 0, m)
     x = tok + pe
-    samples, positions = row_coords(bsz, m, offset)
-    x, mask = dropout3(x, policy, 0, "embed", samples, positions)
+    samples, at = row_coords(bsz, rows)
+    x, mask = dropout3(x, policy, 0, "embed", samples, at)
     return x, EmbedCache(tokens=tokens, mask=mask)
 
 
@@ -814,26 +902,28 @@ def forward(
     policy = policy if policy is not None else DropoutPolicy.off()
     if tokens.ndim != 2:
         raise ShapeError(f"tokens must be (batch, seq_len), got shape {tokens.shape}")
-    x, e_cache = embed_fwd(params, cfg, tokens, 0, policy)
+    rows = ((0, tokens.shape[1]),)
+    x, e_cache = embed_fwd(params, cfg, tokens, rows, policy)
     layer_caches = []
     for li, lp in enumerate(params.layers):
-        x, c = layer_fwd(lp, cfg, policy, li, x, 0)
+        x, c = layer_fwd(lp, cfg, policy, li, x, rows)
         layer_caches.append(c)
     loss, h_cache = head_fwd(x, params, targets)
     return loss, StackCache(e_cache, layer_caches, h_cache, policy)
 
 
-def backward(params: Parameters, cfg: ModelConfig, cache: StackCache, kv_bwd=None) -> Parameters:
+def backward(params: Parameters, cfg: ModelConfig, cache: StackCache, hooks=None) -> Parameters:
     """Gradients of the mean-over-tokens loss w.r.t. every parameter.
-    ``kv_bwd(layer)``, when given, returns the hook :func:`layer_bwd` runs
-    that layer with, matching the ``kv_fwd`` its forward ran with."""
+    ``hooks(layer)``, when given, returns the keyword hooks (``kv_bwd``,
+    ``scatter``) :func:`layer_bwd` runs that layer with, matching those its
+    forward ran with."""
     policy = cache.policy
     grad_x, final_gain_g, final_bias_g, head_wg, head_bg = head_bwd(cache.head, params)
     layer_grads: list[LayerParams | None] = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
-        hook = None if kv_bwd is None else kv_bwd(li)
         grad_x, layer_grads[li] = layer_bwd(
-            params.layers[li], cfg, policy, li, cache.layers[li], grad_x, hook
+            params.layers[li], cfg, policy, li, cache.layers[li], grad_x,
+            **({} if hooks is None else hooks(li)),
         )
     grad_tok, grad_pe = embed_bwd(cache.embed, cfg.vocab, policy, grad_x)
     return Parameters(token_table=grad_tok, pos_table=grad_pe, layers=layer_grads,

@@ -91,6 +91,10 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         grid.check_grid(self.engine, GridLayout(self.replicas, self.workers), self.model.seq_len)
+        need = self.replicas * self.model.batch * (self.model.seq_len + 1)
+        if self.dataset is None and self.synthetic_bytes < need:
+            raise ValueError(f"synthetic_bytes {self.synthetic_bytes} is too small for one "
+                             f"batch; need at least {need}")
         if self.equivalence_check and self.replicas > 1 and self.model.dropout > 0:
             raise ValueError("the equivalence check requires dropout off when replicas > 1")
 
@@ -199,8 +203,12 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
 
     window = losses[-min(SMOOTH_WINDOW, len(losses)):]
     est = costs.estimate(cfg, rc.workers, rc.engine, fused=rc.fused, replicas=rc.replicas)
-    # the estimate is the busiest worker's: causal ranks score unequal shares
-    busiest_score_flops = max(c[0].attn_score_flops for c in run.counters)
+    # every rank's step-0 score flops, in world-rank order.  The estimate is
+    # the busiest rank's: causal ranks of an unfused sharded grid score
+    # unequal shares, fused ones near-equal, and only the baseline's rank 0
+    # scores at all.
+    rank_score_flops = [c[0].attn_score_flops for c in run.counters]
+    busiest_score_flops = max(rank_score_flops)
     summary = {
         "engine": rc.engine,
         "workers": rc.workers,
@@ -217,6 +225,7 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
         "ledger_records": len(records),
         "collectives_step0": collectives[0],
         "measured_score_flops": busiest_score_flops,
+        "measured_score_flops_by_rank": rank_score_flops,
         "estimated_score_flops": est.score_flops,
         "score_flops_delta": busiest_score_flops - est.score_flops,
         "measured_score_elements_peak": counts[0].attn_score_elements_peak,
@@ -282,7 +291,8 @@ def _summary_text(rc, reports, summary) -> str:
         f" (estimated total {summary['estimated_collectives_per_step']})",
         f"score flops       measured {summary['measured_score_flops']}"
         f" estimated {summary['estimated_score_flops']}"
-        f" delta {summary['score_flops_delta']}",
+        f" delta {summary['score_flops_delta']}"
+        f" by rank {summary['measured_score_flops_by_rank']}",
         f"score elements    measured {summary['measured_score_elements_peak']}"
         f" estimated {summary['estimated_score_elements_peak']}",
         f"score cache bytes measured {summary['measured_score_cache_bytes']}"

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqpar import baseline, grid, hybrid, model, runner, sharded, tensor
+from seqpar import baseline, costs, grid, hybrid, model, runner, sharded, tensor
 from seqpar.collectives import Communicator, run_workers
-from seqpar.costs import WEAK_SCALING_SCHEDULE, estimate, score_flops, weak_scaling_ratios
+from seqpar.costs import (WEAK_SCALING_SCHEDULE, estimate, rows_score_flops, score_flops,
+                          weak_scaling_ratios)
 from seqpar.errors import PartitionError
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
@@ -50,7 +51,9 @@ def test_doubling_workers_halves_score_footprint(tiny_cfg):
     four = estimate(tiny_cfg, 4, "sharded")
     assert one.score_elements_peak == 2 * two.score_elements_peak
     assert two.score_elements_peak == 2 * four.score_elements_peak
-    assert one.score_flops == 2 * two.score_flops
+    # the busier of two balanced ranks scores rows 6..18: 216 of one
+    # worker's 576 (rows x visible keys)
+    assert 3 * one.score_flops == 8 * two.score_flops
 
 
 def test_score_flops_count_each_bands_visible_keys():
@@ -65,7 +68,7 @@ def test_score_flops_count_each_bands_visible_keys():
 
     assert score_flops(cfg, 100, 0) == by_hand((64, 64), (36, 100))
     assert score_flops(cfg, 100, 200) == by_hand((64, 264), (36, 300))
-    assert estimate(cfg, 3, "sharded").score_flops == score_flops(cfg, 100, 200)
+    assert estimate(cfg, 3, "sharded").score_flops == score_flops(cfg, 100, 100)
     assert estimate(cfg, 1, "sequential").score_flops == by_hand(
         (64, 64), (64, 128), (64, 192), (64, 256), (44, 300))
     full = replace(cfg, causal=False)
@@ -150,9 +153,9 @@ def test_sharded_measurement_matches_estimate(tiny_cfg, rng, n, fused):
     batches = [rand_batch(tiny_cfg, rng)]
     run = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.1, fused=fused)
     est = estimate(tiny_cfg, n, "sharded", fused=fused)
-    block = tiny_cfg.seq_len // n
     for w in range(n):
-        assert run.counters[w][0].attn_score_flops == score_flops(tiny_cfg, block, w * block)
+        rows = grid.ShardSpec(w, n, tiny_cfg.seq_len).compute_rows(fused)
+        assert run.counters[w][0].attn_score_flops == rows_score_flops(tiny_cfg, rows)
         assert run.counters[w][0].attn_score_elements_peak == est.score_elements_peak
     assert run.counters[-1][0].attn_score_flops == est.score_flops  # the busiest rank
     assert len(run.comm.ledger.records) == est.collectives_per_step
@@ -191,8 +194,8 @@ def test_forward_matmul_flops_match_estimate(tiny_cfg, rng, engine, n, fused):
                             fused=fused)
         return counters.matmul_flops
 
-    block = tiny_cfg.seq_len // n
-    expected = [shared + score_flops(tiny_cfg, block, r * block) for r in range(n)]
+    expected = [shared + rows_score_flops(
+        tiny_cfg, grid.ShardSpec(r, n, tiny_cfg.seq_len).compute_rows(fused)) for r in range(n)]
     assert run_workers(n, forward_flops, comm=comm) == expected
 
 
@@ -207,10 +210,10 @@ def test_hybrid_measurement_matches_estimate(tiny_cfg, rng, replicas, workers, f
     run = hybrid.run_steps(tiny_cfg, params, grid.GridLayout(replicas, workers), batches,
                            lr=0.1, fused=fused)
     est = estimate(tiny_cfg, workers, "hybrid", fused=fused, replicas=replicas)
-    layout, block = grid.GridLayout(replicas, workers), tiny_cfg.seq_len // workers
+    layout = grid.GridLayout(replicas, workers)
     for rank, counters in enumerate(run.counters):
-        offset = layout.coords(rank)[1] * block
-        assert counters[0].attn_score_flops == score_flops(tiny_cfg, block, offset)
+        spec = grid.ShardSpec(layout.coords(rank)[1], workers, tiny_cfg.seq_len)
+        assert counters[0].attn_score_flops == rows_score_flops(tiny_cfg, spec.compute_rows(fused))
         assert counters[0].attn_score_elements_peak == est.score_elements_peak
     assert max(c[0].attn_score_flops for c in run.counters) == est.score_flops
     step0 = run.comm.ledger.select(step=0)
@@ -238,8 +241,8 @@ def test_baseline_measurement_matches_estimate(tiny_cfg, rng):
     ("sharded", 1, 3, 240, False), ("baseline", 1, 2, 240, False),
 ])
 def test_every_rank_scores_its_closed_form(engine, replicas, workers, seq_len, causal):
-    """Each rank's counted score flops equal ``score_flops`` of its rows and
-    offset, and the estimate is the busiest rank's."""
+    """Each rank's counted score flops equal ``score_flops`` summed over the
+    chunks of its compute rows, and the estimate is the busiest rank's."""
     cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=8, vocab=16,
                       seq_len=seq_len, batch=1, causal=causal)
     rng = np.random.default_rng(3)
@@ -247,12 +250,12 @@ def test_every_rank_scores_its_closed_form(engine, replicas, workers, seq_len, c
     batches = [(rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))]
     layout = grid.GridLayout(replicas, workers)
     run = runner._train(engine, cfg, model.init_params(cfg, 0), layout, batches, lr=0.1)
-    block = seq_len // workers
     for rank, counters in enumerate(run.counters):
         if engine == "baseline":  # rank 0 scores the whole sequence
             want = score_flops(cfg, seq_len, 0) if rank == 0 else 0
         else:
-            want = score_flops(cfg, block, layout.coords(rank)[1] * block)
+            rows = grid.ShardSpec(layout.coords(rank)[1], workers, seq_len).compute_rows(True)
+            want = rows_score_flops(cfg, rows)
         assert counters[0].attn_score_flops == want
     busiest = max(c[0].attn_score_flops for c in run.counters)
     assert busiest == estimate(cfg, workers, engine, replicas=replicas).score_flops
@@ -289,3 +292,53 @@ def test_complexity_labels(tiny_cfg):
         "score_compute_per_worker"
     ]
     assert estimate(tiny_cfg, 2, "baseline").complexity["score_compute_per_worker"] == "O(seq^2)"
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize("engine,replicas,workers,seq_len", [
+    ("sequential", 1, 1, 240),
+    ("sharded", 1, 1, 240), ("sharded", 1, 2, 240), ("sharded", 1, 3, 240),
+    ("sharded", 1, 4, 240),
+    ("sharded", 1, 3, 300),  # rank 2's merged 100 rows: bands of 64 and a ragged 36
+    ("sharded", 1, 2, 30),   # blocks of 15: chunks of 7 and 8 rows
+    ("hybrid", 2, 2, 240), ("baseline", 1, 3, 240),
+])
+def test_every_rank_scores_the_closed_form_over_its_chunks(engine, replicas, workers, seq_len,
+                                                           fused):
+    """Each rank's counted score flops are ``rank_score_flops``'s figure for
+    its sequence index: the closed form summed over the chunks it computes
+    (its balanced rows fused, its block unfused), and the estimate is the
+    largest."""
+    cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=8, vocab=16,
+                      seq_len=seq_len, batch=1)
+    rng = np.random.default_rng(5)
+    shape = (replicas * cfg.batch, seq_len)
+    batches = [(rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))]
+    layout = grid.GridLayout(replicas, workers)
+    run = runner._train(engine, cfg, model.init_params(cfg, 0), layout, batches, lr=0.1,
+                        fused=fused)
+    per_rank = costs.rank_score_flops(cfg, workers, engine, fused=fused)
+    for rank, counters in enumerate(run.counters):
+        seq_index = layout.coords(rank)[1]
+        if engine in ("sharded", "hybrid"):
+            rows = grid.ShardSpec(seq_index, workers, seq_len).compute_rows(fused)
+            assert per_rank[seq_index] == sum(score_flops(cfg, stop - start, start)
+                                              for start, stop in rows)
+        assert counters[0].attn_score_flops == per_rank[seq_index]
+    est = estimate(cfg, workers, engine, fused=fused, replicas=replicas)
+    assert est.score_flops == max(per_rank)
+
+
+def test_longctx_ranks_score_equal_shares():
+    """The benchmark's long-context grid: T512 on two workers, dropout on.
+    Contiguous blocks scored 20,971,520 and 54,525,952 flops a step; the
+    balanced rows score 37,748,736 each."""
+    cfg = ModelConfig(embed_dim=64, n_layers=2, n_heads=8, ff_dim=256, vocab=256, seq_len=512,
+                      batch=1, dropout=0.1)
+    assert costs.rank_score_flops(cfg, 2, fused=False) == [20_971_520, 54_525_952]
+    assert costs.rank_score_flops(cfg, 2) == [37_748_736, 37_748_736]
+    rng = np.random.default_rng(0)
+    run = sharded.run_steps(cfg, model.init_params(cfg, 0), 2, [rand_batch(cfg, rng)], lr=0.1,
+                            policy=DropoutPolicy(rate=0.1, seed=0))
+    assert [c[0].attn_score_flops for c in run.counters] == [37_748_736, 37_748_736]
+    assert estimate(cfg, 2, "sharded").score_flops == 37_748_736

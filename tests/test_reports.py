@@ -130,6 +130,15 @@ def test_run_config_from_dict_rejects_values_of_the_wrong_type(d, message):
         RunConfig.from_dict(d)
 
 
+def test_run_config_rejects_a_synthetic_corpus_too_small_for_one_batch(tmp_path):
+    grid2x2 = dict(engine="hybrid", workers=2, replicas=2)
+    need = 2 * 2 * (16 + 1)  # replicas x batch x (seq_len + 1)
+    with pytest.raises(ValueError, match=f"synthetic_bytes {need - 1} is too small"):
+        small_run(tmp_path, synthetic_bytes=need - 1, **grid2x2)
+    runner.run_experiment(small_run(tmp_path, synthetic_bytes=need, steps=1, **grid2x2))
+    small_run(tmp_path, synthetic_bytes=0, dataset=str(tmp_path / "corpus.txt"))
+
+
 def test_run_config_from_dict_takes_ints_for_numbers_and_null_for_no_dataset(tmp_path):
     rc = RunConfig.from_dict({**small_run(tmp_path).to_dict(), "lr": 1, "dataset": None})
     assert (rc.lr, rc.dataset) == (1, None)
@@ -183,6 +192,21 @@ def test_summary_shows_cached_score_bytes_against_the_estimate(tmp_path, engine,
     assert summary["estimated_score_cache_bytes"] == want
     text = open(os.path.join(rc.out_dir, "summary.txt")).read()
     assert f"score cache bytes measured {want} estimated {want}" in text
+
+
+@pytest.mark.parametrize("engine,workers,want", [
+    # L1 x B2 x H2 blocks of 8-wide QK^T and weights@V: 128 flops per
+    # (row, visible key).  Sharded ranks score rows 0..4 + 12..16 and 4..12.
+    ("sharded", 2, [(4 * 4 + 4 * 16) * 128, 8 * 12 * 128]),
+    ("baseline", 2, [16 * 16 * 128, 0]),
+])
+def test_summary_reports_every_ranks_score_flops(tmp_path, engine, workers, want):
+    rc = small_run(tmp_path, engine=engine, workers=workers)
+    summary = runner.run_experiment(rc).summary
+    assert summary["measured_score_flops_by_rank"] == want
+    assert summary["measured_score_flops"] == max(want) == summary["estimated_score_flops"]
+    text = open(os.path.join(rc.out_dir, "summary.txt")).read()
+    assert f"delta 0 by rank {want}\n" in text
 
 
 def test_run_experiment_sequential_and_baseline(tmp_path):
@@ -485,6 +509,14 @@ def test_cli_train_rejects_a_negative_seed_without_creating_the_output(tmp_path,
     assert not out.exists()
 
 
+def test_cli_train_rejects_a_too_small_synthetic_corpus_without_creating_the_output(
+        tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--synthetic-bytes", "0", "--steps", "1", "--out", str(out)) == 1
+    assert "error: synthetic_bytes 0 is too small for one batch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"model": {"causal": "no"}}', "model-config key 'causal' must be true or false"),
     ('{"workers": 2.0}', "run-config key 'workers' must be an integer, got 2.0"),
@@ -529,6 +561,17 @@ def test_cli_cost_and_weak_scaling(capsys):
     table = capsys.readouterr().out
     for ratio in ("1", "6", "18", "54", "144"):
         assert f" {ratio}\n" in table or f" {ratio} " in table
+
+
+@pytest.mark.parametrize("engine", ["sharded", "hybrid"])
+def test_cli_cost_prints_each_sequence_ranks_score_flops(capsys, engine):
+    argv = ("cost", "--engine", engine, "--seq-len", "512", "--batch", "1", "--workers", "2")
+    assert run_cli(*argv) == 0
+    assert ("score flops (fwd)       37748736  (busiest; by rank [37748736, 37748736])\n"
+            in capsys.readouterr().out)
+    assert run_cli(*argv, "--no-fuse") == 0
+    assert ("score flops (fwd)       54525952  (busiest; by rank [20971520, 54525952])\n"
+            in capsys.readouterr().out)
 
 
 def test_cli_cost_prints_cached_score_bytes(capsys):

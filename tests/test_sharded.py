@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqpar import grid, model, optim, runner, sharded
+from seqpar import costs, grid, model, optim, runner, sharded, tensor
+from seqpar.collectives import Communicator, run_workers
 from seqpar.errors import PartitionError, ShapeError
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
@@ -59,6 +62,102 @@ def test_reassemble_positions_restores_table(tiny_cfg):
     rebuilt = grid.reassemble_params(shards)
     for a, b in zip(rebuilt.arrays(), full.arrays()):
         assert a.tobytes() == b.tobytes()
+
+
+# --- balanced compute rows ---
+
+
+@settings(max_examples=300, deadline=None)
+@given(workers=st.integers(1, 16), block=st.integers(1, 64))
+def test_balanced_rows_pair_chunk_r_with_chunk_2n_minus_1_minus_r(workers, block):
+    """The sequence cut into 2N chunks, N front chunks of block // 2 rows and
+    N back chunks of the rest: rank r holds chunks r and 2N-1-r, merged
+    when adjacent, and the ranks' rows partition the sequence."""
+    seq_len = workers * block
+    front, back = block // 2, block - block // 2
+    chunks = ([(i * front, (i + 1) * front) for i in range(workers)]
+              + [(workers * front + i * back, workers * front + (i + 1) * back)
+                 for i in range(workers)])
+    covered = []
+    for r in range(workers):
+        rows = grid.ShardSpec(r, workers, seq_len).balanced_rows
+        assert model.row_count(rows) == block
+        early, late = chunks[r], chunks[2 * workers - 1 - r]
+        if early[1] == late[0]:
+            assert rows == ((early[0], late[1]),)
+        else:
+            assert rows == tuple(c for c in (early, late) if c[1] > c[0])
+        covered += model.row_positions(rows).tolist()
+    assert sorted(covered) == list(range(seq_len))
+    assert grid.ShardSpec(0, 1, seq_len).balanced_rows == ((0, seq_len),)
+
+
+def test_compute_rows_follow_fusion():
+    spec = grid.ShardSpec(rank=1, workers=3, seq_len=300)
+    assert spec.compute_rows(False) == spec.block_rows == ((100, 200),)
+    assert spec.compute_rows(True) == spec.balanced_rows == ((50, 100), (200, 250))
+    assert grid.ShardSpec(2, 3, 300).balanced_rows == ((100, 200),)
+    odd = [grid.ShardSpec(r, 2, 30).balanced_rows for r in range(2)]  # blocks of 15
+    assert odd == [((0, 7), (22, 30)), ((7, 22),)]
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_balanced_rows_train_like_the_oracle(rng, n, dropout):
+    """240 positions: each rank's chunks straddle 64-row score bands.  One
+    worker is bitwise sequential; more match it at acceptance-01 tolerances,
+    every rank's position rows included."""
+    cfg = ModelConfig(embed_dim=16, n_layers=2, n_heads=2, ff_dim=16, vocab=64, seq_len=240,
+                      batch=2, dropout=dropout)
+    params = model.init_params(cfg, 7)
+    batches = make_batches(cfg, rng, 2)
+    policy = DropoutPolicy(rate=dropout, seed=3)
+    run = sharded.run_steps(cfg, params, n, batches, lr=0.2, policy=policy)
+    oracle, oracle_losses, oracle_grads = sequential_sgd(cfg, params, batches, lr=0.2,
+                                                         policy=policy)
+    if n == 1:
+        assert run.step_losses == oracle_losses
+        for (name, a), (_, b) in zip(run.final_params.named_arrays(), oracle.named_arrays()):
+            assert a.tobytes() == b.tobytes(), name
+        return
+    for got, want in zip(run.step_losses, oracle_losses):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    assert max_param_delta(run.final_params, oracle) <= 1e-8
+    for g in run.last_grads:
+        for (name, a), (_, b) in zip(g.named_arrays(), oracle_grads.named_arrays()):
+            if name != "pos_table":
+                assert np.all(np.abs(a - b) <= 1e-10 + 1e-10 * np.abs(b)), name
+    stitched = np.concatenate([g.pos_table for g in run.last_grads], axis=0)
+    want = oracle_grads.pos_table
+    assert np.all(np.abs(stitched - want) <= 1e-10 + 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+def test_each_layer_computes_the_ranks_compute_rows(tiny_cfg, rng, fused):
+    """Fused ranks run their layers on their balanced rows; the unfused
+    ablation never gathers the layer input, so it computes its own block."""
+    n = 3
+    params = model.init_params(tiny_cfg, 0)
+    tokens, targets = rand_batch(tiny_cfg, rng)
+    comm = Communicator(n)
+    seq_groups, data_groups = grid.make_groups(comm, grid.GridLayout(1, n))
+
+    def layer_rows(rank):
+        spec = grid.ShardSpec(rank, n, tiny_cfg.seq_len)
+        worker = grid.Worker(comm, spec, seq_groups[0], data_groups[rank])
+        counters = tensor.StepCounters()
+        with tensor.counting(counters):
+            _, cache = sharded.forward(
+                worker, grid.shard_params(params, spec), tiny_cfg,
+                grid.slice_batch(tokens, spec),
+                grid.slice_batch(targets, spec, spec.compute_rows(fused)), fused=fused)
+        return [c.rows for c in cache.layers], counters.attn_score_flops
+
+    for rank, (rows, flops) in enumerate(run_workers(n, layer_rows, comm=comm)):
+        spec = grid.ShardSpec(rank, n, tiny_cfg.seq_len)
+        want = spec.balanced_rows if fused else spec.block_rows
+        assert rows == [want] * tiny_cfg.n_layers
+        assert flops == costs.rows_score_flops(tiny_cfg, want)
 
 
 # --- single-worker identity ---
@@ -144,7 +243,8 @@ def test_partial_losses_average_to_step_loss(tiny_cfg, rng):
         for tokens, targets in batches:
             loss, _ = sharded.forward(
                 worker, own, tiny_cfg,
-                grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec),
+                grid.slice_batch(tokens, spec),
+                grid.slice_batch(targets, spec, spec.compute_rows(True)),
             )
             out.append(loss)
         return out
