@@ -5,14 +5,15 @@ measure, so an estimate for a config can be checked against an instrumented
 run to the last flop.  Score flops accumulate over layers and count only the
 keys each band of query rows can see (:func:`seqpar.model.score_bands`), so
 under a causal mask a row's share grows with its position in the sequence.
-:func:`score_flops` gives a contiguous run of rows its figure,
-:func:`rows_score_flops` a worker's chunks theirs, and
-:func:`rank_score_flops` every worker of a sequence group its own.  A fused
-sharded worker computes one early and one late chunk, so all workers score
-near-equal shares; an unfused worker computes its own block, so the last
-worker does the most.  The estimate gives the busiest worker's figure.
+:func:`score_flops` gives a worker's rows (:data:`seqpar.model.Rows`,
+ascending chunks of positions, each cut into bands on its own) their figure,
+and :func:`rank_score_flops` every worker of a sequence group its own.  A
+fused sharded worker computes one early and one late chunk, so all workers
+score near-equal shares; an unfused worker computes its own block, so the
+last worker does the most.  The estimate gives the busiest worker's figure.
 The score-element figure is the footprint of one layer's score stack, the
-same on every worker of a sequence group, so it carries no layer factor.
+same on every worker of a sequence group, so it carries no layer factor (and
+is 0 for a model without layers).
 A training step keeps every layer's scores until its backward: the
 cached-bytes figure counts those, L times the score elements at ``itemsize``
 bytes each for the softmax weights, plus one byte each for the dropout keep
@@ -85,12 +86,13 @@ def estimate(
         cfg.seq_len, cfg.batch, cfg.n_heads, cfg.embed_dim, cfg.ff_dim, cfg.n_layers,
     )
     block = l // workers
-    # Rows this worker pushes through attention scores / ffn / head, and the
+    # Rows this worker pushes through queries, scores, ffn and head, and the
     # rows its key/value projections see.
+    rows = kv_rows = l
     if engine in ("sharded", "hybrid"):
         # Fused gathers the layer input and projects keys/values over the
         # whole sequence; unfused projects its own block, then gathers K and V.
-        q_rows, kv_rows, ffn_rows, head_rows = block, (l if fused else block), block, block
+        rows, kv_rows = block, (l if fused else block)
         per_layer = 2 if fused else 4
         # Per sequence group: one b*l*e payload per layer-tagged collective
         # (fused gathers the layer input; unfused gathers keys and
@@ -105,21 +107,19 @@ def estimate(
             collectives += workers
             comm_elements += workers * (shared + block * e + 1)
     elif engine == "baseline":
-        q_rows, kv_rows, ffn_rows, head_rows = l, l, l, l
         collectives = 8 * layers + 5
         comm_elements = (8 * layers + 4) * b * l * e + param_count(param_shapes(cfg))
     else:
-        q_rows, kv_rows, ffn_rows, head_rows = l, l, l, l
         collectives = 0
         comm_elements = 0
 
-    score_elements_peak = b * h * q_rows * l
+    score_elements_peak = b * h * rows * l if layers else 0
     score_cache_bytes = layers * score_elements_peak * (
         cfg.dtype.itemsize + (1 if cfg.dropout > 0 else 0)
     )
-    proj_flops = layers * (2 * b * q_rows * e * e * 2 + 2 * b * kv_rows * e * e * 2)
-    ffn_flops = layers * (2 * b * ffn_rows * e * f) * 2
-    head_flops = 2 * b * head_rows * e * cfg.vocab
+    proj_flops = layers * (2 * b * rows * e * e * 2 + 2 * b * kv_rows * e * e * 2)
+    ffn_flops = layers * (2 * b * rows * e * f) * 2
+    head_flops = 2 * b * rows * e * cfg.vocab
 
     return CostEstimate(
         engine=engine,
@@ -138,23 +138,16 @@ def estimate(
     )
 
 
-def score_flops(cfg: ModelConfig, rows: int, offset: int) -> int:
-    """Forward score flops of one training step, over every layer, of
-    ``rows`` contiguous query rows from global position ``offset`` (a
-    worker's block, or one chunk of its rows): per (sample, head) block and
-    band of :func:`seqpar.model.score_bands`,
-    QK^T and weights@V over the band's rows and its visible keys."""
+def score_flops(cfg: ModelConfig, rows: Rows) -> int:
+    """Forward score flops of one training step, over every layer, of the
+    query rows at the global positions ``rows`` (a worker's block, or its
+    chunks): per (sample, head) block and band of
+    :func:`seqpar.model.score_bands`, QK^T and weights@V over the band's
+    rows and its visible keys."""
     dk = cfg.head_dim
     per_block = sum(4 * (r1 - r0) * visible * dk
-                    for r0, r1, visible in score_bands(rows, cfg.seq_len, offset, cfg.causal))
+                    for r0, r1, visible in score_bands(rows, cfg.seq_len, cfg.causal))
     return cfg.n_layers * cfg.batch * cfg.n_heads * per_block
-
-
-def rows_score_flops(cfg: ModelConfig, rows: Rows) -> int:
-    """:func:`score_flops` of a worker whose query rows are the chunks
-    ``rows``: each chunk's bands are cut on their own, so it is the sum over
-    the chunks."""
-    return sum(score_flops(cfg, stop - start, start) for start, stop in rows)
 
 
 def rank_score_flops(
@@ -165,9 +158,9 @@ def rank_score_flops(
     (:meth:`seqpar.grid.ShardSpec.compute_rows` for the sharded and hybrid
     engines; the baseline's rank 0 scores the whole sequence)."""
     if engine in ("sharded", "hybrid"):
-        return [rows_score_flops(cfg, ShardSpec(r, workers, cfg.seq_len).compute_rows(fused))
+        return [score_flops(cfg, ShardSpec(r, workers, cfg.seq_len).compute_rows(fused))
                 for r in range(workers)]
-    return [score_flops(cfg, cfg.seq_len, 0)] + [0] * (workers - 1)
+    return [score_flops(cfg, ((0, cfg.seq_len),))] + [0] * (workers - 1)
 
 
 def _complexity(engine: str) -> dict:
@@ -185,7 +178,10 @@ def weak_scaling_ratios(
     """Per-worker attention workload of each schedule point relative to the
     first, using the peak score-element figure.  The schedule is built so
     these come out as exact integers; a non-integer ratio means the schedule
-    or the estimate is wrong, so it raises."""
+    or the estimate is wrong, so it raises.  A model of zero layers holds no
+    scores, so it has no ratios and raises too."""
+    if cfg.n_layers == 0:
+        raise ValueError("weak scaling needs at least one layer, got 0 layers")
     elements = []
     for workers, seq_len in schedule:
         point = replace(cfg, seq_len=seq_len)

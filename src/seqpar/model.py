@@ -25,10 +25,9 @@ sequential engine, and multi-worker runs differ only by float rounding.
 Shapes follow one convention throughout: activations are (batch, rows,
 features); token ids and targets are (batch, rows).  ``rows`` (:data:`Rows`)
 names the global sequence positions of a block's rows as ascending chunks,
-which drive both the causal mask and the position-keyed dropout; an int is
-shorthand for one chunk that starts at that position.  A block's rows need
-not be contiguous: the fused sharded engine computes each layer on two
-chunks per rank (:attr:`seqpar.grid.ShardSpec.balanced_rows`).
+which drive both the causal mask and the position-keyed dropout.  A block's
+rows need not be contiguous: the fused sharded engine computes each layer
+on two chunks per rank (:attr:`seqpar.grid.ShardSpec.balanced_rows`).
 """
 
 from __future__ import annotations
@@ -278,13 +277,6 @@ def init_params(cfg: ModelConfig, seed: int) -> Parameters:
 Rows = tuple[tuple[int, int], ...]
 
 
-def as_rows(rows: Rows | int, count: int) -> Rows:
-    """``rows`` as chunks: an int is one chunk of ``count`` rows from there."""
-    if isinstance(rows, (int, np.integer)):
-        return ((int(rows), int(rows) + count),)
-    return tuple(rows)
-
-
 def row_count(rows: Rows) -> int:
     return sum(stop - start for start, stop in rows)
 
@@ -387,33 +379,22 @@ class ScoreCache:
 SCORE_BAND_ROWS = 64
 
 
-def score_bands(rows: int, keys: int, offset: int, causal: bool) -> list[tuple[int, int, int]]:
+def score_bands(rows: Rows, keys: int, causal: bool) -> list[tuple[int, int, int]]:
     """(first row, end row, visible keys) of each band of a score block whose
-    ``rows`` query rows sit at global positions ``offset``.. and whose
-    ``keys`` keys start at position 0.  A causal block is cut into bands of
-    :data:`SCORE_BAND_ROWS` rows (the last may be shorter), and a band's
-    rows see at most ``min(keys, offset + end row)`` keys.  A non-causal
+    query rows sit at the global positions ``rows`` and whose ``keys`` keys
+    start at position 0.  A causal block cuts each chunk of ``rows`` on its
+    own into bands of :data:`SCORE_BAND_ROWS` rows (a chunk's last band may
+    be shorter), numbered through the block's rows, and a band's rows see at
+    most ``min(keys, position of its last row + 1)`` keys.  A non-causal
     block is one band of every key."""
-    if not causal:
-        return [(0, rows, keys)]
-    bands = []
-    for r0 in range(0, rows, SCORE_BAND_ROWS):
-        r1 = min(r0 + SCORE_BAND_ROWS, rows)
-        bands.append((r0, r1, min(keys, offset + r1)))
-    return bands
-
-
-def rows_bands(rows: Rows, keys: int, causal: bool) -> list[tuple[int, int, int]]:
-    """:func:`score_bands` of a block whose rows are the chunks ``rows``:
-    each chunk is cut on its own, and the bands number the block's rows
-    through every chunk.  A non-causal block is one band of every key."""
     if not causal:
         return [(0, row_count(rows), keys)]
     bands, at = [], 0
     for start, stop in rows:
-        bands += [(at + r0, at + r1, visible)
-                  for r0, r1, visible in score_bands(stop - start, keys, start, True)]
-        at += stop - start
+        for r0 in range(start, stop, SCORE_BAND_ROWS):
+            r1 = min(r0 + SCORE_BAND_ROWS, stop)
+            bands.append((at, at + r1 - r0, min(keys, r1)))
+            at += r1 - r0
     return bands
 
 
@@ -460,7 +441,7 @@ def scores_fwd(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
-    rows: Rows | int,
+    rows: Rows,
     cfg: ModelConfig,
     policy: DropoutPolicy,
     layer: int,
@@ -470,7 +451,7 @@ def scores_fwd(
     ``q`` holds the local block's rows (at the global positions ``rows``),
     ``k``/``v`` hold the whole sequence; a causal row attends to keys at or
     before its own global position.  Each (sample, head) block is scored a
-    band of rows at a time (:func:`rows_bands`), against only the keys the
+    band of rows at a time (:func:`score_bands`), against only the keys the
     band's last row can see: the keys past them carry weights of exactly
     zero, so they are neither multiplied, normalized, hashed nor kept.
 
@@ -490,10 +471,9 @@ def scores_fwd(
     dk, heads = cfg.head_dim, cfg.n_heads
     counters = tensor.active_counters()
     scale = 1.0 / math.sqrt(dk)  # a python float keeps single precision single
-    rows = as_rows(rows, m)
     q_pos = row_positions(rows)
     blocks = bsz * heads
-    tiles = score_tiles(blocks, rows_bands(rows, t, cfg.causal))
+    tiles = score_tiles(blocks, score_bands(rows, t, cfg.causal))
     weights = tensor.take((blocks, m, t), q.dtype)
     keep = None
     if policy.active:
@@ -718,7 +698,7 @@ def layer_fwd(
     policy: DropoutPolicy,
     layer: int,
     x: np.ndarray,
-    rows: Rows | int,
+    rows: Rows,
     kv_fwd=None,
     place_fwd=local_place_fwd,
     gather=None,
@@ -745,7 +725,6 @@ def layer_fwd(
     The output is checked for NaN and Inf (:class:`~seqpar.errors.NumericsError`
     names the layer); the kernels inside the layer do not check theirs.
     """
-    rows = as_rows(rows, x.shape[1])
     samples, at = row_coords(x.shape[0], rows)
     x_in = x if gather is None else gather(x)
     xh, ln1_cache = norm3(x_in, lp.ln1_gain, lp.ln1_bias)

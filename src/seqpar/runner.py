@@ -124,8 +124,10 @@ def _resolve_out_dir(rc: RunConfig) -> str:
 
 
 def _corpus(rc: RunConfig, out_dir: str) -> np.ndarray:
+    """The dataset's bytes, or a synthetic corpus written into ``out_dir``."""
     if rc.dataset is not None:
         return data.read_bytes(rc.dataset)
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "synthetic_corpus.txt")
     data.write_synthetic_corpus(path, n_bytes=rc.synthetic_bytes, seed=rc.seed)
     return data.read_bytes(path)
@@ -170,18 +172,18 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
     receives progress lines; None keeps the run silent."""
     say = echo or (lambda *_: None)
     out_dir = _resolve_out_dir(rc)
-    os.makedirs(out_dir, exist_ok=True)
     cfg = rc.model
+    # One batch of replicas * batch rows per step: replica d's rows are what
+    # window s * replicas + d holds at the base batch size (data.batch_at).
+    # Cut before the output directory is made, so a bad dataset leaves none.
     corpus = _corpus(rc, out_dir)
+    batches = [data.batch_at(corpus, cfg.seq_len, rc.replicas * cfg.batch, s)
+               for s in range(rc.steps)]
+    os.makedirs(out_dir, exist_ok=True)
     policy = DropoutPolicy(rate=cfg.dropout, seed=rc.seed)
     params0 = model.init_params(cfg, rc.seed)
     say(f"engine={rc.engine} workers={rc.workers} replicas={rc.replicas} "
         f"steps={rc.steps} params={model.param_count(params0)}")
-
-    # One batch of replicas * batch rows per step: replica d's rows are what
-    # window s * replicas + d holds at the base batch size (data.batch_at).
-    batches = [data.batch_at(corpus, cfg.seq_len, rc.replicas * cfg.batch, s)
-               for s in range(rc.steps)]
     t0 = time.perf_counter()
     run = _train(
         rc.engine, cfg, params0, GridLayout(rc.replicas, rc.workers), batches,

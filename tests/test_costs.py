@@ -5,8 +5,7 @@ import pytest
 
 from seqpar import baseline, costs, grid, hybrid, model, runner, sharded, tensor
 from seqpar.collectives import Communicator, run_workers
-from seqpar.costs import (WEAK_SCALING_SCHEDULE, estimate, rows_score_flops, score_flops,
-                          weak_scaling_ratios)
+from seqpar.costs import WEAK_SCALING_SCHEDULE, estimate, score_flops, weak_scaling_ratios
 from seqpar.errors import PartitionError
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
@@ -66,13 +65,14 @@ def test_score_flops_count_each_bands_visible_keys():
     def by_hand(*bands):
         return 2 * 3 * 2 * sum(2 * 2 * rows * keys * 4 for rows, keys in bands)
 
-    assert score_flops(cfg, 100, 0) == by_hand((64, 64), (36, 100))
-    assert score_flops(cfg, 100, 200) == by_hand((64, 264), (36, 300))
-    assert estimate(cfg, 3, "sharded").score_flops == score_flops(cfg, 100, 100)
+    assert score_flops(cfg, ((0, 100),)) == by_hand((64, 64), (36, 100))
+    assert score_flops(cfg, ((200, 300),)) == by_hand((64, 264), (36, 300))
+    assert estimate(cfg, 3, "sharded").score_flops == score_flops(cfg, ((100, 200),))
     assert estimate(cfg, 1, "sequential").score_flops == by_hand(
         (64, 64), (64, 128), (64, 192), (64, 256), (44, 300))
     full = replace(cfg, causal=False)
-    assert score_flops(full, 100, 0) == score_flops(full, 100, 200) == by_hand((100, 300))
+    assert (score_flops(full, ((0, 100),)) == score_flops(full, ((200, 300),))
+            == by_hand((100, 300)))
 
 
 def test_single_worker_sharded_matches_sequential_compute(tiny_cfg):
@@ -155,7 +155,7 @@ def test_sharded_measurement_matches_estimate(tiny_cfg, rng, n, fused):
     est = estimate(tiny_cfg, n, "sharded", fused=fused)
     for w in range(n):
         rows = grid.ShardSpec(w, n, tiny_cfg.seq_len).compute_rows(fused)
-        assert run.counters[w][0].attn_score_flops == rows_score_flops(tiny_cfg, rows)
+        assert run.counters[w][0].attn_score_flops == score_flops(tiny_cfg, rows)
         assert run.counters[w][0].attn_score_elements_peak == est.score_elements_peak
     assert run.counters[-1][0].attn_score_flops == est.score_flops  # the busiest rank
     assert len(run.comm.ledger.records) == est.collectives_per_step
@@ -194,7 +194,7 @@ def test_forward_matmul_flops_match_estimate(tiny_cfg, rng, engine, n, fused):
                             fused=fused)
         return counters.matmul_flops
 
-    expected = [shared + rows_score_flops(
+    expected = [shared + score_flops(
         tiny_cfg, grid.ShardSpec(r, n, tiny_cfg.seq_len).compute_rows(fused)) for r in range(n)]
     assert run_workers(n, forward_flops, comm=comm) == expected
 
@@ -213,7 +213,7 @@ def test_hybrid_measurement_matches_estimate(tiny_cfg, rng, replicas, workers, f
     layout = grid.GridLayout(replicas, workers)
     for rank, counters in enumerate(run.counters):
         spec = grid.ShardSpec(layout.coords(rank)[1], workers, tiny_cfg.seq_len)
-        assert counters[0].attn_score_flops == rows_score_flops(tiny_cfg, spec.compute_rows(fused))
+        assert counters[0].attn_score_flops == score_flops(tiny_cfg, spec.compute_rows(fused))
         assert counters[0].attn_score_elements_peak == est.score_elements_peak
     assert max(c[0].attn_score_flops for c in run.counters) == est.score_flops
     step0 = run.comm.ledger.select(step=0)
@@ -252,10 +252,10 @@ def test_every_rank_scores_its_closed_form(engine, replicas, workers, seq_len, c
     run = runner._train(engine, cfg, model.init_params(cfg, 0), layout, batches, lr=0.1)
     for rank, counters in enumerate(run.counters):
         if engine == "baseline":  # rank 0 scores the whole sequence
-            want = score_flops(cfg, seq_len, 0) if rank == 0 else 0
+            want = score_flops(cfg, ((0, seq_len),)) if rank == 0 else 0
         else:
             rows = grid.ShardSpec(layout.coords(rank)[1], workers, seq_len).compute_rows(True)
-            want = rows_score_flops(cfg, rows)
+            want = score_flops(cfg, rows)
         assert counters[0].attn_score_flops == want
     busiest = max(c[0].attn_score_flops for c in run.counters)
     assert busiest == estimate(cfg, workers, engine, replicas=replicas).score_flops
@@ -322,7 +322,7 @@ def test_every_rank_scores_the_closed_form_over_its_chunks(engine, replicas, wor
         seq_index = layout.coords(rank)[1]
         if engine in ("sharded", "hybrid"):
             rows = grid.ShardSpec(seq_index, workers, seq_len).compute_rows(fused)
-            assert per_rank[seq_index] == sum(score_flops(cfg, stop - start, start)
+            assert per_rank[seq_index] == sum(score_flops(cfg, ((start, stop),))
                                               for start, stop in rows)
         assert counters[0].attn_score_flops == per_rank[seq_index]
     est = estimate(cfg, workers, engine, fused=fused, replicas=replicas)

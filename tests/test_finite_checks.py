@@ -96,7 +96,7 @@ def test_non_finite_gradient_raises_in_that_layers_backward(tiny_cfg, rng):
     params = model.init_params(tiny_cfg, 0)
     x = rng.standard_normal((tiny_cfg.batch, tiny_cfg.seq_len, tiny_cfg.embed_dim))
     off = DropoutPolicy.off()
-    _, cache = model.layer_fwd(params.layers[0], tiny_cfg, off, 0, x, 0)
+    _, cache = model.layer_fwd(params.layers[0], tiny_cfg, off, 0, x, ((0, tiny_cfg.seq_len),))
     grad_out = np.ones_like(x)
     grad_out[0, 3, 1] = np.nan
     with pytest.raises(NumericsError, match="layer 0 input gradient"):

@@ -172,7 +172,7 @@ def ref_banded_scores_fwd(q, k, v, offset, cfg, policy, layer):
     scale = 1.0 / math.sqrt(dk)
     q_pos = np.arange(offset, offset + m, dtype=np.int64)
     blocks = bsz * cfg.n_heads
-    bands = model.score_bands(m, t, offset, cfg.causal)
+    bands = model.score_bands(((offset, offset + m),), t, cfg.causal)
     weights = [np.empty((blocks, r1 - r0, vis), q.dtype) for r0, r1, vis in bands]
     keep = [np.empty(w.shape, np.bool_) for w in weights] if policy.active else None
     ctx = np.empty_like(q)
@@ -210,7 +210,7 @@ def ref_banded_scores_bwd(weights, keep, q, k, v, offset, grad_ctx, cfg, policy)
     bsz, m, _ = q.shape
     t, dk = k.shape[1], cfg.head_dim
     scale = 1.0 / math.sqrt(dk)
-    bands = model.score_bands(m, t, offset, cfg.causal)
+    bands = model.score_bands(((offset, offset + m),), t, cfg.causal)
     grad_q, grad_k, grad_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
     dt = q.dtype
     for n in reversed(range(len(bands))):
@@ -457,7 +457,7 @@ def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causa
             want_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, grad_ctx, cfg, policy)
             want_w, want_keep = [dense_w], None if dense_keep is None else [dense_keep]
     with tensor.recycling(), tensor.counting(got_counters):
-        ctx, cache = model.scores_fwd(q, k, v, offset, cfg, policy, 3)
+        ctx, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, 3)
         blocks = bsz * cfg.n_heads
         assert cache.nbytes == blocks * m * t * (cfg.dtype.itemsize + (1 if rate else 0))
         want_packed = packed(want_w)
@@ -491,7 +491,7 @@ def test_banded_loop_matches_the_dense_loop_within_rounding(shape, precision, ra
     grads = ref_banded_scores_bwd(weights, keep, q, k, v, offset, grad_ctx, cfg, policy)
     dense_ctx, dense_w, dense_keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
     dense_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, grad_ctx, cfg, policy)
-    for n, (r0, r1, vis) in enumerate(model.score_bands(q.shape[1], t, offset, True)):
+    for n, (r0, r1, vis) in enumerate(model.score_bands(((offset, offset + q.shape[1]),), t, True)):
         assert np.abs(weights[n] - dense_w[:, r0:r1, :vis]).max() <= tol
         assert not dense_w[:, r0:r1, vis:].any()
         if keep is not None:

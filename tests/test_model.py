@@ -206,7 +206,7 @@ def test_scores_match_naive_oracle(rng):
     q = rng.standard_normal((2, 6, 12))
     k = rng.standard_normal((2, 6, 12))
     v = rng.standard_normal((2, 6, 12))
-    ctx, _ = model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
+    ctx, _ = model.scores_fwd(q, k, v, ((0, 6),), cfg, OFF, layer=0)
     np.testing.assert_allclose(ctx, attention_oracle(q, k, v, 0, cfg), rtol=1e-12, atol=1e-12)
 
 
@@ -215,29 +215,50 @@ def test_scores_match_oracle_with_offset_block(rng):
     q = rng.standard_normal((1, 2, 8))  # rows at global positions 2, 3
     k = rng.standard_normal((1, 6, 8))
     v = rng.standard_normal((1, 6, 8))
-    ctx, _ = model.scores_fwd(q, k, v, 2, cfg, OFF, layer=0)
+    ctx, _ = model.scores_fwd(q, k, v, ((2, 4),), cfg, OFF, layer=0)
     np.testing.assert_allclose(ctx, attention_oracle(q, k, v, 2, cfg), rtol=1e-12, atol=1e-12)
 
 
+# 1-3 ascending, disjoint chunks of positions below 1200, gaps allowed
+chunk_rows = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.integers(0, 1200), min_size=2 * n, max_size=2 * n, unique=True)
+).map(sorted).map(lambda ends: tuple(zip(ends[::2], ends[1::2])))
+
+
 @settings(max_examples=200, deadline=None)
-@given(blocks=st.integers(1, 40), rows=st.integers(1, 600), offset=st.integers(0, 600),
-       keys=st.integers(1, 4096), causal=st.booleans(), dk=st.integers(1, 8))
-def test_score_tiles_pack_every_band_once(blocks, rows, offset, keys, causal, dk):
-    """The tile plan is the band plan: one tile per band, in band order, over
-    every block, packed back to back from the stack's front, scoring exactly
-    the flops of the cost model."""
-    bands = model.score_bands(rows, keys, offset, causal)
+@given(blocks=st.integers(1, 40), rows=chunk_rows, keys=st.integers(1, 4096),
+       causal=st.booleans(), dk=st.integers(1, 8))
+def test_score_tiles_pack_every_band_once(blocks, rows, keys, causal, dk):
+    """The bands tile the block's rows in order, a causal band stays inside
+    one chunk, holds at most SCORE_BAND_ROWS rows and sees the keys up to
+    its last row; the tile plan is the band plan: one tile per band, in band
+    order, over every block, packed back to back from the stack's front,
+    scoring exactly the flops of the cost model."""
+    count = model.row_count(rows)
+    positions = model.row_positions(rows)
+    chunk_of = np.repeat(np.arange(len(rows)), [stop - start for start, stop in rows])
+    bands = model.score_bands(rows, keys, causal)
+    assert [r0 for r0, _, _ in bands] == [0] + [r1 for _, r1, _ in bands[:-1]]
+    assert bands[-1][1] == count
+    for r0, r1, visible in bands:
+        assert r0 < r1
+        if causal:
+            assert chunk_of[r0] == chunk_of[r1 - 1]
+            assert r1 - r0 <= model.SCORE_BAND_ROWS
+            assert visible == min(keys, positions[r1 - 1] + 1)
+        else:
+            assert (r0, r1, visible) == (0, count, keys)
     tiles = model.score_tiles(blocks, bands)
     assert [tile[:3] for tile in tiles] == bands
     pos = 0
     for r0, r1, visible, start in tiles:
         assert start == pos
         pos += blocks * (r1 - r0) * visible
-    assert pos <= blocks * rows * keys
+    assert pos <= blocks * count * keys
     cfg = ModelConfig(embed_dim=dk, n_layers=1, n_heads=1, ff_dim=4, vocab=5, seq_len=keys,
                       batch=blocks, causal=causal)
     flops = sum(4 * blocks * (r1 - r0) * visible * dk for r0, r1, visible, _ in tiles)
-    assert flops == costs.score_flops(cfg, rows, offset)
+    assert flops == costs.score_flops(cfg, rows)
 
 
 def test_zero_scores_give_uniform_causal_rows():
@@ -247,7 +268,7 @@ def test_zero_scores_give_uniform_causal_rows():
     q = np.zeros((1, t, 4))
     k = np.zeros((1, t, 4))
     v = np.zeros((1, t, 4))
-    _, cache = model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
+    _, cache = model.scores_fwd(q, k, v, ((0, t),), cfg, OFF, layer=0)
     assert len({tile[:3] for tile in cache.tiles}) == 3
     aw = unpack(cache, cache.weights)[0]
     for i in range(t):
@@ -260,7 +281,7 @@ def test_single_row_attention_is_identity_weight():
     rng = np.random.default_rng(0)
     q = rng.standard_normal((1, 1, 4))
     v = rng.standard_normal((1, 1, 4))
-    ctx, cache = model.scores_fwd(q, q, v, 0, cfg, OFF, layer=0)
+    ctx, cache = model.scores_fwd(q, q, v, ((0, 1),), cfg, OFF, layer=0)
     aw = unpack(cache, cache.weights)[0]
     np.testing.assert_array_equal(aw, np.array([[1.0]]))
     np.testing.assert_allclose(ctx, v, rtol=1e-15)
@@ -273,7 +294,7 @@ def test_attention_rows_sum_to_one(rng):
     q = rng.standard_normal((2, t, 8))
     k = rng.standard_normal((2, t, 8))
     v = rng.standard_normal((2, t, 8))
-    _, cache = model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
+    _, cache = model.scores_fwd(q, k, v, ((0, t),), cfg, OFF, layer=0)
     for aw in unpack(cache, cache.weights):
         np.testing.assert_allclose(np.sum(aw, axis=1), np.ones(t), atol=1e-12)
 
@@ -285,7 +306,7 @@ def test_score_counters_track_shapes(rng):
     v = rng.standard_normal((3, 6, 8))
     counters = tensor.StepCounters()
     with tensor.counting(counters):
-        model.scores_fwd(q, k, v, 0, cfg, OFF, layer=0)
+        model.scores_fwd(q, k, v, ((0, 2),), cfg, OFF, layer=0)
     b, h, m, t, dk = 3, 2, 2, 6, 4
     visible = 2  # rows 0 and 1 see keys 0 and 1; the stack still spans every key
     assert counters.attn_score_flops == b * h * (2 * m * dk * visible + 2 * m * visible * dk)
@@ -329,7 +350,7 @@ def test_scores_bwd_bitwise_matches_a_cache_of_dropped_weights(rng, causal, rate
     k = rng.standard_normal((2, cfg.seq_len, 12))
     v = rng.standard_normal((2, cfg.seq_len, 12))
     grad_ctx = rng.standard_normal((2, m, 12))
-    _, cache = model.scores_fwd(q, k, v, offset, cfg, policy, layer=1)
+    _, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, layer=1)
     assert (cache.keep is None) == (rate == 0.0)
     weights = unpack(cache, cache.weights)
     keeps = [None] * len(weights) if cache.keep is None else unpack(cache, cache.keep)
@@ -350,7 +371,7 @@ def test_score_cache_keeps_weights_and_keep_mask_only(rng, precision, rate):
     q, k, v = (rng.standard_normal((3, 6, 8)).astype(dt) for _ in range(3))
     counters = tensor.StepCounters()
     with tensor.counting(counters):
-        ctx, cache = model.scores_fwd(q, k, v, 0, cfg, DropoutPolicy(rate=rate, seed=2), 0)
+        ctx, cache = model.scores_fwd(q, k, v, ((0, 6),), cfg, DropoutPolicy(rate=rate, seed=2), 0)
     assert ctx.dtype == dt
     assert cache.weights.shape == (3 * 2, 6, 6)
     assert cache.weights.dtype == dt
@@ -372,10 +393,10 @@ def test_two_forwards_without_a_backward_get_distinct_stacks(rng):
     policy = DropoutPolicy(rate=0.2, seed=4)
     q, k, v = score_inputs(rng, cfg, 6)
     with tensor.recycling():
-        _, first = model.scores_fwd(q, k, v, 0, cfg, policy, 0)
+        _, first = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 0)
         stacks = [first.weights, first.keep]
         kept = [a.copy() for a in stacks]
-        _, second = model.scores_fwd(q, k, v, 0, cfg, policy, 1)
+        _, second = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 1)
         for a in stacks:
             for b in (second.weights, second.keep):
                 assert not np.shares_memory(a, b)
@@ -389,14 +410,14 @@ def test_scores_bwd_spends_its_cache_and_recycles_its_stacks(rng):
     q, k, v = score_inputs(rng, cfg, 6)
     grad_ctx = rng.standard_normal(q.shape)
     with tensor.recycling():
-        _, cache = model.scores_fwd(q, k, v, 0, cfg, policy, 0)
+        _, cache = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 0)
         stack = cache.weights
         want = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
         assert cache.weights is None and cache.keep is None
         with pytest.raises(ValueError, match="one backward"):
             model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
         # the next forward reuses the stack, and the run repeats bit for bit
-        _, again = model.scores_fwd(q, k, v, 0, cfg, policy, 0)
+        _, again = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 0)
         assert again.weights is stack
         got = model.scores_bwd(again, q, k, v, grad_ctx, cfg, policy)
     for g, w in zip(got, want):
@@ -432,8 +453,8 @@ def test_score_kernels_make_one_stacked_product_per_tile_and_role(monkeypatch, s
         return real(a, b, **kw)
 
     monkeypatch.setattr(tensor, "matmul", counted)
-    _, cache = model.scores_fwd(q, k, v, offset, cfg, policy, layer=0)
-    bands = model.score_bands(m, t, offset, causal)
+    _, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, layer=0)
+    bands = model.score_bands(((offset, offset + m),), t, causal)
     assert len(cache.tiles) == len(bands)
     assert len(calls) == 2 * len(bands)
     calls.clear()

@@ -209,6 +209,16 @@ def test_summary_reports_every_ranks_score_flops(tmp_path, engine, workers, want
     assert f"delta 0 by rank {want}\n" in text
 
 
+def test_zero_layer_run_measures_the_score_footprint_it_estimates(tmp_path):
+    rc = small_run(tmp_path, model=small_model(n_layers=0), engine="sharded", workers=2,
+                   equivalence_check=True)
+    summary = runner.run_experiment(rc).summary
+    for figure in ("score_elements_peak", "score_cache_bytes", "score_flops"):
+        assert summary[f"measured_{figure}"] == summary[f"estimated_{figure}"] == 0, figure
+    text = open(os.path.join(rc.out_dir, "summary.txt")).read()
+    assert "score elements    measured 0 estimated 0\n" in text
+
+
 def test_run_experiment_sequential_and_baseline(tmp_path):
     seq = runner.run_experiment(small_run(tmp_path / "a", engine="sequential"))
     assert seq.summary["ledger_records"] == 0
@@ -517,6 +527,21 @@ def test_cli_train_rejects_a_too_small_synthetic_corpus_without_creating_the_out
     assert not out.exists()
 
 
+@pytest.mark.parametrize("corpus, message", [
+    (None, "No such file or directory"),
+    (b"abc", "corpus has 3 bytes, need at least 516"),
+], ids=["missing", "too-short"])
+def test_cli_train_rejects_a_bad_dataset_without_creating_the_output(tmp_path, capsys, corpus,
+                                                                     message):
+    dataset = tmp_path / "corpus.bin"
+    if corpus is not None:
+        dataset.write_bytes(corpus)
+    out = tmp_path / "run"
+    assert run_cli("train", "--dataset", str(dataset), "--steps", "1", "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"model": {"causal": "no"}}', "model-config key 'causal' must be true or false"),
     ('{"workers": 2.0}', "run-config key 'workers' must be an integer, got 2.0"),
@@ -561,6 +586,15 @@ def test_cli_cost_and_weak_scaling(capsys):
     table = capsys.readouterr().out
     for ratio in ("1", "6", "18", "54", "144"):
         assert f" {ratio}\n" in table or f" {ratio} " in table
+
+
+def test_cli_cost_of_zero_layers_has_no_scores_and_no_weak_scaling(capsys):
+    assert run_cli("cost", "--layers", "0", "--workers", "2") == 0
+    assert "score elements (peak)   0\n" in capsys.readouterr().out
+    assert run_cli("cost", "--weak-scaling", "--layers", "0") == 1
+    captured = capsys.readouterr()
+    assert "error: weak scaling needs at least one layer, got 0 layers" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("engine", ["sharded", "hybrid"])

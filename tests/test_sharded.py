@@ -157,7 +157,7 @@ def test_each_layer_computes_the_ranks_compute_rows(tiny_cfg, rng, fused):
         spec = grid.ShardSpec(rank, n, tiny_cfg.seq_len)
         want = spec.balanced_rows if fused else spec.block_rows
         assert rows == [want] * tiny_cfg.n_layers
-        assert flops == costs.rows_score_flops(tiny_cfg, want)
+        assert flops == costs.score_flops(tiny_cfg, want)
 
 
 # --- single-worker identity ---
