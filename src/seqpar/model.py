@@ -358,16 +358,20 @@ class ScoreCache:
     """What one layer's attention keeps for its backward: the softmax weights
     and, with dropout, the boolean keep mask (None without), each in one
     (blocks, rows, keys) stack of (sample, head) blocks in sample-major
-    order, and the tile plan (:func:`score_tiles`) the forward walked.  Each
-    band's weights and keep mask, over every block, lie packed at its tile's
-    ``start`` in the stacks (see :func:`_tile`); the rest of each stack is
-    unused.  The dropped weights are not kept; backward rebuilds them from
-    these two.  :func:`scores_bwd` gives both stacks back and sets them to
-    None, so a spent cache cannot be read again."""
+    order, the tile plan (:func:`score_tiles`) the forward walked, and the
+    forward's output ``ctx`` (the array the caller holds, not a copy), from
+    which the backward reads the softmax row sums.  Each band's weights and
+    keep mask, over every block, lie packed at its tile's ``start`` in the
+    stacks (see :func:`_tile`); the rest of each stack is unused.  The
+    dropped weights are not kept; backward rebuilds them from these two.
+    :func:`scores_bwd` gives both stacks back and sets them and ``ctx`` to
+    None, so a spent cache cannot be read again.  ``nbytes`` counts the
+    stacks: ``ctx`` is the attention output, cached by the layer anyway."""
 
     weights: np.ndarray | None
     keep: np.ndarray | None
     tiles: list[tuple[int, int, int, int]]
+    ctx: np.ndarray | None
 
     @property
     def nbytes(self) -> int:
@@ -425,8 +429,10 @@ def _tile_words(blocks: int, tiles) -> int:
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """A head-major copy of ``x``: (batch, rows, heads * dk) becomes
-    (batch * heads, rows, dk), one (sample, head) block per item, sample-major."""
+    """``x`` head-major: (batch, rows, heads * dk) becomes (batch * heads,
+    rows, dk), one (sample, head) block per item, sample-major.  A copy for
+    a batch above one, but a strided view of ``x`` itself for a batch of
+    one, so the result is never written into."""
     b, rows, e = x.shape
     return x.reshape(b, rows, heads, e // heads).transpose(0, 2, 1, 3).reshape(b * heads, rows, -1)
 
@@ -455,16 +461,17 @@ def scores_fwd(
     band's last row can see: the keys past them carry weights of exactly
     zero, so they are neither multiplied, normalized, hashed nor kept.
 
-    ``q``, ``k`` and ``v`` are first copied head-major (one (sample, head)
-    block per item of a stack).  The forward builds the tile plan
-    (:func:`score_tiles`, one tile per band) once and walks it.  Per tile,
-    every block's band is multiplied as one stack straight into the tile's
-    packed view of the weight stack, which is taken through ``tensor.take``
-    at the full (blocks, m, keys) size; the scaling, the softmax (under the
-    band's (rows, keys) causal mask, shared by every block) and the
-    keep-mask hash then run once over the whole tile, and with dropout one
-    tile-sized work buffer holds the dropped weights for the stacked product
-    with the values.  The plan goes into the cache for :func:`scores_bwd`.
+    ``q``, ``k`` and ``v`` are first laid out head-major (one (sample, head)
+    block per item of a stack, :func:`_split_heads`).  The forward builds
+    the tile plan (:func:`score_tiles`, one tile per band) once and walks
+    it.  Per tile, every block's band is multiplied as one stack straight
+    into the tile's packed view of the weight stack, which is taken through
+    ``tensor.take`` at the full (blocks, m, keys) size; the scaling, the
+    softmax (under the band's (rows, keys) causal mask, shared by every
+    block) and the keep-mask hash then run once over the whole tile, and
+    with dropout one tile-sized work buffer holds the dropped weights for
+    the stacked product with the values.  The plan and the output go into
+    the cache for :func:`scores_bwd`.
     """
     bsz, m, _ = q.shape
     t = k.shape[1]
@@ -502,11 +509,12 @@ def scores_fwd(
             counters.add_score_flops(2 * blocks * (r1 - r0), dk, visible)  # QK^T and PV
     if keep is not None:
         tensor.give(work)
-    cache = ScoreCache(weights=weights, keep=keep, tiles=tiles)
+    ctx = _merge_heads(ctxh, bsz)
+    cache = ScoreCache(weights=weights, keep=keep, tiles=tiles, ctx=ctx)
     if counters is not None:
         counters.record_score_footprint(blocks * m * t)
         counters.add_score_cache(cache.nbytes)
-    return _merge_heads(ctxh, bsz), cache
+    return ctx, cache
 
 
 def scores_bwd(
@@ -519,16 +527,26 @@ def scores_bwd(
     policy: DropoutPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walks the forward's tile plan (``cache.tiles``) backwards, over
-    head-major copies of ``q``, ``k``, ``v`` and ``grad_ctx``, with one
-    stacked product per tile for each of the four gradients.  Per tile,
-    the dropped weights are rebuilt as ``aw * scaled mask`` in a tile-sized
-    work buffer for the value gradients only; the weight gradients then take
-    that buffer, are scaled by the same mask and run through the softmax
-    backward in place.  The key and value gradients start at zero and every
-    tile adds into each block's rows up to its visible keys; rows no query
-    sees stay zero.  The cache's stacks go back to ``tensor.give`` and are
-    dropped from it, so a spent cache cannot be read again."""
-    bsz = q.shape[0]
+    head-major ``q``, ``k``, ``v`` and ``grad_ctx`` (:func:`_split_heads`),
+    with one stacked product per tile for each of the four gradients.
+
+    The softmax backward needs each row's sum of ``grad_aw * aw``, and that
+    is ``D = grad_ctx . ctx`` over the row's head, read once per (block,
+    row) from the forward's output (as FlashAttention-2, arXiv 2307.08691,
+    does) instead of from every score tile.  With dropout it holds too:
+    ``ctx`` is the dropped weights times the values, and ``grad_aw`` takes
+    the same scaled mask.  Per tile, the dropped weights are rebuilt as ``aw
+    * scaled mask`` in a tile-sized work buffer for the value gradients
+    only; the weight gradients then take that buffer, are scaled by the same
+    mask, and become ``aw * (grad_aw - D)`` in place.  The score scale
+    ``1/sqrt(dk)`` goes on the (rows, dk) operands instead of the tile: on
+    ``grad_q`` once at the end, and on a scaled copy of the queries that
+    ``grad_k`` multiplies.  The key and value gradients start at zero and
+    every tile adds into each block's rows up to its visible keys; rows no
+    query sees stay zero.  The cache's stacks go back to ``tensor.give`` and
+    are dropped from it with ``ctx``, so a spent cache cannot be read
+    again."""
+    bsz, m, _ = q.shape
     dk, heads = cfg.head_dim, cfg.n_heads
     blocks = bsz * heads
     held = 0 if cache.weights is None else cache.weights.shape[0]
@@ -538,13 +556,14 @@ def scores_bwd(
     scale = 1.0 / math.sqrt(dk)
     weights, keep, tiles = cache.weights, cache.keep, cache.tiles
     dt = weights.dtype
-    qh, kh, vh, gh = (_split_heads(x, heads) for x in (q, k, v, grad_ctx))
-    grad_q = np.empty_like(qh)
+    row_dots = np.multiply(grad_ctx, cache.ctx).reshape(bsz, m, heads, dk).sum(axis=-1)
+    d = row_dots.transpose(0, 2, 1).reshape(blocks, m, 1)
+    kh, vh, gh = (_split_heads(x, heads) for x in (k, v, grad_ctx))
+    qs = _split_heads(q, heads) * scale  # fresh: the split is a view of q at batch 1
+    grad_q = np.empty_like(qs)
     grad_k = np.zeros_like(kh)
     grad_v = np.zeros_like(vh)
     work = tensor.take((_tile_words(blocks, tiles),), dt)
-    prod_buf = tensor.take((nnops.row_tile(k.shape[1])[1],), dt)
-    row_sums = np.empty((blocks * max(r1 - r0 for r0, r1, _, _ in tiles), 1), dt)
     for tile in reversed(tiles):
         r0, r1, visible, _ = tile
         aw_d = aw = _tile(weights, tile)
@@ -560,25 +579,15 @@ def scores_bwd(
             # 1 * c, a dropped one becomes a zero of its own sign
             grad_aw *= kept
             grad_aw *= nnops.keep_scale(policy, dt)
-        # softmax backward, in place: grad_s = aw * (grad_aw - rowsum(grad_aw * aw))
-        # * scale; masked-out entries have aw == 0, so they stay 0.  The
-        # row sums go an nnops.row_tile of rows at a time, which leaves
-        # each row's sum as it was.
-        aw_rows, grad_rows = aw.reshape(-1, visible), grad_aw.reshape(-1, visible)
-        rows = len(aw_rows)
-        height, _ = nnops.row_tile(visible)
-        for t0 in range(0, rows, height):
-            t1 = min(t0 + height, rows)
-            prod = prod_buf[: (t1 - t0) * visible].reshape(t1 - t0, visible)
-            np.multiply(grad_rows[t0:t1], aw_rows[t0:t1], out=prod)
-            np.sum(prod, axis=1, keepdims=True, out=row_sums[t0:t1])
-        grad_rows -= row_sums[:rows]
+        # softmax backward, in place: masked-out entries have aw == 0, so
+        # they stay 0
+        grad_aw -= d[:, r0:r1]
         grad_aw *= aw
-        grad_aw *= scale
         tensor.matmul(grad_aw, kh[:, :visible], out=grad_q[:, r0:r1])
-        grad_k[:, :visible] += tensor.matmul(grad_aw.transpose(0, 2, 1), qh[:, r0:r1])
-    tensor.give(work, prod_buf, *[a for a in (weights, keep) if a is not None])
-    cache.weights = cache.keep = None
+        grad_k[:, :visible] += tensor.matmul(grad_aw.transpose(0, 2, 1), qs[:, r0:r1])
+    grad_q *= scale
+    tensor.give(work, *[a for a in (weights, keep) if a is not None])
+    cache.weights = cache.keep = cache.ctx = None
     return tuple(_merge_heads(a, bsz) for a in (grad_q, grad_k, grad_v))
 
 
@@ -638,8 +647,12 @@ def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy,
 
 @dataclass
 class FfnCache:
+    """The feed-forward sublayer's input, its GELU's local derivative (in
+    place of the pre-activation, and the same size), the dropped hidden
+    activation and the hidden keep mask (None without dropout)."""
+
     yh_flat: np.ndarray
-    h_pre: np.ndarray
+    gelu_slope: np.ndarray
     h_drop: np.ndarray
     hidden_mask: np.ndarray | None
 
@@ -648,11 +661,10 @@ def ffn_fwd(yh, rows: Rows, lp: LayerParams, policy, layer):
     b, m, e = yh.shape
     samples, at = row_coords(b, rows)
     yh_flat = yh.reshape(b * m, e)
-    h_pre = nnops.linear_fwd(yh_flat, lp.ff_in)
-    h_act = nnops.gelu_fwd(h_pre)
+    h_act, gelu_slope = nnops.gelu_fwd(nnops.linear_fwd(yh_flat, lp.ff_in))
     h_drop, hidden_mask = nnops.dropout_fwd(h_act, policy, layer, "ffn_hidden", samples, at)
     out = nnops.linear_fwd(h_drop, lp.ff_out).reshape(b, m, e)
-    return out, FfnCache(yh_flat, h_pre, h_drop, hidden_mask)
+    return out, FfnCache(yh_flat, gelu_slope, h_drop, hidden_mask)
 
 
 def ffn_bwd(cache: FfnCache, grad_out, lp: LayerParams, policy):
@@ -661,7 +673,7 @@ def ffn_bwd(cache: FfnCache, grad_out, lp: LayerParams, policy):
     g = grad_out.reshape(b * m, e)
     grad_h_drop, ff_out_wg, ff_out_bg = nnops.linear_bwd(cache.h_drop, lp.ff_out, g)
     grad_h_act = nnops.dropout_bwd(grad_h_drop, policy, cache.hidden_mask)
-    grad_h_pre = nnops.gelu_bwd(cache.h_pre, grad_h_act)
+    grad_h_pre = nnops.gelu_bwd(cache.gelu_slope, grad_h_act)
     grad_yh, ff_in_wg, ff_in_bg = nnops.linear_bwd(cache.yh_flat, lp.ff_in, grad_h_pre)
     grads = (LinearParams(ff_in_wg, ff_in_bg), LinearParams(ff_out_wg, ff_out_bg))
     return grad_yh.reshape(b, m, e), grads

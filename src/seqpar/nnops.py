@@ -3,7 +3,8 @@
 Every op comes as a forward/backward pair over 2-D row batches (rows are
 tokens, columns are features).  The backward functions take exactly what the
 forward cached, nothing hidden, so each pair can be checked in isolation
-against finite differences.
+against finite differences.  GELU's forward returns its local derivative
+beside its output, from the same tanh, so its backward is one multiply.
 
 Dropout here is *counter-based*: instead of consuming a stateful RNG stream,
 the keep/drop decision for an element is a pure hash of
@@ -22,6 +23,7 @@ size, and every other numpy operator writes into one of those through
 Each runs the same IEEE operations on the same operands in the same order as
 the plain one-line expression it replaces (at most swapping the operands of a
 single ``*`` or ``+``), so results are bitwise those of that expression.
+GELU's slope times an output gradient is bitwise the backward's expression.
 """
 
 from __future__ import annotations
@@ -140,12 +142,11 @@ def score_row_keys(
     return _mix_array(np.full(q_positions.shape, np.uint64(h0), dtype=np.uint64), q_positions)
 
 
-# Elements per row tile of a row-wise pass (the keep_mask hash, the score
-# backward's row sums): a (rows, 64) activation of up to 512 rows is one
-# tile, a 256x512 score block four tiles of 64 rows.  Smaller tiles stay in
-# cache but cost more numpy calls, and so more interpreter-lock handoffs
-# when two ranks hash at once: at 2**14 words two concurrent ranks hashed a
-# 256x512 block slower than untiled.
+# Elements per row tile of the keep_mask hash: a (rows, 64) activation of up
+# to 512 rows is one tile, a 256x512 score block four tiles of 64 rows.
+# Smaller tiles stay in cache but cost more numpy calls, and so more
+# interpreter-lock handoffs when two ranks hash at once: at 2**14 words two
+# concurrent ranks hashed a 256x512 block slower than untiled.
 ROW_TILE_WORDS = 1 << 15
 
 
@@ -307,42 +308,42 @@ def layernorm_bwd(
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu_fwd(x: np.ndarray) -> np.ndarray:
-    """0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3))), with the cube as
-    ``x * x * x`` (far cheaper than pow)."""
-    t = x * x
-    t *= x
+def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, d): y = 0.5 * x * (1 + t), t = tanh(c * (x + 0.044715 * x**3)), with
+    the cube as ``x * x * x`` (far cheaper than pow), and the local derivative
+
+        d = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)
+
+    that :func:`gelu_bwd` multiplies the output gradient by.  Both come from
+    one tanh, in two output buffers and one scratch: ``s`` holds x * x for
+    the cube, then ``1 - t * t``, then the second term of d; ``y`` holds the
+    ``1 + 3 * 0.044715 * x * x`` factor before the output."""
+    s = x * x
+    t = s * x
     t *= 0.044715
     np.add(x, t, out=t)
     t *= _GELU_C
     np.tanh(t, out=t)
-    t += 1.0
-    y = 0.5 * x
-    y *= t
-    return y
-
-
-def gelu_bwd(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    """grad_y * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)),
-    t the forward's tanh."""
-    x2 = x * x
-    t = x2 * x
-    t *= 0.044715
-    np.add(x, t, out=t)
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    s = t * t
+    np.multiply(t, t, out=s)
     np.subtract(1.0, s, out=s)  # sech2
-    u = 0.5 * x
-    u *= s
-    u *= _GELU_C
-    x2 *= 3.0 * 0.044715
-    x2 += 1.0
-    u *= x2
+    y = 0.5 * x
+    s *= y
+    s *= _GELU_C
+    np.multiply(x, x, out=y)
+    y *= 3.0 * 0.044715
+    y += 1.0
+    s *= y
+    np.multiply(x, 0.5, out=y)
     t += 1.0
+    y *= t
     t *= 0.5
-    t += u  # the local derivative
-    return np.multiply(grad_y, t, out=t)
+    t += s  # the local derivative
+    return y, t
+
+
+def gelu_bwd(d: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
+    """grad_y * d, d the local derivative :func:`gelu_fwd` returned."""
+    return np.multiply(grad_y, d)
 
 
 # --- embeddings ---

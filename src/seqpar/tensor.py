@@ -7,10 +7,11 @@ them; a stack runs item by item, bitwise as per-item calls would.  Kernels
 treat their inputs as immutable and return fresh arrays, which is what makes
 them safe to hand across worker threads, unless the caller passes ``out=``:
 :func:`matmul` and :func:`softmax_rows` then write into that buffer and return
-it, with bitwise the values a fresh call gives.  Kernels do not scan their
-outputs for NaN/Inf: NaN and Inf propagate through every op, so the model
-checks with :func:`check_finite` once per layer boundary instead (see
-:mod:`seqpar.errors`).
+it, with bitwise the values a fresh call gives.  The one exception is
+:func:`transpose`, which returns a view of its operand for :func:`matmul` to
+read.  Kernels do not scan their outputs for NaN/Inf: NaN and Inf propagate
+through every op, so the model checks with :func:`check_finite` once per
+layer boundary instead (see :mod:`seqpar.errors`).
 
 Scratch buffers that a hot loop would otherwise allocate anew every time can
 be recycled: inside a :func:`recycling` block, :func:`take` hands out an array
@@ -238,9 +239,11 @@ def matmul(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np
 
 
 def transpose(a: np.ndarray) -> np.ndarray:
+    """The transposed view ``a.T`` of a 2-D operand: no copy, since
+    :func:`matmul` takes it as it is."""
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D operand, got shape {a.shape}")
-    return np.ascontiguousarray(a.T)
+    return a.T
 
 
 def softmax_rows(

@@ -5,7 +5,8 @@ and scratch buffers.  The references below are the plain numpy expressions
 those kernels replace; the kernels must match them bit for bit, on both
 precisions and on edge shapes, and must leave every input byte unchanged.
 The grouped attention-score kernels are held to the per-block loop they
-replace the same way.  A last set of tests bounds each elementwise kernel's
+replace the same way, and within rounding to the loop's row-sum form of the
+softmax backward.  A last set of tests bounds each elementwise kernel's
 peak allocation, so a later edit that brings temporaries back fails here.
 """
 
@@ -130,8 +131,27 @@ def ref_scores_fwd(q, k, v, offset, cfg, policy, layer):
     return ctx, weights, keep
 
 
-def ref_scores_bwd(weights, keep, q, k, v, grad_ctx, cfg, policy):
-    """Backward of :func:`ref_scores_fwd`, one block at a time."""
+def ref_softmax_bwd(grad_aw, aw, q, k, scale, d):
+    """The softmax backward of one block's (rows, keys) weight gradients, in
+    place, then its query and key gradient products.  With ``d``, the
+    (rows, 1) sums of ``grad_ctx * ctx`` over the block's head, it is the
+    kernels' form: ``aw * (grad_aw - d)``, the scale on the (rows, dk)
+    products.  With ``d`` None it is the form first written: ``aw *
+    (grad_aw - rowsum(grad_aw * aw))``, scaled on the block."""
+    if d is None:
+        grad_aw -= np.sum(grad_aw * aw, axis=1, keepdims=True)
+        grad_aw *= aw
+        grad_aw *= scale
+        return tensor.matmul(grad_aw, k), tensor.matmul(grad_aw.T, q)
+    grad_aw -= d
+    grad_aw *= aw
+    return tensor.matmul(grad_aw, k) * scale, tensor.matmul(grad_aw.T, q * scale)
+
+
+def ref_scores_bwd(weights, keep, q, k, v, ctx, grad_ctx, cfg, policy):
+    """Backward of :func:`ref_scores_fwd`, one block at a time; the softmax
+    backward's row sums from the forward's ``ctx``, or from the weights when
+    ``ctx`` is None (see :func:`ref_softmax_bwd`)."""
     bsz, m, _ = q.shape
     t, dk = k.shape[1], cfg.head_dim
     scale = 1.0 / math.sqrt(dk)
@@ -152,11 +172,9 @@ def ref_scores_bwd(weights, keep, q, k, v, grad_ctx, cfg, policy):
             if keep is not None:
                 grad_aw *= keep[i]
                 grad_aw *= nnops.keep_scale(policy, dt)
-            grad_aw -= np.sum(grad_aw * aw, axis=1, keepdims=True)
-            grad_aw *= aw
-            grad_aw *= scale
-            grad_q[b, :, cols] = tensor.matmul(grad_aw, k[b, :, cols])
-            grad_k[b, :, cols] = tensor.matmul(grad_aw.T, q[b, :, cols])
+            d = None if ctx is None else np.sum(g_ctx * ctx[b, :, cols], axis=1, keepdims=True)
+            grad_q[b, :, cols], grad_k[b, :, cols] = ref_softmax_bwd(
+                grad_aw, aw, q[b, :, cols], k[b, :, cols], scale, d)
     return grad_q, grad_k, grad_v
 
 
@@ -202,11 +220,11 @@ def ref_banded_scores_fwd(q, k, v, offset, cfg, policy, layer):
     return ctx, weights, keep
 
 
-def ref_banded_scores_bwd(weights, keep, q, k, v, offset, grad_ctx, cfg, policy):
+def ref_banded_scores_bwd(weights, keep, q, k, v, offset, ctx, grad_ctx, cfg, policy):
     """Backward of :func:`ref_banded_scores_fwd`, one block and band at a
     time, from the widest band to the narrowest: the widest writes the key
     and value gradient rows it sees, the narrower ones add into theirs, and
-    rows no band sees are zero."""
+    rows no band sees are zero.  ``ctx`` as for :func:`ref_scores_bwd`."""
     bsz, m, _ = q.shape
     t, dk = k.shape[1], cfg.head_dim
     scale = 1.0 / math.sqrt(dk)
@@ -230,11 +248,10 @@ def ref_banded_scores_bwd(weights, keep, q, k, v, offset, grad_ctx, cfg, policy)
                 if keep is not None:
                     grad_aw *= keep[n][i]
                     grad_aw *= nnops.keep_scale(policy, dt)
-                grad_aw -= np.sum(grad_aw * aw, axis=1, keepdims=True)
-                grad_aw *= aw
-                grad_aw *= scale
-                grad_q[b, r0:r1, cols] = tensor.matmul(grad_aw, k[b, :vis, cols])
-                gk = tensor.matmul(grad_aw.T, q[b, r0:r1, cols])
+                d = (None if ctx is None
+                     else np.sum(g_ctx * ctx[b, r0:r1, cols], axis=1, keepdims=True))
+                grad_q[b, r0:r1, cols], gk = ref_softmax_bwd(
+                    grad_aw, aw, q[b, r0:r1, cols], k[b, :vis, cols], scale, d)
                 if n == len(bands) - 1:
                     grad_v[b, :vis, cols] = gv
                     grad_k[b, :vis, cols] = gk
@@ -287,8 +304,9 @@ def test_gelu_matches_reference_bitwise(shape, dtype):
     rng = np.random.default_rng(1)
     x, grad_y = rand(rng, shape, dtype, 2.0), rand(rng, shape, dtype)
     frozen = Frozen(x, grad_y)
-    assert_bitwise(nnops.gelu_fwd(x), ref_gelu_fwd(x))
-    assert_bitwise(nnops.gelu_bwd(x, grad_y), ref_gelu_bwd(x, grad_y))
+    y, d = nnops.gelu_fwd(x)
+    assert_bitwise(y, ref_gelu_fwd(x))
+    assert_bitwise(nnops.gelu_bwd(d, grad_y), ref_gelu_bwd(x, grad_y))
     frozen.check()
 
 
@@ -450,14 +468,16 @@ def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causa
     with tensor.counting(want_counters):
         if causal:
             want_ctx, want_w, want_keep = ref_banded_scores_fwd(q, k, v, offset, cfg, policy, 3)
-            want_grads = ref_banded_scores_bwd(want_w, want_keep, q, k, v, offset, grad_ctx,
-                                               cfg, policy)
+            want_grads = ref_banded_scores_bwd(want_w, want_keep, q, k, v, offset, want_ctx,
+                                               grad_ctx, cfg, policy)
         else:
             want_ctx, dense_w, dense_keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
-            want_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, grad_ctx, cfg, policy)
+            want_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, want_ctx, grad_ctx, cfg,
+                                        policy)
             want_w, want_keep = [dense_w], None if dense_keep is None else [dense_keep]
     with tensor.recycling(), tensor.counting(got_counters):
         ctx, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, 3)
+        ctx_frozen = Frozen(ctx)  # the backward reads it, as it reads q at batch 1
         blocks = bsz * cfg.n_heads
         assert cache.nbytes == blocks * m * t * (cfg.dtype.itemsize + (1 if rate else 0))
         want_packed = packed(want_w)
@@ -473,6 +493,32 @@ def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causa
         assert_bitwise(got, want)
     assert got_counters == want_counters
     frozen.check()
+    ctx_frozen.check()
+
+
+@pytest.mark.parametrize("shape", list(SCORE_SHAPES))
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
+def test_scores_bwd_matches_the_row_sum_softmax_backward(shape, precision, causal, rate):
+    """The kernel reads each row's sum of ``grad_aw * aw`` as ``grad_ctx .
+    ctx`` from the forward's output.  That is an identity of the exact
+    values, not of their rounding, so the gradients agree with the per-block
+    loop that sums the weights' rows to ``64 * eps`` of each gradient's
+    largest entry."""
+    cfg, policy, q, k, v, offset, grad_ctx = score_case(shape, precision, causal, rate)
+    if causal:
+        _, weights, keep = ref_banded_scores_fwd(q, k, v, offset, cfg, policy, 3)
+        want = ref_banded_scores_bwd(weights, keep, q, k, v, offset, None, grad_ctx, cfg, policy)
+    else:
+        _, weights, keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
+        want = ref_scores_bwd(weights, keep, q, k, v, None, grad_ctx, cfg, policy)
+    _, cache = model.scores_fwd(q, k, v, ((offset, offset + q.shape[1]),), cfg, policy, 3)
+    got = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+    tol = 64 * np.finfo(cfg.dtype).eps
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.abs(g - w).max() <= tol * np.abs(w).max()
 
 
 @pytest.mark.parametrize("shape", list(SCORE_SHAPES))
@@ -488,9 +534,9 @@ def test_banded_loop_matches_the_dense_loop_within_rounding(shape, precision, ra
     t = k.shape[1]
     tol = t * np.finfo(cfg.dtype).eps
     ctx, weights, keep = ref_banded_scores_fwd(q, k, v, offset, cfg, policy, 3)
-    grads = ref_banded_scores_bwd(weights, keep, q, k, v, offset, grad_ctx, cfg, policy)
+    grads = ref_banded_scores_bwd(weights, keep, q, k, v, offset, ctx, grad_ctx, cfg, policy)
     dense_ctx, dense_w, dense_keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
-    dense_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, grad_ctx, cfg, policy)
+    dense_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, dense_ctx, grad_ctx, cfg, policy)
     for n, (r0, r1, vis) in enumerate(model.score_bands(((offset, offset + q.shape[1]),), t, True)):
         assert np.abs(weights[n] - dense_w[:, r0:r1, :vis]).max() <= tol
         assert not dense_w[:, r0:r1, vis:].any()
@@ -524,12 +570,13 @@ def alloc_cases():
     x, grad_y = rand(rng, shape, np.float64), rand(rng, shape, np.float64)
     gain, bias = rand(rng, shape[1:], np.float64) + 1, rand(rng, shape[1:], np.float64)
     cache = nnops.layernorm_fwd(x, gain, bias)[1]
+    slope = nnops.gelu_fwd(x)[1]
     targets = rng.integers(0, shape[1], size=shape[0])
     xin = rand(rng, (shape[0], 64), np.float64)
     p = LinearParams(weight=rand(rng, (64, shape[1]), np.float64), bias=bias)
     return {
-        "gelu_fwd": (lambda: nnops.gelu_fwd(x), 2.1),
-        "gelu_bwd": (lambda: nnops.gelu_bwd(x, grad_y), 4.1),
+        "gelu_fwd": (lambda: nnops.gelu_fwd(x), 3.1),
+        "gelu_bwd": (lambda: nnops.gelu_bwd(slope, grad_y), 1.1),
         "layernorm_fwd": (lambda: nnops.layernorm_fwd(x, gain, bias), 2.3),
         "layernorm_bwd": (lambda: nnops.layernorm_bwd(cache, gain, grad_y), 2.3),
         "cross_entropy": (lambda: nnops.cross_entropy(x, targets), 1.3),

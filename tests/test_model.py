@@ -313,9 +313,11 @@ def test_score_counters_track_shapes(rng):
     assert counters.attn_score_elements_peak == b * h * m * t
 
 
-def scores_bwd_with_dropped_copy(attn, q, k, v, grad_ctx, cfg, policy):
-    """Score backward as first written, from a cache that also kept the
-    dropped weights: per (sample, head) block ``(aw, aw_dropped, keep)``."""
+def scores_bwd_with_dropped_copy(attn, q, k, v, ctx, grad_ctx, cfg, policy):
+    """Score backward from a cache that also kept the dropped weights: per
+    (sample, head) block ``(aw, aw_dropped, keep)``.  The softmax backward's
+    row sums are ``grad_ctx . ctx`` over each head, as the kernel reads
+    them, and the scale goes on the (rows, dk) products."""
     bsz = q.shape[0]
     dk = cfg.head_dim
     scale = 1.0 / np.sqrt(dk)
@@ -329,10 +331,10 @@ def scores_bwd_with_dropped_copy(attn, q, k, v, grad_ctx, cfg, policy):
             grad_aw_d = tensor.matmul(g_ctx, tensor.transpose(v[b, :, cols]))
             grad_v[b, :, cols] = tensor.matmul(tensor.transpose(aw_d), g_ctx)
             grad_aw = grad_aw_d if keep is None else nnops.apply_mask(grad_aw_d, policy, keep)
-            grad_s = aw * (grad_aw - np.sum(grad_aw * aw, axis=1, keepdims=True))
-            grad_s = grad_s * scale
-            grad_q[b, :, cols] = tensor.matmul(grad_s, k[b, :, cols])
-            grad_k[b, :, cols] = tensor.matmul(tensor.transpose(grad_s), q[b, :, cols])
+            d = np.sum(g_ctx * ctx[b, :, cols], axis=1, keepdims=True)
+            grad_s = aw * (grad_aw - d)
+            grad_q[b, :, cols] = tensor.matmul(grad_s, k[b, :, cols]) * scale
+            grad_k[b, :, cols] = tensor.matmul(tensor.transpose(grad_s), q[b, :, cols] * scale)
     return grad_q, grad_k, grad_v
 
 
@@ -350,14 +352,14 @@ def test_scores_bwd_bitwise_matches_a_cache_of_dropped_weights(rng, causal, rate
     k = rng.standard_normal((2, cfg.seq_len, 12))
     v = rng.standard_normal((2, cfg.seq_len, 12))
     grad_ctx = rng.standard_normal((2, m, 12))
-    _, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, layer=1)
+    ctx, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, layer=1)
     assert (cache.keep is None) == (rate == 0.0)
     weights = unpack(cache, cache.weights)
     keeps = [None] * len(weights) if cache.keep is None else unpack(cache, cache.keep)
     attn = [(aw, aw if keep is None else nnops.apply_mask(aw, policy, keep), keep)
             for aw, keep in zip(weights, keeps)]
     got = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
-    want = scores_bwd_with_dropped_copy(attn, q, k, v, grad_ctx, cfg, policy)
+    want = scores_bwd_with_dropped_copy(attn, q, k, v, ctx, grad_ctx, cfg, policy)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
@@ -413,7 +415,7 @@ def test_scores_bwd_spends_its_cache_and_recycles_its_stacks(rng):
         _, cache = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 0)
         stack = cache.weights
         want = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
-        assert cache.weights is None and cache.keep is None
+        assert cache.weights is None and cache.keep is None and cache.ctx is None
         with pytest.raises(ValueError, match="one backward"):
             model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
         # the next forward reuses the stack, and the run repeats bit for bit

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqpar import tensor
+from seqpar import nnops, tensor
 from seqpar.errors import DegenerateRowError, NumericsError, ShapeError
 from seqpar.tensor import StepCounters, matmul, softmax_rows, transpose
 
@@ -103,9 +103,37 @@ def test_transpose_rejects_non_2d():
         transpose(np.zeros((2, 2, 2)))
 
 
-def test_transpose_output_contiguous(rng):
-    out = transpose(rng.standard_normal((3, 5)))
-    assert out.flags["C_CONTIGUOUS"]
+def test_transpose_is_a_view_not_a_copy(rng):
+    a = rng.standard_normal((3, 5))
+    out = transpose(a)
+    assert out.base is a and np.shares_memory(out, a)
+    assert out.shape == (5, 3) and out.flags["F_CONTIGUOUS"]
+
+
+# (rows, d_in, d_out) of every nnops.linear_bwd call the benchmark workloads
+# make: dense-seq, longctx-sharded (a rank's 256 rows, the keys' and values'
+# 512) and deep-baseline, in double precision.
+BENCH_LINEAR_SHAPES = [(512, 64, 64), (512, 64, 256), (512, 256, 64), (256, 64, 64),
+                       (256, 64, 256), (256, 256, 64), (128, 32, 32), (128, 32, 64),
+                       (128, 32, 256), (128, 64, 32)]
+
+
+@pytest.mark.parametrize("threads", [None, 1], ids=["blas-default", "blas-1"])
+@pytest.mark.parametrize("shape", BENCH_LINEAR_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_linear_bwd_through_views_equals_copied_transposes_bitwise(rng, shape, threads):
+    """linear_bwd multiplies by transposed views; on the benchmark's shapes
+    its products are bitwise those of contiguous transposed copies, with
+    the BLAS pool at its default and capped at one thread (as sharded ranks
+    run).  This is a property of the BLAS kernels, not a general one."""
+    m, d_in, d_out = shape
+    x, grad_y = rng.standard_normal((m, d_in)), rng.standard_normal((m, d_out))
+    p = nnops.LinearParams(weight=rng.standard_normal((d_in, d_out)), bias=np.zeros(d_out))
+    with tensor.blas_threads(threads):
+        grad_x, grad_w, _ = nnops.linear_bwd(x, p, grad_y)
+        want_x = np.matmul(grad_y, np.ascontiguousarray(p.weight.T))
+        want_w = np.matmul(np.ascontiguousarray(x.T), grad_y)
+    assert grad_x.tobytes() == want_x.tobytes()
+    assert grad_w.tobytes() == want_w.tobytes()
 
 
 # --- softmax ---
@@ -332,9 +360,9 @@ def test_transposed_head_views_multiply_like_contiguous_copies(rng, shape):
     for h in range(e // dk):
         cols = slice(h * dk, (h + 1) * dk)
         assert (matmul(q[:, cols], k[:, cols].T).tobytes()
-                == matmul(q[:, cols], transpose(k[:, cols])).tobytes())
+                == matmul(q[:, cols], np.ascontiguousarray(k[:, cols].T)).tobytes())
         assert (matmul(aw.T, g[:, cols]).tobytes()
-                == matmul(transpose(aw), g[:, cols]).tobytes())
+                == matmul(np.ascontiguousarray(aw.T), g[:, cols]).tobytes())
 
 
 # --- recycled scratch buffers ---
