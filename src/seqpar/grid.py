@@ -12,7 +12,7 @@ engine's gradient sync is :func:`all_reduce_grads`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -246,11 +246,12 @@ def train(
     """Drive ``len(batches)`` training steps of ``step`` on a ``layout`` grid.
 
     Every rank runs the same loop: per step it takes its replica's rows of
-    the combined batch, derives the dropout key, calls ``step(worker, params,
-    cfg, tokens, targets, *, policy, step)`` for ``(loss, synced grads)``,
-    checks the gradients for NaN and Inf in one pass and applies the
-    optimizer update; ``tensor.counting`` collects the step's
-    counters around the call.  Each rank's whole loop runs inside
+    the combined batch, keys the step's dropout masks by those rows' indices
+    in it (``first_sample``, so any grid draws one worker's masks), calls
+    ``step(worker, params, cfg, tokens, targets, *, policy, step)`` for
+    ``(loss, synced grads)``, checks the gradients for NaN and Inf in one
+    pass and applies the optimizer update; ``tensor.counting`` collects the
+    step's counters around the call.  Each rank's whole loop runs inside
     ``tensor.recycling``, so the score path's scratch buffers are reused
     from step to step and layer to layer for the run.  ``batches[s]`` holds
     ``R*B`` rows; replica ``d`` trains on rows ``[d*B, (d+1)*B)``, every
@@ -289,10 +290,8 @@ def train(
         update = optim.make_update(optimizer, own, lr)
         losses, counts, squares, grads = [], [], [], None
         for s, (tokens, targets) in enumerate(batches):
-            step_policy = policy.at_step(s)
-            if layout.replicas > 1:  # replicas draw independent masks
-                step_policy = step_policy.fork(replica)
             rows = tokens.shape[0] // layout.replicas
+            step_policy = replace(policy.at_step(s), first_sample=replica * rows)
             tokens = tokens[replica * rows : (replica + 1) * rows]
             targets = targets[replica * rows : (replica + 1) * rows]
             counters = StepCounters()

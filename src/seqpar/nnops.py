@@ -9,10 +9,11 @@ beside its output, from the same tanh, so its backward is one multiply.
 Dropout here is *counter-based*: instead of consuming a stateful RNG stream,
 the keep/drop decision for an element is a pure hash of
 
-    (seed, layer index, op tag, sample index, global token position, channel)
+    (seed, layer index, op tag, global sample index, global token position, channel)
 
 so a token keeps the same mask no matter how the sequence is split across
-workers.  That property is what makes distributed training with dropout
+workers or the batch across replicas (samples are rows of the combined
+batch).  That property is what makes distributed training with dropout
 reproduce single-worker training exactly.
 
 The elementwise kernels (GELU, layer norm, cross-entropy, the linear bias,
@@ -90,10 +91,13 @@ class DropoutPolicy:
     ``seed`` is the only state; there is no stream to keep in sync.  Engines
     derive a fresh per-step policy with :meth:`at_step` so masks change from
     step to step while remaining a pure function of the coordinates.
+    ``first_sample`` is the row of the worker's first sample in the step's
+    combined batch, so masks are keyed by the global sample whatever the grid.
     """
 
     rate: float
     seed: int = 0
+    first_sample: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate < 1.0:
@@ -105,11 +109,6 @@ class DropoutPolicy:
 
     def at_step(self, step: int) -> "DropoutPolicy":
         return replace(self, seed=mix_key(self.seed & _MASK64, step + 1))
-
-    def fork(self, lane: int) -> "DropoutPolicy":
-        """Decorrelated sub-policy for an independent lane of work (e.g. a
-        data-parallel replica); workers sharing one sequence must not fork."""
-        return replace(self, seed=mix_key(mix_key(self.seed & _MASK64, 0x666F726B), lane + 1))
 
     @property
     def active(self) -> bool:
@@ -127,18 +126,18 @@ def _site_key(policy: DropoutPolicy, layer: int, tag: str) -> int:
 def token_row_keys(
     policy: DropoutPolicy, layer: int, tag: str, samples: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
-    """One hash word per (sample, global position) row of an activation."""
+    """One hash word per (global sample, global position) row of an activation."""
     h0 = np.uint64(_site_key(policy, layer, tag))
-    h = _mix_array(np.full(samples.shape, h0, dtype=np.uint64), samples)
+    h = _mix_array(np.full(samples.shape, h0, dtype=np.uint64), samples + policy.first_sample)
     return _mix_array(h, positions)
 
 
 def score_row_keys(
     policy: DropoutPolicy, layer: int, sample: int, head: int, q_positions: np.ndarray
 ) -> np.ndarray:
-    """One hash word per attention-score row (query position within a head)."""
+    """One hash word per attention-score row (query position) of a local sample and head."""
     h0 = _site_key(policy, layer, "attn_score")
-    h0 = mix_key(mix_key(h0, sample + 1), head + 1)
+    h0 = mix_key(mix_key(h0, policy.first_sample + sample + 1), head + 1)
     return _mix_array(np.full(q_positions.shape, np.uint64(h0), dtype=np.uint64), q_positions)
 
 

@@ -95,8 +95,6 @@ class RunConfig:
         if self.dataset is None and self.synthetic_bytes < need:
             raise ValueError(f"synthetic_bytes {self.synthetic_bytes} is too small for one "
                              f"batch; need at least {need}")
-        if self.equivalence_check and self.replicas > 1 and self.model.dropout > 0:
-            raise ValueError("the equivalence check requires dropout off when replicas > 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

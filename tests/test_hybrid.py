@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqpar import grid, hybrid, model, sharded
+from seqpar import grid, hybrid, model, runner, sharded
 from seqpar.grid import GridLayout
+from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
 
 from conftest import max_param_delta, rand_batch, sequential_adam, sequential_sgd
@@ -70,8 +73,8 @@ def test_vertical_sync_averages_everything(tiny_cfg):
 
 
 def test_single_replica_grid_matches_sharded_bitwise(tiny_cfg, rng):
-    """A 1xN grid is the sharded engine, dropout masks included: a single
-    replica does not fork its dropout key."""
+    """A 1xN grid is the sharded engine, dropout masks included: its one
+    replica's samples start at row 0 of the combined batch."""
     params = model.init_params(tiny_cfg, 1)
     batches = [rand_batch(tiny_cfg, rng) for _ in range(2)]
     for policy in (None, DropoutPolicy(rate=0.1, seed=3)):
@@ -83,11 +86,21 @@ def test_single_replica_grid_matches_sharded_bitwise(tiny_cfg, rng):
             assert x.tobytes() == y.tobytes()
 
 
-def test_pure_data_parallel_matches_combined_batch(tiny_cfg, rng):
+# Dropout masks are keyed by each sample's row in the combined batch, so a
+# grid with dropout on draws the masks of the sequential run over that batch.
+DROPOUT = pytest.mark.parametrize("rate", [0.0, 0.1])
+FUSED = pytest.mark.parametrize("fused", [True, False])
+
+
+@DROPOUT
+@FUSED
+def test_pure_data_parallel_matches_combined_batch(tiny_cfg, rng, rate, fused):
     params = model.init_params(tiny_cfg, 2)
     batches = grid_batches(tiny_cfg, rng, 2, replicas=2)
-    run = hybrid.run_steps(tiny_cfg, params, GridLayout(2, 1), batches, lr=0.2)
-    oracle, oracle_losses, _ = sequential_sgd(tiny_cfg, params, batches, lr=0.2)
+    policy = DropoutPolicy(rate=rate, seed=3)
+    run = hybrid.run_steps(tiny_cfg, params, GridLayout(2, 1), batches, lr=0.2,
+                           policy=policy, fused=fused)
+    oracle, oracle_losses, _ = sequential_sgd(tiny_cfg, params, batches, lr=0.2, policy=policy)
     for got, want in zip(run.step_losses, oracle_losses):
         assert abs(got - want) <= 1e-12 * abs(want)
     assert max_param_delta(run.final_params, oracle) < 1e-12
@@ -96,15 +109,43 @@ def test_pure_data_parallel_matches_combined_batch(tiny_cfg, rng):
 # --- full grid ---
 
 
+@DROPOUT
+@FUSED
 @pytest.mark.parametrize("replicas,workers", [(2, 2), (2, 3), (3, 2)])
-def test_grid_matches_combined_batch_oracle(tiny_cfg, rng, replicas, workers):
+def test_grid_matches_combined_batch_oracle(tiny_cfg, rng, replicas, workers, rate, fused):
     params = model.init_params(tiny_cfg, 3)
     batches = grid_batches(tiny_cfg, rng, 2, replicas)
-    run = hybrid.run_steps(tiny_cfg, params, GridLayout(replicas, workers), batches, lr=0.2)
-    oracle, oracle_losses, _ = sequential_sgd(tiny_cfg, params, batches, lr=0.2)
+    policy = DropoutPolicy(rate=rate, seed=3)
+    run = hybrid.run_steps(tiny_cfg, params, GridLayout(replicas, workers), batches, lr=0.2,
+                           policy=policy, fused=fused)
+    oracle, oracle_losses, _ = sequential_sgd(tiny_cfg, params, batches, lr=0.2, policy=policy)
     for got, want in zip(run.step_losses, oracle_losses):
         assert abs(got - want) <= 1e-12 * abs(want)
     assert max_param_delta(run.final_params, oracle) < 1e-12
+
+
+# seq_len 12 splits into 1, 2 or 3 blocks, and into 2N balanced chunks of
+# whole rows for each
+PROPERTY_CFG = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, ff_dim=16,
+                           vocab=256, seq_len=12, batch=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(replicas=st.integers(1, 3), workers=st.sampled_from([1, 2, 3]),
+       fused=st.booleans(), rate=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16))
+def test_any_grid_is_the_combined_batch_run(replicas, workers, fused, rate, seed):
+    """Every R x N grid, with dropout on or off, trains the sequential run
+    over its combined batch within the oracle tolerance, and a rerun writes
+    the same ledger byte for byte."""
+    cfg = PROPERTY_CFG
+    params = model.init_params(cfg, seed)
+    batches = grid_batches(cfg, np.random.default_rng(seed), 2, replicas)
+    policy = DropoutPolicy(rate=rate, seed=seed)
+    runs = [hybrid.run_steps(cfg, params, GridLayout(replicas, workers), batches, lr=0.2,
+                             policy=policy, fused=fused) for _ in range(2)]
+    oracle, _, _ = sequential_sgd(cfg, params, batches, lr=0.2, policy=policy)
+    assert max_param_delta(runs[0].final_params, oracle) < runner.equivalence_tolerance(cfg.dtype)
+    assert runs[0].comm.ledger.to_jsonl() == runs[1].comm.ledger.to_jsonl()
 
 
 def test_position_shards_agree_across_replicas(tiny_cfg, rng):
@@ -152,8 +193,9 @@ def test_replica_batch_rows_are_validated(tiny_cfg, rng):
 
 
 def test_dropout_replicas_draw_independent_masks(tiny_cfg, rng):
-    """With dropout on, each replica forks its own mask lane, yet position
-    tables still agree across replicas after the vertical sync."""
+    """With dropout on, replicas holding the same tokens still draw different
+    masks, since each keys its masks by its own rows of the combined batch;
+    position tables still agree across replicas after the vertical sync."""
     policy = DropoutPolicy(rate=0.2, seed=7)
     layout = GridLayout(replicas=2, seq_workers=1)
     params = model.init_params(tiny_cfg, 5)
@@ -166,8 +208,8 @@ def test_dropout_replicas_draw_independent_masks(tiny_cfg, rng):
     p0, p1 = run.workers[0], run.workers[1]
     for a, b in zip(p0.arrays(), p1.arrays()):
         assert a.tobytes() == b.tobytes()
-    # and the run differs from a no-fork sharded run on the same batch, which
-    # is what decorrelated masks imply
+    # and the run differs from a one-replica run on one copy of the batch,
+    # which is what decorrelated masks imply
     solo = sharded.run_steps(tiny_cfg, params, 1, [(tokens, targets)], lr=0.2, policy=policy)
     assert run.step_losses[0] != solo.step_losses[0]
 

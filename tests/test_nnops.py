@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,20 +220,44 @@ def test_dropout_masks_differ_across_sites(rng):
     assert not np.array_equal(masks["embed"], other_layer)
 
 
-def test_dropout_policy_step_and_fork_decorrelate():
+def test_dropout_policy_step_and_first_sample_decorrelate():
     base = DropoutPolicy(rate=0.5, seed=21)
     s, p = coords(32)
     x = np.ones((32, 16))
     masks = [
         nnops.dropout_fwd(x, policy, 0, "embed", s, p)[1]
-        for policy in (base.at_step(0), base.at_step(1), base.fork(0), base.fork(1))
+        for policy in (base.at_step(0), base.at_step(1), base,
+                       replace(base, first_sample=1), replace(base, first_sample=2))
     ]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             assert not np.array_equal(masks[i], masks[j])
     # deriving twice from the same coordinates is stable
     assert base.at_step(3).seed == base.at_step(3).seed
-    assert base.fork(2).seed == base.fork(2).seed
+    assert base.at_step(3).first_sample == 0
+    assert replace(base, first_sample=2).at_step(3).first_sample == 2
+
+
+@pytest.mark.parametrize("first, sample", [(0, 0), (0, 3), (2, 0), (2, 1), (5, 3)])
+def test_masks_are_keyed_by_the_global_sample(first, sample):
+    """``first_sample=k`` at local sample ``b`` draws the masks of
+    ``first_sample=0`` at sample ``k + b``: a worker holding rows ``[k, ...)``
+    of the combined batch draws that batch's masks."""
+    base = DropoutPolicy(rate=0.5, seed=13)
+    local = replace(base, first_sample=first)
+    x = np.ones((8, 16))
+    positions = np.arange(8, dtype=np.int64)
+    samples = np.full(8, sample, dtype=np.int64)
+    _, got = nnops.dropout_fwd(x, local, 1, "ffn_out", samples, positions)
+    _, want = nnops.dropout_fwd(x, base, 1, "ffn_out", samples + first, positions)
+    assert np.array_equal(got, want)
+    np.testing.assert_array_equal(nnops.score_row_keys(local, 1, sample, 1, positions),
+                                  nnops.score_row_keys(base, 1, first + sample, 1, positions))
+    # the next global sample draws other masks and other score keys
+    _, other = nnops.dropout_fwd(x, local, 1, "ffn_out", samples + 1, positions)
+    assert not np.array_equal(got, other)
+    assert not np.array_equal(nnops.score_row_keys(local, 1, sample, 1, positions),
+                              nnops.score_row_keys(local, 1, sample + 1, 1, positions))
 
 
 def test_dropout_validation():

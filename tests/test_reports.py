@@ -92,12 +92,12 @@ def test_run_config_validation(tmp_path):
         small_run(tmp_path, engine="sharded", workers=5)
     with pytest.raises(ValueError, match="steps"):
         small_run(tmp_path, steps=0)
-    with pytest.raises(ValueError, match="equivalence check requires dropout off"):
-        small_run(tmp_path, engine="hybrid", workers=2, replicas=2,
-                  model=small_model(dropout=0.1), equivalence_check=True)
-    # one replica has one mask stream, which the sequential oracle reproduces
-    small_run(tmp_path, engine="hybrid", workers=2, replicas=1,
-              model=small_model(dropout=0.1), equivalence_check=True)
+    # masks are keyed by the sample's row in the combined batch, so hybrid
+    # grids with dropout are checked against the sequential oracle
+    for replicas in (1, 2):
+        rc = small_run(tmp_path / f"r{replicas}", engine="hybrid", workers=2,
+                       replicas=replicas, model=small_model(dropout=0.1), equivalence_check=True)
+        assert runner.run_experiment(rc).summary["equivalence_pass"] is True
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
@@ -389,15 +389,12 @@ def test_verify_equivalence_runs_sequential_on_one_worker_only():
     assert [(r["replicas"], r["workers"], r["max_param_delta"]) for r in rows] == [(1, 1, 0.0)]
 
 
-def test_verify_equivalence_refuses_dropout_only_on_hybrid_grids_of_several_replicas():
+def test_verify_equivalence_passes_dropout_on_hybrid_grids_of_several_replicas():
     cfg = small_model(dropout=0.1)
-    with pytest.raises(ValueError, match="equivalence check requires dropout off"):
-        runner.verify_equivalence(cfg, engines=("hybrid",), workers=(2,), replicas=(1, 2),
-                                  steps=1)
-    # one replica has one mask stream, which the sequential oracle reproduces
-    rows = runner.verify_equivalence(cfg, engines=("hybrid",), workers=(2,), replicas=(1,),
+    rows = runner.verify_equivalence(cfg, engines=("hybrid",), workers=(2,), replicas=(1, 2),
                                      steps=1)
-    assert [(r["replicas"], r["workers"], r["pass"]) for r in rows] == [(1, 2, True)]
+    assert [(r["replicas"], r["workers"], r["pass"]) for r in rows] == [(1, 2, True),
+                                                                         (2, 2, True)]
 
 
 # --- CLI ---

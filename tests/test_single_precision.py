@@ -38,7 +38,7 @@ def policy_of(cfg):
 
 @pytest.mark.parametrize("engine, replicas, workers, dropout", [
     ("sharded", 1, 2, 0.1), ("sharded", 1, 4, 0.1), ("baseline", 1, 2, 0.1),
-    ("hybrid", 2, 2, 0.0),  # replicas draw their own masks, which no oracle matches
+    ("hybrid", 2, 2, 0.0), ("hybrid", 2, 2, 0.1),
 ])
 def test_multi_worker_grids_match_the_oracle_within_the_single_tolerance(
         tiny_cfg, rng, engine, replicas, workers, dropout):
