@@ -115,7 +115,7 @@ def _cmd_cost(args) -> int:
         print(f"engine={est.engine} workers={n} block={est.block}")
         by_rank = ""
         if args.engine in ("sharded", "hybrid"):
-            flops = costs.rank_score_flops(cfg, n, args.engine, fused=fused)
+            flops = costs.rank_score_flops(cfg, n, args.engine)
             by_rank = f"  (busiest; by rank {flops})"
         print(f"  score flops (fwd)       {est.score_flops}{by_rank}")
         print(f"  score elements (peak)   {est.score_elements_peak}")

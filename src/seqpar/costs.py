@@ -8,9 +8,9 @@ under a causal mask a row's share grows with its position in the sequence.
 :func:`score_flops` gives a worker's rows (:data:`seqpar.model.Rows`,
 ascending chunks of positions, each cut into bands on its own) their figure,
 and :func:`rank_score_flops` every worker of a sequence group its own.  A
-fused sharded worker computes one early and one late chunk, so all workers
-score near-equal shares; an unfused worker computes its own block, so the
-last worker does the most.  The estimate gives the busiest worker's figure.
+sharded worker, fused or not, owns one early and one late chunk
+(:attr:`seqpar.grid.ShardSpec.balanced_rows`), so all workers score
+near-equal shares.  The estimate gives the busiest worker's figure.
 The score-element figure is the footprint of one layer's score stack, the
 same on every worker of a sequence group, so it carries no layer factor (and
 is 0 for a model without layers).
@@ -77,9 +77,11 @@ def estimate(
     every worker holds the same score footprint and does the same
     projection, ffn and head work, but a causal worker scores only the keys
     its rows can see, so ``score_flops`` is the largest of
-    :func:`rank_score_flops`, which depends on ``fused``.  For the
-    baseline, rank 0 does all attention/ffn/head work and holds the full
-    score footprint.
+    :func:`rank_score_flops`.  ``fused`` moves only the key/value
+    projections (fused, over the gathered whole sequence; unfused, over the
+    worker's own rows) and the layer-tagged collectives (two per layer
+    fused, four unfused).  For the baseline, rank 0 does all
+    attention/ffn/head work and holds the full score footprint.
     """
     check_grid(engine, GridLayout(replicas, workers), cfg.seq_len)
     l, b, h, e, f, layers = (
@@ -90,12 +92,13 @@ def estimate(
     # rows its key/value projections see.
     rows = kv_rows = l
     if engine in ("sharded", "hybrid"):
-        # Fused gathers the layer input and projects keys/values over the
-        # whole sequence; unfused projects its own block, then gathers K and V.
+        # Fused gathers the normalized input and projects keys/values over
+        # the whole sequence; unfused projects its own rows, then gathers K
+        # and V.
         rows, kv_rows = block, (l if fused else block)
         per_layer = 2 if fused else 4
         # Per sequence group: one b*l*e payload per layer-tagged collective
-        # (fused gathers the layer input; unfused gathers keys and
+        # (fused gathers the normalized input; unfused gathers keys and
         # values separately), plus the flat gradient sync (replicated params
         # + 1 piggybacked loss).
         shared = sum(a.size for n, a in param_shapes(cfg).named_arrays() if n != "pos_table")
@@ -126,7 +129,7 @@ def estimate(
         workers=workers,
         seq_len=l,
         block=block,
-        score_flops=max(rank_score_flops(cfg, workers, engine, fused=fused)),
+        score_flops=max(rank_score_flops(cfg, workers, engine)),
         score_elements_peak=score_elements_peak,
         score_cache_bytes=score_cache_bytes,
         proj_flops=proj_flops,
@@ -150,15 +153,13 @@ def score_flops(cfg: ModelConfig, rows: Rows) -> int:
     return cfg.n_layers * cfg.batch * cfg.n_heads * per_block
 
 
-def rank_score_flops(
-    cfg: ModelConfig, workers: int, engine: str = "sharded", *, fused: bool = True
-) -> list[int]:
+def rank_score_flops(cfg: ModelConfig, workers: int, engine: str = "sharded") -> list[int]:
     """Forward score flops of one training step on each worker of a sequence
     group, in rank order: the closed form over the rows each one computes
-    (:meth:`seqpar.grid.ShardSpec.compute_rows` for the sharded and hybrid
+    (:attr:`seqpar.grid.ShardSpec.balanced_rows` for the sharded and hybrid
     engines; the baseline's rank 0 scores the whole sequence)."""
     if engine in ("sharded", "hybrid"):
-        return [score_flops(cfg, ShardSpec(r, workers, cfg.seq_len).compute_rows(fused))
+        return [score_flops(cfg, ShardSpec(r, workers, cfg.seq_len).balanced_rows)
                 for r in range(workers)]
     return [score_flops(cfg, ((0, cfg.seq_len),))] + [0] * (workers - 1)
 

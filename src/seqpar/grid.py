@@ -4,7 +4,7 @@ A run is a grid of R data-parallel replicas x N sequence workers
 (:class:`GridLayout`): the sequential engine is the 1x1 grid, sharded and
 baseline are 1xN, hybrid is RxN.  Ranks are laid out replica-major: replica
 ``d`` owns ranks ``[d*N, (d+1)*N)``, which form its sequence group; the ranks
-holding sequence block ``s`` across all replicas (``s, N+s, 2N+s, ...``) form
+at sequence index ``s`` across all replicas (``s, N+s, 2N+s, ...``) form
 data group ``s``.  An engine is nothing but its per-step function (forward,
 backward, gradient sync); :func:`train` owns everything else, and every
 engine's gradient sync is :func:`all_reduce_grads`.
@@ -13,6 +13,7 @@ engine's gradient sync is :func:`all_reduce_grads`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -87,15 +88,14 @@ def make_groups(
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Which rows of the sequence a worker owns and which it computes.
+    """The rows of the sequence a worker owns: its :attr:`balanced_rows`.
 
-    A worker owns a contiguous block (:attr:`block_rows`): its tokens, its
-    rows of the position table, its embeddings.  It computes its layers
-    (past any input gather) and its loss on :meth:`compute_rows`.  Unfused
-    those are its own block.  Fused, each layer all-gathers its whole
-    input, so any rows will do, and the worker computes its
-    :attr:`balanced_rows`, which give every worker of a causal group an
-    equal share of the score work."""
+    From the embedding to the loss a worker holds only those rows: their
+    tokens and targets, their rows of the position table, their
+    activations.  Under a causal mask the balanced rows give every worker
+    of a group an equal share of the score work.  :attr:`block` is their
+    count and :attr:`block_rows` the contiguous block of that size at the
+    worker's index, which the baseline engine scatters and gathers."""
 
     rank: int
     workers: int
@@ -139,37 +139,48 @@ class ShardSpec:
             chunks = ((chunks[0][0], late + back),)
         return tuple((start, stop) for start, stop in chunks if stop > start)
 
-    def compute_rows(self, fused: bool) -> Rows:
-        """The rows this worker computes: :attr:`balanced_rows` when its
-        layers gather their whole input (``fused``), else its own block."""
-        return self.balanced_rows if fused else self.block_rows
+
+@cache
+def gather_order(workers: int, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every worker's balanced rows stacked in rank order (what an
+    all-gather receives): the position of each stacked row, and the stacked
+    index of each position.  Every caller shares them, so both are
+    read-only."""
+    order = np.concatenate([model.row_positions(ShardSpec(r, workers, seq_len).balanced_rows)
+                            for r in range(workers)])
+    inverse = np.argsort(order)
+    order.flags.writeable = inverse.flags.writeable = False
+    return order, inverse
 
 
 def shard_params(full: Parameters, spec: ShardSpec) -> Parameters:
     """A worker's parameters: a deep copy of ``full`` except the position
-    table, of which only the worker's own rows are kept."""
+    table, of which only (a copy of) the rows at the worker's balanced rows
+    is kept, in their order."""
     if full.pos_table.shape[0] != spec.seq_len:
         raise ShapeError(
             f"position table has {full.pos_table.shape[0]} rows, expected {spec.seq_len}"
         )
     p = full.copy()
-    p.pos_table = np.ascontiguousarray(full.pos_table[spec.offset : spec.offset + spec.block])
+    p.pos_table = full.pos_table[model.row_positions(spec.balanced_rows)]
     return p
 
 
-def slice_batch(x: np.ndarray, spec: ShardSpec, rows: Rows | None = None) -> np.ndarray:
-    """This worker's columns of a (batch, seq_len) token or target array: its
-    own block, or the columns at ``rows``."""
+def slice_batch(x: np.ndarray, spec: ShardSpec) -> np.ndarray:
+    """This worker's columns of a (batch, seq_len) token or target array: the
+    columns at its balanced rows, in their order."""
     if x.shape[1] != spec.seq_len:
         raise ShapeError(f"expected {spec.seq_len} columns, got {x.shape[1]}")
-    return np.ascontiguousarray(model.take_rows(x, spec.block_rows if rows is None else rows))
+    return np.ascontiguousarray(x[:, model.row_positions(spec.balanced_rows)])
 
 
 def reassemble_params(shards: list[Parameters]) -> Parameters:
-    """Full parameter set from one sequence group's shards in block order:
-    the first shard's replicated parameters plus every block of position rows."""
+    """Full parameter set from one sequence group's shards in rank order:
+    the first shard's replicated parameters plus every shard's position
+    rows, put back in position order (:func:`gather_order`)."""
     full = shards[0].copy()
-    full.pos_table = np.concatenate([p.pos_table for p in shards], axis=0)
+    stacked = np.concatenate([p.pos_table for p in shards], axis=0)
+    full.pos_table = stacked[gather_order(len(shards), len(stacked))[1]]
     return full
 
 
@@ -178,9 +189,9 @@ class Worker:
     """One rank's place in the grid, as an engine step sees it."""
 
     comm: Communicator
-    spec: ShardSpec           # its block of the sequence within its replica
+    spec: ShardSpec           # its rows of the sequence within its replica
     seq_group: WorkerGroup    # its replica's sequence workers
-    data_group: WorkerGroup   # the ranks holding the same block in every replica
+    data_group: WorkerGroup   # the ranks holding the same rows in every replica
 
     @property
     def rank(self) -> int:
@@ -256,7 +267,7 @@ def train(
     from step to step and layer to layer for the run.  ``batches[s]`` holds
     ``R*B`` rows; replica ``d`` trains on rows ``[d*B, (d+1)*B)``, every
     column of them: a step takes the columns it needs itself.  With
-    ``split`` a rank owns only its block of the position table; without
+    ``split`` a rank owns only its rows of the position table; without
     it, rank 0's whole copy of the parameters is the result.
     ``run_workers`` (normally :func:`seqpar.collectives.run_workers`)
     starts one thread per rank; each engine passes the name bound in its

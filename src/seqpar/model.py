@@ -2,19 +2,17 @@
 (single-worker) reference engine.
 
 The per-layer forward/backward are written once, here, and parameterized at
-the three places where distributed execution differs from sequential:
+the two places where distributed execution differs from sequential:
 
-* what the layer's input is (``gather``/``scatter``).  By default the
-  worker's own block; the fused sharded engine all-gathers the whole
-  sequence's input, so the layer can compute any rows of it, and
-  reduce-scatters the input gradient back.
 * how keys and values for the whole sequence are produced from the
-  normalized input (``kv_fwd``), and how gradients flow back through that
-  production (``kv_bwd``).  Locally it is two linear maps; the unfused
-  sharded engine additionally all-gathers keys and values forward and
-  reduce-scatters their gradients backward.
+  worker's normalized input (``kv_fwd``), and how gradients flow back
+  through that production (``kv_bwd``).  Locally it is two linear maps of
+  the worker's rows.  The fused sharded engine first all-gathers every
+  worker's normalized rows and reduce-scatters their gradient back; the
+  unfused one all-gathers keys and values and reduce-scatters their
+  gradients.
 * where each of the layer's two sublayers (attention, feed-forward) runs
-  (``place_fwd``/``place_bwd``).  By default on the worker's own block; the
+  (``place_fwd``/``place_bwd``).  By default on the worker's own rows; the
   baseline engine gathers the sublayer input onto one worker, runs it over
   the whole sequence and scatters the output back.
 
@@ -26,8 +24,8 @@ Shapes follow one convention throughout: activations are (batch, rows,
 features); token ids and targets are (batch, rows).  ``rows`` (:data:`Rows`)
 names the global sequence positions of a block's rows as ascending chunks,
 which drive both the causal mask and the position-keyed dropout.  A block's
-rows need not be contiguous: the fused sharded engine computes each layer
-on two chunks per rank (:attr:`seqpar.grid.ShardSpec.balanced_rows`).
+rows need not be contiguous: a sharded rank owns two chunks of the sequence
+(:attr:`seqpar.grid.ShardSpec.balanced_rows`).
 """
 
 from __future__ import annotations
@@ -146,8 +144,9 @@ class Parameters:
     optimizers, the gradient norm and checkpoints all walk; nothing else
     restates it.
 
-    On a distributed worker ``pos_table`` holds only that worker's contiguous
-    rows of the position table; everything else is a full replica.
+    On a sharded worker ``pos_table`` holds only the position-table rows
+    at that worker's balanced rows, in their order
+    (:func:`seqpar.grid.shard_params`); everything else is a full replica.
     """
 
     token_table: np.ndarray
@@ -284,29 +283,6 @@ def row_count(rows: Rows) -> int:
 def row_positions(rows: Rows) -> np.ndarray:
     """The global position of each row, in block order."""
     return np.concatenate([np.arange(start, stop, dtype=np.int64) for start, stop in rows])
-
-
-def take_rows(x: np.ndarray, rows: Rows) -> np.ndarray:
-    """The block of ``rows`` of ``x`` (batch, rows, ...).  ``x`` holds either
-    exactly those rows, and comes back as it is, or the whole sequence in
-    position order, whose rows at ``rows`` come back as one fresh block."""
-    if x.shape[1] == row_count(rows):
-        return x
-    return np.concatenate([x[:, start:stop] for start, stop in rows], axis=1)
-
-
-def add_rows(full: np.ndarray, rows: Rows, block: np.ndarray) -> np.ndarray:
-    """``full + block`` where ``block`` holds ``rows`` of ``full``'s rows:
-    the backward of :func:`take_rows`, plus the gradient ``full`` already
-    holds.  Returns a fresh array, or ``full`` itself updated in place when
-    it is the whole sequence."""
-    if full.shape[1] == block.shape[1]:
-        return full + block
-    at = 0
-    for start, stop in rows:
-        full[:, start:stop] += block[:, at : at + stop - start]
-        at += stop - start
-    return full
 
 
 def row_coords(batch: int, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
@@ -591,15 +567,14 @@ def scores_bwd(
     return tuple(_merge_heads(a, bsz) for a in (grad_q, grad_k, grad_v))
 
 
-# --- the two sublayers: fwd(y, rows) -> (out, cache) with out the block of
-# y's shape at ``rows`` (take_rows), bwd(cache, grad_out) -> (grad_y, tuple
-# of LinearParams weight grads) with grad_y shaped like y ---
+# --- the two sublayers: fwd(y, rows) -> (out, cache) with out shaped like
+# y, the block at ``rows``; bwd(cache, grad_out) -> (grad_y, tuple of
+# LinearParams weight grads) with grad_y shaped like y ---
 
 
 @dataclass
 class AttentionCache:
-    xq: np.ndarray  # the query rows of the normalized input
-    rows: Rows
+    xh: np.ndarray  # the normalized input, which the queries are projected from
     kv_ctx: object
     q: np.ndarray
     k: np.ndarray
@@ -609,7 +584,7 @@ class AttentionCache:
 
 
 def local_kv_fwd(xh: np.ndarray, lp: LayerParams):
-    """Single-worker key/value production: project the block itself."""
+    """Single-worker key/value production: project the rows themselves."""
     return linear3(xh, lp.attn_k), linear3(xh, lp.attn_v), xh
 
 
@@ -620,14 +595,14 @@ def local_kv_bwd(kv_ctx, lp: LayerParams, grad_k: np.ndarray, grad_v: np.ndarray
 
 
 def attention_fwd(xh, rows: Rows, lp: LayerParams, cfg, policy, layer, kv_fwd=None):
-    """Keys and values from every row of ``xh`` (through ``kv_fwd``, by
-    default :func:`local_kv_fwd`, looked up at call time); queries, scores
-    and the output projection over its block at ``rows``."""
+    """Keys and values of the whole sequence from ``xh``, the block at
+    ``rows`` (through ``kv_fwd``, by default :func:`local_kv_fwd`, looked up
+    at call time); queries, scores and the output projection over the
+    block."""
     k, v, kv_ctx = (local_kv_fwd if kv_fwd is None else kv_fwd)(xh, lp)
-    xq = take_rows(xh, rows)
-    q = linear3(xq, lp.attn_q)
+    q = linear3(xh, lp.attn_q)
     ctx, score_cache = scores_fwd(q, k, v, rows, cfg, policy, layer)
-    return linear3(ctx, lp.attn_out), AttentionCache(xq, rows, kv_ctx, q, k, v, score_cache, ctx)
+    return linear3(ctx, lp.attn_out), AttentionCache(xh, kv_ctx, q, k, v, score_cache, ctx)
 
 
 def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy, kv_bwd=None):
@@ -637,12 +612,12 @@ def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy,
     grad_q, grad_k, grad_v = scores_bwd(
         cache.scores, cache.q, cache.k, cache.v, grad_ctx, cfg, policy
     )
-    grad_xq, q_wg, q_bg = linear3_bwd(cache.xq, lp.attn_q, grad_q)
+    grad_xq, q_wg, q_bg = linear3_bwd(cache.xh, lp.attn_q, grad_q)
     kv_bwd = local_kv_bwd if kv_bwd is None else kv_bwd
     grad_xh, k_wg, k_bg, v_wg, v_bg = kv_bwd(cache.kv_ctx, lp, grad_k, grad_v)
     grads = (LinearParams(q_wg, q_bg), LinearParams(k_wg, k_bg), LinearParams(v_wg, v_bg),
              LinearParams(out_wg, out_bg))
-    return add_rows(grad_xh, cache.rows, grad_xq), grads
+    return grad_xh + grad_xq, grads
 
 
 @dataclass
@@ -695,7 +670,6 @@ def local_place_bwd(sublayer_bwd, cache, grad_out, weights):
 
 @dataclass
 class LayerCache:
-    rows: Rows
     ln1: tuple
     attn: AttentionCache | None  # None where the placement ran it elsewhere
     att_mask: np.ndarray | None
@@ -713,22 +687,15 @@ def layer_fwd(
     rows: Rows,
     kv_fwd=None,
     place_fwd=local_place_fwd,
-    gather=None,
 ) -> tuple[np.ndarray, LayerCache]:
     """norm -> attention -> dropout -> residual, norm -> ffn -> dropout -> residual,
-    for the block at ``rows``.
+    for ``x``, the block at ``rows``.
 
-    ``gather(x)``, when given, returns the whole sequence's layer input in
-    position order (the fused sharded engine all-gathers it).  The first
-    norm then runs over every row, keys and values come from every row, and
-    the rest of the layer runs on the rows at ``rows`` (:func:`take_rows`),
-    which ``x`` itself need not hold.  Without it (None, the default) ``x``
-    is the block at ``rows``.
-
-    ``kv_fwd(xh, lp)`` returns whole-sequence keys and values plus an opaque
-    context for the matching ``kv_bwd``.  Locally (None, the default) that is
-    :func:`local_kv_fwd`, two projections of the normalized input itself;
-    the unfused sharded engine all-gathers those projections.
+    ``kv_fwd(xh, lp)`` returns whole-sequence keys and values from the
+    block's normalized input ``xh``, plus an opaque context for the matching
+    ``kv_bwd``.  Locally (None, the default) that is :func:`local_kv_fwd`,
+    two projections of ``xh`` itself; the sharded engine all-gathers either
+    ``xh`` before projecting it (fused) or the projections (unfused).
 
     ``place_fwd(sublayer, y, rows)`` runs each sublayer and returns its
     ``(out, cache)`` for this worker's block; by default on the worker
@@ -738,9 +705,7 @@ def layer_fwd(
     names the layer); the kernels inside the layer do not check theirs.
     """
     samples, at = row_coords(x.shape[0], rows)
-    x_in = x if gather is None else gather(x)
-    xh, ln1_cache = norm3(x_in, lp.ln1_gain, lp.ln1_bias)
-    x = take_rows(x_in, rows)
+    xh, ln1_cache = norm3(x, lp.ln1_gain, lp.ln1_bias)
     attention = partial(attention_fwd, lp=lp, cfg=cfg, policy=policy, layer=layer, kv_fwd=kv_fwd)
     att, att_cache = place_fwd(attention, xh, rows)
     att_drop, att_mask = dropout3(att, policy, layer, "attn_out", samples, at)
@@ -748,7 +713,7 @@ def layer_fwd(
     yh, ln2_cache = norm3(x_mid, lp.ln2_gain, lp.ln2_bias)
     ff, ffn_cache = place_fwd(partial(ffn_fwd, lp=lp, policy=policy, layer=layer), yh, rows)
     ff_drop, ff_mask = dropout3(ff, policy, layer, "ffn_out", samples, at)
-    cache = LayerCache(rows, ln1_cache, att_cache, att_mask, ln2_cache, ffn_cache, ff_mask)
+    cache = LayerCache(ln1_cache, att_cache, att_mask, ln2_cache, ffn_cache, ff_mask)
     return tensor.check_finite(x_mid + ff_drop, f"layer {layer} output"), cache
 
 
@@ -761,19 +726,17 @@ def layer_bwd(
     grad_out: np.ndarray,
     kv_bwd=None,
     place_bwd=local_place_bwd,
-    scatter=None,
 ) -> tuple[np.ndarray, LayerParams]:
     """Reverse of :func:`layer_fwd`; returns (grad_x_in, per-layer grads).
 
     ``kv_bwd(kv_ctx, lp, grad_k, grad_v)`` must return the key/value path's
     gradient w.r.t. the normalized input the forward projected keys and
-    values from (plus the four projection grads); unfused sharded, it
-    reduce-scatters the keys' and values' gradients first.
-    ``place_bwd(sublayer_bwd, cache, grad_out, weights)`` mirrors the
-    ``place_fwd`` the forward ran with, and ``scatter(grad)``, the backward
-    of its ``gather``, turns the gradient w.r.t. the gathered input into
-    the one w.r.t. the forward's ``x``.  The input gradient is checked for
-    NaN and Inf, as :func:`layer_fwd` checks its output.
+    values from (plus the four projection grads): the sharded engine
+    reduce-scatters either that gradient (fused) or the keys' and values'
+    gradients first (unfused).  ``place_bwd(sublayer_bwd, cache, grad_out,
+    weights)`` mirrors the ``place_fwd`` the forward ran with.  The input
+    gradient is checked for NaN and Inf, as :func:`layer_fwd` checks its
+    output.
     """
     g_ff = dropout3_bwd(grad_out, policy, cache.ff_mask)
     ffn = partial(ffn_bwd, lp=lp, policy=policy)
@@ -790,10 +753,7 @@ def layer_bwd(
         ln1_gain=ln1_gain_g, ln1_bias=ln1_bias_g, attn_q=q_g, attn_k=k_g, attn_v=v_g,
         attn_out=out_g, ln2_gain=ln2_gain_g, ln2_bias=ln2_bias_g, ff_in=ff_in_g, ff_out=ff_out_g,
     )
-    grad_x = add_rows(g_ln1_x, cache.rows, grad_mid)
-    if scatter is not None:
-        grad_x = scatter(grad_x)
-    return tensor.check_finite(grad_x, f"layer {layer} input gradient"), grads
+    return tensor.check_finite(g_ln1_x + grad_mid, f"layer {layer} input gradient"), grads
 
 
 # --- embedding and output head ---
@@ -905,9 +865,9 @@ def forward(
 
 def backward(params: Parameters, cfg: ModelConfig, cache: StackCache, hooks=None) -> Parameters:
     """Gradients of the mean-over-tokens loss w.r.t. every parameter.
-    ``hooks(layer)``, when given, returns the keyword hooks (``kv_bwd``,
-    ``scatter``) :func:`layer_bwd` runs that layer with, matching those its
-    forward ran with."""
+    ``hooks(layer)``, when given, returns the keyword hooks (``kv_bwd``)
+    :func:`layer_bwd` runs that layer with, matching those its forward ran
+    with."""
     policy = cache.policy
     grad_x, final_gain_g, final_bias_g, head_wg, head_bg = head_bwd(cache.head, params)
     layer_grads: list[LayerParams | None] = [None] * len(params.layers)

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import max_param_delta, rand_batch, sequential_sgd
-from seqpar import baseline, costs, data, hybrid, model, runner, sharded
+from seqpar import baseline, costs, data, grid, hybrid, model, runner, sharded
 from seqpar.grid import GridLayout
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
@@ -78,7 +78,7 @@ def test_01_sharded_matches_sequential(capsys):
             for g in run.last_grads:
                 assert grads_close(g, oracle_grads, 1e-10,
                                    skip=("pos_table",)), f"grads, n={n}"
-            stitched = np.concatenate([g.pos_table for g in run.last_grads], axis=0)
+            stitched = grid.reassemble_params(run.last_grads).pos_table
             want = oracle_grads.pos_table
             assert np.all(np.abs(stitched - want) <= 1e-10 + 1e-10 * np.abs(want))
 

@@ -154,10 +154,10 @@ def test_sharded_measurement_matches_estimate(tiny_cfg, rng, n, fused):
     run = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.1, fused=fused)
     est = estimate(tiny_cfg, n, "sharded", fused=fused)
     for w in range(n):
-        rows = grid.ShardSpec(w, n, tiny_cfg.seq_len).compute_rows(fused)
+        rows = grid.ShardSpec(w, n, tiny_cfg.seq_len).balanced_rows
         assert run.counters[w][0].attn_score_flops == score_flops(tiny_cfg, rows)
         assert run.counters[w][0].attn_score_elements_peak == est.score_elements_peak
-    assert run.counters[-1][0].attn_score_flops == est.score_flops  # the busiest rank
+    assert max(c[0].attn_score_flops for c in run.counters) == est.score_flops
     assert len(run.comm.ledger.records) == est.collectives_per_step
     assert sum(r.elements for r in run.comm.ledger.records) == est.comm_elements_per_step
 
@@ -195,7 +195,7 @@ def test_forward_matmul_flops_match_estimate(tiny_cfg, rng, engine, n, fused):
         return counters.matmul_flops
 
     expected = [shared + score_flops(
-        tiny_cfg, grid.ShardSpec(r, n, tiny_cfg.seq_len).compute_rows(fused)) for r in range(n)]
+        tiny_cfg, grid.ShardSpec(r, n, tiny_cfg.seq_len).balanced_rows) for r in range(n)]
     assert run_workers(n, forward_flops, comm=comm) == expected
 
 
@@ -213,7 +213,7 @@ def test_hybrid_measurement_matches_estimate(tiny_cfg, rng, replicas, workers, f
     layout = grid.GridLayout(replicas, workers)
     for rank, counters in enumerate(run.counters):
         spec = grid.ShardSpec(layout.coords(rank)[1], workers, tiny_cfg.seq_len)
-        assert counters[0].attn_score_flops == score_flops(tiny_cfg, spec.compute_rows(fused))
+        assert counters[0].attn_score_flops == score_flops(tiny_cfg, spec.balanced_rows)
         assert counters[0].attn_score_elements_peak == est.score_elements_peak
     assert max(c[0].attn_score_flops for c in run.counters) == est.score_flops
     step0 = run.comm.ledger.select(step=0)
@@ -242,7 +242,7 @@ def test_baseline_measurement_matches_estimate(tiny_cfg, rng):
 ])
 def test_every_rank_scores_its_closed_form(engine, replicas, workers, seq_len, causal):
     """Each rank's counted score flops equal ``score_flops`` summed over the
-    chunks of its compute rows, and the estimate is the busiest rank's."""
+    chunks of its balanced rows, and the estimate is the busiest rank's."""
     cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=8, vocab=16,
                       seq_len=seq_len, batch=1, causal=causal)
     rng = np.random.default_rng(3)
@@ -254,7 +254,7 @@ def test_every_rank_scores_its_closed_form(engine, replicas, workers, seq_len, c
         if engine == "baseline":  # rank 0 scores the whole sequence
             want = score_flops(cfg, ((0, seq_len),)) if rank == 0 else 0
         else:
-            rows = grid.ShardSpec(layout.coords(rank)[1], workers, seq_len).compute_rows(True)
+            rows = grid.ShardSpec(layout.coords(rank)[1], workers, seq_len).balanced_rows
             want = score_flops(cfg, rows)
         assert counters[0].attn_score_flops == want
     busiest = max(c[0].attn_score_flops for c in run.counters)
@@ -306,9 +306,8 @@ def test_complexity_labels(tiny_cfg):
 def test_every_rank_scores_the_closed_form_over_its_chunks(engine, replicas, workers, seq_len,
                                                            fused):
     """Each rank's counted score flops are ``rank_score_flops``'s figure for
-    its sequence index: the closed form summed over the chunks it computes
-    (its balanced rows fused, its block unfused), and the estimate is the
-    largest."""
+    its sequence index: the closed form summed over the chunks of its
+    balanced rows, fused or not, and the estimate is the largest."""
     cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=8, vocab=16,
                       seq_len=seq_len, batch=1)
     rng = np.random.default_rng(5)
@@ -317,11 +316,11 @@ def test_every_rank_scores_the_closed_form_over_its_chunks(engine, replicas, wor
     layout = grid.GridLayout(replicas, workers)
     run = runner._train(engine, cfg, model.init_params(cfg, 0), layout, batches, lr=0.1,
                         fused=fused)
-    per_rank = costs.rank_score_flops(cfg, workers, engine, fused=fused)
+    per_rank = costs.rank_score_flops(cfg, workers, engine)
     for rank, counters in enumerate(run.counters):
         seq_index = layout.coords(rank)[1]
         if engine in ("sharded", "hybrid"):
-            rows = grid.ShardSpec(seq_index, workers, seq_len).compute_rows(fused)
+            rows = grid.ShardSpec(seq_index, workers, seq_len).balanced_rows
             assert per_rank[seq_index] == sum(score_flops(cfg, ((start, stop),))
                                               for start, stop in rows)
         assert counters[0].attn_score_flops == per_rank[seq_index]
@@ -329,16 +328,21 @@ def test_every_rank_scores_the_closed_form_over_its_chunks(engine, replicas, wor
     assert est.score_flops == max(per_rank)
 
 
-def test_longctx_ranks_score_equal_shares():
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+def test_longctx_ranks_score_equal_shares(fused):
     """The benchmark's long-context grid: T512 on two workers, dropout on.
-    Contiguous blocks scored 20,971,520 and 54,525,952 flops a step; the
-    balanced rows score 37,748,736 each."""
+    Contiguous blocks would score 20,971,520 and 54,525,952 flops a step;
+    the balanced rows score 37,748,736 each, fused or not."""
     cfg = ModelConfig(embed_dim=64, n_layers=2, n_heads=8, ff_dim=256, vocab=256, seq_len=512,
                       batch=1, dropout=0.1)
-    assert costs.rank_score_flops(cfg, 2, fused=False) == [20_971_520, 54_525_952]
+    blocks = [costs.score_flops(cfg, grid.ShardSpec(r, 2, 512).block_rows) for r in range(2)]
+    assert blocks == [20_971_520, 54_525_952]
     assert costs.rank_score_flops(cfg, 2) == [37_748_736, 37_748_736]
     rng = np.random.default_rng(0)
     run = sharded.run_steps(cfg, model.init_params(cfg, 0), 2, [rand_batch(cfg, rng)], lr=0.1,
-                            policy=DropoutPolicy(rate=0.1, seed=0))
+                            policy=DropoutPolicy(rate=0.1, seed=0), fused=fused)
     assert [c[0].attn_score_flops for c in run.counters] == [37_748_736, 37_748_736]
-    assert estimate(cfg, 2, "sharded").score_flops == 37_748_736
+    assert estimate(cfg, 2, "sharded", fused=fused).score_flops == 37_748_736
+    per_layer = 2 if fused else 4
+    for layer in range(cfg.n_layers):
+        assert run.comm.ledger.count(step=0, layer=layer) == per_layer

@@ -17,7 +17,7 @@ from seqpar.nnops import DropoutPolicy
 
 from conftest import rand_batch
 
-# (engine, workers, its step function, whether a rank owns only its block)
+# (engine, workers, its step function, whether a rank owns only its rows of the position table)
 ENGINES = {
     "sequential": (1, runner._sequential_step, False),
     "sharded": (2, sharded.train_step, True),

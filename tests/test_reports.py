@@ -601,7 +601,7 @@ def test_cli_cost_prints_each_sequence_ranks_score_flops(capsys, engine):
     assert ("score flops (fwd)       37748736  (busiest; by rank [37748736, 37748736])\n"
             in capsys.readouterr().out)
     assert run_cli(*argv, "--no-fuse") == 0
-    assert ("score flops (fwd)       54525952  (busiest; by rank [20971520, 54525952])\n"
+    assert ("score flops (fwd)       37748736  (busiest; by rank [37748736, 37748736])\n"
             in capsys.readouterr().out)
 
 

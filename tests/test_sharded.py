@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqpar import costs, grid, model, optim, runner, sharded, tensor
@@ -31,12 +31,20 @@ def test_shard_spec_geometry():
         grid.ShardSpec(rank=0, workers=0, seq_len=24)
 
 
-def test_shard_params_slices_position_rows(tiny_cfg):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_shard_params_slices_position_rows(tiny_cfg, workers):
     full = model.init_params(tiny_cfg, 0)
-    spec = grid.ShardSpec(rank=1, workers=3, seq_len=tiny_cfg.seq_len)
+    before = full.pos_table.copy()
+    spec = grid.ShardSpec(rank=workers // 2, workers=workers, seq_len=tiny_cfg.seq_len)
     own = grid.shard_params(full, spec)
-    assert own.pos_table.shape == (8, tiny_cfg.embed_dim)
-    np.testing.assert_array_equal(own.pos_table, full.pos_table[8:16])
+    assert own.pos_table.shape == (spec.block, tiny_cfg.embed_dim)
+    at = model.row_positions(spec.balanced_rows)
+    np.testing.assert_array_equal(own.pos_table, full.pos_table[at])
+    # the position rows are a copy too: writing a rank's table leaves the
+    # caller's alone
+    assert not np.shares_memory(own.pos_table, full.pos_table)
+    own.pos_table[...] += 1.0
+    assert full.pos_table.tobytes() == before.tobytes()
     # everything else is a full, independent copy
     assert own.token_table.shape == full.token_table.shape
     own.token_table[0, 0] += 1.0
@@ -48,23 +56,37 @@ def test_shard_params_slices_position_rows(tiny_cfg):
 def test_slice_batch_extracts_own_columns(tiny_cfg, rng):
     tokens, _ = rand_batch(tiny_cfg, rng)
     spec = grid.ShardSpec(rank=2, workers=4, seq_len=tiny_cfg.seq_len)
+    assert spec.balanced_rows == ((6, 9), (15, 18))
     seg = grid.slice_batch(tokens, spec)
-    np.testing.assert_array_equal(seg, tokens[:, 12:18])
+    np.testing.assert_array_equal(seg, tokens[:, [6, 7, 8, 15, 16, 17]])
     with pytest.raises(ShapeError):
         grid.slice_batch(tokens[:, :12], spec)
 
 
-def test_reassemble_positions_restores_table(tiny_cfg):
-    full = model.init_params(tiny_cfg, 3)
-    shards = [
-        grid.shard_params(full, grid.ShardSpec(r, 4, tiny_cfg.seq_len)) for r in range(4)
-    ]
+@settings(max_examples=60, deadline=None)
+@given(workers=st.integers(1, 6), block=st.integers(1, 9), seed=st.integers(0, 2**16))
+@example(workers=2, block=15, seed=0)  # odd blocks: chunks of 7 and 8 rows
+@example(workers=5, block=1, seed=0)   # a block of one row
+@example(workers=1, block=24, seed=0)  # one worker holds the whole table
+def test_reassemble_positions_restores_table(workers, block, seed):
+    """Sharding then reassembling is the identity, bit for bit; rank r holds
+    the table's rows at its balanced rows and the batch's columns there."""
+    seq_len = workers * block
+    cfg = ModelConfig(embed_dim=4, n_layers=1, n_heads=1, ff_dim=4, vocab=8, seq_len=seq_len)
+    full = model.init_params(cfg, seed)
+    tokens = np.random.default_rng(seed).integers(0, cfg.vocab, size=(2, seq_len))
+    specs = [grid.ShardSpec(r, workers, seq_len) for r in range(workers)]
+    shards = [grid.shard_params(full, spec) for spec in specs]
+    for spec, shard in zip(specs, shards):
+        at = model.row_positions(spec.balanced_rows)
+        assert shard.pos_table.tobytes() == full.pos_table[at].tobytes()
+        np.testing.assert_array_equal(grid.slice_batch(tokens, spec), tokens[:, at])
     rebuilt = grid.reassemble_params(shards)
-    for a, b in zip(rebuilt.arrays(), full.arrays()):
-        assert a.tobytes() == b.tobytes()
+    for (name, a), b in zip(rebuilt.named_arrays(), full.arrays()):
+        assert a.tobytes() == b.tobytes(), name
 
 
-# --- balanced compute rows ---
+# --- balanced rows ---
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,10 +114,10 @@ def test_balanced_rows_pair_chunk_r_with_chunk_2n_minus_1_minus_r(workers, block
     assert grid.ShardSpec(0, 1, seq_len).balanced_rows == ((0, seq_len),)
 
 
-def test_compute_rows_follow_fusion():
+def test_balanced_rows_at_uneven_shapes():
     spec = grid.ShardSpec(rank=1, workers=3, seq_len=300)
-    assert spec.compute_rows(False) == spec.block_rows == ((100, 200),)
-    assert spec.compute_rows(True) == spec.balanced_rows == ((50, 100), (200, 250))
+    assert spec.block_rows == ((100, 200),)
+    assert spec.balanced_rows == ((50, 100), (200, 250))
     assert grid.ShardSpec(2, 3, 300).balanced_rows == ((100, 200),)
     odd = [grid.ShardSpec(r, 2, 30).balanced_rows for r in range(2)]  # blocks of 15
     assert odd == [((0, 7), (22, 30)), ((7, 22),)]
@@ -127,15 +149,15 @@ def test_balanced_rows_train_like_the_oracle(rng, n, dropout):
         for (name, a), (_, b) in zip(g.named_arrays(), oracle_grads.named_arrays()):
             if name != "pos_table":
                 assert np.all(np.abs(a - b) <= 1e-10 + 1e-10 * np.abs(b)), name
-    stitched = np.concatenate([g.pos_table for g in run.last_grads], axis=0)
+    stitched = grid.reassemble_params(run.last_grads).pos_table
     want = oracle_grads.pos_table
     assert np.all(np.abs(stitched - want) <= 1e-10 + 1e-10 * np.abs(want))
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
-def test_each_layer_computes_the_ranks_compute_rows(tiny_cfg, rng, fused):
-    """Fused ranks run their layers on their balanced rows; the unfused
-    ablation never gathers the layer input, so it computes its own block."""
+def test_each_layer_computes_the_ranks_balanced_rows(tiny_cfg, rng, fused):
+    """Fused or not, every layer of a rank scores the queries at its
+    balanced rows: each layer's score plan is that of those rows."""
     n = 3
     params = model.init_params(tiny_cfg, 0)
     tokens, targets = rand_batch(tiny_cfg, rng)
@@ -149,14 +171,14 @@ def test_each_layer_computes_the_ranks_compute_rows(tiny_cfg, rng, fused):
         with tensor.counting(counters):
             _, cache = sharded.forward(
                 worker, grid.shard_params(params, spec), tiny_cfg,
-                grid.slice_batch(tokens, spec),
-                grid.slice_batch(targets, spec, spec.compute_rows(fused)), fused=fused)
-        return [c.rows for c in cache.layers], counters.attn_score_flops
+                grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec), fused=fused)
+        return [c.attn.scores.tiles for c in cache.layers], counters.attn_score_flops
 
-    for rank, (rows, flops) in enumerate(run_workers(n, layer_rows, comm=comm)):
-        spec = grid.ShardSpec(rank, n, tiny_cfg.seq_len)
-        want = spec.balanced_rows if fused else spec.block_rows
-        assert rows == [want] * tiny_cfg.n_layers
+    blocks = tiny_cfg.batch * tiny_cfg.n_heads
+    for rank, (tiles, flops) in enumerate(run_workers(n, layer_rows, comm=comm)):
+        want = grid.ShardSpec(rank, n, tiny_cfg.seq_len).balanced_rows
+        plan = model.score_tiles(blocks, model.score_bands(want, tiny_cfg.seq_len, tiny_cfg.causal))
+        assert tiles == [plan] * tiny_cfg.n_layers
         assert flops == costs.score_flops(tiny_cfg, want)
 
 
@@ -218,7 +240,7 @@ def test_position_gradients_concat_to_sequential(tiny_cfg, rng):
     batches = make_batches(tiny_cfg, rng, 1)
     run = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.1)
     _, _, oracle_grads = sequential_sgd(tiny_cfg, params, batches, lr=0.1)
-    stitched = np.concatenate([g.pos_table for g in run.last_grads], axis=0)
+    stitched = grid.reassemble_params(run.last_grads).pos_table
     np.testing.assert_allclose(stitched, oracle_grads.pos_table, rtol=1e-10, atol=1e-14)
     # each worker's shard stays shard-sized
     block = tiny_cfg.seq_len // n
@@ -243,8 +265,7 @@ def test_partial_losses_average_to_step_loss(tiny_cfg, rng):
         for tokens, targets in batches:
             loss, _ = sharded.forward(
                 worker, own, tiny_cfg,
-                grid.slice_batch(tokens, spec),
-                grid.slice_batch(targets, spec, spec.compute_rows(True)),
+                grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec),
             )
             out.append(loss)
         return out
