@@ -100,8 +100,7 @@ class ModelConfig:
             raise ValueError("n_layers must be non-negative")
         if self.vocab < 1 or self.seq_len < 1 or self.batch < 1:
             raise ValueError("vocab, seq_len and batch must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        nnops.check_rate(self.dropout)
         tensor.resolve_dtype(self.precision)
 
     @property

@@ -14,7 +14,15 @@ the keep/drop decision for an element is a pure hash of
 so a token keeps the same mask no matter how the sequence is split across
 workers or the batch across replicas (samples are rows of the combined
 batch).  That property is what makes distributed training with dropout
-reproduce single-worker training exactly.
+reproduce single-worker training exactly.  One hash word serves four
+columns, as in counter-based generators such as Philox (Salmon et al.,
+SC'11): a row's word ``w`` is ``mix(row_key + w * GOLDEN)``, and column
+``4w + j`` is kept when the 16-bit lane ``(word >> 16j) & 0xFFFF`` is at least
+``ceil(rate * 2**16)``.  The rate in effect is that threshold over 2**16, and
+a kept element is scaled by ``2**16 / (2**16 - threshold)``, so its
+expectation is 1.  Column ``4w + j`` is lane ``j`` of word ``w`` whatever the
+width of the row, so a row's mask over its first ``v`` columns does not
+depend on how many columns were hashed.
 
 The elementwise kernels (GELU, layer norm, cross-entropy, the linear bias,
 dropout masks) are bound by memory traffic, not arithmetic, so each one
@@ -84,6 +92,20 @@ def _mix_array(h: np.ndarray, words: np.ndarray) -> np.ndarray:
     return _mix_rounds(z, np.empty_like(z))
 
 
+# A rate is compared with 16-bit lanes: above 1 - 2**-16 the threshold
+# ceil(rate * 2**16) would be 2**16, which drops every element.
+MAX_RATE = 1.0 - 2.0**-16
+_LANES = 4  # 16-bit lanes per hash word
+_LANE_VALUES = 1 << 16
+
+
+def check_rate(rate: float) -> None:
+    """Raise ValueError unless ``rate`` is a dropout rate the keep-mask lanes
+    express: in [0, 1 - 2**-16]."""
+    if not 0.0 <= rate <= MAX_RATE:
+        raise ValueError(f"dropout rate must be in [0, 1 - 2**-16 = {MAX_RATE!r}], got {rate}")
+
+
 @dataclass(frozen=True)
 class DropoutPolicy:
     """Dropout configuration shared by every worker in a run.
@@ -100,8 +122,7 @@ class DropoutPolicy:
     first_sample: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.rate}")
+        check_rate(self.rate)
 
     @classmethod
     def off(cls) -> "DropoutPolicy":
@@ -141,19 +162,27 @@ def score_row_keys(
     return _mix_array(np.full(q_positions.shape, np.uint64(h0), dtype=np.uint64), q_positions)
 
 
-# Elements per row tile of the keep_mask hash: a (rows, 64) activation of up
-# to 512 rows is one tile, a 256x512 score block four tiles of 64 rows.
+# Hash words per row tile of keep_mask: a (rows, 64) activation of up to
+# 2048 rows is one tile, and so is a 256x512 score block (128 words a row).
 # Smaller tiles stay in cache but cost more numpy calls, and so more
-# interpreter-lock handoffs when two ranks hash at once: at 2**14 words two
-# concurrent ranks hashed a 256x512 block slower than untiled.
+# interpreter-lock handoffs when two ranks hash at once: at 2**14 elements
+# (one word each, before the lanes) two concurrent ranks hashed a 256x512
+# block slower than untiled.
 ROW_TILE_WORDS = 1 << 15
 
 
-def row_tile(n_cols: int) -> tuple[int, int]:
+def row_tile(n_words: int) -> tuple[int, int]:
     """(rows per tile, size of the flat buffer that holds one tile) for rows
-    of ``n_cols`` elements.  The buffer size is the same for every width up
-    to the budget, so one buffer serves them all."""
-    return max(1, ROW_TILE_WORDS // max(1, n_cols)), max(ROW_TILE_WORDS, n_cols)
+    of ``n_words`` hash words.  The buffer size is the same for every width
+    up to the budget, so one buffer serves them all."""
+    return max(1, ROW_TILE_WORDS // max(1, n_words)), max(ROW_TILE_WORDS, n_words)
+
+
+def lane_threshold(policy: DropoutPolicy) -> int:
+    """The least 16-bit lane value that is kept: a lane ``u`` is kept when
+    ``u / 2**16 >= rate``, that is when ``u >= ceil(rate * 2**16)`` (the
+    product is exact, 2**16 being a power of two)."""
+    return math.ceil(policy.rate * _LANE_VALUES)
 
 
 def keep_mask(
@@ -164,22 +193,26 @@ def keep_mask(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean keep-mask of shape (len(row_keys), n_cols), into ``out`` if
-    given.  Rows are hashed a tile at a time through two scratch buffers of
-    ROW_TILE_WORDS words (see :func:`row_tile`), taken from ``tensor.take``."""
+    given.  Each row hashes ``ceil(n_cols / 4)`` words and keeps the first
+    ``n_cols`` of their 16-bit lanes (see the module docstring).  Rows are
+    hashed a tile at a time through two scratch buffers of ROW_TILE_WORDS
+    words (see :func:`row_tile`), taken from ``tensor.take``."""
     rows = row_keys.shape[0]
     if out is None:
         out = np.empty((rows, n_cols), dtype=np.bool_)
-    # (words >> 11) * 2**-53 >= rate exactly when words >> 11 >= ceil(rate * 2**53),
-    # that is when words >= ceil(rate * 2**53) << 11 (below 2**64, as rate < 1)
-    threshold = np.uint64(math.ceil(policy.rate * 2.0**53) << 11)
-    col_words = np.arange(n_cols, dtype=np.uint64) * _U64_GOLDEN
-    height, words = row_tile(n_cols)
+    threshold = np.uint16(lane_threshold(policy))
+    n_words = -(-n_cols // _LANES)
+    word_cols = np.arange(n_words, dtype=np.uint64) * _U64_GOLDEN
+    height, words = row_tile(n_words)
     z, tmp = tiles = [tensor.take((words,), np.uint64) for _ in range(2)]
     for r0 in range(0, rows, height):
         n = min(height, rows - r0)
-        zt = np.add(row_keys[r0 : r0 + n, None], col_words, out=z[: n * n_cols].reshape(n, n_cols))
-        tt = tmp[: n * n_cols].reshape(n, n_cols)
-        np.greater_equal(_mix_rounds(zt, tt), threshold, out=out[r0 : r0 + n])
+        zt = np.add(row_keys[r0 : r0 + n, None], word_cols, out=z[: n * n_words].reshape(n, n_words))
+        tt = tmp[: n * n_words].reshape(n, n_words)
+        # little-endian lanes: lane j of a word is its bits 16j .. 16j + 15
+        # on every host (the astype copies only on a big-endian one)
+        lanes = _mix_rounds(zt, tt).astype("<u8", copy=False).view("<u2")
+        np.greater_equal(lanes[:, :n_cols], threshold, out=out[r0 : r0 + n])
     tensor.give(*tiles)
     return out
 
@@ -193,9 +226,10 @@ def scaled_mask(
 
 
 def keep_scale(policy: DropoutPolicy, dtype: np.dtype):
-    """The factor 1 / (1 - rate) a kept element is scaled by, as a ``dtype``
-    scalar."""
-    return dtype.type(1.0 / (1.0 - policy.rate))
+    """The factor ``2**16 / (2**16 - threshold)`` a kept element is scaled
+    by, as a ``dtype`` scalar: one over the share of lane values kept
+    (:func:`lane_threshold`), so a kept element's expectation is 1."""
+    return dtype.type(_LANE_VALUES / (_LANE_VALUES - lane_threshold(policy)))
 
 
 def apply_mask(x: np.ndarray, policy: DropoutPolicy, mask: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -274,6 +275,15 @@ def test_dropout_validation():
         nnops.dropout_fwd(np.zeros((3, 2)), DropoutPolicy(rate=0.5), 0, "no_such_site", s, p)
 
 
+@pytest.mark.parametrize("rate", [1 - 2**-20, float(np.nextafter(1 - 2**-16, 1.0)), 0.99999])
+def test_dropout_policy_refuses_rates_the_lanes_cannot_express(rate):
+    # above 1 - 2**-16 the lane threshold would be 2**16: every element
+    # dropped and a keep scale of 1/0
+    with pytest.raises(ValueError, match=r"\[0, 1 - 2\*\*-16 = 0\.9999847412109375\]"):
+        DropoutPolicy(rate=rate)
+    assert DropoutPolicy(rate=1 - 2**-16).rate == nnops.MAX_RATE
+
+
 def test_dropout_backward_reuses_mask(rng):
     x = rng.standard_normal((6, 10))
     g = rng.standard_normal((6, 10))
@@ -282,7 +292,8 @@ def test_dropout_backward_reuses_mask(rng):
     _, mask = nnops.dropout_fwd(x, policy, 0, "embed", s, p)
     gx = nnops.dropout_bwd(g, policy, mask)
     np.testing.assert_array_equal(gx[~mask], np.zeros(np.sum(~mask)))
-    np.testing.assert_allclose(gx[mask], g[mask] / 0.7, rtol=1e-15)
+    np.testing.assert_allclose(gx[mask], g[mask] * (2**16 / (2**16 - math.ceil(0.3 * 2**16))),
+                               rtol=1e-15)
 
 
 # --- counter-based PRF ---
@@ -323,25 +334,38 @@ def test_keep_mask_hits_rate_in_expectation(seed, rate):
     assert abs(np.mean(mask) - (1 - rate)) < 0.08
 
 
+def mix_array_reference(h, words):
+    """mix_key over uint64 arrays as first written: a fresh array per op."""
+    z = h + words.astype(np.uint64) * np.uint64(nnops._GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(nnops._MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(nnops._MIX_B)
+    return z ^ (z >> np.uint64(31))
+
+
+def lanes_reference(row_keys, n_cols, mix=mix_array_reference):
+    """Each row's first ``n_cols`` 16-bit lanes by arithmetic: column 4w + j
+    is ``(z >> 16j) & 0xFFFF`` of the row's hash word ``z = mix(key, w)``."""
+    n_words = -(-n_cols // 4)
+    words = mix(row_keys[:, None], np.arange(n_words, dtype=np.uint64)[None, :])
+    lanes = [(words >> np.uint64(16 * j)) & np.uint64(0xFFFF) for j in range(4)]
+    return np.stack(lanes, axis=-1).reshape(len(row_keys), 4 * n_words)[:, :n_cols]
+
+
 def keep_mask_float(policy, row_keys, n_cols):
-    """The keep-mask as first written: a float uniform in [0, 1) per element,
-    kept when it is at least the rate."""
-    cols = np.arange(n_cols, dtype=np.uint64)
-    words = nnops._mix_array(row_keys[:, None], cols[None, :])
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 >= policy.rate
+    """The keep-mask as a float uniform in [0, 1) per element (a lane over
+    2**16), kept when it is at least the rate."""
+    return lanes_reference(row_keys, n_cols).astype(np.float64) * 2.0**-16 >= policy.rate
 
 
-EDGE_RATES = [0.0, 0.1, 1 / 3, 0.5, 1 - 2**-20]
+EDGE_RATES = [0.0, 0.1, 1 / 3, 0.5, 1 - 2**-16]
+rate_st = st.one_of(st.sampled_from(EDGE_RATES), st.floats(0.0, nnops.MAX_RATE))
 row_keys_st = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8).map(
     lambda ks: np.array(ks, dtype=np.uint64)
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    rate=st.one_of(st.sampled_from(EDGE_RATES), st.floats(0.0, 1.0, exclude_max=True)),
-    row_keys=row_keys_st,
-)
+@given(rate=rate_st, row_keys=row_keys_st)
 def test_keep_mask_equals_float_formula(rate, row_keys):
     policy = DropoutPolicy(rate=rate)
     assert np.array_equal(nnops.keep_mask(policy, row_keys, 64),
@@ -351,14 +375,13 @@ def test_keep_mask_equals_float_formula(rate, row_keys):
 @settings(max_examples=30, deadline=None)
 @given(row_keys=row_keys_st, pick=st.integers(0, 2**16))
 def test_keep_mask_threshold_is_exact_at_a_drawn_value(row_keys, pick):
-    # a rate equal to one element's own uniform keeps that element; the next
+    # a rate equal to one lane's value / 2**16 keeps that lane; the next
     # float up drops it, so the integer threshold has no off-by-one
-    words = nnops._mix_array(row_keys[:, None], np.arange(16, dtype=np.uint64)[None, :])
-    flat = (words >> np.uint64(11)).reshape(-1)
+    flat = lanes_reference(row_keys, 16).reshape(-1)
     i = pick % flat.size
-    rate = float(flat[i]) * 2.0**-53
+    rate = float(flat[i]) * 2.0**-16
     for r, kept in ((rate, True), (np.nextafter(rate, 1.0), False)):
-        if r >= 1.0:
+        if r > nnops.MAX_RATE:  # the lane 0xFFFF: no rate drops it
             continue
         policy = DropoutPolicy(rate=float(r))
         mask = nnops.keep_mask(policy, row_keys, 16)
@@ -368,8 +391,8 @@ def test_keep_mask_threshold_is_exact_at_a_drawn_value(row_keys, pick):
 
 def keep_mask_untiled(policy, row_keys, n_cols):
     """The keep-mask as one whole-array hash, through _mix_array."""
-    words = nnops._mix_array(row_keys[:, None], np.arange(n_cols, dtype=np.uint64)[None, :])
-    return words >= np.uint64(math.ceil(policy.rate * 2.0**53) << 11)
+    lanes = lanes_reference(row_keys, n_cols, mix=nnops._mix_array)
+    return lanes >= np.uint64(math.ceil(policy.rate * 2**16))
 
 
 @pytest.mark.parametrize("budget", [None, 64, 1000])
@@ -378,7 +401,7 @@ def test_tiled_keep_mask_equals_the_whole_array_hash(monkeypatch, budget, cols):
     if budget is not None:  # small budgets: many tiles, a ragged last tile, rows longer than a tile
         monkeypatch.setattr(nnops, "ROW_TILE_WORDS", budget)
     policy = DropoutPolicy(rate=0.3, seed=11)
-    height, _ = nnops.row_tile(cols)
+    height, _ = nnops.row_tile(-(-cols // 4))
     for rows in sorted({1, height - 1, height, height + 1, 3 * height + 2} - {0}):
         keys = nnops.score_row_keys(policy, 1, 0, 2, np.arange(rows, dtype=np.int64))
         want = keep_mask_untiled(policy, keys, cols)
@@ -389,26 +412,88 @@ def test_tiled_keep_mask_equals_the_whole_array_hash(monkeypatch, budget, cols):
             assert np.array_equal(nnops.keep_mask(policy, keys, cols, out=out), want)
 
 
-def mix_array_reference(h, words):
-    """mix_key over uint64 arrays as first written: a fresh array per op."""
-    z = h + words.astype(np.uint64) * np.uint64(nnops._GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(nnops._MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(nnops._MIX_B)
-    return z ^ (z >> np.uint64(31))
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    rate=st.one_of(st.sampled_from(EDGE_RATES), st.floats(0.0, 1.0, exclude_max=True)),
-    row_keys=row_keys_st,
-    n_cols=st.integers(1, 70),
-)
+@given(rate=rate_st, row_keys=row_keys_st, n_cols=st.integers(1, 70))
 def test_in_place_keep_mask_equals_mix_array_formula(rate, row_keys, n_cols):
-    words = mix_array_reference(row_keys[:, None], np.arange(n_cols, dtype=np.uint64)[None, :])
-    want = (words >> np.uint64(11)) >= np.uint64(math.ceil(rate * 2.0**53))
+    want = lanes_reference(row_keys, n_cols) >= np.uint64(math.ceil(rate * 2**16))
     assert np.array_equal(nnops.keep_mask(DropoutPolicy(rate=rate), row_keys, n_cols), want)
-    assert np.array_equal(nnops._mix_array(row_keys[:, None],
-                                           np.arange(n_cols, dtype=np.uint64)[None, :]), words)
+    counters = np.arange(n_cols, dtype=np.uint64)[None, :]
+    assert np.array_equal(nnops._mix_array(row_keys[:, None], counters),
+                          mix_array_reference(row_keys[:, None], counters))
+
+
+@pytest.mark.parametrize("budget", [5, 8])
+@pytest.mark.parametrize("n", [1, 4, 13, 32, 70])
+def test_keep_mask_over_fewer_columns_is_a_prefix(monkeypatch, budget, n):
+    """A row's mask over its first w columns is the first w columns of its
+    mask over n >= w: score tiles of every visible width draw one mask."""
+    monkeypatch.setattr(nnops, "ROW_TILE_WORDS", budget)
+    policy = DropoutPolicy(rate=0.4, seed=23)
+    keys = nnops.score_row_keys(policy, 0, 1, 0, np.arange(11, dtype=np.int64))
+    whole = nnops.keep_mask(policy, keys, n)
+    for w in range(1, n + 1):
+        assert np.array_equal(nnops.keep_mask(policy, keys, w), whole[:, :w])
+
+
+def _unshift(y, s):
+    """x with x ^ (x >> s) == y: each pass fixes s more of x's top bits."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> np.uint64(s))
+    return x
+
+
+def unmix(z):
+    """The key whose hash word 0 is ``z``: mix_key's rounds inverted."""
+    z = _unshift(z, 31) * np.uint64(pow(nnops._MIX_B, -1, 2**64))
+    z = _unshift(z, 27) * np.uint64(pow(nnops._MIX_A, -1, 2**64))
+    return _unshift(z, 30)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rate=rate_st)
+def test_keep_mask_keeps_the_top_lane_values(rate):
+    # 2**14 rows whose word 0 holds the lanes i, i + 2**14, i + 2**15 and
+    # i + 3 * 2**14: every 16-bit value once over the mask's 4 columns
+    value = np.arange(2**16, dtype=np.uint64).reshape(4, 2**14).T
+    words = value[:, 0] | value[:, 1] << np.uint64(16) | value[:, 2] << np.uint64(32) \
+        | value[:, 3] << np.uint64(48)
+    keys = unmix(words)
+    assert np.array_equal(mix_array_reference(keys, np.zeros(1, dtype=np.uint64)), words)
+    policy = DropoutPolicy(rate=rate)
+    threshold = math.ceil(rate * 2**16)
+    mask = nnops.keep_mask(policy, keys, 4)
+    assert np.count_nonzero(mask) == 2**16 - threshold
+    assert np.array_equal(mask, value >= np.uint64(threshold))
+    # the scale is 2**16 / (2**16 - threshold), rounded once
+    scale = nnops.keep_scale(policy, np.dtype(np.float64))
+    assert scale == 2**16 / (2**16 - threshold)
+    assert abs((2**16 - threshold) * scale - 2**16) <= np.spacing(2.0**16)
+
+
+@pytest.mark.parametrize("rate", EDGE_RATES + [0.25, 0.2])
+def test_keep_scale_undoes_the_kept_share_exactly(rate):
+    # exact at these rates; across all 2**16 thresholds the double rounding
+    # leaves some one ulp off (test_keep_mask_keeps_the_top_lane_values)
+    threshold = math.ceil(rate * 2**16)
+    scale = nnops.keep_scale(DropoutPolicy(rate=rate), np.dtype(np.float64))
+    assert (2**16 - threshold) * scale == 2**16
+
+
+# sha256 of keep_mask's bytes over the policy, site and keys of
+# test_keep_mask_is_pinned.  Any change to the hash, its lanes or
+# DROPOUT_TAGS moves every dropout artifact; update this only on purpose.
+KEEP_MASK_SHA256 = "009b907009b9291c43f32aac1555236030a1f2a6a41e91bc95732672886ab6b9"
+
+
+def test_keep_mask_is_pinned():
+    policy = DropoutPolicy(rate=0.1, seed=2024).at_step(3)
+    keys = nnops.token_row_keys(policy, 1, "ffn_hidden",
+                                np.repeat(np.arange(3, dtype=np.int64), 16),
+                                np.tile(np.arange(16, dtype=np.int64), 3))
+    mask = nnops.keep_mask(policy, keys, 333)
+    assert mask.shape == (48, 333) and mask.dtype == np.bool_
+    assert hashlib.sha256(mask.tobytes()).hexdigest() == KEEP_MASK_SHA256
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -417,7 +502,7 @@ def test_apply_mask_equals_its_first_formula(dtype, rate, rng):
     policy = DropoutPolicy(rate=rate)
     x = rng.standard_normal((7, 9)).astype(dtype)
     mask = rng.random((7, 9)) >= rate
-    want = x * (mask.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - rate)))
+    want = x * (mask.astype(x.dtype) * x.dtype.type(2**16 / (2**16 - math.ceil(rate * 2**16))))
     sm = nnops.scaled_mask(policy, mask, x.dtype)
     assert sm.dtype == x.dtype
     assert nnops.apply_mask(x, policy, mask).tobytes() == want.tobytes()

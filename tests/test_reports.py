@@ -516,6 +516,13 @@ def test_cli_train_rejects_a_negative_seed_without_creating_the_output(tmp_path,
     assert not out.exists()
 
 
+def test_cli_train_rejects_a_dropout_rate_the_keep_mask_cannot_express(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--dropout", "0.99999", "--steps", "1", "--out", str(out)) == 1
+    assert "error: dropout rate must be in [0, 1 - 2**-16" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_train_rejects_a_too_small_synthetic_corpus_without_creating_the_output(
         tmp_path, capsys):
     out = tmp_path / "run"
