@@ -16,11 +16,13 @@ same on every worker of a sequence group, so it carries no layer factor (and
 is 0 for a model without layers).
 A training step keeps every layer's scores until its backward: the
 cached-bytes figure counts those, L times the score elements at ``itemsize``
-bytes each for the softmax weights, plus one byte each for the dropout keep
-mask when dropout is on (the dropped weights are rebuilt in backward, not
-kept).  Collective counts and payload elements are totals over the whole
-grid, as the ledger records them; payload sizes come from
-:func:`seqpar.model.param_shapes`.
+bytes each for the softmax exponentials, plus one byte each for the dropout
+keep mask when dropout is on, plus ``itemsize`` bytes for the reciprocal sum
+of each (sample, head) block's query row (neither the weights nor the
+dropped weights are kept: both are the exponentials times per-row factors,
+which the score kernels apply to (rows, dk) operands).  Collective counts
+and payload elements are totals over the whole grid, as the ledger records
+them; payload sizes come from :func:`seqpar.model.param_shapes`.
 """
 
 from __future__ import annotations
@@ -117,8 +119,9 @@ def estimate(
         comm_elements = 0
 
     score_elements_peak = b * h * rows * l if layers else 0
-    score_cache_bytes = layers * score_elements_peak * (
-        cfg.dtype.itemsize + (1 if cfg.dropout > 0 else 0)
+    score_cache_bytes = layers * (
+        score_elements_peak * (cfg.dtype.itemsize + (1 if cfg.dropout > 0 else 0))
+        + b * h * rows * cfg.dtype.itemsize
     )
     proj_flops = layers * (2 * b * rows * e * e * 2 + 2 * b * kv_rows * e * e * 2)
     ffn_flops = layers * (2 * b * rows * e * f) * 2

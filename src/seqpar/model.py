@@ -26,6 +26,13 @@ names the global sequence positions of a block's rows as ascending chunks,
 which drive both the causal mask and the position-keyed dropout.  A block's
 rows need not be contiguous: a sharded rank owns two chunks of the sequence
 (:attr:`seqpar.grid.ShardSpec.balanced_rows`).
+
+The attention scores are the only state quadratic in the sequence, so no
+per-row constant is applied to them: the queries carry ``1/sqrt(dk)`` from
+their projection on, the score tiles hold unnormalized softmax exponentials,
+and each row's ``1/rowsum`` and the dropout keep scale go on the (rows, dk)
+context and context gradient instead (:func:`scores_fwd`,
+:func:`scores_bwd`).
 """
 
 from __future__ import annotations
@@ -330,27 +337,28 @@ def dropout3_bwd(grad_y, policy, mask):
 
 @dataclass
 class ScoreCache:
-    """What one layer's attention keeps for its backward: the softmax weights
-    and, with dropout, the boolean keep mask (None without), each in one
-    (blocks, rows, keys) stack of (sample, head) blocks in sample-major
-    order, the tile plan (:func:`score_tiles`) the forward walked, and the
-    forward's output ``ctx`` (the array the caller holds, not a copy), from
-    which the backward reads the softmax row sums.  Each band's weights and
-    keep mask, over every block, lie packed at its tile's ``start`` in the
-    stacks (see :func:`_tile`); the rest of each stack is unused.  The
-    dropped weights are not kept; backward rebuilds them from these two.
-    :func:`scores_bwd` gives both stacks back and sets them and ``ctx`` to
-    None, so a spent cache cannot be read again.  ``nbytes`` counts the
-    stacks: ``ctx`` is the attention output, cached by the layer anyway."""
+    """What one layer's attention keeps for its backward: the unnormalized
+    softmax exponentials and, with dropout, the boolean keep mask (None
+    without), each in one (blocks, rows, keys) stack of (sample, head)
+    blocks in sample-major order; the (blocks, rows, 1) reciprocals of the
+    exponentials' row sums; and the tile plan (:func:`score_tiles`) the
+    forward walked.  Each band's exponentials and keep mask, over every
+    block, lie packed at its tile's ``start`` in the stacks (see
+    :func:`_tile`); the rest of each stack is unused.  Neither the weights
+    nor the dropped weights are kept: a weight is an exponential times its
+    row's reciprocal, and both scores kernels move that factor onto the
+    (rows, dk) operands instead of the tile.  :func:`scores_bwd` gives both
+    stacks back and sets them and the reciprocals to None, so a spent cache
+    cannot be read again.  ``nbytes`` counts all three arrays."""
 
-    weights: np.ndarray | None
+    exps: np.ndarray | None
     keep: np.ndarray | None
+    inv_sums: np.ndarray | None
     tiles: list[tuple[int, int, int, int]]
-    ctx: np.ndarray | None
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.weights, self.keep) if a is not None)
+        return sum(a.nbytes for a in (self.exps, self.keep, self.inv_sums) if a is not None)
 
 
 # Query rows per band of a causal score block.  Each band is scored only
@@ -403,19 +411,43 @@ def _tile_words(blocks: int, tiles) -> int:
     return blocks * max((r1 - r0) * visible for r0, r1, visible, _ in tiles)
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+def _split_heads(x: np.ndarray, heads: int, factor: np.ndarray | None = None) -> np.ndarray:
     """``x`` head-major: (batch, rows, heads * dk) becomes (batch * heads,
     rows, dk), one (sample, head) block per item, sample-major.  A copy for
     a batch above one, but a strided view of ``x`` itself for a batch of
-    one, so the result is never written into."""
+    one, so the result is never written into.  With ``factor``, a (batch *
+    heads, rows, 1) array, the result is the fresh product of the blocks
+    and their rows' factors, made in the same pass as the copy."""
     b, rows, e = x.shape
-    return x.reshape(b, rows, heads, e // heads).transpose(0, 2, 1, 3).reshape(b * heads, rows, -1)
+    xh = x.reshape(b, rows, heads, e // heads).transpose(0, 2, 1, 3)
+    if factor is None:
+        return xh.reshape(b * heads, rows, -1)
+    out = np.empty((b * heads, rows, e // heads), x.dtype)
+    np.multiply(xh, factor.reshape(b, heads, rows, 1), out=out.reshape(xh.shape))
+    return out
 
 
-def _merge_heads(xh: np.ndarray, bsz: int) -> np.ndarray:
-    """The inverse of :func:`_split_heads`, as a fresh (batch, rows, heads * dk) array."""
+def _merge_heads(xh: np.ndarray, bsz: int, factor=None) -> np.ndarray:
+    """The inverse of :func:`_split_heads`, as a fresh (batch, rows, heads *
+    dk) array; with ``factor``, a (blocks, rows, 1) array of the rows'
+    factors or one python float, times it in the same pass."""
     blocks, rows, dk = xh.shape
-    return xh.reshape(bsz, blocks // bsz, rows, dk).transpose(0, 2, 1, 3).reshape(bsz, rows, -1)
+    xh = xh.reshape(bsz, blocks // bsz, rows, dk)
+    if factor is None:
+        return xh.transpose(0, 2, 1, 3).reshape(bsz, rows, -1)
+    if np.ndim(factor):
+        factor = factor.reshape(bsz, -1, rows, 1)
+    out = np.empty((bsz, rows, blocks * dk // bsz), xh.dtype)
+    np.multiply(xh, factor, out=out.reshape(bsz, rows, -1, dk).transpose(0, 2, 1, 3))
+    return out
+
+
+def _row_factor(cache: ScoreCache, policy: DropoutPolicy) -> np.ndarray:
+    """What a context row is scaled by, from its (blocks, rows, 1)
+    reciprocal: ``1/s``, times the keep scale with dropout."""
+    if cache.keep is None:
+        return cache.inv_sums
+    return cache.inv_sums * nnops.keep_scale(policy, cache.inv_sums.dtype)
 
 
 def scores_fwd(
@@ -427,36 +459,41 @@ def scores_fwd(
     policy: DropoutPolicy,
     layer: int,
 ) -> tuple[np.ndarray, ScoreCache]:
-    """Masked, scaled dot-product attention over per-head slices.
+    """Masked dot-product attention over per-head slices, of queries ``q``
+    that already carry the score scale ``1/sqrt(dk)`` (:func:`attention_fwd`
+    puts it on them once, as it projects them).
 
     ``q`` holds the local block's rows (at the global positions ``rows``),
     ``k``/``v`` hold the whole sequence; a causal row attends to keys at or
     before its own global position.  Each (sample, head) block is scored a
     band of rows at a time (:func:`score_bands`), against only the keys the
     band's last row can see: the keys past them carry weights of exactly
-    zero, so they are neither multiplied, normalized, hashed nor kept.
+    zero, so they are neither multiplied, exponentiated, hashed nor kept.
 
     ``q``, ``k`` and ``v`` are first laid out head-major (one (sample, head)
     block per item of a stack, :func:`_split_heads`).  The forward builds
     the tile plan (:func:`score_tiles`, one tile per band) once and walks
     it.  Per tile, every block's band is multiplied as one stack straight
-    into the tile's packed view of the weight stack, which is taken through
-    ``tensor.take`` at the full (blocks, m, keys) size; the scaling, the
-    softmax (under the band's (rows, keys) causal mask, shared by every
+    into the tile's packed view of the exponential stack, which is taken
+    through ``tensor.take`` at the full (blocks, m, keys) size; the softmax
+    exponentials (under the band's (rows, keys) causal mask, shared by every
     block) and the keep-mask hash then run once over the whole tile, and
-    with dropout one tile-sized work buffer holds the dropped weights for
-    the stacked product with the values.  The plan and the output go into
-    the cache for :func:`scores_bwd`.
+    with dropout one tile-sized work buffer holds ``exps * keep`` for the
+    stacked product with the values.  The tile is never normalized: the
+    rows' reciprocal sums ``1/s``, times the keep scale with dropout, go on
+    the head-major context once, in the pass that lays it back out (as
+    FlashAttention-2, arXiv 2307.08691, scales its output once at the end).
+    The plan and the reciprocals go into the cache for :func:`scores_bwd`.
     """
     bsz, m, _ = q.shape
     t = k.shape[1]
     dk, heads = cfg.head_dim, cfg.n_heads
     counters = tensor.active_counters()
-    scale = 1.0 / math.sqrt(dk)  # a python float keeps single precision single
     q_pos = row_positions(rows)
     blocks = bsz * heads
     tiles = score_tiles(blocks, score_bands(rows, t, cfg.causal))
-    weights = tensor.take((blocks, m, t), q.dtype)
+    exps = tensor.take((blocks, m, t), q.dtype)
+    inv_sums = np.empty((blocks, m, 1), q.dtype)
     keep = None
     if policy.active:
         keep = tensor.take((blocks, m, t), np.bool_)
@@ -468,28 +505,25 @@ def scores_fwd(
     ctxh = np.empty_like(qh)
     for tile in tiles:
         r0, r1, visible, _ = tile
-        aw_d = aw = _tile(weights, tile)
-        tensor.matmul(qh[:, r0:r1], kh[:, :visible].transpose(0, 2, 1), out=aw)
-        aw *= scale
+        pv = e = _tile(exps, tile)
+        tensor.matmul(qh[:, r0:r1], kh[:, :visible].transpose(0, 2, 1), out=e)
         mask = np.arange(visible) <= q_pos[r0:r1, None] if cfg.causal else None
-        tensor.softmax_rows(aw, mask, out=aw)
+        np.reciprocal(tensor.softmax_rows(e, mask, out=e), out=inv_sums[:, r0:r1])
         if keep is not None:
             kept = _tile(keep, tile)
             nnops.keep_mask(policy, row_keys[:, r0:r1].reshape(-1), visible,
                             out=kept.reshape(-1, visible))
-            aw_d = nnops.scaled_mask(policy, kept, aw.dtype, out=work[: aw.size].reshape(aw.shape))
-            aw_d *= aw
-        tensor.matmul(aw_d, vh[:, :visible], out=ctxh[:, r0:r1])
+            pv = np.multiply(e, kept, out=work[: e.size].reshape(e.shape))
+        tensor.matmul(pv, vh[:, :visible], out=ctxh[:, r0:r1])
         if counters is not None:
             counters.add_score_flops(2 * blocks * (r1 - r0), dk, visible)  # QK^T and PV
     if keep is not None:
         tensor.give(work)
-    ctx = _merge_heads(ctxh, bsz)
-    cache = ScoreCache(weights=weights, keep=keep, tiles=tiles, ctx=ctx)
+    cache = ScoreCache(exps=exps, keep=keep, inv_sums=inv_sums, tiles=tiles)
     if counters is not None:
         counters.record_score_footprint(blocks * m * t)
         counters.add_score_cache(cache.nbytes)
-    return ctx, cache
+    return _merge_heads(ctxh, bsz, _row_factor(cache, policy)), cache
 
 
 def scores_bwd(
@@ -497,73 +531,77 @@ def scores_bwd(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
+    ctx: np.ndarray,
     grad_ctx: np.ndarray,
     cfg: ModelConfig,
     policy: DropoutPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walks the forward's tile plan (``cache.tiles``) backwards, over
-    head-major ``q``, ``k``, ``v`` and ``grad_ctx`` (:func:`_split_heads`),
-    with one stacked product per tile for each of the four gradients.
+    """Gradients of the queries before their score scale (``q`` is the
+    scaled queries, as for :func:`scores_fwd`; the scale goes on the query
+    gradient in the pass that lays it back out), the keys and the values,
+    from the forward's cache and output ``ctx``.  Walks the forward's tile
+    plan (``cache.tiles``) backwards, over head-major ``q``, ``k``, ``v``
+    and context gradient (:func:`_split_heads`), with four stacked products
+    per tile.
 
     The softmax backward needs each row's sum of ``grad_aw * aw``, and that
     is ``D = grad_ctx . ctx`` over the row's head, read once per (block,
     row) from the forward's output (as FlashAttention-2, arXiv 2307.08691,
     does) instead of from every score tile.  With dropout it holds too:
     ``ctx`` is the dropped weights times the values, and ``grad_aw`` takes
-    the same scaled mask.  Per tile, the dropped weights are rebuilt as ``aw
-    * scaled mask`` in a tile-sized work buffer for the value gradients
-    only; the weight gradients then take that buffer, are scaled by the same
-    mask, and become ``aw * (grad_aw - D)`` in place.  The score scale
-    ``1/sqrt(dk)`` goes on the (rows, dk) operands instead of the tile: on
-    ``grad_q`` once at the end, and on a scaled copy of the queries that
-    ``grad_k`` multiplies.  The key and value gradients start at zero and
-    every tile adds into each block's rows up to its visible keys; rows no
-    query sees stay zero.  The cache's stacks go back to ``tensor.give`` and
-    are dropped from it with ``ctx``, so a spent cache cannot be read
+    the same scaled mask.  The tiles hold exponentials ``e``, not weights
+    ``e/s``, so each row's factors go on (rows, dk) operands instead: the
+    context gradient becomes ``g' = grad_ctx * c``, ``c`` the forward's
+    context factor (``1/s``, times the keep scale with dropout), in the pass
+    that lays it out head-major, and ``D`` becomes ``D' = D/s``.  Per tile,
+    with dropout, ``e * keep`` is built in a tile-sized work buffer for the
+    value gradients (without, ``e`` itself serves); the weight gradients
+    ``G = g' V^T`` then take that buffer, are multiplied by the keep mask,
+    and become ``e * (G - D')`` in place, which is ``aw * (grad_aw - D)`` up
+    to rounding.  The key and value gradients start at zero and every tile
+    adds into each block's rows up to its visible keys; rows no query sees
+    stay zero.  The cache's stacks go back to ``tensor.give`` and are
+    dropped from it with the reciprocals, so a spent cache cannot be read
     again."""
     bsz, m, _ = q.shape
     dk, heads = cfg.head_dim, cfg.n_heads
     blocks = bsz * heads
-    held = 0 if cache.weights is None else cache.weights.shape[0]
+    held = 0 if cache.exps is None else cache.exps.shape[0]
     if held != blocks:
         raise ValueError(f"score cache holds {held} blocks, expected {blocks}; "
                          "a cache serves one backward")
-    scale = 1.0 / math.sqrt(dk)
-    weights, keep, tiles = cache.weights, cache.keep, cache.tiles
-    dt = weights.dtype
-    row_dots = np.multiply(grad_ctx, cache.ctx).reshape(bsz, m, heads, dk).sum(axis=-1)
-    d = row_dots.transpose(0, 2, 1).reshape(blocks, m, 1)
-    kh, vh, gh = (_split_heads(x, heads) for x in (k, v, grad_ctx))
-    qs = _split_heads(q, heads) * scale  # fresh: the split is a view of q at batch 1
-    grad_q = np.empty_like(qs)
+    exps, keep, inv_sums, tiles = cache.exps, cache.keep, cache.inv_sums, cache.tiles
+    row_dots = np.multiply(grad_ctx, ctx).reshape(bsz, m, heads, dk).sum(axis=-1)
+    d = np.empty_like(inv_sums)
+    np.multiply(row_dots.transpose(0, 2, 1), inv_sums.reshape(bsz, heads, m),
+                out=d.reshape(bsz, heads, m))
+    gh = _split_heads(grad_ctx, heads, _row_factor(cache, policy))
+    qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
+    grad_q = np.empty_like(qh)
     grad_k = np.zeros_like(kh)
     grad_v = np.zeros_like(vh)
-    work = tensor.take((_tile_words(blocks, tiles),), dt)
+    work = tensor.take((_tile_words(blocks, tiles),), exps.dtype)
     for tile in reversed(tiles):
         r0, r1, visible, _ = tile
-        aw_d = aw = _tile(weights, tile)
-        grad_aw = work[: aw.size].reshape(aw.shape)
+        pv = e = _tile(exps, tile)
+        grad_aw = work[: e.size].reshape(e.shape)
         if keep is not None:
             kept = _tile(keep, tile)
-            aw_d = nnops.scaled_mask(policy, kept, dt, out=grad_aw)
-            aw_d *= aw
-        grad_v[:, :visible] += tensor.matmul(aw_d.transpose(0, 2, 1), gh[:, r0:r1])
+            pv = np.multiply(e, kept, out=grad_aw)
+        grad_v[:, :visible] += tensor.matmul(pv.transpose(0, 2, 1), gh[:, r0:r1])
         tensor.matmul(gh[:, r0:r1], vh[:, :visible].transpose(0, 2, 1), out=grad_aw)
         if keep is not None:
-            # times the scaled mask, bitwise: a kept entry is scaled by
-            # 1 * c, a dropped one becomes a zero of its own sign
-            grad_aw *= kept
-            grad_aw *= nnops.keep_scale(policy, dt)
-        # softmax backward, in place: masked-out entries have aw == 0, so
+            grad_aw *= kept  # a dropped entry becomes a zero of its own sign
+        # softmax backward, in place: masked-out entries have e == 0, so
         # they stay 0
         grad_aw -= d[:, r0:r1]
-        grad_aw *= aw
+        grad_aw *= e
         tensor.matmul(grad_aw, kh[:, :visible], out=grad_q[:, r0:r1])
-        grad_k[:, :visible] += tensor.matmul(grad_aw.transpose(0, 2, 1), qs[:, r0:r1])
-    grad_q *= scale
-    tensor.give(work, *[a for a in (weights, keep) if a is not None])
-    cache.weights = cache.keep = cache.ctx = None
-    return tuple(_merge_heads(a, bsz) for a in (grad_q, grad_k, grad_v))
+        grad_k[:, :visible] += tensor.matmul(grad_aw.transpose(0, 2, 1), qh[:, r0:r1])
+    tensor.give(work, *[a for a in (exps, keep) if a is not None])
+    cache.exps = cache.keep = cache.inv_sums = None
+    scale = 1.0 / math.sqrt(dk)  # a python float keeps single precision single
+    return _merge_heads(grad_q, bsz, scale), _merge_heads(grad_k, bsz), _merge_heads(grad_v, bsz)
 
 
 # --- the two sublayers: fwd(y, rows) -> (out, cache) with out shaped like
@@ -575,7 +613,7 @@ def scores_bwd(
 class AttentionCache:
     xh: np.ndarray  # the normalized input, which the queries are projected from
     kv_ctx: object
-    q: np.ndarray
+    q: np.ndarray  # the queries, scaled by 1/sqrt(dk)
     k: np.ndarray
     v: np.ndarray
     scores: ScoreCache
@@ -597,9 +635,11 @@ def attention_fwd(xh, rows: Rows, lp: LayerParams, cfg, policy, layer, kv_fwd=No
     """Keys and values of the whole sequence from ``xh``, the block at
     ``rows`` (through ``kv_fwd``, by default :func:`local_kv_fwd`, looked up
     at call time); queries, scores and the output projection over the
-    block."""
+    block.  The score scale ``1/sqrt(dk)`` goes on the queries once, here,
+    and both score kernels use the scaled queries."""
     k, v, kv_ctx = (local_kv_fwd if kv_fwd is None else kv_fwd)(xh, lp)
     q = linear3(xh, lp.attn_q)
+    q *= 1.0 / math.sqrt(cfg.head_dim)  # a python float keeps single precision single
     ctx, score_cache = scores_fwd(q, k, v, rows, cfg, policy, layer)
     return linear3(ctx, lp.attn_out), AttentionCache(xh, kv_ctx, q, k, v, score_cache, ctx)
 
@@ -609,7 +649,7 @@ def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy,
     :func:`local_kv_bwd`, looked up at call time."""
     grad_ctx, out_wg, out_bg = linear3_bwd(cache.ctx, lp.attn_out, grad_out)
     grad_q, grad_k, grad_v = scores_bwd(
-        cache.scores, cache.q, cache.k, cache.v, grad_ctx, cfg, policy
+        cache.scores, cache.q, cache.k, cache.v, cache.ctx, grad_ctx, cfg, policy
     )
     grad_xq, q_wg, q_bg = linear3_bwd(cache.xh, lp.attn_q, grad_q)
     kv_bwd = local_kv_bwd if kv_bwd is None else kv_bwd

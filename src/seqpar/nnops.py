@@ -217,12 +217,10 @@ def keep_mask(
     return out
 
 
-def scaled_mask(
-    policy: DropoutPolicy, mask: np.ndarray, dtype: np.dtype, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def scaled_mask(policy: DropoutPolicy, mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """``mask`` as ``dtype`` values: :func:`keep_scale` where kept, 0 where
-    dropped; into ``out`` if given."""
-    return np.multiply(mask, keep_scale(policy, dtype), dtype=dtype, out=out)
+    dropped."""
+    return np.multiply(mask, keep_scale(policy, dtype), dtype=dtype)
 
 
 def keep_scale(policy: DropoutPolicy, dtype: np.dtype):
@@ -339,36 +337,38 @@ def layernorm_bwd(
 # --- GeLU (tanh approximation) ---
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_CK = _GELU_C * 0.044715  # c * k, so that c * (1 + k * x * x) is c + ck * x * x
+_GELU_C3K = 3.0 * _GELU_CK
 
 
 def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(y, d): y = 0.5 * x * (1 + t), t = tanh(c * (x + 0.044715 * x**3)), with
-    the cube as ``x * x * x`` (far cheaper than pow), and the local derivative
+    """(y, d): the tanh GELU ``0.5 * x * (1 + tanh(c * (x + k * x**3)))``
+    (``c = sqrt(2 / pi)``, ``k = 0.044715``) and its local derivative, which
+    :func:`gelu_bwd` multiplies the output gradient by, as
 
-        d = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)
+        x2 = x * x; t = tanh(x * (c + ck * x2)); y = 0.5 * x * (1 + t)
+        d = 0.5 * (1 + t) + (c + c3k * x2) * (1 - t) * y
 
-    that :func:`gelu_bwd` multiplies the output gradient by.  Both come from
-    one tanh, in two output buffers and one scratch: ``s`` holds x * x for
-    the cube, then ``1 - t * t``, then the second term of d; ``y`` holds the
-    ``1 + 3 * 0.044715 * x * x`` factor before the output."""
+    with ``ck = c * k`` and ``c3k = 3 * ck`` folded into constants: the tanh's
+    argument is ``x * c * (1 + k * x2)``, and the second term of ``d`` is
+    ``0.5 * x * (1 - t * t) * c * (1 + 3 * k * x2)`` with ``1 - t * t``
+    written ``(1 - t) * (1 + t)`` and ``0.5 * x * (1 + t)`` being ``y``.
+    Both come from one tanh in 15 passes, in two output buffers and one
+    scratch: ``s`` holds ``x2``, then ``c + c3k * x2``, then the second term
+    of ``d``; ``y`` holds ``1 - t`` before the output."""
     s = x * x
-    t = s * x
-    t *= 0.044715
-    np.add(x, t, out=t)
-    t *= _GELU_C
+    t = np.multiply(s, _GELU_CK)
+    t += _GELU_C
+    t *= x
     np.tanh(t, out=t)
-    np.multiply(t, t, out=s)
-    np.subtract(1.0, s, out=s)  # sech2
-    y = 0.5 * x
+    s *= _GELU_C3K
+    s += _GELU_C
+    y = np.subtract(1.0, t)
     s *= y
-    s *= _GELU_C
-    np.multiply(x, x, out=y)
-    y *= 3.0 * 0.044715
-    y += 1.0
-    s *= y
-    np.multiply(x, 0.5, out=y)
     t += 1.0
+    np.multiply(x, 0.5, out=y)
     y *= t
+    s *= y
     t *= 0.5
     t += s  # the local derivative
     return y, t

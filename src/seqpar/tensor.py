@@ -6,9 +6,11 @@ float64 by default (float32 opt-in through :func:`resolve_dtype`).
 them; a stack runs item by item, bitwise as per-item calls would.  Kernels
 treat their inputs as immutable and return fresh arrays, which is what makes
 them safe to hand across worker threads, unless the caller passes ``out=``:
-:func:`matmul` and :func:`softmax_rows` then write into that buffer and return
-it, with bitwise the values a fresh call gives.  The one exception is
-:func:`transpose`, which returns a view of its operand for :func:`matmul` to
+:func:`matmul` then writes into that buffer and returns it, with bitwise the
+values a fresh call gives.  :func:`softmax_rows` always writes its
+exponentials into the caller's ``out`` and returns their fresh row sums: the
+normalization is left to the caller, who can apply it to a smaller operand.
+Only :func:`transpose` returns a view of its operand, for :func:`matmul` to
 read.  Kernels do not scan their outputs for NaN/Inf: NaN and Inf propagate
 through every op, so the model checks with :func:`check_finite` once per
 layer boundary instead (see :mod:`seqpar.errors`).
@@ -247,28 +249,28 @@ def transpose(a: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(
-    a: np.ndarray, mask: np.ndarray | None = None, *, out: np.ndarray | None = None
+    a: np.ndarray, mask: np.ndarray | None = None, *, out: np.ndarray
 ) -> np.ndarray:
-    """Row-wise softmax of a 2-D operand or of a 3-D stack of them, with
-    optional boolean keep-mask, into ``out`` if given (which may be ``a``
-    itself).
+    """The unnormalized row-wise softmax of a 2-D operand or of a 3-D stack
+    of them, with optional boolean keep-mask: writes ``exp(a - rowmax)``
+    into ``out`` (which may be ``a`` itself) and returns the (..., rows, 1)
+    row sums of ``out``.  ``out / sums`` is the softmax; callers that scale
+    a (rows, dk) operand instead of the (rows, keys) tile divide nowhere.
 
-    ``mask[..., i, j] == False`` forces entry (i, j) to exactly zero and
-    excludes it from the row's normalization.  The mask has the operand's
+    ``mask[..., i, j] == False`` forces entry (i, j) to exactly +0 and
+    excludes it from the row's maximum and sum.  The mask has the operand's
     shape, or for a stack one (rows, keys) matrix that applies to every item.
     A row with no kept entry has no valid distribution and raises
     :class:`DegenerateRowError`.  The max-subtraction stabilisation keeps
-    exp() in range for any finite input.
+    exp() in range for any finite input, and makes every row's largest kept
+    entry exactly 1, so each sum is at least 1.
     """
     if a.ndim not in (2, 3):
         raise ShapeError(f"softmax_rows expects a 2-D or 3-D operand, got shape {a.shape}")
-    if out is None:
-        out = np.empty_like(a)
     if mask is None:
         np.subtract(a, np.max(a, axis=-1, keepdims=True), out=out)
         np.exp(out, out=out)
-        out /= np.sum(out, axis=-1, keepdims=True)
-        return out
+        return np.sum(out, axis=-1, keepdims=True)
     if mask.shape not in (a.shape, a.shape[-2:]):
         raise ShapeError(f"mask shape {mask.shape} does not match operand {a.shape}")
     if mask.dtype != np.bool_:
@@ -281,12 +283,12 @@ def softmax_rows(
     top = np.max(a, axis=-1, keepdims=True, where=mask, initial=-np.inf)
     # exp(-inf) is exactly 0, but numpy's exp takes a slow path over any array
     # that holds -inf; so the mask zeroes masked entries before exp and again
-    # after.  The output is bitwise what exp(-inf) would give.  The mask is
-    # cast to the operand's dtype once, not once per multiply.
+    # after, which leaves them +0 (exp is positive).  The output is bitwise
+    # what exp(-inf) would give.  The mask is cast to the operand's dtype
+    # once, not once per multiply.
     mask = mask.astype(a.dtype)
     np.subtract(a, top, out=out)
     out *= mask
     np.exp(out, out=out)
     out *= mask
-    out /= np.sum(out, axis=-1, keepdims=True)
-    return out
+    return np.sum(out, axis=-1, keepdims=True)

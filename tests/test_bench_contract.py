@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seqpar import model, runner
+from seqpar import model, runner, tensor
 from seqpar.collectives import Communicator
 from seqpar.grid import GridLayout
 from seqpar.model import ModelConfig
@@ -136,3 +136,30 @@ def test_every_self_time_name_is_reached(spans, engine, workers):
     missing = [name for metric, names in spans.SELF_TIME.items()
                if not metric.startswith("reporting.") for name in names if name not in reached]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
+@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
+def test_scores_fwd_sends_each_tile_through_softmax_rows(spans, monkeypatch, causal, rate):
+    """``tensor.softmax_ms`` is the self time of ``tensor.softmax_rows``, so
+    it measures the score softmax only while ``model.scores_fwd`` looks the
+    kernel up on the module at call time and runs it once per tile, over
+    the whole (blocks, band rows, visible keys) stack."""
+    assert "tensor.softmax_rows" in spans.SELF_TIME["tensor.softmax_ms"]
+    cfg = ModelConfig(embed_dim=16, n_layers=1, n_heads=2, ff_dim=8, vocab=5, seq_len=200,
+                      batch=2, causal=causal)
+    rng = np.random.default_rng(0)
+    q, k, v = (rng.standard_normal((cfg.batch, cfg.seq_len, cfg.embed_dim)) for _ in range(3))
+    calls = []
+    real = tensor.softmax_rows
+
+    def counted(a, mask=None, *, out):
+        calls.append(a.shape)
+        return real(a, mask, out=out)
+
+    monkeypatch.setattr(tensor, "softmax_rows", counted)
+    _, cache = model.scores_fwd(q, k, v, ((0, cfg.seq_len),), cfg,
+                                DropoutPolicy(rate=rate, seed=1), 0)
+    blocks = cfg.batch * cfg.n_heads
+    assert len(cache.tiles) == (4 if causal else 1)
+    assert calls == [(blocks, r1 - r0, visible) for r0, r1, visible, _ in cache.tiles]

@@ -279,8 +279,10 @@ def test_cached_score_bytes_match_estimate(tiny_cfg, rng, engine, replicas, work
                         lr=0.1, policy=DropoutPolicy(rate=dropout, seed=5))
     est = estimate(cfg, workers, engine, replicas=replicas)
     itemsize = 8 if precision == "double" else 4
-    assert est.score_cache_bytes == (cfg.n_layers * est.score_elements_peak
-                                     * (itemsize + (1 if dropout else 0)))
+    rows = cfg.seq_len // workers if engine in ("sharded", "hybrid") else cfg.seq_len
+    assert est.score_cache_bytes == cfg.n_layers * (
+        est.score_elements_peak * (itemsize + (1 if dropout else 0))
+        + cfg.batch * cfg.n_heads * rows * itemsize)
     for rank, counters in enumerate(run.counters):
         # the baseline's rank 0 runs every sublayer, the others hold no scores
         want = 0 if engine == "baseline" and rank > 0 else est.score_cache_bytes

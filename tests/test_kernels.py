@@ -5,8 +5,10 @@ and scratch buffers.  The references below are the plain numpy expressions
 those kernels replace; the kernels must match them bit for bit, on both
 precisions and on edge shapes, and must leave every input byte unchanged.
 The grouped attention-score kernels are held to the per-block loop they
-replace the same way, and within rounding to the loop's row-sum form of the
-softmax backward.  A last set of tests bounds each elementwise kernel's
+replace the same way, and within rounding to the normalized softmax formula
+they defer: weights divided by their row sums on every tile, the score scale
+and the dropout keep scale on the tile, and the row-sum form of the softmax
+backward.  A last set of tests bounds each elementwise kernel's
 peak allocation, so a later edit that brings temporaries back fails here.
 """
 
@@ -15,6 +17,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqpar import model, nnops, optim, tensor
 from seqpar.model import ModelConfig
@@ -23,22 +27,24 @@ from seqpar.nnops import DropoutPolicy, LinearParams
 SHAPES = [(1, 7), (9, 1), (5, 13), (33, 17), (512, 256)]
 DTYPES = [np.float64, np.float32]
 C = math.sqrt(2.0 / math.pi)
+CK = C * 0.044715
+C3K = 3.0 * CK
 
 
 # --- references: the plain expressions the kernels replace ---
 
 
 def ref_gelu_fwd(x):
-    inner = C * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    x2 = x * x
+    t = np.tanh(x * (C + CK * x2))
+    return 0.5 * x * (1.0 + t)
 
 
 def ref_gelu_bwd(x, grad_y):
     x2 = x * x
-    inner = C * (x + 0.044715 * (x2 * x))
-    t = np.tanh(inner)
-    sech2 = 1.0 - t * t
-    local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x2)
+    t = np.tanh(x * (C + CK * x2))
+    y = 0.5 * x * (1.0 + t)
+    local = 0.5 * (1.0 + t) + (C + C3K * x2) * (1.0 - t) * y
     return grad_y * local
 
 
@@ -94,164 +100,144 @@ def ref_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
+def ref_row_factor(inv, policy):
+    """What a context row is scaled by: its reciprocal row sum, times the
+    keep scale with dropout."""
+    return inv * nnops.keep_scale(policy, inv.dtype) if policy.active else inv
+
+
+def ref_block_fwd(q, k, v, mask, e, kept, row_keys, policy):
+    """The deferred forward of one block's band, from scaled queries: its
+    exponentials into ``e``, its keep mask into ``kept`` (None without
+    dropout); returns (context, reciprocal row sums)."""
+    s = tensor.matmul(q, k.T)
+    inv = 1.0 / tensor.softmax_rows(s, mask, out=e)
+    pv = e
+    if kept is not None:
+        nnops.keep_mask(policy, row_keys, k.shape[0], out=kept)
+        pv = e * kept
+    return tensor.matmul(pv, v) * ref_row_factor(inv, policy), inv
+
+
+def ref_block_bwd(e, kept, inv, policy, q, k, v, ctx, grad_ctx):
+    """The deferred backward of one block's band: (query, key, value)
+    gradients from its exponentials ``e``, keep mask ``kept`` (None without
+    dropout), reciprocal row sums and its (rows, dk) scaled queries, keys,
+    values, context and context gradient.  The row factors sit on ``g =
+    grad_ctx * c`` and ``d = (grad_ctx . ctx) / s``, and the weight
+    gradients are ``e * (keep * g V^T - d)``; the query gradient is taken
+    through the score scale back to the unscaled queries."""
+    g = grad_ctx * ref_row_factor(inv, policy)
+    d = np.sum(grad_ctx * ctx, axis=1, keepdims=True) * inv
+    pv = e if kept is None else e * kept
+    grad_v = tensor.matmul(pv.T, g)
+    grad_s = tensor.matmul(g, v.T)
+    if kept is not None:
+        grad_s *= kept
+    grad_s -= d
+    grad_s *= e
+    scale = 1.0 / math.sqrt(q.shape[1])
+    return tensor.matmul(grad_s, k) * scale, tensor.matmul(grad_s.T, q), grad_v
+
+
 def ref_scores_fwd(q, k, v, offset, cfg, policy, layer):
-    """Attention scores one (sample, head) block at a time, every keep-mask
-    entry hashed: (ctx, weight stack, keep stack or None)."""
+    """Attention scores of scaled queries one (sample, head) block at a
+    time, every keep-mask entry hashed, each row's normalization left to
+    its context: (ctx, exponential stack, keep stack or None, reciprocal row
+    sums)."""
     bsz, m, _ = q.shape
     t, dk = k.shape[1], cfg.head_dim
     counters = tensor.active_counters()
-    scale = 1.0 / math.sqrt(dk)
     q_pos = np.arange(offset, offset + m, dtype=np.int64)
     mask = np.arange(t)[None, :] <= q_pos[:, None] if cfg.causal else None
     blocks = bsz * cfg.n_heads
-    weights = np.empty((blocks, m, t), q.dtype)
+    exps = np.empty((blocks, m, t), q.dtype)
+    inv = np.empty((blocks, m, 1), q.dtype)
     keep = np.empty((blocks, m, t), np.bool_) if policy.active else None
-    work = np.empty((m, t), q.dtype)
     ctx = np.empty_like(q)
     for b in range(bsz):
         for h in range(cfg.n_heads):
             i = b * cfg.n_heads + h
             cols = slice(h * dk, (h + 1) * dk)
-            s = tensor.matmul(q[b, :, cols], k[b, :, cols].T, out=work)
-            s *= scale
+            row_keys = nnops.score_row_keys(policy, layer, b, h, q_pos)
+            ctx[b, :, cols], inv[i] = ref_block_fwd(
+                q[b, :, cols], k[b, :, cols], v[b, :, cols], mask, exps[i],
+                None if keep is None else keep[i], row_keys, policy)
             if counters is not None:
-                counters.add_score_flops(m, dk, t)
-            aw_d = aw = tensor.softmax_rows(s, mask, out=weights[i])
-            if keep is not None:
-                row_keys = nnops.score_row_keys(policy, layer, b, h, q_pos)
-                nnops.keep_mask(policy, row_keys, t, out=keep[i])
-                aw_d = nnops.scaled_mask(policy, keep[i], aw.dtype, out=work)
-                aw_d *= aw
-            ctx[b, :, cols] = tensor.matmul(aw_d, v[b, :, cols])
-            if counters is not None:
-                counters.add_score_flops(m, t, dk)
+                counters.add_score_flops(2 * m, dk, t)
     if counters is not None:
         counters.record_score_footprint(blocks * m * t)
-        counters.add_score_cache(weights.nbytes + (0 if keep is None else keep.nbytes))
-    return ctx, weights, keep
+        counters.add_score_cache(exps.nbytes + inv.nbytes + (0 if keep is None else keep.nbytes))
+    return ctx, exps, keep, inv
 
 
-def ref_softmax_bwd(grad_aw, aw, q, k, scale, d):
-    """The softmax backward of one block's (rows, keys) weight gradients, in
-    place, then its query and key gradient products.  With ``d``, the
-    (rows, 1) sums of ``grad_ctx * ctx`` over the block's head, it is the
-    kernels' form: ``aw * (grad_aw - d)``, the scale on the (rows, dk)
-    products.  With ``d`` None it is the form first written: ``aw *
-    (grad_aw - rowsum(grad_aw * aw))``, scaled on the block."""
-    if d is None:
-        grad_aw -= np.sum(grad_aw * aw, axis=1, keepdims=True)
-        grad_aw *= aw
-        grad_aw *= scale
-        return tensor.matmul(grad_aw, k), tensor.matmul(grad_aw.T, q)
-    grad_aw -= d
-    grad_aw *= aw
-    return tensor.matmul(grad_aw, k) * scale, tensor.matmul(grad_aw.T, q * scale)
-
-
-def ref_scores_bwd(weights, keep, q, k, v, ctx, grad_ctx, cfg, policy):
-    """Backward of :func:`ref_scores_fwd`, one block at a time; the softmax
-    backward's row sums from the forward's ``ctx``, or from the weights when
-    ``ctx`` is None (see :func:`ref_softmax_bwd`)."""
-    bsz, m, _ = q.shape
-    t, dk = k.shape[1], cfg.head_dim
-    scale = 1.0 / math.sqrt(dk)
+def ref_scores_bwd(exps, keep, inv, q, k, v, ctx, grad_ctx, cfg, policy):
+    """Backward of :func:`ref_scores_fwd`, one block at a time."""
+    dk = cfg.head_dim
     grad_q, grad_k, grad_v = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-    dt = weights.dtype
-    work = np.empty((m, t), dt)
-    for b in range(bsz):
+    for b in range(q.shape[0]):
         for h in range(cfg.n_heads):
             i = b * cfg.n_heads + h
             cols = slice(h * dk, (h + 1) * dk)
-            aw, g_ctx = weights[i], grad_ctx[b, :, cols]
-            aw_d = aw
-            if keep is not None:
-                aw_d = nnops.scaled_mask(policy, keep[i], dt, out=work)
-                aw_d *= aw
-            grad_v[b, :, cols] = tensor.matmul(aw_d.T, g_ctx)
-            grad_aw = tensor.matmul(g_ctx, v[b, :, cols].T, out=work)
-            if keep is not None:
-                grad_aw *= keep[i]
-                grad_aw *= nnops.keep_scale(policy, dt)
-            d = None if ctx is None else np.sum(g_ctx * ctx[b, :, cols], axis=1, keepdims=True)
-            grad_q[b, :, cols], grad_k[b, :, cols] = ref_softmax_bwd(
-                grad_aw, aw, q[b, :, cols], k[b, :, cols], scale, d)
+            grad_q[b, :, cols], grad_k[b, :, cols], grad_v[b, :, cols] = ref_block_bwd(
+                exps[i], None if keep is None else keep[i], inv[i], policy, q[b, :, cols],
+                k[b, :, cols], v[b, :, cols], ctx[b, :, cols], grad_ctx[b, :, cols])
     return grad_q, grad_k, grad_v
 
 
 def ref_banded_scores_fwd(q, k, v, offset, cfg, policy, layer):
-    """Attention scores one (sample, head) block and one band of
+    """:func:`ref_scores_fwd` one (sample, head) block and one band of
     :func:`model.score_bands` at a time, against the keys the band's last
     row sees, every keep-mask entry of the band hashed: (ctx, per band a
-    (blocks, band rows, visible keys) weight array, the same of keep masks
-    or None)."""
+    (blocks, band rows, visible keys) exponential array, the same of keep
+    masks or None, the (blocks, rows, 1) reciprocal row sums)."""
     bsz, m, _ = q.shape
     t, dk = k.shape[1], cfg.head_dim
     counters = tensor.active_counters()
-    scale = 1.0 / math.sqrt(dk)
     q_pos = np.arange(offset, offset + m, dtype=np.int64)
     blocks = bsz * cfg.n_heads
     bands = model.score_bands(((offset, offset + m),), t, cfg.causal)
-    weights = [np.empty((blocks, r1 - r0, vis), q.dtype) for r0, r1, vis in bands]
-    keep = [np.empty(w.shape, np.bool_) for w in weights] if policy.active else None
+    exps = [np.empty((blocks, r1 - r0, vis), q.dtype) for r0, r1, vis in bands]
+    keep = [np.empty(e.shape, np.bool_) for e in exps] if policy.active else None
+    inv = np.empty((blocks, m, 1), q.dtype)
     ctx = np.empty_like(q)
     for n, (r0, r1, vis) in enumerate(bands):
         mask = np.arange(vis)[None, :] <= q_pos[r0:r1, None] if cfg.causal else None
-        work = np.empty((r1 - r0, vis), q.dtype)
         for b in range(bsz):
             for h in range(cfg.n_heads):
                 i = b * cfg.n_heads + h
                 cols = slice(h * dk, (h + 1) * dk)
-                s = tensor.matmul(q[b, r0:r1, cols], k[b, :vis, cols].T, out=work)
-                s *= scale
+                row_keys = nnops.score_row_keys(policy, layer, b, h, q_pos[r0:r1])
+                ctx[b, r0:r1, cols], inv[i, r0:r1] = ref_block_fwd(
+                    q[b, r0:r1, cols], k[b, :vis, cols], v[b, :vis, cols], mask, exps[n][i],
+                    None if keep is None else keep[n][i], row_keys, policy)
                 if counters is not None:
-                    counters.add_score_flops(r1 - r0, dk, vis)
-                aw_d = aw = tensor.softmax_rows(s, mask, out=weights[n][i])
-                if keep is not None:
-                    row_keys = nnops.score_row_keys(policy, layer, b, h, q_pos[r0:r1])
-                    nnops.keep_mask(policy, row_keys, vis, out=keep[n][i])
-                    aw_d = nnops.scaled_mask(policy, keep[n][i], aw.dtype, out=work)
-                    aw_d *= aw
-                ctx[b, r0:r1, cols] = tensor.matmul(aw_d, v[b, :vis, cols])
-                if counters is not None:
-                    counters.add_score_flops(r1 - r0, vis, dk)
+                    counters.add_score_flops(2 * (r1 - r0), dk, vis)
     if counters is not None:
         counters.record_score_footprint(blocks * m * t)
-        counters.add_score_cache(blocks * m * t * (q.dtype.itemsize + (keep is not None)))
-    return ctx, weights, keep
+        counters.add_score_cache(blocks * m * t * (q.dtype.itemsize + (keep is not None))
+                                 + inv.nbytes)
+    return ctx, exps, keep, inv
 
 
-def ref_banded_scores_bwd(weights, keep, q, k, v, offset, ctx, grad_ctx, cfg, policy):
+def ref_banded_scores_bwd(exps, keep, inv, q, k, v, offset, ctx, grad_ctx, cfg, policy):
     """Backward of :func:`ref_banded_scores_fwd`, one block and band at a
     time, from the widest band to the narrowest: the widest writes the key
     and value gradient rows it sees, the narrower ones add into theirs, and
-    rows no band sees are zero.  ``ctx`` as for :func:`ref_scores_bwd`."""
-    bsz, m, _ = q.shape
-    t, dk = k.shape[1], cfg.head_dim
-    scale = 1.0 / math.sqrt(dk)
+    rows no band sees are zero."""
+    m, t, dk = q.shape[1], k.shape[1], cfg.head_dim
     bands = model.score_bands(((offset, offset + m),), t, cfg.causal)
     grad_q, grad_k, grad_v = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-    dt = q.dtype
     for n in reversed(range(len(bands))):
         r0, r1, vis = bands[n]
-        work = np.empty((r1 - r0, vis), dt)
-        for b in range(bsz):
+        for b in range(q.shape[0]):
             for h in range(cfg.n_heads):
                 i = b * cfg.n_heads + h
                 cols = slice(h * dk, (h + 1) * dk)
-                aw, g_ctx = weights[n][i], grad_ctx[b, r0:r1, cols]
-                aw_d = aw
-                if keep is not None:
-                    aw_d = nnops.scaled_mask(policy, keep[n][i], dt, out=work)
-                    aw_d *= aw
-                gv = tensor.matmul(aw_d.T, g_ctx)
-                grad_aw = tensor.matmul(g_ctx, v[b, :vis, cols].T, out=work)
-                if keep is not None:
-                    grad_aw *= keep[n][i]
-                    grad_aw *= nnops.keep_scale(policy, dt)
-                d = (None if ctx is None
-                     else np.sum(g_ctx * ctx[b, r0:r1, cols], axis=1, keepdims=True))
-                grad_q[b, r0:r1, cols], gk = ref_softmax_bwd(
-                    grad_aw, aw, q[b, r0:r1, cols], k[b, :vis, cols], scale, d)
+                grad_q[b, r0:r1, cols], gk, gv = ref_block_bwd(
+                    exps[n][i], None if keep is None else keep[n][i], inv[i, r0:r1], policy,
+                    q[b, r0:r1, cols], k[b, :vis, cols], v[b, :vis, cols],
+                    ctx[b, r0:r1, cols], grad_ctx[b, r0:r1, cols])
                 if n == len(bands) - 1:
                     grad_v[b, :vis, cols] = gv
                     grad_k[b, :vis, cols] = gk
@@ -259,6 +245,38 @@ def ref_banded_scores_bwd(weights, keep, q, k, v, offset, ctx, grad_ctx, cfg, po
                     grad_v[b, :vis, cols] += gv
                     grad_k[b, :vis, cols] += gk
     return grad_q, grad_k, grad_v
+
+
+def normalized_scores(q, k, v, offset, cfg, policy, layer, grad_ctx):
+    """The formula the kernels defer, one dense (sample, head) block at a
+    time, from unscaled queries: the score scale and the dropout keep scale
+    on every (rows, keys) block, the weights normalized by their row sums,
+    and the softmax backward's row sums taken from the weights.  Returns the
+    context and the (query, key, value) gradients."""
+    bsz, m, _ = q.shape
+    t, dk = k.shape[1], cfg.head_dim
+    scale = 1.0 / math.sqrt(dk)
+    q_pos = np.arange(offset, offset + m, dtype=np.int64)
+    visible = np.arange(t)[None, :] <= q_pos[:, None] if cfg.causal else np.ones((m, t), bool)
+    ctx, grad_q, grad_k, grad_v = (np.empty_like(a) for a in (q, q, k, v))
+    for b in range(bsz):
+        for h in range(cfg.n_heads):
+            cols = slice(h * dk, (h + 1) * dk)
+            qb, kb, vb, gb = q[b, :, cols], k[b, :, cols], v[b, :, cols], grad_ctx[b, :, cols]
+            s = np.where(visible, (qb @ kb.T) * scale, -np.inf)
+            aw = np.exp(s - s.max(axis=1, keepdims=True))
+            aw /= aw.sum(axis=1, keepdims=True)
+            drop = np.ones_like(aw)
+            if policy.active:
+                row_keys = nnops.score_row_keys(policy, layer, b, h, q_pos)
+                drop = nnops.scaled_mask(policy, nnops.keep_mask(policy, row_keys, t), aw.dtype)
+            ctx[b, :, cols] = (aw * drop) @ vb
+            grad_v[b, :, cols] = (aw * drop).T @ gb
+            grad_aw = (gb @ vb.T) * drop
+            grad_s = aw * (grad_aw - np.sum(grad_aw * aw, axis=1, keepdims=True)) * scale
+            grad_q[b, :, cols] = grad_s @ kb
+            grad_k[b, :, cols] = grad_s.T @ qb
+    return ctx, grad_q, grad_k, grad_v
 
 
 # --- helpers ---
@@ -467,27 +485,31 @@ def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causa
     want_counters, got_counters = tensor.StepCounters(), tensor.StepCounters()
     with tensor.counting(want_counters):
         if causal:
-            want_ctx, want_w, want_keep = ref_banded_scores_fwd(q, k, v, offset, cfg, policy, 3)
-            want_grads = ref_banded_scores_bwd(want_w, want_keep, q, k, v, offset, want_ctx,
-                                               grad_ctx, cfg, policy)
+            want_ctx, want_e, want_keep, want_inv = ref_banded_scores_fwd(q, k, v, offset, cfg,
+                                                                          policy, 3)
+            want_grads = ref_banded_scores_bwd(want_e, want_keep, want_inv, q, k, v, offset,
+                                               want_ctx, grad_ctx, cfg, policy)
         else:
-            want_ctx, dense_w, dense_keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
-            want_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, want_ctx, grad_ctx, cfg,
-                                        policy)
-            want_w, want_keep = [dense_w], None if dense_keep is None else [dense_keep]
+            want_ctx, dense_e, dense_keep, want_inv = ref_scores_fwd(q, k, v, offset, cfg,
+                                                                     policy, 3)
+            want_grads = ref_scores_bwd(dense_e, dense_keep, want_inv, q, k, v, want_ctx,
+                                        grad_ctx, cfg, policy)
+            want_e, want_keep = [dense_e], None if dense_keep is None else [dense_keep]
     with tensor.recycling(), tensor.counting(got_counters):
         ctx, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, 3)
-        ctx_frozen = Frozen(ctx)  # the backward reads it, as it reads q at batch 1
+        ctx_frozen = Frozen(ctx)
         blocks = bsz * cfg.n_heads
-        assert cache.nbytes == blocks * m * t * (cfg.dtype.itemsize + (1 if rate else 0))
-        want_packed = packed(want_w)
-        assert_bitwise(cache.weights.reshape(-1)[: want_packed.size], want_packed)
+        itemsize = cfg.dtype.itemsize
+        assert cache.nbytes == blocks * m * (t * (itemsize + (1 if rate else 0)) + itemsize)
+        want_packed = packed(want_e)
+        assert_bitwise(cache.exps.reshape(-1)[: want_packed.size], want_packed)
+        assert_bitwise(cache.inv_sums, want_inv)
         if want_keep is None:
             assert cache.keep is None
         else:
             want_packed = packed(want_keep)
             assert_bitwise(cache.keep.reshape(-1)[: want_packed.size], want_packed)
-        grads = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+        grads = model.scores_bwd(cache, q, k, v, ctx, grad_ctx, cfg, policy)
     assert_bitwise(ctx, want_ctx)
     for got, want in zip(grads, want_grads):
         assert_bitwise(got, want)
@@ -496,29 +518,60 @@ def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causa
     ctx_frozen.check()
 
 
+def deferred_against_normalized(cfg, policy, q, k, v, offset, grad_ctx):
+    """The kernels' (context, query, key and value gradients) from the
+    scaled queries against :func:`normalized_scores` from the unscaled
+    ones, as pairs."""
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    rows = ((offset, offset + q.shape[1]),)
+    ctx, cache = model.scores_fwd(q * scale, k, v, rows, cfg, policy, 3)
+    grad_q, grad_k, grad_v = model.scores_bwd(cache, q * scale, k, v, ctx, grad_ctx, cfg, policy)
+    want = normalized_scores(q, k, v, offset, cfg, policy, 3, grad_ctx)
+    return zip((ctx, grad_q, grad_k, grad_v), want)
+
+
 @pytest.mark.parametrize("shape", list(SCORE_SHAPES))
 @pytest.mark.parametrize("precision", ["double", "single"])
 @pytest.mark.parametrize("causal", [True, False], ids=["causal", "full"])
 @pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
-def test_scores_bwd_matches_the_row_sum_softmax_backward(shape, precision, causal, rate):
-    """The kernel reads each row's sum of ``grad_aw * aw`` as ``grad_ctx .
-    ctx`` from the forward's output.  That is an identity of the exact
-    values, not of their rounding, so the gradients agree with the per-block
-    loop that sums the weights' rows to ``64 * eps`` of each gradient's
-    largest entry."""
+def test_scores_match_the_normalized_formula_within_rounding(shape, precision, causal, rate):
+    """Deferring the normalization, the score scale and the keep scale to
+    (rows, dk) operands, and reading the softmax backward's row sums as
+    ``grad_ctx . ctx``, are identities of the exact values, not of their
+    rounding; so the context and the gradients agree with the normalized
+    formula, whose row sums come from the weights, to ``64 * eps`` of each
+    array's largest entry."""
     cfg, policy, q, k, v, offset, grad_ctx = score_case(shape, precision, causal, rate)
-    if causal:
-        _, weights, keep = ref_banded_scores_fwd(q, k, v, offset, cfg, policy, 3)
-        want = ref_banded_scores_bwd(weights, keep, q, k, v, offset, None, grad_ctx, cfg, policy)
-    else:
-        _, weights, keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
-        want = ref_scores_bwd(weights, keep, q, k, v, None, grad_ctx, cfg, policy)
-    _, cache = model.scores_fwd(q, k, v, ((offset, offset + q.shape[1]),), cfg, policy, 3)
-    got = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
     tol = 64 * np.finfo(cfg.dtype).eps
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert np.abs(g - w).max() <= tol * np.abs(w).max()
+    for got, want in deferred_against_normalized(cfg, policy, q, k, v, offset, grad_ctx):
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(bsz=st.integers(1, 2), heads=st.integers(1, 3), dk=st.integers(1, 8),
+       m=st.integers(1, 150), extra=st.integers(0, 80), at=st.floats(0, 1),
+       causal=st.booleans(), rate=st.sampled_from([0.0, 0.1]),
+       precision=st.sampled_from(["double", "single"]), seed=st.integers(0, 2**16))
+def test_deferred_scores_match_the_normalized_formula_property(bsz, heads, dk, m, extra, at,
+                                                               causal, rate, precision, seed):
+    """:func:`test_scores_match_the_normalized_formula_within_rounding` over
+    drawn shapes: ``m`` rows at an offset inside ``m + extra`` keys.  A row
+    that sees one key has a query gradient of exactly zero, which the two
+    forms round to zero differently, so the bound is relative to each
+    array's largest entry or to 1, the scale of the drawn inputs."""
+    t = m + extra
+    offset = round(at * extra)
+    cfg = ModelConfig(embed_dim=dk * heads, n_layers=1, n_heads=heads, ff_dim=8, vocab=5,
+                      seq_len=t, batch=bsz, causal=causal, precision=precision)
+    policy = DropoutPolicy(rate=rate, seed=11)
+    rng = np.random.default_rng(seed)
+    q, grad_ctx = (rand(rng, (bsz, m, cfg.embed_dim), cfg.dtype) for _ in range(2))
+    k, v = (rand(rng, (bsz, t, cfg.embed_dim), cfg.dtype) for _ in range(2))
+    tol = 64 * np.finfo(cfg.dtype).eps
+    for got, want in deferred_against_normalized(cfg, policy, q, k, v, offset, grad_ctx):
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= tol * max(np.abs(want).max(), 1.0)
 
 
 @pytest.mark.parametrize("shape", list(SCORE_SHAPES))
@@ -529,20 +582,21 @@ def test_banded_loop_matches_the_dense_loop_within_rounding(shape, precision, ra
     order of its products, so outputs agree to ``keys * eps`` relative to
     each array's largest entry: the rounding bound of a dot product over
     ``keys`` terms.  Keep masks agree bit for bit on each band's keys, and
-    the dense weights past them are exactly zero."""
+    the dense exponentials past them are exactly zero."""
     cfg, policy, q, k, v, offset, grad_ctx = score_case(shape, precision, True, rate)
     t = k.shape[1]
     tol = t * np.finfo(cfg.dtype).eps
-    ctx, weights, keep = ref_banded_scores_fwd(q, k, v, offset, cfg, policy, 3)
-    grads = ref_banded_scores_bwd(weights, keep, q, k, v, offset, ctx, grad_ctx, cfg, policy)
-    dense_ctx, dense_w, dense_keep = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
-    dense_grads = ref_scores_bwd(dense_w, dense_keep, q, k, v, dense_ctx, grad_ctx, cfg, policy)
+    ctx, exps, keep, inv = ref_banded_scores_fwd(q, k, v, offset, cfg, policy, 3)
+    grads = ref_banded_scores_bwd(exps, keep, inv, q, k, v, offset, ctx, grad_ctx, cfg, policy)
+    dense_ctx, dense_e, dense_keep, dense_inv = ref_scores_fwd(q, k, v, offset, cfg, policy, 3)
+    dense_grads = ref_scores_bwd(dense_e, dense_keep, dense_inv, q, k, v, dense_ctx, grad_ctx,
+                                 cfg, policy)
     for n, (r0, r1, vis) in enumerate(model.score_bands(((offset, offset + q.shape[1]),), t, True)):
-        assert np.abs(weights[n] - dense_w[:, r0:r1, :vis]).max() <= tol
-        assert not dense_w[:, r0:r1, vis:].any()
+        assert np.abs(exps[n] - dense_e[:, r0:r1, :vis]).max() <= tol
+        assert not dense_e[:, r0:r1, vis:].any()
         if keep is not None:
             assert_bitwise(keep[n], dense_keep[:, r0:r1, :vis])
-    for got, want in zip((ctx, *grads), (dense_ctx, *dense_grads)):
+    for got, want in zip((inv, ctx, *grads), (dense_inv, dense_ctx, *dense_grads)):
         assert got.dtype == want.dtype
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
 

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,7 +42,7 @@ def attention_oracle(q, k, v, offset, cfg):
 
 
 def unpack(cache, stack):
-    """A score cache's ``stack`` (its weights or keep masks) as one dense
+    """A score cache's ``stack`` (its exponentials or keep masks) as one dense
     (rows, keys) array per (sample, head) block, zero past each band's
     visible keys: each band's (blocks, band rows, visible keys) entries lie
     at its tile's start, one tile after another from the front of the stack."""
@@ -54,6 +54,17 @@ def unpack(cache, stack):
         dense[:, r0:r1, :visible] = flat[pos : pos + n].reshape(blocks, r1 - r0, visible)
         pos += n
     return list(dense)
+
+
+def unpack_weights(cache):
+    """A score cache's softmax weights, per block as :func:`unpack` gives:
+    the exponentials times their rows' reciprocal sums."""
+    return [e * inv for e, inv in zip(unpack(cache, cache.exps), cache.inv_sums)]
+
+
+def scaled(q, cfg):
+    """Queries as the score kernels take them: times ``1/sqrt(dk)``."""
+    return q * (1.0 / math.sqrt(cfg.head_dim))
 
 
 # --- config and init ---
@@ -206,7 +217,7 @@ def test_scores_match_naive_oracle(rng):
     q = rng.standard_normal((2, 6, 12))
     k = rng.standard_normal((2, 6, 12))
     v = rng.standard_normal((2, 6, 12))
-    ctx, _ = model.scores_fwd(q, k, v, ((0, 6),), cfg, OFF, layer=0)
+    ctx, _ = model.scores_fwd(scaled(q, cfg), k, v, ((0, 6),), cfg, OFF, layer=0)
     np.testing.assert_allclose(ctx, attention_oracle(q, k, v, 0, cfg), rtol=1e-12, atol=1e-12)
 
 
@@ -215,7 +226,7 @@ def test_scores_match_oracle_with_offset_block(rng):
     q = rng.standard_normal((1, 2, 8))  # rows at global positions 2, 3
     k = rng.standard_normal((1, 6, 8))
     v = rng.standard_normal((1, 6, 8))
-    ctx, _ = model.scores_fwd(q, k, v, ((2, 4),), cfg, OFF, layer=0)
+    ctx, _ = model.scores_fwd(scaled(q, cfg), k, v, ((2, 4),), cfg, OFF, layer=0)
     np.testing.assert_allclose(ctx, attention_oracle(q, k, v, 2, cfg), rtol=1e-12, atol=1e-12)
 
 
@@ -270,7 +281,7 @@ def test_zero_scores_give_uniform_causal_rows():
     v = np.zeros((1, t, 4))
     _, cache = model.scores_fwd(q, k, v, ((0, t),), cfg, OFF, layer=0)
     assert len({tile[:3] for tile in cache.tiles}) == 3
-    aw = unpack(cache, cache.weights)[0]
+    aw = unpack_weights(cache)[0]
     for i in range(t):
         np.testing.assert_allclose(aw[i, : i + 1], np.full(i + 1, 1 / (i + 1)), atol=1e-15)
         np.testing.assert_array_equal(aw[i, i + 1 :], np.zeros(t - i - 1))
@@ -282,7 +293,7 @@ def test_single_row_attention_is_identity_weight():
     q = rng.standard_normal((1, 1, 4))
     v = rng.standard_normal((1, 1, 4))
     ctx, cache = model.scores_fwd(q, q, v, ((0, 1),), cfg, OFF, layer=0)
-    aw = unpack(cache, cache.weights)[0]
+    aw = unpack_weights(cache)[0]
     np.testing.assert_array_equal(aw, np.array([[1.0]]))
     np.testing.assert_allclose(ctx, v, rtol=1e-15)
 
@@ -295,7 +306,7 @@ def test_attention_rows_sum_to_one(rng):
     k = rng.standard_normal((2, t, 8))
     v = rng.standard_normal((2, t, 8))
     _, cache = model.scores_fwd(q, k, v, ((0, t),), cfg, OFF, layer=0)
-    for aw in unpack(cache, cache.weights):
+    for aw in unpack_weights(cache):
         np.testing.assert_allclose(np.sum(aw, axis=1), np.ones(t), atol=1e-12)
 
 
@@ -314,27 +325,31 @@ def test_score_counters_track_shapes(rng):
 
 
 def scores_bwd_with_dropped_copy(attn, q, k, v, ctx, grad_ctx, cfg, policy):
-    """Score backward from a cache that also kept the dropped weights: per
-    (sample, head) block ``(aw, aw_dropped, keep)``.  The softmax backward's
-    row sums are ``grad_ctx . ctx`` over each head, as the kernel reads
-    them, and the scale goes on the (rows, dk) products."""
+    """Score backward from a cache that also kept the dropped exponentials:
+    per (sample, head) block ``(e, e_dropped, keep, inv)``, ``inv`` the rows'
+    reciprocal sums.  The rows' factors go on the context gradient, ``g =
+    grad_ctx * inv`` (times the keep scale with dropout), and on the
+    softmax backward's row sums ``grad_ctx . ctx`` over each head, as the
+    kernel applies them; the query gradient takes the score scale."""
     bsz = q.shape[0]
     dk = cfg.head_dim
-    scale = 1.0 / np.sqrt(dk)
     grad_q, grad_k, grad_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
     blocks = iter(attn)
     for b in range(bsz):
         for h in range(cfg.n_heads):
             cols = slice(h * dk, (h + 1) * dk)
-            aw, aw_d, keep = next(blocks)
+            e, e_d, keep, inv = next(blocks)
             g_ctx = grad_ctx[b, :, cols]
-            grad_aw_d = tensor.matmul(g_ctx, tensor.transpose(v[b, :, cols]))
-            grad_v[b, :, cols] = tensor.matmul(tensor.transpose(aw_d), g_ctx)
-            grad_aw = grad_aw_d if keep is None else nnops.apply_mask(grad_aw_d, policy, keep)
-            d = np.sum(g_ctx * ctx[b, :, cols], axis=1, keepdims=True)
-            grad_s = aw * (grad_aw - d)
-            grad_q[b, :, cols] = tensor.matmul(grad_s, k[b, :, cols]) * scale
-            grad_k[b, :, cols] = tensor.matmul(tensor.transpose(grad_s), q[b, :, cols] * scale)
+            factor = inv if keep is None else inv * nnops.keep_scale(policy, inv.dtype)
+            g = g_ctx * factor
+            grad_v[b, :, cols] = tensor.matmul(tensor.transpose(e_d), g)
+            grad_e = tensor.matmul(g, tensor.transpose(v[b, :, cols]))
+            if keep is not None:
+                grad_e = grad_e * keep
+            d = np.sum(g_ctx * ctx[b, :, cols], axis=1, keepdims=True) * inv
+            grad_s = (grad_e - d) * e
+            grad_q[b, :, cols] = tensor.matmul(grad_s, k[b, :, cols]) * (1.0 / math.sqrt(dk))
+            grad_k[b, :, cols] = tensor.matmul(tensor.transpose(grad_s), q[b, :, cols])
     return grad_q, grad_k, grad_v
 
 
@@ -342,7 +357,7 @@ def scores_bwd_with_dropped_copy(attn, q, k, v, ctx, grad_ctx, cfg, policy):
 @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no-dropout", "dropout"])
 @pytest.mark.parametrize("offset", [0, 4])
 def test_scores_bwd_bitwise_matches_a_cache_of_dropped_weights(rng, causal, rate, offset):
-    """Rebuilding the dropped weights in backward changes no bit of the
+    """Rebuilding the dropped exponentials in backward changes no bit of the
     gradients against a backward that kept them."""
     cfg = ModelConfig(embed_dim=12, n_layers=1, n_heads=3, ff_dim=8, vocab=11, seq_len=8,
                       batch=2, causal=causal)
@@ -354,11 +369,11 @@ def test_scores_bwd_bitwise_matches_a_cache_of_dropped_weights(rng, causal, rate
     grad_ctx = rng.standard_normal((2, m, 12))
     ctx, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, layer=1)
     assert (cache.keep is None) == (rate == 0.0)
-    weights = unpack(cache, cache.weights)
-    keeps = [None] * len(weights) if cache.keep is None else unpack(cache, cache.keep)
-    attn = [(aw, aw if keep is None else nnops.apply_mask(aw, policy, keep), keep)
-            for aw, keep in zip(weights, keeps)]
-    got = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+    exps = unpack(cache, cache.exps)
+    keeps = [None] * len(exps) if cache.keep is None else unpack(cache, cache.keep)
+    attn = [(e, e if keep is None else e * keep, keep, inv)
+            for e, keep, inv in zip(exps, keeps, cache.inv_sums.copy())]
+    got = model.scores_bwd(cache, q, k, v, ctx, grad_ctx, cfg, policy)
     want = scores_bwd_with_dropped_copy(attn, q, k, v, ctx, grad_ctx, cfg, policy)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
@@ -366,7 +381,7 @@ def test_scores_bwd_bitwise_matches_a_cache_of_dropped_weights(rng, causal, rate
 
 @pytest.mark.parametrize("precision", ["double", "single"])
 @pytest.mark.parametrize("rate", [0.0, 0.25])
-def test_score_cache_keeps_weights_and_keep_mask_only(rng, precision, rate):
+def test_score_cache_keeps_exponentials_keep_mask_and_reciprocals_only(rng, precision, rate):
     cfg = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, ff_dim=8, vocab=5, seq_len=6,
                       batch=3, precision=precision)
     dt = cfg.dtype
@@ -375,12 +390,14 @@ def test_score_cache_keeps_weights_and_keep_mask_only(rng, precision, rate):
     with tensor.counting(counters):
         ctx, cache = model.scores_fwd(q, k, v, ((0, 6),), cfg, DropoutPolicy(rate=rate, seed=2), 0)
     assert ctx.dtype == dt
-    assert cache.weights.shape == (3 * 2, 6, 6)
-    assert cache.weights.dtype == dt
+    assert cache.exps.shape == (3 * 2, 6, 6)
+    assert cache.inv_sums.shape == (3 * 2, 6, 1)
+    assert cache.exps.dtype == cache.inv_sums.dtype == dt
     assert (cache.keep is None) == (rate == 0.0)
     elements = 3 * 2 * 6 * 6
-    assert cache.nbytes == elements * (dt.itemsize + (1 if rate else 0))
+    assert cache.nbytes == elements * (dt.itemsize + (1 if rate else 0)) + 3 * 2 * 6 * dt.itemsize
     assert counters.attn_score_bytes_cached == cache.nbytes
+    assert [f.name for f in fields(cache)] == ["exps", "keep", "inv_sums", "tiles"]
 
 
 def score_inputs(rng, cfg, m):
@@ -396,11 +413,11 @@ def test_two_forwards_without_a_backward_get_distinct_stacks(rng):
     q, k, v = score_inputs(rng, cfg, 6)
     with tensor.recycling():
         _, first = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 0)
-        stacks = [first.weights, first.keep]
+        stacks = [first.exps, first.keep, first.inv_sums]
         kept = [a.copy() for a in stacks]
         _, second = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 1)
         for a in stacks:
-            for b in (second.weights, second.keep):
+            for b in (second.exps, second.keep, second.inv_sums):
                 assert not np.shares_memory(a, b)
         assert all(np.array_equal(a, b) for a, b in zip(stacks, kept))
 
@@ -412,16 +429,16 @@ def test_scores_bwd_spends_its_cache_and_recycles_its_stacks(rng):
     q, k, v = score_inputs(rng, cfg, 6)
     grad_ctx = rng.standard_normal(q.shape)
     with tensor.recycling():
-        _, cache = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 0)
-        stack = cache.weights
-        want = model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
-        assert cache.weights is None and cache.keep is None and cache.ctx is None
+        ctx, cache = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 0)
+        stack = cache.exps
+        want = model.scores_bwd(cache, q, k, v, ctx, grad_ctx, cfg, policy)
+        assert cache.exps is None and cache.keep is None and cache.inv_sums is None
         with pytest.raises(ValueError, match="one backward"):
-            model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+            model.scores_bwd(cache, q, k, v, ctx, grad_ctx, cfg, policy)
         # the next forward reuses the stack, and the run repeats bit for bit
-        _, again = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 0)
-        assert again.weights is stack
-        got = model.scores_bwd(again, q, k, v, grad_ctx, cfg, policy)
+        ctx, again = model.scores_fwd(q, k, v, ((0, 6),), cfg, policy, 0)
+        assert again.exps is stack
+        got = model.scores_bwd(again, q, k, v, ctx, grad_ctx, cfg, policy)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
@@ -455,12 +472,12 @@ def test_score_kernels_make_one_stacked_product_per_tile_and_role(monkeypatch, s
         return real(a, b, **kw)
 
     monkeypatch.setattr(tensor, "matmul", counted)
-    _, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, layer=0)
+    ctx, cache = model.scores_fwd(q, k, v, ((offset, offset + m),), cfg, policy, layer=0)
     bands = model.score_bands(((offset, offset + m),), t, causal)
     assert len(cache.tiles) == len(bands)
     assert len(calls) == 2 * len(bands)
     calls.clear()
-    model.scores_bwd(cache, q, k, v, grad_ctx, cfg, policy)
+    model.scores_bwd(cache, q, k, v, ctx, grad_ctx, cfg, policy)
     assert len(calls) == 4 * len(bands)
     assert all(len(shape) == 3 for shape in calls)
 

@@ -187,7 +187,7 @@ def test_summary_shows_cached_score_bytes_against_the_estimate(tmp_path, engine,
     summary = runner.run_experiment(rc).summary
     cfg = rc.model
     rows = cfg.seq_len // workers if engine == "sharded" else cfg.seq_len
-    want = cfg.n_layers * cfg.batch * cfg.n_heads * rows * cfg.seq_len * (8 + 1)
+    want = cfg.n_layers * cfg.batch * cfg.n_heads * rows * (cfg.seq_len * (8 + 1) + 8)
     assert summary["measured_score_cache_bytes"] == want
     assert summary["estimated_score_cache_bytes"] == want
     text = open(os.path.join(rc.out_dir, "summary.txt")).read()
@@ -616,7 +616,7 @@ def test_cli_cost_prints_cached_score_bytes(capsys):
     assert run_cli("cost", "--workers", "2", "--seq-len", "16", "--dropout", "0.1",
                    "--precision", "single") == 0
     m = runner.default_model()
-    want = m.n_layers * m.batch * m.n_heads * 8 * 16 * (4 + 1)
+    want = m.n_layers * m.batch * m.n_heads * 8 * (16 * (4 + 1) + 4)
     assert f"score cache bytes       {want}\n" in capsys.readouterr().out
 
 

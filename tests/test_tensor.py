@@ -139,31 +139,38 @@ def test_linear_bwd_through_views_equals_copied_transposes_bitwise(rng, shape, t
 # --- softmax ---
 
 
+def softmax(a, mask=None):
+    """The softmax that :func:`softmax_rows` leaves to its caller: the
+    exponentials it writes over the row sums it returns."""
+    out = np.empty_like(a)
+    return out / softmax_rows(a, mask, out=out)
+
+
 def test_softmax_uniform_rows():
-    out = softmax_rows(np.array([[0.0, 0.0]]))
+    out = softmax(np.array([[0.0, 0.0]]))
     np.testing.assert_allclose(out, np.array([[0.5, 0.5]]), rtol=0, atol=1e-15)
 
 
 def test_softmax_known_ratio():
-    out = softmax_rows(np.array([[math.log(2.0), 0.0]]))
+    out = softmax(np.array([[math.log(2.0), 0.0]]))
     np.testing.assert_allclose(out, np.array([[2.0 / 3.0, 1.0 / 3.0]]), rtol=1e-14, atol=0)
 
 
 def test_softmax_rows_sum_to_one(rng):
     a = rng.standard_normal((10, 17)) * 5
-    sums = np.sum(softmax_rows(a), axis=1)
+    sums = np.sum(softmax(a), axis=1)
     np.testing.assert_allclose(sums, np.ones(10), rtol=0, atol=1e-12)
 
 
 def test_softmax_shift_invariance(rng):
     a = rng.standard_normal((4, 9))
     shifted = a + 123.456
-    np.testing.assert_allclose(softmax_rows(a), softmax_rows(shifted), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(softmax(a), softmax(shifted), rtol=1e-12, atol=1e-14)
 
 
 def test_softmax_survives_large_magnitudes():
     a = np.array([[1000.0, 1000.0], [-1000.0, -999.0]])
-    out = softmax_rows(a)
+    out = softmax(a)
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out[0], [0.5, 0.5], atol=1e-15)
 
@@ -171,7 +178,7 @@ def test_softmax_survives_large_magnitudes():
 def test_softmax_masked_entries_are_exact_zero():
     a = np.array([[1.0, 2.0, 3.0]])
     mask = np.array([[True, False, True]])
-    out = softmax_rows(a, mask)
+    out = softmax(a, mask)
     assert out[0, 1] == 0.0
     np.testing.assert_allclose(np.sum(out), 1.0, atol=1e-15)
     # the kept entries renormalize among themselves
@@ -179,10 +186,28 @@ def test_softmax_masked_entries_are_exact_zero():
     np.testing.assert_allclose(out[0, 0], e1 / (e1 + e3), rtol=1e-14)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_softmax_rows_writes_exponentials_with_positive_zeros_and_returns_their_sums(rng, dtype):
+    """Masked entries are +0, not -0, whatever the sign of their score; each
+    row's largest kept entry is exactly 1; and the sums are bitwise those of
+    the exponentials written, so a caller that scales by their reciprocals
+    scales exactly what it holds."""
+    a = (rng.standard_normal((2, 9, 14)) * 4).astype(dtype)
+    mask = rng.random((9, 14)) < 0.5
+    mask[np.arange(9), rng.integers(0, 14, 9)] = True
+    out = np.full_like(a, np.nan)
+    sums = softmax_rows(a, mask, out=out)
+    assert sums.shape == (2, 9, 1) and sums.dtype == dtype
+    assert sums.tobytes() == out.sum(-1, keepdims=True).tobytes()
+    dropped = out[:, ~mask]
+    assert not dropped.any() and not np.signbit(dropped).any()
+    assert np.all(np.max(out, axis=-1) == 1.0)
+
+
 def test_softmax_causal_triangle():
     a = np.zeros((3, 3))
     mask = np.tril(np.ones((3, 3), dtype=bool))
-    out = softmax_rows(a, mask)
+    out = softmax(a, mask)
     expected = np.array([
         [1.0, 0.0, 0.0],
         [0.5, 0.5, 0.0],
@@ -195,7 +220,7 @@ def test_softmax_fully_masked_row_raises():
     a = np.zeros((2, 3))
     mask = np.array([[True, True, True], [False, False, False]])
     with pytest.raises(DegenerateRowError):
-        softmax_rows(a, mask)
+        softmax(a, mask)
 
 
 def test_degenerate_row_error_names_the_first_fully_masked_row():
@@ -203,35 +228,35 @@ def test_degenerate_row_error_names_the_first_fully_masked_row():
     mask = np.ones((5, 3), dtype=bool)
     mask[[1, 3]] = False
     with pytest.raises(DegenerateRowError, match=r"softmax row 1 is fully masked"):
-        softmax_rows(a, mask)
+        softmax(a, mask)
     mask[1, 2] = True
     with pytest.raises(DegenerateRowError, match=r"softmax row 3 is fully masked"):
-        softmax_rows(a, mask)
+        softmax(a, mask)
 
 
 def test_softmax_mask_validation():
     a = np.zeros((2, 3))
     with pytest.raises(ShapeError):
-        softmax_rows(a, np.ones((3, 2), dtype=bool))
+        softmax(a, np.ones((3, 2), dtype=bool))
     with pytest.raises(ShapeError):
-        softmax_rows(a, np.ones((2, 3), dtype=np.int64))
+        softmax(a, np.ones((2, 3), dtype=np.int64))
     with pytest.raises(ShapeError):
-        softmax_rows(np.zeros(3))
+        softmax(np.zeros(3))
 
 
 def softmax_three_wheres(a, mask):
-    """Masked softmax as first written, zeroing masked entries by np.where."""
+    """Masked softmax exponentials as first written, zeroing masked entries
+    by np.where."""
     neg = np.where(mask, a, -np.inf)
     shifted = neg - np.max(neg, axis=1, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    return e / np.sum(e, axis=1, keepdims=True)
+    return np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
 
 
 def softmax_exp_of_neg_inf(a, mask):
-    """Masked softmax that lets exp(-inf) = 0 zero the masked entries."""
+    """Masked softmax exponentials that let exp(-inf) = 0 zero the masked
+    entries."""
     neg = np.where(mask, a, -np.inf)
-    e = np.exp(neg - np.max(neg, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
+    return np.exp(neg - np.max(neg, axis=1, keepdims=True))
 
 
 @settings(max_examples=30, deadline=None)
@@ -246,9 +271,11 @@ def test_masked_softmax_bitwise_matches_where_formula(seed, rows, extra, scale):
     random = r.random((rows, cols)) < 0.5
     random[np.arange(rows), r.integers(0, cols, rows)] = True  # one kept entry per row
     for mask in (causal, random):
-        out = softmax_rows(a, mask).tobytes()
-        assert out == softmax_three_wheres(a, mask).tobytes()
-        assert out == softmax_exp_of_neg_inf(a, mask).tobytes()
+        out = np.empty_like(a)
+        sums = softmax_rows(a, mask, out=out)
+        for e in (softmax_three_wheres(a, mask), softmax_exp_of_neg_inf(a, mask)):
+            assert out.tobytes() == e.tobytes()
+            assert (out / sums).tobytes() == (e / np.sum(e, axis=1, keepdims=True)).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -256,7 +283,7 @@ def test_masked_softmax_bitwise_matches_where_formula(seed, rows, extra, scale):
 def test_softmax_rows_property(seed, rows, cols):
     r = np.random.default_rng(seed)
     a = r.uniform(-30, 30, (rows, cols))
-    out = softmax_rows(a)
+    out = softmax(a)
     assert np.all(out >= 0)
     np.testing.assert_allclose(np.sum(out, axis=1), np.ones(rows), atol=1e-12)
     # monotone: larger logit, at least as large probability, per row
@@ -337,12 +364,11 @@ def test_matmul_into_out_equals_fresh_product(rng, dtype):
 def test_softmax_into_out_equals_fresh_softmax(rng, masked, dtype):
     a = (rng.standard_normal((7, 12)) * 4).astype(dtype)
     mask = np.tril(np.ones((7, 12), dtype=bool), k=5) if masked else None
-    want = softmax_rows(a, mask).tobytes()
     out = np.full_like(a, np.nan)
-    assert softmax_rows(a, mask, out=out) is out
-    assert out.tobytes() == want
+    sums = softmax_rows(a, mask, out=out)
     inplace = a.copy()  # out may be the operand itself
-    assert softmax_rows(inplace, mask, out=inplace).tobytes() == want
+    assert softmax_rows(inplace, mask, out=inplace).tobytes() == sums.tobytes()
+    assert inplace.tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(256, 512, 64, 8), (512, 512, 64, 8), (128, 128, 64, 8),
@@ -482,12 +508,15 @@ def test_stacked_softmax_equals_per_item_calls_bitwise(rng, dtype, mask_kind):
         mask[..., 0] = True
     item_mask = (lambda i: None) if mask is None else (
         (lambda i: shared) if mask_kind == "shared" else (lambda i: mask[i]))
-    want = [softmax_rows(a[i], item_mask(i)).tobytes() for i in range(len(a))]
-    got = softmax_rows(a, mask)
-    assert got.shape == a.shape and got.dtype == dtype
-    assert [got[i].tobytes() for i in range(len(a))] == want
+    want = [np.empty_like(a[i]) for i in range(len(a))]
+    want_sums = [softmax_rows(a[i], item_mask(i), out=want[i]) for i in range(len(a))]
+    got = np.empty_like(a)
+    sums = softmax_rows(a, mask, out=got)
+    assert sums.shape == (*a.shape[:2], 1) and sums.dtype == dtype
+    assert [got[i].tobytes() for i in range(len(a))] == [w.tobytes() for w in want]
+    assert [sums[i].tobytes() for i in range(len(a))] == [w.tobytes() for w in want_sums]
     inplace = a.copy()
-    assert softmax_rows(inplace, mask, out=inplace) is inplace
+    assert softmax_rows(inplace, mask, out=inplace).tobytes() == sums.tobytes()
     assert inplace.tobytes() == got.tobytes()
 
 
@@ -495,9 +524,9 @@ def test_stacked_softmax_mask_validation():
     a = np.zeros((2, 3, 4))
     for shape in [(4, 3), (3,), (1, 3, 4), (2, 4, 4)]:
         with pytest.raises(ShapeError):
-            softmax_rows(a, np.ones(shape, dtype=bool))
+            softmax(a, np.ones(shape, dtype=bool))
     with pytest.raises(ShapeError):
-        softmax_rows(np.zeros((2, 2, 3, 4)))
+        softmax(np.zeros((2, 2, 3, 4)))
 
 
 def test_stacked_softmax_fully_masked_row_raises():
@@ -505,8 +534,8 @@ def test_stacked_softmax_fully_masked_row_raises():
     shared = np.ones((3, 4), dtype=bool)
     shared[2] = False
     with pytest.raises(DegenerateRowError, match=r"softmax row 2 is fully masked"):
-        softmax_rows(a, shared)
+        softmax(a, shared)
     full = np.ones(a.shape, dtype=bool)
     full[1, 0] = False
     with pytest.raises(DegenerateRowError, match=r"softmax row 0 of stack item 1 is fully masked"):
-        softmax_rows(a, full)
+        softmax(a, full)
