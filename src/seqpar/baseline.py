@@ -8,9 +8,10 @@ that layernorm, dropout and residual adds run on the blocks while both
 sublayers (attention, feed-forward) run on group rank 0: it receives the
 sublayer's full input through a gather, runs it over the whole sequence and
 hands each worker its block of the output back through a scatter.  The
-embedding and the loss head also run on rank 0 only.  The backward pass
-mirrors this with a gather where the forward scattered and a reduce-scatter
-where it gathered (workers other than rank 0 contribute zeros).
+embedding and the loss head also run on rank 0 only.  The placement hands
+each layer's cache its backward, which gathers where the forward scattered
+and reduce-scatters where it gathered (workers other than rank 0
+contribute zeros).
 
 Communication per training step with L layers:
     forward   1 scatter (embedding out) + per layer [gather, scatter] x 2
@@ -40,13 +41,14 @@ from .nnops import DropoutPolicy, LinearParams
 def _on_rank0_fwd(worker: Worker, step: int, layer: int, sublayer, y, rows):
     """Sublayer placement: gather ``y`` (the block at ``rows``) onto rank 0,
     run ``sublayer`` there over the whole sequence, scatter its output
-    back.  Only rank 0 holds a cache."""
+    back.  Only rank 0 holds a cache; the backward is :func:`_on_rank0_bwd`."""
     comm, group, rank = worker.comm, worker.seq_group, worker.spec.rank
     tag = dict(dim=1, step=step, phase="forward", layer=layer)
     y_full = comm.gather(group, rank, y, dst=0, **tag)
     whole = ((0, worker.spec.seq_len),)
     out_full, cache = sublayer(y_full, whole) if rank == 0 else (None, None)
-    return comm.scatter(group, rank, out_full, src=0, **tag), cache
+    out = comm.scatter(group, rank, out_full, src=0, **tag)
+    return out, cache, partial(_on_rank0_bwd, worker, step, layer)
 
 
 def _on_rank0_bwd(worker: Worker, step: int, layer: int, sublayer_bwd, cache, grad_out,
@@ -109,10 +111,8 @@ def train_step(
     grad_x = comm.reduce_scatter(group, rank, grad_full, **bwd)
     layer_grads: list[model.LayerParams | None] = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
-        place = partial(_on_rank0_bwd, worker, step, li)
-        grad_x, layer_grads[li] = model.layer_bwd(
-            params.layers[li], cfg, policy, li, caches[li], grad_x, place_bwd=place
-        )
+        grad_x, layer_grads[li] = model.layer_bwd(params.layers[li], cfg, policy, li,
+                                                  caches[li], grad_x)
     grad_full = comm.gather(group, rank, grad_x, dst=0, **bwd)
     if rank == 0:
         grad_tok, grad_pe = model.embed_bwd(e_cache, cfg.vocab, policy, grad_full)

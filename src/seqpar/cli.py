@@ -109,8 +109,11 @@ def _cmd_cost(args) -> int:
             est = costs.estimate(replace(cfg, seq_len=l), n, "sharded")
             print(f"{n:>8} {l:>8} {est.score_elements_peak:>20} {ratio:>6}")
         return 0
+    workers = _int_list(args.workers)
+    if not workers:
+        raise ValueError(f"no workers given in --workers {args.workers!r}")
     fused = not args.no_fuse
-    for n in _int_list(args.workers):
+    for n in workers:
         est = costs.estimate(cfg, n, args.engine, fused=fused)
         print(f"engine={est.engine} workers={n} block={est.block}")
         by_rank = ""

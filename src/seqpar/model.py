@@ -1,20 +1,18 @@
 """Decoder-only transformer with hand-rolled autodiff, plus the sequential
 (single-worker) reference engine.
 
-The per-layer forward/backward are written once, here, and parameterized at
-the two places where distributed execution differs from sequential:
+The per-layer forward/backward are written once, here.  Only the forward
+takes hooks, at the two places where distributed execution differs from
+sequential, and each hook returns its backward for the cache to keep:
 
 * how keys and values for the whole sequence are produced from the
-  worker's normalized input (``kv_fwd``), and how gradients flow back
-  through that production (``kv_bwd``).  Locally it is two linear maps of
+  worker's normalized input (``kv_fwd``).  Locally it is two linear maps of
   the worker's rows.  The fused sharded engine first all-gathers every
-  worker's normalized rows and reduce-scatters their gradient back; the
-  unfused one all-gathers keys and values and reduce-scatters their
-  gradients.
+  worker's normalized rows; the unfused one all-gathers keys and values.
 * where each of the layer's two sublayers (attention, feed-forward) runs
-  (``place_fwd``/``place_bwd``).  By default on the worker's own rows; the
-  baseline engine gathers the sublayer input onto one worker, runs it over
-  the whole sequence and scatters the output back.
+  (``place_fwd``).  By default on the worker's own rows; the baseline
+  engine gathers the sublayer input onto one worker, runs it over the whole
+  sequence and scatters the output back.
 
 Because every engine executes the same kernel calls in the same order, a
 distributed run with a single worker is bit-for-bit identical to the
@@ -613,6 +611,7 @@ def scores_bwd(
 class AttentionCache:
     xh: np.ndarray  # the normalized input, which the queries are projected from
     kv_ctx: object
+    kv_bwd: object  # the backward the key/value hook returned with kv_ctx
     q: np.ndarray  # the queries, scaled by 1/sqrt(dk)
     k: np.ndarray
     v: np.ndarray
@@ -621,8 +620,9 @@ class AttentionCache:
 
 
 def local_kv_fwd(xh: np.ndarray, lp: LayerParams):
-    """Single-worker key/value production: project the rows themselves."""
-    return linear3(xh, lp.attn_k), linear3(xh, lp.attn_v), xh
+    """Single-worker key/value production: project the rows themselves.
+    Its backward is :func:`local_kv_bwd`."""
+    return linear3(xh, lp.attn_k), linear3(xh, lp.attn_v), xh, local_kv_bwd
 
 
 def local_kv_bwd(kv_ctx, lp: LayerParams, grad_k: np.ndarray, grad_v: np.ndarray):
@@ -637,23 +637,22 @@ def attention_fwd(xh, rows: Rows, lp: LayerParams, cfg, policy, layer, kv_fwd=No
     at call time); queries, scores and the output projection over the
     block.  The score scale ``1/sqrt(dk)`` goes on the queries once, here,
     and both score kernels use the scaled queries."""
-    k, v, kv_ctx = (local_kv_fwd if kv_fwd is None else kv_fwd)(xh, lp)
+    k, v, kv_ctx, kv_bwd = (local_kv_fwd if kv_fwd is None else kv_fwd)(xh, lp)
     q = linear3(xh, lp.attn_q)
     q *= 1.0 / math.sqrt(cfg.head_dim)  # a python float keeps single precision single
     ctx, score_cache = scores_fwd(q, k, v, rows, cfg, policy, layer)
-    return linear3(ctx, lp.attn_out), AttentionCache(xh, kv_ctx, q, k, v, score_cache, ctx)
+    cache = AttentionCache(xh, kv_ctx, kv_bwd, q, k, v, score_cache, ctx)
+    return linear3(ctx, lp.attn_out), cache
 
 
-def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy, kv_bwd=None):
-    """Weight grads in the order q, k, v, out; ``kv_bwd`` defaults to
-    :func:`local_kv_bwd`, looked up at call time."""
+def attention_bwd(cache: AttentionCache, grad_out, lp: LayerParams, cfg, policy):
+    """Weight grads in the order q, k, v, out."""
     grad_ctx, out_wg, out_bg = linear3_bwd(cache.ctx, lp.attn_out, grad_out)
     grad_q, grad_k, grad_v = scores_bwd(
         cache.scores, cache.q, cache.k, cache.v, cache.ctx, grad_ctx, cfg, policy
     )
     grad_xq, q_wg, q_bg = linear3_bwd(cache.xh, lp.attn_q, grad_q)
-    kv_bwd = local_kv_bwd if kv_bwd is None else kv_bwd
-    grad_xh, k_wg, k_bg, v_wg, v_bg = kv_bwd(cache.kv_ctx, lp, grad_k, grad_v)
+    grad_xh, k_wg, k_bg, v_wg, v_bg = cache.kv_bwd(cache.kv_ctx, lp, grad_k, grad_v)
     grads = (LinearParams(q_wg, q_bg), LinearParams(k_wg, k_bg), LinearParams(v_wg, v_bg),
              LinearParams(out_wg, out_bg))
     return grad_xh + grad_xq, grads
@@ -695,7 +694,7 @@ def ffn_bwd(cache: FfnCache, grad_out, lp: LayerParams, policy):
 
 def local_place_fwd(sublayer, y, rows):
     """Default sublayer placement: run it on the worker itself."""
-    return sublayer(y, rows)
+    return *sublayer(y, rows), local_place_bwd
 
 
 def local_place_bwd(sublayer_bwd, cache, grad_out, weights):
@@ -715,6 +714,7 @@ class LayerCache:
     ln2: tuple
     ffn: FfnCache | None
     ff_mask: np.ndarray | None
+    place_bwd: object  # the backward the placement returned
 
 
 def layer_fwd(
@@ -731,14 +731,14 @@ def layer_fwd(
     for ``x``, the block at ``rows``.
 
     ``kv_fwd(xh, lp)`` returns whole-sequence keys and values from the
-    block's normalized input ``xh``, plus an opaque context for the matching
-    ``kv_bwd``.  Locally (None, the default) that is :func:`local_kv_fwd`,
-    two projections of ``xh`` itself; the sharded engine all-gathers either
+    block's normalized input ``xh``, a context and the backward that takes
+    it.  Locally (None, the default) that is :func:`local_kv_fwd`, two
+    projections of ``xh`` itself; the sharded engine all-gathers either
     ``xh`` before projecting it (fused) or the projections (unfused).
 
     ``place_fwd(sublayer, y, rows)`` runs each sublayer and returns its
-    ``(out, cache)`` for this worker's block; by default on the worker
-    itself.  Norms, dropout and residuals always run on the worker.
+    ``(out, cache)`` for this worker's block and its backward; by default
+    on the worker itself.  Norms, dropout and residuals run on the worker.
 
     The output is checked for NaN and Inf (:class:`~seqpar.errors.NumericsError`
     names the layer); the kernels inside the layer do not check theirs.
@@ -746,13 +746,13 @@ def layer_fwd(
     samples, at = row_coords(x.shape[0], rows)
     xh, ln1_cache = norm3(x, lp.ln1_gain, lp.ln1_bias)
     attention = partial(attention_fwd, lp=lp, cfg=cfg, policy=policy, layer=layer, kv_fwd=kv_fwd)
-    att, att_cache = place_fwd(attention, xh, rows)
+    att, att_cache, place_bwd = place_fwd(attention, xh, rows)
     att_drop, att_mask = dropout3(att, policy, layer, "attn_out", samples, at)
     x_mid = x + att_drop
     yh, ln2_cache = norm3(x_mid, lp.ln2_gain, lp.ln2_bias)
-    ff, ffn_cache = place_fwd(partial(ffn_fwd, lp=lp, policy=policy, layer=layer), yh, rows)
+    ff, ffn_cache, _ = place_fwd(partial(ffn_fwd, lp=lp, policy=policy, layer=layer), yh, rows)
     ff_drop, ff_mask = dropout3(ff, policy, layer, "ffn_out", samples, at)
-    cache = LayerCache(ln1_cache, att_cache, att_mask, ln2_cache, ffn_cache, ff_mask)
+    cache = LayerCache(ln1_cache, att_cache, att_mask, ln2_cache, ffn_cache, ff_mask, place_bwd)
     return tensor.check_finite(x_mid + ff_drop, f"layer {layer} output"), cache
 
 
@@ -763,28 +763,18 @@ def layer_bwd(
     layer: int,
     cache: LayerCache,
     grad_out: np.ndarray,
-    kv_bwd=None,
-    place_bwd=local_place_bwd,
 ) -> tuple[np.ndarray, LayerParams]:
-    """Reverse of :func:`layer_fwd`; returns (grad_x_in, per-layer grads).
-
-    ``kv_bwd(kv_ctx, lp, grad_k, grad_v)`` must return the key/value path's
-    gradient w.r.t. the normalized input the forward projected keys and
-    values from (plus the four projection grads): the sharded engine
-    reduce-scatters either that gradient (fused) or the keys' and values'
-    gradients first (unfused).  ``place_bwd(sublayer_bwd, cache, grad_out,
-    weights)`` mirrors the ``place_fwd`` the forward ran with.  The input
-    gradient is checked for NaN and Inf, as :func:`layer_fwd` checks its
-    output.
-    """
+    """Reverse of :func:`layer_fwd`, through the backwards its hooks
+    returned; returns (grad_x_in, per-layer grads).  The input gradient is
+    checked for NaN and Inf, as :func:`layer_fwd` checks its output."""
     g_ff = dropout3_bwd(grad_out, policy, cache.ff_mask)
     ffn = partial(ffn_bwd, lp=lp, policy=policy)
-    grad_yh, (ff_in_g, ff_out_g) = place_bwd(ffn, cache.ffn, g_ff, (lp.ff_in, lp.ff_out))
+    grad_yh, (ff_in_g, ff_out_g) = cache.place_bwd(ffn, cache.ffn, g_ff, (lp.ff_in, lp.ff_out))
     g_ln2_x, ln2_gain_g, ln2_bias_g = norm3_bwd(cache.ln2, lp.ln2_gain, grad_yh)
     grad_mid = grad_out + g_ln2_x
     g_att = dropout3_bwd(grad_mid, policy, cache.att_mask)
-    attention = partial(attention_bwd, lp=lp, cfg=cfg, policy=policy, kv_bwd=kv_bwd)
-    grad_xh, (q_g, k_g, v_g, out_g) = place_bwd(
+    attention = partial(attention_bwd, lp=lp, cfg=cfg, policy=policy)
+    grad_xh, (q_g, k_g, v_g, out_g) = cache.place_bwd(
         attention, cache.attn, g_att, (lp.attn_q, lp.attn_k, lp.attn_v, lp.attn_out)
     )
     g_ln1_x, ln1_gain_g, ln1_bias_g = norm3_bwd(cache.ln1, lp.ln1_gain, grad_xh)
@@ -834,8 +824,8 @@ def embed_bwd(cache: EmbedCache, vocab: int, policy, grad_x: np.ndarray):
 class HeadCache:
     lnf: tuple
     xf: np.ndarray
-    logits: np.ndarray | None  # both None once head_bwd has run
-    grad_logits: np.ndarray | None
+    logits: np.ndarray | None  # kept only without targets, as the forward's output
+    grad_logits: np.ndarray | None  # None without targets and once head_bwd has run
     shape3: tuple
 
 
@@ -847,16 +837,15 @@ def head_fwd(x: np.ndarray, params: Parameters, targets: np.ndarray | None):
     if targets is None:
         return None, HeadCache(lnf_cache, xf, logits, None, (bsz, m, e))
     loss, grad_logits = nnops.cross_entropy(logits, targets.reshape(bsz * m))
-    return loss, HeadCache(lnf_cache, xf, logits, grad_logits, (bsz, m, e))
+    return loss, HeadCache(lnf_cache, xf, None, grad_logits, (bsz, m, e))
 
 
 def head_bwd(cache: HeadCache, params: Parameters):
-    """Backward of :func:`head_fwd`.  It spends the cache's logits and their
-    gradient (None afterwards), so neither is held through the layers'
-    backward, and a spent cache cannot be read again."""
+    """Backward of :func:`head_fwd`.  It spends the cache's logit gradient
+    (None afterwards), so it is not held through the layers' backward, and
+    a spent cache cannot be read again."""
     if cache.grad_logits is None:
         raise ValueError("head_bwd requires a forward pass that computed the loss")
-    cache.logits = None
     grad_xf, head_wg, head_bg = nnops.linear_bwd(cache.xf, params.head, cache.grad_logits)
     cache.grad_logits = None
     grad_x, final_gain_g, final_bias_g = nnops.layernorm_bwd(cache.lnf, params.final_gain, grad_xf)
@@ -877,7 +866,7 @@ class StackCache:
     policy: DropoutPolicy
 
     @property
-    def logits(self) -> np.ndarray:
+    def logits(self) -> np.ndarray | None:
         return self.head.logits
 
 
@@ -902,19 +891,14 @@ def forward(
     return loss, StackCache(e_cache, layer_caches, h_cache, policy)
 
 
-def backward(params: Parameters, cfg: ModelConfig, cache: StackCache, hooks=None) -> Parameters:
-    """Gradients of the mean-over-tokens loss w.r.t. every parameter.
-    ``hooks(layer)``, when given, returns the keyword hooks (``kv_bwd``)
-    :func:`layer_bwd` runs that layer with, matching those its forward ran
-    with."""
+def backward(params: Parameters, cfg: ModelConfig, cache: StackCache) -> Parameters:
+    """Gradients of the mean-over-tokens loss w.r.t. every parameter."""
     policy = cache.policy
     grad_x, final_gain_g, final_bias_g, head_wg, head_bg = head_bwd(cache.head, params)
     layer_grads: list[LayerParams | None] = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
-        grad_x, layer_grads[li] = layer_bwd(
-            params.layers[li], cfg, policy, li, cache.layers[li], grad_x,
-            **({} if hooks is None else hooks(li)),
-        )
+        grad_x, layer_grads[li] = layer_bwd(params.layers[li], cfg, policy, li,
+                                            cache.layers[li], grad_x)
     grad_tok, grad_pe = embed_bwd(cache.embed, cfg.vocab, policy, grad_x)
     return Parameters(token_table=grad_tok, pos_table=grad_pe, layers=layer_grads,
                       final_gain=final_gain_g, final_bias=final_bias_g,

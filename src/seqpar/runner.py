@@ -204,9 +204,8 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
     window = losses[-min(SMOOTH_WINDOW, len(losses)):]
     est = costs.estimate(cfg, rc.workers, rc.engine, fused=rc.fused, replicas=rc.replicas)
     # every rank's step-0 score flops, in world-rank order.  The estimate is
-    # the busiest rank's: causal ranks of an unfused sharded grid score
-    # unequal shares, fused ones near-equal, and only the baseline's rank 0
-    # scores at all.
+    # the busiest rank's: sharded ranks, fused or not, own balanced rows and
+    # score near-equal shares, and only the baseline's rank 0 scores at all.
     rank_score_flops = [c[0].attn_score_flops for c in run.counters]
     busiest_score_flops = max(rank_score_flops)
     summary = {

@@ -8,8 +8,8 @@ activations, and a full replica of every other parameter.  The rows are two
 chunks of the sequence, one early and one late, so under a causal mask
 every worker scores an equal share of the keys.  The forward pass is
 :func:`seqpar.model.layer_fwd` per layer and the backward pass is
-:func:`seqpar.model.backward`; the engine only supplies each layer's matched
-key/value hooks (:func:`layer_hooks`), built on two collectives: ``whole``
+:func:`seqpar.model.backward`; the engine only supplies each layer's
+key/value hook (:func:`layer_kv_fwd`), built on two collectives: ``whole``
 all-gathers every worker's rows and puts them in position order, ``own``
 reduce-scatters a whole-sequence gradient in the order the gather received
 the rows, so each worker gets the summed gradient of its own rows.  Fused,
@@ -48,9 +48,9 @@ from .model import ModelConfig, Parameters, StackCache
 from .nnops import DropoutPolicy
 
 
-def layer_hooks(worker: Worker, step: int, layer: int, fused: bool) -> tuple[dict, dict]:
-    """One layer's matched key/value hooks, as keyword arguments for
-    :func:`seqpar.model.layer_fwd` and :func:`~seqpar.model.layer_bwd`.
+def layer_kv_fwd(worker: Worker, step: int, layer: int, fused: bool):
+    """One layer's key/value hook, the ``kv_fwd`` of
+    :func:`seqpar.model.layer_fwd`, which also returns its backward.
 
     Fused, the forward projects keys and values from the whole normalized
     input, ``whole(xh)``, and the backward applies ``own`` to that
@@ -73,20 +73,21 @@ def layer_hooks(worker: Worker, step: int, layer: int, fused: bool) -> tuple[dic
 
     if fused:
         def kv_fwd(xh, lp):
-            return model.local_kv_fwd(whole(xh), lp)
+            k, v, kv_ctx, _ = model.local_kv_fwd(whole(xh), lp)
+            return k, v, kv_ctx, kv_bwd
 
         def kv_bwd(kv_ctx, lp, grad_k, grad_v):
             grad_x, *weight_grads = model.local_kv_bwd(kv_ctx, lp, grad_k, grad_v)
             return own(grad_x), *weight_grads
     else:
         def kv_fwd(xh, lp):
-            k, v, _ = model.local_kv_fwd(xh, lp)
-            return whole(k), whole(v), xh
+            k, v, _, _ = model.local_kv_fwd(xh, lp)
+            return whole(k), whole(v), xh, kv_bwd
 
         def kv_bwd(kv_ctx, lp, grad_k, grad_v):
             return model.local_kv_bwd(kv_ctx, lp, own(grad_k), own(grad_v))
 
-    return dict(kv_fwd=kv_fwd), dict(kv_bwd=kv_bwd)
+    return kv_fwd
 
 
 def forward(
@@ -111,8 +112,8 @@ def forward(
     x, e_cache = model.embed_fwd(params, cfg, tokens_seg, rows, policy)
     caches = []
     for li, lp in enumerate(params.layers):
-        hooks, _ = layer_hooks(worker, step, li, fused)
-        x, c = model.layer_fwd(lp, cfg, policy, li, x, rows, **hooks)
+        kv_fwd = layer_kv_fwd(worker, step, li, fused)
+        x, c = model.layer_fwd(lp, cfg, policy, li, x, rows, kv_fwd=kv_fwd)
         caches.append(c)
     partial_loss, h_cache = model.head_fwd(x, params, targets_seg)
     return partial_loss, StackCache(e_cache, caches, h_cache, policy)
@@ -164,8 +165,7 @@ def train_step(
         worker, params, cfg, grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec),
         policy=policy, step=step, fused=fused,
     )
-    grads = model.backward(params, cfg, cache,
-                           hooks=lambda li: layer_hooks(worker, step, li, fused)[1])
+    grads = model.backward(params, cfg, cache)
     if worker.seq_group.size > 1:
         grads.pos_table = grads.pos_table / worker.seq_group.size
     grads, loss = sync(worker, grads, partial_loss, step=step)

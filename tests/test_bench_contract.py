@@ -118,8 +118,10 @@ def test_tracer_counts_one_step_per_rank_and_never_nests_an_engine_phase(
         assert bwd == Counter(dict.fromkeys(steps, 2))
 
 
-@pytest.mark.parametrize("engine, workers", [("sequential", 1), ("sharded", 2), ("baseline", 2)])
-def test_every_self_time_name_is_reached(spans, engine, workers):
+@pytest.mark.parametrize("engine, workers, fused", [
+    ("sequential", 1, True), ("sharded", 2, True), ("sharded", 2, False), ("baseline", 2, True),
+])
+def test_every_self_time_name_is_reached(spans, engine, workers, fused):
     """Each self-time name the tracer patches must run in a training step.  A
     function the program binds early (a default argument, a local alias)
     keeps calling the original when the tracer replaces the module
@@ -131,7 +133,7 @@ def test_every_self_time_name_is_reached(spans, engine, workers):
     batches = [(rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))]
     with spans.Tracer(full=True) as tracer:
         runner._train(engine, cfg, model.init_params(cfg, 0), GridLayout(1, workers), batches,
-                      lr=0.1, policy=DropoutPolicy(rate=cfg.dropout, seed=0))
+                      lr=0.1, policy=DropoutPolicy(rate=cfg.dropout, seed=0), fused=fused)
     reached = {s.name for s in tracer.spans}
     missing = [name for metric, names in spans.SELF_TIME.items()
                if not metric.startswith("reporting.") for name in names if name not in reached]

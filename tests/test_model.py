@@ -489,7 +489,9 @@ def test_forward_loss_matches_logits(tiny_cfg, rng):
     params = model.init_params(tiny_cfg, 1)
     tokens, targets = rand_batch(tiny_cfg, rng)
     loss, cache = model.forward(params, tiny_cfg, tokens, targets)
-    direct, _ = nnops.cross_entropy(cache.logits, targets.reshape(-1))
+    assert cache.logits is None  # the loss is the output; its logits are not kept
+    logits = nnops.linear_fwd(cache.head.xf, params.head)
+    direct, _ = nnops.cross_entropy(logits, targets.reshape(-1))
     assert loss == direct
 
 

@@ -592,6 +592,14 @@ def test_cli_cost_and_weak_scaling(capsys):
         assert f" {ratio}\n" in table or f" {ratio} " in table
 
 
+@pytest.mark.parametrize("workers", ["", ","])
+def test_cli_cost_rejects_an_empty_worker_list(capsys, workers):
+    assert run_cli("cost", "--workers", workers) == 1
+    captured = capsys.readouterr()
+    assert "error: no workers given" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_cost_of_zero_layers_has_no_scores_and_no_weak_scaling(capsys):
     assert run_cli("cost", "--layers", "0", "--workers", "2") == 0
     assert "score elements (peak)   0\n" in capsys.readouterr().out

@@ -182,6 +182,45 @@ def test_each_layer_computes_the_ranks_balanced_rows(tiny_cfg, rng, fused):
         assert flops == costs.score_flops(tiny_cfg, want)
 
 
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+def test_forward_cache_carries_its_backward(tiny_cfg, rng, monkeypatch, fused):
+    """A rank's ``sharded.forward`` cache holds every layer's key/value
+    backward, so ``model.backward`` with no hook gives the gradients
+    ``train_step`` hands to its sync (which first divides the position rows'
+    gradient by the group size)."""
+    n = 2
+    params = model.init_params(tiny_cfg, 0)
+    tokens, targets = rand_batch(tiny_cfg, rng)
+    policy = DropoutPolicy(rate=0.1, seed=3)
+    comm = Communicator(n)
+    seq_groups, data_groups = grid.make_groups(comm, grid.GridLayout(1, n))
+    synced = {}
+    real_sync = sharded.sync
+
+    def recording_sync(worker, grads, loss, *, step):
+        synced[worker.rank] = grads.copy()
+        return real_sync(worker, grads, loss, step=step)
+
+    monkeypatch.setattr(sharded, "sync", recording_sync)
+
+    def both(rank):
+        spec = grid.ShardSpec(rank, n, tiny_cfg.seq_len)
+        worker = grid.Worker(comm, spec, seq_groups[0], data_groups[rank])
+        own = grid.shard_params(params, spec)
+        _, cache = sharded.forward(
+            worker, own, tiny_cfg, grid.slice_batch(tokens, spec),
+            grid.slice_batch(targets, spec), policy=policy, fused=fused)
+        grads = model.backward(own, tiny_cfg, cache)
+        grads.pos_table = grads.pos_table / n
+        sharded.train_step(worker, own, tiny_cfg, tokens, targets, policy=policy, step=1,
+                           fused=fused)
+        return grads
+
+    for rank, grads in enumerate(run_workers(n, both, comm=comm)):
+        for (name, got), want in zip(grads.named_arrays(), synced[rank].arrays()):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 # --- single-worker identity ---
 
 
