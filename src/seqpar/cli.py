@@ -134,8 +134,11 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
-    with open(args.path, "r", encoding="ascii") as f:
-        ledger = CommLedger.from_jsonl(f.read())
+    try:
+        with open(args.path, "r", encoding="ascii") as f:
+            ledger = CommLedger.from_jsonl(f.read())
+    except ValueError as exc:  # a decode error is one too
+        raise ValueError(f"{args.path} is not a ledger: {exc}") from None
     records = ledger.records
     if args.step is not None:
         records = [r for r in records if r.step == args.step]

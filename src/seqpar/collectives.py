@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,7 +67,19 @@ class CommRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "CommRecord":
-        return cls(**json.loads(line))
+        """One :meth:`CommLedger.to_jsonl` line; ValueError unless it is a
+        JSON object with exactly the record's fields."""
+        obj = json.loads(line)
+        try:
+            return cls(**obj)
+        except TypeError:
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object") from None
+            names = [f.name for f in fields(cls)]
+            unexpected = [k for k in obj if k not in names]
+            missing = [n for n in names if n not in obj]
+            raise ValueError(f"not a ledger record: unexpected fields {unexpected}, "
+                             f"missing fields {missing}") from None
 
 
 class CommLedger:
@@ -123,10 +135,15 @@ class CommLedger:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "CommLedger":
+        """The ledger :meth:`to_jsonl` wrote; a line that is no record raises
+        ValueError naming its number."""
         ledger = cls()
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             if line.strip():
-                ledger.append(CommRecord.from_json_line(line))
+                try:
+                    ledger.append(CommRecord.from_json_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
         return ledger
 
 

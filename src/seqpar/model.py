@@ -569,7 +569,7 @@ def scores_bwd(
         raise ValueError(f"score cache holds {held} blocks, expected {blocks}; "
                          "a cache serves one backward")
     exps, keep, inv_sums, tiles = cache.exps, cache.keep, cache.inv_sums, cache.tiles
-    row_dots = np.multiply(grad_ctx, ctx).reshape(bsz, m, heads, dk).sum(axis=-1)
+    row_dots = tensor.row_sums(np.multiply(grad_ctx, ctx).reshape(-1, dk)).reshape(bsz, m, heads)
     d = np.empty_like(inv_sums)
     np.multiply(row_dots.transpose(0, 2, 1), inv_sums.reshape(bsz, heads, m),
                 out=d.reshape(bsz, heads, m))
@@ -939,7 +939,10 @@ def unflatten_like(vec: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray
 
 
 def square_sum(a: np.ndarray) -> float:
-    return float(np.sum(np.asarray(a, dtype=np.float64) ** 2))
+    """The sum of squares of ``a``'s entries in double precision, as one
+    dot product."""
+    v = np.asarray(a, dtype=np.float64).ravel()
+    return float(np.dot(v, v))
 
 
 def grad_norm(grads: Parameters, *, squared: bool = False) -> float:
@@ -991,7 +994,11 @@ def load_checkpoint(path) -> tuple[Parameters, ModelConfig, int]:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         (header_len,) = struct.unpack("<I", read(4))
-        header = json.loads(read(header_len).decode("utf-8"))
+        raw = read(header_len)
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            raise ValueError(f"checkpoint {path} has a corrupt header: {exc}") from None
         cfg = ModelConfig.from_dict(header["config"])
         template = param_shapes(cfg)
         expected = template.named_arrays()

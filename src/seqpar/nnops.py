@@ -32,6 +32,9 @@ size, and every other numpy operator writes into one of those through
 Each runs the same IEEE operations on the same operands in the same order as
 the plain one-line expression it replaces (at most swapping the operands of a
 single ``*`` or ``+``), so results are bitwise those of that expression.
+A sum along a row or down the columns, in the kernel and in the expression
+alike, is a product with a fill vector (:func:`tensor.row_sums`,
+:func:`tensor.col_sums`).
 GELU's slope times an output gradient is bitwise the backward's expression.
 """
 
@@ -290,7 +293,7 @@ def linear_bwd(
     """Returns (grad_x, grad_weight, grad_bias)."""
     grad_x = tensor.matmul(grad_y, tensor.transpose(p.weight))
     grad_w = tensor.matmul(tensor.transpose(x), grad_y)
-    grad_b = np.sum(grad_y, axis=0)
+    grad_b = tensor.col_sums(grad_y)
     return grad_x, grad_w, grad_b
 
 
@@ -300,11 +303,13 @@ def linear_bwd(
 def layernorm_fwd(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYERNORM_EPS
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Per-row normalization; cache is (xhat, inv_std)."""
-    mu = np.mean(x, axis=1, keepdims=True)
+    """Per-row normalization; cache is (xhat, inv_std).  The row means are
+    products with a column of ``1/E`` (:func:`tensor.row_sums`)."""
+    inv_e = 1.0 / x.shape[1]
+    mu = tensor.row_sums(x, inv_e)
     xhat = x - mu
     y = np.square(xhat)  # the squared deviations, later the output
-    var = np.mean(y, axis=1, keepdims=True)
+    var = tensor.row_sums(y, inv_e)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
     np.multiply(xhat, gain, out=y)
@@ -319,16 +324,18 @@ def layernorm_bwd(
 
     Standard result of differentiating through the row mean and variance:
         grad_x = inv_std * (g - mean(g) - xhat * mean(g * xhat))
-    with g = grad_y * gain, means taken per row.
+    with g = grad_y * gain, means taken per row; the means and the column
+    sums are products (:func:`tensor.row_sums`, :func:`tensor.col_sums`).
     """
     xhat, inv_std = cache
+    inv_e = 1.0 / xhat.shape[1]
     tmp = grad_y * xhat  # scratch: grad_y * xhat, then g * xhat, then xhat * mean(g * xhat)
-    grad_gain = np.sum(tmp, axis=0)
-    grad_bias = np.sum(grad_y, axis=0)
+    grad_gain = tensor.col_sums(tmp)
+    grad_bias = tensor.col_sums(grad_y)
     grad_x = grad_y * gain  # g
     np.multiply(grad_x, xhat, out=tmp)
-    mean_gx = np.mean(tmp, axis=1, keepdims=True)
-    grad_x -= np.mean(grad_x, axis=1, keepdims=True)
+    mean_gx = tensor.row_sums(tmp, inv_e)
+    grad_x -= tensor.row_sums(grad_x, inv_e)
     grad_x -= np.multiply(xhat, mean_gx, out=tmp)
     grad_x *= inv_std
     return grad_x, grad_gain, grad_bias
@@ -428,7 +435,7 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     grad = logits - np.max(logits, axis=1, keepdims=True)
     picked = grad[rows, targets]
     np.exp(grad, out=grad)
-    sum_exp = np.sum(grad, axis=1, keepdims=True)
+    sum_exp = tensor.row_sums(grad)
     loss = float(-np.mean(picked - np.log(sum_exp)[:, 0]))
     grad /= sum_exp
     grad[rows, targets] -= 1.0

@@ -28,6 +28,16 @@ while active, :func:`matmul` tallies the floating point work of every product
 it actually performs (2*m*k*n per product, from the runtime shapes; a stack
 of s products counts s times that).
 
+Sums over a short axis are products too: :func:`row_sums` multiplies by a
+cached read-only column of one value (``1/n`` makes it a row mean) and
+:func:`col_sums` by a cached read-only row of ones, so BLAS gemv does what a
+numpy reduction over rows of a few dozen elements does several times
+slower.  A 3-D stack runs one gemv per item, so it is bitwise the per-item
+calls; a row's sum can depend on its position within an item, so a stack
+is never flattened into one.  They call ``np.matmul`` directly: they are
+reductions, not model products, and :class:`StepCounters` does not count
+them as matmul work.
+
 Worker ranks that compute at the same time share the machine's cores with
 the BLAS library's own thread pool.  :func:`blas_threads` caps that pool for
 the duration of a block (numpy's bundled OpenBLAS, reached through
@@ -37,6 +47,7 @@ the duration of a block (numpy's bundled OpenBLAS, reached through
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import threading
 from contextlib import contextmanager
@@ -240,6 +251,29 @@ def matmul(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def fill_vector(n: int, dtype: np.dtype, value: float = 1.0, column: bool = False) -> np.ndarray:
+    """A read-only ``(n,)`` vector, or ``(n, 1)`` column, of ``value`` in
+    ``dtype``; cached, so repeated sums reuse it."""
+    v = np.full((n, 1) if column else n, value, dtype)
+    v.flags.writeable = False
+    return v
+
+
+def row_sums(a: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the sums along the last axis of ``a``, kept as a
+    trailing axis of 1 (shape ``(..., rows, 1)``), as one product with a
+    column of ``scale`` in ``a``'s dtype."""
+    return np.matmul(a, fill_vector(a.shape[-1], a.dtype, scale, True))
+
+
+def col_sums(a: np.ndarray) -> np.ndarray:
+    """The sums down the rows of a 2-D operand (shape ``(cols,)``), or of
+    each item of a 3-D stack (``(items, cols)``), as one product with a row
+    of ones."""
+    return np.matmul(fill_vector(a.shape[-2], a.dtype), a)
+
+
 def transpose(a: np.ndarray) -> np.ndarray:
     """The transposed view ``a.T`` of a 2-D operand: no copy, since
     :func:`matmul` takes it as it is."""
@@ -254,8 +288,9 @@ def softmax_rows(
     """The unnormalized row-wise softmax of a 2-D operand or of a 3-D stack
     of them, with optional boolean keep-mask: writes ``exp(a - rowmax)``
     into ``out`` (which may be ``a`` itself) and returns the (..., rows, 1)
-    row sums of ``out``.  ``out / sums`` is the softmax; callers that scale
-    a (rows, dk) operand instead of the (rows, keys) tile divide nowhere.
+    row sums of ``out`` (:func:`row_sums`).  ``out / sums`` is the softmax;
+    callers that scale a (rows, dk) operand instead of the (rows, keys) tile
+    divide nowhere.
 
     ``mask[..., i, j] == False`` forces entry (i, j) to exactly +0 and
     excludes it from the row's maximum and sum.  The mask has the operand's
@@ -270,7 +305,7 @@ def softmax_rows(
     if mask is None:
         np.subtract(a, np.max(a, axis=-1, keepdims=True), out=out)
         np.exp(out, out=out)
-        return np.sum(out, axis=-1, keepdims=True)
+        return row_sums(out)
     if mask.shape not in (a.shape, a.shape[-2:]):
         raise ShapeError(f"mask shape {mask.shape} does not match operand {a.shape}")
     if mask.dtype != np.bool_:
@@ -291,4 +326,4 @@ def softmax_rows(
     out *= mask
     np.exp(out, out=out)
     out *= mask
-    return np.sum(out, axis=-1, keepdims=True)
+    return row_sums(out)

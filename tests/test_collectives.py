@@ -204,6 +204,20 @@ def test_ledger_jsonl_round_trip_is_byte_identical():
     assert again.records == ledger.records
 
 
+@pytest.mark.parametrize("line,problem", [
+    ('{"step": 0, "engine": "sharded", "loss": 1.5}',
+     r"unexpected fields \['engine', 'loss'\], missing fields "
+     r"\['group', 'kind', 'phase', 'layer', 'elements'\]"),
+    ('[0, "seq0"]', "not a JSON object"),
+    ('{"step": 0, "group": "seq0"', "Expecting"),
+], ids=["other-record", "not-an-object", "not-json"])
+def test_ledger_jsonl_names_the_line_that_is_no_record(line, problem):
+    good = CommLedger()
+    good.append(CommRecord(0, "seq0", "all-gather", "forward", 2, 1024))
+    with pytest.raises(ValueError, match=rf"^line 3: .*{problem}"):
+        CommLedger.from_jsonl(good.to_jsonl() + "\n" + line + "\n")
+
+
 def test_ledger_jsonl_is_json_dumps_of_each_record():
     ledger = CommLedger()
     kinds = ("scatter", "gather", "all-gather", "reduce-scatter", "all-reduce")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -346,7 +347,7 @@ def scores_bwd_with_dropped_copy(attn, q, k, v, ctx, grad_ctx, cfg, policy):
             grad_e = tensor.matmul(g, tensor.transpose(v[b, :, cols]))
             if keep is not None:
                 grad_e = grad_e * keep
-            d = np.sum(g_ctx * ctx[b, :, cols], axis=1, keepdims=True) * inv
+            d = ((g_ctx * ctx[b, :, cols]) @ np.ones((dk, 1), ctx.dtype)) * inv
             grad_s = (grad_e - d) * e
             grad_q[b, :, cols] = tensor.matmul(grad_s, k[b, :, cols]) * (1.0 / math.sqrt(dk))
             grad_k[b, :, cols] = tensor.matmul(tensor.transpose(grad_s), q[b, :, cols])
@@ -686,3 +687,20 @@ def test_checkpoint_rejects_truncated_or_trailing_bytes(tiny_cfg, tmp_path, cut,
     with pytest.raises(ValueError, match=problem) as err:
         model.load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+def _set_byte(raw: bytes, at: int, value: int) -> bytes:
+    return raw[:at] + bytes([value]) + raw[at + 1:]
+
+
+@pytest.mark.parametrize("corrupt,problem", [
+    (lambda raw: _set_byte(raw, 20, raw[20] ^ 0xFF), "utf-8"),  # inside '"config"'
+    (lambda raw: _set_byte(raw, 12, ord("[")), "Expecting"),   # the header's opening brace
+], ids=["not-utf8", "not-json"])
+def test_checkpoint_rejects_a_corrupt_header(tiny_cfg, tmp_path, corrupt, problem):
+    path = tmp_path / "ckpt.bin"
+    model.save_checkpoint(path, model.init_params(tiny_cfg, 0), tiny_cfg, seed=0)
+    path.write_bytes(corrupt(path.read_bytes()))
+    want = rf"^checkpoint {re.escape(str(path))} has a corrupt header: .*{problem}"
+    with pytest.raises(ValueError, match=want):
+        model.load_checkpoint(path)

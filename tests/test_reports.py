@@ -640,6 +640,17 @@ def test_cli_ledger_summary(tmp_path, capsys):
                    "--step", "0") == 0
 
 
+def test_cli_ledger_of_a_steps_file_names_the_path_and_line(tmp_path, capsys):
+    result = runner.run_experiment(small_run(tmp_path, engine="sharded", workers=2))
+    capsys.readouterr()
+    steps = os.path.join(result.out_dir, "steps.jsonl")
+    assert run_cli("ledger", steps) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {steps} is not a ledger: line 1: not a ledger record: "
+                          "unexpected fields ['engine'")
+    assert "missing fields ['group', 'kind', 'phase', 'layer', 'elements']" in err
+
+
 def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert run_cli("train", "--engine", "sharded", "--workers", "5",
                    "--seq-len", "16", "--steps", "1") == 1

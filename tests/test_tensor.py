@@ -198,7 +198,7 @@ def test_softmax_rows_writes_exponentials_with_positive_zeros_and_returns_their_
     out = np.full_like(a, np.nan)
     sums = softmax_rows(a, mask, out=out)
     assert sums.shape == (2, 9, 1) and sums.dtype == dtype
-    assert sums.tobytes() == out.sum(-1, keepdims=True).tobytes()
+    assert sums.tobytes() == (out @ np.ones((14, 1), dtype)).tobytes()
     dropped = out[:, ~mask]
     assert not dropped.any() and not np.signbit(dropped).any()
     assert np.all(np.max(out, axis=-1) == 1.0)
@@ -275,7 +275,7 @@ def test_masked_softmax_bitwise_matches_where_formula(seed, rows, extra, scale):
         sums = softmax_rows(a, mask, out=out)
         for e in (softmax_three_wheres(a, mask), softmax_exp_of_neg_inf(a, mask)):
             assert out.tobytes() == e.tobytes()
-            assert (out / sums).tobytes() == (e / np.sum(e, axis=1, keepdims=True)).tobytes()
+            assert (out / sums).tobytes() == (e / (e @ np.ones((cols, 1)))).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -290,6 +290,43 @@ def test_softmax_rows_property(seed, rows, cols):
     for i in range(rows):
         order = np.argsort(a[i])
         assert np.all(np.diff(out[i][order]) >= -1e-15)
+
+
+# --- row and column sums ---
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(0, 40), min_size=2, max_size=3),
+       dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2**31),
+       scale=st.sampled_from([1.0, 0.5, 1 / 3]))
+def test_row_and_col_sums_property(shape, dtype, seed, scale):
+    """Dtype kept, a stack bitwise its per-item calls, within n eps sum|x| of
+    np.sum, the cached fill vectors read-only, and no matmul work counted."""
+    a = (np.random.default_rng(seed).standard_normal(shape) * 10).astype(dtype)
+    counters = StepCounters()
+    with tensor.counting(counters):
+        rows, cols = tensor.row_sums(a, scale), tensor.col_sums(a)
+    assert counters == StepCounters()
+    assert rows.dtype == cols.dtype == dtype
+    assert rows.shape == (*shape[:-1], 1) and cols.shape == (*shape[:-2], shape[-1])
+    if len(shape) == 3 and shape[0]:
+        per_item = [(tensor.row_sums(x, scale), tensor.col_sums(x)) for x in a]
+        assert rows.tobytes() == np.stack([r for r, _ in per_item]).tobytes()
+        assert cols.tobytes() == np.stack([c for _, c in per_item]).tobytes()
+    eps = np.finfo(dtype).eps
+    wide = a.astype(np.float64)
+    for got, want, n, bound in (
+        (rows, np.sum(a, axis=-1, keepdims=True) * dtype(scale), shape[-1],
+         np.sum(np.abs(wide), axis=-1, keepdims=True) * scale),
+        (cols, np.sum(a, axis=-2), shape[-2], np.sum(np.abs(wide), axis=-2)),
+    ):
+        # one more eps for the rounding of scale and of the product by it
+        assert np.all(np.abs(got - want.astype(np.float64)) <= (n + 1) * eps * bound)
+    for n, value, column in ((shape[-1], scale, True), (shape[-2], 1.0, False)):
+        fill = tensor.fill_vector(n, np.dtype(dtype), value, column)
+        assert not fill.flags.writeable and np.all(fill == dtype(value))
+        with pytest.raises(ValueError):
+            fill[...] = 0
 
 
 # --- counters and check_finite ---
