@@ -3,12 +3,14 @@
     seqpar train  --engine sharded --workers 2 --steps 200 --out runs/demo
     seqpar verify --engines sharded,baseline,hybrid --workers 1,2,4
     seqpar cost   --seq-len 348 --workers 6 [--weak-scaling]
-    seqpar ledger runs/demo/ledger.jsonl [--step 0]
+    seqpar report runs/demo
 
 Flags mirror the run-config fields.  ``--config FILE`` loads a JSON run
 config (same keys as the flags, model fields nested under "model") whose
 values override any flags; the ``SEQPAR_OUTPUT_DIR`` environment variable
-overrides the output directory last.  Any engine error exits nonzero.
+overrides the output directory last.  Any engine error exits nonzero, and
+so does ``report`` when a measured figure of the run differs from its
+estimate.
 """
 
 from __future__ import annotations
@@ -16,11 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from dataclasses import replace
 
-from . import costs, grid, optim, runner, tensor
-from .collectives import CommLedger
+from . import costs, grid, optim, reporting, runner, tensor
 from .model import ModelConfig, check_config_dict
 from .runner import RunConfig
 
@@ -133,32 +133,12 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _cmd_ledger(args) -> int:
-    try:
-        with open(args.path, "r", encoding="ascii") as f:
-            ledger = CommLedger.from_jsonl(f.read())
-    except ValueError as exc:  # a decode error is one too
-        raise ValueError(f"{args.path} is not a ledger: {exc}") from None
-    records = ledger.records
-    if args.step is not None:
-        records = [r for r in records if r.step == args.step]
-    if not records:
-        print("no records")
-        return 0
-    steps = sorted({r.step for r in records})
-    print(f"{len(records)} records over steps {steps[0]}..{steps[-1]}")
-    by_kind = Counter(r.kind for r in records)
-    for kind in sorted(by_kind):
-        print(f"  {kind:<16} {by_kind[kind]}")
-    per_step = Counter(r.step for r in records)
-    sizes = sorted(set(per_step.values()))
-    print(f"records per step: {sizes[0]}" + (f"..{sizes[-1]}" if len(sizes) > 1 else ""))
-    layer_tagged = [r for r in records if r.layer is not None]
-    print(f"layer-tagged: {len(layer_tagged)} "
-          f"({len(layer_tagged) // max(1, len(per_step))} per step)")
-    by_phase = Counter(r.phase for r in records)
-    for phase in sorted(by_phase):
-        print(f"  phase {phase:<10} {by_phase[phase]}")
+def _cmd_report(args) -> int:
+    text, problems = reporting.report(args.run_dir)
+    print(text, end="")
+    if problems:
+        print(f"error: {problems[0]}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -213,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the fixed worker/sequence-length schedule table")
     c.set_defaults(fn=_cmd_cost)
 
-    led = sub.add_parser("ledger", help="summarize a ledger.jsonl export")
-    led.add_argument("path")
-    led.add_argument("--step", type=int, default=None)
-    led.set_defaults(fn=_cmd_ledger)
+    r = sub.add_parser("report", help="read a run directory back and check every measured "
+                                      "figure against its estimate")
+    r.add_argument("run_dir")
+    r.set_defaults(fn=_cmd_report)
     return p
 
 

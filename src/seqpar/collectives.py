@@ -65,21 +65,34 @@ class CommRecord:
     layer: int | None
     elements: int  # size of the full logical tensor moved or reduced
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "CommRecord":
-        """One :meth:`CommLedger.to_jsonl` line; ValueError unless it is a
-        JSON object with exactly the record's fields."""
-        obj = json.loads(line)
-        try:
-            return cls(**obj)
-        except TypeError:
-            if not isinstance(obj, dict):
-                raise ValueError("not a JSON object") from None
-            names = [f.name for f in fields(cls)]
-            unexpected = [k for k in obj if k not in names]
-            missing = [n for n in names if n not in obj]
-            raise ValueError(f"not a ledger record: unexpected fields {unexpected}, "
-                             f"missing fields {missing}") from None
+
+def json_record(cls, line: str, what: str):
+    """The dataclass ``cls`` from one JSON line; ValueError, naming ``what``,
+    unless it is a JSON object with exactly cls's fields."""
+    obj = json.loads(line)
+    try:
+        return cls(**obj)
+    except TypeError:
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object") from None
+        names = [f.name for f in fields(cls)]
+        unexpected = [k for k in obj if k not in names]
+        missing = [n for n in names if n not in obj]
+        raise ValueError(f"not a {what}: unexpected fields {unexpected}, "
+                         f"missing fields {missing}") from None
+
+
+def jsonl_records(cls, text: str, what: str) -> list:
+    """One :func:`json_record` per non-blank line of ``text``; a line that is
+    none raises ValueError naming its number."""
+    records = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                records.append(json_record(cls, line, what))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+    return records
 
 
 class CommLedger:
@@ -138,12 +151,7 @@ class CommLedger:
         """The ledger :meth:`to_jsonl` wrote; a line that is no record raises
         ValueError naming its number."""
         ledger = cls()
-        for number, line in enumerate(text.splitlines(), 1):
-            if line.strip():
-                try:
-                    ledger.append(CommRecord.from_json_line(line))
-                except ValueError as exc:
-                    raise ValueError(f"line {number}: {exc}") from None
+        ledger._records = jsonl_records(CommRecord, text, "ledger record")
         return ledger
 
 

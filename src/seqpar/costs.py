@@ -10,7 +10,7 @@ ascending chunks of positions, each cut into bands on its own) their figure,
 and :func:`rank_score_flops` every worker of a sequence group its own.  A
 sharded worker, fused or not, owns one early and one late chunk
 (:attr:`seqpar.grid.ShardSpec.balanced_rows`), so all workers score
-near-equal shares.  The estimate gives the busiest worker's figure.
+equal shares when the block is even, and near-equal ones when it is odd.  The estimate gives the busiest worker's figure.
 The score-element figure is the footprint of one layer's score stack, the
 same on every worker of a sequence group, so it carries no layer factor (and
 is 0 for a model without layers).

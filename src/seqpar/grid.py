@@ -129,14 +129,14 @@ class ShardSpec:
         chunks: N front chunks of ``block // 2`` rows, then N back chunks of
         the rest of a block.  Rows early in a causal sequence see few keys
         and late rows many, so every worker pairs one of each and all score
-        equal shares, up to the band rounding.  Adjacent chunks (the last
-        worker's, so every chunk at N=1) merge and empty ones drop."""
+        equal shares (at an even block).  The last worker's two chunks are
+        adjacent but stay apart, so no score band straddles their seam; one
+        worker keeps the whole sequence as one chunk, and empty chunks drop."""
         n, front = self.workers, self.block // 2
-        back = self.block - front
-        late = n * front + (n - 1 - self.rank) * back
-        chunks = ((self.rank * front, (self.rank + 1) * front), (late, late + back))
-        if chunks[0][1] == late:
-            chunks = ((chunks[0][0], late + back),)
+        if n == 1:
+            return ((0, self.seq_len),)
+        late = n * front + (n - 1 - self.rank) * (self.block - front)
+        chunks = ((self.rank * front, (self.rank + 1) * front), (late, late + self.block - front))
         return tuple((start, stop) for start, stop in chunks if stop > start)
 
 

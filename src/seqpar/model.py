@@ -997,15 +997,17 @@ def load_checkpoint(path) -> tuple[Parameters, ModelConfig, int]:
         raw = read(header_len)
         try:
             header = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            cfg = ModelConfig.from_dict(header["config"])
+            names, dt, seed = header["arrays"], np.dtype(header["dtype"]), header["seed"]
+        except KeyError as exc:
+            raise ValueError(f"checkpoint {path} has a corrupt header: no key {exc}") from None
+        except (ValueError, TypeError) as exc:  # decode and JSON errors are ValueErrors
             raise ValueError(f"checkpoint {path} has a corrupt header: {exc}") from None
-        cfg = ModelConfig.from_dict(header["config"])
         template = param_shapes(cfg)
         expected = template.named_arrays()
-        for i, (got, want) in enumerate(zip_longest(header["arrays"], [n for n, _ in expected])):
+        for i, (got, want) in enumerate(zip_longest(names, [n for n, _ in expected])):
             if got != want:
                 raise ValueError(f"checkpoint {path} array {i} is {got!r}, its config has {want!r}")
-        dt = np.dtype(header["dtype"])
         arrays = []
         for name, want in expected:
             (rank,) = struct.unpack("<B", read(1))
@@ -1016,4 +1018,4 @@ def load_checkpoint(path) -> tuple[Parameters, ModelConfig, int]:
             arrays.append(data.astype(cfg.dtype, copy=True))
         if f.read(1):
             raise ValueError(f"checkpoint {path} has trailing bytes")
-    return template.replace_arrays(arrays), cfg, header["seed"]
+    return template.replace_arrays(arrays), cfg, seed

@@ -1,4 +1,5 @@
-"""Per-step run reports and their JSONL serialization.
+"""Per-step run reports, their JSONL serialization, and :func:`report`,
+the one reader of a whole run directory.
 
 One :class:`StepReport` per training step captures the loss, a gradient
 norm, the measured compute counters and the step's collective traffic.
@@ -9,8 +10,11 @@ line reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import os
+from collections import Counter
 from dataclasses import dataclass, field
 
+from .collectives import CommRecord, json_record, jsonl_records
 from .tensor import StepCounters
 
 
@@ -32,7 +36,8 @@ class StepReport:
 
     @classmethod
     def from_json_line(cls, line: str) -> "StepReport":
-        return cls(**json.loads(line))
+        """One :meth:`to_json_line` line (see :func:`~seqpar.collectives.json_record`)."""
+        return json_record(cls, line, "step report")
 
 
 def from_counters(
@@ -62,10 +67,98 @@ def write_jsonl(path, reports: list[StepReport]) -> None:
 
 
 def read_jsonl(path) -> list[StepReport]:
-    out = []
-    with open(path, "r", encoding="ascii") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(StepReport.from_json_line(line))
-    return out
+    """The reports of a :func:`write_jsonl` file; a line that is no report
+    raises ValueError naming the path and the line."""
+    return _read(path, lambda text: jsonl_records(StepReport, text, "step report"))
+
+
+def _read(path, parse):
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            return parse(f.read())
+    except ValueError as exc:  # a decode error is one too
+        raise ValueError(f"{path}: {exc}") from None
+
+
+SUMMARY_LINES = """\
+engine            {engine}
+grid              {replicas} x {workers} workers
+steps             {steps}
+optimizer         {optimizer} (lr {lr})
+parameters        {param_count}
+initial loss      {initial_loss:.6f}
+final loss        {final_loss:.6f}
+smoothed loss     {smoothed_final_loss:.6f}
+elapsed           {elapsed_seconds} s
+ledger records    {ledger_records}
+collectives/step  {collectives_step0} (estimated total {estimated_collectives_per_step})
+comm elements     measured {measured_comm_elements_per_step} \
+estimated {estimated_comm_elements_per_step}
+score flops       measured {measured_score_flops} estimated {estimated_score_flops} \
+delta {score_flops_delta} by rank {measured_score_flops_by_rank}
+score elements    measured {measured_score_elements_peak} \
+estimated {estimated_score_elements_peak}
+score cache bytes measured {measured_score_cache_bytes} estimated {estimated_score_cache_bytes}
+"""
+
+
+def report(run_dir) -> tuple[str, list[str]]:
+    """The text of the run in ``run_dir`` (its summary figures, the ledger's
+    counts over the whole run and a coarse loss curve) and the figures that
+    disagree, from ``summary.json``, ``steps.jsonl`` and ``ledger.jsonl``
+    alone.  Every ``estimated_X`` of the summary is compared with its
+    ``measured_X``: the summary's own, or for ``collectives_per_step`` and
+    ``comm_elements_per_step`` the count and payload elements of the
+    ledger's step-0 records.  A failed oracle check disagrees too."""
+    if not os.path.isdir(run_dir):
+        raise FileNotFoundError(f"{run_dir} is not a run directory")
+    path = os.path.join(run_dir, "summary.json")
+    written = _read(path, json.loads)
+    if not isinstance(written, dict) or not isinstance(written.get("summary"), dict):
+        raise ValueError(f"{path}: no \"summary\" object")
+    summary = written["summary"]
+    reports = read_jsonl(os.path.join(run_dir, "steps.jsonl"))
+    records = _read(os.path.join(run_dir, "ledger.jsonl"),
+                    lambda text: jsonl_records(CommRecord, text, "ledger record"))
+    step0 = [r for r in records if r.step == 0]
+    figures = {**summary, "measured_collectives_per_step": len(step0),
+               "measured_comm_elements_per_step": sum(r.elements for r in step0)}
+    problems = []
+    for key, value in summary.items():
+        measured = "measured_" + key.removeprefix("estimated_")
+        if key.startswith("estimated_") and figures.get(measured) != value:
+            problems.append(f"{measured} {figures.get(measured)} differs from {key} {value}")
+    if summary.get("equivalence_pass") is False:
+        problems.append("equivalence_pass is false")
+    try:
+        text = SUMMARY_LINES.format_map(figures)
+        if "max_param_delta" in summary:
+            text += (f"equivalence       max |delta param| {summary['max_param_delta']:.3e}"
+                     f" ({'pass' if summary['equivalence_pass'] else 'FAIL'}"
+                     f" below {summary['equivalence_tolerance']:.3e})\n")
+    except KeyError as exc:
+        raise ValueError(f"{path}: no summary figure {exc}") from None
+    text += f"check             {'; '.join(problems) or 'every figure matches its estimate'}\n"
+    return "\n".join([text, *_ledger_lines(records), "", *_loss_curve(reports)]) + "\n", problems
+
+
+def _ledger_lines(records: list[CommRecord]) -> list[str]:
+    if not records:
+        return ["ledger: no records"]
+    per_step = Counter(r.step for r in records)
+    sizes = sorted(set(per_step.values()))
+    tagged = sum(r.layer is not None for r in records)
+    return [
+        f"ledger: {len(records)} records over steps {min(per_step)}..{max(per_step)}",
+        *(f"  {kind:<16} {n}" for kind, n in sorted(Counter(r.kind for r in records).items())),
+        f"records per step: {sizes[0]}" + (f"..{sizes[-1]}" if len(sizes) > 1 else ""),
+        f"layer-tagged: {tagged} ({tagged // len(per_step)} per step)",
+        *(f"  phase {phase:<10} {n}"
+          for phase, n in sorted(Counter(r.phase for r in records).items())),
+    ]
+
+
+def _loss_curve(reports: list[StepReport]) -> list[str]:
+    stride = max(1, len(reports) // 20)
+    shown = reports[::stride] + (reports[-1:] if (len(reports) - 1) % stride else [])
+    return ["loss curve:", *(f"  step {r.step:5d}  loss {r.loss:.6f}" for r in shown)]

@@ -8,9 +8,11 @@ Output files (all under the run's output directory):
     steps.jsonl     one StepReport per training step
     ledger.jsonl    every collective the run performed
     summary.json    machine-readable run summary (incl. estimate-vs-measured)
-    summary.txt     the same, human-readable, with a coarse loss curve
     checkpoint.bin  final parameters with config header
     synthetic_corpus.txt   only when no dataset path was given
+
+``seqpar report RUN_DIR`` (:func:`seqpar.reporting.report`) renders a run
+from these files and checks its measured figures against the estimates.
 
 Config precedence, weakest to strongest: RunConfig defaults, CLI flags,
 config-file values, then the ``SEQPAR_OUTPUT_DIR`` environment variable for
@@ -205,7 +207,8 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
     est = costs.estimate(cfg, rc.workers, rc.engine, fused=rc.fused, replicas=rc.replicas)
     # every rank's step-0 score flops, in world-rank order.  The estimate is
     # the busiest rank's: sharded ranks, fused or not, own balanced rows and
-    # score near-equal shares, and only the baseline's rank 0 scores at all.
+    # score equal shares (near-equal at an odd block), and only the
+    # baseline's rank 0 scores at all.
     rank_score_flops = [c[0].attn_score_flops for c in run.counters]
     busiest_score_flops = max(rank_score_flops)
     summary = {
@@ -232,6 +235,7 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
         "measured_score_cache_bytes": counts[0].attn_score_bytes_cached,
         "estimated_score_cache_bytes": est.score_cache_bytes,
         "estimated_collectives_per_step": est.collectives_per_step,
+        "estimated_comm_elements_per_step": est.comm_elements_per_step,
     }
 
     if rc.equivalence_check:
@@ -264,53 +268,11 @@ def _write_outputs(out_dir, rc, reports, ledger, summary, final_params) -> None:
     with open(os.path.join(out_dir, "ledger.jsonl"), "w", encoding="ascii") as f:
         f.write(ledger.to_jsonl())
     summary = dict(summary)
-    summary["files"] = ["steps.jsonl", "ledger.jsonl", "summary.json", "summary.txt",
-                        "checkpoint.bin"]
+    summary["files"] = ["steps.jsonl", "ledger.jsonl", "summary.json", "checkpoint.bin"]
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="ascii") as f:
         json.dump({"config": rc.to_dict(), "summary": summary}, f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="ascii") as f:
-        f.write(_summary_text(rc, reports, summary))
     model.save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), final_params, rc.model, rc.seed)
-
-
-def _summary_text(rc, reports, summary) -> str:
-    lines = [
-        f"engine            {summary['engine']}",
-        f"grid              {summary['replicas']} x {summary['workers']} workers",
-        f"steps             {summary['steps']}",
-        f"optimizer         {summary['optimizer']} (lr {summary['lr']})",
-        f"parameters        {summary['param_count']}",
-        f"initial loss      {summary['initial_loss']:.6f}",
-        f"final loss        {summary['final_loss']:.6f}",
-        f"smoothed loss     {summary['smoothed_final_loss']:.6f}",
-        f"elapsed           {summary['elapsed_seconds']} s",
-        f"ledger records    {summary['ledger_records']}",
-        f"collectives/step  {summary['collectives_step0']}"
-        f" (estimated total {summary['estimated_collectives_per_step']})",
-        f"score flops       measured {summary['measured_score_flops']}"
-        f" estimated {summary['estimated_score_flops']}"
-        f" delta {summary['score_flops_delta']}"
-        f" by rank {summary['measured_score_flops_by_rank']}",
-        f"score elements    measured {summary['measured_score_elements_peak']}"
-        f" estimated {summary['estimated_score_elements_peak']}",
-        f"score cache bytes measured {summary['measured_score_cache_bytes']}"
-        f" estimated {summary['estimated_score_cache_bytes']}",
-    ]
-    if "max_param_delta" in summary:
-        lines.append(
-            f"equivalence       max |delta param| {summary['max_param_delta']:.3e}"
-            f" ({'pass' if summary['equivalence_pass'] else 'FAIL'}"
-            f" below {summary['equivalence_tolerance']:.3e})"
-        )
-    lines.append("")
-    lines.append("loss curve:")
-    stride = max(1, len(reports) // 20)
-    for r in reports[::stride]:
-        lines.append(f"  step {r.step:5d}  loss {r.loss:.6f}")
-    if reports[-1].step % stride != 0:
-        lines.append(f"  step {reports[-1].step:5d}  loss {reports[-1].loss:.6f}")
-    return "\n".join(lines) + "\n"
 
 
 def verify_equivalence(

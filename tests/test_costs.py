@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqpar import baseline, costs, grid, hybrid, model, runner, sharded, tensor
 from seqpar.collectives import Communicator, run_workers
@@ -50,9 +52,9 @@ def test_doubling_workers_halves_score_footprint(tiny_cfg):
     four = estimate(tiny_cfg, 4, "sharded")
     assert one.score_elements_peak == 2 * two.score_elements_peak
     assert two.score_elements_peak == 2 * four.score_elements_peak
-    # the busier of two balanced ranks scores rows 6..18: 216 of one
-    # worker's 576 (rows x visible keys)
-    assert 3 * one.score_flops == 8 * two.score_flops
+    # each of two balanced ranks scores two 6-row chunks, one band each:
+    # 180 of one worker's 576 (rows x visible keys)
+    assert 16 * two.score_flops == 5 * one.score_flops
 
 
 def test_score_flops_count_each_bands_visible_keys():
@@ -67,7 +69,9 @@ def test_score_flops_count_each_bands_visible_keys():
 
     assert score_flops(cfg, ((0, 100),)) == by_hand((64, 64), (36, 100))
     assert score_flops(cfg, ((200, 300),)) == by_hand((64, 264), (36, 300))
-    assert estimate(cfg, 3, "sharded").score_flops == score_flops(cfg, ((100, 200),))
+    # balanced ranks hold two 50-row chunks, one band each, and score equal shares
+    assert costs.rank_score_flops(cfg, 3) == [by_hand((50, 50), (50, 300))] * 3
+    assert estimate(cfg, 3, "sharded").score_flops == score_flops(cfg, ((100, 150), (150, 200)))
     assert estimate(cfg, 1, "sequential").score_flops == by_hand(
         (64, 64), (64, 128), (64, 192), (64, 256), (44, 300))
     full = replace(cfg, causal=False)
@@ -301,7 +305,7 @@ def test_complexity_labels(tiny_cfg):
     ("sequential", 1, 1, 240),
     ("sharded", 1, 1, 240), ("sharded", 1, 2, 240), ("sharded", 1, 3, 240),
     ("sharded", 1, 4, 240),
-    ("sharded", 1, 3, 300),  # rank 2's merged 100 rows: bands of 64 and a ragged 36
+    ("sharded", 1, 3, 300),  # rank 2's adjacent chunks of 50 rows, one band each
     ("sharded", 1, 2, 30),   # blocks of 15: chunks of 7 and 8 rows
     ("hybrid", 2, 2, 240), ("baseline", 1, 3, 240),
 ])
@@ -328,6 +332,29 @@ def test_every_rank_scores_the_closed_form_over_its_chunks(engine, replicas, wor
         assert counters[0].attn_score_flops == per_rank[seq_index]
     est = estimate(cfg, workers, engine, fused=fused, replicas=replicas)
     assert est.score_flops == max(per_rank)
+
+
+@pytest.mark.parametrize("seq_len,workers,heads,each", [
+    (128, 2, 8, 10_485_760),  # the default model: merged chunks gave rank 1 12,582,912
+    (128, 4, 8, 4_718_592),
+    (192, 3, 8, 14_680_064),
+    (300, 3, 4, 35_840_000),
+])
+def test_balanced_ranks_score_equal_shares(seq_len, workers, heads, each):
+    cfg = ModelConfig(embed_dim=64, n_layers=2, n_heads=heads, ff_dim=256, vocab=256,
+                      seq_len=seq_len, batch=4)
+    assert costs.rank_score_flops(cfg, workers) == [each] * workers
+
+
+@settings(max_examples=200, deadline=None)
+@given(workers=st.integers(2, 8), half=st.integers(1, 100), causal=st.booleans())
+def test_every_even_block_scores_equal_shares(workers, half, causal):
+    """A rank's front and back chunks are both ``half`` rows long, cut into
+    the same bands, and start at positions that sum to ``(2N-1)·half``, so
+    every rank scores the same, whether or not the chunks fill whole bands."""
+    cfg = ModelConfig(embed_dim=4, n_layers=1, n_heads=1, ff_dim=4, vocab=8,
+                      seq_len=2 * half * workers, causal=causal)
+    assert len(set(costs.rank_score_flops(cfg, workers))) == 1
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])

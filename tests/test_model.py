@@ -696,7 +696,10 @@ def _set_byte(raw: bytes, at: int, value: int) -> bytes:
 @pytest.mark.parametrize("corrupt,problem", [
     (lambda raw: _set_byte(raw, 20, raw[20] ^ 0xFF), "utf-8"),  # inside '"config"'
     (lambda raw: _set_byte(raw, 12, ord("[")), "Expecting"),   # the header's opening brace
-], ids=["not-utf8", "not-json"])
+    (lambda raw: raw.replace(b'"config"', b'"conxig"', 1), "no key 'config'"),
+    (lambda raw: raw.replace(b'"seed"', b'"seex"', 1), "no key 'seed'"),
+    (lambda raw: raw.replace(b'"embed_dim": 16', b'"embed_dim": -4', 1), "must be positive"),
+], ids=["not-utf8", "not-json", "no-config", "no-seed", "bad-config"])
 def test_checkpoint_rejects_a_corrupt_header(tiny_cfg, tmp_path, corrupt, problem):
     path = tmp_path / "ckpt.bin"
     model.save_checkpoint(path, model.init_params(tiny_cfg, 0), tiny_cfg, seed=0)

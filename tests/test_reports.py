@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,8 +153,8 @@ def test_run_experiment_writes_every_artifact(tmp_path):
     rc = small_run(tmp_path, engine="sharded", workers=2, equivalence_check=True)
     result = runner.run_experiment(rc)
     out = result.out_dir
-    for name in ("steps.jsonl", "ledger.jsonl", "summary.json", "summary.txt",
-                 "checkpoint.bin", "synthetic_corpus.txt"):
+    for name in ("steps.jsonl", "ledger.jsonl", "summary.json", "checkpoint.bin",
+                 "synthetic_corpus.txt"):
         assert os.path.exists(os.path.join(out, name)), name
 
     reports = reporting.read_jsonl(os.path.join(out, "steps.jsonl"))
@@ -164,9 +166,11 @@ def test_run_experiment_writes_every_artifact(tmp_path):
         written = json.load(f)
     assert written["config"]["engine"] == "sharded"
     s = written["summary"]
+    assert sorted(os.listdir(out)) == sorted(s["files"] + ["synthetic_corpus.txt"])
     for key in ("initial_loss", "final_loss", "smoothed_final_loss", "param_count",
                 "ledger_records", "measured_score_flops", "estimated_score_flops",
-                "score_flops_delta", "estimated_collectives_per_step"):
+                "score_flops_delta", "estimated_collectives_per_step",
+                "estimated_comm_elements_per_step"):
         assert key in s, key
     assert s["score_flops_delta"] == 0
     assert s["equivalence_pass"] is True
@@ -177,8 +181,9 @@ def test_run_experiment_writes_every_artifact(tmp_path):
     for a, b in zip(params.arrays(), result.final_params.arrays()):
         assert a.tobytes() == b.tobytes()
 
-    text = open(os.path.join(out, "summary.txt")).read()
+    text, problems = reporting.report(out)
     assert "loss curve:" in text and "engine" in text
+    assert problems == []
 
 
 @pytest.mark.parametrize("engine,workers", [("sharded", 2), ("baseline", 2)])
@@ -190,14 +195,15 @@ def test_summary_shows_cached_score_bytes_against_the_estimate(tmp_path, engine,
     want = cfg.n_layers * cfg.batch * cfg.n_heads * rows * (cfg.seq_len * (8 + 1) + 8)
     assert summary["measured_score_cache_bytes"] == want
     assert summary["estimated_score_cache_bytes"] == want
-    text = open(os.path.join(rc.out_dir, "summary.txt")).read()
+    text, _ = reporting.report(rc.out_dir)
     assert f"score cache bytes measured {want} estimated {want}" in text
 
 
 @pytest.mark.parametrize("engine,workers,want", [
     # L1 x B2 x H2 blocks of 8-wide QK^T and weights@V: 128 flops per
-    # (row, visible key).  Sharded ranks score rows 0..4 + 12..16 and 4..12.
-    ("sharded", 2, [(4 * 4 + 4 * 16) * 128, 8 * 12 * 128]),
+    # (row, visible key).  Sharded ranks score rows 0..4 + 12..16 and
+    # 4..8 + 8..12, each chunk one band.
+    ("sharded", 2, [(4 * 4 + 4 * 16) * 128, (4 * 8 + 4 * 12) * 128]),
     ("baseline", 2, [16 * 16 * 128, 0]),
 ])
 def test_summary_reports_every_ranks_score_flops(tmp_path, engine, workers, want):
@@ -205,7 +211,7 @@ def test_summary_reports_every_ranks_score_flops(tmp_path, engine, workers, want
     summary = runner.run_experiment(rc).summary
     assert summary["measured_score_flops_by_rank"] == want
     assert summary["measured_score_flops"] == max(want) == summary["estimated_score_flops"]
-    text = open(os.path.join(rc.out_dir, "summary.txt")).read()
+    text, _ = reporting.report(rc.out_dir)
     assert f"delta 0 by rank {want}\n" in text
 
 
@@ -215,7 +221,7 @@ def test_zero_layer_run_measures_the_score_footprint_it_estimates(tmp_path):
     summary = runner.run_experiment(rc).summary
     for figure in ("score_elements_peak", "score_cache_bytes", "score_flops"):
         assert summary[f"measured_{figure}"] == summary[f"estimated_{figure}"] == 0, figure
-    text = open(os.path.join(rc.out_dir, "summary.txt")).read()
+    text, _ = reporting.report(rc.out_dir)
     assert "score elements    measured 0 estimated 0\n" in text
 
 
@@ -431,7 +437,7 @@ def test_cli_check_passes_a_correct_single_precision_run(tmp_path):
     assert 1e-8 < summary["max_param_delta"] < summary["equivalence_tolerance"]
     assert summary["equivalence_tolerance"] == runner.equivalence_tolerance(np.float32)
     assert rc == 0
-    assert "(pass below 7.629e-06)" in (out / "summary.txt").read_text()
+    assert "(pass below 7.629e-06)" in reporting.report(out)[0]
 
 
 def test_equivalence_tolerance_keeps_double_at_1e_8():
@@ -628,31 +634,102 @@ def test_cli_cost_prints_cached_score_bytes(capsys):
     assert f"score cache bytes       {want}\n" in capsys.readouterr().out
 
 
-def test_cli_ledger_summary(tmp_path, capsys):
-    rc_run = small_run(tmp_path, engine="sharded", workers=2)
-    result = runner.run_experiment(rc_run)
+@pytest.mark.parametrize("kw", [
+    dict(engine="sequential"),
+    dict(engine="sharded", workers=2, equivalence_check=True),
+    dict(engine="sharded", workers=2, fused=False),
+    dict(engine="baseline", workers=2, equivalence_check=True),
+    dict(engine="hybrid", workers=2, replicas=2, equivalence_check=True),
+], ids=["sequential", "sharded", "sharded-no-fuse", "baseline", "hybrid-2x2"])
+def test_cli_report_finds_every_figure_equal_to_its_estimate(tmp_path, capsys, kw):
+    result = runner.run_experiment(small_run(tmp_path, **kw))
     capsys.readouterr()
-    assert run_cli("ledger", os.path.join(result.out_dir, "ledger.jsonl")) == 0
+    assert run_cli("report", result.out_dir) == 0
     out = capsys.readouterr().out
-    assert "records over steps" in out
-    assert "all-gather" in out
-    assert run_cli("ledger", os.path.join(result.out_dir, "ledger.jsonl"),
-                   "--step", "0") == 0
+    assert "check             every figure matches its estimate\n" in out
+    records = result.summary["ledger_records"]
+    assert (f"ledger: {records} records over steps 0..1\n" if records
+            else "ledger: no records\n") in out
+    assert out.endswith("loss curve:\n"
+                        f"  step     0  loss {result.reports[0].loss:.6f}\n"
+                        f"  step     1  loss {result.reports[1].loss:.6f}\n")
 
 
-def test_cli_ledger_of_a_steps_file_names_the_path_and_line(tmp_path, capsys):
+@pytest.mark.parametrize("key,edit,problem", [
+    ("estimated_score_flops", lambda v: v + 1,
+     "measured_score_flops 10240 differs from estimated_score_flops 10241"),
+    ("estimated_comm_elements_per_step", lambda v: v * 2,
+     "measured_comm_elements_per_step 11729 differs from estimated_comm_elements_per_step 23458"),
+    ("equivalence_pass", lambda v: False, "equivalence_pass is false"),
+], ids=["score-flops", "comm-elements", "equivalence"])
+def test_cli_report_names_the_figure_that_differs(tmp_path, capsys, key, edit, problem):
+    rc = small_run(tmp_path, engine="sharded", workers=2, equivalence_check=True)
+    runner.run_experiment(rc)
+    path = os.path.join(rc.out_dir, "summary.json")
+    with open(path) as f:
+        written = json.load(f)
+    written["summary"][key] = edit(written["summary"][key])
+    with open(path, "w") as f:
+        json.dump(written, f)
+    capsys.readouterr()
+    assert run_cli("report", rc.out_dir) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {problem}\n"
+    assert f"check             {problem}\n" in captured.out
+    assert reporting.report(rc.out_dir)[1] == [problem]
+
+
+def test_cli_report_summarizes_the_whole_ledger(tmp_path, capsys):
     result = runner.run_experiment(small_run(tmp_path, engine="sharded", workers=2))
     capsys.readouterr()
-    steps = os.path.join(result.out_dir, "steps.jsonl")
-    assert run_cli("ledger", steps) == 1
+    assert run_cli("report", result.out_dir) == 0
+    out = capsys.readouterr().out
+    assert ("ledger: 6 records over steps 0..1\n"
+            "  all-gather       2\n"
+            "  all-reduce       2\n"
+            "  reduce-scatter   2\n"
+            "records per step: 3\n"
+            "layer-tagged: 4 (2 per step)\n") in out
+    assert "comm elements     measured 11729 estimated 11729\n" in out
+
+
+@pytest.mark.parametrize("written,read,problem", [
+    ("steps.jsonl", "ledger.jsonl", "not a ledger record: unexpected fields ['engine'"),
+    ("ledger.jsonl", "steps.jsonl", "not a step report: unexpected fields ['group'"),
+])
+def test_cli_report_of_a_swapped_file_names_the_path_and_line(tmp_path, capsys, written, read,
+                                                               problem):
+    result = runner.run_experiment(small_run(tmp_path, engine="sharded", workers=2))
+    capsys.readouterr()
+    path = os.path.join(result.out_dir, read)
+    with open(os.path.join(result.out_dir, written)) as f:
+        text = f.read()
+    with open(path, "w") as f:
+        f.write(text)
+    assert run_cli("report", result.out_dir) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {steps} is not a ledger: line 1: not a ledger record: "
-                          "unexpected fields ['engine'")
-    assert "missing fields ['group', 'kind', 'phase', 'layer', 'elements']" in err
+    assert err.startswith(f"error: {path}: line 1: {problem}")
+    missing = ("['group', 'kind', 'phase', 'layer', 'elements']" if read == "ledger.jsonl" else
+               "['engine', 'loss', 'grad_norm', 'matmul_flops', 'attn_score_flops', "
+               "'score_elements_peak', 'collectives']")
+    assert f"missing fields {missing}" in err
+
+
+def test_readme_cli_lines_parse():
+    """Every ``seqpar`` line of the README's CLI block parses, so a removed
+    or renamed subcommand or flag cannot linger in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("seqpar ")]
+    assert lines
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert run_cli("train", "--engine", "sharded", "--workers", "5",
                    "--seq-len", "16", "--steps", "1") == 1
     assert "error:" in capsys.readouterr().err
-    assert run_cli("ledger", str(tmp_path / "missing.jsonl")) == 1
+    missing = str(tmp_path / "missing")
+    assert run_cli("report", missing) == 1
+    assert capsys.readouterr().err == f"error: {missing} is not a run directory\n"

@@ -93,8 +93,9 @@ def test_reassemble_positions_restores_table(workers, block, seed):
 @given(workers=st.integers(1, 16), block=st.integers(1, 64))
 def test_balanced_rows_pair_chunk_r_with_chunk_2n_minus_1_minus_r(workers, block):
     """The sequence cut into 2N chunks, N front chunks of block // 2 rows and
-    N back chunks of the rest: rank r holds chunks r and 2N-1-r, merged
-    when adjacent, and the ranks' rows partition the sequence."""
+    N back chunks of the rest: rank r holds chunks r and 2N-1-r, apart even
+    when adjacent (one worker holds one chunk), and the ranks' rows
+    partition the sequence."""
     seq_len = workers * block
     front, back = block // 2, block - block // 2
     chunks = ([(i * front, (i + 1) * front) for i in range(workers)]
@@ -105,9 +106,7 @@ def test_balanced_rows_pair_chunk_r_with_chunk_2n_minus_1_minus_r(workers, block
         rows = grid.ShardSpec(r, workers, seq_len).balanced_rows
         assert model.row_count(rows) == block
         early, late = chunks[r], chunks[2 * workers - 1 - r]
-        if early[1] == late[0]:
-            assert rows == ((early[0], late[1]),)
-        else:
+        if workers > 1:
             assert rows == tuple(c for c in (early, late) if c[1] > c[0])
         covered += model.row_positions(rows).tolist()
     assert sorted(covered) == list(range(seq_len))
@@ -118,9 +117,9 @@ def test_balanced_rows_at_uneven_shapes():
     spec = grid.ShardSpec(rank=1, workers=3, seq_len=300)
     assert spec.block_rows == ((100, 200),)
     assert spec.balanced_rows == ((50, 100), (200, 250))
-    assert grid.ShardSpec(2, 3, 300).balanced_rows == ((100, 200),)
+    assert grid.ShardSpec(2, 3, 300).balanced_rows == ((100, 150), (150, 200))
     odd = [grid.ShardSpec(r, 2, 30).balanced_rows for r in range(2)]  # blocks of 15
-    assert odd == [((0, 7), (22, 30)), ((7, 22),)]
+    assert odd == [((0, 7), (22, 30)), ((7, 14), (14, 22))]
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["no-dropout", "dropout"])
