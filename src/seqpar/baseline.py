@@ -77,10 +77,11 @@ def train_step(
     *,
     policy: DropoutPolicy | None = None,
     step: int = 0,
-) -> tuple[float | None, Parameters]:
+) -> tuple[float | None, np.ndarray]:
     """forward -> backward -> gradient sync on one worker; ``tokens`` and
     ``targets`` are the full-width batch (only rank 0 reads them).  Returns
-    (the loss on rank 0, else None; the synced gradients)."""
+    (the loss on rank 0, else None; the synced gradients as one flat
+    vector, the all-reduce's output that every worker shares)."""
     comm, group, spec = worker.comm, worker.seq_group, worker.spec
     rank = spec.rank
     policy = policy if policy is not None else DropoutPolicy.off()
@@ -127,8 +128,7 @@ def train_step(
     # computed each entry, everyone else contributed zeros, except the
     # layernorm gain/bias grads where each worker's partial sum over its
     # own rows is a genuine addend.
-    grads, _ = grid.all_reduce_grads(comm, group, rank, grads, None, step=step, op="sum")
-    return loss, grads
+    return loss, grid.all_reduce_grads(comm, group, rank, grads, None, step=step, op="sum")
 
 
 def run_steps(

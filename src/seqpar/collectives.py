@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CommAborted, CommTimeout, PartitionError, ShapeError
+from .model import check_config_dict
 
 GROUP_KINDS = {"sequence": "seq", "data": "data"}
 
@@ -68,18 +69,19 @@ class CommRecord:
 
 def json_record(cls, line: str, what: str):
     """The dataclass ``cls`` from one JSON line; ValueError, naming ``what``,
-    unless it is a JSON object with exactly cls's fields."""
+    unless it is a JSON object with exactly cls's fields, each holding a
+    value of its field's type (:func:`seqpar.model.check_config_dict`)."""
     obj = json.loads(line)
-    try:
-        return cls(**obj)
-    except TypeError:
-        if not isinstance(obj, dict):
-            raise ValueError("not a JSON object") from None
-        names = [f.name for f in fields(cls)]
-        unexpected = [k for k in obj if k not in names]
-        missing = [n for n in names if n not in obj]
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    names = [f.name for f in fields(cls)]
+    unexpected = [k for k in obj if k not in names]
+    missing = [n for n in names if n not in obj]
+    if unexpected or missing:
         raise ValueError(f"not a {what}: unexpected fields {unexpected}, "
-                         f"missing fields {missing}") from None
+                         f"missing fields {missing}")
+    check_config_dict(cls, obj, what)
+    return cls(**obj)
 
 
 def jsonl_records(cls, text: str, what: str) -> list:

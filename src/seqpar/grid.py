@@ -6,8 +6,10 @@ baseline are 1xN, hybrid is RxN.  Ranks are laid out replica-major: replica
 ``d`` owns ranks ``[d*N, (d+1)*N)``, which form its sequence group; the ranks
 at sequence index ``s`` across all replicas (``s, N+s, 2N+s, ...``) form
 data group ``s``.  An engine is nothing but its per-step function (forward,
-backward, gradient sync); :func:`train` owns everything else, and every
-engine's gradient sync is :func:`all_reduce_grads`.
+backward, gradient sync); :func:`train` owns everything else.  Every
+engine's gradient sync is built on :func:`all_reduce_grads`, and every step
+hands :func:`train` its gradient as one flat vector, which the finite check,
+the optimizer update and the gradient norm read as it is.
 """
 
 from __future__ import annotations
@@ -210,21 +212,34 @@ def all_reduce_grads(
     step: int,
     op: str = "mean",
     local: tuple[str, ...] = (),
-) -> tuple[Parameters, float | None]:
+) -> np.ndarray:
     """Reduce every gradient not named in ``local`` across ``group`` in one
-    flat all-reduce, so the ledger gains exactly one sync record.  Gradients
-    named in ``local`` come back untouched; a ``loss`` rides along as one
-    trailing element and comes back reduced too."""
+    flat all-reduce, so the ledger gains exactly one sync record, and return
+    the rank's whole gradient as one flat vector in named order.
+
+    A ``loss`` rides along as one trailing element, and the vector keeps
+    that slot: ``vec[-1]`` is the reduced loss and ``vec[:-1]`` the
+    gradient, so a further all-reduce of ``vec`` needs no copy.  Gradients
+    named in ``local`` keep this rank's values, spliced into their places in
+    one gradient-sized copy.  With nothing ``local`` the vector is the
+    all-reduce's own output, one array shared by every member of ``group``:
+    treat it as read-only."""
     named = grads.named_arrays()
-    shared = [a for n, a in named if n not in local]
     tail = () if loss is None else (loss,)  # its slot joins the one copy
-    vec = model.flatten_arrays(shared, *tail)
-    out = comm.all_reduce(group, rank, vec, op=op, step=step, phase="sync")
-    if loss is not None:
-        loss, out = float(out[-1]), out[:-1]
-    reduced = iter(model.unflatten_like(out, shared))
-    merged = [a if n in local else next(reduced) for n, a in named]
-    return grads.replace_arrays(merged), loss
+    # no name holds the input, so it is freed before the splice below copies
+    out = comm.all_reduce(group, rank, model.flatten_arrays(
+        [a for n, a in named if n not in local], *tail), op=op, step=step, phase="sync")
+    if not local:
+        return out
+    parts, start, end = [], 0, 0  # runs of reduced gradients around each local one
+    for n, a in named:
+        if n in local:
+            parts += [out[start:end], a]
+            start = end
+        else:
+            end += a.size
+    parts.append(out[start:])
+    return model.flatten_arrays(parts)
 
 
 @dataclass
@@ -256,15 +271,21 @@ def train(
 ) -> Run:
     """Drive ``len(batches)`` training steps of ``step`` on a ``layout`` grid.
 
-    Every rank runs the same loop: per step it takes its replica's rows of
-    the combined batch, keys the step's dropout masks by those rows' indices
-    in it (``first_sample``, so any grid draws one worker's masks), calls
-    ``step(worker, params, cfg, tokens, targets, *, policy, step)`` for
-    ``(loss, synced grads)``, checks the gradients for NaN and Inf in one
-    pass and applies the optimizer update; ``tensor.counting`` collects the
-    step's counters around the call.  Each rank's whole loop runs inside
-    ``tensor.recycling``, so the score path's scratch buffers are reused
-    from step to step and layer to layer for the run.  ``batches[s]`` holds
+    Every rank runs the same loop.  It flattens its parameters once into one
+    vector in named order, of which the ``Parameters`` it hands the step are
+    views (:func:`seqpar.model.flat_view`).  Per step it takes its replica's
+    rows of the combined batch, keys the step's dropout masks by those rows'
+    indices in it (``first_sample``, so any grid draws one worker's masks),
+    calls ``step(worker, params, cfg, tokens, targets, *, policy, step)``
+    for ``(loss, grad_vec)``, the synced gradient as one flat vector in the
+    same layout, checks that vector for NaN and Inf in one pass and applies
+    the optimizer update to the parameter vector in place
+    (:func:`seqpar.optim.make_update`).  ``grad_vec`` may be a collective's
+    output that every member of a group shares, so nothing writes it.
+    ``tensor.counting`` collects the step's counters around the step and
+    the update.  Each rank's whole loop runs inside ``tensor.recycling``, so
+    the score path's and the optimizer's scratch buffers are reused from
+    step to step and layer to layer for the run.  ``batches[s]`` holds
     ``R*B`` rows; replica ``d`` trains on rows ``[d*B, (d+1)*B)``, every
     column of them: a step takes the columns it needs itself.  With
     ``split`` a rank owns only its rows of the position table; without
@@ -280,7 +301,10 @@ def train(
     The reported gradient norm covers the whole parameter set whatever the
     layout: rank 0's squared norm plus the position-row squares of the other
     ranks of its sequence group (which own the rest of the table when
-    ``split``), one square root at the end.
+    ``split``), one square root at the end.  ``Run.last_grads`` views one
+    copy of each rank's final ``grad_vec``, made here: it shares no buffer
+    between ranks, and the rank thread's buffers are freed on return, not
+    by whoever drops the ``Run``.
     """
     for tokens, _ in batches:
         if tokens.shape[0] % layout.replicas:
@@ -297,26 +321,28 @@ def train(
         replica, seq_index = layout.coords(rank)
         spec = ShardSpec(seq_index, layout.seq_workers, cfg.seq_len)
         worker = Worker(comm, spec, seq_groups[replica], data_groups[seq_index])
-        own = shard_params(params, spec) if split else params.copy()
-        update = optim.make_update(optimizer, own, lr)
-        losses, counts, squares, grads = [], [], [], None
+        flat, own = model.flat_view(shard_params(params, spec) if split else params)
+        slices = model.flat_slices(own)
+        # rank 0 folds every gradient, the others only their position rows
+        norm_slices = slices.values() if rank == 0 else (slices["pos_table"],)
+        update = optim.make_update(optimizer, flat, lr)
+        losses, counts, squares, grad_vec = [], [], [], None
         for s, (tokens, targets) in enumerate(batches):
+            grad_vec = None  # the previous step's gradient is not held through this step
             rows = tokens.shape[0] // layout.replicas
             step_policy = replace(policy.at_step(s), first_sample=replica * rows)
             tokens = tokens[replica * rows : (replica + 1) * rows]
             targets = targets[replica * rows : (replica + 1) * rows]
             counters = StepCounters()
             with tensor.counting(counters):
-                loss, grads = step(worker, own, cfg, tokens, targets, policy=step_policy, step=s)
-                tensor.check_finite(model.flatten_arrays(grads.arrays()),
-                                    f"rank {rank} step {s} gradients")
-                own = update(own, grads)
+                loss, grad_vec = step(worker, own, cfg, tokens, targets,
+                                      policy=step_policy, step=s)
+                tensor.check_finite(grad_vec, f"rank {rank} step {s} gradients")
+                update(flat, grad_vec)
             losses.append(loss)
             counts.append(counters)
-            # rank 0 folds every gradient, the others only their position rows
-            squares.append(model.grad_norm(grads, squared=True) if rank == 0
-                           else model.square_sum(grads.pos_table))
-        return own, losses, counts, squares, grads
+            squares.append(model.grad_norm(grad_vec, norm_slices, squared=True))
+        return own, losses, counts, squares, grad_vec
 
     # only split ranks compute at once; baseline's rank 0 computes while the
     # others wait, so it keeps every core
@@ -332,7 +358,8 @@ def train(
         step_losses=results[0][1],
         counters=[r[2] for r in results],
         grad_norms=norms,
-        last_grads=[r[4] for r in results],
+        last_grads=[own.replace_arrays(model.unflatten_like(grad_vec.copy(), own.arrays()))
+                    for own, _, _, _, grad_vec in results],
         workers=owned,
         final_params=(
             reassemble_params([owned[r] for r in layout.seq_members(0)]) if split else owned[0]

@@ -52,22 +52,26 @@ from .nnops import DropoutPolicy, LinearParams
 CHECKPOINT_MAGIC = b"SQPR"
 CHECKPOINT_VERSION = 1
 
-# Config-field annotation -> (the JSON values it takes, their name).  Python
-# counts bools as ints, so check_config_dict rejects them separately.
+# Field annotation of a config or a JSONL record -> (the JSON values it
+# takes, their name).  Python counts bools as ints, so check_config_dict
+# rejects them separately.
 _FIELD_TYPES = {
     "bool": (bool, "true or false"),
     "int": (int, "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
     "float": ((int, float), "a number"),
     "str": (str, "a string"),
     "str | None": ((str, type(None)), "a string or null"),
     "ModelConfig": (dict, "an object"),
+    "dict[str, int]": (dict, "an object"),
 }
 
 
 def check_config_dict(cls, d, what: str) -> None:
     """Raise ValueError unless ``d`` is a dict whose keys are fields of the
-    config dataclass ``cls`` and whose values have those fields' types.
-    Absent fields are not checked; ``what`` names the config in messages."""
+    dataclass ``cls`` (a config, or a JSONL record) and whose values have
+    those fields' types.  Absent fields are not checked; ``what`` names the
+    config in messages."""
     if not isinstance(d, dict):
         raise ValueError(f"a {what} must be an object, got {type(d).__name__}")
     extra = set(d) - set(cls.__dataclass_fields__)
@@ -185,9 +189,6 @@ class Parameters:
 
     def copy(self) -> "Parameters":
         return self.replace_arrays([a.copy() for a in self.arrays()])
-
-    def zip_map(self, other: "Parameters", fn) -> "Parameters":
-        return self.replace_arrays([fn(a, b) for a, b in zip(self.arrays(), other.arrays())])
 
 
 @cache
@@ -905,14 +906,29 @@ def backward(params: Parameters, cfg: ModelConfig, cache: StackCache) -> Paramet
                       head=LinearParams(head_wg, head_bg))
 
 
-def sgd_step(params: Parameters, grads: Parameters, lr: float) -> Parameters:
-    """Plain SGD; returns fresh parameters, inputs untouched."""
+# Optimizers walk the flat parameter vector in chunks of this many elements,
+# so each chunk's operands and scratch stay in cache between passes.
+UPDATE_CHUNK = 1 << 15
 
-    def update(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-        d = g * lr
-        return np.subtract(w, d, out=d)  # w - lr * g, in the product's buffer
 
-    return params.zip_map(grads, update)
+def update_chunks(n: int):
+    """Slices of ``[0, n)`` in order, :data:`UPDATE_CHUNK` elements each
+    (the last one shorter)."""
+    return (slice(lo, lo + UPDATE_CHUNK) for lo in range(0, n, UPDATE_CHUNK))
+
+
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    """Plain SGD on flat vectors: ``params -= lr * grads`` in place, chunk
+    by chunk (:func:`update_chunks`), the product rounded before the
+    subtraction; ``grads`` is only read."""
+    if grads.shape != params.shape:
+        raise ShapeError(f"gradient vector {grads.shape} does not match parameters {params.shape}")
+    scratch = tensor.take((min(params.size, UPDATE_CHUNK),), params.dtype)
+    for chunk in update_chunks(params.size):
+        w = params[chunk]
+        d = np.multiply(grads[chunk], lr, out=scratch[:w.size])
+        np.subtract(w, d, out=w)
+    tensor.give(scratch)
 
 
 # --- flat vector helpers (gradient sync, optimizers) ---
@@ -938,6 +954,24 @@ def unflatten_like(vec: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray
     return out
 
 
+def flat_view(params: Parameters) -> tuple[np.ndarray, Parameters]:
+    """One flat copy of ``params`` in named order, and the same structure
+    made of views into it: writing either writes both."""
+    arrays = params.arrays()
+    vec = flatten_arrays(arrays)
+    return vec, params.replace_arrays(unflatten_like(vec, arrays))
+
+
+def flat_slices(params: Parameters) -> dict[str, slice]:
+    """Each array's slice of the flat vector of ``params``, by name, in
+    named order."""
+    slices, pos = {}, 0
+    for name, a in params.named_arrays():
+        slices[name] = slice(pos, pos + a.size)
+        pos += a.size
+    return slices
+
+
 def square_sum(a: np.ndarray) -> float:
     """The sum of squares of ``a``'s entries in double precision, as one
     dot product."""
@@ -945,12 +979,13 @@ def square_sum(a: np.ndarray) -> float:
     return float(np.dot(v, v))
 
 
-def grad_norm(grads: Parameters, *, squared: bool = False) -> float:
-    """Euclidean norm over every gradient array, its squares folded in
-    parameter order; ``squared`` returns the fold itself."""
+def grad_norm(grads: np.ndarray, slices, *, squared: bool = False) -> float:
+    """Euclidean norm of the flat gradient ``grads``: the squares of each
+    array's slice of it (``slices``, :func:`flat_slices` in named order)
+    folded in that order; ``squared`` returns the fold itself."""
     total = 0.0
-    for g in grads.arrays():
-        total += square_sum(g)
+    for part in slices:
+        total += square_sum(grads[part])
     return total if squared else float(np.sqrt(total))
 
 

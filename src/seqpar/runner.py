@@ -134,9 +134,10 @@ def _corpus(rc: RunConfig, out_dir: str) -> np.ndarray:
 
 
 def _sequential_step(worker, params, cfg, tokens, targets, *, policy, step):
-    """The sequential engine: forward and backward over the whole batch."""
+    """The sequential engine: forward and backward over the whole batch,
+    the gradients flattened in named order."""
     loss, cache = model.forward(params, cfg, tokens, targets, policy=policy)
-    return loss, model.backward(params, cfg, cache)
+    return loss, model.flatten_arrays(model.backward(params, cfg, cache).arrays())
 
 
 def _sequential_steps(cfg: ModelConfig, params: Parameters, batches, **kw) -> Run:

@@ -121,22 +121,26 @@ def forward(
 
 def sync(
     worker: Worker, grads: Parameters, loss: float, *, step: int
-) -> tuple[Parameters, float]:
+) -> tuple[np.ndarray, float]:
     """The step's gradient sync: average every gradient except the position
     rows, and the partial loss, across the sequence group; then, on a grid
     with more than one replica, average everything across the data group.
+    Returns the synced gradients as one flat vector in named order and the
+    loss.
 
     Position rows cross the data group only: its members own the same rows
     of different replicas of the position table.  Afterwards every worker
-    holds the loss averaged over the whole grid.
+    holds the loss averaged over the whole grid.  The data group's
+    all-reduce takes the sequence group's result with its loss slot as it
+    is, and its output, shared by the data group, is the gradient.
     """
     comm, rank = worker.comm, worker.rank
-    grads, loss = grid.all_reduce_grads(
+    vec = grid.all_reduce_grads(
         comm, worker.seq_group, rank, grads, loss, step=step, local=("pos_table",)
     )
     if worker.data_group.size > 1:
-        grads, loss = grid.all_reduce_grads(comm, worker.data_group, rank, grads, loss, step=step)
-    return grads, loss
+        vec = comm.all_reduce(worker.data_group, rank, vec, step=step, phase="sync")
+    return vec[:-1], float(vec[-1])
 
 
 def train_step(
@@ -149,11 +153,11 @@ def train_step(
     policy: DropoutPolicy | None = None,
     step: int = 0,
     fused: bool = True,
-) -> tuple[float, Parameters]:
+) -> tuple[float, np.ndarray]:
     """forward -> backward -> gradient sync on one worker, which takes the
     columns at its balanced rows of the (batch, seq_len) ``tokens`` and
     ``targets``.  Returns the loss averaged over the grid, identical on
-    every worker, and the synced gradients.
+    every worker, and the synced gradients as one flat vector (:func:`sync`).
 
     The reduce-scatters hand each worker the *sum* of every worker's credit
     to its position rows, so it divides that gradient by the group size
@@ -168,8 +172,8 @@ def train_step(
     grads = model.backward(params, cfg, cache)
     if worker.seq_group.size > 1:
         grads.pos_table = grads.pos_table / worker.seq_group.size
-    grads, loss = sync(worker, grads, partial_loss, step=step)
-    return loss, grads
+    grad_vec, loss = sync(worker, grads, partial_loss, step=step)
+    return loss, grad_vec
 
 
 def run_steps(

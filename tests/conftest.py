@@ -42,22 +42,26 @@ def assert_param_sets_close(got, want, rtol, atol, skip=()):
 
 
 def sequential_sgd(cfg, params, batches, lr, policy=None):
-    """Reference training loop; returns (final params, losses, last grads)."""
+    """Reference training loop; returns (final params, losses, last grads).
+    It trains a flat copy of ``params`` in place, as every rank does."""
     policy = policy if policy is not None else DropoutPolicy.off()
+    vec, params = model.flat_view(params)
     losses, grads = [], None
     for s, (tokens, targets) in enumerate(batches):
         step_policy = policy.at_step(s) if policy.active else policy
         loss, cache = model.forward(params, cfg, tokens, targets, policy=step_policy)
         grads = model.backward(params, cfg, cache)
-        params = model.sgd_step(params, grads, lr)
+        model.sgd_step(vec, model.flatten_arrays(grads.arrays()), lr)
         losses.append(loss)
     return params, losses, grads
 
 
 def sequential_adam(cfg, params, batches, lr):
-    """Reference Adam training loop; returns the final params."""
-    update = optim.make_update("adam", params, lr)
+    """Reference Adam training loop on a flat copy of ``params``; returns
+    the final params."""
+    vec, params = model.flat_view(params)
+    update = optim.make_update("adam", vec, lr)
     for tokens, targets in batches:
         _, cache = model.forward(params, cfg, tokens, targets)
-        params = update(params, model.backward(params, cfg, cache))
+        update(vec, model.flatten_arrays(model.backward(params, cfg, cache).arrays()))
     return params

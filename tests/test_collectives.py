@@ -210,7 +210,13 @@ def test_ledger_jsonl_round_trip_is_byte_identical():
      r"\['group', 'kind', 'phase', 'layer', 'elements'\]"),
     ('[0, "seq0"]', "not a JSON object"),
     ('{"step": 0, "group": "seq0"', "Expecting"),
-], ids=["other-record", "not-an-object", "not-json"])
+    ('{"step": 0, "group": "seq0", "kind": "all-reduce", "phase": "sync", "layer": null, '
+     '"elements": "512"}', "ledger record key 'elements' must be an integer, got '512'"),
+    ('{"step": null, "group": "seq0", "kind": "all-reduce", "phase": "sync", "layer": null, '
+     '"elements": 512}', "ledger record key 'step' must be an integer, got None"),
+    ('{"step": 0, "group": "seq0", "kind": "all-reduce", "phase": "sync", "layer": true, '
+     '"elements": 512}', "ledger record key 'layer' must be an integer or null, got True"),
+], ids=["other-record", "not-an-object", "not-json", "string-count", "null-step", "bool-layer"])
 def test_ledger_jsonl_names_the_line_that_is_no_record(line, problem):
     good = CommLedger()
     good.append(CommRecord(0, "seq0", "all-gather", "forward", 2, 1024))

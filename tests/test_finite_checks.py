@@ -7,6 +7,9 @@ propagate through every op, so a bad value still raises before it reaches
 the parameters, on every engine.
 """
 
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -34,16 +37,28 @@ def setup(tiny_cfg, rng):
 
 @pytest.fixture
 def updates(monkeypatch):
-    """Every gradient set the SGD update is applied to."""
+    """(thread, flat gradient) for every SGD update applied."""
     seen = []
     step = model.sgd_step
 
     def recording(params, grads, lr):
-        seen.append(grads)
+        seen.append((threading.get_ident(), grads.copy()))
         return step(params, grads, lr)
 
     monkeypatch.setattr(model, "sgd_step", recording)
     return seen
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_a_clean_run_updates_every_rank_every_step(engine, setup, updates):
+    """The guard below is real: on a clean run each rank applies one finite
+    flat gradient per step."""
+    cfg, params, batches = setup
+    workers = ENGINES[engine][0]
+    runner._train(engine, cfg, params, GridLayout(1, workers), batches, lr=0.1, timeout=10.0)
+    per_rank = Counter(thread for thread, _ in updates)
+    assert sorted(per_rank.values()) == [len(batches)] * workers
+    assert all(g.ndim == 1 and np.isfinite(g).all() for _, g in updates)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -81,15 +96,14 @@ def test_non_finite_gradient_raises_before_the_update(engine, setup, updates):
     def poisoned(worker, *args, **kw):
         loss, grads = step(worker, *args, **kw)
         if worker.rank == last:
-            arrays = grads.arrays()  # a fresh array: collectives may share buffers
-            arrays[-1] = np.full_like(arrays[-1], np.nan)
-            grads = grads.replace_arrays(arrays)
+            grads = grads.copy()  # a fresh array: collectives may share buffers
+            grads[-1] = np.nan
         return loss, grads
 
     with pytest.raises(NumericsError, match=f"rank {last} step 0 gradients"):
         grid.train(poisoned, cfg, params, GridLayout(1, workers), batches, lr=0.1,
                    split=split, run_workers=runner.run_workers, timeout=10.0)
-    assert all(np.isfinite(g).all() for grads in updates for g in grads.arrays())
+    assert all(np.isfinite(g).all() for _, g in updates)
 
 
 def test_non_finite_gradient_raises_in_that_layers_backward(tiny_cfg, rng):

@@ -58,14 +58,13 @@ def test_vertical_sync_averages_everything(tiny_cfg):
     group = comm.group("data", (0, 1))
 
     def worker(rank):
-        grads = params.zip_map(params, lambda a, b: np.full_like(a, float(rank)))
+        grads = params.replace_arrays([np.full_like(a, float(rank)) for a in params.arrays()])
         return grid.all_reduce_grads(comm, group, rank, grads, float(rank), step=0)
 
     outs = run_workers(2, worker, comm=comm)
-    for out, loss in outs:
-        assert loss == 0.5
-        for a in out.arrays():  # position rows included
-            np.testing.assert_array_equal(a, np.full_like(a, 0.5))
+    for vec in outs:  # every gradient, position rows included, then the loss slot
+        assert vec.shape == (model.param_count(params) + 1,)
+        np.testing.assert_array_equal(vec, np.full_like(vec, 0.5))
     assert comm.ledger.count(kind="all-reduce", phase="sync") == 1
 
 

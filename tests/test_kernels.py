@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqpar import model, nnops, optim, tensor
+from seqpar.errors import ShapeError
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy, LinearParams
 
@@ -466,48 +467,48 @@ def test_dropout_matches_reference_bitwise(shape, dtype):
     mask_frozen.check()
 
 
-def small_params(precision):
-    cfg = ModelConfig(embed_dim=12, n_layers=1, n_heads=3, ff_dim=20, vocab=17, seq_len=9,
-                      precision=precision)
-    return model.init_params(cfg, seed=3)
+# Flat parameter vector lengths: part of one update chunk, and two whole
+# chunks plus a ragged third.
+UPDATE_LENGTHS = pytest.mark.parametrize(
+    "n", [777, 2 * model.UPDATE_CHUNK + 123], ids=["one-chunk", "ragged-chunks"])
 
 
-def rand_like(params, rng):
-    return params.replace_arrays([rand(rng, a.shape, a.dtype) for a in params.arrays()])
-
-
-@pytest.mark.parametrize("precision", ["double", "single"])
-def test_sgd_step_matches_reference_bitwise(precision):
+@UPDATE_LENGTHS
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_sgd_step_matches_reference_bitwise(dtype, n):
     rng = np.random.default_rng(6)
-    params = small_params(precision)
-    grads = rand_like(params, rng)
-    frozen = Frozen(*params.arrays(), *grads.arrays())
-    got = model.sgd_step(params, grads, 0.1)
-    for g, p, d in zip(got.arrays(), params.arrays(), grads.arrays()):
-        assert_bitwise(g, ref_sgd(p, d, 0.1))
+    params, grads = rand(rng, (n,), dtype), rand(rng, (n,), dtype)
+    want = ref_sgd(params, grads, 0.1)
+    frozen = Frozen(grads)
+    model.sgd_step(params, grads, 0.1)
+    assert_bitwise(params, want)
     frozen.check()
 
 
-@pytest.mark.parametrize("precision", ["double", "single"])
-def test_three_adam_steps_match_reference_bitwise(precision):
+@UPDATE_LENGTHS
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_three_adam_steps_match_reference_bitwise(dtype, n):
     rng = np.random.default_rng(7)
-    params = small_params(precision)
+    params = rand(rng, (n,), dtype)
     state = optim.AdamState.init(params)
-    want_p = params.arrays()
-    want_m = [np.zeros_like(a) for a in want_p]
-    want_v = [np.zeros_like(a) for a in want_p]
+    want_p, want_m, want_v = params.copy(), np.zeros_like(params), np.zeros_like(params)
     for t in (1, 2, 3):
-        grads = rand_like(params, rng)
-        frozen = Frozen(*params.arrays(), *grads.arrays())
-        params = optim.adam_step(params, grads, state, 3e-3)
+        grads = rand(rng, (n,), dtype)
+        frozen = Frozen(grads)
+        optim.adam_step(params, grads, state, 3e-3)
         frozen.check()
-        for i, g in enumerate(grads.arrays()):
-            want_p[i], want_m[i], want_v[i] = ref_adam(want_p[i], g, want_m[i], want_v[i], t, 3e-3)
+        want_p, want_m, want_v = ref_adam(want_p, grads, want_m, want_v, t, 3e-3)
         assert state.t == t
-        for got, want in zip(params.arrays(), want_p):
+        for got, want in ((params, want_p), (state.m, want_m), (state.v, want_v)):
             assert_bitwise(got, want)
-        for got, want in zip(state.m + state.v, want_m + want_v):
-            assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("update", ["sgd", "adam"])
+def test_updates_refuse_a_gradient_of_another_length(update):
+    params = np.zeros(10)
+    step = optim.make_update(update, params, 0.1)
+    with pytest.raises(ShapeError, match="does not match"):
+        step(params, np.zeros(11))
 
 
 # (batch, heads, rows, keys, offset) score shapes around the bands, one

@@ -589,15 +589,14 @@ def test_training_reduces_loss(tiny_cfg, rng):
 
 
 def test_sgd_step_basics(tiny_cfg):
-    params = model.init_params(tiny_cfg, 0)
-    zeros = params.zip_map(params, lambda a, b: np.zeros_like(a))
-    same = model.sgd_step(params, zeros, lr=0.5)
-    for a, b in zip(params.arrays(), same.arrays()):
-        assert a.tobytes() == b.tobytes()
-    ones = params.zip_map(params, lambda a, b: np.ones_like(a))
-    moved = model.sgd_step(params, ones, lr=0.25)
-    for a, b in zip(params.arrays(), moved.arrays()):
-        np.testing.assert_allclose(b, a - 0.25, rtol=0, atol=1e-15)
+    vec, params = model.flat_view(model.init_params(tiny_cfg, 0))
+    before = vec.copy()
+    model.sgd_step(vec, np.zeros_like(vec), lr=0.5)
+    assert vec.tobytes() == before.tobytes()
+    model.sgd_step(vec, np.ones_like(vec), lr=0.25)
+    np.testing.assert_allclose(vec, before - 0.25, rtol=0, atol=1e-15)
+    # the update lands in the parameters, which are views of the vector
+    np.testing.assert_array_equal(params.head.bias, (before - 0.25)[-params.head.bias.size:])
 
 
 def test_flatten_unflatten_round_trip(tiny_cfg, rng):
@@ -613,12 +612,14 @@ def test_flatten_unflatten_round_trip(tiny_cfg, rng):
 
 
 def test_grad_norm_known_value(tiny_cfg):
-    params = model.init_params(tiny_cfg, 0)
-    zeros = params.zip_map(params, lambda a, b: np.zeros_like(a))
-    assert model.grad_norm(zeros) == 0.0
-    zeros.token_table[0, 0] = 3.0
-    zeros.pos_table[0, 0] = 4.0
-    assert abs(model.grad_norm(zeros) - 5.0) < 1e-12
+    zeros = model.init_params(tiny_cfg, 0)
+    vec, grads = model.flat_view(zeros.replace_arrays([np.zeros_like(a) for a in zeros.arrays()]))
+    slices = model.flat_slices(grads)
+    assert model.grad_norm(vec, slices.values()) == 0.0
+    grads.token_table[0, 0] = 3.0  # writes the vector through the views
+    grads.pos_table[0, 0] = 4.0
+    assert abs(model.grad_norm(vec, slices.values()) - 5.0) < 1e-12
+    assert model.grad_norm(vec, (slices["pos_table"],), squared=True) == 16.0
 
 
 # --- checkpoints ---

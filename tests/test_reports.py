@@ -61,6 +61,14 @@ def test_from_counters():
     assert r.collectives == {"gather": 4}
 
 
+def test_step_report_takes_an_integer_loss_and_refuses_a_bool_count():
+    line = ('{"step": 0, "engine": "sequential", "loss": 5, "grad_norm": 1.0, "matmul_flops": 3, '
+            '"attn_score_flops": 4, "score_elements_peak": 5, "collectives": {}}')
+    assert StepReport.from_json_line(line).loss == 5
+    with pytest.raises(ValueError, match="'matmul_flops' must be an integer, got True"):
+        StepReport.from_json_line(line.replace('"matmul_flops": 3', '"matmul_flops": true'))
+
+
 def test_jsonl_file_round_trip(tmp_path):
     reports = [
         StepReport(s, "sequential", 5.0 - s, 1.0, 10, 20, 30, {}) for s in range(4)
@@ -713,6 +721,27 @@ def test_cli_report_of_a_swapped_file_names_the_path_and_line(tmp_path, capsys, 
                "['engine', 'loss', 'grad_norm', 'matmul_flops', 'attn_score_flops', "
                "'score_elements_peak', 'collectives']")
     assert f"missing fields {missing}" in err
+
+
+@pytest.mark.parametrize("name,field,value,problem", [
+    ("ledger.jsonl", "elements", '"512"', "ledger record key 'elements' must be an integer, "
+                                          "got '512'"),
+    ("ledger.jsonl", "step", "null", "ledger record key 'step' must be an integer, got None"),
+    ("steps.jsonl", "loss", '"x"', "step report key 'loss' must be a number, got 'x'"),
+])
+def test_cli_report_of_a_mistyped_value_names_the_path_line_and_field(tmp_path, capsys, name,
+                                                                      field, value, problem):
+    result = runner.run_experiment(small_run(tmp_path, engine="sharded", workers=2))
+    capsys.readouterr()
+    path = os.path.join(result.out_dir, name)
+    with open(path) as f:
+        lines = f.read().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    lines[1] = json.dumps({**record, field: json.loads(value)}) + "\n"
+    with open(path, "w") as f:
+        f.write("".join(lines))
+    assert run_cli("report", result.out_dir) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 2: {problem}\n"
 
 
 def test_readme_cli_lines_parse():

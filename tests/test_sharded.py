@@ -1,3 +1,6 @@
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -377,13 +380,12 @@ def test_sync_without_extra_payload(tiny_cfg, rng):
     from seqpar.collectives import Communicator
 
     params = model.init_params(tiny_cfg, 0)
-    grads = params.zip_map(params, lambda a, b: np.ones_like(a))
+    grads = params.replace_arrays([np.ones_like(a) for a in params.arrays()])
     comm = Communicator(1)
     group = comm.group("sequence", (0,))
-    out, extra = grid.all_reduce_grads(comm, group, 0, grads, None, step=0, local=("pos_table",))
-    assert extra is None
-    for a in out.arrays():
-        np.testing.assert_array_equal(a, np.ones_like(a))
+    vec = grid.all_reduce_grads(comm, group, 0, grads, None, step=0, local=("pos_table",))
+    assert vec.shape == (model.param_count(params),)  # no loss slot
+    np.testing.assert_array_equal(vec, np.ones_like(vec))
     assert comm.ledger.count(kind="all-reduce", phase="sync") == 1
 
 
@@ -395,17 +397,47 @@ def test_sync_leaves_position_rows_alone(tiny_cfg):
     group = comm.group("sequence", (0, 1))
 
     def worker(rank):
-        grads = params.zip_map(params, lambda a, b: np.full_like(a, float(rank)))
-        out, mean = grid.all_reduce_grads(comm, group, rank, grads, float(rank), step=0,
-                                          local=("pos_table",))
-        return out, mean
+        grads = params.replace_arrays([np.full_like(a, float(rank)) for a in params.arrays()])
+        return grid.all_reduce_grads(comm, group, rank, grads, float(rank), step=0,
+                                     local=("pos_table",))
 
     outs = run_workers(2, worker, comm=comm)
-    for rank, (out, mean) in enumerate(outs):
-        assert mean == 0.5
-        np.testing.assert_array_equal(out.token_table, np.full_like(out.token_table, 0.5))
-        # pos rows keep the worker-local value: they were never reduced
-        np.testing.assert_array_equal(out.pos_table, np.full_like(out.pos_table, float(rank)))
+    for rank, vec in enumerate(outs):
+        assert vec[-1] == 0.5  # the loss slot
+        out = params.replace_arrays(model.unflatten_like(vec[:-1], params.arrays()))
+        for name, a in out.named_arrays():
+            # pos rows keep the worker-local value: they were never reduced
+            want = float(rank) if name == "pos_table" else 0.5
+            np.testing.assert_array_equal(a, np.full_like(a, want), err_msg=name)
+
+
+@pytest.mark.parametrize("engine,replicas,workers,most", [
+    ("sequential", 1, 1, 1),
+    ("baseline", 1, 2, 1),  # the all-reduce's own output
+    ("sharded", 1, 2, 2),   # the all-reduce input, then the position rows spliced in
+    ("hybrid", 2, 2, 2),    # the same, and the data group reduces the spliced vector as is
+])
+def test_gradient_copies_per_rank_per_step(tiny_cfg, rng, monkeypatch, engine, replicas,
+                                           workers, most):
+    """Every rank thread flattens its parameters once per run and makes at
+    most ``most`` flat gradient copies per step: the finite check, the
+    update and the norm read the vector the step returns."""
+    calls = Counter()
+    flatten = model.flatten_arrays
+
+    def counting(*args):
+        calls[threading.current_thread().name] += 1
+        return flatten(*args)
+
+    monkeypatch.setattr(model, "flatten_arrays", counting)
+    steps, shape = 2, (replicas * tiny_cfg.batch, tiny_cfg.seq_len)
+    batches = [(rng.integers(0, tiny_cfg.vocab, size=shape),
+                rng.integers(0, tiny_cfg.vocab, size=shape)) for _ in range(steps)]
+    runner._train(engine, tiny_cfg, model.init_params(tiny_cfg, 0),
+                  grid.GridLayout(replicas, workers), batches, lr=0.1)
+    assert len(calls) == replicas * workers
+    per_step = {name: (n - 1) / steps for name, n in calls.items()}  # less the parameters
+    assert max(per_step.values()) <= most, per_step
 
 
 # --- optimizers ---
