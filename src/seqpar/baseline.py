@@ -128,7 +128,8 @@ def train_step(
     # computed each entry, everyone else contributed zeros, except the
     # layernorm gain/bias grads where each worker's partial sum over its
     # own rows is a genuine addend.
-    return loss, grid.all_reduce_grads(comm, group, rank, grads, None, step=step, op="sum")
+    return loss, comm.all_reduce(group, rank, model.flatten_arrays(grads.arrays()), op="sum",
+                                 step=step, phase="sync")
 
 
 def run_steps(

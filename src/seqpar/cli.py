@@ -51,6 +51,14 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def _config_overrides(text: str) -> dict:
+    """A ``--config`` file's run config, its keys and value types checked."""
+    overrides = json.loads(text)
+    check_config_dict(RunConfig, overrides, "run-config")
+    check_config_dict(ModelConfig, overrides.get("model", {}), "model-config")
+    return overrides
+
+
 def _cmd_train(args) -> int:
     run_dict = {
         "model": _model_from(args).to_dict(),
@@ -68,9 +76,7 @@ def _cmd_train(args) -> int:
         "equivalence_check": args.check,
     }
     if args.config:
-        with open(args.config, "r", encoding="ascii") as f:
-            overrides = json.load(f)
-        check_config_dict(RunConfig, overrides, "run-config")
+        overrides = reporting.read_text(args.config, _config_overrides)
         run_dict["model"].update(overrides.pop("model", {}))
         run_dict.update(overrides)
     rc = RunConfig.from_dict(run_dict)

@@ -6,10 +6,10 @@ baseline are 1xN, hybrid is RxN.  Ranks are laid out replica-major: replica
 ``d`` owns ranks ``[d*N, (d+1)*N)``, which form its sequence group; the ranks
 at sequence index ``s`` across all replicas (``s, N+s, 2N+s, ...``) form
 data group ``s``.  An engine is nothing but its per-step function (forward,
-backward, gradient sync); :func:`train` owns everything else.  Every
-engine's gradient sync is built on :func:`all_reduce_grads`, and every step
-hands :func:`train` its gradient as one flat vector, which the finite check,
-the optimizer update and the gradient norm read as it is.
+backward, gradient sync); :func:`train` owns everything else.  Each
+engine's sync makes its own all-reduces, and every step hands :func:`train`
+its gradient as one flat vector, which the finite check, the optimizer
+update and the gradient norm read as it is.
 """
 
 from __future__ import annotations
@@ -200,46 +200,6 @@ class Worker:
         """World rank, the id collectives address this worker by (``spec.rank``
         is its position inside the sequence group)."""
         return self.seq_group.members[self.spec.rank]
-
-
-def all_reduce_grads(
-    comm: Communicator,
-    group: WorkerGroup,
-    rank: int,
-    grads: Parameters,
-    loss: float | None,
-    *,
-    step: int,
-    op: str = "mean",
-    local: tuple[str, ...] = (),
-) -> np.ndarray:
-    """Reduce every gradient not named in ``local`` across ``group`` in one
-    flat all-reduce, so the ledger gains exactly one sync record, and return
-    the rank's whole gradient as one flat vector in named order.
-
-    A ``loss`` rides along as one trailing element, and the vector keeps
-    that slot: ``vec[-1]`` is the reduced loss and ``vec[:-1]`` the
-    gradient, so a further all-reduce of ``vec`` needs no copy.  Gradients
-    named in ``local`` keep this rank's values, spliced into their places in
-    one gradient-sized copy.  With nothing ``local`` the vector is the
-    all-reduce's own output, one array shared by every member of ``group``:
-    treat it as read-only."""
-    named = grads.named_arrays()
-    tail = () if loss is None else (loss,)  # its slot joins the one copy
-    # no name holds the input, so it is freed before the splice below copies
-    out = comm.all_reduce(group, rank, model.flatten_arrays(
-        [a for n, a in named if n not in local], *tail), op=op, step=step, phase="sync")
-    if not local:
-        return out
-    parts, start, end = [], 0, 0  # runs of reduced gradients around each local one
-    for n, a in named:
-        if n in local:
-            parts += [out[start:end], a]
-            start = end
-        else:
-            end += a.size
-    parts.append(out[start:])
-    return model.flatten_arrays(parts)
 
 
 @dataclass

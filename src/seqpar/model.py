@@ -1027,7 +1027,7 @@ def load_checkpoint(path) -> tuple[Parameters, ModelConfig, int]:
             raise ValueError(f"{path} is not a checkpoint file")
         (version,) = struct.unpack("<I", read(4))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"checkpoint {path} has unsupported version {version}")
         (header_len,) = struct.unpack("<I", read(4))
         raw = read(header_len)
         try:
@@ -1048,7 +1048,8 @@ def load_checkpoint(path) -> tuple[Parameters, ModelConfig, int]:
             (rank,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{rank}Q", read(8 * rank))
             if shape != want.shape:
-                raise ShapeError(f"checkpoint array {name} is {shape}, its config has {want.shape}")
+                raise ShapeError(f"checkpoint {path} array {name} is {shape}, "
+                                 f"its config has {want.shape}")
             data = np.frombuffer(read(want.size * dt.itemsize), dtype=dt).reshape(shape)
             arrays.append(data.astype(cfg.dtype, copy=True))
         if f.read(1):

@@ -69,10 +69,12 @@ def write_jsonl(path, reports: list[StepReport]) -> None:
 def read_jsonl(path) -> list[StepReport]:
     """The reports of a :func:`write_jsonl` file; a line that is no report
     raises ValueError naming the path and the line."""
-    return _read(path, lambda text: jsonl_records(StepReport, text, "step report"))
+    return read_text(path, lambda text: jsonl_records(StepReport, text, "step report"))
 
 
-def _read(path, parse):
+def read_text(path, parse):
+    """``parse`` of the ASCII text of the file at ``path``; a ValueError it
+    raises, or a byte that is not ASCII, names the path."""
     try:
         with open(path, "r", encoding="ascii") as f:
             return parse(f.read())
@@ -113,13 +115,13 @@ def report(run_dir) -> tuple[str, list[str]]:
     if not os.path.isdir(run_dir):
         raise FileNotFoundError(f"{run_dir} is not a run directory")
     path = os.path.join(run_dir, "summary.json")
-    written = _read(path, json.loads)
+    written = read_text(path, json.loads)
     if not isinstance(written, dict) or not isinstance(written.get("summary"), dict):
         raise ValueError(f"{path}: no \"summary\" object")
     summary = written["summary"]
     reports = read_jsonl(os.path.join(run_dir, "steps.jsonl"))
-    records = _read(os.path.join(run_dir, "ledger.jsonl"),
-                    lambda text: jsonl_records(CommRecord, text, "ledger record"))
+    records = read_text(os.path.join(run_dir, "ledger.jsonl"),
+                        lambda text: jsonl_records(CommRecord, text, "ledger record"))
     step0 = [r for r in records if r.step == 0]
     figures = {**summary, "measured_collectives_per_step": len(step0),
                "measured_comm_elements_per_step": sum(r.elements for r in step0)}

@@ -123,14 +123,23 @@ def _resolve_out_dir(rc: RunConfig) -> str:
     return os.environ.get(OUTPUT_DIR_ENV) or rc.out_dir
 
 
-def _corpus(rc: RunConfig, out_dir: str) -> np.ndarray:
-    """The dataset's bytes, or a synthetic corpus written into ``out_dir``."""
-    if rc.dataset is not None:
-        return data.read_bytes(rc.dataset)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "synthetic_corpus.txt")
-    data.write_synthetic_corpus(path, n_bytes=rc.synthetic_bytes, seed=rc.seed)
-    return data.read_bytes(path)
+def _batches(rc: RunConfig, out_dir: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every step's batch of ``replicas * batch`` rows, cut from the
+    dataset's bytes or from a synthetic corpus written into ``out_dir``:
+    replica d's rows of step s are what window ``s * replicas + d`` holds at
+    the base batch size (:func:`seqpar.data.batch_at`).  A corpus too short
+    for one batch is named in the error."""
+    path = rc.dataset
+    if path is None:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, "synthetic_corpus.txt")
+        data.write_synthetic_corpus(path, n_bytes=rc.synthetic_bytes, seed=rc.seed)
+    corpus, cfg = data.read_bytes(path), rc.model
+    try:
+        return [data.batch_at(corpus, cfg.seq_len, rc.replicas * cfg.batch, s)
+                for s in range(rc.steps)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _sequential_step(worker, params, cfg, tokens, targets, *, policy, step):
@@ -174,12 +183,8 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
     say = echo or (lambda *_: None)
     out_dir = _resolve_out_dir(rc)
     cfg = rc.model
-    # One batch of replicas * batch rows per step: replica d's rows are what
-    # window s * replicas + d holds at the base batch size (data.batch_at).
-    # Cut before the output directory is made, so a bad dataset leaves none.
-    corpus = _corpus(rc, out_dir)
-    batches = [data.batch_at(corpus, cfg.seq_len, rc.replicas * cfg.batch, s)
-               for s in range(rc.steps)]
+    # cut before the output directory is made, so a bad dataset leaves none
+    batches = _batches(rc, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     policy = DropoutPolicy(rate=cfg.dropout, seed=rc.seed)
     params0 = model.init_params(cfg, rc.seed)

@@ -26,7 +26,7 @@ Communication per training step with L layers:
     sync      1 all-reduce, plus 1 across the data group on a grid with
               more than one replica (the hybrid engine)
 Nothing else crosses worker boundaries.  :func:`sync` is the whole sync
-phase, built on :func:`seqpar.grid.all_reduce_grads`.  Every collective
+phase, both all-reduces and the position rows' average.  Every collective
 carries ``batch * seq_len * embed_dim`` elements, and the two forms agree
 to rounding.
 
@@ -122,22 +122,30 @@ def forward(
 def sync(
     worker: Worker, grads: Parameters, loss: float, *, step: int
 ) -> tuple[np.ndarray, float]:
-    """The step's gradient sync: average every gradient except the position
-    rows, and the partial loss, across the sequence group; then, on a grid
-    with more than one replica, average everything across the data group.
-    Returns the synced gradients as one flat vector in named order and the
-    loss.
+    """The step's gradient sync of ``model.backward``'s ``grads`` and the
+    partial loss: average every gradient except the position rows, and the
+    loss, across the sequence group; then, on a grid with more than one
+    replica, average everything across the data group.  Returns the synced
+    gradients as one flat vector in named order and the loss.
 
     Position rows cross the data group only: its members own the same rows
-    of different replicas of the position table.  Afterwards every worker
-    holds the loss averaged over the whole grid.  The data group's
-    all-reduce takes the sequence group's result with its loss slot as it
-    is, and its output, shared by the data group, is the gradient.
+    of different replicas of the position table.  The reduce-scatters hand
+    each worker the *sum* of every worker's credit to its position rows, so
+    that gradient is divided by the group size once as it is spliced into
+    the averaged vector at its offset; like the replicated parameters, it is
+    then the gradient of the group-mean loss.  Afterwards every worker holds
+    the loss averaged over the whole grid.  The data group's all-reduce
+    takes the spliced vector with its loss slot as it is, and its output,
+    shared by the data group, is the gradient.
     """
-    comm, rank = worker.comm, worker.rank
-    vec = grid.all_reduce_grads(
-        comm, worker.seq_group, rank, grads, loss, step=step, local=("pos_table",)
-    )
+    comm, rank, group = worker.comm, worker.rank, worker.seq_group
+    at = model.flat_slices(grads)["pos_table"].start
+    # no name holds the input, so it is freed before the splice below copies
+    out = comm.all_reduce(
+        group, rank,
+        model.flatten_arrays([a for n, a in grads.named_arrays() if n != "pos_table"], loss),
+        step=step, phase="sync")
+    vec = model.flatten_arrays([out[:at], grads.pos_table / group.size, out[at:]])
     if worker.data_group.size > 1:
         vec = comm.all_reduce(worker.data_group, rank, vec, step=step, phase="sync")
     return vec[:-1], float(vec[-1])
@@ -158,11 +166,6 @@ def train_step(
     columns at its balanced rows of the (batch, seq_len) ``tokens`` and
     ``targets``.  Returns the loss averaged over the grid, identical on
     every worker, and the synced gradients as one flat vector (:func:`sync`).
-
-    The reduce-scatters hand each worker the *sum* of every worker's credit
-    to its position rows, so it divides that gradient by the group size
-    once; like the replicated parameters after averaging, it is then the
-    gradient of the group-mean loss.
     """
     spec = worker.spec
     partial_loss, cache = forward(
@@ -170,8 +173,6 @@ def train_step(
         policy=policy, step=step, fused=fused,
     )
     grads = model.backward(params, cfg, cache)
-    if worker.seq_group.size > 1:
-        grads.pos_table = grads.pos_table / worker.seq_group.size
     grad_vec, loss = sync(worker, grads, partial_loss, step=step)
     return loss, grad_vec
 

@@ -50,24 +50,6 @@ def test_make_groups_shapes_and_kinds():
     assert all(g.kind == "data" for g in data_groups)
 
 
-def test_vertical_sync_averages_everything(tiny_cfg):
-    from seqpar.collectives import Communicator, run_workers
-
-    params = model.init_params(tiny_cfg, 0)
-    comm = Communicator(2)
-    group = comm.group("data", (0, 1))
-
-    def worker(rank):
-        grads = params.replace_arrays([np.full_like(a, float(rank)) for a in params.arrays()])
-        return grid.all_reduce_grads(comm, group, rank, grads, float(rank), step=0)
-
-    outs = run_workers(2, worker, comm=comm)
-    for vec in outs:  # every gradient, position rows included, then the loss slot
-        assert vec.shape == (model.param_count(params) + 1,)
-        np.testing.assert_array_equal(vec, np.full_like(vec, 0.5))
-    assert comm.ledger.count(kind="all-reduce", phase="sync") == 1
-
-
 # --- degenerate grids ---
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -650,7 +651,24 @@ def test_checkpoint_rejects_wrong_version(tiny_cfg, tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 99  # bump the little-endian version field
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} has unsupported "
+                                         "version 99"):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_an_array_of_the_wrong_shape(tiny_cfg, tmp_path):
+    params = model.init_params(tiny_cfg, 0)
+    path = tmp_path / "ckpt.bin"
+    model.save_checkpoint(path, params, tiny_cfg, seed=0)
+    raw = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    rows, cols = params.token_table.shape
+    # the first array's first dimension, after the header and its rank byte
+    struct.pack_into("<Q", raw, 12 + header_len + 1, rows - 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ShapeError, match=re.escape(
+            f"checkpoint {path} array token_table is ({rows - 1}, {cols}), "
+            f"its config has ({rows}, {cols})")):
         model.load_checkpoint(path)
 
 

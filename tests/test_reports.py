@@ -556,7 +556,8 @@ def test_cli_train_rejects_a_bad_dataset_without_creating_the_output(tmp_path, c
         dataset.write_bytes(corpus)
     out = tmp_path / "run"
     assert run_cli("train", "--dataset", str(dataset), "--steps", "1", "--out", str(out)) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and str(dataset) in err
     assert not out.exists()
 
 
@@ -565,14 +566,17 @@ def test_cli_train_rejects_a_bad_dataset_without_creating_the_output(tmp_path, c
     ('{"workers": 2.0}', "run-config key 'workers' must be an integer, got 2.0"),
     ('{"model": 5}', "run-config key 'model' must be an object, got 5"),
     ('[1, 2]', "a run-config must be an object, got list"),
+    ('{"workers": 2,}', "Expecting property name enclosed in double quotes"),
+    ('\xff{}', "'ascii' codec can't decode byte 0xff in position 0"),
 ])
 def test_cli_config_rejects_values_of_the_wrong_type(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(text)
+    cfg_path.write_text(text, encoding="latin-1")  # one byte per character
     out = tmp_path / "run"
     assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 1
     captured = capsys.readouterr()
-    assert message in captured.err and captured.out == ""
+    assert f"error: {cfg_path}: " in captured.err and captured.out == ""
+    assert message in captured.err
     assert not out.exists()
 
 
@@ -593,7 +597,7 @@ def test_cli_config_rejects_unknown_model_keys(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"model": {"foo": 1}}))
     assert run_cli("train", "--config", str(cfg_path)) == 1
-    assert "unknown model-config keys: ['foo']" in capsys.readouterr().err
+    assert f"error: {cfg_path}: unknown model-config keys: ['foo']" in capsys.readouterr().err
 
 
 def test_cli_cost_and_weak_scaling(capsys):

@@ -188,8 +188,7 @@ def test_each_layer_computes_the_ranks_balanced_rows(tiny_cfg, rng, fused):
 def test_forward_cache_carries_its_backward(tiny_cfg, rng, monkeypatch, fused):
     """A rank's ``sharded.forward`` cache holds every layer's key/value
     backward, so ``model.backward`` with no hook gives the gradients
-    ``train_step`` hands to its sync (which first divides the position rows'
-    gradient by the group size)."""
+    ``train_step`` hands to its sync, bitwise."""
     n = 2
     params = model.init_params(tiny_cfg, 0)
     tokens, targets = rand_batch(tiny_cfg, rng)
@@ -213,7 +212,6 @@ def test_forward_cache_carries_its_backward(tiny_cfg, rng, monkeypatch, fused):
             worker, own, tiny_cfg, grid.slice_batch(tokens, spec),
             grid.slice_batch(targets, spec), policy=policy, fused=fused)
         grads = model.backward(own, tiny_cfg, cache)
-        grads.pos_table = grads.pos_table / n
         sharded.train_step(worker, own, tiny_cfg, tokens, targets, policy=policy, step=1,
                            fused=fused)
         return grads
@@ -376,39 +374,39 @@ def test_unfused_ablation_doubles_layer_traffic(tiny_cfg, rng):
 # --- gradient sync plumbing ---
 
 
-def test_sync_without_extra_payload(tiny_cfg, rng):
-    from seqpar.collectives import Communicator
-
+@pytest.mark.parametrize("replicas,workers", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_sync_averages_over_the_sequence_then_the_data_group(tiny_cfg, replicas, workers):
+    """``sharded.sync`` on real grid workers whose gradient and loss are each
+    filled with their world rank: replicated slices and the loss slot come
+    out as the sequence-group mean, then the data-group mean; position
+    slices as the rank's own value / N, then the data-group mean."""
+    layout = grid.GridLayout(replicas, workers)
+    comm = Communicator(layout.world)
+    seq_groups, data_groups = grid.make_groups(comm, layout)
     params = model.init_params(tiny_cfg, 0)
-    grads = params.replace_arrays([np.ones_like(a) for a in params.arrays()])
-    comm = Communicator(1)
-    group = comm.group("sequence", (0,))
-    vec = grid.all_reduce_grads(comm, group, 0, grads, None, step=0, local=("pos_table",))
-    assert vec.shape == (model.param_count(params),)  # no loss slot
-    np.testing.assert_array_equal(vec, np.ones_like(vec))
-    assert comm.ledger.count(kind="all-reduce", phase="sync") == 1
 
+    def rank_sync(rank):
+        replica, seq_index = layout.coords(rank)
+        spec = grid.ShardSpec(seq_index, workers, tiny_cfg.seq_len)
+        worker = grid.Worker(comm, spec, seq_groups[replica], data_groups[seq_index])
+        own = grid.shard_params(params, spec)
+        grads = own.replace_arrays([np.full_like(a, float(rank)) for a in own.arrays()])
+        vec, loss = sharded.sync(worker, grads, float(rank), step=0)
+        return own.replace_arrays(model.unflatten_like(vec, own.arrays())), loss
 
-def test_sync_leaves_position_rows_alone(tiny_cfg):
-    from seqpar.collectives import Communicator, run_workers
-
-    params = model.init_params(tiny_cfg, 0)
-    comm = Communicator(2)
-    group = comm.group("sequence", (0, 1))
-
-    def worker(rank):
-        grads = params.replace_arrays([np.full_like(a, float(rank)) for a in params.arrays()])
-        return grid.all_reduce_grads(comm, group, rank, grads, float(rank), step=0,
-                                     local=("pos_table",))
-
-    outs = run_workers(2, worker, comm=comm)
-    for rank, vec in enumerate(outs):
-        assert vec[-1] == 0.5  # the loss slot
-        out = params.replace_arrays(model.unflatten_like(vec[:-1], params.arrays()))
-        for name, a in out.named_arrays():
-            # pos rows keep the worker-local value: they were never reduced
-            want = float(rank) if name == "pos_table" else 0.5
+    seq_means = [sum(layout.seq_members(d)) / workers for d in range(replicas)]
+    replicated = sum(seq_means) / replicas
+    for rank, (synced, loss) in enumerate(run_workers(layout.world, rank_sync, comm=comm)):
+        members = layout.data_members(layout.coords(rank)[1])
+        pos = sum(m / workers for m in members) / replicas
+        assert loss == replicated
+        for name, a in synced.named_arrays():
+            want = pos if name == "pos_table" else replicated
             np.testing.assert_array_equal(a, np.full_like(a, want), err_msg=name)
+    groups = {r.group for r in comm.ledger.records}
+    sync_groups = seq_groups + (data_groups if replicas > 1 else [])
+    assert groups == {g.group_id for g in sync_groups}
+    assert comm.ledger.count(kind="all-reduce", phase="sync") == len(sync_groups)
 
 
 @pytest.mark.parametrize("engine,replicas,workers,most", [
