@@ -32,7 +32,6 @@ import numpy as np
 
 from . import grid, model
 from .collectives import run_workers
-from .errors import ShapeError
 from .grid import GridLayout, Run, Worker
 from .model import ModelConfig, Parameters
 from .nnops import DropoutPolicy, LinearParams
@@ -85,8 +84,6 @@ def train_step(
     comm, group, spec = worker.comm, worker.seq_group, worker.spec
     rank = spec.rank
     policy = policy if policy is not None else DropoutPolicy.off()
-    if rank == 0 and tokens.shape[1] != cfg.seq_len:
-        raise ShapeError(f"expected {cfg.seq_len} token columns, got {tokens.shape[1]}")
     fwd = dict(dim=1, step=step, phase="forward")
     bwd = dict(dim=1, step=step, phase="backward")
 

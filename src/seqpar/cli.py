@@ -7,8 +7,9 @@
 
 Flags mirror the run-config fields.  ``--config FILE`` loads a JSON run
 config (same keys as the flags, model fields nested under "model") whose
-values override any flags; the ``SEQPAR_OUTPUT_DIR`` environment variable
-overrides the output directory last.  Any engine error exits nonzero, and
+values override any flags, and an error in a value it sets names the file;
+the ``SEQPAR_OUTPUT_DIR`` environment variable overrides the output
+directory last.  Any engine error exits nonzero, and
 so does ``report`` when a measured figure of the run differs from its
 estimate.
 """
@@ -59,8 +60,17 @@ def _config_overrides(text: str) -> dict:
     return overrides
 
 
+def _range_error(run_dict: dict) -> str | None:
+    """What building ``run_dict`` into a RunConfig raises, None if it builds."""
+    try:
+        RunConfig.from_dict(run_dict)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _cmd_train(args) -> int:
-    run_dict = {
+    flags = {
         "model": _model_from(args).to_dict(),
         "engine": args.engine,
         "workers": args.workers,
@@ -75,11 +85,16 @@ def _cmd_train(args) -> int:
         "fused": not args.no_fuse,
         "equivalence_check": args.check,
     }
+    run_dict = flags
     if args.config:
         overrides = reporting.read_text(args.config, _config_overrides)
-        run_dict["model"].update(overrides.pop("model", {}))
-        run_dict.update(overrides)
-    rc = RunConfig.from_dict(run_dict)
+        run_dict = {**flags, **overrides, "model": {**flags["model"], **overrides.get("model", {})}}
+    try:
+        rc = RunConfig.from_dict(run_dict)
+    except ValueError as exc:
+        if run_dict is flags or str(exc) == _range_error(flags):
+            raise  # the flags alone fail this check
+        raise ValueError(f"{args.config}: {exc}") from None
     result = runner.run_experiment(rc, echo=print)
     if rc.equivalence_check and not result.summary.get("equivalence_pass", True):
         return 1

@@ -266,6 +266,8 @@ def train(
     between ranks, and the rank thread's buffers are freed on return, not
     by whoever drops the ``Run``.
     """
+    if not batches:
+        raise ValueError("no batches to train on")
     for tokens, _ in batches:
         if tokens.shape[0] % layout.replicas:
             raise ValueError(

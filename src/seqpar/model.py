@@ -1,9 +1,10 @@
 """Decoder-only transformer with hand-rolled autodiff, plus the sequential
 (single-worker) reference engine.
 
-The per-layer forward/backward are written once, here.  Only the forward
-takes hooks, at the two places where distributed execution differs from
-sequential, and each hook returns its backward for the cache to keep:
+The layer's and the whole stack's forward/backward are written once, here;
+:func:`forward` takes a block's rows and a per-layer key/value hook.  Only
+the forward takes hooks, at the two places where distributed execution
+differs from sequential, and each hook returns its backward for the cache:
 
 * how keys and values for the whole sequence are produced from the
   worker's normalized input (``kv_fwd``).  Locally it is two linear maps of
@@ -489,6 +490,8 @@ def scores_fwd(
     dk, heads = cfg.head_dim, cfg.n_heads
     counters = tensor.active_counters()
     q_pos = row_positions(rows)
+    if q_pos[-1] >= t:
+        raise ShapeError(f"a query row is at position {q_pos[-1]}, but there are {t} keys")
     blocks = bsz * heads
     tiles = score_tiles(blocks, score_bands(rows, t, cfg.causal))
     exps = tensor.take((blocks, m, t), q.dtype)
@@ -837,6 +840,8 @@ def head_fwd(x: np.ndarray, params: Parameters, targets: np.ndarray | None):
     logits = nnops.linear_fwd(xf, params.head)
     if targets is None:
         return None, HeadCache(lnf_cache, xf, logits, None, (bsz, m, e))
+    if targets.shape != (bsz, m):
+        raise ShapeError(f"targets have shape {targets.shape}, tokens {(bsz, m)}")
     loss, grad_logits = nnops.cross_entropy(logits, targets.reshape(bsz * m))
     return loss, HeadCache(lnf_cache, xf, None, grad_logits, (bsz, m, e))
 
@@ -853,13 +858,12 @@ def head_bwd(cache: HeadCache, params: Parameters):
     return grad_x.reshape(cache.shape3), final_gain_g, final_bias_g, head_wg, head_bg
 
 
-# --- the whole stack: sequential reference engine ---
+# --- the whole stack, over a block's rows ---
 
 
 @dataclass
 class StackCache:
-    """What a forward pass over the whole stack holds for its backward; the
-    sequential and the sharded forward both return one."""
+    """What :func:`forward` over any block's rows holds for :func:`backward`."""
 
     embed: EmbedCache
     layers: list[LayerCache]
@@ -877,16 +881,25 @@ def forward(
     tokens: np.ndarray,
     targets: np.ndarray | None = None,
     policy: DropoutPolicy | None = None,
+    *,
+    rows: Rows | None = None,
+    layer_kv_fwd=None,
 ) -> tuple[float | None, StackCache]:
-    """Whole-sequence forward pass on one worker."""
+    """Forward over the block at ``rows`` (by default the whole sequence),
+    whose columns ``tokens`` and ``targets`` hold; ``layer_kv_fwd(layer)``
+    returns the layer's ``kv_fwd`` (:func:`layer_fwd`), by default local.
+    The loss is the mean cross-entropy over the block's tokens."""
     policy = policy if policy is not None else DropoutPolicy.off()
     if tokens.ndim != 2:
         raise ShapeError(f"tokens must be (batch, seq_len), got shape {tokens.shape}")
-    rows = ((0, tokens.shape[1]),)
+    rows = ((0, tokens.shape[1]),) if rows is None else rows
+    if row_count(rows) != tokens.shape[1]:
+        raise ShapeError(f"token block has {tokens.shape[1]} columns, its rows {row_count(rows)}")
     x, e_cache = embed_fwd(params, cfg, tokens, rows, policy)
     layer_caches = []
     for li, lp in enumerate(params.layers):
-        x, c = layer_fwd(lp, cfg, policy, li, x, rows)
+        kv_fwd = None if layer_kv_fwd is None else layer_kv_fwd(li)
+        x, c = layer_fwd(lp, cfg, policy, li, x, rows, kv_fwd=kv_fwd)
         layer_caches.append(c)
     loss, h_cache = head_fwd(x, params, targets)
     return loss, StackCache(e_cache, layer_caches, h_cache, policy)

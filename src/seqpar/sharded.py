@@ -7,8 +7,9 @@ loss: their tokens and targets, their rows of the position table, their
 activations, and a full replica of every other parameter.  The rows are two
 chunks of the sequence, one early and one late, so under a causal mask
 every worker scores an equal share of the keys.  The forward pass is
-:func:`seqpar.model.layer_fwd` per layer and the backward pass is
-:func:`seqpar.model.backward`; the engine only supplies each layer's
+:func:`seqpar.model.forward` over those rows (imported as ``forward``, the
+name perfbench/spans.py wraps as the sharded step's root) and the backward
+pass is :func:`seqpar.model.backward`; the engine only supplies each layer's
 key/value hook (:func:`layer_kv_fwd`), built on two collectives: ``whole``
 all-gathers every worker's rows and puts them in position order, ``own``
 reduce-scatters a whole-sequence gradient in the order the gather received
@@ -42,9 +43,8 @@ import numpy as np
 
 from . import grid, model
 from .collectives import run_workers
-from .errors import ShapeError
 from .grid import GridLayout, Run, Worker
-from .model import ModelConfig, Parameters, StackCache
+from .model import ModelConfig, Parameters, forward
 from .nnops import DropoutPolicy
 
 
@@ -88,35 +88,6 @@ def layer_kv_fwd(worker: Worker, step: int, layer: int, fused: bool):
             return model.local_kv_bwd(kv_ctx, lp, own(grad_k), own(grad_v))
 
     return kv_fwd
-
-
-def forward(
-    worker: Worker,
-    params: Parameters,
-    cfg: ModelConfig,
-    tokens_seg: np.ndarray,
-    targets_seg: np.ndarray | None,
-    *,
-    policy: DropoutPolicy | None = None,
-    step: int = 0,
-    fused: bool = True,
-) -> tuple[float | None, StackCache]:
-    """Forward over this worker's tokens and targets, those at its balanced
-    rows (:func:`seqpar.grid.slice_batch`).  Returns its partial loss (the
-    mean cross-entropy over its tokens)."""
-    spec = worker.spec
-    policy = policy if policy is not None else DropoutPolicy.off()
-    if tokens_seg.shape[1] != spec.block:
-        raise ShapeError(f"token block has {tokens_seg.shape[1]} columns, expected {spec.block}")
-    rows = spec.balanced_rows
-    x, e_cache = model.embed_fwd(params, cfg, tokens_seg, rows, policy)
-    caches = []
-    for li, lp in enumerate(params.layers):
-        kv_fwd = layer_kv_fwd(worker, step, li, fused)
-        x, c = model.layer_fwd(lp, cfg, policy, li, x, rows, kv_fwd=kv_fwd)
-        caches.append(c)
-    partial_loss, h_cache = model.head_fwd(x, params, targets_seg)
-    return partial_loss, StackCache(e_cache, caches, h_cache, policy)
 
 
 def sync(
@@ -164,13 +135,14 @@ def train_step(
 ) -> tuple[float, np.ndarray]:
     """forward -> backward -> gradient sync on one worker, which takes the
     columns at its balanced rows of the (batch, seq_len) ``tokens`` and
-    ``targets``.  Returns the loss averaged over the grid, identical on
+    ``targets``, and runs the model's forward over those rows with its
+    key/value hooks.  Returns the loss averaged over the grid, identical on
     every worker, and the synced gradients as one flat vector (:func:`sync`).
     """
     spec = worker.spec
     partial_loss, cache = forward(
-        worker, params, cfg, grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec),
-        policy=policy, step=step, fused=fused,
+        params, cfg, grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec), policy,
+        rows=spec.balanced_rows, layer_kv_fwd=partial(layer_kv_fwd, worker, step, fused=fused),
     )
     grads = model.backward(params, cfg, cache)
     grad_vec, loss = sync(worker, grads, partial_loss, step=step)

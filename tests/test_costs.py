@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -193,9 +194,10 @@ def test_forward_matmul_flops_match_estimate(tiny_cfg, rng, engine, n, fused):
         worker = grid.Worker(comm, spec, seq_groups[0], data_groups[rank])
         counters = tensor.StepCounters()
         with tensor.counting(counters):
-            sharded.forward(worker, grid.shard_params(params, spec), tiny_cfg,
+            sharded.forward(grid.shard_params(params, spec), tiny_cfg,
                             grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec),
-                            fused=fused)
+                            rows=spec.balanced_rows,
+                            layer_kv_fwd=partial(sharded.layer_kv_fwd, worker, 0, fused=fused))
         return counters.matmul_flops
 
     expected = [shared + score_flops(

@@ -472,6 +472,41 @@ def test_cli_config_file_overrides_flags(tmp_path):
     assert written["summary"]["engine"] == "sequential"
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"steps": 0}, "steps must be positive"),
+    ({"model": {"embed_dim": -4}}, "model dimensions must be positive"),
+])
+def test_cli_config_value_out_of_range_names_its_file(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert f"error: {cfg_path}: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [None, {"lr": 0.2}], ids=["no-file", "file-without-steps"])
+def test_cli_flag_out_of_range_names_no_file(tmp_path, capsys, config):
+    argv = ["train", "--steps", "0", "--out", str(tmp_path / "run")]
+    if config is not None:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        argv += ["--config", str(cfg_path)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: steps must be positive\n"
+
+
+def test_cli_config_value_mends_a_flag_out_of_range(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"steps": 1}))
+    out = tmp_path / "run"
+    assert run_cli("train", "--steps", "0", "--config", str(cfg_path), "--out", str(out),
+                   "--embed-dim", "16", "--layers", "1", "--heads", "2", "--ff-dim", "32",
+                   "--seq-len", "16", "--batch", "2", "--synthetic-bytes", "4096") == 0
+    with open(out / "summary.json") as f:
+        assert json.load(f)["summary"]["steps"] == 1
+
+
 def test_cli_verify(tmp_path, capsys):
     rc = run_cli(
         "verify", "--engines", "sharded", "--workers", "1,2", "--steps", "2",

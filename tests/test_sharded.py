@@ -1,12 +1,15 @@
+import re
 import threading
 from collections import Counter
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqpar import costs, grid, model, optim, runner, sharded, tensor
+from seqpar import baseline, costs, grid, hybrid, model, optim, runner, sharded, tensor
 from seqpar.collectives import Communicator, run_workers
 from seqpar.errors import PartitionError, ShapeError
 from seqpar.model import ModelConfig
@@ -172,8 +175,10 @@ def test_each_layer_computes_the_ranks_balanced_rows(tiny_cfg, rng, fused):
         counters = tensor.StepCounters()
         with tensor.counting(counters):
             _, cache = sharded.forward(
-                worker, grid.shard_params(params, spec), tiny_cfg,
-                grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec), fused=fused)
+                grid.shard_params(params, spec), tiny_cfg,
+                grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec),
+                rows=spec.balanced_rows,
+                layer_kv_fwd=partial(sharded.layer_kv_fwd, worker, 0, fused=fused))
         return [c.attn.scores.tiles for c in cache.layers], counters.attn_score_flops
 
     blocks = tiny_cfg.batch * tiny_cfg.n_heads
@@ -209,8 +214,9 @@ def test_forward_cache_carries_its_backward(tiny_cfg, rng, monkeypatch, fused):
         worker = grid.Worker(comm, spec, seq_groups[0], data_groups[rank])
         own = grid.shard_params(params, spec)
         _, cache = sharded.forward(
-            worker, own, tiny_cfg, grid.slice_batch(tokens, spec),
-            grid.slice_batch(targets, spec), policy=policy, fused=fused)
+            own, tiny_cfg, grid.slice_batch(tokens, spec),
+            grid.slice_batch(targets, spec), policy, rows=spec.balanced_rows,
+            layer_kv_fwd=partial(sharded.layer_kv_fwd, worker, 0, fused=fused))
         grads = model.backward(own, tiny_cfg, cache)
         sharded.train_step(worker, own, tiny_cfg, tokens, targets, policy=policy, step=1,
                            fused=fused)
@@ -219,6 +225,30 @@ def test_forward_cache_carries_its_backward(tiny_cfg, rng, monkeypatch, fused):
     for rank, grads in enumerate(run_workers(n, both, comm=comm)):
         for (name, got), want in zip(grads.named_arrays(), synced[rank].arrays()):
             np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def test_a_ranks_rows_need_a_key_value_hook(tiny_cfg, rng):
+    """Without a hook a layer projects keys from its own rows alone; rank 0
+    of two at T16 holds rows 0-3 and 12-15, so its last query would see 8
+    keys as if they were positions 0-7.  Both the layer and the stack
+    refuse, naming the position and the key count."""
+    cfg = replace(tiny_cfg, seq_len=16)
+    spec = grid.ShardSpec(0, 2, cfg.seq_len)
+    own = grid.shard_params(model.init_params(cfg, 0), spec)
+    tokens, targets = (grid.slice_batch(a, spec) for a in rand_batch(cfg, rng))
+    message = "a query row is at position 15, but there are 8 keys"
+    x = rng.standard_normal((cfg.batch, spec.block, cfg.embed_dim))
+    with pytest.raises(ShapeError, match=message):
+        model.layer_fwd(own.layers[0], cfg, DropoutPolicy.off(), 0, x, spec.balanced_rows)
+    with pytest.raises(ShapeError, match=message):
+        model.forward(own, cfg, tokens, targets, rows=spec.balanced_rows)
+
+
+def test_forward_rows_must_count_the_token_columns(tiny_cfg, rng):
+    params = model.init_params(tiny_cfg, 0)
+    tokens, targets = rand_batch(tiny_cfg, rng)
+    with pytest.raises(ShapeError, match="token block has 24 columns, its rows 12"):
+        model.forward(params, tiny_cfg, tokens, targets, rows=((0, 12),))
 
 
 # --- single-worker identity ---
@@ -303,8 +333,10 @@ def test_partial_losses_average_to_step_loss(tiny_cfg, rng):
         out = []
         for tokens, targets in batches:
             loss, _ = sharded.forward(
-                worker, own, tiny_cfg,
+                own, tiny_cfg,
                 grid.slice_batch(tokens, spec), grid.slice_batch(targets, spec),
+                rows=spec.balanced_rows,
+                layer_kv_fwd=partial(sharded.layer_kv_fwd, worker, 0, fused=True),
             )
             out.append(loss)
         return out
@@ -452,6 +484,39 @@ def test_adam_run_matches_sequential_adam(tiny_cfg, rng):
 def test_unknown_optimizer_rejected(tiny_cfg):
     with pytest.raises(ValueError):
         optim.make_update("rmsprop", model.init_params(tiny_cfg, 0), 0.1)
+
+
+# --- bad input ---
+
+
+@pytest.mark.parametrize("engine, workers, cut, message", [
+    ("sequential", 1, np.s_[:1], "targets have shape (1, 24), tokens (2, 24)"),
+    ("sharded", 2, np.s_[:1], "targets have shape (1, 12), tokens (2, 12)"),
+    ("baseline", 2, np.s_[:, :20], "targets have shape (2, 20), tokens (2, 24)"),
+], ids=["sequential", "sharded", "baseline"])
+def test_targets_that_do_not_match_the_tokens_raise(tiny_cfg, rng, engine, workers, cut,
+                                                     message):
+    """Fewer target rows, or narrower targets, than tokens: the head names
+    both shapes (on a sharded rank, those of its columns; baseline's head
+    runs on rank 0 over the whole sequence)."""
+    params = model.init_params(tiny_cfg, 0)
+    tokens, targets = rand_batch(tiny_cfg, rng)
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        runner._train(engine, tiny_cfg, params, grid.GridLayout(1, workers),
+                      [(tokens, targets[cut])], lr=0.1, timeout=10.0)
+
+
+@pytest.mark.parametrize("engine", ["sequential", "sharded", "baseline", "hybrid"])
+def test_training_on_no_batches_raises(tiny_cfg, engine):
+    params = model.init_params(tiny_cfg, 0)
+    entry = {
+        "sequential": lambda: runner._sequential_steps(tiny_cfg, params, [], lr=0.1),
+        "sharded": lambda: sharded.run_steps(tiny_cfg, params, 2, [], lr=0.1),
+        "baseline": lambda: baseline.run_steps(tiny_cfg, params, 2, [], lr=0.1),
+        "hybrid": lambda: hybrid.run_steps(tiny_cfg, params, grid.GridLayout(2, 2), [], lr=0.1),
+    }[engine]
+    with pytest.raises(ValueError, match="no batches to train on"):
+        entry()
 
 
 # --- recycled score buffers ---
