@@ -40,12 +40,17 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--precision", choices=tuple(tensor.DTYPES), default=m.precision)
 
 
-def _model_from(args) -> ModelConfig:
-    return ModelConfig(
+def _model_flags(args) -> dict:
+    """The model flags as model-config keys, not yet range-checked."""
+    return dict(
         embed_dim=args.embed_dim, n_layers=args.layers, n_heads=args.heads,
         ff_dim=args.ff_dim, vocab=args.vocab, seq_len=args.seq_len,
         batch=args.batch, dropout=args.dropout, precision=args.precision,
     )
+
+
+def _model_from(args) -> ModelConfig:
+    return ModelConfig(**_model_flags(args))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -71,7 +76,7 @@ def _range_error(run_dict: dict) -> str | None:
 
 def _cmd_train(args) -> int:
     flags = {
-        "model": _model_from(args).to_dict(),
+        "model": _model_flags(args),  # range-checked only after the --config merge
         "engine": args.engine,
         "workers": args.workers,
         "replicas": args.replicas,

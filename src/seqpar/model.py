@@ -1,19 +1,20 @@
 """Decoder-only transformer with hand-rolled autodiff, plus the sequential
 (single-worker) reference engine.
 
-The layer's and the whole stack's forward/backward are written once, here;
-:func:`forward` takes a block's rows and a per-layer key/value hook.  Only
-the forward takes hooks, at the two places where distributed execution
-differs from sequential, and each hook returns its backward for the cache:
+The layer's and the whole stack's forward/backward are written once, here,
+and every engine runs them.  Only :func:`forward` takes hooks, where
+distributed execution differs from sequential, and each hook returns its
+backward for the cache:
 
 * how keys and values for the whole sequence are produced from the
   worker's normalized input (``kv_fwd``).  Locally it is two linear maps of
   the worker's rows.  The fused sharded engine first all-gathers every
   worker's normalized rows; the unfused one all-gathers keys and values.
-* where each of the layer's two sublayers (attention, feed-forward) runs
-  (``place_fwd``).  By default on the worker's own rows; the baseline
-  engine gathers the sublayer input onto one worker, runs it over the whole
-  sequence and scatters the output back.
+* where the embedding, each of a layer's two sublayers (attention,
+  feed-forward) and the loss head run (a placement, ``place_fwd``).  By
+  default on the worker's own rows; the baseline engine runs each of them
+  over the whole sequence on one worker, gathering its input there and
+  scattering its output back where the input or output is a block.
 
 Because every engine executes the same kernel calls in the same order, a
 distributed run with a single worker is bit-for-bit identical to the
@@ -168,7 +169,8 @@ class Parameters:
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) for every array, depth-first in field order.  Nested
         fields join with ".", a list's items take the field name without its
-        plural "s" plus their index: ``layer0.attn_q.weight``."""
+        plural "s" plus their index: ``layer0.attn_q.weight``.  A field that
+        is None (a gradient the worker did not compute) is left out."""
         out: list[tuple[str, np.ndarray]] = []
         _collect(self, "", out)
         return out
@@ -208,7 +210,7 @@ def _collect(node, prefix: str, out: list) -> None:
         elif isinstance(value, list):
             for i, item in enumerate(value):
                 _collect(item, f"{prefix}{name.removesuffix('s')}{i}.", out)
-        else:
+        elif value is not None:
             _collect(value, f"{prefix}{name}.", out)
 
 
@@ -464,7 +466,7 @@ def scores_fwd(
     puts it on them once, as it projects them).
 
     ``q`` holds the local block's rows (at the global positions ``rows``),
-    ``k``/``v`` hold the whole sequence; a causal row attends to keys at or
+    ``k``/``v`` must hold the whole sequence; a causal row attends to keys at or
     before its own global position.  Each (sample, head) block is scored a
     band of rows at a time (:func:`score_bands`), against only the keys the
     band's last row can see: the keys past them carry weights of exactly
@@ -490,8 +492,9 @@ def scores_fwd(
     dk, heads = cfg.head_dim, cfg.n_heads
     counters = tensor.active_counters()
     q_pos = row_positions(rows)
-    if q_pos[-1] >= t:
-        raise ShapeError(f"a query row is at position {q_pos[-1]}, but there are {t} keys")
+    if t != cfg.seq_len:
+        raise ShapeError(f"a query row is at position {q_pos[-1]}, but there are {t} keys, "
+                         f"not the sequence's {cfg.seq_len}")
     blocks = bsz * heads
     tiles = score_tiles(blocks, score_bands(rows, t, cfg.causal))
     exps = tensor.take((blocks, m, t), q.dtype)
@@ -697,13 +700,13 @@ def ffn_bwd(cache: FfnCache, grad_out, lp: LayerParams, policy):
 
 
 def local_place_fwd(sublayer, y, rows):
-    """Default sublayer placement: run it on the worker itself."""
+    """Default placement of any part of the model: run it on the worker itself."""
     return *sublayer(y, rows), local_place_bwd
 
 
-def local_place_bwd(sublayer_bwd, cache, grad_out, weights):
-    """Backward of :func:`local_place_fwd`.  ``weights`` (the LinearParams the
-    weight grads mirror) serve placements where a worker returns zeros."""
+def local_place_bwd(sublayer_bwd, cache, grad_out):
+    """Backward of :func:`local_place_fwd`.  A placement's backward returns
+    (input gradient, weight gradients), None for those it did not compute."""
     return sublayer_bwd(cache, grad_out)
 
 
@@ -769,19 +772,19 @@ def layer_bwd(
     grad_out: np.ndarray,
 ) -> tuple[np.ndarray, LayerParams]:
     """Reverse of :func:`layer_fwd`, through the backwards its hooks
-    returned; returns (grad_x_in, per-layer grads).  The input gradient is
-    checked for NaN and Inf, as :func:`layer_fwd` checks its output."""
+    returned; returns (grad_x_in, per-layer grads, a sublayer's None where
+    its placement did not compute them).  The input gradient is checked for
+    NaN and Inf, as :func:`layer_fwd` checks its output."""
     g_ff = dropout3_bwd(grad_out, policy, cache.ff_mask)
     ffn = partial(ffn_bwd, lp=lp, policy=policy)
-    grad_yh, (ff_in_g, ff_out_g) = cache.place_bwd(ffn, cache.ffn, g_ff, (lp.ff_in, lp.ff_out))
+    grad_yh, ffn_g = cache.place_bwd(ffn, cache.ffn, g_ff)
     g_ln2_x, ln2_gain_g, ln2_bias_g = norm3_bwd(cache.ln2, lp.ln2_gain, grad_yh)
     grad_mid = grad_out + g_ln2_x
     g_att = dropout3_bwd(grad_mid, policy, cache.att_mask)
     attention = partial(attention_bwd, lp=lp, cfg=cfg, policy=policy)
-    grad_xh, (q_g, k_g, v_g, out_g) = cache.place_bwd(
-        attention, cache.attn, g_att, (lp.attn_q, lp.attn_k, lp.attn_v, lp.attn_out)
-    )
+    grad_xh, att_g = cache.place_bwd(attention, cache.attn, g_att)
     g_ln1_x, ln1_gain_g, ln1_bias_g = norm3_bwd(cache.ln1, lp.ln1_gain, grad_xh)
+    (q_g, k_g, v_g, out_g), (ff_in_g, ff_out_g) = att_g or (None,) * 4, ffn_g or (None,) * 2
     grads = LayerParams(
         ln1_gain=ln1_gain_g, ln1_bias=ln1_bias_g, attn_q=q_g, attn_k=k_g, attn_v=v_g,
         attn_out=out_g, ln2_gain=ln2_gain_g, ln2_bias=ln2_bias_g, ff_in=ff_in_g, ff_out=ff_out_g,
@@ -799,16 +802,16 @@ class EmbedCache:
 
 
 def embed_fwd(params: Parameters, cfg: ModelConfig, tokens: np.ndarray, rows: Rows, policy):
-    """Token + position embeddings for the block of the sequence at ``rows``.
+    """Token + position embeddings of ``tokens``, the block of the sequence at ``rows``.
 
     ``params.pos_table`` must hold exactly this block's rows (the full table
-    sequentially, the local shard on a distributed worker).
+    sequentially, the local shard on a sharded worker).
     """
     bsz, m = tokens.shape
+    if row_count(rows) != m:
+        raise ShapeError(f"token block has {m} columns, its rows {row_count(rows)}")
     if params.pos_table.shape[0] != m:
-        raise ShapeError(
-            f"position table has {params.pos_table.shape[0]} rows, block has {m}"
-        )
+        raise ShapeError(f"position table has {params.pos_table.shape[0]} rows, block has {m}")
     tok = nnops.embed_tokens(params.token_table, tokens)
     pe = nnops.embed_positions(params.pos_table, 0, m)
     x = tok + pe
@@ -817,11 +820,12 @@ def embed_fwd(params: Parameters, cfg: ModelConfig, tokens: np.ndarray, rows: Ro
     return x, EmbedCache(tokens=tokens, mask=mask)
 
 
-def embed_bwd(cache: EmbedCache, vocab: int, policy, grad_x: np.ndarray):
+def embed_bwd(cache: EmbedCache, grad_x: np.ndarray, vocab: int, policy):
+    """(None, (token table, position table) gradients): token ids take none."""
     g = dropout3_bwd(grad_x, policy, cache.mask)
     grad_pe = np.sum(g, axis=0)
     grad_tok = nnops.embed_tokens_bwd((vocab, g.shape[2]), cache.tokens, g)
-    return grad_tok, grad_pe
+    return None, (grad_tok, grad_pe)
 
 
 @dataclass
@@ -847,15 +851,17 @@ def head_fwd(x: np.ndarray, params: Parameters, targets: np.ndarray | None):
 
 
 def head_bwd(cache: HeadCache, params: Parameters):
-    """Backward of :func:`head_fwd`.  It spends the cache's logit gradient
-    (None afterwards), so it is not held through the layers' backward, and
-    a spent cache cannot be read again."""
+    """Backward of :func:`head_fwd`: (input gradient, (final gain, final
+    bias, head) gradients).  It spends the cache's logit gradient (None
+    afterwards), so it is not held through the layers' backward, and a spent
+    cache cannot be read again."""
     if cache.grad_logits is None:
         raise ValueError("head_bwd requires a forward pass that computed the loss")
     grad_xf, head_wg, head_bg = nnops.linear_bwd(cache.xf, params.head, cache.grad_logits)
     cache.grad_logits = None
     grad_x, final_gain_g, final_bias_g = nnops.layernorm_bwd(cache.lnf, params.final_gain, grad_xf)
-    return grad_x.reshape(cache.shape3), final_gain_g, final_bias_g, head_wg, head_bg
+    return grad_x.reshape(cache.shape3), (final_gain_g, final_bias_g,
+                                          LinearParams(head_wg, head_bg))
 
 
 # --- the whole stack, over a block's rows ---
@@ -863,11 +869,14 @@ def head_bwd(cache: HeadCache, params: Parameters):
 
 @dataclass
 class StackCache:
-    """What :func:`forward` over any block's rows holds for :func:`backward`."""
+    """What :func:`forward` over any block's rows holds for :func:`backward`:
+    each part's cache (None where it ran elsewhere) and placement backward."""
 
-    embed: EmbedCache
+    embed: EmbedCache | None
+    embed_place_bwd: object
     layers: list[LayerCache]
-    head: HeadCache
+    head: HeadCache | None
+    head_place_bwd: object
     policy: DropoutPolicy
 
     @property
@@ -884,39 +893,48 @@ def forward(
     *,
     rows: Rows | None = None,
     layer_kv_fwd=None,
+    layer_place_fwd=None,
+    embed_place_fwd=local_place_fwd,
+    head_place_fwd=local_place_fwd,
 ) -> tuple[float | None, StackCache]:
-    """Forward over the block at ``rows`` (by default the whole sequence),
-    whose columns ``tokens`` and ``targets`` hold; ``layer_kv_fwd(layer)``
-    returns the layer's ``kv_fwd`` (:func:`layer_fwd`), by default local.
-    The loss is the mean cross-entropy over the block's tokens."""
+    """Forward over the block at ``rows`` (by default every column of
+    ``tokens``).  ``layer_kv_fwd(layer)`` and ``layer_place_fwd(layer)``
+    return a layer's ``kv_fwd`` and ``place_fwd`` (:func:`layer_fwd`);
+    ``embed_place_fwd`` and ``head_place_fwd`` place the embedding and the
+    loss head the same way.  All are local by default.  The loss is the mean
+    cross-entropy over the head's tokens, None where the head did not run."""
     policy = policy if policy is not None else DropoutPolicy.off()
     if tokens.ndim != 2:
         raise ShapeError(f"tokens must be (batch, seq_len), got shape {tokens.shape}")
     rows = ((0, tokens.shape[1]),) if rows is None else rows
-    if row_count(rows) != tokens.shape[1]:
-        raise ShapeError(f"token block has {tokens.shape[1]} columns, its rows {row_count(rows)}")
-    x, e_cache = embed_fwd(params, cfg, tokens, rows, policy)
+    embed = partial(embed_fwd, params, cfg, policy=policy)
+    x, e_cache, e_bwd = embed_place_fwd(embed, tokens, rows)
     layer_caches = []
     for li, lp in enumerate(params.layers):
         kv_fwd = None if layer_kv_fwd is None else layer_kv_fwd(li)
-        x, c = layer_fwd(lp, cfg, policy, li, x, rows, kv_fwd=kv_fwd)
+        place_fwd = local_place_fwd if layer_place_fwd is None else layer_place_fwd(li)
+        x, c = layer_fwd(lp, cfg, policy, li, x, rows, kv_fwd=kv_fwd, place_fwd=place_fwd)
         layer_caches.append(c)
-    loss, h_cache = head_fwd(x, params, targets)
-    return loss, StackCache(e_cache, layer_caches, h_cache, policy)
+    loss, h_cache, h_bwd = head_place_fwd(lambda x, _: head_fwd(x, params, targets), x, rows)
+    return loss, StackCache(e_cache, e_bwd, layer_caches, h_cache, h_bwd, policy)
 
 
 def backward(params: Parameters, cfg: ModelConfig, cache: StackCache) -> Parameters:
-    """Gradients of the mean-over-tokens loss w.r.t. every parameter."""
+    """Gradients of the mean-over-tokens loss w.r.t. every parameter, through
+    the backwards the forward's placements returned.  A gradient is None
+    where its placement did not compute it on this worker."""
     policy = cache.policy
-    grad_x, final_gain_g, final_bias_g, head_wg, head_bg = head_bwd(cache.head, params)
+    grad_x, head_grads = cache.head_place_bwd(lambda c, _: head_bwd(c, params), cache.head, None)
     layer_grads: list[LayerParams | None] = [None] * len(params.layers)
     for li in range(len(params.layers) - 1, -1, -1):
         grad_x, layer_grads[li] = layer_bwd(params.layers[li], cfg, policy, li,
                                             cache.layers[li], grad_x)
-    grad_tok, grad_pe = embed_bwd(cache.embed, cfg.vocab, policy, grad_x)
+    embed = partial(embed_bwd, vocab=cfg.vocab, policy=policy)
+    _, embed_g = cache.embed_place_bwd(embed, cache.embed, grad_x)
+    grad_tok, grad_pe = embed_g or (None, None)
+    final_gain_g, final_bias_g, head_g = head_grads or (None,) * 3
     return Parameters(token_table=grad_tok, pos_table=grad_pe, layers=layer_grads,
-                      final_gain=final_gain_g, final_bias=final_bias_g,
-                      head=LinearParams(head_wg, head_bg))
+                      final_gain=final_gain_g, final_bias=final_bias_g, head=head_g)
 
 
 # Optimizers walk the flat parameter vector in chunks of this many elements,

@@ -1,9 +1,13 @@
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from seqpar import baseline, grid, model, sharded
 from seqpar.collectives import Communicator, run_workers
 from seqpar.grid import GridLayout, ShardSpec, Worker
+from seqpar.model import ModelConfig
 
 from conftest import max_param_delta, rand_batch, sequential_adam, sequential_sgd
 
@@ -104,6 +108,35 @@ def test_loss_only_materializes_on_rank_zero(tiny_cfg, rng):
     losses = run_workers(n, worker, comm=comm)
     assert losses[0] is not None
     assert losses[1] is None
+
+
+def test_other_ranks_build_no_zero_gradients(rng, monkeypatch):
+    """Rank 0 alone runs the embedding, both sublayers and the head; the
+    other ranks leave those gradients zero in the flat vector they sum, and
+    build no zero array shaped like a parameter.  The model is the deep
+    benchmark workload's (E32 L8 H4 FF64 T64 B2)."""
+    cfg = ModelConfig(embed_dim=32, n_layers=8, n_heads=4, ff_dim=64, vocab=256, seq_len=64,
+                      batch=2)
+    n = 2
+    params = model.init_params(cfg, 0)
+    tokens, targets = rand_batch(cfg, rng)
+    comm = Communicator(n)
+    seq_groups, data_groups = grid.make_groups(comm, GridLayout(1, n))
+    calls = Counter()
+    zeros_like = np.zeros_like
+
+    def counting(*args, **kw):
+        calls[threading.current_thread().name] += 1
+        return zeros_like(*args, **kw)
+
+    def worker(rank):
+        w = Worker(comm, ShardSpec(rank, n, cfg.seq_len), seq_groups[0], data_groups[rank])
+        return baseline.train_step(w, params, cfg, tokens, targets)
+
+    monkeypatch.setattr(np, "zeros_like", counting)
+    run_workers(n, worker, comm=comm)
+    assert calls["worker-0"] > 0  # the count is live: the score backward makes some
+    assert calls["worker-1"] == 0
 
 
 def test_rank_zero_validates_batch_width(tiny_cfg, rng):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import struct
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -505,6 +506,41 @@ def test_forward_without_targets_returns_no_loss(tiny_cfg, rng):
     assert cache.logits.shape == (tiny_cfg.batch * tiny_cfg.seq_len, tiny_cfg.vocab)
     with pytest.raises(ValueError):
         model.backward(params, tiny_cfg, cache)
+
+
+def test_explicit_local_placements_are_the_defaults(tiny_cfg, rng):
+    """Local embedding and head placements passed by hand give the default
+    loss and flat gradient bit for bit, and each placement's backward runs
+    once per ``model.backward`` (a layer's twice, once per sublayer)."""
+    params = model.init_params(tiny_cfg, 0)
+    tokens, targets = rand_batch(tiny_cfg, rng)
+    policy = DropoutPolicy(rate=0.1, seed=3)
+
+    def loss_and_grads(**hooks):
+        loss, cache = model.forward(params, tiny_cfg, tokens, targets, policy, **hooks)
+        return loss, model.flatten_arrays(model.backward(params, tiny_cfg, cache).arrays())
+
+    want_loss, want = loss_and_grads()
+    local = model.local_place_fwd
+    loss, got = loss_and_grads(embed_place_fwd=local, head_place_fwd=local)
+    assert loss == want_loss and got.tobytes() == want.tobytes()
+
+    runs = Counter()
+
+    def counting(part):
+        def place_fwd(fn, y, rows):
+            out, cache, bwd = local(fn, y, rows)
+
+            def place_bwd(*args):
+                runs[part] += 1
+                return bwd(*args)
+            return out, cache, place_bwd
+        return place_fwd
+
+    loss, got = loss_and_grads(embed_place_fwd=counting("embed"), head_place_fwd=counting("head"),
+                               layer_place_fwd=lambda li: counting(f"layer{li}"))
+    assert loss == want_loss and got.tobytes() == want.tobytes()
+    assert runs == {"embed": 1, "head": 1, "layer0": 2, "layer1": 2}
 
 
 def test_forward_validates_token_shape(tiny_cfg):

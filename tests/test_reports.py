@@ -507,6 +507,19 @@ def test_cli_config_value_mends_a_flag_out_of_range(tmp_path):
         assert json.load(f)["summary"]["steps"] == 1
 
 
+def test_cli_config_value_mends_a_model_flag_out_of_range(tmp_path):
+    """The model flags are range-checked only after the file's values are
+    merged, like the run flags."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"model": {"embed_dim": 16}}))
+    out = tmp_path / "run"
+    assert run_cli("train", "--embed-dim", "-4", "--config", str(cfg_path), "--out", str(out),
+                   "--steps", "1", "--layers", "1", "--heads", "2", "--ff-dim", "32",
+                   "--seq-len", "16", "--batch", "2", "--synthetic-bytes", "4096") == 0
+    with open(out / "summary.json") as f:
+        assert json.load(f)["config"]["model"]["embed_dim"] == 16
+
+
 def test_cli_verify(tmp_path, capsys):
     rc = run_cli(
         "verify", "--engines", "sharded", "--workers", "1,2", "--steps", "2",

@@ -244,6 +244,18 @@ def test_a_ranks_rows_need_a_key_value_hook(tiny_cfg, rng):
         model.forward(own, cfg, tokens, targets, rows=spec.balanced_rows)
 
 
+def test_a_non_causal_block_needs_every_key(tiny_cfg, rng):
+    """Without a causal mask every query needs all the sequence's keys, even
+    when no query row lies past the block's own: a T16 model over rows 0-7
+    with their 8 position rows and no key/value hook refuses."""
+    cfg = replace(tiny_cfg, seq_len=16, causal=False)
+    params = model.init_params(cfg, 0)
+    params.pos_table = params.pos_table[:8]
+    tokens, targets = (a[:, :8] for a in rand_batch(cfg, rng))
+    with pytest.raises(ShapeError, match="there are 8 keys, not the sequence's 16"):
+        model.forward(params, cfg, tokens, targets, rows=((0, 8),))
+
+
 def test_forward_rows_must_count_the_token_columns(tiny_cfg, rng):
     params = model.init_params(tiny_cfg, 0)
     tokens, targets = rand_batch(tiny_cfg, rng)

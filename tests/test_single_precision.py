@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqpar import model, runner
+from seqpar import baseline, model, runner
 from seqpar.collectives import Communicator
 from seqpar.grid import GridLayout
 from seqpar.nnops import DropoutPolicy
@@ -111,6 +111,7 @@ def test_no_float64_in_caches_gradients_or_payloads(
         return grads
 
     monkeypatch.setattr(model, "backward", walking_backward)
+    monkeypatch.setattr(baseline, "backward", walking_backward)  # bound there by import
     payloads = []
     for name in COLLECTIVES:
         method = getattr(Communicator, name)
