@@ -130,9 +130,10 @@ def _cmd_cost(args) -> int:
     cfg = _model_from(args)
     if args.weak_scaling:
         ratios = costs.weak_scaling_ratios(cfg)
+        print("paper schedule; score elements over each worker's full rectangle (non-causal)")
         print(f"{'workers':>8} {'seq_len':>8} {'score elems/worker':>20} {'ratio':>6}")
         for (n, l), ratio in zip(costs.WEAK_SCALING_SCHEDULE, ratios):
-            est = costs.estimate(replace(cfg, seq_len=l), n, "sharded")
+            est = costs.estimate(replace(cfg, seq_len=l, causal=False), n, "sharded")
             print(f"{n:>8} {l:>8} {est.score_elements_peak:>20} {ratio:>6}")
         return 0
     workers = _int_list(args.workers)
@@ -142,13 +143,14 @@ def _cmd_cost(args) -> int:
     for n in workers:
         est = costs.estimate(cfg, n, args.engine, fused=fused)
         print(f"engine={est.engine} workers={n} block={est.block}")
-        by_rank = ""
+        flops = elements = cache = ""
         if args.engine in ("sharded", "hybrid"):
-            flops = costs.rank_score_flops(cfg, n, args.engine)
-            by_rank = f"  (busiest; by rank {flops})"
-        print(f"  score flops (fwd)       {est.score_flops}{by_rank}")
-        print(f"  score elements (peak)   {est.score_elements_peak}")
-        print(f"  score cache bytes       {est.score_cache_bytes}")
+            flops = f"  (busiest; by rank {costs.rank_score_flops(cfg, n, args.engine)})"
+            elements = f"  (busiest; by rank {costs.rank_score_elements(cfg, n, args.engine)})"
+            cache = f"  (busiest; by rank {costs.rank_score_cache_bytes(cfg, n, args.engine)})"
+        print(f"  score flops (fwd)       {est.score_flops}{flops}")
+        print(f"  score elements (peak)   {est.score_elements_peak}{elements}")
+        print(f"  score cache bytes       {est.score_cache_bytes}{cache}")
         print(f"  projection flops (fwd)  {est.proj_flops}")
         print(f"  ffn flops (fwd)         {est.ffn_flops}")
         print(f"  head flops (fwd)        {est.head_flops}")

@@ -11,9 +11,14 @@ and :func:`rank_score_flops` every worker of a sequence group its own.  A
 sharded worker, fused or not, owns one early and one late chunk
 (:attr:`seqpar.grid.ShardSpec.balanced_rows`), so all workers score
 equal shares when the block is even, and near-equal ones when it is odd.  The estimate gives the busiest worker's figure.
-The score-element figure is the footprint of one layer's score stack, the
-same on every worker of a sequence group, so it carries no layer factor (and
-is 0 for a model without layers).
+The score-element figure is the footprint of one layer's score stack, which
+packs only the entries its bands score (:func:`seqpar.model.score_stack_size`):
+per layer, ``b·h·Σ band rows × visible keys``, a worker's score flops
+divided by ``4·dk·L``.  :func:`score_elements` gives a worker's rows their
+figure and :func:`rank_score_elements` every worker of a sequence group its
+own; like the flops, they are equal at an even block and differ at an odd
+one, and the estimate is the busiest worker's.  The figure carries no layer
+factor (and is 0 for a model without layers).
 A training step keeps every layer's scores until its backward: the
 cached-bytes figure counts those, L times the score elements at ``itemsize``
 bytes each for the softmax exponentials, plus one byte each for the dropout
@@ -30,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .grid import GridLayout, ShardSpec, check_grid
-from .model import ModelConfig, Rows, param_count, param_shapes, score_bands
+from .model import ModelConfig, Rows, param_count, param_shapes, row_count, score_bands
 
 # Worker-count / sequence-length pairs that hold the per-worker attention
-# workload ratio to small integers: with block length l/n, per-worker score
-# elements are (l/n) * l, giving exactly 1 : 6 : 18 : 54 : 144 across the
-# schedule.
+# workload ratio to small integers: with block length l/n, the full score
+# rectangle of a worker's rows is (l/n) * l elements, giving exactly
+# 1 : 6 : 18 : 54 : 144 across the schedule.
 WEAK_SCALING_SCHEDULE = (
     (6, 348),
     (36, 2088),
@@ -56,7 +61,7 @@ class CostEstimate:
     block: int
 
     score_flops: int            # forward QK^T + weights@V over visible keys, all layers
-    score_elements_peak: int    # score entries of one layer
+    score_elements_peak: int    # entries of one layer's score stack
     score_cache_bytes: int      # every layer's score caches, held until backward
     proj_flops: int             # q/k/v/out projections, forward, all layers
     ffn_flops: int              # both ffn matmuls, forward, all layers
@@ -76,19 +81,19 @@ def estimate(
     (times ``replicas`` for the hybrid grid).
 
     Figures describe the busiest worker.  For the sharded and hybrid engines
-    every worker holds the same score footprint and does the same
-    projection, ffn and head work, but a causal worker scores only the keys
-    its rows can see, so ``score_flops`` is the largest of
-    :func:`rank_score_flops`.  ``fused`` moves only the key/value
+    every worker does the same projection, ffn and head work, but a causal
+    worker scores and keeps only the keys its rows can see, so
+    ``score_flops`` is the largest of :func:`rank_score_flops` and
+    ``score_elements_peak`` and ``score_cache_bytes`` the largest of
+    :func:`rank_score_elements` and :func:`rank_score_cache_bytes`.
+    ``fused`` moves only the key/value
     projections (fused, over the gathered whole sequence; unfused, over the
     worker's own rows) and the layer-tagged collectives (two per layer
     fused, four unfused).  For the baseline, rank 0 does all
-    attention/ffn/head work and holds the full score footprint.
+    attention/ffn/head work and holds every score.
     """
     check_grid(engine, GridLayout(replicas, workers), cfg.seq_len)
-    l, b, h, e, f, layers = (
-        cfg.seq_len, cfg.batch, cfg.n_heads, cfg.embed_dim, cfg.ff_dim, cfg.n_layers,
-    )
+    l, b, e, f, layers = cfg.seq_len, cfg.batch, cfg.embed_dim, cfg.ff_dim, cfg.n_layers
     block = l // workers
     # Rows this worker pushes through queries, scores, ffn and head, and the
     # rows its key/value projections see.
@@ -118,11 +123,8 @@ def estimate(
         collectives = 0
         comm_elements = 0
 
-    score_elements_peak = b * h * rows * l if layers else 0
-    score_cache_bytes = layers * (
-        score_elements_peak * (cfg.dtype.itemsize + (1 if cfg.dropout > 0 else 0))
-        + b * h * rows * cfg.dtype.itemsize
-    )
+    score_elements_peak = max(rank_score_elements(cfg, workers, engine))
+    score_cache_bytes = max(rank_score_cache_bytes(cfg, workers, engine))
     proj_flops = layers * (2 * b * rows * e * e * 2 + 2 * b * kv_rows * e * e * 2)
     ffn_flops = layers * (2 * b * rows * e * f) * 2
     head_flops = 2 * b * rows * e * cfg.vocab
@@ -144,27 +146,59 @@ def estimate(
     )
 
 
+def score_elements(cfg: ModelConfig, rows: Rows) -> int:
+    """Entries of one layer's score stack for the query rows at the global
+    positions ``rows`` (a worker's block, or its chunks): per (sample, head)
+    block and band of :func:`seqpar.model.score_bands`, the band's rows
+    times its visible keys."""
+    per_block = sum((r1 - r0) * visible
+                    for r0, r1, visible in score_bands(rows, cfg.seq_len, cfg.causal))
+    return cfg.batch * cfg.n_heads * per_block
+
+
 def score_flops(cfg: ModelConfig, rows: Rows) -> int:
     """Forward score flops of one training step, over every layer, of the
-    query rows at the global positions ``rows`` (a worker's block, or its
-    chunks): per (sample, head) block and band of
-    :func:`seqpar.model.score_bands`, QK^T and weights@V over the band's
-    rows and its visible keys."""
-    dk = cfg.head_dim
-    per_block = sum(4 * (r1 - r0) * visible * dk
-                    for r0, r1, visible in score_bands(rows, cfg.seq_len, cfg.causal))
-    return cfg.n_layers * cfg.batch * cfg.n_heads * per_block
+    query rows at ``rows``: QK^T and weights@V over each of
+    :func:`score_elements`' entries, ``4·dk`` flops per entry and layer."""
+    return 4 * cfg.head_dim * cfg.n_layers * score_elements(cfg, rows)
+
+
+def _rank_rows(cfg: ModelConfig, workers: int, engine: str) -> list:
+    """The query rows each worker of a sequence group scores, in rank
+    order: :attr:`seqpar.grid.ShardSpec.balanced_rows` for the sharded and
+    hybrid engines; otherwise the whole sequence on rank 0 and None (no
+    scores) on the others."""
+    if engine in ("sharded", "hybrid"):
+        return [ShardSpec(r, workers, cfg.seq_len).balanced_rows for r in range(workers)]
+    return [((0, cfg.seq_len),)] + [None] * (workers - 1)
 
 
 def rank_score_flops(cfg: ModelConfig, workers: int, engine: str = "sharded") -> list[int]:
     """Forward score flops of one training step on each worker of a sequence
-    group, in rank order: the closed form over the rows each one computes
-    (:attr:`seqpar.grid.ShardSpec.balanced_rows` for the sharded and hybrid
-    engines; the baseline's rank 0 scores the whole sequence)."""
-    if engine in ("sharded", "hybrid"):
-        return [score_flops(cfg, ShardSpec(r, workers, cfg.seq_len).balanced_rows)
-                for r in range(workers)]
-    return [score_flops(cfg, ((0, cfg.seq_len),))] + [0] * (workers - 1)
+    group, in rank order: the closed form over the rows each one computes."""
+    return [0 if rows is None else score_flops(cfg, rows)
+            for rows in _rank_rows(cfg, workers, engine)]
+
+
+def rank_score_elements(cfg: ModelConfig, workers: int, engine: str = "sharded") -> list[int]:
+    """Entries of one layer's score stack on each worker of a sequence
+    group, in rank order (0 for a model without layers, which keeps no
+    stack): a worker's :func:`rank_score_flops` figure over ``4·dk·L``."""
+    return [0 if rows is None or not cfg.n_layers else score_elements(cfg, rows)
+            for rows in _rank_rows(cfg, workers, engine)]
+
+
+def rank_score_cache_bytes(cfg: ModelConfig, workers: int, engine: str = "sharded") -> list[int]:
+    """Bytes of every layer's score caches on each worker of a sequence
+    group, in rank order: per layer, :func:`rank_score_elements` at
+    ``itemsize`` bytes (plus one for the keep mask with dropout) and one
+    ``itemsize`` reciprocal sum per (sample, head) block's query row."""
+    itemsize = cfg.dtype.itemsize
+    per_element = itemsize + (1 if cfg.dropout > 0 else 0)
+    row_sums = [0 if rows is None else cfg.batch * cfg.n_heads * row_count(rows)
+                for rows in _rank_rows(cfg, workers, engine)]
+    return [cfg.n_layers * (elements * per_element + sums * itemsize)
+            for elements, sums in zip(rank_score_elements(cfg, workers, engine), row_sums)]
 
 
 def _complexity(engine: str) -> dict:
@@ -180,15 +214,18 @@ def weak_scaling_ratios(
     cfg: ModelConfig, schedule=WEAK_SCALING_SCHEDULE
 ) -> list[int]:
     """Per-worker attention workload of each schedule point relative to the
-    first, using the peak score-element figure.  The schedule is built so
-    these come out as exact integers; a non-integer ratio means the schedule
-    or the estimate is wrong, so it raises.  A model of zero layers holds no
-    scores, so it has no ratios and raises too."""
+    first, using the peak score-element figure of the paper's schedule: the
+    full score rectangle of a worker's rows (``causal=False``), since a
+    causal stack keeps only the bands its rows see and those shares are no
+    longer small integers.  The schedule is built so these come out as
+    exact integers; a non-integer ratio means the schedule or the estimate
+    is wrong, so it raises.  A model of zero layers holds no scores, so it
+    has no ratios and raises too."""
     if cfg.n_layers == 0:
         raise ValueError("weak scaling needs at least one layer, got 0 layers")
     elements = []
     for workers, seq_len in schedule:
-        point = replace(cfg, seq_len=seq_len)
+        point = replace(cfg, seq_len=seq_len, causal=False)
         elements.append(estimate(point, workers, "sharded").score_elements_peak)
     base = elements[0]
     ratios = []

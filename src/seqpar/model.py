@@ -341,17 +341,20 @@ def dropout3_bwd(grad_y, policy, mask):
 class ScoreCache:
     """What one layer's attention keeps for its backward: the unnormalized
     softmax exponentials and, with dropout, the boolean keep mask (None
-    without), each in one (blocks, rows, keys) stack of (sample, head)
-    blocks in sample-major order; the (blocks, rows, 1) reciprocals of the
-    exponentials' row sums; and the tile plan (:func:`score_tiles`) the
-    forward walked.  Each band's exponentials and keep mask, over every
-    block, lie packed at its tile's ``start`` in the stacks (see
-    :func:`_tile`); the rest of each stack is unused.  Neither the weights
-    nor the dropped weights are kept: a weight is an exponential times its
-    row's reciprocal, and both scores kernels move that factor onto the
-    (rows, dk) operands instead of the tile.  :func:`scores_bwd` gives both
-    stacks back and sets them and the reciprocals to None, so a spent cache
-    cannot be read again.  ``nbytes`` counts all three arrays."""
+    without), each in one flat stack exactly as long as the tile plan
+    needs (:func:`score_stack_size`); the (blocks, rows, 1) reciprocals of
+    the exponentials' row sums, blocks being the (sample, head) pairs in
+    sample-major order; and the tile plan (:func:`score_tiles`) the forward
+    walked.  Each band's exponentials and keep mask, over every block, lie
+    packed at its tile's ``start`` in the stacks (see :func:`_tile`), one
+    tile after another, so a causal stack holds only the entries its bands
+    score and a non-causal one is the whole (blocks, rows, keys) rectangle.
+    Neither the weights nor the dropped weights are kept: a weight is an
+    exponential times its row's reciprocal, and both scores kernels move
+    that factor onto the (rows, dk) operands instead of the tile.
+    :func:`scores_bwd` gives both stacks back and sets them and the
+    reciprocals to None, so a spent cache cannot be read again.  ``nbytes``
+    counts all three arrays."""
 
     exps: np.ndarray | None
     keep: np.ndarray | None
@@ -401,11 +404,19 @@ def score_tiles(blocks: int, bands) -> list[tuple[int, int, int, int]]:
     return tiles
 
 
-def _tile(stack: np.ndarray, tile) -> np.ndarray:
-    """The (blocks, band rows, visible keys) view of ``tile`` in ``stack``."""
+def score_stack_size(blocks: int, tiles) -> int:
+    """Elements of a score stack that packs ``tiles`` over ``blocks``
+    blocks: the last tile's start plus its size."""
+    r0, r1, visible, start = tiles[-1]
+    return start + blocks * (r1 - r0) * visible
+
+
+def _tile(stack: np.ndarray, blocks: int, tile) -> np.ndarray:
+    """The (blocks, band rows, visible keys) view of ``tile`` in the flat
+    ``stack``."""
     r0, r1, visible, start = tile
-    shape = (len(stack), r1 - r0, visible)
-    return stack.reshape(-1)[start : start + math.prod(shape)].reshape(shape)
+    shape = (blocks, r1 - r0, visible)
+    return stack[start : start + math.prod(shape)].reshape(shape)
 
 
 def _tile_words(blocks: int, tiles) -> int:
@@ -476,8 +487,9 @@ def scores_fwd(
     block per item of a stack, :func:`_split_heads`).  The forward builds
     the tile plan (:func:`score_tiles`, one tile per band) once and walks
     it.  Per tile, every block's band is multiplied as one stack straight
-    into the tile's packed view of the exponential stack, which is taken
-    through ``tensor.take`` at the full (blocks, m, keys) size; the softmax
+    into the tile's packed view of the flat exponential stack, which is
+    taken through ``tensor.take`` exactly as long as the plan needs
+    (:func:`score_stack_size`); the softmax
     exponentials (under the band's (rows, keys) causal mask, shared by every
     block) and the keep-mask hash then run once over the whole tile, and
     with dropout one tile-sized work buffer holds ``exps * keep`` for the
@@ -497,11 +509,12 @@ def scores_fwd(
                          f"not the sequence's {cfg.seq_len}")
     blocks = bsz * heads
     tiles = score_tiles(blocks, score_bands(rows, t, cfg.causal))
-    exps = tensor.take((blocks, m, t), q.dtype)
+    size = score_stack_size(blocks, tiles)
+    exps = tensor.take((size,), q.dtype)
     inv_sums = np.empty((blocks, m, 1), q.dtype)
     keep = None
     if policy.active:
-        keep = tensor.take((blocks, m, t), np.bool_)
+        keep = tensor.take((size,), np.bool_)
         work = tensor.take((_tile_words(blocks, tiles),), q.dtype)
         row_keys = np.stack(
             [nnops.score_row_keys(policy, layer, *divmod(i, heads), q_pos) for i in range(blocks)]
@@ -510,12 +523,12 @@ def scores_fwd(
     ctxh = np.empty_like(qh)
     for tile in tiles:
         r0, r1, visible, _ = tile
-        pv = e = _tile(exps, tile)
+        pv = e = _tile(exps, blocks, tile)
         tensor.matmul(qh[:, r0:r1], kh[:, :visible].transpose(0, 2, 1), out=e)
         mask = np.arange(visible) <= q_pos[r0:r1, None] if cfg.causal else None
         np.reciprocal(tensor.softmax_rows(e, mask, out=e), out=inv_sums[:, r0:r1])
         if keep is not None:
-            kept = _tile(keep, tile)
+            kept = _tile(keep, blocks, tile)
             nnops.keep_mask(policy, row_keys[:, r0:r1].reshape(-1), visible,
                             out=kept.reshape(-1, visible))
             pv = np.multiply(e, kept, out=work[: e.size].reshape(e.shape))
@@ -526,7 +539,7 @@ def scores_fwd(
         tensor.give(work)
     cache = ScoreCache(exps=exps, keep=keep, inv_sums=inv_sums, tiles=tiles)
     if counters is not None:
-        counters.record_score_footprint(blocks * m * t)
+        counters.record_score_footprint(exps.size)
         counters.add_score_cache(cache.nbytes)
     return _merge_heads(ctxh, bsz, _row_factor(cache, policy)), cache
 
@@ -567,15 +580,18 @@ def scores_bwd(
     adds into each block's rows up to its visible keys; rows no query sees
     stay zero.  The cache's stacks go back to ``tensor.give`` and are
     dropped from it with the reciprocals, so a spent cache cannot be read
-    again."""
+    again: it raises ValueError, as does a stack that is not exactly as
+    long as the plan packs over ``q``'s blocks."""
     bsz, m, _ = q.shape
     dk, heads = cfg.head_dim, cfg.n_heads
     blocks = bsz * heads
-    held = 0 if cache.exps is None else cache.exps.shape[0]
-    if held != blocks:
-        raise ValueError(f"score cache holds {held} blocks, expected {blocks}; "
-                         "a cache serves one backward")
     exps, keep, inv_sums, tiles = cache.exps, cache.keep, cache.inv_sums, cache.tiles
+    if exps is None:
+        raise ValueError("score cache is spent; a cache serves one backward")
+    size = score_stack_size(blocks, tiles)
+    if exps.size != size:
+        raise ValueError(f"score cache holds {exps.size} elements, but its tile plan over "
+                         f"{blocks} blocks packs {size}")
     row_dots = tensor.row_sums(np.multiply(grad_ctx, ctx).reshape(-1, dk)).reshape(bsz, m, heads)
     d = np.empty_like(inv_sums)
     np.multiply(row_dots.transpose(0, 2, 1), inv_sums.reshape(bsz, heads, m),
@@ -588,10 +604,10 @@ def scores_bwd(
     work = tensor.take((_tile_words(blocks, tiles),), exps.dtype)
     for tile in reversed(tiles):
         r0, r1, visible, _ = tile
-        pv = e = _tile(exps, tile)
+        pv = e = _tile(exps, blocks, tile)
         grad_aw = work[: e.size].reshape(e.shape)
         if keep is not None:
-            kept = _tile(keep, tile)
+            kept = _tile(keep, blocks, tile)
             pv = np.multiply(e, kept, out=grad_aw)
         grad_v[:, :visible] += tensor.matmul(pv.transpose(0, 2, 1), gh[:, r0:r1])
         tensor.matmul(gh[:, r0:r1], vh[:, :visible].transpose(0, 2, 1), out=grad_aw)

@@ -211,11 +211,12 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
 
     window = losses[-min(SMOOTH_WINDOW, len(losses)):]
     est = costs.estimate(cfg, rc.workers, rc.engine, fused=rc.fused, replicas=rc.replicas)
-    # every rank's step-0 score flops, in world-rank order.  The estimate is
-    # the busiest rank's: sharded ranks, fused or not, own balanced rows and
-    # score equal shares (near-equal at an odd block), and only the
-    # baseline's rank 0 scores at all.
+    # every rank's step-0 score flops and score elements, in world-rank
+    # order.  The estimates are the busiest rank's: sharded ranks, fused or
+    # not, own balanced rows and score and keep equal shares (near-equal at
+    # an odd block), and only the baseline's rank 0 scores at all.
     rank_score_flops = [c[0].attn_score_flops for c in run.counters]
+    rank_score_elements = [c[0].attn_score_elements_peak for c in run.counters]
     busiest_score_flops = max(rank_score_flops)
     summary = {
         "engine": rc.engine,
@@ -236,9 +237,10 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
         "measured_score_flops_by_rank": rank_score_flops,
         "estimated_score_flops": est.score_flops,
         "score_flops_delta": busiest_score_flops - est.score_flops,
-        "measured_score_elements_peak": counts[0].attn_score_elements_peak,
+        "measured_score_elements_peak": max(rank_score_elements),
+        "measured_score_elements_by_rank": rank_score_elements,
         "estimated_score_elements_peak": est.score_elements_peak,
-        "measured_score_cache_bytes": counts[0].attn_score_bytes_cached,
+        "measured_score_cache_bytes": max(c[0].attn_score_bytes_cached for c in run.counters),
         "estimated_score_cache_bytes": est.score_cache_bytes,
         "estimated_collectives_per_step": est.collectives_per_step,
         "estimated_comm_elements_per_step": est.comm_elements_per_step,

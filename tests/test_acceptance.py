@@ -166,9 +166,11 @@ def test_06_weak_scaling_ratios(capsys):
                    "weak-scaling workload ratios, estimated and measured", 60.0):
         assert costs.weak_scaling_ratios(ACFG) == [1, 6, 18, 54, 144]
 
+        # over the full score rectangle (no causal mask) each worker's
+        # stack is its block length times the sequence length
         measured = []
         for n, seq_len in ((1, 48), (2, 96), (4, 192)):
-            cfg = replace(ACFG, seq_len=seq_len)
+            cfg = replace(ACFG, seq_len=seq_len, causal=False)
             rng = np.random.default_rng(61)
             run = sharded.run_steps(cfg, model.init_params(cfg, 0), n,
                                     [rand_batch(cfg, rng)], lr=0.1)
@@ -179,6 +181,18 @@ def test_06_weak_scaling_ratios(capsys):
             assert peaks == {est.score_elements_peak}
             measured.append(peaks.pop())
         assert [p / measured[0] for p in measured] == [1, 2, 4]
+
+        # causal, a rank keeps only the bands it scores: at T96 on 2 workers
+        # rank 0's chunks 0..24 and 72..96 hold 24*24 + 24*96 = 2880
+        # elements per (sample, head) block, rank 1's 24..48 and 48..72
+        # 24*48 + 24*72 = 2880
+        cfg = replace(ACFG, seq_len=96)
+        rng = np.random.default_rng(61)
+        run = sharded.run_steps(cfg, model.init_params(cfg, 0), 2, [rand_batch(cfg, rng)],
+                                lr=0.1)
+        blocks = cfg.batch * cfg.n_heads
+        assert [c[0].attn_score_elements_peak for c in run.counters] == [blocks * 2880] * 2
+        assert costs.estimate(cfg, 2, "sharded").score_elements_peak == blocks * 2880
 
         cfg = replace(ACFG, seq_len=48)
         rng = np.random.default_rng(62)
@@ -193,7 +207,12 @@ def test_06_weak_scaling_ratios(capsys):
 def test_07_score_memory_splits_across_workers(capsys):
     with criterion(capsys, "07",
                    "attention score memory splits across workers", 10.0):
-        cfg = replace(ACFG, seq_len=48)
+        causal = replace(ACFG, seq_len=48)
+        rng = np.random.default_rng(71)
+        batches = [rand_batch(causal, rng)]
+        params0 = model.init_params(causal, 0)
+        # the full rectangle (no causal mask) splits exactly by the worker count
+        cfg = replace(causal, causal=False)
         est1 = costs.estimate(cfg, 1, "sharded")
         est4 = costs.estimate(cfg, 4, "sharded")
         assert 4 * est4.score_elements_peak == est1.score_elements_peak
@@ -201,17 +220,24 @@ def test_07_score_memory_splits_across_workers(capsys):
         base4 = costs.estimate(cfg, 4, "baseline")
         assert base2.score_elements_peak == base4.score_elements_peak
         assert base4.score_elements_peak == 4 * est4.score_elements_peak
+        # causal, a rank keeps its bands only: on 4 workers rank 0's chunks
+        # 0..6 and 42..48 hold 6*6 + 6*48 = 324 elements per (sample, head)
+        # block against the baseline's one 48-row band of 48*48 = 2304
+        blocks = cfg.batch * cfg.n_heads
+        assert costs.estimate(causal, 4, "sharded").score_elements_peak == blocks * 324
+        assert costs.estimate(causal, 4, "baseline").score_elements_peak == blocks * 2304
 
-        rng = np.random.default_rng(71)
-        batches = [rand_batch(cfg, rng)]
-        params0 = model.init_params(cfg, 0)
-        srun = sharded.run_steps(cfg, params0, 4, batches, lr=0.1)
-        for w in range(4):
-            assert srun.counters[w][0].attn_score_elements_peak == est4.score_elements_peak
-        brun = baseline.run_steps(cfg, params0, 4, batches, lr=0.1)
-        assert brun.counters[0][0].attn_score_elements_peak == base4.score_elements_peak
-        for w in (1, 2, 3):
-            assert brun.counters[w][0].attn_score_elements_peak == 0
+        for cfg, shard_peak, base_peak in (
+            (cfg, est4.score_elements_peak, base4.score_elements_peak),
+            (causal, blocks * 324, blocks * 2304),
+        ):
+            srun = sharded.run_steps(cfg, params0, 4, batches, lr=0.1)
+            for w in range(4):
+                assert srun.counters[w][0].attn_score_elements_peak == shard_peak
+            brun = baseline.run_steps(cfg, params0, 4, batches, lr=0.1)
+            assert brun.counters[0][0].attn_score_elements_peak == base_peak
+            for w in (1, 2, 3):
+                assert brun.counters[w][0].attn_score_elements_peak == 0
 
 
 def test_08_hybrid_grid_matches_combined_batch(capsys):

@@ -1,5 +1,6 @@
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,12 +86,20 @@ def test_score_footprint_is_workers_times_sharded(tiny_cfg, rng):
     n = 4
     params = model.init_params(tiny_cfg, 0)
     batches = make_batches(tiny_cfg, rng, 1)
-    base = baseline.run_steps(tiny_cfg, params, n, batches, lr=0.1)
-    shard = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.1)
+    full = replace(tiny_cfg, causal=False)
+    base = baseline.run_steps(full, params, n, batches, lr=0.1)
+    shard = sharded.run_steps(full, params, n, batches, lr=0.1)
     assert (
         base.counters[0][0].attn_score_elements_peak
         == n * shard.counters[0][0].attn_score_elements_peak
     )
+    # causal, rank 0 of 4 keeps only its chunks 0..3 and 21..24: 3*3 + 3*24
+    # = 81 elements per (sample, head) block, against the baseline's one
+    # 24-row band of 24*24 = 576
+    base = baseline.run_steps(tiny_cfg, params, n, batches, lr=0.1)
+    shard = sharded.run_steps(tiny_cfg, params, n, batches, lr=0.1)
+    assert base.counters[0][0].attn_score_elements_peak == 4 * 576
+    assert shard.counters[0][0].attn_score_elements_peak == 4 * 81
 
 
 def test_loss_only_materializes_on_rank_zero(tiny_cfg, rng):

@@ -1,12 +1,13 @@
+import tempfile
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqpar import baseline, costs, grid, hybrid, model, runner, sharded, tensor
+from seqpar import baseline, costs, grid, hybrid, model, reporting, runner, sharded, tensor
 from seqpar.collectives import Communicator, run_workers
 from seqpar.costs import WEAK_SCALING_SCHEDULE, estimate, score_flops, weak_scaling_ratios
 from seqpar.errors import PartitionError
@@ -30,16 +31,22 @@ def test_weak_scaling_ratios_from_first_principles(tiny_cfg):
     per_worker = [(l // n) * l for n, l in WEAK_SCALING_SCHEDULE]
     base = per_worker[0]
     assert [p / base for p in per_worker] == [1, 6, 18, 54, 144]
-    # and the estimate only adds the batch * heads factor, which cancels
+    # and the estimate of the full score rectangle only adds the batch *
+    # heads factor, which cancels
     est = [
         estimate(ModelConfig(
             embed_dim=tiny_cfg.embed_dim, n_layers=tiny_cfg.n_layers,
             n_heads=tiny_cfg.n_heads, ff_dim=tiny_cfg.ff_dim,
-            vocab=tiny_cfg.vocab, seq_len=l, batch=tiny_cfg.batch,
+            vocab=tiny_cfg.vocab, seq_len=l, batch=tiny_cfg.batch, causal=False,
         ), n, "sharded").score_elements_peak
         for n, l in WEAK_SCALING_SCHEDULE
     ]
     assert [e / est[0] for e in est] == [1, 6, 18, 54, 144]
+    # causal, the first point's ranks keep only their bands: rank 0's
+    # 29-row chunks 0..29 and 319..348 hold 29*29 + 29*348 elements per
+    # (sample, head) block
+    causal = estimate(replace(tiny_cfg, seq_len=348), 6, "sharded")
+    assert causal.score_elements_peak == 2 * 2 * (29 * 29 + 29 * 348)
 
 
 def test_weak_scaling_rejects_non_integer_ratio(tiny_cfg):
@@ -48,14 +55,18 @@ def test_weak_scaling_rejects_non_integer_ratio(tiny_cfg):
 
 
 def test_doubling_workers_halves_score_footprint(tiny_cfg):
-    one = estimate(tiny_cfg, 1, "sharded")
-    two = estimate(tiny_cfg, 2, "sharded")
-    four = estimate(tiny_cfg, 4, "sharded")
+    full = replace(tiny_cfg, causal=False)
+    one = estimate(full, 1, "sharded")
+    two = estimate(full, 2, "sharded")
+    four = estimate(full, 4, "sharded")
     assert one.score_elements_peak == 2 * two.score_elements_peak
     assert two.score_elements_peak == 2 * four.score_elements_peak
-    # each of two balanced ranks scores two 6-row chunks, one band each:
-    # 180 of one worker's 576 (rows x visible keys)
+    # causal, each of two balanced ranks scores and keeps two 6-row chunks,
+    # one band each: 6*6 + 6*24 = 180 of one worker's 24*24 = 576 (rows x
+    # visible keys) per (sample, head) block; four ranks keep 3*3 + 3*24
+    one, two, four = (estimate(tiny_cfg, n, "sharded") for n in (1, 2, 4))
     assert 16 * two.score_flops == 5 * one.score_flops
+    assert [e.score_elements_peak for e in (one, two, four)] == [4 * 576, 4 * 180, 4 * 81]
 
 
 def test_score_flops_count_each_bands_visible_keys():
@@ -92,15 +103,21 @@ def test_single_worker_sharded_matches_sequential_compute(tiny_cfg):
 
 
 def test_baseline_footprint_is_workers_times_sharded(tiny_cfg):
+    full = replace(tiny_cfg, causal=False)
     for n in (2, 4):
-        base = estimate(tiny_cfg, n, "baseline")
-        shard = estimate(tiny_cfg, n, "sharded")
+        base = estimate(full, n, "baseline")
+        shard = estimate(full, n, "sharded")
         assert base.score_elements_peak == n * shard.score_elements_peak
     # and the baseline's peak never depends on the worker count
-    assert (
-        estimate(tiny_cfg, 2, "baseline").score_elements_peak
-        == estimate(tiny_cfg, 4, "baseline").score_elements_peak
-    )
+    for cfg in (full, tiny_cfg):
+        assert (
+            estimate(cfg, 2, "baseline").score_elements_peak
+            == estimate(cfg, 4, "baseline").score_elements_peak
+        )
+    # causal, rank 0 of 4 keeps its chunks 0..3 and 21..24 (3*3 + 3*24 = 81
+    # per (sample, head) block), the baseline its one 24-row band of 24*24
+    assert estimate(tiny_cfg, 4, "sharded").score_elements_peak == 4 * 81
+    assert estimate(tiny_cfg, 4, "baseline").score_elements_peak == 4 * 576
 
 
 def test_collective_counts_per_engine(tiny_cfg):
@@ -293,6 +310,54 @@ def test_cached_score_bytes_match_estimate(tiny_cfg, rng, engine, replicas, work
         # the baseline's rank 0 runs every sublayer, the others hold no scores
         want = 0 if engine == "baseline" and rank > 0 else est.score_cache_bytes
         assert [c.attn_score_bytes_cached for c in counters] == [want, want]
+
+
+# (engine, replicas, workers, fused): each engine on grids of up to 3 sequence
+# workers; hybrid with at most 2 replicas
+SMALL_GRIDS = [
+    ("sequential", 1, 1, True), ("sharded", 1, 1, True), ("sharded", 1, 2, True),
+    ("sharded", 1, 3, True), ("sharded", 1, 2, False), ("sharded", 1, 3, False),
+    ("baseline", 1, 2, True), ("baseline", 1, 3, True),
+    ("hybrid", 2, 1, True), ("hybrid", 2, 2, True), ("hybrid", 2, 2, False),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_=st.sampled_from(SMALL_GRIDS), length=st.integers(1, 96), batch=st.integers(1, 3),
+       heads=st.integers(1, 3), causal=st.booleans(), dropout=st.sampled_from([0.0, 0.2]),
+       precision=st.sampled_from(["double", "single"]))
+@example(grid_=("sharded", 1, 2, True), length=30, batch=1, heads=1, causal=True, dropout=0.0,
+         precision="double")  # blocks of 15: chunks of 7 and 8 rows
+def test_every_ranks_score_stack_is_its_closed_form(grid_, length, batch, heads, causal, dropout,
+                                                     precision):
+    """Every rank's step-0 score elements and cached score bytes are
+    ``rank_score_elements`` and ``rank_score_cache_bytes`` of its sequence
+    index, and the run's summary measures what it estimates."""
+    engine, replicas, workers, fused = grid_
+    seq_len = workers * max(1, length // workers)
+    cfg = ModelConfig(embed_dim=4 * heads, n_layers=2, n_heads=heads, ff_dim=8, vocab=256,
+                      seq_len=seq_len, batch=batch, causal=causal, dropout=dropout,
+                      precision=precision)
+    layout = grid.GridLayout(replicas, workers)
+    rng = np.random.default_rng(seq_len)
+    shape = (replicas * batch, seq_len)
+    batches = [(rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))]
+    run = runner._train(engine, cfg, model.init_params(cfg, 0), layout, batches, lr=0.1,
+                        policy=DropoutPolicy(rate=dropout, seed=5), fused=fused)
+    elements = costs.rank_score_elements(cfg, workers, engine)
+    cache = costs.rank_score_cache_bytes(cfg, workers, engine)
+    seq_index = [layout.coords(rank)[1] for rank in range(layout.world)]
+    assert [c[0].attn_score_elements_peak for c in run.counters] == [elements[i] for i in seq_index]
+    assert [c[0].attn_score_bytes_cached for c in run.counters] == [cache[i] for i in seq_index]
+
+    with tempfile.TemporaryDirectory() as out:
+        rc = runner.RunConfig(model=cfg, engine=engine, workers=workers, replicas=replicas,
+                              steps=1, synthetic_bytes=4096, fused=fused, out_dir=out)
+        summary = runner.run_experiment(rc).summary
+        assert summary["measured_score_elements_by_rank"] == [elements[i] for i in seq_index]
+        for figure in ("score_elements_peak", "score_cache_bytes", "score_flops"):
+            assert summary[f"measured_{figure}"] == summary[f"estimated_{figure}"], figure
+        assert reporting.report(out)[1] == []
 
 
 def test_complexity_labels(tiny_cfg):

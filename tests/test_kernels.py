@@ -201,7 +201,7 @@ def ref_scores_fwd(q, k, v, offset, cfg, policy, layer):
             if counters is not None:
                 counters.add_score_flops(2 * m, dk, t)
     if counters is not None:
-        counters.record_score_footprint(blocks * m * t)
+        counters.record_score_footprint(exps.size)
         counters.add_score_cache(exps.nbytes + inv.nbytes + (0 if keep is None else keep.nbytes))
     return ctx, exps, keep, inv
 
@@ -249,8 +249,9 @@ def ref_banded_scores_fwd(q, k, v, offset, cfg, policy, layer):
                 if counters is not None:
                     counters.add_score_flops(2 * (r1 - r0), dk, vis)
     if counters is not None:
-        counters.record_score_footprint(blocks * m * t)
-        counters.add_score_cache(blocks * m * t * (q.dtype.itemsize + (keep is not None))
+        packed_size = sum(e.size for e in exps)
+        counters.record_score_footprint(packed_size)
+        counters.add_score_cache(packed_size * (q.dtype.itemsize + (keep is not None))
                                  + inv.nbytes)
     return ctx, exps, keep, inv
 
@@ -575,15 +576,15 @@ def test_grouped_scores_match_the_per_block_loop_bitwise(shape, precision, causa
         ctx_frozen = Frozen(ctx)
         blocks = bsz * cfg.n_heads
         itemsize = cfg.dtype.itemsize
-        assert cache.nbytes == blocks * m * (t * (itemsize + (1 if rate else 0)) + itemsize)
         want_packed = packed(want_e)
-        assert_bitwise(cache.exps.reshape(-1)[: want_packed.size], want_packed)
+        assert cache.nbytes == (want_packed.size * (itemsize + (1 if rate else 0))
+                                + blocks * m * itemsize)
+        assert_bitwise(cache.exps, want_packed)
         assert_bitwise(cache.inv_sums, want_inv)
         if want_keep is None:
             assert cache.keep is None
         else:
-            want_packed = packed(want_keep)
-            assert_bitwise(cache.keep.reshape(-1)[: want_packed.size], want_packed)
+            assert_bitwise(cache.keep, packed(want_keep))
         grads = model.scores_bwd(cache, q, k, v, ctx, grad_ctx, cfg, policy)
     assert_bitwise(ctx, want_ctx)
     for got, want in zip(grads, want_grads):

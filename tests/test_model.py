@@ -45,17 +45,21 @@ def attention_oracle(q, k, v, offset, cfg):
 
 
 def unpack(cache, stack):
-    """A score cache's ``stack`` (its exponentials or keep masks) as one dense
-    (rows, keys) array per (sample, head) block, zero past each band's
-    visible keys: each band's (blocks, band rows, visible keys) entries lie
-    at its tile's start, one tile after another from the front of the stack."""
-    dense = np.zeros(stack.shape, stack.dtype)
-    flat, pos, blocks = stack.reshape(-1), 0, len(stack)
+    """A score cache's flat ``stack`` (its exponentials or keep masks) as one
+    dense (rows, keys) array per (sample, head) block, as wide as its widest
+    band and zero past each band's visible keys: each band's (blocks, band
+    rows, visible keys) entries lie at its tile's start, one tile after
+    another from the front of the stack, which ends with the last tile."""
+    blocks, rows, _ = cache.inv_sums.shape
+    keys = max(visible for _, _, visible, _ in cache.tiles)
+    dense = np.zeros((blocks, rows, keys), stack.dtype)
+    pos = 0
     for r0, r1, visible, start in cache.tiles:
         assert start == pos
         n = blocks * (r1 - r0) * visible
-        dense[:, r0:r1, :visible] = flat[pos : pos + n].reshape(blocks, r1 - r0, visible)
+        dense[:, r0:r1, :visible] = stack[pos : pos + n].reshape(blocks, r1 - r0, visible)
         pos += n
+    assert stack.shape == (pos,)
     return list(dense)
 
 
@@ -321,10 +325,10 @@ def test_score_counters_track_shapes(rng):
     counters = tensor.StepCounters()
     with tensor.counting(counters):
         model.scores_fwd(q, k, v, ((0, 2),), cfg, OFF, layer=0)
-    b, h, m, t, dk = 3, 2, 2, 6, 4
-    visible = 2  # rows 0 and 1 see keys 0 and 1; the stack still spans every key
+    b, h, m, dk = 3, 2, 2, 4
+    visible = 2  # rows 0 and 1 see keys 0 and 1, and the stack holds only those
     assert counters.attn_score_flops == b * h * (2 * m * dk * visible + 2 * m * visible * dk)
-    assert counters.attn_score_elements_peak == b * h * m * t
+    assert counters.attn_score_elements_peak == b * h * m * visible
 
 
 def scores_bwd_with_dropped_copy(attn, q, k, v, ctx, grad_ctx, cfg, policy):
@@ -393,7 +397,7 @@ def test_score_cache_keeps_exponentials_keep_mask_and_reciprocals_only(rng, prec
     with tensor.counting(counters):
         ctx, cache = model.scores_fwd(q, k, v, ((0, 6),), cfg, DropoutPolicy(rate=rate, seed=2), 0)
     assert ctx.dtype == dt
-    assert cache.exps.shape == (3 * 2, 6, 6)
+    assert cache.exps.shape == (3 * 2 * 6 * 6,)  # one band of every key
     assert cache.inv_sums.shape == (3 * 2, 6, 1)
     assert cache.exps.dtype == cache.inv_sums.dtype == dt
     assert (cache.keep is None) == (rate == 0.0)
@@ -444,6 +448,25 @@ def test_scores_bwd_spends_its_cache_and_recycles_its_stacks(rng):
         got = model.scores_bwd(again, q, k, v, ctx, grad_ctx, cfg, policy)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+def test_scores_bwd_refuses_a_spent_cache_and_a_stack_of_the_wrong_length(rng):
+    """A spent cache cannot serve a second backward, and a cache whose
+    stack is not exactly its tile plan's length (here, queries of another
+    batch than the forward's) is refused before any tile is read."""
+    cfg = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, ff_dim=8, vocab=5, seq_len=130,
+                      batch=2)
+    q, k, v = score_inputs(rng, cfg, 130)
+    grad_ctx = rng.standard_normal(q.shape)
+    ctx, cache = model.scores_fwd(q, k, v, ((0, 130),), cfg, OFF, 0)
+    # three bands of 64, 64 and 2 rows, over 4 blocks: 50192 elements; the
+    # plan's last tile, at 2 blocks, would end at 49152 + 2 * 2 * 130
+    assert cache.exps.shape == (4 * (64 * 64 + 64 * 128 + 2 * 130),)
+    with pytest.raises(ValueError, match="holds 50192 elements, .* over 2 blocks packs 49672"):
+        model.scores_bwd(cache, q[:1], k[:1], v[:1], ctx[:1], grad_ctx[:1], cfg, OFF)
+    model.scores_bwd(cache, q, k, v, ctx, grad_ctx, cfg, OFF)
+    with pytest.raises(ValueError, match="a cache serves one backward"):
+        model.scores_bwd(cache, q, k, v, ctx, grad_ctx, cfg, OFF)
 
 
 # (batch, heads, rows, keys, offset): a T128 block of two bands, a ragged

@@ -194,13 +194,19 @@ def test_run_experiment_writes_every_artifact(tmp_path):
     assert problems == []
 
 
-@pytest.mark.parametrize("engine,workers", [("sharded", 2), ("baseline", 2)])
-def test_summary_shows_cached_score_bytes_against_the_estimate(tmp_path, engine, workers):
+@pytest.mark.parametrize("engine,workers,elements", [
+    # a sharded rank's chunks 0..4 + 12..16 (or 4..8 + 8..12) keep 4*4 +
+    # 4*16 = 80 (rows x visible keys) of a (sample, head) block's scores;
+    # the baseline's rank 0 keeps one 16-row band of 16*16
+    ("sharded", 2, 80), ("baseline", 2, 16 * 16),
+])
+def test_summary_shows_cached_score_bytes_against_the_estimate(tmp_path, engine, workers,
+                                                                elements):
     rc = small_run(tmp_path, model=small_model(dropout=0.1), engine=engine, workers=workers)
     summary = runner.run_experiment(rc).summary
     cfg = rc.model
     rows = cfg.seq_len // workers if engine == "sharded" else cfg.seq_len
-    want = cfg.n_layers * cfg.batch * cfg.n_heads * rows * (cfg.seq_len * (8 + 1) + 8)
+    want = cfg.n_layers * cfg.batch * cfg.n_heads * (elements * (8 + 1) + rows * 8)
     assert summary["measured_score_cache_bytes"] == want
     assert summary["estimated_score_cache_bytes"] == want
     text, _ = reporting.report(rc.out_dir)
@@ -668,7 +674,7 @@ def test_cli_cost_rejects_an_empty_worker_list(capsys, workers):
 
 def test_cli_cost_of_zero_layers_has_no_scores_and_no_weak_scaling(capsys):
     assert run_cli("cost", "--layers", "0", "--workers", "2") == 0
-    assert "score elements (peak)   0\n" in capsys.readouterr().out
+    assert "score elements (peak)   0  (busiest; by rank [0, 0])\n" in capsys.readouterr().out
     assert run_cli("cost", "--weak-scaling", "--layers", "0") == 1
     captured = capsys.readouterr()
     assert "error: weak scaling needs at least one layer, got 0 layers" in captured.err
@@ -690,8 +696,23 @@ def test_cli_cost_prints_cached_score_bytes(capsys):
     assert run_cli("cost", "--workers", "2", "--seq-len", "16", "--dropout", "0.1",
                    "--precision", "single") == 0
     m = runner.default_model()
-    want = m.n_layers * m.batch * m.n_heads * 8 * (16 * (4 + 1) + 4)
-    assert f"score cache bytes       {want}\n" in capsys.readouterr().out
+    # each rank keeps 4*4 + 4*16 = 80 scores of its 8 rows per (sample, head) block
+    want = m.n_layers * m.batch * m.n_heads * (80 * (4 + 1) + 8 * 4)
+    assert (f"score cache bytes       {want}  (busiest; by rank [{want}, {want}])\n"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("engine", ["sharded", "hybrid"])
+def test_cli_cost_prints_each_sequence_ranks_score_elements_at_an_odd_block(capsys, engine):
+    """T30 on 2 workers: rank 0's chunks 0..7 and 22..30 keep 7*7 + 8*30 =
+    289 scores per (sample, head) block, rank 1's 7..14 and 14..22 7*14 +
+    8*22 = 274; the default model has 4 x 8 blocks, 15 rows and 2 layers."""
+    assert run_cli("cost", "--engine", engine, "--seq-len", "30", "--workers", "2") == 0
+    out = capsys.readouterr().out
+    elements = [32 * 289, 32 * 274]
+    cache = [2 * (e * 8 + 32 * 15 * 8) for e in elements]
+    assert f"score elements (peak)   {elements[0]}  (busiest; by rank {elements})\n" in out
+    assert f"score cache bytes       {cache[0]}  (busiest; by rank {cache})\n" in out
 
 
 @pytest.mark.parametrize("kw", [
