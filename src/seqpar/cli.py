@@ -2,7 +2,8 @@
 
     seqpar train  --engine sharded --workers 2 --steps 200 --out runs/demo
     seqpar verify --engines sharded,baseline,hybrid --workers 1,2,4
-    seqpar cost   --seq-len 348 --workers 6 [--weak-scaling]
+    seqpar cost   --seq-len 348 --workers 6
+    seqpar cost   --weak-scaling
     seqpar report runs/demo
 
 Flags mirror the run-config fields.  ``--config FILE`` loads a JSON run
@@ -126,9 +127,17 @@ def _cmd_verify(args) -> int:
     return 0 if all(r["pass"] for r in rows) else 1
 
 
+# The cost flags --weak-scaling does not read, with their defaults.
+_COST_DEFAULTS = {"engine": "sharded", "workers": "1", "no_fuse": False}
+
+
 def _cmd_cost(args) -> int:
     cfg = _model_from(args)
     if args.weak_scaling:
+        unread = ["--" + k.replace("_", "-") for k, v in _COST_DEFAULTS.items()
+                  if getattr(args, k) != v]
+        if unread:
+            raise ValueError(f"--weak-scaling takes no {', '.join(unread)}")
         ratios = costs.weak_scaling_ratios(cfg)
         print("paper schedule; score elements over each worker's full rectangle (non-causal)")
         print(f"{'workers':>8} {'seq_len':>8} {'score elems/worker':>20} {'ratio':>6}")
@@ -143,14 +152,12 @@ def _cmd_cost(args) -> int:
     for n in workers:
         est = costs.estimate(cfg, n, args.engine, fused=fused)
         print(f"engine={est.engine} workers={n} block={est.block}")
-        flops = elements = cache = ""
-        if args.engine in ("sharded", "hybrid"):
-            flops = f"  (busiest; by rank {costs.rank_score_flops(cfg, n, args.engine)})"
-            elements = f"  (busiest; by rank {costs.rank_score_elements(cfg, n, args.engine)})"
-            cache = f"  (busiest; by rank {costs.rank_score_cache_bytes(cfg, n, args.engine)})"
-        print(f"  score flops (fwd)       {est.score_flops}{flops}")
-        print(f"  score elements (peak)   {est.score_elements_peak}{elements}")
-        print(f"  score cache bytes       {est.score_cache_bytes}{cache}")
+        print(f"  score flops (fwd)       {est.score_flops}"
+              f"  (busiest; by rank {est.score_flops_by_rank})")
+        print(f"  score elements (peak)   {est.score_elements_peak}"
+              f"  (busiest; by rank {est.score_elements_by_rank})")
+        print(f"  score cache bytes       {est.score_cache_bytes}"
+              f"  (busiest; by rank {est.score_cache_bytes_by_rank})")
         print(f"  projection flops (fwd)  {est.proj_flops}")
         print(f"  ffn flops (fwd)         {est.ffn_flops}")
         print(f"  head flops (fwd)        {est.head_flops}")
@@ -214,11 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cost", help="closed-form cost estimates")
     _add_model_flags(c)
-    c.add_argument("--engine", choices=grid.ENGINES, default="sharded")
-    c.add_argument("--workers", default="1")
-    c.add_argument("--no-fuse", action="store_true")
+    c.add_argument("--engine", choices=grid.ENGINES, default=_COST_DEFAULTS["engine"])
+    c.add_argument("--workers", default=_COST_DEFAULTS["workers"])
+    c.add_argument("--no-fuse", action="store_true", default=_COST_DEFAULTS["no_fuse"])
     c.add_argument("--weak-scaling", action="store_true",
-                   help="print the fixed worker/sequence-length schedule table")
+                   help="print the fixed worker/sequence-length schedule table (takes no "
+                        "--engine, --workers or --no-fuse)")
     c.set_defaults(fn=_cmd_cost)
 
     r = sub.add_parser("report", help="read a run directory back and check every measured "

@@ -6,28 +6,28 @@ run to the last flop.  Score flops accumulate over layers and count only the
 keys each band of query rows can see (:func:`seqpar.model.score_bands`), so
 under a causal mask a row's share grows with its position in the sequence.
 :func:`score_flops` gives a worker's rows (:data:`seqpar.model.Rows`,
-ascending chunks of positions, each cut into bands on its own) their figure,
-and :func:`rank_score_flops` every worker of a sequence group its own.  A
-sharded worker, fused or not, owns one early and one late chunk
+ascending chunks of positions, each cut into bands on its own) their figure.
+A sharded worker, fused or not, owns one early and one late chunk
 (:attr:`seqpar.grid.ShardSpec.balanced_rows`), so all workers score
-equal shares when the block is even, and near-equal ones when it is odd.  The estimate gives the busiest worker's figure.
+equal shares when the block is even, and near-equal ones when it is odd.
 The score-element figure is the footprint of one layer's score stack, which
 packs only the entries its bands score (:func:`seqpar.model.score_stack_size`):
 per layer, ``b·h·Σ band rows × visible keys``, a worker's score flops
 divided by ``4·dk·L``.  :func:`score_elements` gives a worker's rows their
-figure and :func:`rank_score_elements` every worker of a sequence group its
-own; like the flops, they are equal at an even block and differ at an odd
-one, and the estimate is the busiest worker's.  The figure carries no layer
-factor (and is 0 for a model without layers).
+figure; it carries no layer factor (and the estimate's is 0 for a model
+without layers).
 A training step keeps every layer's scores until its backward: the
 cached-bytes figure counts those, L times the score elements at ``itemsize``
 bytes each for the softmax exponentials, plus one byte each for the dropout
 keep mask when dropout is on, plus ``itemsize`` bytes for the reciprocal sum
 of each (sample, head) block's query row (neither the weights nor the
 dropped weights are kept: both are the exponentials times per-row factors,
-which the score kernels apply to (rows, dk) operands).  Collective counts
-and payload elements are totals over the whole grid, as the ledger records
-them; payload sizes come from :func:`seqpar.model.param_shapes`.
+which the score kernels apply to (rows, dk) operands).
+:func:`estimate` gives these three figures for every world rank, in rank
+order (:class:`CostEstimate`'s ``*_by_rank`` lists), and their largest as
+the busiest rank's.  Collective counts and payload elements are totals over
+the whole grid, as the ledger records them; payload sizes come from
+:func:`seqpar.model.param_shapes`.
 """
 
 from __future__ import annotations
@@ -52,17 +52,19 @@ WEAK_SCALING_SCHEDULE = (
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Per-step costs: compute and memory figures for the busiest worker,
-    collective figures for the whole grid."""
+    """Per-step costs: score figures for every world rank, in rank order
+    (replica-major, so a hybrid sequence group's list repeats once per
+    replica), with the busiest rank's as properties; the other compute
+    figures for the busiest worker; collective figures for the whole grid."""
 
     engine: str
     workers: int
     seq_len: int
     block: int
 
-    score_flops: int            # forward QK^T + weights@V over visible keys, all layers
-    score_elements_peak: int    # entries of one layer's score stack
-    score_cache_bytes: int      # every layer's score caches, held until backward
+    score_flops_by_rank: list[int]        # forward QK^T + weights@V over visible keys, all layers
+    score_elements_by_rank: list[int]     # entries of one layer's score stack
+    score_cache_bytes_by_rank: list[int]  # every layer's score caches, held until backward
     proj_flops: int             # q/k/v/out projections, forward, all layers
     ffn_flops: int              # both ffn matmuls, forward, all layers
     head_flops: int             # vocabulary projection, forward
@@ -72,6 +74,18 @@ class CostEstimate:
 
     complexity: dict
 
+    @property
+    def score_flops(self) -> int:
+        return max(self.score_flops_by_rank)
+
+    @property
+    def score_elements_peak(self) -> int:
+        return max(self.score_elements_by_rank)
+
+    @property
+    def score_cache_bytes(self) -> int:
+        return max(self.score_cache_bytes_by_rank)
+
 
 def estimate(
     cfg: ModelConfig, workers: int, engine: str = "sharded", *, fused: bool = True,
@@ -80,29 +94,31 @@ def estimate(
     """Closed-form cost of one training step of ``engine`` on ``workers``
     (times ``replicas`` for the hybrid grid).
 
-    Figures describe the busiest worker.  For the sharded and hybrid engines
-    every worker does the same projection, ffn and head work, but a causal
-    worker scores and keeps only the keys its rows can see, so
-    ``score_flops`` is the largest of :func:`rank_score_flops` and
-    ``score_elements_peak`` and ``score_cache_bytes`` the largest of
-    :func:`rank_score_elements` and :func:`rank_score_cache_bytes`.
-    ``fused`` moves only the key/value
-    projections (fused, over the gathered whole sequence; unfused, over the
-    worker's own rows) and the layer-tagged collectives (two per layer
-    fused, four unfused).  For the baseline, rank 0 does all
-    attention/ffn/head work and holds every score.
+    The score figures are listed for every world rank.  A sharded or
+    hybrid rank scores its balanced rows, and a causal one scores and keeps
+    only the keys those rows can see; on the other engines rank 0 scores
+    the whole sequence and every other rank nothing.  The other compute figures describe the busiest worker: for
+    the sharded and hybrid engines every worker does the same projection,
+    ffn and head work.  ``fused`` moves only the key/value projections
+    (fused, over the gathered whole sequence; unfused, over the worker's
+    own rows) and the layer-tagged collectives (two per layer fused, four
+    unfused).  For the baseline, rank 0 does all attention/ffn/head work
+    and holds every score.
     """
     check_grid(engine, GridLayout(replicas, workers), cfg.seq_len)
     l, b, e, f, layers = cfg.seq_len, cfg.batch, cfg.embed_dim, cfg.ff_dim, cfg.n_layers
     block = l // workers
     # Rows this worker pushes through queries, scores, ffn and head, and the
-    # rows its key/value projections see.
+    # rows its key/value projections see; the query rows each rank of a
+    # sequence group scores.
     rows = kv_rows = l
+    group_rows = [((0, l),)] + [()] * (workers - 1)
     if engine in ("sharded", "hybrid"):
         # Fused gathers the normalized input and projects keys/values over
         # the whole sequence; unfused projects its own rows, then gathers K
         # and V.
         rows, kv_rows = block, (l if fused else block)
+        group_rows = [ShardSpec(r, workers, l).balanced_rows for r in range(workers)]
         per_layer = 2 if fused else 4
         # Per sequence group: one b*l*e payload per layer-tagged collective
         # (fused gathers the normalized input; unfused gathers keys and
@@ -123,8 +139,11 @@ def estimate(
         collectives = 0
         comm_elements = 0
 
-    score_elements_peak = max(rank_score_elements(cfg, workers, engine))
-    score_cache_bytes = max(rank_score_cache_bytes(cfg, workers, engine))
+    elements = [score_elements(cfg, r) if layers else 0 for r in group_rows]
+    itemsize = cfg.dtype.itemsize
+    per_element = itemsize + (1 if cfg.dropout > 0 else 0)
+    cache_bytes = [layers * (n * per_element + b * cfg.n_heads * row_count(r) * itemsize)
+                   for n, r in zip(elements, group_rows)]
     proj_flops = layers * (2 * b * rows * e * e * 2 + 2 * b * kv_rows * e * e * 2)
     ffn_flops = layers * (2 * b * rows * e * f) * 2
     head_flops = 2 * b * rows * e * cfg.vocab
@@ -134,9 +153,9 @@ def estimate(
         workers=workers,
         seq_len=l,
         block=block,
-        score_flops=max(rank_score_flops(cfg, workers, engine)),
-        score_elements_peak=score_elements_peak,
-        score_cache_bytes=score_cache_bytes,
+        score_flops_by_rank=[4 * cfg.head_dim * layers * n for n in elements] * replicas,
+        score_elements_by_rank=elements * replicas,
+        score_cache_bytes_by_rank=cache_bytes * replicas,
         proj_flops=proj_flops,
         ffn_flops=ffn_flops,
         head_flops=head_flops,
@@ -161,44 +180,6 @@ def score_flops(cfg: ModelConfig, rows: Rows) -> int:
     query rows at ``rows``: QK^T and weights@V over each of
     :func:`score_elements`' entries, ``4·dk`` flops per entry and layer."""
     return 4 * cfg.head_dim * cfg.n_layers * score_elements(cfg, rows)
-
-
-def _rank_rows(cfg: ModelConfig, workers: int, engine: str) -> list:
-    """The query rows each worker of a sequence group scores, in rank
-    order: :attr:`seqpar.grid.ShardSpec.balanced_rows` for the sharded and
-    hybrid engines; otherwise the whole sequence on rank 0 and None (no
-    scores) on the others."""
-    if engine in ("sharded", "hybrid"):
-        return [ShardSpec(r, workers, cfg.seq_len).balanced_rows for r in range(workers)]
-    return [((0, cfg.seq_len),)] + [None] * (workers - 1)
-
-
-def rank_score_flops(cfg: ModelConfig, workers: int, engine: str = "sharded") -> list[int]:
-    """Forward score flops of one training step on each worker of a sequence
-    group, in rank order: the closed form over the rows each one computes."""
-    return [0 if rows is None else score_flops(cfg, rows)
-            for rows in _rank_rows(cfg, workers, engine)]
-
-
-def rank_score_elements(cfg: ModelConfig, workers: int, engine: str = "sharded") -> list[int]:
-    """Entries of one layer's score stack on each worker of a sequence
-    group, in rank order (0 for a model without layers, which keeps no
-    stack): a worker's :func:`rank_score_flops` figure over ``4·dk·L``."""
-    return [0 if rows is None or not cfg.n_layers else score_elements(cfg, rows)
-            for rows in _rank_rows(cfg, workers, engine)]
-
-
-def rank_score_cache_bytes(cfg: ModelConfig, workers: int, engine: str = "sharded") -> list[int]:
-    """Bytes of every layer's score caches on each worker of a sequence
-    group, in rank order: per layer, :func:`rank_score_elements` at
-    ``itemsize`` bytes (plus one for the keep mask with dropout) and one
-    ``itemsize`` reciprocal sum per (sample, head) block's query row."""
-    itemsize = cfg.dtype.itemsize
-    per_element = itemsize + (1 if cfg.dropout > 0 else 0)
-    row_sums = [0 if rows is None else cfg.batch * cfg.n_heads * row_count(rows)
-                for rows in _rank_rows(cfg, workers, engine)]
-    return [cfg.n_layers * (elements * per_element + sums * itemsize)
-            for elements, sums in zip(rank_score_elements(cfg, workers, engine), row_sums)]
 
 
 def _complexity(engine: str) -> dict:

@@ -211,13 +211,12 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
 
     window = losses[-min(SMOOTH_WINDOW, len(losses)):]
     est = costs.estimate(cfg, rc.workers, rc.engine, fused=rc.fused, replicas=rc.replicas)
-    # every rank's step-0 score flops and score elements, in world-rank
-    # order.  The estimates are the busiest rank's: sharded ranks, fused or
-    # not, own balanced rows and score and keep equal shares (near-equal at
-    # an odd block), and only the baseline's rank 0 scores at all.
-    rank_score_flops = [c[0].attn_score_flops for c in run.counters]
-    rank_score_elements = [c[0].attn_score_elements_peak for c in run.counters]
-    busiest_score_flops = max(rank_score_flops)
+    # every world rank's step-0 score figures beside the estimate's, and
+    # the busiest rank's of each
+    step0 = [c[0] for c in run.counters]
+    score_flops = [c.attn_score_flops for c in step0]
+    score_elements = [c.attn_score_elements_peak for c in step0]
+    score_cache_bytes = [c.attn_score_bytes_cached for c in step0]
     summary = {
         "engine": rc.engine,
         "workers": rc.workers,
@@ -233,15 +232,19 @@ def run_experiment(rc: RunConfig, *, echo=None) -> RunResult:
         "elapsed_seconds": round(elapsed, 3),
         "ledger_records": len(records),
         "collectives_step0": collectives[0],
-        "measured_score_flops": busiest_score_flops,
-        "measured_score_flops_by_rank": rank_score_flops,
+        "measured_score_flops": max(score_flops),
+        "measured_score_flops_by_rank": score_flops,
         "estimated_score_flops": est.score_flops,
-        "score_flops_delta": busiest_score_flops - est.score_flops,
-        "measured_score_elements_peak": max(rank_score_elements),
-        "measured_score_elements_by_rank": rank_score_elements,
+        "estimated_score_flops_by_rank": est.score_flops_by_rank,
+        "score_flops_delta": max(score_flops) - est.score_flops,
+        "measured_score_elements_peak": max(score_elements),
+        "measured_score_elements_by_rank": score_elements,
         "estimated_score_elements_peak": est.score_elements_peak,
-        "measured_score_cache_bytes": max(c[0].attn_score_bytes_cached for c in run.counters),
+        "estimated_score_elements_by_rank": est.score_elements_by_rank,
+        "measured_score_cache_bytes": max(score_cache_bytes),
+        "measured_score_cache_bytes_by_rank": score_cache_bytes,
         "estimated_score_cache_bytes": est.score_cache_bytes,
+        "estimated_score_cache_bytes_by_rank": est.score_cache_bytes_by_rank,
         "estimated_collectives_per_step": est.collectives_per_step,
         "estimated_comm_elements_per_step": est.comm_elements_per_step,
     }

@@ -1,27 +1,32 @@
-"""The names the benchmark's tracer patches must exist in the program.
+"""The names the benchmark's tracer patches must exist in the program, and
+the program figures the benchmark reads must hold.
 
 perfbench/spans.py wraps seqpar functions by name.  A rename there makes
 every benchmark call fail with "expected one training-loop span" or silently
 drops the worker-thread roots, so the contract is checked here, in the
-ordinary test suite, without touching perfbench/.
+ordinary test suite, without touching perfbench/.  perfbench/run.py reads
+``costs.estimate`` for its cost-model deltas, which read 0 on correct code.
 """
 
 import importlib
 import importlib.util
 import inspect
 import pathlib
+import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from seqpar import model, runner, tensor
+from seqpar import model, run_experiment, runner, tensor
 from seqpar.collectives import Communicator
 from seqpar.grid import GridLayout
 from seqpar.model import ModelConfig
 from seqpar.nnops import DropoutPolicy
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +170,37 @@ def test_scores_fwd_sends_each_tile_through_softmax_rows(spans, monkeypatch, cau
     blocks = cfg.batch * cfg.n_heads
     assert len(cache.tiles) == (4 if causal else 1)
     assert calls == [(blocks, r1 - r0, visible) for r0, r1, visible, _ in cache.tiles]
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench/run.py, loaded with perfbench/ on sys.path for this test
+    only; the perfbench modules it imports leave sys.modules after it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delenv(runner.OUTPUT_DIR_ENV, raising=False)
+    fresh = [name for name in ("spans", "stats", "workloads") if name not in sys.modules]
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run_contract",
+                                                      PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)
+
+
+def test_every_workloads_cost_deltas_read_zero(bench, tmp_path):
+    """One step of each benchmark workload on the seed-1 corpus: every
+    ``costs.*_delta`` that ``exact_metrics`` reports is 0."""
+    corpus = str(tmp_path / "corpus.txt")
+    bench.write_corpus(corpus, 1)
+    for name, w in bench.WORKLOADS.items():
+        out_dir = str(tmp_path / name)
+        rc = replace(w.run_config(dataset=corpus, out_dir=out_dir, seed=1), steps=1)
+        run_experiment(rc)
+        deltas = {k: v for k, v in bench.exact_metrics(w, rc, out_dir).items()
+                  if k.startswith("costs.")}
+        assert deltas == {"costs.score_flops_delta": 0, "costs.collectives_delta": 0,
+                          "costs.comm_elements_delta": 0}, name

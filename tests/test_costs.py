@@ -82,7 +82,7 @@ def test_score_flops_count_each_bands_visible_keys():
     assert score_flops(cfg, ((0, 100),)) == by_hand((64, 64), (36, 100))
     assert score_flops(cfg, ((200, 300),)) == by_hand((64, 264), (36, 300))
     # balanced ranks hold two 50-row chunks, one band each, and score equal shares
-    assert costs.rank_score_flops(cfg, 3) == [by_hand((50, 50), (50, 300))] * 3
+    assert estimate(cfg, 3, "sharded").score_flops_by_rank == [by_hand((50, 50), (50, 300))] * 3
     assert estimate(cfg, 3, "sharded").score_flops == score_flops(cfg, ((100, 150), (150, 200)))
     assert estimate(cfg, 1, "sequential").score_flops == by_hand(
         (64, 64), (64, 128), (64, 192), (64, 256), (44, 300))
@@ -330,9 +330,9 @@ SMALL_GRIDS = [
          precision="double")  # blocks of 15: chunks of 7 and 8 rows
 def test_every_ranks_score_stack_is_its_closed_form(grid_, length, batch, heads, causal, dropout,
                                                      precision):
-    """Every rank's step-0 score elements and cached score bytes are
-    ``rank_score_elements`` and ``rank_score_cache_bytes`` of its sequence
-    index, and the run's summary measures what it estimates."""
+    """Every world rank's step-0 score flops, score elements and cached
+    score bytes are the estimate's figures for that rank, and the run's
+    summary measures what it estimates, rank by rank."""
     engine, replicas, workers, fused = grid_
     seq_len = workers * max(1, length // workers)
     cfg = ModelConfig(embed_dim=4 * heads, n_layers=2, n_heads=heads, ff_dim=8, vocab=256,
@@ -344,19 +344,22 @@ def test_every_ranks_score_stack_is_its_closed_form(grid_, length, batch, heads,
     batches = [(rng.integers(0, cfg.vocab, size=shape), rng.integers(0, cfg.vocab, size=shape))]
     run = runner._train(engine, cfg, model.init_params(cfg, 0), layout, batches, lr=0.1,
                         policy=DropoutPolicy(rate=dropout, seed=5), fused=fused)
-    elements = costs.rank_score_elements(cfg, workers, engine)
-    cache = costs.rank_score_cache_bytes(cfg, workers, engine)
-    seq_index = [layout.coords(rank)[1] for rank in range(layout.world)]
-    assert [c[0].attn_score_elements_peak for c in run.counters] == [elements[i] for i in seq_index]
-    assert [c[0].attn_score_bytes_cached for c in run.counters] == [cache[i] for i in seq_index]
+    est = estimate(cfg, workers, engine, fused=fused, replicas=replicas)
+    step0 = [c[0] for c in run.counters]
+    assert [c.attn_score_flops for c in step0] == est.score_flops_by_rank
+    assert [c.attn_score_elements_peak for c in step0] == est.score_elements_by_rank
+    assert [c.attn_score_bytes_cached for c in step0] == est.score_cache_bytes_by_rank
 
     with tempfile.TemporaryDirectory() as out:
         rc = runner.RunConfig(model=cfg, engine=engine, workers=workers, replicas=replicas,
                               steps=1, synthetic_bytes=4096, fused=fused, out_dir=out)
         summary = runner.run_experiment(rc).summary
-        assert summary["measured_score_elements_by_rank"] == [elements[i] for i in seq_index]
+        assert summary["measured_score_elements_by_rank"] == est.score_elements_by_rank
         for figure in ("score_elements_peak", "score_cache_bytes", "score_flops"):
             assert summary[f"measured_{figure}"] == summary[f"estimated_{figure}"], figure
+        for figure in ("score_flops", "score_elements", "score_cache_bytes"):
+            assert (summary[f"measured_{figure}_by_rank"]
+                    == summary[f"estimated_{figure}_by_rank"]), figure
         assert reporting.report(out)[1] == []
 
 
@@ -378,9 +381,10 @@ def test_complexity_labels(tiny_cfg):
 ])
 def test_every_rank_scores_the_closed_form_over_its_chunks(engine, replicas, workers, seq_len,
                                                            fused):
-    """Each rank's counted score flops are ``rank_score_flops``'s figure for
-    its sequence index: the closed form summed over the chunks of its
-    balanced rows, fused or not, and the estimate is the largest."""
+    """Each rank's counted score flops are the estimate's
+    ``score_flops_by_rank`` figure for it: the closed form summed over the
+    chunks of its balanced rows, fused or not, and the estimate is the
+    largest."""
     cfg = ModelConfig(embed_dim=8, n_layers=2, n_heads=2, ff_dim=8, vocab=16,
                       seq_len=seq_len, batch=1)
     rng = np.random.default_rng(5)
@@ -389,7 +393,7 @@ def test_every_rank_scores_the_closed_form_over_its_chunks(engine, replicas, wor
     layout = grid.GridLayout(replicas, workers)
     run = runner._train(engine, cfg, model.init_params(cfg, 0), layout, batches, lr=0.1,
                         fused=fused)
-    per_rank = costs.rank_score_flops(cfg, workers, engine)
+    per_rank = estimate(cfg, workers, engine, fused=fused, replicas=replicas).score_flops_by_rank
     for rank, counters in enumerate(run.counters):
         seq_index = layout.coords(rank)[1]
         if engine in ("sharded", "hybrid"):
@@ -410,7 +414,7 @@ def test_every_rank_scores_the_closed_form_over_its_chunks(engine, replicas, wor
 def test_balanced_ranks_score_equal_shares(seq_len, workers, heads, each):
     cfg = ModelConfig(embed_dim=64, n_layers=2, n_heads=heads, ff_dim=256, vocab=256,
                       seq_len=seq_len, batch=4)
-    assert costs.rank_score_flops(cfg, workers) == [each] * workers
+    assert estimate(cfg, workers).score_flops_by_rank == [each] * workers
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,7 +425,7 @@ def test_every_even_block_scores_equal_shares(workers, half, causal):
     every rank scores the same, whether or not the chunks fill whole bands."""
     cfg = ModelConfig(embed_dim=4, n_layers=1, n_heads=1, ff_dim=4, vocab=8,
                       seq_len=2 * half * workers, causal=causal)
-    assert len(set(costs.rank_score_flops(cfg, workers))) == 1
+    assert len(set(estimate(cfg, workers).score_flops_by_rank)) == 1
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
@@ -433,7 +437,7 @@ def test_longctx_ranks_score_equal_shares(fused):
                       batch=1, dropout=0.1)
     blocks = [costs.score_flops(cfg, grid.ShardSpec(r, 2, 512).block_rows) for r in range(2)]
     assert blocks == [20_971_520, 54_525_952]
-    assert costs.rank_score_flops(cfg, 2) == [37_748_736, 37_748_736]
+    assert estimate(cfg, 2).score_flops_by_rank == [37_748_736, 37_748_736]
     rng = np.random.default_rng(0)
     run = sharded.run_steps(cfg, model.init_params(cfg, 0), 2, [rand_batch(cfg, rng)], lr=0.1,
                             policy=DropoutPolicy(rate=0.1, seed=0), fused=fused)

@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,32 @@ def test_summary_reports_every_ranks_score_flops(tmp_path, engine, workers, want
     assert summary["measured_score_flops"] == max(want) == summary["estimated_score_flops"]
     text, _ = reporting.report(rc.out_dir)
     assert f"delta 0 by rank {want}\n" in text
+
+
+@pytest.mark.parametrize("figure,edited", [
+    # the default model at T30 on two workers: rank 0 scores rows 0..7 +
+    # 22..30, 7*7 + 8*30 = 289 (row, visible key) pairs per (sample, head)
+    # block, 4*8 blocks, 2 layers of 8-wide heads
+    ("score_flops", [591872, 7]),
+    ("score_elements", [9248, 1]),
+    ("score_cache_bytes", [2 * (9248 * 8 + 4 * 8 * 15 * 8), 3]),
+])
+def test_report_checks_every_ranks_score_figures(tmp_path, capsys, figure, edited):
+    """A summary whose rank 1 figure is wrong fails ``seqpar report``, even
+    though the busiest rank's figure still matches its estimate."""
+    rc = small_run(tmp_path, model=replace(runner.default_model(), seq_len=30),
+                   engine="sharded", workers=2, steps=1)
+    runner.run_experiment(rc)
+    path = Path(rc.out_dir) / "summary.json"
+    written = json.loads(path.read_text())
+    key = f"measured_{figure}_by_rank"
+    assert written["summary"][key][0] == edited[0]
+    written["summary"][key] = edited
+    path.write_text(json.dumps(written))
+    assert run_cli("report", rc.out_dir) == 1
+    captured = capsys.readouterr()
+    assert f"error: {key} {edited} differs from estimated_{figure}_by_rank" in captured.err
+    assert "every figure matches its estimate" not in captured.out
 
 
 def test_zero_layer_run_measures_the_score_footprint_it_estimates(tmp_path):
@@ -662,6 +689,21 @@ def test_cli_cost_and_weak_scaling(capsys):
     table = capsys.readouterr().out
     for ratio in ("1", "6", "18", "54", "144"):
         assert f" {ratio}\n" in table or f" {ratio} " in table
+    # flags set to their defaults are not set at all
+    assert run_cli("cost", "--weak-scaling", "--engine", "sharded", "--workers", "1") == 0
+    assert capsys.readouterr().out == table
+
+
+@pytest.mark.parametrize("flags,named", [
+    (("--engine", "baseline", "--workers", "5"), "--engine, --workers"),
+    (("--workers", "2"), "--workers"),
+    (("--no-fuse",), "--no-fuse"),
+])
+def test_cli_cost_weak_scaling_refuses_the_flags_it_does_not_read(capsys, flags, named):
+    assert run_cli("cost", "--weak-scaling", *flags) == 1
+    captured = capsys.readouterr()
+    assert f"error: --weak-scaling takes no {named}\n" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("workers", ["", ","])
